@@ -2,7 +2,8 @@
 
    Wraps every stage of [Cpuify.pipeline_stages] in a recovery harness:
 
-     1. deep-snapshot the module ([Ir.Clone.snapshot]) before the stage;
+     1. snapshot the module ([Ir.Clone.snapshot]: fresh records and
+        arrays over the same immutable values) before the stage;
      2. run the stage under exception isolation and a fuel budget;
      3. verify the IR afterwards ([Ir.Verifier]);
      4. on any failure — exception, structured error, unverifiable IR —
@@ -96,7 +97,7 @@ let corrupt_module (m : Op.op) : unit =
 (* Speculative-edit harness: the same snapshot/restore substrate the
    ladder uses, exposed for the repair search.  Runs [f]; when it
    returns [false] or raises, the module is transplanted back to its
-   pre-call state (note restore replaces the regions with FRESH clones,
+   pre-call state (note restore replaces the regions with FRESH copies,
    so op/region references into the module taken before the call are
    dangling afterwards — callers must re-derive them). *)
 let with_rollback (m : Op.op) (f : unit -> bool) : bool =

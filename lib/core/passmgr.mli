@@ -54,9 +54,9 @@ val report_to_string : report -> string
     the thunk and keep its edits to the module only when it returns
     [true]; on [false] or an exception the module is restored to its
     pre-call state and the call returns [false].  Restore transplants
-    fresh clones, so op/region references taken before the call dangle
-    after a rollback — re-derive them.  This is the rollback substrate
-    of the {!Repair} candidate search. *)
+    fresh op/region copies, so op/region references taken before the
+    call dangle after a rollback — re-derive them.  This is the
+    rollback substrate of the {!Repair} candidate search. *)
 val with_rollback : Ir.Op.op -> (unit -> bool) -> bool
 
 (** Run the full pre-OpenMP pipeline on the module, fault-tolerantly.

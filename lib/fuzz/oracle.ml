@@ -122,8 +122,8 @@ let classify_pass_exn exn =
   | exn -> ("crash", Printexc.to_string exn)
 
 (* [run] on a frontend-level module instead of source: the reference is
-   a pristine deep clone interpreted under GPU semantics, the working
-   copy another clone the rungs mutate — the input module is left
+   a pristine snapshot interpreted under GPU semantics, the working
+   copy another snapshot the rungs mutate — the input module is left
    untouched.  This is the validation entry the repair search uses on
    its edited (no longer source-backed) kernels. *)
 let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)

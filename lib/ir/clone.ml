@@ -51,22 +51,35 @@ let clone_ops (s : subst) ops = List.map (clone_op s) ops
 
 (* --- snapshots (the fault-tolerant pass manager) --- *)
 
-(* A snapshot is just a deep clone: passes mutate the original in place,
-   so the clone is untouched by whatever happens afterwards. *)
-let snapshot (op : Op.op) : Op.op = clone_op_fresh op
+(* A snapshot copies the op and region records and their arrays but
+   keeps the very same [Value.t]s: values are immutable, and passes edit
+   IR by replacing operand/region arrays and bodies ([Rewrite]), never
+   values, so the copy is untouched by whatever happens to the original.
+   Sharing values makes a snapshot O(IR) with no substitution table —
+   and means it must never be spliced back into the module it came from
+   (every value would be defined twice); only [restore] puts it back. *)
+let rec copy_op (op : Op.op) : Op.op =
+  Op.mk op.kind ~operands:(Array.copy op.operands)
+    ~results:(Array.copy op.results)
+    ~regions:(Array.map copy_region op.regions)
+    ~attrs:op.attrs ?loc:op.loc
 
-(* Restoring clones the snapshot again before moving its mutable pieces
+and copy_region (r : Op.region) : Op.region =
+  { rargs = Array.copy r.rargs; body = List.map copy_op r.body }
+
+let snapshot (op : Op.op) : Op.op = copy_op op
+
+(* Restoring copies the snapshot again before moving its mutable pieces
    into [into]: the snapshot stays pristine, so the same snapshot can be
    restored several times (one rollback per rung of a degradation
    ladder).  Only the mutable fields are transplanted — [into] keeps its
    oid and result values — so this is meant for ops whose results carry
    no external uses, i.e. module roots. *)
 let restore ~(into : Op.op) (snap : Op.op) : unit =
-  let c = clone_op_fresh snap in
-  into.Op.operands <- c.Op.operands;
-  into.Op.regions <- c.Op.regions;
-  into.Op.attrs <- c.Op.attrs;
-  into.Op.loc <- c.Op.loc
+  into.Op.operands <- Array.copy snap.Op.operands;
+  into.Op.regions <- Array.map copy_region snap.Op.regions;
+  into.Op.attrs <- snap.Op.attrs;
+  into.Op.loc <- snap.Op.loc
 
 (* Equality up to SSA renaming: two ops are structurally equal when their
    kinds/attrs/shapes match and their values correspond under one

@@ -27,15 +27,22 @@ val clone_op_fresh : Op.op -> Op.op
     visible to later ones). *)
 val clone_ops : subst -> Op.op list -> Op.op list
 
-(** Deep snapshot of an op (a fresh clone): later in-place mutation of
-    the original leaves the snapshot untouched. *)
+(** Snapshot of an op: fresh op and region records and arrays, sharing
+    the original's immutable {!Value.t}s.  Later in-place mutation of
+    the original (new operand/region arrays, bodies, attrs, locs) leaves
+    the snapshot untouched.  Costs O(IR), with no value allocation or
+    substitution.  Because values are shared, a snapshot must never be
+    spliced into the module it was taken from — every value would be
+    defined twice; use {!restore}, or {!clone_op_fresh} for an
+    independent copy. *)
 val snapshot : Op.op -> Op.op
 
-(** [restore ~into snap] transplants a fresh clone of [snap]'s mutable
+(** [restore ~into snap] transplants a fresh copy of [snap]'s mutable
     fields (operands, regions, attrs, loc) into [into], rolling the op
-    back to the snapshotted state.  The snapshot itself is not consumed:
-    it can be restored any number of times.  Intended for module roots
-    (ops whose results have no external uses). *)
+    back to the snapshotted state with the snapshotted values.  The
+    snapshot itself is not consumed: it can be restored any number of
+    times.  Intended for module roots (ops whose results have no
+    external uses). *)
 val restore : into:Op.op -> Op.op -> unit
 
 (** Equality up to SSA renaming: kinds, attributes and region shapes

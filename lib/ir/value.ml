@@ -8,11 +8,12 @@ type t =
   ; name : string option
   }
 
-let counter = ref 0
+(* Atomic, like [Op.op_counter]: the compile service's executor domains
+   build modules concurrently, and a value id handed out twice would
+   break the verifier's single-definition check. *)
+let counter = Atomic.make 0
 
-let fresh ?name typ =
-  incr counter;
-  { id = !counter; typ; name }
+let fresh ?name typ = { id = 1 + Atomic.fetch_and_add counter 1; typ; name }
 
 let equal a b = a.id = b.id
 let compare a b = Int.compare a.id b.id

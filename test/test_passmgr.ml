@@ -170,6 +170,114 @@ let test_snapshot_restore () =
     (Ir.Clone.structural_equal m snap);
   check_output "restored module still runs" m
 
+(* Snapshots share the module's values, not its records or arrays:
+   whatever a pass does to the live module — new operand arrays or
+   in-place writes, rewritten region bodies and args, attrs, locs —
+   must leave the snapshot alone, and restoring from it must bring the
+   module back exactly, as often as asked. *)
+let test_snapshot_aliasing () =
+  let m = compile (reduce_src ()) in
+  let pre = Ir.Clone.clone_op_fresh m in
+  let snap = Ir.Clone.snapshot m in
+  let snap_text = Ir.Printer.op_to_string snap in
+  let locs op =
+    let acc = ref [] in
+    Ir.Op.iter (fun (o : Ir.Op.op) -> acc := o.loc :: !acc) op;
+    !acc
+  in
+  let pre_locs = locs m in
+  let fresh (v : Ir.Value.t) = Ir.Value.fresh v.typ in
+  let mutate () =
+    let ops = ref [] in
+    Ir.Op.iter (fun o -> ops := o :: !ops) m;
+    List.iter
+      (fun (o : Ir.Op.op) ->
+        if Array.length o.operands > 0 then begin
+          o.operands.(0) <- fresh o.operands.(0);
+          o.operands <- Array.map fresh o.operands
+        end;
+        if Array.length o.results > 0 then o.results.(0) <- fresh o.results.(0);
+        Array.iter
+          (fun (r : Ir.Op.region) ->
+            if Array.length r.rargs > 0 then r.rargs.(0) <- fresh r.rargs.(0);
+            r.rargs <- Array.map fresh r.rargs;
+            r.body <- List.rev r.body)
+          o.regions;
+        Ir.Op.set_attr o "mutated" (Ir.Op.Abool true);
+        o.loc <- Some (Ir.Srcloc.v ~line:999 ~col:1))
+      !ops;
+    Alcotest.(check bool)
+      "mutation breaks equality" false
+      (Ir.Clone.structural_equal m pre)
+  in
+  let check_restored round =
+    let what s = Printf.sprintf "%s (restore %d)" s round in
+    Alcotest.(check bool)
+      (what "module equals its pre-mutation clone")
+      true
+      (Ir.Clone.structural_equal m pre);
+    Alcotest.(check bool)
+      (what "locs restored") true
+      (locs m = pre_locs);
+    Alcotest.(check string)
+      (what "module prints as the snapshot, same values")
+      snap_text (Ir.Printer.op_to_string m);
+    Alcotest.(check bool)
+      (what "snapshot equals the pre-mutation clone")
+      true
+      (Ir.Clone.structural_equal snap pre);
+    Alcotest.(check string)
+      (what "snapshot unchanged") snap_text
+      (Ir.Printer.op_to_string snap);
+    Alcotest.(check bool) (what "snapshot locs unchanged") true
+      (locs snap = pre_locs)
+  in
+  mutate ();
+  Ir.Clone.restore ~into:m snap;
+  check_restored 1;
+  mutate ();
+  Ir.Clone.restore ~into:m snap;
+  check_restored 2;
+  Ir.Verifier.verify m;
+  check_output "restored module still runs" m
+
+(* Two domains compiling at once must never hand out the same value
+   id: a duplicate surfaces as "value ... defined twice" and degrades
+   the pipeline. *)
+let test_concurrent_compiles () =
+  let programs = Rodinia.Registry.all @ [ Rodinia.Registry.matmul ] in
+  let compile_all () =
+    List.concat_map
+      (fun _ ->
+        List.map
+          (fun (b : Rodinia.Bench_def.t) ->
+            let m = compile b.cuda_src in
+            let outcome =
+              match Core.Passmgr.run_pipeline m with
+              | Ok r when not (Core.Passmgr.degraded r) ->
+                finish m;
+                Core.Canonicalize.run m;
+                Result.map_error
+                  (fun e -> "does not verify: " ^ e)
+                  (Ir.Verifier.verify_result m)
+              | Ok r -> Error ("degraded:\n" ^ Core.Passmgr.report_to_string r)
+              | Error (_, f) -> Error (Core.Passmgr.failure_to_string f)
+            in
+            (b.name, outcome))
+          programs)
+      (List.init 5 Fun.id)
+  in
+  let lanes = List.init 2 (fun _ -> Domain.spawn compile_all) in
+  List.iter
+    (fun lane ->
+      List.iter
+        (fun (name, outcome) ->
+          match outcome with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: %s" name e)
+        (Domain.join lane))
+    lanes
+
 let test_bundle_roundtrip () =
   let b =
     { Core.Crashbundle.version = Core.Crashbundle.current_version
@@ -371,6 +479,10 @@ let tests =
       test_budget_degrades_not_stuck
   ; Alcotest.test_case "snapshot / restore / structural_equal" `Quick
       test_snapshot_restore
+  ; Alcotest.test_case "snapshot shares values, never records or arrays"
+      `Quick test_snapshot_aliasing
+  ; Alcotest.test_case "two domains compile the suite concurrently" `Quick
+      test_concurrent_compiles
   ; Alcotest.test_case "crash bundle round-trip" `Quick test_bundle_roundtrip
   ; Alcotest.test_case "v2 crash bundle still accepted" `Quick
       test_bundle_v2_accepted
