@@ -70,7 +70,7 @@ let build_polygeist ?(name = "?") ?(cpuify = Core.Cpuify.default_options)
   Ir.Op.op =
   let m = Cudafe.Codegen.compile src in
   if affine then ignore (Core.Affine_opt.run m);
-  (match Core.Passmgr.run_pipeline ~options:cpuify m with
+  (match Core.Passmgr.lower ~options:cpuify (Core.Passmgr.Optimized omp) m with
    | Ok report ->
      if Core.Passmgr.degraded report then
        degradations :=
@@ -79,12 +79,8 @@ let build_polygeist ?(name = "?") ?(cpuify = Core.Cpuify.default_options)
              (deepest_rung report)
              (List.length report.Core.Passmgr.failures) )
          :: !degradations
-   | Error (_, f) ->
-     failwith
-       ("pipeline unrecoverable for " ^ name ^ ": "
-        ^ Core.Passmgr.failure_to_string f));
-  ignore (Core.Omp_lower.run ~options:omp m);
-  Core.Canonicalize.run m;
+   | Error (_, msg) ->
+     failwith ("pipeline unrecoverable for " ^ name ^ ": " ^ msg));
   m
 
 let print_degradations () =
@@ -462,8 +458,9 @@ let robust () =
       (* conservative baseline: what every degradation must still equal *)
       let baseline =
         let m = Cudafe.Codegen.compile b.cuda_src in
-        Core.Cpuify.run ~use_mincut:false m;
-        ignore (Core.Omp_lower.run m);
+        (match Core.Passmgr.lower Core.Passmgr.No_opt m with
+         | Ok _ -> ()
+         | Error (_, msg) -> failwith msg);
         checksum_of m b
       in
       pr "%16s" b.name;
@@ -471,9 +468,12 @@ let robust () =
         (fun (_, faults) ->
           let m = Cudafe.Codegen.compile b.cuda_src in
           let cell =
-            match Core.Passmgr.run_pipeline ~faults m with
+            match
+              Core.Passmgr.lower ~faults
+                (Core.Passmgr.Optimized Core.Omp_lower.default_options)
+                m
+            with
             | Ok report ->
-              ignore (Core.Omp_lower.run m);
               let got = checksum_of m b in
               let close =
                 let scale =

@@ -28,11 +28,6 @@
 
 open Cmdliner
 
-type cpuify_mode =
-  | Inner_serial
-  | Inner_parallel
-  | No_opt
-
 (* Map any escaping exception to a term_result error message: the user
    sees a diagnostic, not a backtrace, and the process exits 2. *)
 let guard (what : string) (f : unit -> ('a, [ `Msg of string ]) result) :
@@ -176,225 +171,111 @@ let check_after_each_pass ~file (m : Ir.Op.op) :
   | Error _ as e -> e
   | Ok () -> go (Core.Cpuify.pipeline_stages ())
 
-(* Build the lowered module.  The optimized recipes run under the
-   fault-tolerant pass manager; [`Degraded] reports how far the
-   degradation ladder had to descend. *)
-let build ~(mcuda : bool) ~(cuda_lower : bool) ~(mode : cpuify_mode)
+(* Build the module: the MCUDA baseline, the shared -cuda-lower recipe
+   ({!Core.Passmgr.lower}, under the fault-tolerant pass manager), or
+   the frontend's IR as is.  The flag is [true] when the degradation
+   ladder had to descend. *)
+let build ~(mcuda : bool) ~(cuda_lower : bool) ~(recipe : Core.Passmgr.recipe)
     ~(faults : Core.Fault.plan) ~(crash_dir : string option)
     ~(repro : string) (src : string) :
-  (Ir.Op.op * [ `Full | `Degraded of Core.Passmgr.report ],
-   [ `Msg of string ])
-  result =
+  (Ir.Op.op * bool, [ `Msg of string ]) result =
   let m = Cudafe.Codegen.compile src in
-  let status = ref `Full in
-  let lower () =
-    if mcuda then begin
-      Mcuda.lower m;
-      Ok ()
-    end
-    else if cuda_lower then begin
-      match mode with
-      | No_opt -> begin
-        match Core.Cpuify.run_result ~use_mincut:false m with
-        | Ok () ->
-          ignore (Core.Omp_lower.run m);
-          Ok ()
-        | Error e -> Error (`Msg ("cpuify: " ^ Core.Cpuify.error_to_string e))
-      end
-      | Inner_serial | Inner_parallel -> begin
-        match
-          Core.Passmgr.run_pipeline ~faults ?crash_dir ~source:src ~repro m
-        with
-        | Ok report ->
-          if Core.Passmgr.degraded report then begin
-            prerr_string
-              ("polygeist-cpu: pipeline degraded:\n"
-               ^ Core.Passmgr.report_to_string report);
-            status := `Degraded report
-          end;
-          (* after the whole-pipeline fallback the module is exactly the
-             no-opt lowering: keep the OpenMP step conservative too *)
-          let omp_options =
-            if report.Core.Passmgr.fell_back then
-              Core.Omp_lower.default_options
-            else begin
-              match mode with
-              | Inner_parallel -> Core.Omp_lower.inner_par_options
-              | _ -> Core.Omp_lower.default_options
-            end
-          in
-          ignore (Core.Omp_lower.run ~options:omp_options m);
-          Ok ()
-        | Error (report, failure) ->
-          prerr_string (Core.Passmgr.report_to_string report);
-          Error
-            (`Msg
-              ("pipeline failed beyond recovery: "
-               ^ Core.Passmgr.failure_to_string failure))
-      end
-    end
-    else Ok ()
-  in
-  match lower () with
-  | Error _ as e -> e
-  | Ok () ->
-    if cuda_lower && not mcuda then Core.Canonicalize.run m;
-    (match Ir.Verifier.verify_result m with
-     | Ok () -> Ok (m, !status)
-     | Error e ->
-       Error (`Msg ("internal error: lowered IR does not verify: " ^ e)))
+  if cuda_lower && not mcuda then begin
+    match Core.Passmgr.lower ~faults ?crash_dir ~source:src ~repro recipe m with
+    | Ok report ->
+      let degraded = Core.Passmgr.degraded report in
+      if degraded then
+        prerr_string
+          ("polygeist-cpu: pipeline degraded:\n"
+           ^ Core.Passmgr.report_to_string report);
+      Ok (m, degraded)
+    | Error (report, msg) ->
+      prerr_string (Core.Passmgr.report_to_string report);
+      Error (`Msg msg)
+  end
+  else begin
+    if mcuda then Mcuda.lower m;
+    match Ir.Verifier.verify_result m with
+    | Ok () -> Ok (m, false)
+    | Error e ->
+      Error (`Msg ("internal error: lowered IR does not verify: " ^ e))
+  end
 
-(* Argument synthesis for -run: integer arguments come from --size;
-   every pointer parameter gets a float/int buffer of the first size
-   argument, filled with a deterministic pattern so the output checksum
-   is meaningful.  The definition lives in [Serve.Supervisor] so the
-   compile daemon and the one-shot CLI can never drift apart — the
-   smoke test asserts their checksums match.  Callers that retry
-   execution (runtime degradation) must call this again: a failed
-   parallel run may have half-mutated the previous buffers. *)
-let make_args = Serve.Supervisor.make_args
-
-(* Commutative digest of the final buffer contents: the semantic output,
-   identical across correct lowerings AND across serial/parallel
-   executions of the same race-free program (the sum of per-element
-   hashes does not depend on which thread wrote an element when). *)
-let print_checksum (entry : string) (args : Interp.Mem.rv list) : unit =
-  let bufs =
-    List.filter_map
-      (function Interp.Mem.Buf b -> Some b | _ -> None)
-      args
-    |> Array.of_list
-  in
-  Printf.printf "output checksum @%s: %.9g\n" entry (Interp.Mem.checksum bufs)
-
-let run_serial (m : Ir.Op.op) (f : Ir.Op.op) (entry : string)
-    (sizes : int list) : unit =
-  let args = make_args f sizes in
-  let _, stats = Interp.Eval.run m entry args in
-  Printf.printf
-    "executed @%s: %d ops, %d loads, %d stores, %d barrier waits\n" entry
-    stats.Interp.Eval.ops stats.Interp.Eval.loads stats.Interp.Eval.stores
-    stats.Interp.Eval.barriers;
-  print_checksum entry args
-
-let schedule_name = function
-  | Runtime.Schedule.Static -> "static"
-  | Runtime.Schedule.Dynamic -> "dynamic"
-  | Runtime.Schedule.Guided -> "guided"
-
-let schedule_of_name = function
-  | "dynamic" -> Runtime.Schedule.Dynamic
-  | "guided" -> Runtime.Schedule.Guided
-  | _ -> Runtime.Schedule.Static
-
-(* Why a parallel execution failed, as the one-line diagnostic that also
-   identifies the failure in a runtime crash bundle. *)
-let runtime_why = function
-  | Runtime.Exec.Unsupported s -> "unsupported: " ^ s
-  | Runtime.Exec.Injected -> "injected fault"
-  | Runtime.Exec.Timeout ms ->
-    Printf.sprintf "timeout: launch exceeded %d ms (watchdog cancel)" ms
-  | Interp.Mem.Runtime_error s -> s
-  | e -> Printexc.to_string e
-
-(* Returns [Ok true] when the parallel runtime failed and execution
-   degraded to the serial interpreter (one more degradation rung, exit
-   code 1).  On such a failure, [crash_dir] (when given) receives a
-   replayable runtime crash bundle recording the execution
-   configuration alongside the usual pipeline context. *)
+(* The run step ({!Serve.Supervisor.run_entry}, shared with the compile
+   daemon) under the CLI's failure policy.  A failed parallel run — a
+   fault, an error or a watchdog timeout — is one more degradation rung:
+   write a replayable runtime crash bundle into [crash_dir] (when
+   given), tear the cached pool down (leaking any wedged worker) so the
+   serial re-run does not share the process with a poisoned team, and
+   re-run on the serial interpreter with fresh arguments.  Returns
+   [Ok true] when it so degraded (exit code 1). *)
 let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
     ~(schedule : Runtime.Schedule.policy) ~(chunk : int option)
-    ~(team_reuse : bool) ~(stats : bool)
-    ~(runtime_fault : Core.Fault.kind option) ~(timeout_ms : int)
+    ~(team_reuse : bool) ~(stats : bool) ~(timeout_ms : int)
     ~(crash_dir : string option) ~(faults : Core.Fault.plan)
     ~(src : string) ~(repro : string) (m : Ir.Op.op) (entry : string)
     (sizes : int list) : (bool, [ `Msg of string ]) result =
   match Ir.Op.find_func m entry with
   | None -> Error (`Msg (Printf.sprintf "no function @%s in the module" entry))
   | Some f -> begin
-    match exec with
-    | `Interp ->
-      run_serial m f entry sizes;
+    let run exec =
+      Serve.Supervisor.run_entry ~log:print_endline ~exec ~domains ~schedule
+        ?chunk ~team_reuse ~timeout_ms ~plan:faults m f sizes
+    in
+    match run exec with
+    | _, Some s when stats ->
+      Printf.printf
+        "runtime stats @%s: launches=%d barrier_phases=%d domain_spawns=%d \
+         chunks_grabbed=%d frames_allocated=%d\n"
+        entry s.Runtime.Exec.launches s.Runtime.Exec.barrier_phases
+        s.Runtime.Exec.domain_spawns s.Runtime.Exec.chunks_grabbed
+        s.Runtime.Exec.frames_allocated;
       Ok false
-    | `Parallel -> begin
-      let args = make_args f sizes in
-      (* [hang] parks a team thread until the watchdog cancels; every
-         other runtime fault kind raises mid-launch *)
-      let inject_hang = runtime_fault = Some Core.Fault.Hang in
-      let inject_fault = runtime_fault <> None && not inject_hang in
-      match
-        Runtime.Exec.run_module ~domains ~schedule ?chunk ~team_reuse
-          ~inject_fault ~inject_hang ~timeout_ms m entry args
-      with
-      | _, rstats ->
-        Printf.printf
-          "executed @%s: parallel runtime, %d domains, %d launches, %d \
-           barrier phases, %d domain spawns\n"
-          entry domains rstats.Runtime.Exec.launches
-          rstats.Runtime.Exec.barrier_phases
-          rstats.Runtime.Exec.domain_spawns;
-        if stats then
-          Printf.printf
-            "runtime stats @%s: launches=%d barrier_phases=%d \
-             domain_spawns=%d chunks_grabbed=%d frames_allocated=%d\n"
-            entry rstats.Runtime.Exec.launches
-            rstats.Runtime.Exec.barrier_phases
-            rstats.Runtime.Exec.domain_spawns
-            rstats.Runtime.Exec.chunks_grabbed
-            rstats.Runtime.Exec.frames_allocated;
-        print_checksum entry args;
-        Ok false
-      | exception e ->
-        (* runtime failure is one more degradation rung: report, then
-           fall back to the serial interpreter on FRESH arguments (the
-           failed run may have partially mutated the buffers) *)
-        let why = runtime_why e in
-        Printf.eprintf
-          "polygeist-cpu: parallel runtime failed (%s); degrading to the \
-           serial interpreter\n"
-          why;
-        (match crash_dir with
-         | None -> ()
-         | Some dir ->
-           let bundle =
-             { Core.Crashbundle.version = Core.Crashbundle.current_version
-             ; stage = "runtime"
-             ; stage_index = 0
-             ; rung = "runtime"
-             ; exn_text = why
-             ; backtrace = ""
-             ; repro
-             ; options = Core.Cpuify.default_options
-             ; faults
-             ; runtime =
-                 Some
-                   { rexec = "parallel"
-                   ; rdomains = domains
-                   ; rschedule = schedule_name schedule
-                   ; rchunk = chunk
-                   ; rseed = None
-                   ; rtimeout_ms =
-                       (if timeout_ms > 0 then Some timeout_ms else None)
-                   }
-             ; serve = None
-             ; source = src
-             ; ir_before = Ir.Printer.op_to_string m
-             }
-           in
-           (match Core.Crashbundle.write ~dir bundle with
-            | Ok path ->
-              Printf.eprintf "polygeist-cpu: wrote runtime crash bundle %s\n"
-                path
-            | Error msg ->
-              Printf.eprintf "polygeist-cpu: could not write crash bundle: %s\n"
-                msg));
-        (* this degradation rung abandons the parallel engine: tear the
-           cached pool down (leaking any wedged worker) so the serial
-           re-run does not share the process with a poisoned team *)
-        Runtime.Pool.shutdown_cached ();
-        run_serial m f entry sizes;
-        Ok true
-    end
+    | _ -> Ok false
+    | exception e when exec = `Parallel ->
+      let why = Serve.Supervisor.describe e in
+      Printf.eprintf
+        "polygeist-cpu: parallel runtime failed (%s); degrading to the \
+         serial interpreter\n"
+        why;
+      (match crash_dir with
+       | None -> ()
+       | Some dir -> begin
+         let bundle =
+           { Core.Crashbundle.stage = "runtime"
+           ; stage_index = 0
+           ; rung = "runtime"
+           ; exn_text = why
+           ; backtrace = ""
+           ; repro
+           ; options = Core.Cpuify.default_options
+           ; faults
+           ; runtime =
+               Some
+                 { rexec = "parallel"
+                 ; rdomains = domains
+                 ; rschedule = Runtime.Schedule.to_string schedule
+                 ; rchunk = chunk
+                 ; rseed = None
+                 ; rtimeout_ms =
+                     (if timeout_ms > 0 then Some timeout_ms else None)
+                 }
+           ; serve = None
+           ; source = src
+           ; ir_before = Ir.Printer.op_to_string m
+           }
+         in
+         match Core.Crashbundle.write ~dir bundle with
+         | Ok path ->
+           Printf.eprintf "polygeist-cpu: wrote runtime crash bundle %s\n"
+             path
+         | Error msg ->
+           Printf.eprintf "polygeist-cpu: could not write crash bundle: %s\n"
+             msg
+       end);
+      Runtime.Pool.shutdown_cached ();
+      ignore (run `Interp);
+      Ok true
   end
 
 let time_entry (m : Ir.Op.op) ~(machine : string) ~(threads : int)
@@ -452,150 +333,109 @@ let replay_fuzz (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
           msg;
         Ok 3)
 
-(* Replaying a runtime bundle (stage "runtime"): rebuild the lowered
-   module from the embedded source under the recorded options and fault
-   plan, then re-run the recorded parallel execution configuration; the
-   recorded failure text must recur. *)
-let replay_runtime (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result
-    =
+(* What a bundle's repro line records of the run: it is the one-shot
+   CLI's argv, or the daemon's equivalent
+   ({!Serve.Supervisor.repro_of_job}).  Both [--opt value] and
+   [--opt=value] scan. *)
+type recorded_run =
+  { rentry : string option
+  ; rsizes : int list
+  ; rcpuify : string
+  }
+
+let scan_repro (repro : string) : recorded_run =
+  let words =
+    String.split_on_char ' ' repro
+    |> List.concat_map (fun w ->
+        match String.index_opt w '=' with
+        | Some i when String.starts_with ~prefix:"--" w ->
+          [ String.sub w 0 i; String.sub w (i + 1) (String.length w - i - 1) ]
+        | _ -> [ w ])
+  in
+  let rec go r = function
+    | "--run" :: v :: rest -> go { r with rentry = Some v } rest
+    | "--size" :: v :: rest -> begin
+      match int_of_string_opt v with
+      | Some n -> go { r with rsizes = r.rsizes @ [ n ] } rest
+      | None -> go r rest
+    end
+    | "--cpuify" :: v :: rest -> go { r with rcpuify = v } rest
+    | _ :: rest -> go r rest
+    | [] -> r
+  in
+  go { rentry = None; rsizes = []; rcpuify = "inner-serial" } words
+
+(* The verdict of a runtime or serve replay: exit 0 when the recorded
+   failure text recurs, 3 when the bundle is stale. *)
+let verdict ~(what : string) ~(now_ok : string) ~(expected : string)
+    (seen : string option) : (int, [ `Msg of string ]) result =
+  let stale () =
+    print_string
+      "replay: the recorded failure did NOT reproduce (stale bundle?)\n";
+    Ok 3
+  in
+  match seen with
+  | Some why when String.equal why expected ->
+    Printf.printf "replay: reproduced the recorded %s failure\n  %s\n" what
+      why;
+    Ok 0
+  | Some why ->
+    Printf.printf "replay: saw instead: %s\n" why;
+    stale ()
+  | None ->
+    Printf.printf "replay: %s\n" now_ok;
+    stale ()
+
+(* Replaying a runtime bundle (stage "runtime"): lower the embedded
+   source through the shared recipe its repro line names (--cpuify),
+   under the recorded options and fault plan, then re-run the recorded
+   parallel execution configuration through the shared run step. *)
+let replay_runtime (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
+    : (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
+      let recorded = scan_repro b.Core.Crashbundle.repro in
       let m = Cudafe.Codegen.compile b.Core.Crashbundle.source in
-      (match
-         Core.Passmgr.run_pipeline ~options:b.Core.Crashbundle.options
-           ~faults:b.Core.Crashbundle.faults
-           ~source:b.Core.Crashbundle.source ~repro:b.Core.Crashbundle.repro
-           m
-       with
-       | Ok _ -> ()
-       | Error (_, f) ->
-         Printf.printf "replay: pipeline failed first: %s\n"
-           (Core.Passmgr.failure_to_string f));
-      ignore (Core.Omp_lower.run m);
-      Core.Canonicalize.run m;
-      let rt =
-        match b.Core.Crashbundle.runtime with
-        | Some rt -> rt
+      match
+        Core.Passmgr.lower ~options:b.Core.Crashbundle.options
+          ~faults:b.Core.Crashbundle.faults ~source:b.Core.Crashbundle.source
+          ~repro:b.Core.Crashbundle.repro
+          (Core.Passmgr.recipe_of_string recorded.rcpuify)
+          m
+      with
+      | Error (_, msg) -> Error (`Msg ("replay: " ^ msg))
+      | Ok _ -> begin
+        let entry = Option.value recorded.rentry ~default:"" in
+        match Ir.Op.find_func m entry with
         | None ->
-          { Core.Crashbundle.rexec = "parallel"
-          ; rdomains = 4
-          ; rschedule = "static"
-          ; rchunk = None
-          ; rseed = None
-          ; rtimeout_ms = None
-          }
-      in
-      (* the entry name and --size arguments live in the recorded
-         command line *)
-      let entry, sizes =
-        let entry = ref None and sizes = ref [] in
-        let rec scan = function
-          | ("-run" | "--run") :: v :: rest ->
-            entry := Some v;
-            scan rest
-          | ("-size" | "--size") :: v :: rest ->
-            (match int_of_string_opt v with
-             | Some n -> sizes := !sizes @ [ n ]
-             | None -> ());
-            scan rest
-          | _ :: rest -> scan rest
-          | [] -> ()
-        in
-        scan (String.split_on_char ' ' b.Core.Crashbundle.repro);
-        let entry =
-          match !entry with
-          | Some e -> e
-          | None -> begin
-            match Ir.Op.funcs m with
-            | f :: _ -> Ir.Op.func_name f
-            | [] -> ""
-          end
-        in
-        (entry, !sizes)
-      in
-      match Ir.Op.find_func m entry with
-      | None -> Error (`Msg (Printf.sprintf "replay: no function @%s" entry))
-      | Some f ->
-        let args = make_args f sizes in
-        let runtime_faults =
-          List.filter
-            (fun (s, _) -> s = "runtime")
-            b.Core.Crashbundle.faults
-        in
-        let inject_hang =
-          List.exists (fun (_, k) -> k = Core.Fault.Hang) runtime_faults
-        in
-        let inject_fault = (not inject_hang) && runtime_faults <> [] in
-        let why =
-          match
-            Runtime.Exec.run_module ~domains:rt.rdomains
-              ~schedule:(schedule_of_name rt.rschedule)
-              ?chunk:rt.rchunk ~inject_fault ~inject_hang
-              ~timeout_ms:(Option.value rt.rtimeout_ms ~default:0)
-              m entry args
-          with
-          | _ -> None
-          | exception e -> Some (runtime_why e)
-        in
-        (match why with
-         | Some why when String.equal why b.Core.Crashbundle.exn_text ->
-           Printf.printf
-             "replay: reproduced the recorded runtime failure\n  %s\n" why;
-           Ok 0
-         | Some why ->
-           Printf.printf
-             "replay: saw instead: %s\n\
-              replay: the recorded failure did NOT reproduce (stale \
-              bundle?)\n"
-             why;
-           Ok 3
-         | None ->
-           Printf.printf
-             "replay: parallel execution now succeeds\n\
-              replay: the recorded failure did NOT reproduce (stale \
-              bundle?)\n";
-           Ok 3))
+          Error (`Msg (Printf.sprintf "replay: no function @%s to run" entry))
+        | Some f ->
+          verdict ~what:"runtime" ~now_ok:"parallel execution now succeeds"
+            ~expected:b.Core.Crashbundle.exn_text
+            (match
+               Serve.Supervisor.run_entry ~log:ignore ~exec:`Parallel
+                 ~domains:rt.rdomains
+                 ~schedule:(Runtime.Schedule.of_string rt.rschedule)
+                 ?chunk:rt.rchunk
+                 ~timeout_ms:(Option.value rt.rtimeout_ms ~default:0)
+                 ~plan:b.Core.Crashbundle.faults m f recorded.rsizes
+             with
+             | _ -> None
+             | exception e -> Some (Serve.Supervisor.describe e))
+      end)
 
 (* Replaying a serve bundle (rung "serve"): rebuild the job the daemon
    was running from the bundle (source, recorded execution config, the
-   entry/sizes embedded in the repro line, the full fault plan) and run
-   ONE unsupervised attempt through the same fault wall.  The recorded
-   failure text must recur. *)
-let replay_serve (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
+   entry/sizes/recipe in the repro line, the full fault plan) and run
+   ONE unsupervised attempt through the same fault wall. *)
+let replay_serve (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg) :
+  (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
-      let entry = ref None and sizes = ref [] and mode = ref "inner-serial" in
-      let rec scan = function
-        | ("-run" | "--run") :: v :: rest ->
-          entry := Some v;
-          scan rest
-        | ("-size" | "--size") :: v :: rest ->
-          (match int_of_string_opt v with
-           | Some n -> sizes := !sizes @ [ n ]
-           | None -> ());
-          scan rest
-        | ("-cpuify" | "--cpuify") :: v :: rest ->
-          mode := v;
-          scan rest
-        | _ :: rest -> scan rest
-        | [] -> ()
-      in
-      scan (String.split_on_char ' ' b.Core.Crashbundle.repro);
-      let rt =
-        match b.Core.Crashbundle.runtime with
-        | Some rt -> rt
-        | None ->
-          { Core.Crashbundle.rexec = "parallel"
-          ; rdomains = 4
-          ; rschedule = "static"
-          ; rchunk = None
-          ; rseed = None
-          ; rtimeout_ms = None
-          }
-      in
+      let recorded = scan_repro b.Core.Crashbundle.repro in
       let job =
         { Serve.Proto.source = b.Core.Crashbundle.source
-        ; entry = !entry
-        ; sizes = !sizes
-        ; mode = !mode
+        ; entry = recorded.rentry
+        ; sizes = recorded.rsizes
+        ; mode = recorded.rcpuify
         ; exec = rt.Core.Crashbundle.rexec
         ; domains = rt.Core.Crashbundle.rdomains
         ; schedule = rt.Core.Crashbundle.rschedule
@@ -603,22 +443,11 @@ let replay_serve (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
         }
       in
       let deadline_ms = Option.value rt.Core.Crashbundle.rtimeout_ms ~default:0 in
-      match Serve.Supervisor.replay_attempt ~deadline_ms job with
-      | Error why when String.equal why b.Core.Crashbundle.exn_text ->
-        Printf.printf "replay: reproduced the recorded serve failure\n  %s\n"
-          why;
-        Ok 0
-      | Error why ->
-        Printf.printf
-          "replay: saw instead: %s\n\
-           replay: the recorded failure did NOT reproduce (stale bundle?)\n"
-          why;
-        Ok 3
-      | Ok _ ->
-        Printf.printf
-          "replay: the job now succeeds\n\
-           replay: the recorded failure did NOT reproduce (stale bundle?)\n";
-        Ok 3)
+      verdict ~what:"serve" ~now_ok:"the job now succeeds"
+        ~expected:b.Core.Crashbundle.exn_text
+        (match Serve.Supervisor.replay_attempt ~deadline_ms job with
+         | Ok _ -> None
+         | Error why -> Some why))
 
 (* --replay: recompile the bundle's embedded source and re-run the
    pipeline under the recorded options and fault plan; the pipeline is
@@ -626,11 +455,22 @@ let replay_serve (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
    does, 3 when the bundle is stale and it does not.  Fuzz, runtime and
    serve bundles dispatch to their own replay logic. *)
 let do_replay (path : string) : (int, [ `Msg of string ]) result =
+  let no_runtime =
+    Error (`Msg "replay: the bundle records no runtime configuration")
+  in
   match Core.Crashbundle.read path with
   | Error e -> Error (`Msg e)
   | Ok b when b.Core.Crashbundle.rung = "fuzz" -> replay_fuzz b
-  | Ok b when b.Core.Crashbundle.rung = "serve" -> replay_serve b
-  | Ok b when b.Core.Crashbundle.stage = "runtime" -> replay_runtime b
+  | Ok b when b.Core.Crashbundle.rung = "serve" -> begin
+    match b.Core.Crashbundle.runtime with
+    | Some rt -> replay_serve b rt
+    | None -> no_runtime
+  end
+  | Ok b when b.Core.Crashbundle.stage = "runtime" -> begin
+    match b.Core.Crashbundle.runtime with
+    | Some rt -> replay_runtime b rt
+    | None -> no_runtime
+  end
   | Ok b ->
     guard "replay" (fun () ->
         let m = Cudafe.Codegen.compile b.Core.Crashbundle.source in
@@ -667,7 +507,7 @@ let do_replay (path : string) : (int, [ `Msg of string ]) result =
             "replay: the recorded failure did NOT reproduce (stale bundle?)\n";
           Ok 3)
 
-let main file cuda_lower mcuda mode emit_ir run_name sizes exec domains
+let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
     schedule chunk no_team_reuse stats timeout_ms time_threads machine check
     check_format check_each repair inject_faults fault_seed crash_dir replay :
   (int, [ `Msg of string ]) result =
@@ -716,27 +556,17 @@ let main file cuda_lower mcuda mode emit_ir run_name sizes exec domains
             ^ String.concat " " (List.tl (Array.to_list Sys.argv))
           in
           match
-            build ~mcuda ~cuda_lower:(cuda_lower || mcuda) ~mode ~faults
-              ~crash_dir ~repro src
+            build ~mcuda ~cuda_lower ~recipe ~faults ~crash_dir ~repro src
           with
           | Error _ as e -> e
-          | Ok (m, status) ->
+          | Ok (m, degraded) ->
             if emit_ir then print_string (Ir.Printer.op_to_string m);
             let ran =
               match run_name with
               | Some entry ->
-                (* faults aimed at the "runtime" stage are not a pass-
-                   manager concern: they fire inside the parallel
-                   execution engine (the [hang] kind parks a thread for
-                   the watchdog to cancel) *)
-                let runtime_fault =
-                  List.find_map
-                    (fun (s, k) -> if s = "runtime" then Some k else None)
-                    faults
-                in
                 run_entry ~exec ~domains ~schedule ~chunk
-                  ~team_reuse:(not no_team_reuse) ~stats ~runtime_fault
-                  ~timeout_ms ~crash_dir ~faults ~src ~repro m entry sizes
+                  ~team_reuse:(not no_team_reuse) ~stats ~timeout_ms
+                  ~crash_dir ~faults ~src ~repro m entry sizes
               | None -> Ok false
             in
             (match ran with
@@ -750,11 +580,7 @@ let main file cuda_lower mcuda mode emit_ir run_name sizes exec domains
                in
                match timed with
                | Error _ as e -> e
-               | Ok () -> begin
-                 match status with
-                 | `Full -> if runtime_degraded then Ok 1 else Ok 0
-                 | `Degraded _ -> Ok 1
-               end
+               | Ok () -> Ok (if degraded || runtime_degraded then 1 else 0)
              end)
         end)
 
@@ -772,15 +598,12 @@ let cmd =
            ~doc:"use the MCUDA-style baseline lowering instead")
   in
   let cpuify =
-    let modes =
-      [ ("inner-serial", Inner_serial)
-      ; ("inner-parallel", Inner_parallel)
-      ; ("no-opt", No_opt)
-      ]
-    in
-    Arg.(value & opt (enum modes) Inner_serial & info [ "cpuify" ]
-           ~doc:(Printf.sprintf "lowering recipe, one of %s"
-                   (Arg.doc_alts_enum modes)))
+    let recipes = Core.Passmgr.recipes in
+    Arg.(value
+         & opt (enum recipes) (Core.Passmgr.recipe_of_string "inner-serial")
+         & info [ "cpuify" ]
+             ~doc:(Printf.sprintf "lowering recipe, one of %s"
+                     (Arg.doc_alts_enum recipes)))
   in
   let emit_ir =
     Arg.(value & flag & info [ "emit-ir" ] ~doc:"print the (lowered) IR")
@@ -809,10 +632,9 @@ let cmd =
   in
   let schedule =
     let policies =
-      [ ("static", Runtime.Schedule.Static)
-      ; ("dynamic", Runtime.Schedule.Dynamic)
-      ; ("guided", Runtime.Schedule.Guided)
-      ]
+      List.map
+        (fun p -> (Runtime.Schedule.to_string p, p))
+        Runtime.Schedule.[ Static; Dynamic; Guided ]
     in
     Arg.(value & opt (enum policies) Runtime.Schedule.Static
          & info [ "schedule" ]

@@ -12,9 +12,9 @@
    the recorded failure recurs (or the bundle is stale and the replay
    says so). *)
 
-(* Runtime-side configuration, recorded since format v2 so runtime and
-   fuzz-oracle failures replay under the exact execution setup that
-   produced them.  Plain strings/ints: Core must not depend on Runtime. *)
+(* Runtime-side configuration, so runtime and fuzz-oracle failures
+   replay under the exact execution setup that produced them.  Plain
+   strings/ints: Core must not depend on Runtime. *)
 type runtime_cfg =
   { rexec : string (* "interp" | "parallel" *)
   ; rdomains : int
@@ -24,11 +24,11 @@ type runtime_cfg =
   ; rtimeout_ms : int option
   }
 
-(* Serving-side job context, recorded since format v3 so a bundle from
-   the compile daemon shows how the job was doing when it died: how long
-   the failing attempt ran, how many retries the supervisor had already
-   burned, and how deep the admission queue was.  Plain ints: Core must
-   not depend on Serve. *)
+(* Serving-side job context, so a bundle from the compile daemon shows
+   how the job was doing when it died: how long the failing attempt
+   ran, how many retries the supervisor had already burned, and how
+   deep the admission queue was.  Plain ints: Core must not depend on
+   Serve. *)
 type serve_cfg =
   { sduration_ms : int (* wall-clock of the failing attempt *)
   ; sretries : int (* retries already performed when it failed *)
@@ -36,8 +36,7 @@ type serve_cfg =
   }
 
 type t =
-  { version : int (* bundle format version this file was parsed from *)
-  ; stage : string
+  { stage : string
   ; stage_index : int (* occurrence index within pipeline_stages *)
   ; rung : string (* ladder rung being attempted when it failed *)
   ; exn_text : string
@@ -45,15 +44,12 @@ type t =
   ; repro : string (* CLI line that led here *)
   ; options : Cpuify.options
   ; faults : Fault.plan
-  ; runtime : runtime_cfg option (* None in v1 bundles and pure pass failures *)
-  ; serve : serve_cfg option (* None in v1/v2 bundles and one-shot failures *)
+  ; runtime : runtime_cfg option (* None for pure pass failures *)
+  ; serve : serve_cfg option (* None for one-shot failures *)
   ; source : string (* original CUDA translation unit *)
   ; ir_before : string (* pre-stage IR dump *)
   }
 
-let current_version = 3
-let magic_v1 = "polygeist-cpu crash bundle v1"
-let magic_v2 = "polygeist-cpu crash bundle v2"
 let magic = "polygeist-cpu crash bundle v3"
 let source_marker = "=== source ==="
 let ir_marker = "=== pre-stage ir ==="
@@ -206,10 +202,7 @@ let to_string (b : t) : string =
 let of_string (s : string) : (t, string) result =
   let lines = String.split_on_char '\n' s in
   match lines with
-  | m :: rest when m = magic || m = magic_v2 || m = magic_v1 -> begin
-    let version =
-      if m = magic_v1 then 1 else if m = magic_v2 then 2 else current_version
-    in
+  | m :: rest when m = magic -> begin
     let stage = ref "" in
     let stage_index = ref 0 in
     let rung = ref "" in
@@ -304,8 +297,7 @@ let of_string (s : string) : (t, string) result =
       if !stage = "" then Error "bundle has no stage line"
       else
         Ok
-          { version
-          ; stage = !stage
+          { stage = !stage
           ; stage_index = !stage_index
           ; rung = !rung
           ; exn_text = !exn_text

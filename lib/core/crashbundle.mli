@@ -9,10 +9,9 @@
     source under the recorded options and fault plan reproduces the
     failure. *)
 
-(** Runtime-side configuration recorded since format v2, so runtime and
-    fuzz-oracle failures replay under the exact execution setup that
-    produced them (plain strings/ints: Core does not depend on
-    Runtime). *)
+(** Runtime-side configuration, so runtime and fuzz-oracle failures
+    replay under the exact execution setup that produced them (plain
+    strings/ints: Core does not depend on Runtime). *)
 type runtime_cfg =
   { rexec : string (** ["interp"] or ["parallel"] *)
   ; rdomains : int
@@ -22,9 +21,9 @@ type runtime_cfg =
   ; rtimeout_ms : int option
   }
 
-(** Serving-side job context recorded since format v3: wall-clock of the
-    failing attempt, retries already burned and the admission-queue
-    depth at failure (plain ints: Core does not depend on Serve). *)
+(** Serving-side job context: wall-clock of the failing attempt,
+    retries already burned and the admission-queue depth at failure
+    (plain ints: Core does not depend on Serve). *)
 type serve_cfg =
   { sduration_ms : int (** wall-clock of the failing attempt *)
   ; sretries : int (** retries already performed when it failed *)
@@ -32,8 +31,7 @@ type serve_cfg =
   }
 
 type t =
-  { version : int (** bundle format version this file was parsed from *)
-  ; stage : string
+  { stage : string
   ; stage_index : int (** occurrence index within the pipeline *)
   ; rung : string (** ladder rung being attempted when it failed *)
   ; exn_text : string
@@ -42,19 +40,18 @@ type t =
   ; options : Cpuify.options
   ; faults : Fault.plan
   ; runtime : runtime_cfg option
-    (** [None] in v1 bundles and pure pass-pipeline failures *)
+    (** [None] for pure pass-pipeline failures *)
   ; serve : serve_cfg option
-    (** [None] in v1/v2 bundles and one-shot (non-daemon) failures *)
+    (** [None] for one-shot (non-daemon) failures *)
   ; source : string (** original CUDA translation unit *)
   ; ir_before : string (** pre-stage IR dump *)
   }
 
-(** The format version {!to_string}/{!write} emit (3).  {!of_string}
-    also accepts v2 bundles (no [serve] line) and v1 bundles (no
-    [runtime] line either). *)
-val current_version : int
-
+(** Serialize in format v3, the only format {!of_string} reads. *)
 val to_string : t -> string
+
+(** Parse a v3 bundle; any other magic line (older formats included) is
+    an [Error]. *)
 val of_string : string -> (t, string) result
 
 (** Serialize into [dir] (created if missing) as

@@ -134,8 +134,7 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
     | None -> None
     | Some dir -> begin
       let b =
-        { Crashbundle.version = Crashbundle.current_version
-        ; stage
+        { Crashbundle.stage
         ; stage_index
         ; rung = rung_to_string rung
         ; exn_text
@@ -278,3 +277,53 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
   match List.iteri run_stage stages with
   | () -> Ok (mk_report ())
   | exception Abort f -> Error (mk_report (), f)
+
+(* --- the -cuda-lower recipe --- *)
+
+type recipe =
+  | No_opt
+  | Optimized of Omp_lower.options
+
+let recipes =
+  [ ("inner-serial", Optimized Omp_lower.default_options)
+  ; ("inner-parallel", Optimized Omp_lower.inner_par_options)
+  ; ("no-opt", No_opt)
+  ]
+
+let recipe_of_string (s : string) : recipe =
+  match List.assoc_opt s recipes with
+  | Some r -> r
+  | None -> Optimized Omp_lower.default_options
+
+let lower ?options ?faults ?crash_dir ?source ?repro (recipe : recipe)
+    (m : Op.op) : (report, report * string) result =
+  let clean =
+    { degradations = []; failures = []; fell_back = false; bundles = [] }
+  in
+  let lowered =
+    match recipe with
+    | No_opt -> begin
+      match Cpuify.run_result ~use_mincut:false m with
+      | Ok () -> Ok (clean, Omp_lower.default_options)
+      | Error e -> Error (clean, "cpuify: " ^ Cpuify.error_to_string e)
+    end
+    | Optimized omp -> begin
+      match run_pipeline ?options ?faults ?crash_dir ?source ?repro m with
+      | Ok r ->
+        (* after the whole-pipeline fallback the module is exactly the
+           no-opt lowering: keep the OpenMP step conservative too *)
+        Ok (r, if r.fell_back then Omp_lower.default_options else omp)
+      | Error (r, f) ->
+        Error (r, "pipeline failed beyond recovery: " ^ failure_to_string f)
+    end
+  in
+  match lowered with
+  | Error _ as e -> e
+  | Ok (report, omp) -> begin
+    ignore (Omp_lower.run ~options:omp m);
+    Canonicalize.run m;
+    match Verifier.verify_result m with
+    | Ok () -> Ok report
+    | Error e ->
+      Error (report, "internal error: lowered IR does not verify: " ^ e)
+  end

@@ -76,3 +76,36 @@ val run_pipeline :
   ?runtime:Crashbundle.runtime_cfg ->
   Ir.Op.op ->
   (report, report * stage_failure) result
+
+(** The [--cpuify] lowering recipes: [No_opt] is the conservative
+    cache-everything split with no optimizations; [Optimized omp] runs
+    {!run_pipeline} and then lowers to OpenMP with [omp]. *)
+type recipe =
+  | No_opt
+  | Optimized of Omp_lower.options
+
+(** The [--cpuify] names: ["inner-serial"], ["inner-parallel"],
+    ["no-opt"]. *)
+val recipes : (string * recipe) list
+
+(** The recipe named [s]; an unknown name is ["inner-serial"], the
+    [--cpuify] default. *)
+val recipe_of_string : string -> recipe
+
+(** The whole [-cuda-lower] lowering, shared by the driver, the compile
+    daemon, [--replay] and the MocCUDA kernel manager: the recipe's
+    barrier lowering, then {!Omp_lower.run} (with the default options
+    when the pipeline fell back to no-opt), {!Canonicalize.run} and
+    {!Ir.Verifier}.  The optional arguments go to {!run_pipeline}; the
+    [No_opt] recipe ignores them.  [Ok report] leaves runnable OpenMP
+    IR in the module ([report] is empty for [No_opt]); [Error (report,
+    msg)] is a one-line diagnostic plus the pipeline's report so far. *)
+val lower :
+  ?options:Cpuify.options ->
+  ?faults:Fault.plan ->
+  ?crash_dir:string ->
+  ?source:string ->
+  ?repro:string ->
+  recipe ->
+  Ir.Op.op ->
+  (report, report * string) result

@@ -26,8 +26,7 @@ type report =
 
 let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
     (f : finding) : Core.Crashbundle.t =
-  { version = Core.Crashbundle.current_version
-  ; stage = f.ffailure.f_stage
+  { stage = f.ffailure.f_stage
   ; stage_index = 0
   ; rung = "fuzz"
   ; exn_text = f.ffailure.f_class ^ ": " ^ f.ffailure.f_detail

@@ -2,12 +2,12 @@
    the full transpile pipeline behind every entry.
 
    Compilation path (no pass bypassed): Cudafe frontend ->
-   {!Core.Passmgr.run_pipeline} (the fault-tolerant barrier-lowering
-   ladder; a degraded kernel is recorded on its entry) ->
-   {!Core.Omp_lower} -> {!Core.Canonicalize} -> {!Ir.Verifier} ->
-   {!Runtime.Exec.compile}.  If the compiled engine rejects the lowered
-   module ([Unsupported]), the entry degrades once more to the serial
-   interpreter — the same rung the driver uses.
+   {!Core.Passmgr.lower}, the driver's inner-serial recipe (the
+   fault-tolerant barrier-lowering ladder, OpenMP lowering,
+   canonicalization, verification; a degraded kernel is recorded on
+   its entry) -> {!Runtime.Exec.compile}.  If the compiled engine
+   rejects the lowered module ([Unsupported]), the entry degrades once
+   more to the serial interpreter — the same rung the driver uses.
 
    Cache discipline follows [Serve.Cache]: entries are keyed by an MD5
    digest of (op name, baked shape, entry, pipeline options), sealed
@@ -101,8 +101,9 @@ let build (t : t) (k : Kernels.t) : entry =
   let m = Cudafe.Codegen.compile k.Kernels.src in
   let rung =
     match
-      Core.Passmgr.run_pipeline ~options:t.options ~source:k.Kernels.src
+      Core.Passmgr.lower ~options:t.options ~source:k.Kernels.src
         ~repro:(Printf.sprintf "moccuda kernel %s" k.Kernels.name)
+        (Core.Passmgr.Optimized Core.Omp_lower.default_options)
         m
     with
     | Ok r ->
@@ -113,18 +114,9 @@ let build (t : t) (k : Kernels.t) : entry =
         | d :: _ ->
           "degraded:" ^ d.Core.Passmgr.failure.Core.Passmgr.stage
       end
-    | Error (_, f) ->
-      Interp.Mem.fail "moccuda: kernel %s failed at every rung: %s"
-        k.Kernels.name
-        (Core.Passmgr.failure_to_string f)
+    | Error (_, msg) ->
+      Interp.Mem.fail "moccuda: kernel %s: %s" k.Kernels.name msg
   in
-  ignore (Core.Omp_lower.run m);
-  Core.Canonicalize.run m;
-  (match Ir.Verifier.verify_result m with
-   | Ok () -> ()
-   | Error e ->
-     Interp.Mem.fail "moccuda: kernel %s does not verify after lowering: %s"
-       k.Kernels.name e);
   let engine, rung =
     match Runtime.Exec.compile m k.Kernels.entry with
     | c -> (Engine_compiled c, rung)

@@ -59,14 +59,13 @@ type stats =
   ; mutable frames_allocated : int
   }
 
-(* What --inject-fault runtime:KIND does inside a team: [Inject_raise]
-   kills one rank outright (exercising poison/unwind), [Inject_hang]
-   parks one rank in a non-terminating loop that only the watchdog's
-   cancel ends (exercising timeout/poison/degradation). *)
-type inject =
-  | Inject_none
-  | Inject_raise
-  | Inject_hang
+(* What --inject-fault runtime:KIND does inside a team: [Raise] kills
+   one rank outright (exercising poison/unwind), [Hang] parks one rank
+   in a non-terminating loop that only the watchdog's cancel ends
+   (exercising timeout/poison/degradation). *)
+type fault =
+  | Raise
+  | Hang
 
 (* Mutated by [run] before execution starts; read from inside compiled
    closures via the frame. *)
@@ -75,7 +74,7 @@ type config =
   ; mutable schedule : Schedule.policy
   ; mutable chunk : int option
   ; mutable team_reuse : bool
-  ; mutable inject : inject
+  ; mutable fault : fault option
   ; mutable timeout_ms : int (* 0 = no watchdog *)
   }
 
@@ -1116,9 +1115,9 @@ and compile_omp_parallel ce op : code =
         | _ ->
           let j rank =
             try
-              (match g.cfg.inject with
-               | Inject_raise when rank = size - 1 -> raise Injected
-               | Inject_hang when rank = size - 1 ->
+              (match g.cfg.fault with
+               | Some Raise when rank = size - 1 -> raise Injected
+               | Some Hang when rank = size - 1 ->
                  (* the fault-injected non-terminating loop: models a
                     mis-lowered kernel spinning forever while the rest
                     of the team piles up at the next barrier; only the
@@ -1401,7 +1400,7 @@ let compile (modul : Op.op) (name : string) : compiled =
             ; schedule = Schedule.Static
             ; chunk = None
             ; team_reuse = true
-            ; inject = Inject_none
+            ; fault = None
             ; timeout_ms = 0
             }
         ; stats =
@@ -1421,9 +1420,8 @@ let compile (modul : Op.op) (name : string) : compiled =
     }
 
 let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
-    ?(team_reuse = true) ?(inject_fault = false) ?(inject_hang = false)
-    ?(timeout_ms = 0) (c : compiled) (args : Mem.rv list) :
-  Mem.rv option * stats =
+    ?(team_reuse = true) ?fault ?(timeout_ms = 0) (c : compiled)
+    (args : Mem.rv list) : Mem.rv option * stats =
   if domains < 1 then invalid_arg "Exec.run: domains must be >= 1";
   (match chunk with
    | Some k when k < 1 -> invalid_arg "Exec.run: chunk must be >= 1"
@@ -1434,10 +1432,7 @@ let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
   g.cfg.schedule <- schedule;
   g.cfg.chunk <- chunk;
   g.cfg.team_reuse <- team_reuse;
-  g.cfg.inject <-
-    (if inject_hang then Inject_hang
-     else if inject_fault then Inject_raise
-     else Inject_none);
+  g.cfg.fault <- fault;
   g.cfg.timeout_ms <- timeout_ms;
   g.stats.launches <- 0;
   g.stats.barrier_phases <- 0;
@@ -1492,8 +1487,7 @@ let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
     ; frames_allocated = g.stats.frames_allocated
     } )
 
-let run_module ?domains ?schedule ?chunk ?team_reuse ?inject_fault
-    ?inject_hang ?timeout_ms modul name args =
-  run ?domains ?schedule ?chunk ?team_reuse ?inject_fault ?inject_hang
-    ?timeout_ms
+let run_module ?domains ?schedule ?chunk ?team_reuse ?fault ?timeout_ms modul
+    name args =
+  run ?domains ?schedule ?chunk ?team_reuse ?fault ?timeout_ms
     (compile modul name) args

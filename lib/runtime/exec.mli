@@ -58,6 +58,13 @@ exception Unsupported of string
     poison/unwind path and the driver's degradation to serial. *)
 exception Injected
 
+(** A fault injected into one team rank mid-launch: [Raise] raises
+    {!Injected}; [Hang] parks the rank in a non-terminating loop that
+    only the watchdog's cancel ends (use it with [timeout_ms]). *)
+type fault =
+  | Raise
+  | Hang
+
 (** The run exceeded its wall-clock bound ([timeout_ms], carried) and
     the {!Watchdog} cancelled it: the cancel flag is observed at
     while-loop back-edges and worksharing grabs, and ranks asleep at a
@@ -95,12 +102,9 @@ val compile : Op.op -> string -> compiled
     state (frames, barrier) and the process-wide domain pool across
     launches; [false] rebuilds both per launch (the [--no-team-reuse]
     ablation — visible as nonzero {!stats.frames_allocated} on every
-    run).  [inject_fault] raises {!Injected} from inside a team thread
-    mid-launch; [inject_hang] instead parks that thread in a
-    non-terminating loop that only the watchdog's cancel ends (use it
-    with [timeout_ms]).  [timeout_ms] (default [0] = unbounded) arms
-    the {!Watchdog} for the whole run and raises {!Timeout} on
-    expiry.
+    run).  [fault] injects a {!fault} into the last rank of every team
+    launch.  [timeout_ms] (default [0] = unbounded) arms the
+    {!Watchdog} for the whole run and raises {!Timeout} on expiry.
 
     Not thread-safe: one [run] at a time per [compiled].  The entry
     frame and team frames persist inside [compiled] between runs (they
@@ -114,8 +118,7 @@ val run :
   ?schedule:Schedule.policy ->
   ?chunk:int ->
   ?team_reuse:bool ->
-  ?inject_fault:bool ->
-  ?inject_hang:bool ->
+  ?fault:fault ->
   ?timeout_ms:int ->
   compiled ->
   Mem.rv list ->
@@ -127,8 +130,7 @@ val run_module :
   ?schedule:Schedule.policy ->
   ?chunk:int ->
   ?team_reuse:bool ->
-  ?inject_fault:bool ->
-  ?inject_hang:bool ->
+  ?fault:fault ->
   ?timeout_ms:int ->
   Op.op ->
   string ->

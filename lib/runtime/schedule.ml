@@ -9,10 +9,9 @@ let to_string = function
   | Guided -> "guided"
 
 let of_string = function
-  | "static" -> Some Static
-  | "dynamic" -> Some Dynamic
-  | "guided" -> Some Guided
-  | _ -> None
+  | "dynamic" -> Dynamic
+  | "guided" -> Guided
+  | _ -> Static
 
 (* Must match the serial interpreter's partition exactly: the
    differential tests compare bitwise checksums, and for the (racy but

@@ -17,7 +17,10 @@ type policy =
   | Guided
 
 val to_string : policy -> string
-val of_string : string -> policy option
+
+(** The policy {!to_string} names; any other name is [Static], the
+    default schedule. *)
+val of_string : string -> policy
 
 (** [static_chunk ~rank ~size ~n] is the contiguous [lo, hi) range of
     rank [rank] in a team of [size] over [n] iterations.  Delegates to

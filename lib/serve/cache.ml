@@ -20,8 +20,8 @@
    clean shutdown compacts the journal by writing a gen+1 snapshot to a
    temp file and renaming it into place, and the loader finishes an
    interrupted compaction (temp newer than main) or discards a stale
-   temp (temp older).  The flush-on-shutdown cache-index.v1 format this
-   replaces still loads when no journal exists.
+   temp (temp older).  A directory with no journal starts a fresh
+   generation-0 journal.
 
    Corrupt artifacts are not silently dropped: when a directory is
    attached, the bad bytes are persisted under quarantine/<digest> so
@@ -77,9 +77,6 @@ let locked (t : t) (f : unit -> 'a) : 'a =
   Fun.protect ~finally:(fun () -> Mutex.unlock t.m) f
 
 (* --- on-disk layout --- *)
-
-let index_file (dir : string) : string = Filename.concat dir "cache-index.v1"
-let index_magic = "polygeist-serve cache index v1"
 
 let journal_file (dir : string) : string =
   Filename.concat dir "cache-journal.v2"
@@ -303,38 +300,6 @@ let replay_file (t : t) (path : string) : int option * int * int =
     | [] -> (None, 0, 0)
   end
 
-(* Legacy cache-index.v1 loader: one entry per line, key, digest,
-   escaped payload; entries that fail their digest check are dropped. *)
-let load_v1 (t : t) ~(dir : string) : int =
-  match In_channel.with_open_text (index_file dir) In_channel.input_all with
-  | exception Sys_error _ -> 0
-  | text -> begin
-    match String.split_on_char '\n' text with
-    | m :: lines when m = index_magic ->
-      let loaded = ref 0 in
-      List.iter
-        (fun line ->
-          match String.split_on_char ' ' line with
-          (* key and digest are hex (no spaces); the escaped payload is
-             everything after them and may itself contain spaces *)
-          | k :: d :: (_ :: _ as rest) -> begin
-            let escaped = String.concat " " rest in
-            match Scanf.unescaped escaped with
-            | exception (Scanf.Scan_failure _ | Failure _) -> ()
-            | payload ->
-              if digest payload = d then begin
-                locked t (fun () ->
-                    Hashtbl.replace t.arts d payload;
-                    Hashtbl.replace t.index k d);
-                incr loaded
-              end
-          end
-          | _ -> ())
-        lines;
-      !loaded
-    | _ -> 0
-  end
-
 (* Open (creating if needed) the journal for appending and remember the
    attachment, so subsequent [store]s are durable. *)
 let open_wal (t : t) ~(dir : string) ~(gen : int) : unit =
@@ -355,11 +320,10 @@ let open_wal (t : t) ~(dir : string) ~(gen : int) : unit =
       with Unix.Unix_error _ | Sys_error _ -> ());
     t.wal <- Some fd
 
-(* Load persisted state from [dir] and attach the journal for appends.
-   Preference order: finish an interrupted compaction if the temp
-   journal's generation is newer than the main one's, then replay the
-   journal, then fall back to the legacy v1 index.  Returns the number
-   of entries loaded. *)
+(* Load persisted state from [dir] and attach the journal for appends:
+   finish an interrupted compaction if the temp journal's generation is
+   newer than the main one's, then replay the journal (none yet: start
+   a fresh generation-0 one).  Returns the number of entries loaded. *)
 let load (t : t) ~(dir : string) : int =
   mkdir_p dir;
   let main = journal_file dir and tmp = journal_tmp dir in
@@ -373,15 +337,8 @@ let load (t : t) ~(dir : string) : int =
    | None, _ -> if Sys.file_exists tmp then ( try Sys.remove tmp with Sys_error _ -> ()));
   let gen, loaded, skipped = replay_file t main in
   locked t (fun () -> t.journal_skipped <- t.journal_skipped + skipped);
-  match gen with
-  | Some g ->
-    open_wal t ~dir ~gen:g;
-    loaded
-  | None ->
-    (* no journal yet: migrate from the legacy index if present *)
-    let migrated = load_v1 t ~dir in
-    open_wal t ~dir ~gen:0;
-    migrated
+  open_wal t ~dir ~gen:(Option.value gen ~default:0);
+  loaded
 
 (* Compact the journal: write a gen+1 snapshot of the live entries to a
    temp file, fsync it, and rename it over the main journal.  A crash

@@ -9,13 +9,12 @@
    kind), and every parser failure is a structured [Error] — a malformed
    frame must never take the daemon down.
 
-   Wire version 2 adds a per-request [id] that the daemon echoes in
-   every response.  With a fleet of executors, completions arrive out
-   of submission order, and the id is what lets the responder (and any
-   future pipelined client) match a response to its request instead of
-   relying on FIFO completion.  Version-1 frames (no id) still parse —
-   they get id 0 — so old clients keep working against a new daemon
-   and vice versa.
+   Every frame is wire version 2: it carries a per-request [id] that
+   the daemon echoes in every response.  With a fleet of executors,
+   completions arrive out of submission order, and the id is what lets
+   the responder (and any future pipelined client) match a response to
+   its request instead of relying on FIFO completion.  Frames with any
+   other version line are rejected.
 
    The same [outcome] serialization doubles as the cache's artifact
    payload: the content-addressed store hashes exactly these bytes
@@ -155,23 +154,19 @@ let request_to_string ?(id = 0) (r : request) : string =
   | Submit j ->
     Printf.sprintf "polygeist-serve/2 submit\nid=%d\n%s" id (job_to_string j)
 
-(* Returns the request together with its id (0 for version-1 frames,
-   which predate ids). *)
+(* Returns the request together with its id. *)
 let request_of_string (s : string) : (int * request, string) result =
   match String.index_opt s '\n' with
   | None -> Error "empty request"
   | Some i -> begin
     let head = String.sub s 0 i in
     let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    let id () = field_int (fields_of_string rest) "id" ~default:0 in
+    let fields = fields_of_string rest in
+    let id = field_int fields "id" ~default:0 in
     match head with
-    | "polygeist-serve/1 shutdown" -> Ok (0, Shutdown)
-    | "polygeist-serve/2 shutdown" -> Ok (id (), Shutdown)
-    | "polygeist-serve/1 submit" | "polygeist-serve/2 submit" ->
-      let rid = if head = "polygeist-serve/1 submit" then 0 else id () in
-      Result.map
-        (fun j -> (rid, Submit j))
-        (job_of_fields (fields_of_string rest))
+    | "polygeist-serve/2 shutdown" -> Ok (id, Shutdown)
+    | "polygeist-serve/2 submit" ->
+      Result.map (fun j -> (id, Submit j)) (job_of_fields fields)
     | _ -> Error (Printf.sprintf "unknown request kind %S" head)
   end
 
@@ -218,44 +213,28 @@ let response_to_string ?(id = 0) (r : response) : string =
     kv b "why" why;
     Buffer.contents b
 
-(* Returns the echoed id (0 for version-1 frames) and the response. *)
+(* Returns the echoed id and the response. *)
 let response_of_string (s : string) : (int * response, string) result =
   match String.index_opt s '\n' with
   | None -> Error "empty response"
   | Some i -> begin
     let head = String.sub s 0 i in
     let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    let fields () = fields_of_string rest in
-    let version_of = function
-      | "polygeist-serve/1" -> Some 1
-      | "polygeist-serve/2" -> Some 2
-      | _ -> None
-    in
-    let kind, version =
-      match String.index_opt head ' ' with
-      | None -> (head, None)
-      | Some sp ->
-        ( String.sub head (sp + 1) (String.length head - sp - 1)
-        , version_of (String.sub head 0 sp) )
-    in
-    match version with
-    | None -> Error (Printf.sprintf "unknown response kind %S" head)
-    | Some v -> begin
-      let id = if v = 1 then 0 else field_int (fields ()) "id" ~default:0 in
-      match kind with
-      | "done" -> Result.map (fun o -> (id, Done o)) (outcome_of_string rest)
-      | "overloaded" ->
-        let f = fields () in
-        Ok
-          ( id
-          , Overloaded
-              { depth = field_int f "depth" ~default:0
-              ; cap = field_int f "cap" ~default:0
-              } )
-      | "rejected" ->
-        Ok (id, Rejected (Option.value ~default:"" (field (fields ()) "why")))
-      | _ -> Error (Printf.sprintf "unknown response kind %S" head)
-    end
+    let fields = fields_of_string rest in
+    let id = field_int fields "id" ~default:0 in
+    match head with
+    | "polygeist-serve/2 done" ->
+      Result.map (fun o -> (id, Done o)) (outcome_of_string rest)
+    | "polygeist-serve/2 overloaded" ->
+      Ok
+        ( id
+        , Overloaded
+            { depth = field_int fields "depth" ~default:0
+            ; cap = field_int fields "cap" ~default:0
+            } )
+    | "polygeist-serve/2 rejected" ->
+      Ok (id, Rejected (Option.value ~default:"" (field fields "why")))
+    | _ -> Error (Printf.sprintf "unknown response kind %S" head)
   end
 
 (* --- framing over a file descriptor --- *)

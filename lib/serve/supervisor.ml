@@ -9,8 +9,8 @@
        parallel engine gets the remaining budget as its cancel bound,
        and serving-layer hangs (the serve:hang fault) spin on the
        watchdog token instead of blocking forever;
-     - a fuel budget, so a diverging conservative lowering raises
-       {!Core.Fuel.Exhausted} instead of wedging the executor;
+     - a fuel budget ([fuel]), so a diverging conservative lowering
+       raises {!Core.Fuel.Exhausted} instead of wedging the executor;
      - exception containment: NOTHING escapes [run_job] — every job
        death becomes a structured failure outcome plus a replayable
        rung="serve" crash bundle (format v3: duration, retry count,
@@ -36,7 +36,8 @@ exception Corrupt_artifact
 (* --- failure description and classification --- *)
 
 (* One line, stable across runs: it is both the client-visible error
-   and the replay oracle recorded in the crash bundle. *)
+   and the replay oracle recorded in the crash bundle — of the daemon's
+   failed jobs and of the one-shot CLI's failed parallel runs alike. *)
 let describe (e : exn) : string =
   match e with
   | Cudafe.Parser.Error e -> "parse error: " ^ e
@@ -48,7 +49,7 @@ let describe (e : exn) : string =
   | Runtime.Exec.Injected -> "injected fault"
   | Runtime.Exec.Unsupported s -> "unsupported: " ^ s
   | Runtime.Exec.Timeout ms ->
-    Printf.sprintf "timeout: job exceeded %d ms (watchdog cancel)" ms
+    Printf.sprintf "timeout: exceeded %d ms (watchdog cancel)" ms
   | Corrupt_artifact -> "corrupt artifact: result failed its digest check"
   | Failure msg -> msg
   | e -> Printexc.to_string e
@@ -98,12 +99,65 @@ let make_args (f : Ir.Op.op) (sizes : int list) : Interp.Mem.rv list =
       end
       | Ir.Types.Scalar _ -> Interp.Mem.Flt 1.0)
 
+(* Commutative digest of the final buffer contents: identical across
+   correct lowerings AND across serial/parallel executions of the same
+   race-free program. *)
 let checksum_of_args (args : Interp.Mem.rv list) : string =
   let bufs =
     List.filter_map (function Interp.Mem.Buf b -> Some b | _ -> None) args
     |> Array.of_list
   in
   Printf.sprintf "%.9g" (Interp.Mem.checksum bufs)
+
+(* --- the run step (shared with the one-shot CLI driver) --- *)
+
+(* Run function [f] of the lowered module [m] once, on fresh
+   [make_args] arguments: on the multicore engine (with the plan's
+   "runtime" fault) or on the serial interpreter.  Writes the
+   "executed @..." and "output checksum @..." lines through [log] and
+   returns the checksum and, for a parallel run, the engine's counters.
+   A failed parallel run raises ({!describe} names it); what to do
+   about it is the caller's policy. *)
+let run_entry ~(log : string -> unit) ~(exec : [ `Interp | `Parallel ])
+    ~(domains : int) ~(schedule : Runtime.Schedule.policy) ?chunk
+    ?team_reuse ~(timeout_ms : int) ~(plan : Core.Fault.plan) (m : Ir.Op.op)
+    (f : Ir.Op.op) (sizes : int list) : string * Runtime.Exec.stats option =
+  let entry = Ir.Op.func_name f in
+  let args = make_args f sizes in
+  let stats =
+    match exec with
+    | `Interp ->
+      let _, s = Interp.Eval.run m entry args in
+      log
+        (Printf.sprintf
+           "executed @%s: %d ops, %d loads, %d stores, %d barrier waits" entry
+           s.Interp.Eval.ops s.Interp.Eval.loads s.Interp.Eval.stores
+           s.Interp.Eval.barriers);
+      None
+    | `Parallel ->
+      let fault =
+        List.find_map
+          (fun (stage, k) ->
+            if stage <> "runtime" then None
+            else if k = Core.Fault.Hang then Some Runtime.Exec.Hang
+            else Some Runtime.Exec.Raise)
+          plan
+      in
+      let _, s =
+        Runtime.Exec.run_module ~domains ~schedule ?chunk ?team_reuse ?fault
+          ~timeout_ms m entry args
+      in
+      log
+        (Printf.sprintf
+           "executed @%s: parallel runtime, %d domains, %d launches, %d \
+            barrier phases, %d domain spawns"
+           entry domains s.Runtime.Exec.launches s.Runtime.Exec.barrier_phases
+           s.Runtime.Exec.domain_spawns);
+      Some s
+  in
+  let checksum = checksum_of_args args in
+  log (Printf.sprintf "output checksum @%s: %s" entry checksum);
+  (checksum, stats)
 
 (* --- circuit breaker --- *)
 
@@ -164,23 +218,26 @@ end
 
 type config =
   { deadline_ms : int (* per-job wall-clock budget; 0 disables *)
-  ; fuel : int (* fuel budget of the conservative lowering *)
   ; backoff : Backoff.policy
   ; crash_dir : string option
   ; breaker_threshold : int
-  ; breaker_recovery : int
   ; seed : int (* jitter seed component *)
   }
 
 let default_config =
   { deadline_ms = 10_000
-  ; fuel = 10_000_000
   ; backoff = Backoff.default
   ; crash_dir = None
   ; breaker_threshold = 3
-  ; breaker_recovery = 3
   ; seed = 0
   }
+
+(* Fuel budget of a job's lowering: only the conservative no-opt
+   lowering ticks under it (pipeline stages install their own). *)
+let fuel = 10_000_000
+
+(* Conservative successes that untrip a tripped breaker. *)
+let breaker_recovery = 3
 
 type stats =
   { mutable jobs : int
@@ -203,7 +260,7 @@ let create (cfg : config) : t =
   { cfg
   ; breaker =
       Breaker.create ~threshold:cfg.breaker_threshold
-        ~recovery:cfg.breaker_recovery
+        ~recovery:breaker_recovery
   ; stats =
       { jobs = 0
       ; completed = 0
@@ -217,6 +274,13 @@ let create (cfg : config) : t =
   }
 
 let breaker_trips (t : t) : int = t.breaker.Breaker.trips
+
+(* Replace the process-wide domain pool after a failed launch, so a
+   poisoned team never bleeds into the next job. *)
+let rebuild_pool (t : t) ~(domains : int) : unit =
+  let _, leaked = Runtime.Pool.rebuild ~domains in
+  t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
+  t.stats.leaked_domains <- t.stats.leaked_domains + leaked
 
 (* A one-shot-CLI-shaped repro line: --replay parses entry and sizes
    back out of it exactly like it does for runtime bundles. *)
@@ -238,128 +302,78 @@ let repro_of_job (j : Proto.job) : string =
 
 (* --- one attempt: the CLI-equivalent execution --- *)
 
-let schedule_of_name = function
-  | "dynamic" -> Runtime.Schedule.Dynamic
-  | "guided" -> Runtime.Schedule.Guided
-  | _ -> Runtime.Schedule.Static
-
-(* Execute the job once, mirroring bin/polygeist_cpu.ml's build +
-   run_entry semantics: exit 0 = full, 1 = degraded (ladder rung or
-   runtime fallback), raise = the job died (exit 2 territory).
-   [launched] is set as soon as a parallel launch is attempted, so the
-   fault wall knows whether the domain pool needs a rebuild.
-   [remaining_ms] reports the deadline budget left (0 = no deadline). *)
+(* Execute the job once through the shared lowering recipe
+   ({!Core.Passmgr.lower}) and run step ({!run_entry}): exit 0 = full,
+   1 = degraded (ladder rung, breaker or runtime fallback), raise = the
+   job died (exit 2 territory).  A failed parallel run degrades to the
+   serial interpreter, except a timeout: the bound came from the job
+   deadline, so that is job death.  [launched] is set as soon as a
+   parallel launch is attempted, so the fault wall knows whether the
+   domain pool needs a rebuild.  [remaining_ms] reports the deadline
+   budget left (0 = no deadline). *)
 let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
     ~(remaining_ms : unit -> int) ~(job : Proto.job) ~(plan : Core.Fault.plan)
     : Proto.outcome =
   let logb = Buffer.create 256 in
-  let logf fmt =
-    Printf.ksprintf (fun s -> Buffer.add_string logb (s ^ "\n")) fmt
+  let log s =
+    Buffer.add_string logb s;
+    Buffer.add_char logb '\n'
   in
   let m = Cudafe.Codegen.compile job.source in
-  let degraded = ref (conservative && job.mode <> "no-opt") in
-  if !degraded then
-    logf "circuit breaker tripped for this source: conservative no-opt lowering";
-  (* pipeline *)
-  (if conservative || job.mode = "no-opt" then begin
-     match
-       Core.Fuel.with_budget t.cfg.fuel (fun () ->
-           Core.Cpuify.run_result ~use_mincut:false m)
-     with
-     | Ok () -> ignore (Core.Omp_lower.run m)
-     | Error e -> failwith ("cpuify: " ^ Core.Cpuify.error_to_string e)
-   end
-   else begin
-     match
-       Core.Passmgr.run_pipeline ~faults:plan ~source:job.source
-         ~repro:(repro_of_job job) m
-     with
-     | Ok report ->
-       if Core.Passmgr.degraded report then begin
-         degraded := true;
-         logf "pipeline degraded:\n%s" (Core.Passmgr.report_to_string report)
-       end;
-       let omp_options =
-         if report.Core.Passmgr.fell_back then Core.Omp_lower.default_options
-         else if job.mode = "inner-parallel" then
-           Core.Omp_lower.inner_par_options
-         else Core.Omp_lower.default_options
-       in
-       ignore (Core.Omp_lower.run ~options:omp_options m)
-     | Error (_, f) ->
-       failwith
-         ("pipeline failed beyond recovery: "
-          ^ Core.Passmgr.failure_to_string f)
-   end);
-  Core.Canonicalize.run m;
-  (match Ir.Verifier.verify_result m with
-   | Ok () -> ()
-   | Error e -> failwith ("internal error: lowered IR does not verify: " ^ e));
-  (* execution *)
-  let checksum = ref "-" in
-  let runtime_degraded = ref false in
-  (match job.entry with
-   | None -> ()
-   | Some entry -> begin
-     match Ir.Op.find_func m entry with
-     | None -> failwith (Printf.sprintf "no function @%s in the module" entry)
-     | Some f ->
-       let serial () =
-         let args = make_args f job.sizes in
-         let _, stats = Interp.Eval.run m entry args in
-         logf "executed @%s: %d ops, %d loads, %d stores, %d barrier waits"
-           entry stats.Interp.Eval.ops stats.Interp.Eval.loads
-           stats.Interp.Eval.stores stats.Interp.Eval.barriers;
-         checksum := checksum_of_args args;
-         logf "output checksum @%s: %s" entry !checksum
-       in
-       if job.exec = "interp" || conservative then serial ()
-       else begin
-         let args = make_args f job.sizes in
-         let runtime_fault =
-           List.find_map
-             (fun (s, k) -> if s = "runtime" then Some k else None)
-             plan
-         in
-         let inject_hang = runtime_fault = Some Core.Fault.Hang in
-         let inject_fault = runtime_fault <> None && not inject_hang in
-         launched := true;
-         match
-           Runtime.Exec.run_module ~domains:job.domains
-             ~schedule:(schedule_of_name job.schedule) ~inject_fault
-             ~inject_hang ~timeout_ms:(remaining_ms ()) m entry args
-         with
-         | _, rstats ->
-           logf
-             "executed @%s: parallel runtime, %d domains, %d launches, %d \
-              barrier phases, %d domain spawns"
-             entry job.domains rstats.Runtime.Exec.launches
-             rstats.Runtime.Exec.barrier_phases
-             rstats.Runtime.Exec.domain_spawns;
-           checksum := checksum_of_args args;
-           logf "output checksum @%s: %s" entry !checksum
-         | exception (Runtime.Exec.Timeout _ as e) ->
-           (* the bound came from the job deadline: this is a job-level
-              timeout, not a degradable runtime hiccup *)
-           raise e
-         | exception e ->
-           (* CLI parity: a runtime failure is one more degradation
-              rung — rebuild the (possibly poisoned) pool, then re-run
-              on the serial interpreter with FRESH arguments *)
-           logf
-             "parallel runtime failed (%s); degrading to the serial \
-              interpreter"
-             (describe e);
-           let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-           t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-           t.stats.leaked_domains <- t.stats.leaked_domains + leaked;
-           runtime_degraded := true;
-           serial ()
-       end
-   end);
-  let exit_code = if !degraded || !runtime_degraded then 1 else 0 in
-  { Proto.exit_code
-  ; checksum = !checksum
+  let breaker_degraded = conservative && job.mode <> "no-opt" in
+  if breaker_degraded then
+    log "circuit breaker tripped for this source: conservative no-opt lowering";
+  let recipe =
+    if conservative then Core.Passmgr.No_opt
+    else Core.Passmgr.recipe_of_string job.mode
+  in
+  let report =
+    match
+      Core.Fuel.with_budget fuel (fun () ->
+          Core.Passmgr.lower ~faults:plan ~source:job.source
+            ~repro:(repro_of_job job) recipe m)
+    with
+    | Ok report -> report
+    | Error (_, msg) -> failwith msg
+  in
+  if Core.Passmgr.degraded report then
+    log ("pipeline degraded:\n" ^ Core.Passmgr.report_to_string report);
+  let checksum, runtime_degraded =
+    match job.entry with
+    | None -> ("-", false)
+    | Some entry -> begin
+      match Ir.Op.find_func m entry with
+      | None -> failwith (Printf.sprintf "no function @%s in the module" entry)
+      | Some f -> begin
+        let run exec =
+          fst
+            (run_entry ~log ~exec ~domains:job.domains
+               ~schedule:(Runtime.Schedule.of_string job.schedule)
+               ~timeout_ms:(remaining_ms ()) ~plan m f job.sizes)
+        in
+        if job.exec = "interp" || conservative then (run `Interp, false)
+        else begin
+          launched := true;
+          match run `Parallel with
+          | checksum -> (checksum, false)
+          | exception (Runtime.Exec.Timeout _ as e) -> raise e
+          | exception e ->
+            log
+              (Printf.sprintf
+                 "parallel runtime failed (%s); degrading to the serial \
+                  interpreter"
+                 (describe e));
+            rebuild_pool t ~domains:job.domains;
+            (run `Interp, true)
+        end
+      end
+    end
+  in
+  let degraded =
+    breaker_degraded || Core.Passmgr.degraded report || runtime_degraded
+  in
+  { Proto.exit_code = (if degraded then 1 else 0)
+  ; checksum
   ; cached = false
   ; retries = 0
   ; breaker = conservative
@@ -447,8 +461,7 @@ let write_bundle (t : t) ~(job : Proto.job) ~(plan : Core.Fault.plan)
   | None -> None
   | Some dir -> begin
     let b =
-      { Core.Crashbundle.version = Core.Crashbundle.current_version
-      ; stage = "serve"
+      { Core.Crashbundle.stage = "serve"
       ; stage_index = attempt_no - 1
       ; rung = "serve"
       ; exn_text
@@ -585,11 +598,7 @@ let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
           in
           let exn_text = describe e in
           let backtrace = Printexc.get_backtrace () in
-          if !launched then begin
-            let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-            t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-            t.stats.leaked_domains <- t.stats.leaked_domains + leaked
-          end;
+          if !launched then rebuild_pool t ~domains:job.domains;
           Breaker.record_failure t.breaker hash;
           let bundle =
             write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no:1
@@ -617,11 +626,7 @@ let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
             in
             let exn_text = describe e in
             let backtrace = Printexc.get_backtrace () in
-            if !launched then begin
-              let _, leaked = Runtime.Pool.rebuild ~domains:job.domains in
-              t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-              t.stats.leaked_domains <- t.stats.leaked_domains + leaked
-            end;
+            if !launched then rebuild_pool t ~domains:job.domains;
             Breaker.record_failure t.breaker hash;
             let bundle =
               write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no
@@ -662,5 +667,5 @@ let replay_attempt ~(deadline_ms : int) (job : Proto.job) :
     (match attempt t ~conservative:false ~launched ~job ~plan ~serve_fault with
      | o, _ -> Ok o
      | exception e ->
-       if !launched then ignore (Runtime.Pool.rebuild ~domains:job.Proto.domains);
+       if !launched then rebuild_pool t ~domains:job.Proto.domains;
        Error (describe e))

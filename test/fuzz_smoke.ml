@@ -55,8 +55,7 @@ let () =
   (* replay honesty: a bundle recording a failure that no longer
      reproduces must come back stale, never "reproduced" *)
   let stale_bundle : Core.Crashbundle.t =
-    { version = Core.Crashbundle.current_version
-    ; stage = "barrier-elim"
+    { stage = "barrier-elim"
     ; stage_index = 0
     ; rung = "fuzz"
     ; exn_text = "checksum: synthetic failure for the stale-replay check"

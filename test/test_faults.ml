@@ -193,6 +193,42 @@ let cli_checks (driver : string) =
        (Sys.readdir rt_dir);
      Sys.rmdir rt_dir
    with Sys_error _ -> ());
+  (* a runtime bundle replays the program that failed: one written under
+     a non-default --cpuify recipe lowers through that recipe again *)
+  List.iter
+    (fun recipe ->
+      let dir = Filename.temp_file "faults" ".rtcrash" in
+      Sys.remove dir;
+      let code, _ =
+        run
+          (Printf.sprintf
+             "--cuda-lower --cpuify %s --run run --size 128 --exec parallel \
+              --domains 4 --inject-fault runtime:raise --crash-dir %s"
+             recipe (Filename.quote dir))
+      in
+      if code <> 1 then
+        fail "CLI: runtime fault under --cpuify %s exited %d, want 1\n" recipe
+          code;
+      let bundles = try Sys.readdir dir with Sys_error _ -> [||] in
+      if bundles = [||] then
+        fail "CLI: no runtime crash bundle under --cpuify %s\n" recipe;
+      Array.iter
+        (fun bundle ->
+          let path = Filename.concat dir bundle in
+          let code =
+            sh
+              (Printf.sprintf "%s --replay %s > %s 2>/dev/null"
+                 (Filename.quote driver) (Filename.quote path)
+                 (Filename.quote tmp))
+          in
+          if code <> 0 then
+            fail "CLI: --replay of a --cpuify %s runtime bundle exited %d, \
+                  want 0 (reproduced)\n"
+              recipe code;
+          Sys.remove path)
+        bundles;
+      try Sys.rmdir dir with Sys_error _ -> ())
+    [ "no-opt"; "inner-parallel" ];
   (* the fuzz subcommand: a tiny fixed-seed campaign on a healthy build
      finds nothing and exits 0 (the real budget lives in @fuzz-smoke) *)
   let code =

@@ -280,8 +280,7 @@ let test_concurrent_compiles () =
 
 let test_bundle_roundtrip () =
   let b =
-    { Core.Crashbundle.version = Core.Crashbundle.current_version
-    ; stage = "cpuify"
+    { Core.Crashbundle.stage = "cpuify"
     ; stage_index = 5
     ; rung = "no-mincut"
     ; exn_text = "Fault.Injected(\"cpuify:raise\")"
@@ -337,13 +336,12 @@ let test_bundle_roundtrip () =
          (Core.Crashbundle.serve_to_string s)
          (Core.Crashbundle.serve_to_string s')
      | _ -> Alcotest.fail "serve config lost in round trip");
-    Alcotest.(check int) "version" Core.Crashbundle.current_version b'.version;
     Alcotest.(check string) "source" b.source b'.source;
     Alcotest.(check string) "ir_before" b.ir_before b'.ir_before
 
-(* Bundles written before the format grew the runtime line (v1) must
-   still parse: version 1, no runtime configuration. *)
-let test_bundle_v1_accepted () =
+(* The older bundle formats never left this repo: a v1 head is refused
+   with a typed [Error], never an exception. *)
+let test_bundle_v1_rejected () =
   let v1_text =
     String.concat "\n"
       [ "polygeist-cpu crash bundle v1"
@@ -362,18 +360,13 @@ let test_bundle_v1_accepted () =
       ]
   in
   match Core.Crashbundle.of_string v1_text with
-  | Error e -> Alcotest.failf "v1 bundle rejected: %s" e
-  | Ok b ->
-    Alcotest.(check int) "version" 1 b.Core.Crashbundle.version;
-    Alcotest.(check string) "stage" "cpuify" b.Core.Crashbundle.stage;
-    Alcotest.(check bool) "no runtime cfg" true
-      (b.Core.Crashbundle.runtime = None);
-    Alcotest.(check string) "faults" "cpuify:raise"
-      (Core.Fault.plan_to_string b.Core.Crashbundle.faults)
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "v1 bundle was accepted"
+  | exception e ->
+    Alcotest.failf "v1 bundle raised %s" (Printexc.to_string e)
 
-(* Bundles written before the format grew the serve line (v2) must still
-   parse: version 2, runtime configuration kept, no serve context. *)
-let test_bundle_v2_accepted () =
+(* Likewise a v2 head (runtime line, no serve line). *)
+let test_bundle_v2_rejected () =
   let v2_text =
     String.concat "\n"
       [ "polygeist-cpu crash bundle v2"
@@ -393,12 +386,10 @@ let test_bundle_v2_accepted () =
       ]
   in
   match Core.Crashbundle.of_string v2_text with
-  | Error e -> Alcotest.failf "v2 bundle rejected: %s" e
-  | Ok b ->
-    Alcotest.(check int) "version" 2 b.Core.Crashbundle.version;
-    Alcotest.(check bool) "runtime cfg kept" true
-      (b.Core.Crashbundle.runtime <> None);
-    Alcotest.(check bool) "no serve cfg" true (b.Core.Crashbundle.serve = None)
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "v2 bundle was accepted"
+  | exception e ->
+    Alcotest.failf "v2 bundle raised %s" (Printexc.to_string e)
 
 (* A bundle written by the pass manager replays deterministically:
    recompiling the embedded source under the recorded options and fault
@@ -484,10 +475,10 @@ let tests =
   ; Alcotest.test_case "two domains compile the suite concurrently" `Quick
       test_concurrent_compiles
   ; Alcotest.test_case "crash bundle round-trip" `Quick test_bundle_roundtrip
-  ; Alcotest.test_case "v2 crash bundle still accepted" `Quick
-      test_bundle_v2_accepted
-  ; Alcotest.test_case "v1 crash bundle still accepted" `Quick
-      test_bundle_v1_accepted
+  ; Alcotest.test_case "v2 crash bundle rejected" `Quick
+      test_bundle_v2_rejected
+  ; Alcotest.test_case "v1 crash bundle rejected" `Quick
+      test_bundle_v1_rejected
   ; Alcotest.test_case "crash bundle replays deterministically" `Quick
       test_bundle_replay
   ; Alcotest.test_case "unrecoverable pipeline returns Error" `Quick

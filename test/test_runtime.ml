@@ -468,7 +468,7 @@ let test_inject_fault_parallel () =
       let buf = Interp.Mem.alloc_buffer Types.F64 [| n |] in
       let injected =
         match
-          Runtime.Exec.run ~domains ~inject_fault:true c
+          Runtime.Exec.run ~domains ~fault:Runtime.Exec.Raise c
             [ Interp.Mem.Buf buf ]
         with
         | _ -> false
@@ -553,7 +553,7 @@ let test_watchdog_cancels_infinite_loop () =
         true timed_out)
     [ 1; 4 ]
 
-(* inject_hang parks one rank in a loop only the watchdog's cancel ends;
+(* A Hang fault parks one rank in a loop only the watchdog's cancel ends;
    the other ranks park at the team barrier, so the timeout path must
    both flip the cancel flag and poison the barrier to unwind everyone.
    Afterwards the poisoned team state must be rebuilt transparently: a
@@ -565,7 +565,7 @@ let test_watchdog_hang_injection () =
   let buf = Interp.Mem.alloc_buffer Types.F64 [| n |] in
   let timed_out =
     match
-      Runtime.Exec.run ~domains:4 ~inject_hang:true ~timeout_ms:300 c
+      Runtime.Exec.run ~domains:4 ~fault:Runtime.Exec.Hang ~timeout_ms:300 c
         [ Interp.Mem.Buf buf ]
     with
     | _ -> false
@@ -607,7 +607,8 @@ let test_poison_wakeup_latency () =
   let t0 = Unix.gettimeofday () in
   let injected =
     match
-      Runtime.Exec.run ~domains:4 ~inject_fault:true c [ Interp.Mem.Buf buf ]
+      Runtime.Exec.run ~domains:4 ~fault:Runtime.Exec.Raise c
+        [ Interp.Mem.Buf buf ]
     with
     | _ -> false
     | exception Runtime.Exec.Injected -> true

@@ -140,9 +140,10 @@ let test_proto_roundtrip () =
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "unknown request kind must be rejected")
 
-(* Version-1 frames (no id line) predate the fleet; an old client or a
-   recorded frame must still parse, with id 0. *)
-let test_proto_v1_compat () =
+(* Version-1 frames (no id line) never left this repo: every v1 head,
+   request or response, is refused with a typed [Error], never an
+   exception. *)
+let test_proto_v1_rejected () =
   let job =
     { Serve.Proto.source = "__global__ void k() {}\n"
     ; entry = None
@@ -154,16 +155,6 @@ let test_proto_v1_compat () =
     ; faults = ""
     }
   in
-  (match
-     Serve.Proto.request_of_string
-       ("polygeist-serve/1 submit\n" ^ Serve.Proto.job_to_string job)
-   with
-   | Ok (0, Serve.Proto.Submit j) ->
-     Alcotest.(check bool) "v1 submit parses, id 0" true (j = job)
-   | _ -> Alcotest.fail "v1 submit frame did not parse");
-  (match Serve.Proto.request_of_string "polygeist-serve/1 shutdown\n" with
-   | Ok (0, Serve.Proto.Shutdown) -> ()
-   | _ -> Alcotest.fail "v1 shutdown frame did not parse");
   let o =
     { Serve.Proto.exit_code = 0
     ; checksum = "1.5"
@@ -173,15 +164,24 @@ let test_proto_v1_compat () =
     ; log = "ok\n"
     }
   in
-  (match
-     Serve.Proto.response_of_string
-       ("polygeist-serve/1 done\n" ^ Serve.Proto.outcome_to_string o)
-   with
-   | Ok (0, Serve.Proto.Done o') ->
-     Alcotest.(check bool) "v1 done parses, id 0" true (o' = o)
-   | _ -> Alcotest.fail "v1 done frame did not parse");
-  (* the id lives in the response envelope, NOT the cached artifact:
-     v2 must not have changed the cache payload bytes *)
+  let rejected what parse frame =
+    match parse frame with
+    | Error _ -> ()
+    | Ok _ -> Alcotest.failf "v1 %s frame was accepted" what
+    | exception e ->
+      Alcotest.failf "v1 %s frame raised %s" what (Printexc.to_string e)
+  in
+  rejected "submit" Serve.Proto.request_of_string
+    ("polygeist-serve/1 submit\n" ^ Serve.Proto.job_to_string job);
+  rejected "shutdown" Serve.Proto.request_of_string
+    "polygeist-serve/1 shutdown\n";
+  rejected "done" Serve.Proto.response_of_string
+    ("polygeist-serve/1 done\n" ^ Serve.Proto.outcome_to_string o);
+  rejected "overloaded" Serve.Proto.response_of_string
+    "polygeist-serve/1 overloaded\ndepth=1\ncap=1\n";
+  rejected "rejected" Serve.Proto.response_of_string
+    "polygeist-serve/1 rejected\nwhy=draining\n";
+  (* the id lives in the response envelope, NOT the cached artifact *)
   Alcotest.(check bool) "outcome payload has no id field" true
     (not
        (String.split_on_char '\n' (Serve.Proto.outcome_to_string o)
@@ -355,9 +355,10 @@ let test_cache_journal_generations () =
     (Serve.Cache.find c3 "old");
   Serve.Cache.close c3
 
-(* The legacy flush-on-shutdown index still loads when no journal
-   exists, and the first load migrates it into a journal. *)
-let test_cache_v1_index_compat () =
+(* The flush-on-shutdown cache-index.v1 format never left this repo: a
+   directory holding only one loads nothing and starts a fresh journal,
+   and a store made after that load survives a reload. *)
+let test_cache_v1_index_ignored () =
   let dir = fresh_tmp_dir () in
   Sys.mkdir dir 0o755;
   let payload = "legacy payload\nwith a second line" in
@@ -367,15 +368,16 @@ let test_cache_v1_index_compat () =
         (Printf.sprintf "polygeist-serve cache index v1\n%s %s %s\n" "oldkey" d
            (String.escaped payload)));
   let c = Serve.Cache.create () in
-  Alcotest.(check int) "v1 index loads without a journal" 1
-    (Serve.Cache.load c ~dir);
-  Alcotest.(check (option string)) "v1 entry verifies and serves"
-    (Some payload) (Serve.Cache.find c "oldkey");
-  (* a store after migration lands in the new journal *)
+  Alcotest.(check int) "v1 index loads nothing" 0 (Serve.Cache.load c ~dir);
+  Alcotest.(check (option string)) "v1 entry not served" None
+    (Serve.Cache.find c "oldkey");
   Serve.Cache.store c "newkey" "journaled";
   Serve.Cache.close c;
-  Alcotest.(check bool) "journal created alongside the v1 index" true
-    (Sys.file_exists (Filename.concat dir "cache-journal.v2"))
+  let c2 = Serve.Cache.create () in
+  Alcotest.(check int) "the later store reloads" 1 (Serve.Cache.load c2 ~dir);
+  Alcotest.(check (option string)) "the later store is served"
+    (Some "journaled") (Serve.Cache.find c2 "newkey");
+  Serve.Cache.close c2
 
 (* Corrupt artifacts are quarantined on disk, not silently dropped. *)
 let test_cache_quarantine () =
@@ -669,8 +671,8 @@ let tests =
   ; QCheck_alcotest.to_alcotest test_deterministic_never_retried
   ; QCheck_alcotest.to_alcotest test_transient_bounded
   ; Alcotest.test_case "protocol round trips" `Quick test_proto_roundtrip
-  ; Alcotest.test_case "protocol v1 frames still parse (id 0)" `Quick
-      test_proto_v1_compat
+  ; Alcotest.test_case "protocol v1 frames rejected" `Quick
+      test_proto_v1_rejected
   ; Alcotest.test_case "cache never serves corruption" `Quick
       test_cache_corruption
   ; Alcotest.test_case "cache journal: stores durable without flush" `Quick
@@ -681,8 +683,8 @@ let tests =
       test_cache_journal_duplicates
   ; Alcotest.test_case "cache journal: compaction generations" `Quick
       test_cache_journal_generations
-  ; Alcotest.test_case "cache: legacy v1 index migrates" `Quick
-      test_cache_v1_index_compat
+  ; Alcotest.test_case "cache: legacy v1 index ignored" `Quick
+      test_cache_v1_index_ignored
   ; Alcotest.test_case "cache: corrupt artifacts quarantined on disk" `Quick
       test_cache_quarantine
   ; QCheck_alcotest.to_alcotest test_wal_replay_roundtrip
