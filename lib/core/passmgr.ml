@@ -118,7 +118,7 @@ let stage_fuel = 1_000_000
 exception Abort of stage_failure
 
 let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
-    ?crash_dir ?(source = "") ?(repro = "") ?runtime (m : Op.op) :
+    ?crash_dir ?(source = "") ?(repro = "") (m : Op.op) :
   (report, report * stage_failure) result =
   Printexc.record_backtrace true;
   let pending = Fault.pending_of_plan faults in
@@ -142,7 +142,7 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
         ; repro
         ; options
         ; faults
-        ; runtime
+        ; runtime = None
         ; serve = None
         ; source
         ; ir_before = Printer.op_to_string snap

@@ -61,8 +61,7 @@ val with_rollback : Ir.Op.op -> (unit -> bool) -> bool
 
 (** Run the full pre-OpenMP pipeline on the module, fault-tolerantly.
     [faults] is a deterministic injection plan (each entry one-shot);
-    [source], [repro] and [runtime] (the active execution
-    configuration, if any) are recorded verbatim in crash bundles.
+    [source] and [repro] are recorded verbatim in crash bundles.
     [Ok report] means the module now holds runnable barrier-free IR
     (possibly degraded — check {!degraded} / [fell_back]); [Error]
     means even the conservative fallback failed, with the report of
@@ -73,7 +72,6 @@ val run_pipeline :
   ?crash_dir:string ->
   ?source:string ->
   ?repro:string ->
-  ?runtime:Crashbundle.runtime_cfg ->
   Ir.Op.op ->
   (report, report * stage_failure) result
 

@@ -55,13 +55,13 @@ let make_args () =
   let out = Interp.Mem.of_float_array (Array.make buf_elems 0.0) in
   (out, [ Interp.Mem.Buf out; Interp.Mem.Buf inp ])
 
-(* Every rung computes the same double-precision operation sequence, so
-   results should be bit-identical; the tolerance is slack against
-   checksum-order effects only. *)
-let close x y = Float.abs (x -. y) <= 1e-6 *. (1.0 +. Float.abs x)
+(* Every rung computes the same double-precision operation sequence and
+   the outputs are compared element by element, so they must be
+   bit-identical. *)
+let same_bits x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
 
-let arrays_close a b =
-  Array.length a = Array.length b && Array.for_all2 close a b
+let arrays_identical a b =
+  Array.length a = Array.length b && Array.for_all2 same_bits a b
 
 (* A rung's result: the output array, or the runtime error text. *)
 type rv = (float array, string) result
@@ -75,7 +75,7 @@ let interp_run ?team_size m : rv =
 let compare_rv ~(stage : string) (reference : rv) (got : rv) : failure option =
   match (reference, got) with
   | Ok a, Ok b ->
-    if arrays_close a b then None
+    if arrays_identical a b then None
     else
       Some
         { f_stage = stage

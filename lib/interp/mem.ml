@@ -37,26 +37,29 @@ let alloc_buffer elem dims =
 
 let size (b : buffer) = Array.fold_left ( * ) 1 b.dims
 
+let rank_mismatch (b : buffer) n =
+  fail "buffer #%d: rank mismatch (%d indices for rank %d)" b.bufid n
+    (Array.length b.dims)
+
+let out_of_bounds (b : buffer) ix d =
+  fail "buffer #%d: index %d out of bounds [0,%d) in dim %d" b.bufid ix
+    b.dims.(d) d
+
 (* Row-major linearization with bounds checking. *)
 let linear_index (b : buffer) (idxs : int array) =
   let n = Array.length b.dims in
-  if Array.length idxs <> n then
-    fail "buffer #%d: rank mismatch (%d indices for rank %d)" b.bufid
-      (Array.length idxs) n;
+  if Array.length idxs <> n then rank_mismatch b (Array.length idxs);
   let off = ref 0 in
   for i = 0 to n - 1 do
     let ix = idxs.(i) in
-    if ix < 0 || ix >= b.dims.(i) then
-      fail "buffer #%d: index %d out of bounds [0,%d) in dim %d" b.bufid ix
-        b.dims.(i) i;
+    if ix < 0 || ix >= b.dims.(i) then out_of_bounds b ix i;
     off := (!off * b.dims.(i)) + ix
   done;
   !off
 
-(* Typed linear accessors for the compiled (multicore) runtime: the
-   engine resolves the element type at compile time, so loads and stores
-   go straight to the backing array without boxing an [rv].  [lindex]
-   performs the same bounds checking as [load]/[store]. *)
+(* Typed linear accessors: loads and stores that go straight to the
+   backing array without boxing an [rv].  [lindex] performs the same
+   bounds checking as [load]/[store]. *)
 let lindex = linear_index
 
 let get_f (b : buffer) (i : int) : float =

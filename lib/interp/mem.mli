@@ -30,10 +30,18 @@ val load : buffer -> int array -> rv
 val store : buffer -> int array -> rv -> unit
 
 (** Bounds-checked row-major linear index (same checks as
-    {!load}/{!store}); feeds the typed accessors below, which the
-    compiled multicore runtime uses to avoid boxing an {!rv} per
-    access.  Cross-dtype accesses convert like {!store} does. *)
+    {!load}/{!store}); feeds the typed accessors below, which read and
+    write without boxing an {!rv}.  Cross-dtype accesses convert like
+    {!store} does. *)
 val lindex : buffer -> int array -> int
+
+(** The two failures of {!lindex}: [rank_mismatch b n] for [n]
+    indices into [b], [out_of_bounds b ix d] for index [ix] in
+    dimension [d].  The compiled runtime's inline access checks raise
+    these too, so both engines fail with the same text. *)
+val rank_mismatch : buffer -> int -> 'a
+
+val out_of_bounds : buffer -> int -> int -> 'a
 
 val get_f : buffer -> int -> float
 val get_i : buffer -> int -> int

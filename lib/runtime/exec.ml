@@ -9,6 +9,18 @@
    array]), and the per-iteration environment allocations; loops become
    plain [while] loops over precompiled bodies.
 
+   Every op is compiled against its operands' register slots, which
+   are known at compile time: a scalar op is one closure per op kind
+   that reads [iregs]/[fregs] at fixed indices and writes its result
+   slot, so no float is boxed and no getter closure is called.  Where a
+   literal settles something at compile time — the zero test of a
+   divisor, the branch of an [scf.if] — the value of an [arith.constant]
+   compiled earlier in the same function is used instead of its
+   register.  An operand whose slot kind differs from the op's (an int
+   register read as a float, a truncating cast) is first converted into
+   a temporary register by a closure chosen at compile time from the
+   slot kinds.
+
    Scalar semantics mirror {!Interp.Eval} exactly: all float arithmetic
    in double precision with f32 rounding only at f32 constants and
    casts-to-f32, integer division/modulo by zero failing, [scf.for]
@@ -18,28 +30,33 @@
    ({!Unsupported}) so the driver can degrade to the fiber interpreter.
 
    Memory accesses compile to one of two paths.  The checked path
-   inlines the bounds test and the [Fdata]/[Idata] dispatch into the
-   access closure (no [Mem.get_f] call, no index array).  The unchecked
-   path exists for the innermost-affine pattern [buf[i1;..;ik; iv]]
-   where [iv] is the iv of the innermost enclosing loop and the buffer
-   and prefix indices are loop-invariant: a guard at loop entry
-   validates the buffer's rank, dtype and the whole [iv] range once,
-   binds the raw data array and precomputed row base into per-frame
-   caches, and the loop then runs a body variant whose accesses are
-   single [unsafe_get]/[unsafe_set]s.  Any guard failure falls back to
-   the checked body for the whole loop entry, so safety semantics and
-   error messages are unchanged.
+   reads its index registers directly and inlines the rank test, the
+   bounds tests (in {!Mem.lindex}'s order, with its messages) and the
+   [Fdata]/[Idata] dispatch: ranks 0–3 are specialized closures, higher
+   ranks run a loop over the index slots; none allocates.  The
+   unchecked path exists for the innermost-affine pattern
+   [buf[i1;..;ik; iv]] where [iv] is the iv of the innermost enclosing
+   loop and the buffer and prefix indices are loop-invariant: a guard
+   at loop entry validates the buffer's rank, dtype and the whole [iv]
+   range once, binds the raw data array and precomputed row base into
+   per-frame caches, and the loop then runs a body variant whose
+   accesses are single [unsafe_get]/[unsafe_set]s.  Any guard failure
+   falls back to the checked body for the whole loop entry, so safety
+   semantics and error messages are unchanged.
 
    Team execution ([omp.parallel]) launches one frame per thread on a
    {!Pool}.  The frames live in a persistent, cache-line-padded team
    state owned by the compiled function: a launch blits the master's
    register files into them and posts a cached job closure, so the
    steady-state launch path allocates nothing.  [omp.wsloop] linearizes
-   its iteration space and partitions it per {!Schedule}; because
-   wsloops carry no implicit trailing barrier, team members may enter
-   the same dynamic loop different numbers of times concurrently, so the
-   shared grab state is keyed by (loop oid, per-thread encounter count)
-   — the "generation" — and discarded by the last finisher. *)
+   its iteration space and partitions it per {!Schedule}; a chunk of a
+   multi-dimensional loop delinearizes its first position once and then
+   advances the ivs like an odometer (dim 0 fastest, the interpreter's
+   order).  Because wsloops carry no implicit trailing barrier, team
+   members may enter the same dynamic loop different numbers of times
+   concurrently, so the shared grab state is keyed by (loop oid,
+   per-thread encounter count) — the "generation" — and discarded by
+   the last finisher. *)
 
 open Ir
 open Interp
@@ -148,7 +165,8 @@ type slot =
 
 (* One hoistable access: [ckind]/[cbuf]/[cprefix] describe the access,
    [civ] is the iv slot it is affine in, [ccache] indexes the frame's
-   [fdat]/[idat]/[abase] caches. *)
+   [fdat]/[idat]/[abase] caches; [cprefix] holds the prefix indices'
+   int registers. *)
 type akind =
   | KF
   | KI
@@ -158,7 +176,7 @@ type cand =
   ; ccache : int
   ; civ : int
   ; cbuf : int
-  ; cprefix : (frame -> int) array
+  ; cprefix : int array
   }
 
 (* One loop currently being compiled for hoisting: its iv slot, the set
@@ -189,7 +207,8 @@ type cmod =
 (* [hstack] is the stack of loops being compiled (innermost first);
    [emit_ivs] lists the ivs whose unchecked body variant is currently
    being emitted; [cands] dedups candidates per access op so the two
-   body variants of a loop share one cache slot. *)
+   body variants of a loop share one cache slot; [lits] maps the values
+   of the int constants compiled so far to their literals. *)
 type cenv =
   { cm : cmod
   ; slots : (int, slot) Hashtbl.t (* Value.id -> slot *)
@@ -200,9 +219,20 @@ type cenv =
   ; mutable hstack : hctx list
   ; mutable emit_ivs : int list
   ; cands : (int, cand) Hashtbl.t (* access op oid -> candidate *)
+  ; lits : (int, int) Hashtbl.t (* Value.id -> literal *)
   }
 
 (* --- slot assignment and typed accessors --- *)
+
+let new_islot (ce : cenv) =
+  let k = ce.ni in
+  ce.ni <- k + 1;
+  k
+
+let new_fslot (ce : cenv) =
+  let k = ce.nf in
+  ce.nf <- k + 1;
+  k
 
 let slot_of (ce : cenv) (v : Value.t) : slot =
   match Hashtbl.find_opt ce.slots v.Value.id with
@@ -210,14 +240,8 @@ let slot_of (ce : cenv) (v : Value.t) : slot =
   | None ->
     let s =
       match v.Value.typ with
-      | Types.Scalar d when Types.is_float_dtype d ->
-        let k = ce.nf in
-        ce.nf <- k + 1;
-        SF k
-      | Types.Scalar _ ->
-        let k = ce.ni in
-        ce.ni <- k + 1;
-        SI k
+      | Types.Scalar d when Types.is_float_dtype d -> SF (new_fslot ce)
+      | Types.Scalar _ -> SI (new_islot ce)
       | Types.Memref _ ->
         let k = ce.nb in
         ce.nb <- k + 1;
@@ -231,24 +255,13 @@ let slot_key = function
   | SF k -> (3 * k) + 1
   | SB k -> (3 * k) + 2
 
-let iget ce v : frame -> int =
-  match slot_of ce v with
-  | SI k -> fun fr -> fr.iregs.(k)
-  | SF _ -> fun _ -> Mem.fail "expected integer value, got float"
-  | SB _ -> fun _ -> Mem.fail "expected integer value, got buffer"
-
-let fget ce v : frame -> float =
-  match slot_of ce v with
-  | SF k -> fun fr -> fr.fregs.(k)
-  | SI k -> fun fr -> float_of_int fr.iregs.(k)
-  | SB _ -> fun _ -> Mem.fail "expected float value, got buffer"
-
-(* Truncating integer view, mirroring [Mem.as_int_or_trunc] (casts). *)
-let tget ce v : frame -> int =
-  match slot_of ce v with
-  | SI k -> fun fr -> fr.iregs.(k)
-  | SF k -> fun fr -> int_of_float fr.fregs.(k)
-  | SB _ -> fun _ -> Mem.fail "expected scalar value, got buffer"
+(* Register reads and writes.  Every frame of a function holds at least
+   the function's slot counts, so the indices are in range by
+   construction. *)
+let[@inline] ig (fr : frame) k = Array.unsafe_get fr.iregs k
+let[@inline] fg (fr : frame) k = Array.unsafe_get fr.fregs k
+let[@inline] is (fr : frame) k (x : int) = Array.unsafe_set fr.iregs k x
+let[@inline] fs (fr : frame) k (x : float) = Array.unsafe_set fr.fregs k x
 
 (* Buffer reads check the per-compile sentinel: a register that was
    never bound fails with the op's location and the value's name
@@ -303,56 +316,187 @@ let is_float_value (v : Value.t) =
   | Types.Scalar d -> Types.is_float_dtype d
   | Types.Memref _ -> false
 
-let f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
+
+(* --- register-direct operands --- *)
+
+let nop : code = fun _ -> ()
+
+(* Run [codes] in order; up to four are chained directly, longer
+   sequences loop over an array.  [nop]s are dropped. *)
+let seq (codes : code list) : code =
+  match List.filter (fun c -> c != nop) codes with
+  | [] -> nop
+  | [ a ] -> a
+  | [ a; b ] ->
+    fun fr ->
+      a fr;
+      b fr
+  | [ a; b; c ] ->
+    fun fr ->
+      a fr;
+      b fr;
+      c fr
+  | [ a; b; c; d ] ->
+    fun fr ->
+      a fr;
+      b fr;
+      c fr;
+      d fr
+  | codes ->
+    let codes = Array.of_list codes in
+    let n = Array.length codes in
+    fun fr ->
+      for i = 0 to n - 1 do
+        (Array.unsafe_get codes i) fr
+      done
+
+(* The register an op reads operand [v] from.  A same-kind operand is
+   its own slot.  Any other is converted into a fresh temporary register
+   by a closure pushed onto [pre], which runs before the op; a read the
+   interpreter rejects fails there. *)
+let conv_temp ce pre ~fresh (conv : int -> code) =
+  let t = fresh ce in
+  pre := conv t :: !pre;
+  t
+
+let ireg ce pre v =
+  match slot_of ce v with
+  | SI k -> k
+  | SF _ ->
+    conv_temp ce pre ~fresh:new_islot (fun _ _ ->
+        Mem.fail "expected integer value, got float")
+  | SB _ ->
+    conv_temp ce pre ~fresh:new_islot (fun _ _ ->
+        Mem.fail "expected integer value, got buffer")
+
+let freg ce pre v =
+  match slot_of ce v with
+  | SF k -> k
+  | SI k ->
+    conv_temp ce pre ~fresh:new_fslot (fun t fr ->
+        fs fr t (float_of_int (ig fr k)))
+  | SB _ ->
+    conv_temp ce pre ~fresh:new_fslot (fun _ _ ->
+        Mem.fail "expected float value, got buffer")
+
+(* Truncating view for casts to integer types, like
+   [Mem.as_int_or_trunc]. *)
+let treg ce pre v =
+  match slot_of ce v with
+  | SI k -> k
+  | SF k ->
+    conv_temp ce pre ~fresh:new_islot (fun t fr ->
+        is fr t (int_of_float (fg fr k)))
+  | SB _ ->
+    conv_temp ce pre ~fresh:new_islot (fun _ _ ->
+        Mem.fail "expected scalar value, got buffer")
+
+(* The register an op writes result [v] to: its own slot, or a
+   temporary that a closure pushed onto [post] hands to the typed
+   setter, which fails on the mismatched kind. *)
+let ires ce post v =
+  match slot_of ce v with
+  | SI k -> k
+  | SF _ | SB _ ->
+    let t = new_islot ce and set = iset ce v in
+    post := (fun fr -> set fr (ig fr t)) :: !post;
+    t
+
+let fres ce post v =
+  match slot_of ce v with
+  | SF k -> k
+  | SI _ | SB _ ->
+    let t = new_fslot ce and set = fset ce v in
+    post := (fun fr -> set fr (fg fr t)) :: !post;
+    t
+
+(* An int operand as the literal of a constant compiled earlier in this
+   function, if it is one. *)
+let int_lit ce (v : Value.t) = Hashtbl.find_opt ce.lits v.Value.id
+
+(* Compile one scalar op: [core] gets the operand/result registers
+   through [pre]/[post]; the conversions run around it. *)
+let with_conv (core : code list ref -> code list ref -> code) : code =
+  let pre = ref [] and post = ref [] in
+  let c = core pre post in
+  seq (List.rev_append !pre (c :: List.rev !post))
 
 (* --- scalar op semantics (identical formulas to Interp.Eval) --- *)
 
-let fbinop : Op.binop -> float -> float -> float = function
-  | Op.Add -> ( +. )
-  | Op.Sub -> ( -. )
-  | Op.Mul -> ( *. )
-  | Op.Div -> ( /. )
-  | Op.Rem -> Float.rem
-  | Op.Min -> Float.min
-  | Op.Max -> Float.max
-  | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr ->
-    fun _ _ -> Mem.fail "bitwise op on float"
-
-let ibinop : Op.binop -> int -> int -> int = function
-  | Op.Add -> ( + )
-  | Op.Sub -> ( - )
-  | Op.Mul -> ( * )
+let ibin (kind : Op.binop) r x y : code =
+  match kind with
+  | Op.Add -> fun fr -> is fr r (ig fr x + ig fr y)
+  | Op.Sub -> fun fr -> is fr r (ig fr x - ig fr y)
+  | Op.Mul -> fun fr -> is fr r (ig fr x * ig fr y)
   | Op.Div ->
-    fun x y -> if y = 0 then Mem.fail "integer division by zero" else x / y
+    fun fr ->
+      let d = ig fr y in
+      if d = 0 then Mem.fail "integer division by zero";
+      is fr r (ig fr x / d)
   | Op.Rem ->
-    fun x y -> if y = 0 then Mem.fail "integer modulo by zero" else x mod y
-  | Op.Min -> min
-  | Op.Max -> max
-  | Op.And -> ( land )
-  | Op.Or -> ( lor )
-  | Op.Xor -> ( lxor )
-  | Op.Shl -> ( lsl )
-  | Op.Shr -> ( asr )
+    fun fr ->
+      let d = ig fr y in
+      if d = 0 then Mem.fail "integer modulo by zero";
+      is fr r (ig fr x mod d)
+  | Op.Min ->
+    fun fr ->
+      let a = ig fr x and b = ig fr y in
+      is fr r (if a <= b then a else b)
+  | Op.Max ->
+    fun fr ->
+      let a = ig fr x and b = ig fr y in
+      is fr r (if a >= b then a else b)
+  | Op.And -> fun fr -> is fr r (ig fr x land ig fr y)
+  | Op.Or -> fun fr -> is fr r (ig fr x lor ig fr y)
+  | Op.Xor -> fun fr -> is fr r (ig fr x lxor ig fr y)
+  | Op.Shl -> fun fr -> is fr r (ig fr x lsl ig fr y)
+  | Op.Shr -> fun fr -> is fr r (ig fr x asr ig fr y)
 
-let fcmp : Op.cmp_pred -> float -> float -> bool = function
-  | Op.Eq -> fun x y -> x = y
-  | Op.Ne -> fun x y -> x <> y
-  | Op.Lt -> fun x y -> x < y
-  | Op.Le -> fun x y -> x <= y
-  | Op.Gt -> fun x y -> x > y
-  | Op.Ge -> fun x y -> x >= y
+(* Division and remainder by a literal: the zero test is settled at
+   compile time. *)
+let idiv_lit (kind : Op.binop) r x n : code =
+  match kind, n with
+  | Op.Div, 0 -> fun _ -> Mem.fail "integer division by zero"
+  | Op.Rem, 0 -> fun _ -> Mem.fail "integer modulo by zero"
+  | Op.Div, n -> fun fr -> is fr r (ig fr x / n)
+  | _, n -> fun fr -> is fr r (ig fr x mod n)
 
-let icmp : Op.cmp_pred -> int -> int -> bool = function
-  | Op.Eq -> fun x y -> x = y
-  | Op.Ne -> fun x y -> x <> y
-  | Op.Lt -> fun x y -> x < y
-  | Op.Le -> fun x y -> x <= y
-  | Op.Gt -> fun x y -> x > y
-  | Op.Ge -> fun x y -> x >= y
+let fbin (kind : Op.binop) r x y : code =
+  match kind with
+  | Op.Add -> fun fr -> fs fr r (fg fr x +. fg fr y)
+  | Op.Sub -> fun fr -> fs fr r (fg fr x -. fg fr y)
+  | Op.Mul -> fun fr -> fs fr r (fg fr x *. fg fr y)
+  | Op.Div -> fun fr -> fs fr r (fg fr x /. fg fr y)
+  | Op.Rem -> fun fr -> fs fr r (Float.rem (fg fr x) (fg fr y))
+  | Op.Min -> fun fr -> fs fr r (Float.min (fg fr x) (fg fr y))
+  | Op.Max -> fun fr -> fs fr r (Float.max (fg fr x) (fg fr y))
+  | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr ->
+    fun _ -> Mem.fail "bitwise op on float"
+
+let[@inline] b2i b = if b then 1 else 0
+
+let icmp (pred : Op.cmp_pred) r x y : code =
+  match pred with
+  | Op.Eq -> fun fr -> is fr r (b2i (ig fr x = ig fr y))
+  | Op.Ne -> fun fr -> is fr r (b2i (ig fr x <> ig fr y))
+  | Op.Lt -> fun fr -> is fr r (b2i (ig fr x < ig fr y))
+  | Op.Le -> fun fr -> is fr r (b2i (ig fr x <= ig fr y))
+  | Op.Gt -> fun fr -> is fr r (b2i (ig fr x > ig fr y))
+  | Op.Ge -> fun fr -> is fr r (b2i (ig fr x >= ig fr y))
+
+let fcmp (pred : Op.cmp_pred) r x y : code =
+  match pred with
+  | Op.Eq -> fun fr -> is fr r (b2i (fg fr x = fg fr y))
+  | Op.Ne -> fun fr -> is fr r (b2i (fg fr x <> fg fr y))
+  | Op.Lt -> fun fr -> is fr r (b2i (fg fr x < fg fr y))
+  | Op.Le -> fun fr -> is fr r (b2i (fg fr x <= fg fr y))
+  | Op.Gt -> fun fr -> is fr r (b2i (fg fr x > fg fr y))
+  | Op.Ge -> fun fr -> is fr r (b2i (fg fr x >= fg fr y))
 
 (* Same Abramowitz–Stegun expression as the interpreter, same
    association, so results are bit-identical. *)
-let erf_as x =
+let[@inline] erf_as x =
   let s = if x < 0.0 then -1.0 else 1.0 in
   let x = Float.abs x in
   let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
@@ -367,23 +511,157 @@ let erf_as x =
   in
   s *. y
 
-let fmath : Op.math_fn -> float -> float = function
-  | Op.Sqrt -> sqrt
-  | Op.Exp -> exp
-  | Op.Log -> log
-  | Op.Log2 -> fun x -> log x /. log 2.0
-  | Op.Fabs -> Float.abs
-  | Op.Floor -> Float.floor
-  | Op.Neg -> fun x -> -.x
-  | Op.Sin -> sin
-  | Op.Cos -> cos
-  | Op.Tanh -> tanh
-  | Op.Erf -> erf_as
+(* One-operand float functions ([Not] and [Pow] are compiled apart). *)
+let fmath (fn : Op.math_fn) r x : code =
+  match fn with
+  | Op.Sqrt -> fun fr -> fs fr r (sqrt (fg fr x))
+  | Op.Exp -> fun fr -> fs fr r (exp (fg fr x))
+  | Op.Log -> fun fr -> fs fr r (log (fg fr x))
+  | Op.Log2 -> fun fr -> fs fr r (log (fg fr x) /. log 2.0)
+  | Op.Fabs -> fun fr -> fs fr r (Float.abs (fg fr x))
+  | Op.Floor -> fun fr -> fs fr r (Float.floor (fg fr x))
+  | Op.Neg -> fun fr -> fs fr r (-.fg fr x)
+  | Op.Sin -> fun fr -> fs fr r (sin (fg fr x))
+  | Op.Cos -> fun fr -> fs fr r (cos (fg fr x))
+  | Op.Tanh -> fun fr -> fs fr r (tanh (fg fr x))
+  | Op.Erf -> fun fr -> fs fr r (erf_as (fg fr x))
   | Op.Not | Op.Pow -> fun _ -> Mem.fail "math: bad arity"
 
-let oob (b : Mem.buffer) ix d =
-  Mem.fail "buffer #%d: index %d out of bounds [0,%d) in dim %d" b.Mem.bufid ix
-    b.Mem.dims.(d) d
+(* --- checked element access --- *)
+
+(* Checked row-major offsets, testing in [Mem.lindex]'s order: the rank,
+   then each index, outermost first. *)
+let[@inline] off0 (b : Mem.buffer) =
+  if Array.length b.Mem.dims <> 0 then Mem.rank_mismatch b 0;
+  0
+
+let[@inline] off1 (b : Mem.buffer) i =
+  let d = b.Mem.dims in
+  if Array.length d <> 1 then Mem.rank_mismatch b 1;
+  if i < 0 || i >= Array.unsafe_get d 0 then Mem.out_of_bounds b i 0;
+  i
+
+let[@inline] off2 (b : Mem.buffer) i j =
+  let d = b.Mem.dims in
+  if Array.length d <> 2 then Mem.rank_mismatch b 2;
+  let d1 = Array.unsafe_get d 1 in
+  if i < 0 || i >= Array.unsafe_get d 0 then Mem.out_of_bounds b i 0;
+  if j < 0 || j >= d1 then Mem.out_of_bounds b j 1;
+  (i * d1) + j
+
+let[@inline] off3 (b : Mem.buffer) i j k =
+  let d = b.Mem.dims in
+  if Array.length d <> 3 then Mem.rank_mismatch b 3;
+  let d1 = Array.unsafe_get d 1 and d2 = Array.unsafe_get d 2 in
+  if i < 0 || i >= Array.unsafe_get d 0 then Mem.out_of_bounds b i 0;
+  if j < 0 || j >= d1 then Mem.out_of_bounds b j 1;
+  if k < 0 || k >= d2 then Mem.out_of_bounds b k 2;
+  (((i * d1) + j) * d2) + k
+
+(* Any rank, indices in the int registers [ix]; allocates nothing. *)
+let offn (b : Mem.buffer) (fr : frame) (ix : int array) =
+  let d = b.Mem.dims and n = Array.length ix in
+  if Array.length d <> n then Mem.rank_mismatch b n;
+  let off = ref 0 in
+  for i = 0 to n - 1 do
+    let x = ig fr (Array.unsafe_get ix i) and di = Array.unsafe_get d i in
+    if x < 0 || x >= di then Mem.out_of_bounds b x i;
+    off := (!off * di) + x
+  done;
+  !off
+
+(* One element at a checked offset [o], between the buffer and the
+   register [k]; cross-dtype accesses convert like [Mem.load]/[store]. *)
+let[@inline] ldf fr k (b : Mem.buffer) o =
+  match b.Mem.data with
+  | Mem.Fdata a -> fs fr k a.(o)
+  | Mem.Idata a -> fs fr k (float_of_int a.(o))
+
+let[@inline] ldi fr k (b : Mem.buffer) o =
+  match b.Mem.data with
+  | Mem.Idata a -> is fr k a.(o)
+  | Mem.Fdata a -> is fr k (int_of_float a.(o))
+
+let[@inline] stf fr k (b : Mem.buffer) o =
+  match b.Mem.data with
+  | Mem.Fdata a -> a.(o) <- fg fr k
+  | Mem.Idata a -> a.(o) <- int_of_float (fg fr k)
+
+let[@inline] sti fr k (b : Mem.buffer) o =
+  match b.Mem.data with
+  | Mem.Idata a -> a.(o) <- ig fr k
+  | Mem.Fdata a -> a.(o) <- float_of_int (ig fr k)
+
+(* What a checked access does with the element: load into, or store
+   from, a float or int register. *)
+type elem_op =
+  | Ldf of int
+  | Ldi of int
+  | Stf of int
+  | Sti of int
+
+(* The checked access closure for buffer register [bk] and index
+   registers [ix]: the sentinel test, then the offset, then the element
+   op — one closure per (rank up to 3, element op). *)
+let checked_access (sent : Mem.buffer) (op : Op.op) (bufv : Value.t) bk
+    (ix : int array) (e : elem_op) : code =
+  let[@inline] buf fr =
+    let b = Array.unsafe_get fr.bregs bk in
+    if b == sent then unbound op bufv else b
+  in
+  match Array.length ix, e with
+  | 0, Ldf k -> fun fr -> let b = buf fr in ldf fr k b (off0 b)
+  | 0, Ldi k -> fun fr -> let b = buf fr in ldi fr k b (off0 b)
+  | 0, Stf k -> fun fr -> let b = buf fr in stf fr k b (off0 b)
+  | 0, Sti k -> fun fr -> let b = buf fr in sti fr k b (off0 b)
+  | 1, Ldf k ->
+    let i = ix.(0) in
+    fun fr -> let b = buf fr in ldf fr k b (off1 b (ig fr i))
+  | 1, Ldi k ->
+    let i = ix.(0) in
+    fun fr -> let b = buf fr in ldi fr k b (off1 b (ig fr i))
+  | 1, Stf k ->
+    let i = ix.(0) in
+    fun fr -> let b = buf fr in stf fr k b (off1 b (ig fr i))
+  | 1, Sti k ->
+    let i = ix.(0) in
+    fun fr -> let b = buf fr in sti fr k b (off1 b (ig fr i))
+  | 2, Ldf k ->
+    let i = ix.(0) and j = ix.(1) in
+    fun fr -> let b = buf fr in ldf fr k b (off2 b (ig fr i) (ig fr j))
+  | 2, Ldi k ->
+    let i = ix.(0) and j = ix.(1) in
+    fun fr -> let b = buf fr in ldi fr k b (off2 b (ig fr i) (ig fr j))
+  | 2, Stf k ->
+    let i = ix.(0) and j = ix.(1) in
+    fun fr -> let b = buf fr in stf fr k b (off2 b (ig fr i) (ig fr j))
+  | 2, Sti k ->
+    let i = ix.(0) and j = ix.(1) in
+    fun fr -> let b = buf fr in sti fr k b (off2 b (ig fr i) (ig fr j))
+  | 3, Ldf k ->
+    let i = ix.(0) and j = ix.(1) and l = ix.(2) in
+    fun fr ->
+      let b = buf fr in
+      ldf fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+  | 3, Ldi k ->
+    let i = ix.(0) and j = ix.(1) and l = ix.(2) in
+    fun fr ->
+      let b = buf fr in
+      ldi fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+  | 3, Stf k ->
+    let i = ix.(0) and j = ix.(1) and l = ix.(2) in
+    fun fr ->
+      let b = buf fr in
+      stf fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+  | 3, Sti k ->
+    let i = ix.(0) and j = ix.(1) and l = ix.(2) in
+    fun fr ->
+      let b = buf fr in
+      sti fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+  | _, Ldf k -> fun fr -> let b = buf fr in ldf fr k b (offn b fr ix)
+  | _, Ldi k -> fun fr -> let b = buf fr in ldi fr k b (offn b fr ix)
+  | _, Stf k -> fun fr -> let b = buf fr in stf fr k b (offn b fr ix)
+  | _, Sti k -> fun fr -> let b = buf fr in sti fr k b (offn b fr ix)
 
 (* --- hoisting analysis --- *)
 
@@ -455,7 +733,10 @@ let hoist_candidate ce (op : Op.op) ~(bufv : Value.t)
                 ; civ = ivk
                 ; cbuf
                 ; cprefix =
-                    Array.map (iget ce) (Array.sub idxv 0 (n - 1))
+                    Array.init (n - 1) (fun i ->
+                        match slot_of ce idxv.(i) with
+                        | SI k -> k
+                        | SF _ | SB _ -> assert false)
                 }
               in
               Hashtbl.add ce.cands op.Op.oid c;
@@ -485,7 +766,7 @@ let guard_of_cand (sent : Mem.buffer) (c : cand) :
       else begin
         let off = ref 0 and ok = ref true in
         for i = 0 to np - 1 do
-          let ix = c.cprefix.(i) fr in
+          let ix = ig fr c.cprefix.(i) in
           if ix < 0 || ix >= dims.(i) then ok := false
           else off := (!off * dims.(i)) + ix
         done;
@@ -548,213 +829,142 @@ let new_frame (cf : cfunc) (sent : Mem.buffer) lc glob : frame =
 
 (* --- compilation --- *)
 
+(* The bounds of an [scf.parallel] or [omp.wsloop], read once per
+   entry. *)
+let par_bounds ce pre op =
+  let nd = Op.par_dims op in
+  let get f = Array.init nd (fun i -> ireg ce pre (f op i)) in
+  (get Op.par_lo, get Op.par_hi, get Op.par_step)
+
+let par_ivs ce op what =
+  Array.map
+    (fun v ->
+      match slot_of ce v with
+      | SI k -> k
+      | SF _ | SB _ -> raise (Unsupported (what ^ ": non-integer iv")))
+    op.Op.regions.(0).Op.rargs
+
 let rec compile_region (ce : cenv) (ops : Op.op list) : code =
-  let codes = Array.of_list (List.map (compile_op ce) ops) in
-  match Array.length codes with
-  | 0 -> fun _ -> ()
-  | 1 -> codes.(0)
-  | n ->
-    fun fr ->
-      for i = 0 to n - 1 do
-        codes.(i) fr
-      done
+  seq (List.map (compile_op ce) ops)
 
 and compile_op (ce : cenv) (op : Op.op) : code =
+  let o = op.Op.operands in
   match op.Op.kind with
   | Op.Module | Op.Func _ ->
     fun _ -> Mem.fail "cannot execute module/func as a statement"
-  | Op.Yield | Op.Dealloc -> fun _ -> ()
+  | Op.Yield | Op.Dealloc -> nop
   | Op.Condition -> fun _ -> Mem.fail "scf.condition outside while handling"
-  | Op.Constant c -> begin
-    match c with
-    | Op.Cint (n, _) ->
-      let set = iset ce (Op.result op) in
-      fun fr -> set fr n
-    | Op.Cfloat (f, Types.F32) ->
-      let v = f32 f in
-      let set = fset ce (Op.result op) in
-      fun fr -> set fr v
-    | Op.Cfloat (f, _) ->
-      let set = fset ce (Op.result op) in
-      fun fr -> set fr f
-  end
+  | Op.Constant c -> compile_constant ce op c
   | Op.Binop kind ->
-    if is_float_value op.Op.operands.(0) then begin
-      let a = fget ce op.Op.operands.(0) in
-      let b = fget ce op.Op.operands.(1) in
-      let f = fbinop kind in
-      let set = fset ce (Op.result op) in
-      fun fr -> set fr (f (a fr) (b fr))
-    end
-    else begin
-      let a = iget ce op.Op.operands.(0) in
-      let b = iget ce op.Op.operands.(1) in
-      let f = ibinop kind in
-      let set = iset ce (Op.result op) in
-      fun fr -> set fr (f (a fr) (b fr))
-    end
+    with_conv (fun pre post ->
+        if is_float_value o.(0) then begin
+          let x = freg ce pre o.(0) in
+          let y = freg ce pre o.(1) in
+          fbin kind (fres ce post (Op.result op)) x y
+        end
+        else begin
+          let x = ireg ce pre o.(0) in
+          match kind, int_lit ce o.(1) with
+          | (Op.Div | Op.Rem), Some n ->
+            idiv_lit kind (ires ce post (Op.result op)) x n
+          | _ ->
+            let y = ireg ce pre o.(1) in
+            ibin kind (ires ce post (Op.result op)) x y
+        end)
   | Op.Cmp pred ->
-    let set = iset ce (Op.result op) in
-    if is_float_value op.Op.operands.(0) then begin
-      let a = fget ce op.Op.operands.(0) in
-      let b = fget ce op.Op.operands.(1) in
-      let p = fcmp pred in
-      fun fr -> set fr (if p (a fr) (b fr) then 1 else 0)
-    end
-    else begin
-      let a = iget ce op.Op.operands.(0) in
-      let b = iget ce op.Op.operands.(1) in
-      let p = icmp pred in
-      fun fr -> set fr (if p (a fr) (b fr) then 1 else 0)
-    end
-  | Op.Select -> begin
-    let c = iget ce op.Op.operands.(0) in
-    match slot_of ce (Op.result op) with
-    | SF k ->
-      let a = fget ce op.Op.operands.(1) in
-      let b = fget ce op.Op.operands.(2) in
-      fun fr -> fr.fregs.(k) <- (if c fr <> 0 then a fr else b fr)
-    | SI k ->
-      let a = iget ce op.Op.operands.(1) in
-      let b = iget ce op.Op.operands.(2) in
-      fun fr -> fr.iregs.(k) <- (if c fr <> 0 then a fr else b fr)
-    | SB k ->
-      let a = bget ce op op.Op.operands.(1) in
-      let b = bget ce op op.Op.operands.(2) in
-      fun fr -> fr.bregs.(k) <- (if c fr <> 0 then a fr else b fr)
-  end
-  | Op.Cast d -> begin
-    match d with
-    | Types.F32 ->
-      let g = fget ce op.Op.operands.(0) in
-      let set = fset ce (Op.result op) in
-      fun fr -> set fr (f32 (g fr))
-    | Types.F64 ->
-      let g = fget ce op.Op.operands.(0) in
-      let set = fset ce (Op.result op) in
-      fun fr -> set fr (g fr)
-    | Types.I1 ->
-      let g = tget ce op.Op.operands.(0) in
-      let set = iset ce (Op.result op) in
-      fun fr -> set fr (if g fr <> 0 then 1 else 0)
-    | Types.I32 | Types.I64 | Types.Index ->
-      let g = tget ce op.Op.operands.(0) in
-      let set = iset ce (Op.result op) in
-      fun fr -> set fr (g fr)
-  end
+    with_conv (fun pre post ->
+        let r = ires ce post (Op.result op) in
+        if is_float_value o.(0) then begin
+          let x = freg ce pre o.(0) in
+          fcmp pred r x (freg ce pre o.(1))
+        end
+        else begin
+          let x = ireg ce pre o.(0) in
+          icmp pred r x (ireg ce pre o.(1))
+        end)
+  | Op.Select -> compile_select ce op
+  | Op.Cast d ->
+    with_conv (fun pre post ->
+        let res = Op.result op in
+        match d with
+        | Types.F32 ->
+          let x = freg ce pre o.(0) and r = fres ce post res in
+          fun fr -> fs fr r (f32 (fg fr x))
+        | Types.F64 ->
+          let x = freg ce pre o.(0) and r = fres ce post res in
+          fun fr -> fs fr r (fg fr x)
+        | Types.I1 ->
+          let x = treg ce pre o.(0) and r = ires ce post res in
+          fun fr -> is fr r (b2i (ig fr x <> 0))
+        | Types.I32 | Types.I64 | Types.Index ->
+          let x = treg ce pre o.(0) and r = ires ce post res in
+          fun fr -> is fr r (ig fr x))
   | Op.Math Op.Not ->
-    let a = iget ce op.Op.operands.(0) in
-    let set = iset ce (Op.result op) in
-    fun fr -> set fr (if a fr = 0 then 1 else 0)
+    with_conv (fun pre post ->
+        let x = ireg ce pre o.(0) and r = ires ce post (Op.result op) in
+        fun fr -> is fr r (b2i (ig fr x = 0)))
   | Op.Math Op.Pow ->
-    let a = fget ce op.Op.operands.(0) in
-    let b = fget ce op.Op.operands.(1) in
-    let set = fset ce (Op.result op) in
-    fun fr -> set fr (Float.pow (a fr) (b fr))
+    with_conv (fun pre post ->
+        let x = freg ce pre o.(0) in
+        let y = freg ce pre o.(1) and r = fres ce post (Op.result op) in
+        fun fr -> fs fr r (Float.pow (fg fr x) (fg fr y)))
   | Op.Math fn ->
-    let a = fget ce op.Op.operands.(0) in
-    let f = fmath fn in
-    let set = fset ce (Op.result op) in
-    fun fr -> set fr (f (a fr))
+    with_conv (fun pre post ->
+        let x = freg ce pre o.(0) in
+        fmath fn (fres ce post (Op.result op)) x)
   | Op.Alloc | Op.Alloca -> begin
     match (Op.result op).Value.typ with
     | Types.Memref { elem; shape; _ } ->
-      let next_dyn = ref 0 in
-      let dimfs =
-        Array.of_list
-          (List.map
-             (fun d ->
-               match d with
-               | Some n -> fun (_ : frame) -> n
-               | None ->
-                 let k = !next_dyn in
-                 incr next_dyn;
-                 if k < Array.length op.Op.operands then
-                   iget ce op.Op.operands.(k)
-                 else fun _ -> Mem.fail "alloc: missing dynamic size")
-             shape)
-      in
-      let set = bset ce (Op.result op) in
-      fun fr ->
-        set fr (Mem.alloc_buffer elem (Array.map (fun g -> g fr) dimfs))
+      with_conv (fun pre _ ->
+          let next_dyn = ref 0 in
+          let dimfs =
+            Array.of_list
+              (List.map
+                 (fun d ->
+                   match d with
+                   | Some n -> fun (_ : frame) -> n
+                   | None ->
+                     let k = !next_dyn in
+                     incr next_dyn;
+                     if k < Array.length o then begin
+                       let r = ireg ce pre o.(k) in
+                       fun fr -> ig fr r
+                     end
+                     else fun _ -> Mem.fail "alloc: missing dynamic size")
+                 shape)
+          in
+          let set = bset ce (Op.result op) in
+          fun fr ->
+            set fr (Mem.alloc_buffer elem (Array.map (fun g -> g fr) dimfs)))
     | Types.Scalar _ -> fun _ -> Mem.fail "alloc of non-memref"
   end
   | Op.Load -> compile_load ce op
   | Op.Store -> compile_store ce op
   | Op.Copy ->
-    let s = bget ce op op.Op.operands.(0) in
-    let d = bget ce op op.Op.operands.(1) in
+    let s = bget ce op o.(0) in
+    let d = bget ce op o.(1) in
     fun fr -> Mem.copy ~src:(s fr) ~dst:(d fr)
   | Op.Dim i ->
-    let b = bget ce op op.Op.operands.(0) in
+    let b = bget ce op o.(0) in
     let set = iset ce (Op.result op) in
     fun fr -> set fr (b fr).Mem.dims.(i)
-  | Op.For -> begin
-    let log = iget ce (Op.for_lo op) in
-    let hig = iget ce (Op.for_hi op) in
-    let stg = iget ce (Op.for_step op) in
-    let iv =
-      match slot_of ce (Op.for_iv op) with
-      | SI k -> k
-      | SF _ | SB _ -> raise (Unsupported "scf.for: non-integer iv")
-    in
-    match compile_hoisted ce ~iv op.Op.regions.(0) with
-    | body, None ->
-      fun fr ->
-        let lo = log fr and hi = hig fr and step = stg fr in
-        if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
-        let i = ref lo in
-        while !i < hi do
-          fr.iregs.(iv) <- !i;
-          body fr;
-          i := !i + step
-        done
-    | checked, Some (all_pass, unchecked) ->
-      fun fr ->
-        let lo = log fr and hi = hig fr and step = stg fr in
-        if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
-        if lo < hi then begin
-          let last = lo + (((hi - 1 - lo) / step) * step) in
-          let body = if all_pass fr lo last then unchecked else checked in
-          let i = ref lo in
-          while !i < hi do
-            fr.iregs.(iv) <- !i;
-            body fr;
-            i := !i + step
-          done
-        end
-  end
-  | Op.While ->
-    let cond_ops, cond_val =
-      match List.rev op.Op.regions.(0).Op.body with
-      | ({ Op.kind = Op.Condition; _ } as c) :: rest ->
-        (compile_region ce (List.rev rest), iget ce c.Op.operands.(0))
-      | _ ->
-        ( (fun (_ : frame) -> ())
-        , fun (_ : frame) ->
-            Mem.fail "while cond region missing scf.condition" )
-    in
-    let body = compile_region ce op.Op.regions.(1).Op.body in
-    fun fr ->
-      let g = fr.glob in
-      let continue_ = ref true in
-      while !continue_ do
-        (* while loops are the one compiled construct with no static
-           trip bound, so they carry the cancellation check (a plain
-           atomic load — negligible against any real loop body) *)
-        if Atomic.get g.cancel then raise (Timeout g.cfg.timeout_ms);
-        cond_ops fr;
-        if cond_val fr <> 0 then body fr else continue_ := false
-      done
-  | Op.If ->
-    let c = iget ce op.Op.operands.(0) in
+  | Op.For -> compile_for ce op
+  | Op.While -> compile_while ce op
+  | Op.If -> begin
     let t = compile_region ce op.Op.regions.(0).Op.body in
     let e =
       if Array.length op.Op.regions > 1 then
         compile_region ce op.Op.regions.(1).Op.body
-      else fun _ -> ()
+      else nop
     in
-    fun fr -> if c fr <> 0 then t fr else e fr
+    match int_lit ce o.(0) with
+    | Some n -> if n <> 0 then t else e
+    | None ->
+      with_conv (fun pre _ ->
+          let c = ireg ce pre o.(0) in
+          if e == nop then fun fr -> (if ig fr c <> 0 then t fr)
+          else fun fr -> if ig fr c <> 0 then t fr else e fr)
+  end
   | Op.Barrier ->
     raise
       (Unsupported "polygeist.barrier requires the fiber interpreter")
@@ -772,12 +982,101 @@ and compile_op (ce : cenv) (op : Op.op) : code =
        | None -> () (* orphaned barrier: team of one *)
        | Some lc -> Barrier.wait lc.team.barrier)
   | Op.Return ->
-    if Array.length op.Op.operands = 1 then begin
-      let g = rv_get ce op op.Op.operands.(0) in
+    if Array.length o = 1 then begin
+      let g = rv_get ce op o.(0) in
       fun fr -> raise (Ret (Some (g fr)))
     end
     else fun _ -> raise (Ret None)
   | Op.Call name -> compile_call ce op name
+
+(* An int constant records its literal for the ops compiled after it. *)
+and compile_constant ce op (c : Op.const) : code =
+  let v = Op.result op in
+  match c, slot_of ce v with
+  | Op.Cint (n, _), SI k ->
+    Hashtbl.replace ce.lits v.Value.id n;
+    fun fr -> is fr k n
+  | Op.Cint (n, _), (SF _ | SB _) ->
+    let set = iset ce v in
+    fun fr -> set fr n
+  | Op.Cfloat (f, d), s -> begin
+    let x = if d = Types.F32 then f32 f else f in
+    match s with
+    | SF k -> fun fr -> fs fr k x
+    | SI _ | SB _ ->
+      let set = fset ce v in
+      fun fr -> set fr x
+  end
+
+(* Buffers keep the sentinel-checked read of the chosen operand only. *)
+and compile_select ce op : code =
+  let o = op.Op.operands in
+  with_conv (fun pre _ ->
+      let c = ireg ce pre o.(0) in
+      match slot_of ce (Op.result op) with
+      | SF r ->
+        let x = freg ce pre o.(1) in
+        let y = freg ce pre o.(2) in
+        fun fr -> fs fr r (if ig fr c <> 0 then fg fr x else fg fr y)
+      | SI r ->
+        let x = ireg ce pre o.(1) in
+        let y = ireg ce pre o.(2) in
+        fun fr -> is fr r (if ig fr c <> 0 then ig fr x else ig fr y)
+      | SB r ->
+        let x = bget ce op o.(1) and y = bget ce op o.(2) in
+        fun fr -> fr.bregs.(r) <- (if ig fr c <> 0 then x fr else y fr))
+
+and compile_for ce op : code =
+  let iv =
+    match slot_of ce (Op.for_iv op) with
+    | SI k -> k
+    | SF _ | SB _ -> raise (Unsupported "scf.for: non-integer iv")
+  in
+  with_conv (fun pre _ ->
+      let lo = ireg ce pre (Op.for_lo op) in
+      let hi = ireg ce pre (Op.for_hi op) in
+      let step = ireg ce pre (Op.for_step op) in
+      let checked, hoisted = compile_hoisted ce ~iv op.Op.regions.(0) in
+      fun fr ->
+        let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
+        if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
+        let body =
+          match hoisted with
+          | Some (all_pass, unchecked)
+            when lo < hi
+                 && all_pass fr lo (lo + (((hi - 1 - lo) / step) * step)) ->
+            unchecked
+          | Some _ | None -> checked
+        in
+        let i = ref lo in
+        while !i < hi do
+          is fr iv !i;
+          body fr;
+          i := !i + step
+        done)
+
+and compile_while ce op : code =
+  let cond, c =
+    match List.rev op.Op.regions.(0).Op.body with
+    | ({ Op.kind = Op.Condition; _ } as cop) :: rest ->
+      let ops = compile_region ce (List.rev rest) in
+      let pre = ref [] in
+      let c = ireg ce pre cop.Op.operands.(0) in
+      (seq (ops :: List.rev !pre), c)
+    | _ -> ((fun _ -> Mem.fail "while cond region missing scf.condition"), 0)
+  in
+  let body = compile_region ce op.Op.regions.(1).Op.body in
+  fun fr ->
+    let g = fr.glob in
+    let continue_ = ref true in
+    while !continue_ do
+      (* while loops are the one compiled construct with no static
+         trip bound, so they carry the cancellation check (a plain
+         atomic load — negligible against any real loop body) *)
+      if Atomic.get g.cancel then raise (Timeout g.cfg.timeout_ms);
+      cond fr;
+      if ig fr c <> 0 then body fr else continue_ := false
+    done
 
 (* Compile a loop region twice when it contains hoistable accesses: the
    checked variant (always safe) and an unchecked variant whose hoisted
@@ -824,8 +1123,7 @@ and compile_hoisted ce ~(iv : int) (r : Op.region) :
 
 and compile_load ce op : code =
   let bufv = op.Op.operands.(0) in
-  let n = Array.length op.Op.operands - 1 in
-  let idxv = Array.init n (fun i -> op.Op.operands.(i + 1)) in
+  let idxv = Array.sub op.Op.operands 1 (Array.length op.Op.operands - 1) in
   let res = slot_of ce (Op.result op) in
   let cand =
     match res with
@@ -844,80 +1142,14 @@ and compile_load ce op : code =
     fun fr ->
       fr.iregs.(k) <-
         Array.unsafe_get fr.idat.(cc) (fr.abase.(cc) + fr.iregs.(c.civ))
-  | _, res -> begin
-    let bg = bget ce op bufv in
-    let idxg = Array.map (iget ce) idxv in
-    match n, res with
-    | 1, SF k ->
-      let i0 = idxg.(0) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr in
-        if Array.length b.Mem.dims = 1 then begin
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          match b.Mem.data with
-          | Mem.Fdata a -> fr.fregs.(k) <- a.(i)
-          | Mem.Idata a -> fr.fregs.(k) <- float_of_int a.(i)
-        end
-        else fr.fregs.(k) <- Mem.get_f b (Mem.lindex b [| i |])
-    | 1, SI k ->
-      let i0 = idxg.(0) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr in
-        if Array.length b.Mem.dims = 1 then begin
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          match b.Mem.data with
-          | Mem.Idata a -> fr.iregs.(k) <- a.(i)
-          | Mem.Fdata a -> fr.iregs.(k) <- int_of_float a.(i)
-        end
-        else fr.iregs.(k) <- Mem.get_i b (Mem.lindex b [| i |])
-    | 2, SF k ->
-      let i0 = idxg.(0) and i1 = idxg.(1) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr and j = i1 fr in
-        if Array.length b.Mem.dims = 2 then begin
-          let d1 = b.Mem.dims.(1) in
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          if j < 0 || j >= d1 then oob b j 1;
-          match b.Mem.data with
-          | Mem.Fdata a -> fr.fregs.(k) <- a.((i * d1) + j)
-          | Mem.Idata a -> fr.fregs.(k) <- float_of_int a.((i * d1) + j)
-        end
-        else fr.fregs.(k) <- Mem.get_f b (Mem.lindex b [| i; j |])
-    | 2, SI k ->
-      let i0 = idxg.(0) and i1 = idxg.(1) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr and j = i1 fr in
-        if Array.length b.Mem.dims = 2 then begin
-          let d1 = b.Mem.dims.(1) in
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          if j < 0 || j >= d1 then oob b j 1;
-          match b.Mem.data with
-          | Mem.Idata a -> fr.iregs.(k) <- a.((i * d1) + j)
-          | Mem.Fdata a -> fr.iregs.(k) <- int_of_float a.((i * d1) + j)
-        end
-        else fr.iregs.(k) <- Mem.get_i b (Mem.lindex b [| i; j |])
-    | _, SF k ->
-      fun fr ->
-        let b = bg fr in
-        fr.fregs.(k) <-
-          Mem.get_f b (Mem.lindex b (Array.map (fun g -> g fr) idxg))
-    | _, SI k ->
-      fun fr ->
-        let b = bg fr in
-        fr.iregs.(k) <-
-          Mem.get_i b (Mem.lindex b (Array.map (fun g -> g fr) idxg))
-    | _, SB _ -> fun _ -> Mem.fail "load of buffer value"
-  end
+  | _, SF k -> compile_checked ce op bufv idxv (Ldf k)
+  | _, SI k -> compile_checked ce op bufv idxv (Ldi k)
+  | _, SB _ -> fun _ -> Mem.fail "load of buffer value"
 
 and compile_store ce op : code =
   let vs = slot_of ce op.Op.operands.(0) in
   let bufv = op.Op.operands.(1) in
-  let n = Array.length op.Op.operands - 2 in
-  let idxv = Array.init n (fun i -> op.Op.operands.(i + 2)) in
+  let idxv = Array.sub op.Op.operands 2 (Array.length op.Op.operands - 2) in
   let cand =
     match vs with
     | SF _ -> hoist_candidate ce op ~bufv ~idxv ~kind:KF
@@ -937,76 +1169,18 @@ and compile_store ce op : code =
       Array.unsafe_set fr.idat.(cc)
         (fr.abase.(cc) + fr.iregs.(c.civ))
         fr.iregs.(k)
-  | _, vs -> begin
-    let bg = bget ce op bufv in
-    let idxg = Array.map (iget ce) idxv in
-    match n, vs with
-    | 1, SF k ->
-      let i0 = idxg.(0) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr in
-        if Array.length b.Mem.dims = 1 then begin
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          match b.Mem.data with
-          | Mem.Fdata a -> a.(i) <- fr.fregs.(k)
-          | Mem.Idata a -> a.(i) <- int_of_float fr.fregs.(k)
-        end
-        else Mem.set_f b (Mem.lindex b [| i |]) fr.fregs.(k)
-    | 1, SI k ->
-      let i0 = idxg.(0) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr in
-        if Array.length b.Mem.dims = 1 then begin
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          match b.Mem.data with
-          | Mem.Idata a -> a.(i) <- fr.iregs.(k)
-          | Mem.Fdata a -> a.(i) <- float_of_int fr.iregs.(k)
-        end
-        else Mem.set_i b (Mem.lindex b [| i |]) fr.iregs.(k)
-    | 2, SF k ->
-      let i0 = idxg.(0) and i1 = idxg.(1) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr and j = i1 fr in
-        if Array.length b.Mem.dims = 2 then begin
-          let d1 = b.Mem.dims.(1) in
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          if j < 0 || j >= d1 then oob b j 1;
-          match b.Mem.data with
-          | Mem.Fdata a -> a.((i * d1) + j) <- fr.fregs.(k)
-          | Mem.Idata a -> a.((i * d1) + j) <- int_of_float fr.fregs.(k)
-        end
-        else Mem.set_f b (Mem.lindex b [| i; j |]) fr.fregs.(k)
-    | 2, SI k ->
-      let i0 = idxg.(0) and i1 = idxg.(1) in
-      fun fr ->
-        let b = bg fr in
-        let i = i0 fr and j = i1 fr in
-        if Array.length b.Mem.dims = 2 then begin
-          let d1 = b.Mem.dims.(1) in
-          if i < 0 || i >= b.Mem.dims.(0) then oob b i 0;
-          if j < 0 || j >= d1 then oob b j 1;
-          match b.Mem.data with
-          | Mem.Idata a -> a.((i * d1) + j) <- fr.iregs.(k)
-          | Mem.Fdata a -> a.((i * d1) + j) <- float_of_int fr.iregs.(k)
-        end
-        else Mem.set_i b (Mem.lindex b [| i; j |]) fr.iregs.(k)
-    | _, SF k ->
-      fun fr ->
-        let b = bg fr in
-        Mem.set_f b
-          (Mem.lindex b (Array.map (fun g -> g fr) idxg))
-          fr.fregs.(k)
-    | _, SI k ->
-      fun fr ->
-        let b = bg fr in
-        Mem.set_i b
-          (Mem.lindex b (Array.map (fun g -> g fr) idxg))
-          fr.iregs.(k)
-    | _, SB _ -> fun _ -> Mem.fail "cannot store a buffer into a buffer"
-  end
+  | _, SF k -> compile_checked ce op bufv idxv (Stf k)
+  | _, SI k -> compile_checked ce op bufv idxv (Sti k)
+  | _, SB _ -> fun _ -> Mem.fail "cannot store a buffer into a buffer"
+
+and compile_checked ce op bufv idxv (e : elem_op) : code =
+  with_conv (fun pre _ ->
+      let ix = Array.map (ireg ce pre) idxv in
+      match slot_of ce bufv with
+      | SB bk -> checked_access ce.cm.sentinel op bufv bk ix e
+      | SI _ | SF _ ->
+        let bg = bget ce op bufv in
+        fun fr -> ignore (bg fr))
 
 (* [scf.parallel] without barriers: iterations in the interpreter's
    enumeration order (dim 0 fastest).  GPU threads are not an OpenMP
@@ -1015,22 +1189,14 @@ and compile_store ce op : code =
    interpreter. *)
 and compile_serial_parallel ce op : code =
   let nd = Op.par_dims op in
-  let log = Array.init nd (fun i -> iget ce (Op.par_lo op i)) in
-  let hig = Array.init nd (fun i -> iget ce (Op.par_hi op i)) in
-  let stg = Array.init nd (fun i -> iget ce (Op.par_step op i)) in
-  let ivslots =
-    Array.map
-      (fun v ->
-        match slot_of ce v with
-        | SI k -> k
-        | SF _ | SB _ -> raise (Unsupported "parallel: non-integer iv"))
-      op.Op.regions.(0).Op.rargs
-  in
+  let ivslots = par_ivs ce op "parallel" in
+  let pre = ref [] in
+  let log, hig, stg = par_bounds ce pre op in
   let body = compile_region ce op.Op.regions.(0).Op.body in
-  fun fr ->
-    let lo = Array.map (fun g -> g fr) log in
-    let hi = Array.map (fun g -> g fr) hig in
-    let step = Array.map (fun g -> g fr) stg in
+  let run fr =
+    let lo = Array.map (ig fr) log in
+    let hi = Array.map (ig fr) hig in
+    let step = Array.map (ig fr) stg in
     Array.iteri
       (fun d s -> if s <= 0 then Mem.fail "parallel: non-positive step %d" d)
       step;
@@ -1039,13 +1205,15 @@ and compile_serial_parallel ce op : code =
       else begin
         let v = ref lo.(d) in
         while !v < hi.(d) do
-          fr.iregs.(ivslots.(d)) <- !v;
+          is fr ivslots.(d) !v;
           go (d - 1);
           v := !v + step.(d)
         done
       end
     in
     go (nd - 1)
+  in
+  seq (List.rev_append !pre [ run ])
 
 (* A top-level team launch.  The frames (and the barrier) live in the
    compiled function's persistent [tstate]; a launch validates it (same
@@ -1185,17 +1353,7 @@ and compile_omp_parallel ce op : code =
 
 and compile_wsloop ce op : code =
   let nd = Op.par_dims op in
-  let log = Array.init nd (fun i -> iget ce (Op.par_lo op i)) in
-  let hig = Array.init nd (fun i -> iget ce (Op.par_hi op i)) in
-  let stg = Array.init nd (fun i -> iget ce (Op.par_step op i)) in
-  let ivslots =
-    Array.map
-      (fun v ->
-        match slot_of ce v with
-        | SI k -> k
-        | SF _ | SB _ -> raise (Unsupported "wsloop: non-integer iv"))
-      op.Op.regions.(0).Op.rargs
-  in
+  let ivslots = par_ivs ce op "wsloop" in
   (* hoisting applies to the (ubiquitous after coalescing) 1-d case,
      where the linear position maps affinely to the single iv *)
   let body, hoisted =
@@ -1203,10 +1361,12 @@ and compile_wsloop ce op : code =
     else (compile_region ce op.Op.regions.(0).Op.body, None)
   in
   let oid = op.Op.oid in
-  fun fr ->
-    let lo = Array.map (fun g -> g fr) log in
-    let hi = Array.map (fun g -> g fr) hig in
-    let step = Array.map (fun g -> g fr) stg in
+  let pre = ref [] in
+  let log, hig, stg = par_bounds ce pre op in
+  let run fr =
+    let lo = Array.map (ig fr) log in
+    let hi = Array.map (ig fr) hig in
+    let step = Array.map (ig fr) stg in
     Array.iteri
       (fun d s -> if s <= 0 then Mem.fail "parallel: non-positive step %d" d)
       step;
@@ -1225,7 +1385,7 @@ and compile_wsloop ce op : code =
         | None ->
           fun a b ->
             for p = a to b - 1 do
-              fr.iregs.(iv0) <- l0 + (p * s0);
+              is fr iv0 (l0 + (p * s0));
               body fr
             done
         | Some (all_pass, unchecked) ->
@@ -1237,21 +1397,46 @@ and compile_wsloop ce op : code =
                 else body
               in
               for p = a to b - 1 do
-                fr.iregs.(iv0) <- l0 + (p * s0);
+                is fr iv0 (l0 + (p * s0));
                 bdy fr
               done
             end
       end
-      else
+      else begin
+        (* one past each iv's last value *)
+        let lim = Array.init nd (fun d -> lo.(d) + (counts.(d) * step.(d))) in
         fun a b ->
-          for p = a to b - 1 do
-            let rem = ref p in
+          if a < b then begin
+            (* delinearize the first position once, then advance the ivs
+               like an odometer: bump dim 0, carry into the next dim
+               when one wraps *)
+            let rem = ref a in
             for d = 0 to nd - 1 do
-              fr.iregs.(ivslots.(d)) <- lo.(d) + (!rem mod counts.(d) * step.(d));
+              is fr ivslots.(d) (lo.(d) + (!rem mod counts.(d) * step.(d)));
               rem := !rem / counts.(d)
             done;
-            body fr
-          done
+            body fr;
+            for _ = a + 1 to b - 1 do
+              let d = ref 0 in
+              while
+                let k = ivslots.(!d) in
+                let v = ig fr k + step.(!d) in
+                if v < lim.(!d) then begin
+                  is fr k v;
+                  false
+                end
+                else begin
+                  is fr k lo.(!d);
+                  incr d;
+                  true
+                end
+              do
+                ()
+              done;
+              body fr
+            done
+          end
+      end
     in
     match fr.lc with
     | None ->
@@ -1313,6 +1498,8 @@ and compile_wsloop ce op : code =
           if ws.finishers = size then Hashtbl.remove tm.wtbl (oid, gen);
           Mutex.unlock tm.wmutex
       end
+  in
+  seq (List.rev_append !pre [ run ])
 
 and compile_call ce op name : code =
   match get_cfunc ce.cm name with
@@ -1361,6 +1548,7 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         ; hstack = []
         ; emit_ivs = []
         ; cands = Hashtbl.create 16
+        ; lits = Hashtbl.create 32
         }
       in
       cf.params <- Array.map (slot_of ce) f.Op.regions.(0).Op.rargs;

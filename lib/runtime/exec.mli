@@ -7,18 +7,33 @@
     by dense per-function slots — and runs [omp.parallel] regions on
     OCaml 5 domains from a persistent {!Pool}.
 
+    {2 Register-direct compilation}
+
+    Every op is compiled against its operands' register slots, which
+    are known at compile time.  A scalar op is one closure per op kind
+    reading [iregs]/[fregs] at fixed indices, so no float is boxed and
+    no operand-getter closure runs.  Where a literal settles something
+    at compile time (the zero test of a divisor, the branch of an
+    [scf.if]) the value of an [arith.constant] compiled earlier in the
+    same function is used.  An operand of the other slot kind (an int
+    read as a float, a truncating cast) is first converted into a
+    temporary register.  Regions of at most four ops chain their
+    closures directly.
+
     {2 Access paths}
 
-    Loads and stores compile to a {e checked} path with the bounds test
-    and the [Fdata]/[Idata] dtype dispatch inlined into the closure (no
-    [Mem.get_f] call, no index-array allocation), or — for the
+    Loads and stores compile to a {e checked} path that reads the index
+    registers directly and inlines the rank test, the bounds tests (in
+    {!Mem.lindex}'s order, with its messages) and the [Fdata]/[Idata]
+    dtype dispatch: one specialized closure per rank up to 3, a loop
+    over the index slots above; no rank allocates.  For the
     innermost-affine pattern [buf[i1;..;ik; iv]] with loop-invariant
-    buffer and prefix indices — to an {e unchecked} path: a guard at
-    loop entry validates rank, dtype and the whole [iv] range once,
-    precomputes the row base, and the loop body variant then accesses
-    the raw data array with [unsafe_get]/[unsafe_set].  Guard failure
-    falls back to the checked body for that loop entry, so bounds
-    violations fail with exactly the interpreter's error.
+    buffer and prefix indices they compile to an {e unchecked} path: a
+    guard at loop entry validates rank, dtype and the whole [iv] range
+    once, precomputes the row base, and the loop body variant then
+    accesses the raw data array with [unsafe_get]/[unsafe_set].  Guard
+    failure falls back to the checked body for that loop entry, so
+    bounds violations fail with exactly the interpreter's error.
 
     {2 Launch lifecycle}
 
@@ -32,10 +47,13 @@
 
     [omp.wsloop] partitions its linearized iteration space by
     {!Schedule.policy}; [Static] reproduces the serial interpreter's
-    balanced contiguous chunks bit-for-bit.  [omp.barrier] is a
-    sense-reversing {!Barrier}; a team member that dies poisons it so
-    the team unwinds instead of deadlocking (and the poisoned team
-    state is rebuilt on the next launch).
+    balanced contiguous chunks bit-for-bit.  A chunk of a
+    multi-dimensional loop delinearizes its first position once and
+    then advances the ivs like an odometer, in the interpreter's order
+    (dim 0 fastest).  [omp.barrier] is a sense-reversing {!Barrier}; a
+    team member that dies poisons it so the team unwinds instead of
+    deadlocking (and the poisoned team state is rebuilt on the next
+    launch).
 
     Scalar semantics mirror the interpreter exactly: all float
     arithmetic in double precision, f32 rounding only at [f32]

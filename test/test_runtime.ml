@@ -14,10 +14,13 @@
    (single source of truth in Interp.Eval), the compiled access paths
    (a QCheck differential of strided loads/stores against the
    interpreter, including out-of-bounds ranges that must be rejected at
-   loop entry), the per-compile unbound-register sentinel, the
-   zero-allocation relaunch contract and the --chunk knob, worksharing
-   via builder-built IR under many team sizes and all three schedules
-   (including a skewed load for dynamic work stealing), the
+   loop entry, and one of checked accesses at ranks 0, 1, 3 and 4 with
+   exact error texts), every scalar op against the interpreter bit for
+   bit (registers and literals, edge values), the per-compile
+   unbound-register sentinel, the zero-allocation relaunch contract, a
+   loop that must allocate nothing per iteration, and the --chunk knob,
+   worksharing via builder-built IR under many team sizes and all three
+   schedules (including a skewed load for dynamic work stealing), the
    interpreter's team-size plumbing (wsloops inside GPU block regions
    must NOT be chunked), and fault injection through the parallel
    path. *)
@@ -794,6 +797,441 @@ let test_strided_oob_rejected () =
     (raises (fun b ->
          ignore (Runtime.Exec.run_module m "k" [ Interp.Mem.Buf b ])))
 
+(* --- access paths at every rank: checked path vs the interpreter --- *)
+
+(* func @k(buf : memref<?x..xT>, a0..a(r-1), b0..b(r-1) : index) {
+   buf[b..] <- buf[a..] + 1 } with every index in a register, so both
+   accesses take the checked path.  The buffer passed in may have
+   another rank than the memref type says, and an f64 memref may hold
+   int data: the engine must then fail, or convert, exactly like the
+   interpreter.  (An i64 memref holding floats is left out: the
+   interpreter keeps the loaded float and rejects the integer add,
+   while the engine converts at the load.) *)
+let mk_rank_module ~rank ~(elem : Types.dtype) : Op.op =
+  let idx =
+    List.init (2 * rank) (fun i ->
+        (Printf.sprintf "i%d" i, Types.Scalar Types.Index))
+  in
+  Builder.module_
+    [ Builder.func "k"
+        (("buf", Types.memref elem (List.init rank (fun _ -> None))) :: idx)
+        (fun params ->
+          let buf = params.(0) in
+          let a = List.init rank (fun i -> params.(1 + i)) in
+          let b = List.init rank (fun i -> params.(1 + rank + i)) in
+          let s = Builder.Seq.create () in
+          let one =
+            Builder.Seq.emitv s
+              (if Types.is_float_dtype elem then
+                 Builder.const_float ~dtype:elem 1.0
+               else Builder.const_int ~dtype:elem 1)
+          in
+          let v = Builder.Seq.emitv s (Builder.load buf a) in
+          let v' = Builder.Seq.emitv s (Builder.binop Op.Add v one) in
+          ignore (Builder.Seq.emit s (Builder.store v' buf b));
+          Builder.Seq.to_list s)
+    ]
+
+(* "#<digits>" -> "#<id>": buffer ids come from a process-wide counter,
+   so the two engines' runs see different ones. *)
+let mask_bufids (msg : string) : string =
+  let b = Buffer.create (String.length msg) in
+  let n = String.length msg in
+  let rec go i =
+    if i < n then begin
+      Buffer.add_char b msg.[i];
+      if msg.[i] = '#' && i + 1 < n && msg.[i + 1] >= '0' && msg.[i + 1] <= '9'
+      then begin
+        Buffer.add_string b "<id>";
+        let j = ref (i + 1) in
+        while !j < n && msg.[!j] >= '0' && msg.[!j] <= '9' do
+          incr j
+        done;
+        go !j
+      end
+      else go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
+let rank_outcome ~(float_data : bool) ~(dims : int array)
+    (run : Interp.Mem.rv list -> unit) (idx : int list) :
+    (string, string) result =
+  let buf =
+    Interp.Mem.alloc_buffer (if float_data then Types.F64 else Types.I64) dims
+  in
+  for k = 0 to Interp.Mem.size buf - 1 do
+    if float_data then Interp.Mem.set_f buf k ((float_of_int k *. 0.5) +. 0.25)
+    else Interp.Mem.set_i buf k ((k * 3) - 7)
+  done;
+  let contents () =
+    if float_data then
+      Interp.Mem.float_contents buf
+      |> Array.map (fun x -> Int64.to_string (Int64.bits_of_float x))
+    else Interp.Mem.int_contents buf |> Array.map string_of_int
+  in
+  let idx = List.map (fun i -> Interp.Mem.Int i) idx in
+  match run (Interp.Mem.Buf buf :: idx) with
+  | () -> Ok (String.concat "," (Array.to_list (contents ())))
+  | exception Interp.Mem.Runtime_error msg -> Error (mask_bufids msg)
+
+let prop_rank_access =
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 0; 1; 3; 4 ] >>= fun rank ->
+      (* the buffer's own rank: usually the op's, sometimes one off *)
+      frequency
+        [ (6, return rank)
+        ; (1, return (rank + 1))
+        ; (1, return (max 0 (rank - 1)))
+        ]
+      >>= fun brank ->
+      array_repeat brank (int_range 1 3) >>= fun dims ->
+      let index d =
+        frequency
+          [ (6, int_range 0 (d - 1)); (1, return (-1)); (1, return d) ]
+      in
+      let idx_for i = index (if i < brank then dims.(i) else 2) in
+      flatten_l (List.init rank idx_for) >>= fun a ->
+      flatten_l (List.init rank idx_for) >>= fun b ->
+      bool >>= fun float_elem ->
+      (if float_elem then bool else return false) >>= fun float_data ->
+      return (rank, dims, a @ b, float_elem, float_data))
+  in
+  let print (rank, dims, idx, float_elem, float_data) =
+    let ty f = if f then "f64" else "i64" in
+    Printf.sprintf "rank=%d dims=[%s] idx=[%s] elem=%s data=%s" rank
+      (String.concat ";" (Array.to_list (Array.map string_of_int dims)))
+      (String.concat ";" (List.map string_of_int idx))
+      (ty float_elem) (ty float_data)
+  in
+  QCheck.Test.make ~count:500
+    ~name:"checked access at ranks 0/1/3/4 = interpreter (exact errors)"
+    (QCheck.make ~print gen)
+    (fun (rank, dims, idx, float_elem, float_data) ->
+      let m =
+        mk_rank_module ~rank ~elem:(if float_elem then Types.F64 else Types.I64)
+      in
+      let interp =
+        rank_outcome ~float_data ~dims
+          (fun args -> ignore (Interp.Eval.run m "k" args))
+          idx
+      in
+      let engine =
+        rank_outcome ~float_data ~dims
+          (fun args -> ignore (Runtime.Exec.run_module ~domains:1 m "k" args))
+          idx
+      in
+      if interp = engine then true
+      else
+        let show = function Ok s -> "ok " ^ s | Error e -> "error " ^ e in
+        QCheck.Test.fail_reportf "interp: %s\nengine: %s" (show interp)
+          (show engine))
+
+(* --- scalar ops: engine = interpreter, bit for bit --- *)
+
+type sop =
+  | Sbin of Op.binop
+  | Scmp of Op.cmp_pred
+  | Ssel
+  | Scast of Types.dtype
+  | Smath of Op.math_fn
+
+(* One single-op case: [fl] says whether the value operands are floats;
+   each operand is a parameter (a register) or, where [lit] says so, an
+   arith.constant (a literal).  A select's first operand is its i1
+   condition. *)
+type scase =
+  { sop : sop
+  ; fl : bool
+  ; args : Interp.Mem.rv list
+  ; lit : bool list
+  }
+
+let all_binops =
+  Op.[ Add; Sub; Mul; Div; Rem; Min; Max; And; Or; Xor; Shl; Shr ]
+
+let all_preds = Op.[ Eq; Ne; Lt; Le; Gt; Ge ]
+let all_dtypes = Types.[ I1; I32; I64; Index; F32; F64 ]
+
+let all_math =
+  Op.[ Sqrt; Exp; Log; Log2; Fabs; Floor; Neg; Sin; Cos; Tanh; Erf; Not; Pow ]
+
+let int_edges = [ 0; -1; 1; 7; max_int; min_int ]
+
+let float_edges =
+  [ 0.0; -0.0; 1.0; -2.5; Float.infinity; Float.neg_infinity; Float.nan ]
+
+(* (op, operand floatness, arity) for every op the engine compiles. *)
+let all_sops : (sop * bool * int) list =
+  List.concat
+    [ List.concat_map (fun k -> [ (Sbin k, false, 2); (Sbin k, true, 2) ])
+        all_binops
+    ; List.concat_map (fun p -> [ (Scmp p, false, 2); (Scmp p, true, 2) ])
+        all_preds
+    ; [ (Ssel, false, 3); (Ssel, true, 3) ]
+    ; List.concat_map (fun d -> [ (Scast d, false, 1); (Scast d, true, 1) ])
+        all_dtypes
+    ; List.map
+        (fun fn ->
+          match fn with
+          | Op.Not -> (Smath fn, false, 1)
+          | Op.Pow -> (Smath fn, true, 2)
+          | _ -> (Smath fn, true, 1))
+        all_math
+    ]
+
+let result_is_float (c : scase) =
+  match c.sop with
+  | Sbin _ | Ssel | Smath _ -> c.fl
+  | Scmp _ -> false
+  | Scast d -> Types.is_float_dtype d
+
+(* func @k(out : memref<1xT>, params...) { out[0] <- op(operands) } *)
+let mk_scalar_module (c : scase) : Op.op =
+  let vty = Types.Scalar (if c.fl then Types.F64 else Types.I64) in
+  let opnd_ty i =
+    match c.sop with
+    | Ssel when i = 0 -> Types.Scalar Types.I1
+    | _ -> vty
+  in
+  let params =
+    List.concat
+      (List.mapi
+         (fun i l -> if l then [] else [ (Printf.sprintf "p%d" i, opnd_ty i) ])
+         c.lit)
+  in
+  let out_elem = if result_is_float c then Types.F64 else Types.I64 in
+  Builder.module_
+    [ Builder.func "k"
+        (("out", Types.memref out_elem [ Some 1 ]) :: params)
+        (fun ps ->
+          let s = Builder.Seq.create () in
+          let next = ref 1 in
+          let opnds =
+            List.mapi
+              (fun i (l, v) ->
+                if not l then begin
+                  let p = ps.(!next) in
+                  incr next;
+                  p
+                end
+                else begin
+                  let dtype =
+                    match opnd_ty i with
+                    | Types.Scalar d -> d
+                    | Types.Memref _ -> assert false
+                  in
+                  Builder.Seq.emitv s
+                    (match v with
+                     | Interp.Mem.Flt f -> Builder.const_float ~dtype f
+                     | Interp.Mem.Int n -> Builder.const_int ~dtype n
+                     | Interp.Mem.Buf _ -> assert false)
+                end)
+              (List.combine c.lit c.args)
+          in
+          let o = Array.of_list opnds in
+          let r =
+            Builder.Seq.emitv s
+              (match c.sop with
+               | Sbin k -> Builder.binop k o.(0) o.(1)
+               | Scmp p -> Builder.cmp p o.(0) o.(1)
+               | Ssel -> Builder.select o.(0) o.(1) o.(2)
+               | Scast d -> Builder.cast d o.(0)
+               | Smath fn -> Builder.math fn (Array.to_list o))
+          in
+          let c0 =
+            Builder.Seq.emitv s (Builder.const_int ~dtype:Types.Index 0)
+          in
+          ignore (Builder.Seq.emit s (Builder.store r ps.(0) [ c0 ]));
+          Builder.Seq.to_list s)
+    ]
+
+let scalar_outcome (c : scase) (run : Interp.Mem.rv list -> unit) :
+    (int64, string) result =
+  let isf = result_is_float c in
+  let out =
+    Interp.Mem.alloc_buffer (if isf then Types.F64 else Types.I64) [| 1 |]
+  in
+  let params =
+    List.filter_map
+      (fun (l, v) -> if l then None else Some v)
+      (List.combine c.lit c.args)
+  in
+  match run (Interp.Mem.Buf out :: params) with
+  | () ->
+    Ok
+      (if isf then Int64.bits_of_float (Interp.Mem.float_contents out).(0)
+       else Int64.of_int (Interp.Mem.int_contents out).(0))
+  | exception Interp.Mem.Runtime_error msg -> Error msg
+
+let show_scase (c : scase) =
+  let op =
+    match c.sop with
+    | Sbin k -> "binop " ^ Op.binop_to_string k
+    | Scmp p -> "cmp " ^ Op.cmp_to_string p
+    | Ssel -> "select"
+    | Scast d -> "cast " ^ Types.dtype_to_string d
+    | Smath fn -> "math " ^ Op.math_to_string fn
+  in
+  let arg l = function
+    | Interp.Mem.Int n -> Printf.sprintf "%s%d" (if l then "lit " else "reg ") n
+    | Interp.Mem.Flt f -> Printf.sprintf "%s%h" (if l then "lit " else "reg ") f
+    | Interp.Mem.Buf _ -> "buf"
+  in
+  Printf.sprintf "%s (%s) [%s]" op
+    (if c.fl then "float" else "int")
+    (String.concat ", " (List.map2 arg c.lit c.args))
+
+let scalar_agrees (c : scase) : (unit, string) result =
+  let m = mk_scalar_module c in
+  let interp =
+    scalar_outcome c (fun args -> ignore (Interp.Eval.run m "k" args))
+  in
+  let engine =
+    scalar_outcome c (fun args ->
+        ignore (Runtime.Exec.run_module ~domains:1 m "k" args))
+  in
+  if interp = engine then Ok ()
+  else
+    let show = function
+      | Ok bits -> Printf.sprintf "bits %Lx" bits
+      | Error e -> "error " ^ e
+    in
+    Error
+      (Printf.sprintf "%s: interp %s, engine %s" (show_scase c) (show interp)
+         (show engine))
+
+let gen_scase : scase QCheck.Gen.t =
+  QCheck.Gen.(
+    oneofl all_sops >>= fun (sop, fl, arity) ->
+    let value i =
+      match sop with
+      | Ssel when i = 0 -> map (fun n -> Interp.Mem.Int n) (oneofl [ 0; 1 ])
+      | _ when fl ->
+        map
+          (fun f -> Interp.Mem.Flt f)
+          (frequency [ (1, oneofl float_edges); (1, float) ])
+      | _ ->
+        map
+          (fun n -> Interp.Mem.Int n)
+          (frequency
+             [ (1, oneofl int_edges); (1, int_range (-70) 70); (1, int) ])
+    in
+    flatten_l (List.init arity value) >>= fun args ->
+    list_repeat arity bool >>= fun lit -> return { sop; fl; args; lit })
+
+let prop_scalar_ops =
+  QCheck.Test.make ~count:2000
+    ~name:"every scalar op: engine = interpreter (bits or error text)"
+    (QCheck.make ~print:show_scase gen_scase)
+    (fun c ->
+      match scalar_agrees c with
+      | Ok () -> true
+      | Error e -> QCheck.Test.fail_report e)
+
+(* The edge values exhaustively: every op, every pair of edge values,
+   each operand in a register and as a literal (so division and
+   remainder by a zero register and by a zero literal are both here). *)
+let test_scalar_edges () =
+  let failures = ref [] and cases = ref 0 in
+  List.iter
+    (fun (sop, fl, arity) ->
+      let edges i =
+        match sop with
+        | Ssel when i = 0 -> [ Interp.Mem.Int 0; Interp.Mem.Int 1 ]
+        | _ when fl -> List.map (fun f -> Interp.Mem.Flt f) float_edges
+        | _ -> List.map (fun n -> Interp.Mem.Int n) int_edges
+      in
+      let rec tuples i =
+        if i = arity then [ [] ]
+        else
+          List.concat_map
+            (fun v -> List.map (fun rest -> v :: rest) (tuples (i + 1)))
+            (edges i)
+      in
+      let rec placements i =
+        if i = arity then [ [] ]
+        else
+          List.concat_map
+            (fun l -> List.map (fun rest -> l :: rest) (placements (i + 1)))
+            [ false; true ]
+      in
+      List.iter
+        (fun args ->
+          List.iter
+            (fun lit ->
+              incr cases;
+              match scalar_agrees { sop; fl; args; lit } with
+              | Ok () -> ()
+              | Error e -> failures := e :: !failures)
+            (placements 0))
+        (tuples 0))
+    all_sops;
+  Alcotest.(check (list string))
+    (Printf.sprintf "%d edge cases agree" !cases)
+    [] (List.rev !failures)
+
+(* --- the engine allocates nothing per iteration --- *)
+
+(* func @k(a : memref<?x2x2xf64>, s : memref<f64>, n : index) {
+   for i in [0, n): a[i][1][0] <- a[i][1][0] * s[] + a[i][1][0] }:
+   the iv indexes the outermost dimension, so the rank-3 accesses take
+   the checked path, as does the rank-0 read. *)
+let mk_alloc_probe_module () : Op.op =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("a", Types.memref Types.F64 [ None; Some 2; Some 2 ])
+        ; ("s", Types.memref Types.F64 [])
+        ; ("n", Types.Scalar Types.Index)
+        ]
+        (fun ps ->
+          let a = ps.(0) and sc = ps.(1) and n = ps.(2) in
+          let s = Builder.Seq.create () in
+          let ci k =
+            Builder.Seq.emitv s (Builder.const_int ~dtype:Types.Index k)
+          in
+          let c0 = ci 0 and c1 = ci 1 in
+          ignore
+            (Builder.Seq.emit s
+               (Builder.for_ ~lo:c0 ~hi:n ~step:c1 (fun i ->
+                    let b = Builder.Seq.create () in
+                    let x =
+                      Builder.Seq.emitv b (Builder.load a [ i; c1; c0 ])
+                    in
+                    let y = Builder.Seq.emitv b (Builder.load sc []) in
+                    let xy = Builder.Seq.emitv b (Builder.binop Op.Mul x y) in
+                    let z = Builder.Seq.emitv b (Builder.binop Op.Add xy x) in
+                    ignore
+                      (Builder.Seq.emit b (Builder.store z a [ i; c1; c0 ]));
+                    Builder.Seq.to_list b)));
+          Builder.Seq.to_list s)
+    ]
+
+let test_no_alloc_per_iteration () =
+  let c = Runtime.Exec.compile (mk_alloc_probe_module ()) "k" in
+  let big = 4096 in
+  let a = Interp.Mem.alloc_buffer Types.F64 [| big; 2; 2 |] in
+  let s = Interp.Mem.alloc_buffer Types.F64 [||] in
+  Interp.Mem.set_f s 0 0.5;
+  let run n =
+    let args = [ Interp.Mem.Buf a; Interp.Mem.Buf s; Interp.Mem.Int n ] in
+    let w0 = Gc.minor_words () in
+    ignore (Runtime.Exec.run ~domains:1 c args);
+    Gc.minor_words () -. w0
+  in
+  (* warm: the entry frame is built by the first run *)
+  ignore (run 16);
+  ignore (run big);
+  let small = run 16 in
+  let large = run big in
+  Alcotest.(check bool)
+    (Printf.sprintf "minor words at n=%d (%.0f) - at n=16 (%.0f) <= 16" big
+       large small)
+    true
+    (large -. small <= 16.0)
+
 (* --- unbound buffer register: the per-compile sentinel --- *)
 
 let contains_substring ~sub s =
@@ -951,14 +1389,22 @@ let () =
         ; Alcotest.test_case "OOB rejected by both engines" `Quick
             test_strided_oob_rejected
         ; QCheck_alcotest.to_alcotest prop_strided_access
+        ; QCheck_alcotest.to_alcotest prop_rank_access
         ; Alcotest.test_case "unbound buffer register located error" `Quick
             test_unbound_buffer_register
+        ] )
+    ; ( "scalar-ops",
+        [ QCheck_alcotest.to_alcotest prop_scalar_ops
+        ; Alcotest.test_case "edge values, registers and literals" `Quick
+            test_scalar_edges
         ] )
     ; ( "launch-lifecycle",
         [ Alcotest.test_case "zero-allocation relaunch" `Quick
             test_zero_alloc_relaunch
         ; Alcotest.test_case "chunk flag: exactly-once + grab count" `Quick
             test_chunk_flag
+        ; Alcotest.test_case "no allocation per loop iteration" `Quick
+            test_no_alloc_per_iteration
         ] )
     ; ( "wsloop",
         [ Alcotest.test_case "exactly-once, all schedules x team sizes"
