@@ -397,9 +397,7 @@ and par_space env (op : Op.op) : int array list =
   let step =
     Array.init n (fun i -> Mem.as_int (lookup env (Op.par_step op i)))
   in
-  Array.iteri
-    (fun i s -> if s <= 0 then Mem.fail "parallel: non-positive step %d" i)
-    step;
+  Mem.check_par_steps step;
   let rec build dim acc =
     if dim < 0 then [ acc ]
     else begin

@@ -45,6 +45,12 @@ let out_of_bounds (b : buffer) ix d =
   fail "buffer #%d: index %d out of bounds [0,%d) in dim %d" b.bufid ix
     b.dims.(d) d
 
+let check_par_steps (steps : int array) =
+  Array.iteri
+    (fun d s ->
+      if s <= 0 then fail "parallel: non-positive step %d in dim %d" s d)
+    steps
+
 (* Row-major linearization with bounds checking. *)
 let linear_index (b : buffer) (idxs : int array) =
   let n = Array.length b.dims in

@@ -43,6 +43,12 @@ val rank_mismatch : buffer -> int -> 'a
 
 val out_of_bounds : buffer -> int -> int -> 'a
 
+(** Fails on the first non-positive step of a parallel loop
+    ([scf.parallel], [omp.wsloop]), naming the step and its dimension.
+    Both engines check their steps with it, so they fail with the same
+    text. *)
+val check_par_steps : int array -> unit
+
 val get_f : buffer -> int -> float
 val get_i : buffer -> int -> int
 val set_f : buffer -> int -> float -> unit

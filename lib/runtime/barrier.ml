@@ -9,11 +9,11 @@
    stragglers of the previous phase to drain.
 
    The spin phase matters when domains map to real cores; the sleep
-   path matters when they do not (this container has one core, so a
-   pure spin barrier would burn a scheduler quantum per waiter per
-   phase).  The sense flip and the broadcast happen under the mutex, and
-   sleepers re-check the sense under the same mutex before waiting, so
-   no wakeup can be lost. *)
+   path matters when they do not, as on the 1-core host the barrier was
+   first measured on, where a pure spin barrier burned a scheduler
+   quantum per waiter per phase.  The sense flip and the broadcast
+   happen under the mutex, and sleepers re-check the sense under the
+   same mutex before waiting, so no wakeup can be lost. *)
 
 type t =
   { size : int

@@ -29,20 +29,12 @@
    still contain GPU barriers, the function is rejected at compile time
    ({!Unsupported}) so the driver can degrade to the fiber interpreter.
 
-   Memory accesses compile to one of two paths.  The checked path
-   reads its index registers directly and inlines the rank test, the
-   bounds tests (in {!Mem.lindex}'s order, with its messages) and the
-   [Fdata]/[Idata] dispatch: ranks 0–3 are specialized closures, higher
-   ranks run a loop over the index slots; none allocates.  The
-   unchecked path exists for the innermost-affine pattern
-   [buf[i1;..;ik; iv]] where [iv] is the iv of the innermost enclosing
-   loop and the buffer and prefix indices are loop-invariant: a guard
-   at loop entry validates the buffer's rank, dtype and the whole [iv]
-   range once, binds the raw data array and precomputed row base into
-   per-frame caches, and the loop then runs a body variant whose
-   accesses are single [unsafe_get]/[unsafe_set]s.  Any guard failure
-   falls back to the checked body for the whole loop entry, so safety
-   semantics and error messages are unchanged.
+   Every memory access compiles to one checked path: it reads its
+   index registers directly and inlines the rank test, the bounds tests
+   (in {!Mem.lindex}'s order, with its messages) and the [Fdata]/[Idata]
+   dispatch; ranks 0–3 are specialized closures, higher ranks run a
+   loop over the index slots, and none allocates.  Every region is
+   compiled exactly once, so compile cost is linear in the IR.
 
    Team execution ([omp.parallel]) launches one frame per thread on a
    {!Pool}.  The frames live in a persistent, cache-line-padded team
@@ -140,9 +132,6 @@ and frame =
   { iregs : int array
   ; fregs : float array
   ; bregs : Mem.buffer array
-  ; fdat : float array array (* hoisted-access data caches, per cand *)
-  ; idat : int array array
-  ; abase : int array (* hoisted-access row bases, per cand *)
   ; lc : launch_ctx option
   ; glob : glob
   }
@@ -163,36 +152,10 @@ type slot =
   | SF of int
   | SB of int
 
-(* One hoistable access: [ckind]/[cbuf]/[cprefix] describe the access,
-   [civ] is the iv slot it is affine in, [ccache] indexes the frame's
-   [fdat]/[idat]/[abase] caches; [cprefix] holds the prefix indices'
-   int registers. *)
-type akind =
-  | KF
-  | KI
-
-type cand =
-  { ckind : akind
-  ; ccache : int
-  ; civ : int
-  ; cbuf : int
-  ; cprefix : int array
-  }
-
-(* One loop currently being compiled for hoisting: its iv slot, the set
-   of slots its body defines (for invariance tests) and the candidates
-   found so far. *)
-type hctx =
-  { hiv : int
-  ; hdefs : (int, unit) Hashtbl.t
-  ; mutable hcands : cand list
-  }
-
 type cfunc =
   { mutable ni : int
   ; mutable nf : int
   ; mutable nb : int
-  ; mutable nc : int
   ; mutable params : slot array
   ; mutable body : code
   }
@@ -204,22 +167,14 @@ type cmod =
     (* per-compile unbound-register marker; never a user buffer *)
   }
 
-(* [hstack] is the stack of loops being compiled (innermost first);
-   [emit_ivs] lists the ivs whose unchecked body variant is currently
-   being emitted; [cands] dedups candidates per access op so the two
-   body variants of a loop share one cache slot; [lits] maps the values
-   of the int constants compiled so far to their literals. *)
 type cenv =
   { cm : cmod
   ; slots : (int, slot) Hashtbl.t (* Value.id -> slot *)
   ; mutable ni : int
   ; mutable nf : int
   ; mutable nb : int
-  ; mutable nc : int
-  ; mutable hstack : hctx list
-  ; mutable emit_ivs : int list
-  ; cands : (int, cand) Hashtbl.t (* access op oid -> candidate *)
-  ; lits : (int, int) Hashtbl.t (* Value.id -> literal *)
+  ; lits : (int, int) Hashtbl.t
+    (* Value.id -> literal, for the int constants compiled so far *)
   }
 
 (* --- slot assignment and typed accessors --- *)
@@ -249,11 +204,6 @@ let slot_of (ce : cenv) (v : Value.t) : slot =
     in
     Hashtbl.add ce.slots v.Value.id s;
     s
-
-let slot_key = function
-  | SI k -> 3 * k
-  | SF k -> (3 * k) + 1
-  | SB k -> (3 * k) + 2
 
 (* Register reads and writes.  Every frame of a function holds at least
    the function's slot counts, so the indices are in range by
@@ -663,131 +613,6 @@ let checked_access (sent : Mem.buffer) (op : Op.op) (bufv : Value.t) bk
   | _, Stf k -> fun fr -> let b = buf fr in stf fr k b (offn b fr ix)
   | _, Sti k -> fun fr -> let b = buf fr in sti fr k b (offn b fr ix)
 
-(* --- hoisting analysis --- *)
-
-(* All slots defined inside an op list, including nested region
-   arguments: the "varies inside this loop body" set. *)
-let rec defs_of_ops ce tbl (ops : Op.op list) : unit =
-  List.iter
-    (fun (o : Op.op) ->
-      Array.iter
-        (fun r -> Hashtbl.replace tbl (slot_key (slot_of ce r)) ())
-        o.Op.results;
-      Array.iter
-        (fun (r : Op.region) ->
-          Array.iter
-            (fun a -> Hashtbl.replace tbl (slot_key (slot_of ce a)) ())
-            r.Op.rargs;
-          defs_of_ops ce tbl r.Op.body)
-        o.Op.regions)
-    ops
-
-(* Is [buf[i1;..;ik; last]] hoistable out of some loop currently being
-   compiled?  Requires [last] to be that loop's iv and the buffer and
-   every prefix index to be invariant in the loop's body.  Registers the
-   candidate (one cache slot per access op, shared by both body
-   variants) with the loop it hoists out of. *)
-let hoist_candidate ce (op : Op.op) ~(bufv : Value.t)
-    ~(idxv : Value.t array) ~(kind : akind) : cand option =
-  let n = Array.length idxv in
-  if n = 0 || ce.hstack = [] then None
-  else begin
-    match slot_of ce idxv.(n - 1) with
-    | SF _ | SB _ -> None
-    | SI ivk -> begin
-      let rec find = function
-        | [] -> None
-        | h :: rest -> if h.hiv = ivk then Some h else find rest
-      in
-      match find ce.hstack with
-      | None -> None
-      | Some h ->
-        let invariant s = not (Hashtbl.mem h.hdefs (slot_key s)) in
-        let buf_ok =
-          match slot_of ce bufv with
-          | SB _ as s -> invariant s
-          | SI _ | SF _ -> false
-        in
-        let prefix_ok = ref buf_ok in
-        for i = 0 to n - 2 do
-          match slot_of ce idxv.(i) with
-          | SI _ as s -> if not (invariant s) then prefix_ok := false
-          | SF _ | SB _ -> prefix_ok := false
-        done;
-        if not !prefix_ok then None
-        else begin
-          let c =
-            match Hashtbl.find_opt ce.cands op.Op.oid with
-            | Some c -> c
-            | None ->
-              let ccache = ce.nc in
-              ce.nc <- ccache + 1;
-              let cbuf =
-                match slot_of ce bufv with
-                | SB k -> k
-                | SI _ | SF _ -> assert false
-              in
-              let c =
-                { ckind = kind
-                ; ccache
-                ; civ = ivk
-                ; cbuf
-                ; cprefix =
-                    Array.init (n - 1) (fun i ->
-                        match slot_of ce idxv.(i) with
-                        | SI k -> k
-                        | SF _ | SB _ -> assert false)
-                }
-              in
-              Hashtbl.add ce.cands op.Op.oid c;
-              c
-          in
-          h.hcands <- c :: h.hcands;
-          Some c
-        end
-    end
-  end
-
-(* The loop-entry guard for one hoisted access: validates rank, dtype,
-   prefix indices and the whole [iv] value range once, then binds the
-   raw data array and row base into the executing frame's caches.
-   Returns false — fall back to the checked body for this loop entry —
-   on any mismatch, including an unbound buffer register, whose located
-   error the checked body raises only if the access actually runs. *)
-let guard_of_cand (sent : Mem.buffer) (c : cand) :
-    frame -> int -> int -> bool =
-  let np = Array.length c.cprefix in
-  fun fr ivlo ivlast ->
-    let b = fr.bregs.(c.cbuf) in
-    if b == sent then false
-    else begin
-      let dims = b.Mem.dims in
-      if Array.length dims <> np + 1 then false
-      else begin
-        let off = ref 0 and ok = ref true in
-        for i = 0 to np - 1 do
-          let ix = ig fr c.cprefix.(i) in
-          if ix < 0 || ix >= dims.(i) then ok := false
-          else off := (!off * dims.(i)) + ix
-        done;
-        let dlast = dims.(np) in
-        if (not !ok) || ivlo < 0 || ivlast >= dlast then false
-        else begin
-          let base = !off * dlast in
-          match b.Mem.data, c.ckind with
-          | Mem.Fdata a, KF when base + dlast <= Array.length a ->
-            fr.fdat.(c.ccache) <- a;
-            fr.abase.(c.ccache) <- base;
-            true
-          | Mem.Idata a, KI when base + dlast <= Array.length a ->
-            fr.idat.(c.ccache) <- a;
-            fr.abase.(c.ccache) <- base;
-            true
-          | _ -> false
-        end
-      end
-    end
-
 (* --- teams --- *)
 
 let new_team size =
@@ -820,9 +645,6 @@ let new_frame (cf : cfunc) (sent : Mem.buffer) lc glob : frame =
   { iregs = Array.make cf.ni 0
   ; fregs = Array.make cf.nf 0.0
   ; bregs = Array.make cf.nb sent
-  ; fdat = Array.make cf.nc [||]
-  ; idat = Array.make cf.nc [||]
-  ; abase = Array.make cf.nc 0
   ; lc
   ; glob
   }
@@ -1036,18 +858,10 @@ and compile_for ce op : code =
       let lo = ireg ce pre (Op.for_lo op) in
       let hi = ireg ce pre (Op.for_hi op) in
       let step = ireg ce pre (Op.for_step op) in
-      let checked, hoisted = compile_hoisted ce ~iv op.Op.regions.(0) in
+      let body = compile_region ce op.Op.regions.(0).Op.body in
       fun fr ->
         let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
         if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
-        let body =
-          match hoisted with
-          | Some (all_pass, unchecked)
-            when lo < hi
-                 && all_pass fr lo (lo + (((hi - 1 - lo) / step) * step)) ->
-            unchecked
-          | Some _ | None -> checked
-        in
         let i = ref lo in
         while !i < hi do
           is fr iv !i;
@@ -1078,100 +892,21 @@ and compile_while ce op : code =
       if ig fr c <> 0 then body fr else continue_ := false
     done
 
-(* Compile a loop region twice when it contains hoistable accesses: the
-   checked variant (always safe) and an unchecked variant whose hoisted
-   accesses are raw array reads/writes, selected at loop entry by the
-   conjunction of the candidates' guards.  Candidate discovery happens
-   during the checked pass; [emit_ivs] makes the second pass emit the
-   unsafe form for exactly the accesses hoisted out of THIS loop. *)
-and compile_hoisted ce ~(iv : int) (r : Op.region) :
-    code * ((frame -> int -> int -> bool) * code) option =
-  let defs = Hashtbl.create 32 in
-  Array.iter
-    (fun a -> Hashtbl.replace defs (slot_key (slot_of ce a)) ())
-    r.Op.rargs;
-  defs_of_ops ce defs r.Op.body;
-  let h = { hiv = iv; hdefs = defs; hcands = [] } in
-  ce.hstack <- h :: ce.hstack;
-  let checked = compile_region ce r.Op.body in
-  ce.hstack <- List.tl ce.hstack;
-  match h.hcands with
-  | [] -> (checked, None)
-  | cands ->
-    let cands =
-      List.sort_uniq (fun a b -> compare a.ccache b.ccache) cands
-    in
-    let h2 = { hiv = iv; hdefs = defs; hcands = [] } in
-    ce.hstack <- h2 :: ce.hstack;
-    ce.emit_ivs <- iv :: ce.emit_ivs;
-    let unchecked = compile_region ce r.Op.body in
-    ce.emit_ivs <- List.tl ce.emit_ivs;
-    ce.hstack <- List.tl ce.hstack;
-    let guards =
-      Array.of_list (List.map (guard_of_cand ce.cm.sentinel) cands)
-    in
-    let ng = Array.length guards in
-    let all_pass fr ivlo ivlast =
-      let ok = ref true and i = ref 0 in
-      while !ok && !i < ng do
-        if not (guards.(!i) fr ivlo ivlast) then ok := false;
-        incr i
-      done;
-      !ok
-    in
-    (checked, Some (all_pass, unchecked))
-
 and compile_load ce op : code =
   let bufv = op.Op.operands.(0) in
   let idxv = Array.sub op.Op.operands 1 (Array.length op.Op.operands - 1) in
-  let res = slot_of ce (Op.result op) in
-  let cand =
-    match res with
-    | SF _ -> hoist_candidate ce op ~bufv ~idxv ~kind:KF
-    | SI _ -> hoist_candidate ce op ~bufv ~idxv ~kind:KI
-    | SB _ -> None
-  in
-  match cand, res with
-  | Some c, SF k when List.mem c.civ ce.emit_ivs ->
-    let cc = c.ccache in
-    fun fr ->
-      fr.fregs.(k) <-
-        Array.unsafe_get fr.fdat.(cc) (fr.abase.(cc) + fr.iregs.(c.civ))
-  | Some c, SI k when List.mem c.civ ce.emit_ivs ->
-    let cc = c.ccache in
-    fun fr ->
-      fr.iregs.(k) <-
-        Array.unsafe_get fr.idat.(cc) (fr.abase.(cc) + fr.iregs.(c.civ))
-  | _, SF k -> compile_checked ce op bufv idxv (Ldf k)
-  | _, SI k -> compile_checked ce op bufv idxv (Ldi k)
-  | _, SB _ -> fun _ -> Mem.fail "load of buffer value"
+  match slot_of ce (Op.result op) with
+  | SF k -> compile_checked ce op bufv idxv (Ldf k)
+  | SI k -> compile_checked ce op bufv idxv (Ldi k)
+  | SB _ -> fun _ -> Mem.fail "load of buffer value"
 
 and compile_store ce op : code =
-  let vs = slot_of ce op.Op.operands.(0) in
   let bufv = op.Op.operands.(1) in
   let idxv = Array.sub op.Op.operands 2 (Array.length op.Op.operands - 2) in
-  let cand =
-    match vs with
-    | SF _ -> hoist_candidate ce op ~bufv ~idxv ~kind:KF
-    | SI _ -> hoist_candidate ce op ~bufv ~idxv ~kind:KI
-    | SB _ -> None
-  in
-  match cand, vs with
-  | Some c, SF k when List.mem c.civ ce.emit_ivs ->
-    let cc = c.ccache in
-    fun fr ->
-      Array.unsafe_set fr.fdat.(cc)
-        (fr.abase.(cc) + fr.iregs.(c.civ))
-        fr.fregs.(k)
-  | Some c, SI k when List.mem c.civ ce.emit_ivs ->
-    let cc = c.ccache in
-    fun fr ->
-      Array.unsafe_set fr.idat.(cc)
-        (fr.abase.(cc) + fr.iregs.(c.civ))
-        fr.iregs.(k)
-  | _, SF k -> compile_checked ce op bufv idxv (Stf k)
-  | _, SI k -> compile_checked ce op bufv idxv (Sti k)
-  | _, SB _ -> fun _ -> Mem.fail "cannot store a buffer into a buffer"
+  match slot_of ce op.Op.operands.(0) with
+  | SF k -> compile_checked ce op bufv idxv (Stf k)
+  | SI k -> compile_checked ce op bufv idxv (Sti k)
+  | SB _ -> fun _ -> Mem.fail "cannot store a buffer into a buffer"
 
 and compile_checked ce op bufv idxv (e : elem_op) : code =
   with_conv (fun pre _ ->
@@ -1197,9 +932,7 @@ and compile_serial_parallel ce op : code =
     let lo = Array.map (ig fr) log in
     let hi = Array.map (ig fr) hig in
     let step = Array.map (ig fr) stg in
-    Array.iteri
-      (fun d s -> if s <= 0 then Mem.fail "parallel: non-positive step %d" d)
-      step;
+    Mem.check_par_steps step;
     let rec go d =
       if d < 0 then body fr
       else begin
@@ -1219,15 +952,9 @@ and compile_serial_parallel ce op : code =
    compiled function's persistent [tstate]; a launch validates it (same
    size, not poisoned, large enough register files), blits the master's
    registers into the team frames, and posts a per-op cached job
-   closure to the pool — in the steady state nothing is allocated.
-   Hoisting must not cross this boundary: the guards would bind caches
-   in the master frame while the body runs on team frames, so the body
-   is compiled with an empty hoist stack. *)
+   closure to the pool — in the steady state nothing is allocated. *)
 and compile_omp_parallel ce op : code =
-  let saved_hstack = ce.hstack in
-  ce.hstack <- [];
   let body = compile_region ce op.Op.regions.(0).Op.body in
-  ce.hstack <- saved_hstack;
   let sent = ce.cm.sentinel in
   let jobcache : (tstate * (int -> unit)) option ref = ref None in
   fun fr ->
@@ -1247,8 +974,7 @@ and compile_omp_parallel ce op : code =
       g.stats.launches <- g.stats.launches + 1;
       let ni = Array.length fr.iregs
       and nf = Array.length fr.fregs
-      and nb = Array.length fr.bregs
-      and nc = Array.length fr.abase in
+      and nb = Array.length fr.bregs in
       let ts =
         match g.ts with
         | Some t
@@ -1256,8 +982,7 @@ and compile_omp_parallel ce op : code =
                && (not (Barrier.is_poisoned t.tteam.barrier))
                && Array.length t.tframes.(0).iregs >= ni
                && Array.length t.tframes.(0).fregs >= nf
-               && Array.length t.tframes.(0).bregs >= nb
-               && Array.length t.tframes.(0).abase >= nc -> t
+               && Array.length t.tframes.(0).bregs >= nb -> t
         | _ ->
           let team = new_team size in
           let frames =
@@ -1265,9 +990,6 @@ and compile_omp_parallel ce op : code =
                 { iregs = Array.make (pad ni) 0
                 ; fregs = Array.make (pad nf) 0.0
                 ; bregs = Array.make (pad nb) sent
-                ; fdat = Array.make (pad nc) [||]
-                ; idat = Array.make (pad nc) [||]
-                ; abase = Array.make (pad nc) 0
                 ; lc = Some (new_lc team rank)
                 ; glob = g
                 })
@@ -1354,12 +1076,7 @@ and compile_omp_parallel ce op : code =
 and compile_wsloop ce op : code =
   let nd = Op.par_dims op in
   let ivslots = par_ivs ce op "wsloop" in
-  (* hoisting applies to the (ubiquitous after coalescing) 1-d case,
-     where the linear position maps affinely to the single iv *)
-  let body, hoisted =
-    if nd = 1 then compile_hoisted ce ~iv:ivslots.(0) op.Op.regions.(0)
-    else (compile_region ce op.Op.regions.(0).Op.body, None)
-  in
+  let body = compile_region ce op.Op.regions.(0).Op.body in
   let oid = op.Op.oid in
   let pre = ref [] in
   let log, hig, stg = par_bounds ce pre op in
@@ -1367,9 +1084,7 @@ and compile_wsloop ce op : code =
     let lo = Array.map (ig fr) log in
     let hi = Array.map (ig fr) hig in
     let step = Array.map (ig fr) stg in
-    Array.iteri
-      (fun d s -> if s <= 0 then Mem.fail "parallel: non-positive step %d" d)
-      step;
+    Mem.check_par_steps step;
     let counts =
       Array.init nd (fun d ->
           if hi.(d) <= lo.(d) then 0
@@ -1381,26 +1096,11 @@ and compile_wsloop ce op : code =
     let run_range =
       if nd = 1 then begin
         let l0 = lo.(0) and s0 = step.(0) and iv0 = ivslots.(0) in
-        match hoisted with
-        | None ->
-          fun a b ->
-            for p = a to b - 1 do
-              is fr iv0 (l0 + (p * s0));
-              body fr
-            done
-        | Some (all_pass, unchecked) ->
-          fun a b ->
-            if a < b then begin
-              let bdy =
-                if all_pass fr (l0 + (a * s0)) (l0 + ((b - 1) * s0)) then
-                  unchecked
-                else body
-              in
-              for p = a to b - 1 do
-                is fr iv0 (l0 + (p * s0));
-                bdy fr
-              done
-            end
+        fun a b ->
+          for p = a to b - 1 do
+            is fr iv0 (l0 + (p * s0));
+            body fr
+          done
       end
       else begin
         (* one past each iv's last value *)
@@ -1532,7 +1232,6 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         { ni = 0
         ; nf = 0
         ; nb = 0
-        ; nc = 0
         ; params = [||]
         ; body = (fun _ -> Mem.fail "@%s: incomplete compilation" name)
         }
@@ -1544,10 +1243,6 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         ; ni = 0
         ; nf = 0
         ; nb = 0
-        ; nc = 0
-        ; hstack = []
-        ; emit_ivs = []
-        ; cands = Hashtbl.create 16
         ; lits = Hashtbl.create 32
         }
       in
@@ -1556,7 +1251,6 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
       cf.ni <- ce.ni;
       cf.nf <- ce.nf;
       cf.nb <- ce.nb;
-      cf.nc <- ce.nc;
       cf.body <- body;
       Some cf
   end

@@ -22,18 +22,14 @@
 
     {2 Access paths}
 
-    Loads and stores compile to a {e checked} path that reads the index
-    registers directly and inlines the rank test, the bounds tests (in
-    {!Mem.lindex}'s order, with its messages) and the [Fdata]/[Idata]
-    dtype dispatch: one specialized closure per rank up to 3, a loop
-    over the index slots above; no rank allocates.  For the
-    innermost-affine pattern [buf[i1;..;ik; iv]] with loop-invariant
-    buffer and prefix indices they compile to an {e unchecked} path: a
-    guard at loop entry validates rank, dtype and the whole [iv] range
-    once, precomputes the row base, and the loop body variant then
-    accesses the raw data array with [unsafe_get]/[unsafe_set].  Guard
-    failure falls back to the checked body for that loop entry, so
-    bounds violations fail with exactly the interpreter's error.
+    Every load and store compiles to one {e checked} path that reads
+    the index registers directly and inlines the rank test, the bounds
+    tests (in {!Mem.lindex}'s order, with its messages) and the
+    [Fdata]/[Idata] dtype dispatch: one specialized closure per rank up
+    to 3, a loop over the index slots above; no rank allocates.  Every
+    access is checked where it runs, so a bounds violation fails with
+    exactly the interpreter's error, and every loop body is compiled
+    once, so compile cost is linear in the IR.
 
     {2 Launch lifecycle}
 

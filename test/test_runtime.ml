@@ -672,14 +672,35 @@ let test_static_chunk_balanced () =
 
 (* --- access paths: compiled strided access vs the interpreter --- *)
 
+(* "#<digits>" -> "#<id>": buffer ids come from a process-wide counter,
+   so the two engines' runs see different ones. *)
+let mask_bufids (msg : string) : string =
+  let b = Buffer.create (String.length msg) in
+  let n = String.length msg in
+  let rec go i =
+    if i < n then begin
+      Buffer.add_char b msg.[i];
+      if msg.[i] = '#' && i + 1 < n && msg.[i + 1] >= '0' && msg.[i + 1] <= '9'
+      then begin
+        Buffer.add_string b "<id>";
+        let j = ref (i + 1) in
+        while !j < n && msg.[!j] >= '0' && msg.[!j] <= '9' do
+          incr j
+        done;
+        go !j
+      end
+      else go (i + 1)
+    end
+  in
+  go 0;
+  Buffer.contents b
+
 (* func @k(buf : memref<rows x cols x f64>) { for i in [lo,hi):
    buf[row][i] <- buf[row][i] + 1.0 } with row/lo/hi baked in as
-   constants — exactly the innermost-affine shape the engine compiles to
-   a guarded unchecked access path (raw array + hoisted row base).
-   In-bounds runs must match the interpreter bit-for-bit; any
-   out-of-bounds range must raise Runtime_error from BOTH engines — the
-   loop-entry guard may never turn a bounds violation into a silent
-   unsafe access. *)
+   constants: a loop-invariant row and the loop's iv as the innermost
+   index, every access checked where it runs.  In-bounds runs must match
+   the interpreter bit-for-bit; an out-of-bounds range must raise
+   Runtime_error from BOTH engines with the same message. *)
 let mk_strided_module ~rows ~cols ~row ~lo ~hi : Op.op =
   Builder.module_
     [ Builder.func "k"
@@ -723,7 +744,7 @@ let strided_outcome ~rows ~cols (run : Interp.Mem.buffer -> unit) :
   in
   match run buf with
   | () -> Ok (Interp.Mem.float_contents buf)
-  | exception Interp.Mem.Runtime_error msg -> Error msg
+  | exception Interp.Mem.Runtime_error msg -> Error (mask_bufids msg)
 
 let prop_strided_access =
   let gen =
@@ -752,15 +773,17 @@ let prop_strided_access =
       in
       match (interp, engine) with
       | Ok a, Ok b -> a = b
-      | Error _, Error _ -> true
+      | Error a, Error b ->
+        a = b
+        || QCheck.Test.fail_reportf "interp: %s\nengine: %s" a b
       | Ok _, Error e ->
         QCheck.Test.fail_reportf "engine raised but interp succeeded: %s" e
       | Error e, Ok _ ->
         QCheck.Test.fail_reportf "interp raised (%s) but engine succeeded" e)
 
 (* Deterministic pin of the same shape against the bounds-checked typed
-   accessor API (Mem.lindex + get_f/set_f), so a bug that broke both
-   engines identically would still be caught. *)
+   accessor API (Mem.lindex + get_f/set_f), so a bug that broke the
+   checked access of both engines identically would still be caught. *)
 let test_strided_expected () =
   let rows = 3 and cols = 8 and row = 1 and lo = 2 and hi = 7 in
   let init () =
@@ -776,12 +799,12 @@ let test_strided_expected () =
     let li = Interp.Mem.lindex expect [| row; i |] in
     Interp.Mem.set_f expect li (Interp.Mem.get_f expect li +. 1.0)
   done;
-  Alcotest.(check bool) "unchecked path = Mem.lindex + typed accessors" true
+  Alcotest.(check bool) "checked path = Mem.lindex + typed accessors" true
     (Interp.Mem.float_contents buf = Interp.Mem.float_contents expect)
 
 let test_strided_oob_rejected () =
-  (* hi one past the row: the loop-entry guard must refuse the unchecked
-     path and the checked body must then raise, in both engines *)
+  (* hi one past the row: the access at i = 8 must raise, in both
+     engines *)
   let m = mk_strided_module ~rows:2 ~cols:8 ~row:1 ~lo:0 ~hi:9 in
   let raises run =
     let buf =
@@ -796,6 +819,126 @@ let test_strided_oob_rejected () =
   Alcotest.(check bool) "engine rejects OOB" true
     (raises (fun b ->
          ignore (Runtime.Exec.run_module m "k" [ Interp.Mem.Buf b ])))
+
+(* --- compile cost: every loop body compiled once --- *)
+
+(* func @k(buf : memref<2 x f64>) { [depth] nested [for i in [0, 2)],
+   each level doing buf[i] <- buf[i] + 1.0 before the next level }. *)
+let mk_nest_module depth : Op.op =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("buf", Types.memref Types.F64 [ Some 2 ]) ]
+        (fun params ->
+          let buf = params.(0) in
+          let s = Builder.Seq.create () in
+          let ci k =
+            Builder.Seq.emitv s (Builder.const_int ~dtype:Types.Index k)
+          in
+          let c0 = ci 0 in
+          let c1 = ci 1 in
+          let c2 = ci 2 in
+          let one =
+            Builder.Seq.emitv s (Builder.const_float ~dtype:Types.F64 1.0)
+          in
+          let rec level d =
+            Builder.for_ ~lo:c0 ~hi:c2 ~step:c1 (fun i ->
+                let s2 = Builder.Seq.create () in
+                let v = Builder.Seq.emitv s2 (Builder.load buf [ i ]) in
+                let v' = Builder.Seq.emitv s2 (Builder.binop Op.Add v one) in
+                ignore (Builder.Seq.emit s2 (Builder.store v' buf [ i ]));
+                if d > 1 then ignore (Builder.Seq.emit s2 (level (d - 1)));
+                Builder.Seq.to_list s2)
+          in
+          ignore (Builder.Seq.emit s (level depth));
+          Builder.Seq.to_list s)
+    ]
+
+let test_compile_linear_in_depth () =
+  let words depth =
+    let m = mk_nest_module depth in
+    let w0 = Gc.minor_words () in
+    ignore (Runtime.Exec.compile m "k");
+    Gc.minor_words () -. w0
+  in
+  let w6 = words 6 in
+  let w12 = words 12 in
+  if w12 > 4.0 *. w6 then
+    Alcotest.failf
+      "Exec.compile allocates %.0f words on a 12-deep loop nest vs %.0f 6 \
+       deep (%.1fx, bound 4x)"
+      w12 w6 (w12 /. w6);
+  let m = mk_nest_module 6 in
+  let contents run =
+    let buf = Interp.Mem.of_float_array ~dims:[| 2 |] [| 0.25; 0.5 |] in
+    run [ Interp.Mem.Buf buf ];
+    Array.map Int64.bits_of_float (Interp.Mem.float_contents buf)
+  in
+  let interp = contents (fun args -> ignore (Interp.Eval.run m "k" args)) in
+  let engine =
+    contents (fun args ->
+        ignore (Runtime.Exec.run_module ~domains:1 m "k" args))
+  in
+  Alcotest.(check (array int64)) "depth-6 nest: engine = interpreter" interp
+    engine;
+  Alcotest.(check (array int64)) "63 increments per element"
+    (Array.map Int64.bits_of_float [| 63.25; 63.5 |])
+    engine
+
+(* --- non-positive parallel step: one message in both engines --- *)
+
+(* A 2-D loop over [0,4) x [0,4) with step -3 in dim 1: an [scf.parallel],
+   or an [omp.wsloop] inside an [omp.parallel]. *)
+let mk_neg_step_module ~wsloop : Op.op =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("buf", Types.memref Types.F64 [ Some 4; Some 4 ]) ]
+        (fun params ->
+          let buf = params.(0) in
+          let s = Builder.Seq.create () in
+          let ci k =
+            Builder.Seq.emitv s (Builder.const_int ~dtype:Types.Index k)
+          in
+          let c0 = ci 0 in
+          let c1 = ci 1 in
+          let c4 = ci 4 in
+          let cm3 = ci (-3) in
+          let one =
+            Builder.Seq.emitv s (Builder.const_float ~dtype:Types.F64 1.0)
+          in
+          let lbs = [ c0; c0 ] and ubs = [ c4; c4 ] and steps = [ c1; cm3 ] in
+          let body ivs = [ Builder.store one buf [ ivs.(0); ivs.(1) ] ] in
+          ignore
+            (Builder.Seq.emit s
+               (if wsloop then
+                  Builder.omp_parallel
+                    [ Builder.omp_wsloop ~lbs ~ubs ~steps body ]
+                else Builder.parallel Op.Flat ~lbs ~ubs ~steps body));
+          Builder.Seq.to_list s)
+    ]
+
+let test_nonpositive_step_message () =
+  List.iter
+    (fun wsloop ->
+      let m = mk_neg_step_module ~wsloop in
+      let error run =
+        let buf = Interp.Mem.alloc_buffer Types.F64 [| 4; 4 |] in
+        match run [ Interp.Mem.Buf buf ] with
+        | () -> "no error"
+        | exception Interp.Mem.Runtime_error msg -> msg
+      in
+      List.iter
+        (fun (engine, run) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s on the %s"
+               (if wsloop then "omp.wsloop" else "scf.parallel")
+               engine)
+            "parallel: non-positive step -3 in dim 1" (error run))
+        [ ("interpreter", fun args -> ignore (Interp.Eval.run m "k" args))
+        ; ( "engine"
+          , fun args -> ignore (Runtime.Exec.run_module ~domains:1 m "k" args)
+          )
+        ])
+    [ false; true ]
 
 (* --- access paths at every rank: checked path vs the interpreter --- *)
 
@@ -831,29 +974,6 @@ let mk_rank_module ~rank ~(elem : Types.dtype) : Op.op =
           ignore (Builder.Seq.emit s (Builder.store v' buf b));
           Builder.Seq.to_list s)
     ]
-
-(* "#<digits>" -> "#<id>": buffer ids come from a process-wide counter,
-   so the two engines' runs see different ones. *)
-let mask_bufids (msg : string) : string =
-  let b = Buffer.create (String.length msg) in
-  let n = String.length msg in
-  let rec go i =
-    if i < n then begin
-      Buffer.add_char b msg.[i];
-      if msg.[i] = '#' && i + 1 < n && msg.[i + 1] >= '0' && msg.[i + 1] <= '9'
-      then begin
-        Buffer.add_string b "<id>";
-        let j = ref (i + 1) in
-        while !j < n && msg.[!j] >= '0' && msg.[!j] <= '9' do
-          incr j
-        done;
-        go !j
-      end
-      else go (i + 1)
-    end
-  in
-  go 0;
-  Buffer.contents b
 
 let rank_outcome ~(float_data : bool) ~(dims : int array)
     (run : Interp.Mem.rv list -> unit) (idx : int list) :
@@ -1392,6 +1512,8 @@ let () =
         ; QCheck_alcotest.to_alcotest prop_rank_access
         ; Alcotest.test_case "unbound buffer register located error" `Quick
             test_unbound_buffer_register
+        ; Alcotest.test_case "compile cost linear in loop-nest depth" `Quick
+            test_compile_linear_in_depth
         ] )
     ; ( "scalar-ops",
         [ QCheck_alcotest.to_alcotest prop_scalar_ops
@@ -1411,6 +1533,8 @@ let () =
             `Quick test_wsloop_exactly_once
         ; Alcotest.test_case "dynamic work stealing, skewed load" `Quick
             test_dynamic_skewed_load
+        ; Alcotest.test_case "non-positive parallel step, exact error" `Quick
+            test_nonpositive_step_message
         ] )
     ; ( "interp-team-plumbing",
         [ Alcotest.test_case "GPU threads are not a team" `Quick
