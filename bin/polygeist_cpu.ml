@@ -42,6 +42,10 @@ let guard (what : string) (f : unit -> ('a, [ `Msg of string ]) result) :
   | exception e ->
     Error (`Msg (Printf.sprintf "%s: %s" what (Printexc.to_string e)))
 
+(* The name [v] has in a [--flag] enum table. *)
+let name_of (names : (string * 'a) list) (v : 'a) : string =
+  fst (List.find (fun (_, x) -> x = v) names)
+
 (* The checks compare index expressions syntactically, so give them the
    same normalized IR the barrier optimizations see. *)
 let cleanup (m : Ir.Op.op) : unit =
@@ -213,8 +217,9 @@ let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
     ~(schedule : Runtime.Schedule.policy) ~(chunk : int option)
     ~(team_reuse : bool) ~(stats : bool) ~(timeout_ms : int)
     ~(crash_dir : string option) ~(faults : Core.Fault.plan)
-    ~(src : string) ~(repro : string) (m : Ir.Op.op) (entry : string)
-    (sizes : int list) : (bool, [ `Msg of string ]) result =
+    ~(recipe : Core.Passmgr.recipe) ~(src : string) ~(repro : string)
+    (m : Ir.Op.op) (entry : string) (sizes : int list) :
+  (bool, [ `Msg of string ]) result =
   match Ir.Op.find_func m entry with
   | None -> Error (`Msg (Printf.sprintf "no function @%s in the module" entry))
   | Some f -> begin
@@ -259,6 +264,9 @@ let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
                  ; rseed = None
                  ; rtimeout_ms =
                      (if timeout_ms > 0 then Some timeout_ms else None)
+                 ; rentry = Some entry
+                 ; rsizes = sizes
+                 ; rrecipe = name_of Core.Passmgr.recipes recipe
                  }
            ; serve = None
            ; source = src
@@ -273,7 +281,7 @@ let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
            Printf.eprintf "polygeist-cpu: could not write crash bundle: %s\n"
              msg
        end);
-      Runtime.Pool.shutdown_cached ();
+      ignore (Runtime.Pool.shutdown_cached ());
       ignore (run `Interp);
       Ok true
   end
@@ -333,37 +341,19 @@ let replay_fuzz (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
           msg;
         Ok 3)
 
-(* What a bundle's repro line records of the run: it is the one-shot
-   CLI's argv, or the daemon's equivalent
-   ({!Serve.Supervisor.repro_of_job}).  Both [--opt value] and
-   [--opt=value] scan. *)
-type recorded_run =
-  { rentry : string option
-  ; rsizes : int list
-  ; rcpuify : string
+(* The job a runtime or serve bundle recorded: what ran (source, entry,
+   sizes, recipe) and how (engine, team, schedule, fault plan). *)
+let recorded_job (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
+    : Serve.Proto.job =
+  { Serve.Proto.source = b.source
+  ; entry = rt.rentry
+  ; sizes = rt.rsizes
+  ; mode = rt.rrecipe
+  ; exec = rt.rexec
+  ; domains = rt.rdomains
+  ; schedule = rt.rschedule
+  ; faults = Core.Fault.plan_to_string b.faults
   }
-
-let scan_repro (repro : string) : recorded_run =
-  let words =
-    String.split_on_char ' ' repro
-    |> List.concat_map (fun w ->
-        match String.index_opt w '=' with
-        | Some i when String.starts_with ~prefix:"--" w ->
-          [ String.sub w 0 i; String.sub w (i + 1) (String.length w - i - 1) ]
-        | _ -> [ w ])
-  in
-  let rec go r = function
-    | "--run" :: v :: rest -> go { r with rentry = Some v } rest
-    | "--size" :: v :: rest -> begin
-      match int_of_string_opt v with
-      | Some n -> go { r with rsizes = r.rsizes @ [ n ] } rest
-      | None -> go r rest
-    end
-    | "--cpuify" :: v :: rest -> go { r with rcpuify = v } rest
-    | _ :: rest -> go r rest
-    | [] -> r
-  in
-  go { rentry = None; rsizes = []; rcpuify = "inner-serial" } words
 
 (* The verdict of a runtime or serve replay: exit 0 when the recorded
    failure text recurs, 3 when the bundle is stale. *)
@@ -387,65 +377,50 @@ let verdict ~(what : string) ~(now_ok : string) ~(expected : string)
     stale ()
 
 (* Replaying a runtime bundle (stage "runtime"): lower the embedded
-   source through the shared recipe its repro line names (--cpuify),
-   under the recorded options and fault plan, then re-run the recorded
-   parallel execution configuration through the shared run step. *)
+   source through the recorded recipe, under the recorded options and
+   fault plan, then re-run the recorded entry and parallel execution
+   configuration through the shared run step. *)
 let replay_runtime (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
     : (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
-      let recorded = scan_repro b.Core.Crashbundle.repro in
-      let m = Cudafe.Codegen.compile b.Core.Crashbundle.source in
-      match
-        Core.Passmgr.lower ~options:b.Core.Crashbundle.options
-          ~faults:b.Core.Crashbundle.faults ~source:b.Core.Crashbundle.source
-          ~repro:b.Core.Crashbundle.repro
-          (Core.Passmgr.recipe_of_string recorded.rcpuify)
-          m
-      with
-      | Error (_, msg) -> Error (`Msg ("replay: " ^ msg))
-      | Ok _ -> begin
-        let entry = Option.value recorded.rentry ~default:"" in
-        match Ir.Op.find_func m entry with
-        | None ->
-          Error (`Msg (Printf.sprintf "replay: no function @%s to run" entry))
-        | Some f ->
-          verdict ~what:"runtime" ~now_ok:"parallel execution now succeeds"
-            ~expected:b.Core.Crashbundle.exn_text
-            (match
-               Serve.Supervisor.run_entry ~log:ignore ~exec:`Parallel
-                 ~domains:rt.rdomains
-                 ~schedule:(Runtime.Schedule.of_string rt.rschedule)
-                 ?chunk:rt.rchunk
-                 ~timeout_ms:(Option.value rt.rtimeout_ms ~default:0)
-                 ~plan:b.Core.Crashbundle.faults m f recorded.rsizes
-             with
-             | _ -> None
-             | exception e -> Some (Serve.Supervisor.describe e))
-      end)
+      match Serve.Proto.decode (recorded_job b rt) with
+      | Error e -> Error (`Msg ("replay: invalid job: " ^ e))
+      | Ok spec -> (
+        let m = Cudafe.Codegen.compile b.source in
+        match
+          Core.Passmgr.lower ~options:b.options ~faults:b.faults
+            ~source:b.source ~repro:b.repro spec.recipe m
+        with
+        | Error (_, msg) -> Error (`Msg ("replay: " ^ msg))
+        | Ok _ -> begin
+          let entry = Option.value rt.rentry ~default:"" in
+          match Ir.Op.find_func m entry with
+          | None ->
+            Error (`Msg (Printf.sprintf "replay: no function @%s to run" entry))
+          | Some f ->
+            verdict ~what:"runtime" ~now_ok:"parallel execution now succeeds"
+              ~expected:b.exn_text
+              (match
+                 Serve.Supervisor.run_entry ~log:ignore ~exec:`Parallel
+                   ~domains:spec.team ~schedule:spec.policy ?chunk:rt.rchunk
+                   ~timeout_ms:(Option.value rt.rtimeout_ms ~default:0)
+                   ~plan:b.faults m f rt.rsizes
+               with
+               | _ -> None
+               | exception e -> Some (Serve.Supervisor.describe e))
+        end))
 
 (* Replaying a serve bundle (rung "serve"): rebuild the job the daemon
-   was running from the bundle (source, recorded execution config, the
-   entry/sizes/recipe in the repro line, the full fault plan) and run
-   ONE unsupervised attempt through the same fault wall. *)
+   was running from the bundle and run ONE unsupervised attempt through
+   the same fault wall. *)
 let replay_serve (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg) :
   (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
-      let recorded = scan_repro b.Core.Crashbundle.repro in
-      let job =
-        { Serve.Proto.source = b.Core.Crashbundle.source
-        ; entry = recorded.rentry
-        ; sizes = recorded.rsizes
-        ; mode = recorded.rcpuify
-        ; exec = rt.Core.Crashbundle.rexec
-        ; domains = rt.Core.Crashbundle.rdomains
-        ; schedule = rt.Core.Crashbundle.rschedule
-        ; faults = Core.Fault.plan_to_string b.Core.Crashbundle.faults
-        }
-      in
-      let deadline_ms = Option.value rt.Core.Crashbundle.rtimeout_ms ~default:0 in
-      verdict ~what:"serve" ~now_ok:"the job now succeeds"
-        ~expected:b.Core.Crashbundle.exn_text
-        (match Serve.Supervisor.replay_attempt ~deadline_ms job with
+      let deadline_ms = Option.value rt.rtimeout_ms ~default:0 in
+      verdict ~what:"serve" ~now_ok:"the job now succeeds" ~expected:b.exn_text
+        (match
+           Serve.Supervisor.replay_attempt ~deadline_ms (recorded_job b rt)
+         with
          | Ok _ -> None
          | Error why -> Some why))
 
@@ -566,7 +541,7 @@ let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
               | Some entry ->
                 run_entry ~exec ~domains ~schedule ~chunk
                   ~team_reuse:(not no_team_reuse) ~stats ~timeout_ms
-                  ~crash_dir ~faults ~src ~repro m entry sizes
+                  ~crash_dir ~faults ~recipe ~src ~repro m entry sizes
               | None -> Ok false
             in
             (match ran with
@@ -584,6 +559,53 @@ let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
              end)
         end)
 
+(* The flags that say what to run, shared by the one-shot driver and
+   [client], so both accept (and reject, exit 124) the same values;
+   [exec] takes its default because the two differ on it. *)
+let run_name =
+  Arg.(value & opt (some string) None & info [ "run" ]
+         ~doc:"interpret the given host function")
+
+let sizes =
+  Arg.(value & opt_all int [] & info [ "size" ]
+         ~doc:"integer argument(s) for -run/-time (repeatable)")
+
+let cpuify =
+  let recipes = Core.Passmgr.recipes in
+  Arg.(value
+       & opt (enum recipes) (List.assoc "inner-serial" recipes)
+       & info [ "cpuify" ]
+           ~doc:(Printf.sprintf "lowering recipe, one of %s"
+                   (Arg.doc_alts_enum recipes)))
+
+let exec ~default =
+  let engines = Serve.Proto.engines in
+  Arg.(value & opt (enum engines) default & info [ "exec" ]
+         ~doc:(Printf.sprintf
+                 "execution engine for -run, one of %s: the serial \
+                  GPU-semantics interpreter, or the multicore runtime \
+                  executing omp.parallel regions on OCaml domains"
+                 (Arg.doc_alts_enum engines)))
+
+let domains =
+  let parse s =
+    Result.bind (Arg.conv_parser Arg.int s) (fun n ->
+        Result.map_error (fun e -> `Msg e) (Serve.Proto.check_domains n))
+  in
+  Arg.(value & opt (conv (parse, Format.pp_print_int)) 4 & info [ "domains" ]
+         ~doc:(Printf.sprintf
+                 "team size for --exec parallel, 1 to %d; 1 is the \
+                  deterministic single-domain mode"
+                 Serve.Proto.max_domains))
+
+let schedule =
+  let policies = Runtime.Schedule.policies in
+  Arg.(value & opt (enum policies) Runtime.Schedule.Static
+       & info [ "schedule" ]
+           ~doc:(Printf.sprintf "worksharing schedule for --exec \
+                                 parallel, one of %s"
+                   (Arg.doc_alts_enum policies)))
+
 let cmd =
   let file =
     Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.cu"
@@ -597,50 +619,8 @@ let cmd =
     Arg.(value & flag & info [ "mcuda" ]
            ~doc:"use the MCUDA-style baseline lowering instead")
   in
-  let cpuify =
-    let recipes = Core.Passmgr.recipes in
-    Arg.(value
-         & opt (enum recipes) (Core.Passmgr.recipe_of_string "inner-serial")
-         & info [ "cpuify" ]
-             ~doc:(Printf.sprintf "lowering recipe, one of %s"
-                     (Arg.doc_alts_enum recipes)))
-  in
   let emit_ir =
     Arg.(value & flag & info [ "emit-ir" ] ~doc:"print the (lowered) IR")
-  in
-  let run_name =
-    Arg.(value & opt (some string) None & info [ "run" ]
-           ~doc:"interpret the given host function")
-  in
-  let sizes =
-    Arg.(value & opt_all int [] & info [ "size" ]
-           ~doc:"integer argument(s) for -run/-time (repeatable)")
-  in
-  let exec =
-    let modes = [ ("interp", `Interp); ("parallel", `Parallel) ] in
-    Arg.(value & opt (enum modes) `Interp & info [ "exec" ]
-           ~doc:(Printf.sprintf
-                   "execution engine for -run, one of %s: the serial \
-                    GPU-semantics interpreter, or the multicore runtime \
-                    executing omp.parallel regions on OCaml domains"
-                   (Arg.doc_alts_enum modes)))
-  in
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ]
-           ~doc:"team size for --exec parallel; 1 is the deterministic \
-                 single-domain mode")
-  in
-  let schedule =
-    let policies =
-      List.map
-        (fun p -> (Runtime.Schedule.to_string p, p))
-        Runtime.Schedule.[ Static; Dynamic; Guided ]
-    in
-    Arg.(value & opt (enum policies) Runtime.Schedule.Static
-         & info [ "schedule" ]
-             ~doc:(Printf.sprintf "worksharing schedule for --exec \
-                                   parallel, one of %s"
-                     (Arg.doc_alts_enum policies)))
   in
   let chunk =
     Arg.(value & opt (some int) None & info [ "chunk" ]
@@ -766,7 +746,8 @@ let cmd =
     Term.(
       term_result
         (const main $ file $ cuda_lower $ mcuda $ cpuify $ emit_ir $ run_name
-         $ sizes $ exec $ domains $ schedule $ chunk $ no_team_reuse $ stats
+         $ sizes $ exec ~default:`Interp $ domains $ schedule $ chunk
+         $ no_team_reuse $ stats
          $ timeout_ms $ time_threads $ machine $ check $ check_format
          $ check_each $ repair $ inject_faults $ fault_seed $ crash_dir
          $ replay))
@@ -1043,37 +1024,13 @@ let client_cmd =
            ~doc:"ask the daemon to drain and exit instead of submitting a \
                  job")
   in
-  let run_name =
-    Arg.(value & opt (some string) None & info [ "run" ]
-           ~doc:"interpret the given host function after lowering")
-  in
-  let sizes =
-    Arg.(value & opt_all int [] & info [ "size" ]
-           ~doc:"integer argument(s) for --run (repeatable)")
-  in
-  let mode =
-    Arg.(value & opt string "inner-serial" & info [ "cpuify" ]
-           ~doc:"lowering recipe: inner-serial | inner-parallel | no-opt")
-  in
-  let exec =
-    Arg.(value & opt string "parallel" & info [ "exec" ]
-           ~doc:"execution engine for --run: interp | parallel")
-  in
-  let domains =
-    Arg.(value & opt int 4 & info [ "domains" ]
-           ~doc:"team size for --exec parallel")
-  in
-  let schedule =
-    Arg.(value & opt string "static" & info [ "schedule" ]
-           ~doc:"worksharing schedule: static | dynamic | guided")
-  in
   let faults =
     Arg.(value & opt string "" & info [ "inject-fault" ] ~docv:"PLAN"
            ~doc:"fault plan forwarded to the daemon's fault wall (e.g. \
                  serve:raise or cpuify:raise,serve:hang); faulted jobs \
                  are never cached")
   in
-  let client_main socket file shutdown run_name sizes mode exec domains
+  let client_main socket file shutdown run_name sizes recipe exec domains
       schedule faults : (int, [ `Msg of string ]) result =
     guard "client" (fun () ->
         let req =
@@ -1091,10 +1048,10 @@ let client_cmd =
                    { Serve.Proto.source
                    ; entry = run_name
                    ; sizes
-                   ; mode
-                   ; exec
+                   ; mode = name_of Core.Passmgr.recipes recipe
+                   ; exec = name_of Serve.Proto.engines exec
                    ; domains
-                   ; schedule
+                   ; schedule = Runtime.Schedule.to_string schedule
                    ; faults
                    })
         in
@@ -1143,7 +1100,7 @@ let client_cmd =
     Term.(
       term_result
         (const client_main $ socket $ file $ shutdown $ run_name $ sizes
-         $ mode $ exec $ domains $ schedule $ faults))
+         $ cpuify $ exec ~default:`Parallel $ domains $ schedule $ faults))
 
 let () =
   (* distinct exit codes: 0 ok, 1 degraded (via main's return value),

@@ -4,7 +4,8 @@
    A bundle is a single text file holding everything needed to reproduce
    the failure offline: the failing stage (and which rung of the
    degradation ladder was being attempted), the exception and backtrace,
-   the pipeline options and the complete fault plan, a CLI repro line,
+   the pipeline options and the complete fault plan, a CLI repro line
+   (for humans: replay reads the recorded fields, never this line),
    the original source, and a dump of the IR as it stood when the stage
    started.  `polygeist-cpu --replay <bundle>` parses one back,
    recompiles the embedded source and re-runs the pipeline under the
@@ -13,7 +14,8 @@
    says so). *)
 
 (* Runtime-side configuration, so runtime and fuzz-oracle failures
-   replay under the exact execution setup that produced them.  Plain
+   replay under the exact execution setup that produced them: what was
+   run (entry, sizes, recipe) and how (engine, team, schedule).  Plain
    strings/ints: Core must not depend on Runtime. *)
 type runtime_cfg =
   { rexec : string (* "interp" | "parallel" *)
@@ -22,6 +24,9 @@ type runtime_cfg =
   ; rchunk : int option
   ; rseed : int option (* fuzz generator seed, when applicable *)
   ; rtimeout_ms : int option
+  ; rentry : string option (* the function that was run *)
+  ; rsizes : int list (* its integer arguments (--size) *)
+  ; rrecipe : string (* the --cpuify recipe the module was lowered with *)
   }
 
 (* Serving-side job context, so a bundle from the compile daemon shows
@@ -50,7 +55,7 @@ type t =
   ; ir_before : string (* pre-stage IR dump *)
   }
 
-let magic = "polygeist-cpu crash bundle v3"
+let magic = "polygeist-cpu crash bundle v4"
 let source_marker = "=== source ==="
 let ir_marker = "=== pre-stage ir ==="
 
@@ -59,117 +64,107 @@ let options_to_string (o : Cpuify.options) : string =
     o.Cpuify.opt_mincut o.Cpuify.opt_barrier_elim o.Cpuify.opt_mem2reg
     o.Cpuify.opt_licm o.Cpuify.opt_budget
 
+(* The "k=v,k=v,..." lines (options, runtime, serve): fold each field
+   into [init] with [set]; the first malformed field is the error. *)
+let parse_fields (s : string) (init : 'a)
+    (set : 'a -> string -> string -> ('a, string) result) : ('a, string) result
+    =
+  List.fold_left
+    (fun acc kv ->
+      Result.bind acc (fun r ->
+          match String.index_opt kv '=' with
+          | None -> Error (Printf.sprintf "bad field %S" kv)
+          | Some i ->
+            set r (String.sub kv 0 i)
+              (String.sub kv (i + 1) (String.length kv - i - 1))))
+    (Ok init) (String.split_on_char ',' s)
+
+let int_field (k : string) (v : string) : (int, string) result =
+  match int_of_string_opt v with
+  | Some n -> Ok n
+  | None -> Error (Printf.sprintf "bad integer %S for %s" v k)
+
+let opt_int_field (k : string) (v : string) : (int option, string) result =
+  if v = "-" then Ok None else Result.map Option.some (int_field k v)
+
+let unknown_field (k : string) = Error (Printf.sprintf "unknown field %S" k)
+
 let options_of_string (s : string) : (Cpuify.options, string) result =
-  let o = ref Cpuify.default_options in
-  let err = ref None in
-  String.split_on_char ',' s
-  |> List.iter (fun kv ->
-      match String.index_opt kv '=' with
-      | None -> err := Some (Printf.sprintf "bad option %S" kv)
-      | Some i ->
-        let k = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let b () =
-          match bool_of_string_opt v with
-          | Some b -> b
-          | None ->
-            err := Some (Printf.sprintf "bad boolean %S for %s" v k);
-            false
-        in
-        (match k with
-         | "mincut" -> o := { !o with Cpuify.opt_mincut = b () }
-         | "barrier-elim" -> o := { !o with Cpuify.opt_barrier_elim = b () }
-         | "mem2reg" -> o := { !o with Cpuify.opt_mem2reg = b () }
-         | "licm" -> o := { !o with Cpuify.opt_licm = b () }
-         | "budget" -> begin
-           match int_of_string_opt v with
-           | Some n -> o := { !o with Cpuify.opt_budget = n }
-           | None -> err := Some (Printf.sprintf "bad budget %S" v)
-         end
-         | _ -> err := Some (Printf.sprintf "unknown option %S" k)));
-  match !err with Some e -> Error e | None -> Ok !o
+  parse_fields s Cpuify.default_options (fun o k v ->
+      let bool set =
+        match bool_of_string_opt v with
+        | Some b -> Ok (set b)
+        | None -> Error (Printf.sprintf "bad boolean %S for %s" v k)
+      in
+      match k with
+      | "mincut" -> bool (fun b -> { o with Cpuify.opt_mincut = b })
+      | "barrier-elim" -> bool (fun b -> { o with Cpuify.opt_barrier_elim = b })
+      | "mem2reg" -> bool (fun b -> { o with Cpuify.opt_mem2reg = b })
+      | "licm" -> bool (fun b -> { o with Cpuify.opt_licm = b })
+      | "budget" ->
+        Result.map (fun n -> { o with Cpuify.opt_budget = n }) (int_field k v)
+      | _ -> unknown_field k)
 
 let opt_int_to_string = function None -> "-" | Some n -> string_of_int n
 
-let opt_int_of_string (k : string) (v : string) :
-  (int option, string) result =
-  if v = "-" then Ok None
-  else begin
-    match int_of_string_opt v with
-    | Some n -> Ok (Some n)
-    | None -> Error (Printf.sprintf "bad integer %S for %s" v k)
-  end
-
+(* Sizes are ';'-separated: ',' already separates the fields. *)
 let runtime_to_string (r : runtime_cfg) : string =
-  Printf.sprintf "exec=%s,domains=%d,schedule=%s,chunk=%s,seed=%s,timeout-ms=%s"
+  Printf.sprintf
+    "exec=%s,domains=%d,schedule=%s,chunk=%s,seed=%s,timeout-ms=%s,entry=%s,\
+     sizes=%s,recipe=%s"
     r.rexec r.rdomains r.rschedule
     (opt_int_to_string r.rchunk)
     (opt_int_to_string r.rseed)
     (opt_int_to_string r.rtimeout_ms)
+    (Option.value r.rentry ~default:"-")
+    (String.concat ";" (List.map string_of_int r.rsizes))
+    r.rrecipe
 
 let runtime_of_string (s : string) : (runtime_cfg, string) result =
-  let r =
-    ref
-      { rexec = "interp"
-      ; rdomains = 1
-      ; rschedule = "static"
-      ; rchunk = None
-      ; rseed = None
-      ; rtimeout_ms = None
-      }
+  let init =
+    { rexec = "interp"
+    ; rdomains = 1
+    ; rschedule = "static"
+    ; rchunk = None
+    ; rseed = None
+    ; rtimeout_ms = None
+    ; rentry = None
+    ; rsizes = []
+    ; rrecipe = "inner-serial"
+    }
   in
-  let err = ref None in
-  String.split_on_char ',' s
-  |> List.iter (fun kv ->
-      match String.index_opt kv '=' with
-      | None -> err := Some (Printf.sprintf "bad runtime field %S" kv)
-      | Some i ->
-        let k = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let opt setter =
-          match opt_int_of_string k v with
-          | Ok o -> r := setter !r o
-          | Error e -> err := Some e
-        in
-        (match k with
-         | "exec" -> r := { !r with rexec = v }
-         | "schedule" -> r := { !r with rschedule = v }
-         | "domains" -> begin
-           match int_of_string_opt v with
-           | Some n -> r := { !r with rdomains = n }
-           | None -> err := Some (Printf.sprintf "bad domains %S" v)
-         end
-         | "chunk" -> opt (fun r o -> { r with rchunk = o })
-         | "seed" -> opt (fun r o -> { r with rseed = o })
-         | "timeout-ms" -> opt (fun r o -> { r with rtimeout_ms = o })
-         | _ -> err := Some (Printf.sprintf "unknown runtime field %S" k)));
-  match !err with Some e -> Error e | None -> Ok !r
+  parse_fields s init (fun r k v ->
+      let opt set = Result.map set (opt_int_field k v) in
+      match k with
+      | "exec" -> Ok { r with rexec = v }
+      | "schedule" -> Ok { r with rschedule = v }
+      | "domains" ->
+        Result.map (fun n -> { r with rdomains = n }) (int_field k v)
+      | "chunk" -> opt (fun o -> { r with rchunk = o })
+      | "seed" -> opt (fun o -> { r with rseed = o })
+      | "timeout-ms" -> opt (fun o -> { r with rtimeout_ms = o })
+      | "entry" -> Ok { r with rentry = (if v = "-" then None else Some v) }
+      | "sizes" ->
+        let ns = if v = "" then [] else String.split_on_char ';' v in
+        let ns = List.map int_of_string_opt ns in
+        if List.mem None ns then Error (Printf.sprintf "bad sizes %S" v)
+        else Ok { r with rsizes = List.filter_map Fun.id ns }
+      | "recipe" -> Ok { r with rrecipe = v }
+      | _ -> unknown_field k)
 
 let serve_to_string (s : serve_cfg) : string =
   Printf.sprintf "duration-ms=%d,retries=%d,queue-depth=%d" s.sduration_ms
     s.sretries s.squeue_depth
 
 let serve_of_string (str : string) : (serve_cfg, string) result =
-  let s = ref { sduration_ms = 0; sretries = 0; squeue_depth = 0 } in
-  let err = ref None in
-  String.split_on_char ',' str
-  |> List.iter (fun kv ->
-      match String.index_opt kv '=' with
-      | None -> err := Some (Printf.sprintf "bad serve field %S" kv)
-      | Some i ->
-        let k = String.sub kv 0 i in
-        let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-        let int setter =
-          match int_of_string_opt v with
-          | Some n -> s := setter !s n
-          | None -> err := Some (Printf.sprintf "bad integer %S for %s" v k)
-        in
-        (match k with
-         | "duration-ms" -> int (fun s n -> { s with sduration_ms = n })
-         | "retries" -> int (fun s n -> { s with sretries = n })
-         | "queue-depth" -> int (fun s n -> { s with squeue_depth = n })
-         | _ -> err := Some (Printf.sprintf "unknown serve field %S" k)));
-  match !err with Some e -> Error e | None -> Ok !s
+  parse_fields str { sduration_ms = 0; sretries = 0; squeue_depth = 0 }
+    (fun s k v ->
+      let int set = Result.map set (int_field k v) in
+      match k with
+      | "duration-ms" -> int (fun n -> { s with sduration_ms = n })
+      | "retries" -> int (fun n -> { s with sretries = n })
+      | "queue-depth" -> int (fun n -> { s with squeue_depth = n })
+      | _ -> unknown_field k)
 
 let to_string (b : t) : string =
   let buf = Buffer.create 4096 in

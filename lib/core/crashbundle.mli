@@ -4,14 +4,15 @@
 
     A bundle records the failing stage and degradation-ladder rung, the
     exception and backtrace, the pipeline options and complete fault
-    plan, a CLI repro line, the original source and the pre-stage IR
-    dump.  The pipeline is deterministic, so re-running the embedded
-    source under the recorded options and fault plan reproduces the
-    failure. *)
+    plan, a CLI repro line (for humans only), the original source and
+    the pre-stage IR dump.  The pipeline is deterministic, so re-running
+    the embedded source under the recorded options and fault plan
+    reproduces the failure. *)
 
 (** Runtime-side configuration, so runtime and fuzz-oracle failures
-    replay under the exact execution setup that produced them (plain
-    strings/ints: Core does not depend on Runtime). *)
+    replay under the exact execution setup that produced them: what
+    was run and how (plain strings/ints: Core does not depend on
+    Runtime). *)
 type runtime_cfg =
   { rexec : string (** ["interp"] or ["parallel"] *)
   ; rdomains : int
@@ -19,6 +20,9 @@ type runtime_cfg =
   ; rchunk : int option
   ; rseed : int option (** fuzz generator seed, when applicable *)
   ; rtimeout_ms : int option
+  ; rentry : string option (** the function that was run *)
+  ; rsizes : int list (** its integer arguments ([--size]) *)
+  ; rrecipe : string (** the [--cpuify] recipe name *)
   }
 
 (** Serving-side job context: wall-clock of the failing attempt,
@@ -36,7 +40,7 @@ type t =
   ; rung : string (** ladder rung being attempted when it failed *)
   ; exn_text : string
   ; backtrace : string
-  ; repro : string (** CLI line that led here *)
+  ; repro : string (** CLI line that led here, for humans *)
   ; options : Cpuify.options
   ; faults : Fault.plan
   ; runtime : runtime_cfg option
@@ -47,10 +51,10 @@ type t =
   ; ir_before : string (** pre-stage IR dump *)
   }
 
-(** Serialize in format v3, the only format {!of_string} reads. *)
+(** Serialize in format v4, the only format {!of_string} reads. *)
 val to_string : t -> string
 
-(** Parse a v3 bundle; any other magic line (older formats included) is
+(** Parse a v4 bundle; any other magic line (older formats included) is
     an [Error]. *)
 val of_string : string -> (t, string) result
 

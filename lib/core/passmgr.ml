@@ -290,11 +290,6 @@ let recipes =
   ; ("no-opt", No_opt)
   ]
 
-let recipe_of_string (s : string) : recipe =
-  match List.assoc_opt s recipes with
-  | Some r -> r
-  | None -> Optimized Omp_lower.default_options
-
 let lower ?options ?faults ?crash_dir ?source ?repro (recipe : recipe)
     (m : Op.op) : (report, report * string) result =
   let clean =

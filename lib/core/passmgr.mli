@@ -86,10 +86,6 @@ type recipe =
     ["no-opt"]. *)
 val recipes : (string * recipe) list
 
-(** The recipe named [s]; an unknown name is ["inner-serial"], the
-    [--cpuify] default. *)
-val recipe_of_string : string -> recipe
-
 (** The whole [-cuda-lower] lowering, shared by the driver, the compile
     daemon, [--replay] and the MocCUDA kernel manager: the recipe's
     barrier lowering, then {!Omp_lower.run} (with the default options

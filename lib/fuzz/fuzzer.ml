@@ -44,6 +44,9 @@ let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
         ; rchunk = None
         ; rseed = Some f.fseed
         ; rtimeout_ms = Some timeout_ms
+        ; rentry = Some Oracle.entry
+        ; rsizes = []
+        ; rrecipe = "inner-serial"
         }
   ; serve = None
   ; source = f.freduced

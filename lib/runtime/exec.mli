@@ -113,7 +113,7 @@ val compile : Op.op -> string -> compiled
     [schedule] (default [Static]) picks the worksharing policy, and
     [chunk] the batch size of each dynamic/guided atomic grab (see
     {!Schedule.next}).  [team_reuse] (default true) keeps the team
-    state (frames, barrier) and the process-wide domain pool across
+    state (frames, barrier) and the calling domain's cached pool across
     launches; [false] rebuilds both per launch (the [--no-team-reuse]
     ablation — visible as nonzero {!stats.frames_allocated} on every
     run).  [fault] injects a {!fault} into the last rank of every team

@@ -57,6 +57,17 @@ let worker_loop (w : worker) : unit =
     end
   done
 
+let release_pool (t : t) : unit =
+  Array.iter
+    (fun w ->
+      Mutex.lock w.m;
+      w.stop <- true;
+      Condition.broadcast w.cv;
+      Mutex.unlock w.m)
+    t.workers;
+  Array.iter Domain.join t.domains;
+  t.domains <- [||]
+
 let create ~cached size : t =
   if size < 1 then invalid_arg "Pool.get: domains must be >= 1";
   let workers =
@@ -71,25 +82,21 @@ let create ~cached size : t =
         ; stop = false
         })
   in
-  let domains =
-    Array.map
-      (fun w ->
-        Atomic.incr spawns;
-        Domain.spawn (fun () -> worker_loop w))
-      workers
-  in
-  { size; workers; domains; cached }
-
-let release_pool (t : t) : unit =
-  Array.iter
-    (fun w ->
-      Mutex.lock w.m;
-      w.stop <- true;
-      Condition.broadcast w.cv;
-      Mutex.unlock w.m)
-    t.workers;
-  Array.iter Domain.join t.domains;
-  t.domains <- [||]
+  let t = { size; workers; domains = [||]; cached } in
+  (try
+     Array.iter
+       (fun w ->
+         Atomic.incr spawns;
+         let d = Domain.spawn (fun () -> worker_loop w) in
+         t.domains <- Array.append t.domains [| d |])
+       workers
+   with e ->
+     (* Domain.spawn fails once the process holds OCaml's maximum of
+        live domains: stop the part of the team already spawned rather
+        than leave it parked forever *)
+     release_pool t;
+     raise e);
+  t
 
 (* Fault-wall teardown.  [release_pool] joins every worker, which is
    correct for a healthy pool but blocks forever if a worker is wedged
@@ -121,36 +128,18 @@ let shutdown (t : t) : int =
 (* The cached pool is DOMAIN-LOCAL: each domain that launches kernels
    (the CLI's main domain, or one of the compile service's executor
    lanes) owns its own persistent team.  This is what lets the serving
-   tier run N executors concurrently — a poisoned or rebuilt pool in
+   tier run N executors concurrently — a poisoned or torn-down pool in
    one lane never stalls or steals the team of another. *)
 let cached_pool : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let shutdown_cached () =
+let shutdown_cached () : int =
   let cell = Domain.DLS.get cached_pool in
   match !cell with
-  | None -> ()
+  | None -> 0
   | Some p ->
     cell := None;
-    ignore (shutdown p)
-
-(* Tear down the calling domain's cached pool (tolerating wedged
-   workers) and build a fresh one of the given size: the job fault wall
-   calls this after any launch failure that may have left the team
-   poisoned or a rank parked, so the next job starts from known-good
-   domains. *)
-let rebuild ~(domains : int) : t * int =
-  let cell = Domain.DLS.get cached_pool in
-  let leaked =
-    match !cell with
-    | None -> 0
-    | Some p ->
-      cell := None;
-      shutdown p
-  in
-  let p = create ~cached:true domains in
-  cell := Some p;
-  (p, leaked)
+    shutdown p
 
 let get ~domains ~reuse : t =
   if reuse then begin

@@ -11,7 +11,7 @@
     true (creating or resizing it as needed) — teams persist across
     kernel launches.  The cache is domain-local, so each of the compile
     service's executor lanes owns an independent pool and a poisoned or
-    rebuilt team in one lane never touches another; a single-domain
+    torn-down team in one lane never touches another; a single-domain
     process (the one-shot CLI) sees exactly the old process-wide
     behavior.  With [reuse:false] a fresh pool is created and must be
     {!release}d after the launch; this deliberately pays the spawn cost
@@ -51,14 +51,9 @@ val release : t -> unit
     is safe to call from a supervisor after a failed launch. *)
 val shutdown : t -> int
 
-(** Stop the calling domain's cached pool, if any, via {!shutdown}.
-    Executor lanes call this as they exit so their teams don't outlive
-    them; a wedged lane's pool is simply leaked with the lane. *)
-val shutdown_cached : unit -> unit
-
-(** [rebuild ~domains] tears down the calling domain's cached pool with
-    {!shutdown} and creates a fresh cached pool of [domains] threads,
-    returning it plus the number of worker domains the teardown had to
-    leak.  The job fault wall calls this after any launch failure so
-    the next job runs on known-good domains. *)
-val rebuild : domains:int -> t * int
+(** Stop the calling domain's cached pool, if any, via {!shutdown},
+    and return the number of worker domains it had to leak.  After a
+    failed launch the CLI and the job fault wall call this so the next
+    launch builds a fresh team through {!get}; executor lanes call it
+    as they exit so their teams don't outlive them. *)
+val shutdown_cached : unit -> int

@@ -3,15 +3,8 @@ type policy =
   | Dynamic
   | Guided
 
-let to_string = function
-  | Static -> "static"
-  | Dynamic -> "dynamic"
-  | Guided -> "guided"
-
-let of_string = function
-  | "dynamic" -> Dynamic
-  | "guided" -> Guided
-  | _ -> Static
+let policies = [ ("static", Static); ("dynamic", Dynamic); ("guided", Guided) ]
+let to_string p = fst (List.find (fun (_, q) -> q = p) policies)
 
 (* Must match the serial interpreter's partition exactly: the
    differential tests compare bitwise checksums, and for the (racy but

@@ -16,11 +16,10 @@ type policy =
   | Dynamic
   | Guided
 
-val to_string : policy -> string
+(** The [--schedule] names of the policies. *)
+val policies : (string * policy) list
 
-(** The policy {!to_string} names; any other name is [Static], the
-    default schedule. *)
-val of_string : string -> policy
+val to_string : policy -> string
 
 (** [static_chunk ~rank ~size ~n] is the contiguous [lo, hi) range of
     rank [rank] in a team of [size] over [n] iterations.  Delegates to

@@ -31,10 +31,6 @@ type cls =
   | Transient
   | Deterministic
 
-let cls_to_string = function
-  | Transient -> "transient"
-  | Deterministic -> "deterministic"
-
 (* [retryable p cls ~attempt] — may attempt [attempt + 1] be made?
    [attempt] counts completed failed attempts (1 = the first failure). *)
 let retryable (p : policy) (cls : cls) ~(attempt : int) : bool =

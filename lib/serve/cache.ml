@@ -1,17 +1,16 @@
 (* Content-addressed artifact cache for the compile service.
 
-   Two tables: [arts] stores artifact payloads keyed by the MD5 digest
-   of their own bytes (content addressing), and [index] maps a job key —
-   the digest of source + flags — to the artifact digest holding that
-   job's result.  A lookup re-hashes the payload and compares it to the
-   digest it is stored under, so a corrupted artifact (bit rot, or the
+   One table maps a job key — the digest of source + flags — to the
+   artifact payload together with the MD5 digest of the payload's own
+   bytes (its content address).  A lookup re-hashes the payload and
+   compares it to that digest, so a corrupted artifact (bit rot, or the
    serve:corrupt fault injected by tests) can never be served: the
    entry is quarantined, the corruption is counted, and the job
    re-executes as a cache miss.  This is the property the fault matrix
    leans on — one poisoned job must not corrupt what other jobs read.
 
-   Durability is a write-ahead journal (cache-journal.v2): every
-   [store] with a directory attached appends one digest-checked record
+   Durability is a write-ahead journal (cache-journal.v2, a {!Wal} log):
+   every [store] with a directory attached appends one sealed record
    and fsyncs before returning, so a SIGKILL at any point loses at most
    the record being written — replay after a hard crash recovers every
    completed store.  Replay is truncation tolerant (a torn final record
@@ -38,22 +37,21 @@ type stats =
   }
 
 type t =
-  { arts : (string, string) Hashtbl.t (* artifact digest -> payload *)
-  ; index : (string, string) Hashtbl.t (* job key -> artifact digest *)
+  { tbl : (string, string * string) Hashtbl.t
+    (* job key -> (payload digest, payload) *)
   ; mutable hits : int
   ; mutable misses : int
   ; mutable corrupt_dropped : int
   ; mutable quarantined : int
   ; mutable journal_skipped : int
-  ; mutable wal : Unix.file_descr option (* open journal, append mode *)
+  ; mutable wal : Wal.t option (* open journal, append mode *)
   ; mutable dir : string option (* attached persistence directory *)
   ; mutable gen : int (* journal generation (bumped by compaction) *)
   ; m : Mutex.t (* the daemon reads from several domains *)
   }
 
 let create () : t =
-  { arts = Hashtbl.create 64
-  ; index = Hashtbl.create 64
+  { tbl = Hashtbl.create 64
   ; hits = 0
   ; misses = 0
   ; corrupt_dropped = 0
@@ -65,12 +63,10 @@ let create () : t =
   ; m = Mutex.create ()
   }
 
-let digest (s : string) : string = Digest.to_hex (Digest.string s)
-
 (* The job key: source and flags hashed together.  Two jobs with the
    same key are the same computation, so they may share an artifact. *)
 let key ~(source : string) ~(flags : string) : string =
-  digest (Printf.sprintf "%d:%s|%s" (String.length source) source flags)
+  Wal.digest (Printf.sprintf "%d:%s|%s" (String.length source) source flags)
 
 let locked (t : t) (f : unit -> 'a) : 'a =
   Mutex.lock t.m;
@@ -85,48 +81,23 @@ let journal_tmp (dir : string) : string = journal_file dir ^ ".tmp"
 let journal_magic = "polygeist-serve cache journal v2"
 let quarantine_dir (dir : string) : string = Filename.concat dir "quarantine"
 
-let rec mkdir_p (dir : string) : unit =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
+(* A journal record body: "A <key> <digest> <escaped-payload>".  Key and
+   digest are hex (no spaces); the escaped payload may contain spaces,
+   so the parser takes the first three fields and joins the rest back
+   together. *)
+let record_body (k : string) (d : string) (payload : string) : string =
+  Printf.sprintf "A %s %s %s" k d (String.escaped payload)
 
-let write_all (fd : Unix.file_descr) (s : string) : unit =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-(* A journal record: "A <key> <digest> <escaped-payload> <crc>".  The
-   crc is the digest of everything before it, so a torn or bit-flipped
-   record fails closed at replay.  Key/digest/crc are hex (no spaces);
-   the escaped payload may contain spaces, so the parser takes the
-   first two and last fields and joins the middle back together. *)
-let record_body (k : string) (d : string) (escaped : string) : string =
-  Printf.sprintf "A %s %s %s" k d escaped
-
-let record_line (k : string) (d : string) (payload : string) : string =
-  let body = record_body k d (String.escaped payload) in
-  Printf.sprintf "%s %s\n" body (digest body)
-
-let parse_record (line : string) : (string * string * string) option =
-  match String.split_on_char ' ' line with
-  | "A" :: k :: d :: (_ :: _ as rest) -> begin
-    (* last field is the crc; the middle fields are the payload *)
-    let n = List.length rest in
-    let crc = List.nth rest (n - 1) in
-    let escaped = String.concat " " (List.filteri (fun i _ -> i < n - 1) rest) in
-    if digest (record_body k d escaped) <> crc then None
-    else
-      match Scanf.unescaped escaped with
-      | exception (Scanf.Scan_failure _ | Failure _) -> None
-      | payload -> if digest payload = d then Some (k, d, payload) else None
+let parse_record (body : string) : (string * string * string) option =
+  match String.split_on_char ' ' body with
+  | "A" :: k :: d :: rest -> begin
+    match Scanf.unescaped (String.concat " " rest) with
+    | exception (Scanf.Scan_failure _ | Failure _) -> None
+    | payload -> if Wal.digest payload = d then Some (k, d, payload) else None
   end
   | _ -> None
 
-let header_line (gen : int) : string =
-  Printf.sprintf "%s gen=%d\n" journal_magic gen
+let header (gen : int) : string = Printf.sprintf "%s gen=%d" journal_magic gen
 
 let parse_header (line : string) : int option =
   let prefix = journal_magic ^ " gen=" in
@@ -152,23 +123,18 @@ let quarantine (t : t) (d : string) (payload : string) : bool =
   | Some dir -> begin
     try
       let qdir = quarantine_dir dir in
-      mkdir_p qdir;
+      Wal.mkdir_p qdir;
       Out_channel.with_open_bin (Filename.concat qdir d) (fun oc ->
           Out_channel.output_string oc payload);
       true
     with Sys_error _ -> false
   end
 
-(* Caller holds the lock.  Drop [k -> d] as corrupt, quarantining the
-   payload if one is on hand. *)
-let drop_corrupt (t : t) (k : string) (d : string) (payload : string option) :
-  unit =
-  Hashtbl.remove t.index k;
-  (match payload with
-   | None -> ()
-   | Some p ->
-     Hashtbl.remove t.arts d;
-     if quarantine t d p then t.quarantined <- t.quarantined + 1);
+(* Caller holds the lock.  Drop [k] as corrupt, quarantining its
+   payload. *)
+let drop_corrupt (t : t) (k : string) (d : string) (payload : string) : unit =
+  Hashtbl.remove t.tbl k;
+  if quarantine t d payload then t.quarantined <- t.quarantined + 1;
   t.corrupt_dropped <- t.corrupt_dropped + 1;
   t.misses <- t.misses + 1
 
@@ -176,65 +142,43 @@ let drop_corrupt (t : t) (k : string) (d : string) (payload : string option) :
 
 let find (t : t) (k : string) : string option =
   locked t (fun () ->
-      match Hashtbl.find_opt t.index k with
+      match Hashtbl.find_opt t.tbl k with
       | None ->
         t.misses <- t.misses + 1;
         None
-      | Some d -> begin
-        match Hashtbl.find_opt t.arts d with
-        | None ->
-          (* index points at a missing artifact: treat as corruption *)
-          drop_corrupt t k d None;
-          None
-        | Some payload ->
-          if digest payload = d then begin
-            t.hits <- t.hits + 1;
-            Some payload
-          end
-          else begin
-            (* content no longer matches its address: never serve it *)
-            drop_corrupt t k d (Some payload);
-            None
-          end
-      end)
+      | Some (d, payload) when Wal.digest payload = d ->
+        t.hits <- t.hits + 1;
+        Some payload
+      | Some (d, payload) ->
+        (* content no longer matches its address: never serve it *)
+        drop_corrupt t k d payload;
+        None)
 
-(* Caller holds the lock.  Append one record to the open journal and
-   fsync so the store is durable before the caller's reply goes out.
-   Journal write failures (disk full, fd gone) degrade to an in-memory
-   cache rather than failing the store. *)
-let wal_append (t : t) (k : string) (d : string) (payload : string) : unit =
-  match t.wal with
-  | None -> ()
-  | Some fd -> (
-    try
-      write_all fd (record_line k d payload);
-      Unix.fsync fd
-    with Unix.Unix_error _ | Sys_error _ -> ())
-
+(* The journal append is durable before the caller's reply goes out; a
+   failed append degrades to an in-memory entry (see {!Wal.append}). *)
 let store (t : t) (k : string) (payload : string) : unit =
   locked t (fun () ->
-      let d = digest payload in
-      Hashtbl.replace t.arts d payload;
-      Hashtbl.replace t.index k d;
-      wal_append t k d payload)
+      let d = Wal.digest payload in
+      Hashtbl.replace t.tbl k (d, payload);
+      Option.iter (fun w -> Wal.append w (record_body k d payload)) t.wal)
 
-(* Test hook for the serve:corrupt fault matrix: flip one byte of the
-   artifact a key points at, in place, WITHOUT updating its address.
-   Returns false when the key has no artifact. *)
+(* Bit rot, simulated: the payload with its first byte flipped (the
+   serve:corrupt fault and the [corrupt] hook). *)
+let rot (payload : string) : string =
+  String.mapi
+    (fun i c -> if i = 0 then Char.chr (Char.code c lxor 0x40) else c)
+    payload
+
+(* Test hook for the serve:corrupt fault matrix: rot the artifact a key
+   points at, in place, WITHOUT updating its address.  Returns false
+   when the key has no artifact. *)
 let corrupt (t : t) (k : string) : bool =
   locked t (fun () ->
-      match Hashtbl.find_opt t.index k with
-      | None -> false
-      | Some d -> begin
-        match Hashtbl.find_opt t.arts d with
-        | None -> false
-        | Some payload when payload = "" -> false
-        | Some payload ->
-          let b = Bytes.of_string payload in
-          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-          Hashtbl.replace t.arts d (Bytes.to_string b);
-          true
-      end)
+      match Hashtbl.find_opt t.tbl k with
+      | None | Some (_, "") -> false
+      | Some (d, payload) ->
+        Hashtbl.replace t.tbl k (d, rot payload);
+        true)
 
 (* Re-verify every artifact against its address; corrupt ones are
    dropped (and quarantined).  Returns how many were dropped.  The
@@ -244,11 +188,9 @@ let verify_all (t : t) : int =
   locked t (fun () ->
       let bad =
         Hashtbl.fold
-          (fun k d acc ->
-            match Hashtbl.find_opt t.arts d with
-            | None -> (k, d, None) :: acc
-            | Some p -> if digest p = d then acc else (k, d, Some p) :: acc)
-          t.index []
+          (fun k (d, p) acc ->
+            if Wal.digest p = d then acc else (k, d, p) :: acc)
+          t.tbl []
       in
       List.iter
         (fun (k, d, p) ->
@@ -260,7 +202,7 @@ let verify_all (t : t) : int =
 
 let stats (t : t) : stats =
   locked t (fun () ->
-      { entries = Hashtbl.length t.index
+      { entries = Hashtbl.length t.tbl
       ; hits = t.hits
       ; misses = t.misses
       ; corrupt_dropped = t.corrupt_dropped
@@ -270,62 +212,40 @@ let stats (t : t) : stats =
 
 (* --- journal replay / compaction --- *)
 
-(* Replay a journal file into the tables.  Returns (gen, loaded,
+(* Replay a journal file into the table.  Returns (gen, loaded,
    skipped); a missing or headerless file is (None, 0, 0).  Bad records
    — torn tail after a crash, bit flips, duplicate keys resolved by
    replace — never abort the replay. *)
 let replay_file (t : t) (path : string) : int option * int * int =
-  match In_channel.with_open_bin path In_channel.input_all with
-  | exception Sys_error _ -> (None, 0, 0)
-  | text -> begin
-    match String.split_on_char '\n' text with
-    | header :: lines -> begin
-      match parse_header header with
-      | None -> (None, 0, 0)
-      | Some gen ->
-        let loaded = ref 0 and skipped = ref 0 in
-        List.iter
-          (fun line ->
-            if line <> "" then
-              match parse_record line with
-              | Some (k, d, payload) ->
-                locked t (fun () ->
-                    Hashtbl.replace t.arts d payload;
-                    Hashtbl.replace t.index k d);
-                incr loaded
-              | None -> incr skipped)
-          lines;
-        (Some gen, !loaded, !skipped)
-    end
-    | [] -> (None, 0, 0)
+  match Wal.read path parse_record with
+  | None -> (None, 0, 0)
+  | Some (first, records, skipped) -> begin
+    match parse_header first with
+    | None -> (None, 0, 0)
+    | Some gen ->
+      locked t (fun () ->
+          List.iter (fun (k, d, p) -> Hashtbl.replace t.tbl k (d, p)) records);
+      (Some gen, List.length records, skipped)
   end
 
 (* Open (creating if needed) the journal for appending and remember the
    attachment, so subsequent [store]s are durable. *)
 let open_wal (t : t) ~(dir : string) ~(gen : int) : unit =
-  (match t.wal with
-   | Some fd -> ( try Unix.close fd with Unix.Unix_error _ -> ())
-   | None -> ());
+  Option.iter Wal.close t.wal;
   t.dir <- Some dir;
   t.gen <- gen;
   let path = journal_file dir in
-  let fresh = not (Sys.file_exists path) in
-  match Unix.openfile path [ O_WRONLY; O_CREAT; O_APPEND ] 0o644 with
-  | exception Unix.Unix_error _ -> t.wal <- None
-  | fd ->
-    if fresh then (
-      try
-        write_all fd (header_line gen);
-        Unix.fsync fd
-      with Unix.Unix_error _ | Sys_error _ -> ());
-    t.wal <- Some fd
+  t.wal <-
+    (match Wal.open_ ~truncate:false ~header:(header gen) path with
+     | w -> Some w
+     | exception (Unix.Unix_error _ | Sys_error _) -> None)
 
 (* Load persisted state from [dir] and attach the journal for appends:
    finish an interrupted compaction if the temp journal's generation is
    newer than the main one's, then replay the journal (none yet: start
    a fresh generation-0 one).  Returns the number of entries loaded. *)
 let load (t : t) ~(dir : string) : int =
-  mkdir_p dir;
+  Wal.mkdir_p dir;
   let main = journal_file dir and tmp = journal_tmp dir in
   (match (journal_gen tmp, journal_gen main) with
    | Some tg, Some mg when tg > mg ->
@@ -348,23 +268,21 @@ let load (t : t) ~(dir : string) : int =
    journal path. *)
 let flush (t : t) ~(dir : string) : (string, string) result =
   try
-    mkdir_p dir;
+    Wal.mkdir_p dir;
     let tmp = journal_tmp dir in
     let next_gen = (if t.dir = Some dir then t.gen else 0) + 1 in
     let b = Buffer.create 4096 in
-    Buffer.add_string b (header_line next_gen);
+    Buffer.add_string b (header next_gen ^ "\n");
     locked t (fun () ->
         Hashtbl.iter
-          (fun k d ->
-            match Hashtbl.find_opt t.arts d with
-            | None -> ()
-            | Some payload -> Buffer.add_string b (record_line k d payload))
-          t.index);
+          (fun k (d, payload) ->
+            Buffer.add_string b (Wal.seal (record_body k d payload)))
+          t.tbl);
     let fd = Unix.openfile tmp [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
     Fun.protect
       ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
       (fun () ->
-        write_all fd (Buffer.contents b);
+        Proto.write_all fd (Buffer.contents b);
         Unix.fsync fd);
     Sys.rename tmp (journal_file dir);
     (* appends after a compaction must land in the new journal *)
@@ -377,8 +295,5 @@ let flush (t : t) ~(dir : string) : (string, string) result =
       (Printf.sprintf "cannot compact cache journal: %s" (Unix.error_message e))
 
 let close (t : t) : unit =
-  match t.wal with
-  | None -> ()
-  | Some fd ->
-    t.wal <- None;
-    (try Unix.close fd with Unix.Unix_error _ -> ())
+  Option.iter Wal.close t.wal;
+  t.wal <- None

@@ -10,125 +10,72 @@
    them — the accepted-implies-reported half of the serving tier's
    delivery guarantee, extended across process death.
 
-   Same hardening as the cache journal: every record carries a digest
-   of its own fields, so a torn tail or bit flip is skipped (and
-   counted), never misread.  [open_] truncates, so recovery must be
-   read before the new journal is opened. *)
+   The journal is a {!Wal} log, like the cache journal: every record
+   is sealed, so a torn tail or bit flip is skipped (and counted),
+   never misread.  [open_] truncates, so recovery must be read before
+   the new journal is opened. *)
 
 let file (dir : string) : string = Filename.concat dir "inflight.v1"
 let magic = "polygeist-serve inflight journal v1"
 
-type t =
-  { fd : Unix.file_descr
-  ; m : Mutex.t (* admissions and completions race across domains *)
-  }
+type t = Wal.t
 
 type recovery =
   { lost : (int * string) list (* ticket id, job digest: S without E *)
   ; completed : int (* S records with a matching E *)
-  ; skipped : int (* records dropped by the digest check *)
+  ; skipped : int (* records dropped by the seal check *)
   }
 
-let digest (s : string) : string = Digest.to_hex (Digest.string s)
-
-let write_all (fd : Unix.file_descr) (s : string) : unit =
-  let n = String.length s in
-  let off = ref 0 in
-  while !off < n do
-    off := !off + Unix.write_substring fd s !off (n - !off)
-  done
-
-(* Records: "S <id> <digest> <crc>" / "E <id> <status> <crc>" where crc
-   covers the preceding fields. *)
-let line3 (tag : string) (id : int) (v : string) : string =
-  let body = Printf.sprintf "%s %d %s" tag id v in
-  Printf.sprintf "%s %s\n" body (digest body)
-
-let parse (line : string) : [ `S of int * string | `E of int * string ] option
+(* Record bodies: "S <id> <digest>" / "E <id> <status>". *)
+let parse (body : string) : [ `S of int * string | `E of int * string ] option
   =
-  match String.split_on_char ' ' line with
-  | [ tag; id; v; crc ] when tag = "S" || tag = "E" -> begin
-    match int_of_string_opt id with
-    | None -> None
-    | Some id ->
-      if digest (Printf.sprintf "%s %d %s" tag id v) <> crc then None
-      else if tag = "S" then Some (`S (id, v))
-      else Some (`E (id, v))
+  match String.split_on_char ' ' body with
+  | [ tag; id; v ] -> begin
+    match (tag, int_of_string_opt id) with
+    | "S", Some id -> Some (`S (id, v))
+    | "E", Some id -> Some (`E (id, v))
+    | _ -> None
   end
   | _ -> None
-
-let rec mkdir_p (dir : string) : unit =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
 
 (* Read the journal a previous process left behind.  Call BEFORE
    [open_]: opening truncates. *)
 let recover ~(dir : string) : recovery =
-  match In_channel.with_open_bin (file dir) In_channel.input_all with
-  | exception Sys_error _ -> { lost = []; completed = 0; skipped = 0 }
-  | text -> begin
-    match String.split_on_char '\n' text with
-    | m :: lines when m = magic ->
-      let started : (int, string) Hashtbl.t = Hashtbl.create 64 in
-      let ended : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-      let skipped = ref 0 in
-      List.iter
-        (fun line ->
-          if line <> "" then
-            match parse line with
-            | Some (`S (id, d)) -> Hashtbl.replace started id d
-            | Some (`E (id, _)) -> Hashtbl.replace ended id ()
-            | None -> incr skipped)
-        lines;
-      let lost =
-        Hashtbl.fold
-          (fun id d acc ->
-            if Hashtbl.mem ended id then acc else (id, d) :: acc)
-          started []
-        |> List.sort compare
-      in
-      { lost
-      ; completed = Hashtbl.length ended
-      ; skipped = !skipped
-      }
-    | _ -> { lost = []; completed = 0; skipped = 0 }
-  end
+  match Wal.read (file dir) parse with
+  | Some (m, records, skipped) when m = magic ->
+    let started : (int, string) Hashtbl.t = Hashtbl.create 64 in
+    let ended : (int, unit) Hashtbl.t = Hashtbl.create 64 in
+    List.iter
+      (function
+        | `S (id, d) -> Hashtbl.replace started id d
+        | `E (id, _) -> Hashtbl.replace ended id ())
+      records;
+    let lost =
+      Hashtbl.fold
+        (fun id d acc -> if Hashtbl.mem ended id then acc else (id, d) :: acc)
+        started []
+      |> List.sort compare
+    in
+    { lost; completed = Hashtbl.length ended; skipped }
+  | _ -> { lost = []; completed = 0; skipped = 0 }
 
 let open_ ~(dir : string) : (t, string) result =
   try
-    mkdir_p dir;
-    let fd =
-      Unix.openfile (file dir) [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644
-    in
-    write_all fd (magic ^ "\n");
-    Unix.fsync fd;
-    Ok { fd; m = Mutex.create () }
+    Wal.mkdir_p dir;
+    Ok (Wal.open_ ~truncate:true ~header:magic (file dir))
   with
   | Unix.Unix_error (e, _, _) ->
     Error (Printf.sprintf "cannot open inflight journal: %s" (Unix.error_message e))
   | Sys_error e -> Error (Printf.sprintf "cannot open inflight journal: %s" e)
 
-let append (t : t) (line : string) : unit =
-  Mutex.lock t.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock t.m)
-    (fun () ->
-      try
-        write_all t.fd line;
-        Unix.fsync t.fd
-      with Unix.Unix_error _ | Sys_error _ -> ())
-
 (* Admission: ticket [id] for the job with cache digest [digest] is now
    the daemon's responsibility. *)
 let start (t : t) ~(id : int) ~(digest : string) : unit =
-  append t (line3 "S" id digest)
+  Wal.append t (Printf.sprintf "S %d %s" id digest)
 
 (* Terminal reply handed off; [status] is a short word like "done",
    "failed", "overloaded", "wedged". *)
 let finish (t : t) ~(id : int) ~(status : string) : unit =
-  append t (line3 "E" id status)
+  Wal.append t (Printf.sprintf "E %d %s" id status)
 
-let close (t : t) : unit =
-  try Unix.close t.fd with Unix.Unix_error _ -> ()
+let close : t -> unit = Wal.close

@@ -27,10 +27,10 @@ type job =
   { source : string (* CUDA translation unit *)
   ; entry : string option (* -run entry point; None = compile only *)
   ; sizes : int list (* --size arguments *)
-  ; mode : string (* "inner-serial" | "inner-parallel" | "no-opt" *)
-  ; exec : string (* "interp" | "parallel" *)
+  ; mode : string (* a Passmgr.recipes name *)
+  ; exec : string (* an [engines] name *)
   ; domains : int
-  ; schedule : string (* "static" | "dynamic" | "guided" *)
+  ; schedule : string (* a Schedule.policies name *)
   ; faults : string (* Fault.plan syntax; "" = none *)
   }
 
@@ -44,6 +44,46 @@ let default_job =
   ; schedule = "static"
   ; faults = ""
   }
+
+(* What a [job]'s settings mean: the values the fault wall runs with.
+   [decode] is the one place a job's strings are read. *)
+type spec =
+  { recipe : Core.Passmgr.recipe
+  ; engine : [ `Interp | `Parallel ]
+  ; team : int (* [domains], range-checked *)
+  ; policy : Runtime.Schedule.policy
+  ; plan : Core.Fault.plan
+  }
+
+(* The [exec] / [--exec] names. *)
+let engines = [ ("interp", `Interp); ("parallel", `Parallel) ]
+
+(* OCaml 5.1 fails [Domain.spawn] process-wide once 128 domains are
+   live.  A team of at most 64 leaves the other half of that budget to
+   the daemon's executor lanes, monitor and responder; a team past it
+   could only ever fail to launch. *)
+let max_domains = 64
+
+let check_domains (n : int) : (int, string) result =
+  if n >= 1 && n <= max_domains then Ok n
+  else Error (Printf.sprintf "domains %d outside [1, %d]" n max_domains)
+
+let decode (j : job) : (spec, string) result =
+  let named what names v =
+    match List.assoc_opt v names with
+    | Some x -> Ok x
+    | None ->
+      Error
+        (Printf.sprintf "unknown %s %S (expected %s)" what v
+           (String.concat "|" (List.map fst names)))
+  in
+  let ( let* ) = Result.bind in
+  let* recipe = named "mode" Core.Passmgr.recipes j.mode in
+  let* engine = named "exec" engines j.exec in
+  let* policy = named "schedule" Runtime.Schedule.policies j.schedule in
+  let* team = check_domains j.domains in
+  let* plan = Core.Fault.plan_of_string j.faults in
+  Ok { recipe; engine; team; policy; plan }
 
 (* The part of [job] that, together with the source, determines the
    result — the cache key material. *)
@@ -115,32 +155,52 @@ let job_to_string (j : job) : string =
   kv b "source" j.source;
   Buffer.contents b
 
+(* An absent field takes [default_job]'s value; a present one must
+   decode. *)
 let job_of_fields (fields : (string * string) list) : (job, string) result =
-  match field fields "source" with
-  | None -> Error "job has no source field"
-  | Some source ->
-    let entry =
-      match field fields "entry" with
-      | None | Some "-" | Some "" -> None
-      | Some e -> Some e
-    in
-    let sizes =
-      match field fields "sizes" with
-      | None | Some "" -> []
-      | Some s ->
-        String.split_on_char ',' s |> List.filter_map int_of_string_opt
-    in
-    Ok
-      { source
-      ; entry
-      ; sizes
-      ; mode = Option.value ~default:default_job.mode (field fields "mode")
-      ; exec = Option.value ~default:default_job.exec (field fields "exec")
-      ; domains = field_int fields "domains" ~default:default_job.domains
-      ; schedule =
-          Option.value ~default:default_job.schedule (field fields "schedule")
-      ; faults = Option.value ~default:"" (field fields "faults")
-      }
+  let ( let* ) = Result.bind in
+  let int k v =
+    match int_of_string_opt v with
+    | Some n -> Ok n
+    | None -> Error (Printf.sprintf "invalid job: %s %S is not an integer" k v)
+  in
+  let str k default = Option.value ~default (field fields k) in
+  let* source =
+    Option.to_result ~none:"job has no source field" (field fields "source")
+  in
+  let* sizes =
+    match field fields "sizes" with
+    | None | Some "" -> Ok []
+    | Some s ->
+      List.fold_right
+        (fun v acc ->
+          let* l = acc in
+          let* n = int "sizes" v in
+          Ok (n :: l))
+        (String.split_on_char ',' s) (Ok [])
+  in
+  let* domains =
+    match field fields "domains" with
+    | None -> Ok default_job.domains
+    | Some v -> int "domains" v
+  in
+  let job =
+    { source
+    ; entry =
+        (match field fields "entry" with
+         | None | Some "-" | Some "" -> None
+         | Some e -> Some e)
+    ; sizes
+    ; mode = str "mode" default_job.mode
+    ; exec = str "exec" default_job.exec
+    ; domains
+    ; schedule = str "schedule" default_job.schedule
+    ; faults = str "faults" ""
+    }
+  in
+  match decode job with
+  | Ok _ -> Ok job
+  | Error e -> Error ("invalid job: " ^ e)
 
 (* --- request --- *)
 
@@ -154,21 +214,24 @@ let request_to_string ?(id = 0) (r : request) : string =
   | Submit j ->
     Printf.sprintf "polygeist-serve/2 submit\nid=%d\n%s" id (job_to_string j)
 
+(* A frame's head line, and the id and fields of its body. *)
+let envelope (what : string) (s : string) :
+  (string * int * (string * string) list, string) result =
+  match String.index_opt s '\n' with
+  | None -> Error ("empty " ^ what)
+  | Some i ->
+    let body = String.sub s (i + 1) (String.length s - i - 1) in
+    let fields = fields_of_string body in
+    Ok (String.sub s 0 i, field_int fields "id" ~default:0, fields)
+
 (* Returns the request together with its id. *)
 let request_of_string (s : string) : (int * request, string) result =
-  match String.index_opt s '\n' with
-  | None -> Error "empty request"
-  | Some i -> begin
-    let head = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    let fields = fields_of_string rest in
-    let id = field_int fields "id" ~default:0 in
-    match head with
-    | "polygeist-serve/2 shutdown" -> Ok (id, Shutdown)
-    | "polygeist-serve/2 submit" ->
-      Result.map (fun j -> (id, Submit j)) (job_of_fields fields)
-    | _ -> Error (Printf.sprintf "unknown request kind %S" head)
-  end
+  Result.bind (envelope "request" s) (fun (head, id, fields) ->
+      match head with
+      | "polygeist-serve/2 shutdown" -> Ok (id, Shutdown)
+      | "polygeist-serve/2 submit" ->
+        Result.map (fun j -> (id, Submit j)) (job_of_fields fields)
+      | _ -> Error (Printf.sprintf "unknown request kind %S" head))
 
 (* --- outcome (also the cache artifact payload) --- *)
 
@@ -182,8 +245,8 @@ let outcome_to_string (o : outcome) : string =
   kv b "log" o.log;
   Buffer.contents b
 
-let outcome_of_string (s : string) : (outcome, string) result =
-  let fields = fields_of_string s in
+let outcome_of_fields (fields : (string * string) list) :
+  (outcome, string) result =
   match field fields "exit" with
   | None -> Error "outcome has no exit field"
   | Some _ ->
@@ -195,6 +258,9 @@ let outcome_of_string (s : string) : (outcome, string) result =
       ; breaker = field fields "breaker" = Some "true"
       ; log = Option.value ~default:"" (field fields "log")
       }
+
+let outcome_of_string (s : string) : (outcome, string) result =
+  outcome_of_fields (fields_of_string s)
 
 (* --- response --- *)
 
@@ -215,27 +281,20 @@ let response_to_string ?(id = 0) (r : response) : string =
 
 (* Returns the echoed id and the response. *)
 let response_of_string (s : string) : (int * response, string) result =
-  match String.index_opt s '\n' with
-  | None -> Error "empty response"
-  | Some i -> begin
-    let head = String.sub s 0 i in
-    let rest = String.sub s (i + 1) (String.length s - i - 1) in
-    let fields = fields_of_string rest in
-    let id = field_int fields "id" ~default:0 in
-    match head with
-    | "polygeist-serve/2 done" ->
-      Result.map (fun o -> (id, Done o)) (outcome_of_string rest)
-    | "polygeist-serve/2 overloaded" ->
-      Ok
-        ( id
-        , Overloaded
-            { depth = field_int fields "depth" ~default:0
-            ; cap = field_int fields "cap" ~default:0
-            } )
-    | "polygeist-serve/2 rejected" ->
-      Ok (id, Rejected (Option.value ~default:"" (field fields "why")))
-    | _ -> Error (Printf.sprintf "unknown response kind %S" head)
-  end
+  Result.bind (envelope "response" s) (fun (head, id, fields) ->
+      match head with
+      | "polygeist-serve/2 done" ->
+        Result.map (fun o -> (id, Done o)) (outcome_of_fields fields)
+      | "polygeist-serve/2 overloaded" ->
+        Ok
+          ( id
+          , Overloaded
+              { depth = field_int fields "depth" ~default:0
+              ; cap = field_int fields "cap" ~default:0
+              } )
+      | "polygeist-serve/2 rejected" ->
+        Ok (id, Rejected (Option.value ~default:"" (field fields "why")))
+      | _ -> Error (Printf.sprintf "unknown response kind %S" head))
 
 (* --- framing over a file descriptor --- *)
 

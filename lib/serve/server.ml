@@ -17,13 +17,12 @@
        its own queue and runs them through {!Supervisor.run_job}.  Each
        lane owns its own {!Supervisor.t} (so circuit-breaker state
        needs no cross-domain locking) and — via the domain-local pool
-       cache — its own {!Runtime.Pool} team, so a poisoned or rebuilt
+       cache — its own {!Runtime.Pool} team, so a poisoned or torn-down
        pool in one lane never stalls another.  Jobs are routed by
        SOURCE-HASH AFFINITY: the same source always lands on the same
        lane, which keeps per-source results deterministic (the cache's
        bit-identity check relies on it) and keeps each source's breaker
-       history in one place.  [--executors 1] is bit-identical to the
-       old single-executor daemon;
+       history in one place.  [--executors 1] is a fleet of one lane;
 
      - a MONITOR domain watches every lane's heartbeat.  A lane whose
        job outlives the executor deadline (derived from the supervisor
@@ -201,15 +200,6 @@ let journal_finish (t : t) (tk : ticket) (status : string) : unit =
 let status_of (o : Proto.outcome) : string =
   if o.Proto.exit_code = 2 then "failed" else "done"
 
-let internal_failure (what : string) : Proto.outcome =
-  { Proto.exit_code = 2
-  ; checksum = "-"
-  ; cached = false
-  ; retries = 0
-  ; breaker = false
-  ; log = what
-  }
-
 (* --- executor lanes --- *)
 
 (* Lane-level fault injection (the chaos campaign's wedge lever):
@@ -217,12 +207,10 @@ let internal_failure (what : string) : Proto.outcome =
    monitor must notice; executor:raise kills the lane loop — the crash
    wall must answer the ticket and the monitor must respawn. *)
 let executor_fault (job : Proto.job) : Core.Fault.kind option =
-  match Core.Fault.plan_of_string job.Proto.faults with
-  | Error _ -> None
-  | Ok plan ->
-    List.find_map (fun (s, k) -> if s = "executor" then Some k else None) plan
-
-exception Lane_crash of string
+  match Proto.decode job with
+  | Error _ -> None (* run_job answers an invalid job *)
+  | Ok spec ->
+    Core.Fault.take (Core.Fault.pending_of_plan spec.plan) "executor"
 
 let executor_body (t : t) (lane : lane) (inc : incarnation) : unit =
   let rec loop () =
@@ -253,7 +241,7 @@ let executor_body (t : t) (lane : lane) (inc : incarnation) : unit =
         done
       | ef ->
         if ef = Some Core.Fault.Raise then
-          raise (Lane_crash "injected fault: executor:raise");
+          raise (Core.Fault.Injected "executor:raise");
         let outcome =
           (* second wall: run_job never raises by contract, but a dead
              executor would wedge every future ticket, so catch anyway *)
@@ -261,7 +249,7 @@ let executor_body (t : t) (lane : lane) (inc : incarnation) : unit =
             Supervisor.run_job lane.lsup ~cache:t.cache
               ~queue_depth:(Atomic.get t.queued) ~job_id:tk.id job
           with e ->
-            internal_failure
+            Supervisor.failure_outcome
               ("internal error: supervisor raised " ^ Printexc.to_string e)
         in
         if fulfill tk outcome then journal_finish t tk (status_of outcome);
@@ -293,48 +281,47 @@ let executor_main (t : t) (lane : lane) (inc : incarnation) : unit =
      Mutex.unlock lane.lm;
      (match cur with
       | Some (_job, tk) ->
-        let what =
-          match e with
-          | Lane_crash w -> w
-          | e -> Printexc.to_string e
+        let o =
+          Supervisor.failure_outcome
+            ("executor crashed: " ^ Supervisor.describe e)
         in
-        let o = internal_failure ("executor crashed: " ^ what) in
         if fulfill tk o then journal_finish t tk "failed"
       | None -> ()));
   (* the lane's cached pool is domain-local: tear it down with the
      incarnation so worker domains don't outlive their lane *)
-  Runtime.Pool.shutdown_cached ();
+  ignore (Runtime.Pool.shutdown_cached ());
   Atomic.set inc.exited true
 
+let incarnation () : incarnation =
+  { dead = Atomic.make false
+  ; exited = Atomic.make false
+  ; crashed = Atomic.make false
+  ; domain = None
+  }
+
 let spawn_incarnation (t : t) (lane : lane) : unit =
-  let inc =
-    { dead = Atomic.make false
-    ; exited = Atomic.make false
-    ; crashed = Atomic.make false
-    ; domain = None
-    }
-  in
+  let inc = incarnation () in
   lane.inc <- inc;
   inc.domain <- Some (Domain.spawn (fun () -> executor_main t lane inc))
 
 (* --- the monitor --- *)
 
 let wedge_outcome ~(elapsed_ms : int) : Proto.outcome =
-  internal_failure
+  Supervisor.failure_outcome
     (Printf.sprintf
-       "job failed: executor wedged: job still running after %d ms (fleet \
-        deadline); executor replaced"
+       "executor wedged: job still running after %d ms (fleet deadline); \
+        executor replaced"
        elapsed_ms)
 
-(* Declare [lane]'s incarnation wedged IF the monitor wins the
-   in-flight ticket.  Winning is the license to kill: if the job
-   completed in the race window, the executor's fulfill won, nothing
-   happens, and the next tick re-evaluates a fresh heartbeat. *)
-let kill_lane (t : t) (lane : lane) ~(job : Proto.job) ~(tk : ticket)
-    ~(elapsed_ms : int) : unit =
+(* Retire [lane]'s incarnation as wedged on [job] IF failing its
+   ticket wins: mark it dead, clear its in-flight slot, count the kill,
+   write the wedge bundle and journal the end.  Winning is the license
+   to kill: if the job completed in the race window, the executor's
+   fulfill won and nothing happens. *)
+let retire (t : t) (lane : lane) ~(job : Proto.job) ~(tk : ticket)
+    ~(elapsed_ms : int) : bool =
   if fulfill tk (wedge_outcome ~elapsed_ms) then begin
-    let inc = lane.inc in
-    Atomic.set inc.dead true;
+    Atomic.set lane.inc.dead true;
     Mutex.lock lane.lm;
     lane.current <- None;
     lane.busy_since <- 0.0;
@@ -343,8 +330,9 @@ let kill_lane (t : t) (lane : lane) ~(job : Proto.job) ~(tk : ticket)
     lane.kills <- lane.kills + 1;
     ignore (Supervisor.wedge_bundle lane.lsup ~job ~elapsed_ms);
     journal_finish t tk "wedged";
-    spawn_incarnation t lane
+    true
   end
+  else false
 
 let monitor_loop (t : t) : unit =
   while not (Atomic.get t.mstop) do
@@ -371,8 +359,12 @@ let monitor_loop (t : t) : unit =
             let elapsed_ms =
               int_of_float ((Unix.gettimeofday () -. since) *. 1000.)
             in
-            if elapsed_ms > t.exec_deadline_ms then
-              kill_lane t lane ~job ~tk ~elapsed_ms
+            (* a lost race leaves the lane alone; the next tick
+               re-evaluates a fresh heartbeat *)
+            if
+              elapsed_ms > t.exec_deadline_ms
+              && retire t lane ~job ~tk ~elapsed_ms
+            then spawn_incarnation t lane
           | _ -> ()
         end)
       t.lanes
@@ -390,13 +382,7 @@ let create (cfg : config) : t =
         ; lsup = Supervisor.create cfg.sup
         ; busy_since = 0.0
         ; current = None
-        ; inc =
-            (* placeholder, replaced before any job can arrive *)
-            { dead = Atomic.make true
-            ; exited = Atomic.make true
-            ; crashed = Atomic.make false
-            ; domain = None
-            }
+        ; inc = incarnation () (* replaced before any job can arrive *)
         ; kills = 0
         })
   in
@@ -535,32 +521,25 @@ let drain (t : t) : unit =
     Array.iter
       (fun lane ->
         if not (settled lane) then begin
-          let inc = lane.inc in
-          Atomic.set inc.dead true;
+          (* dead first: the incarnation then neither pops another job
+             nor clears its slot, so [cur] stays the job it wedged on *)
+          Atomic.set lane.inc.dead true;
           Mutex.lock lane.lm;
           let cur = lane.current in
-          lane.current <- None;
-          lane.busy_since <- 0.0;
           let leftovers = Queue.fold (fun acc it -> it :: acc) [] lane.lq in
           Queue.clear lane.lq;
-          Condition.broadcast lane.lcv;
           Mutex.unlock lane.lm;
+          Option.iter
+            (fun (job, tk) -> ignore (retire t lane ~job ~tk ~elapsed_ms:0))
+            cur;
           let fail (_job, tk) =
             Atomic.decr t.queued;
             if
               fulfill tk
-                (internal_failure "job failed: daemon drained while executor wedged")
+                (Supervisor.failure_outcome
+                   "daemon drained while executor wedged")
             then journal_finish t tk "wedged"
           in
-          (match cur with
-           | Some (job, tk) ->
-             lane.kills <- lane.kills + 1;
-             if fulfill tk (wedge_outcome ~elapsed_ms:0) then begin
-               ignore
-                 (Supervisor.wedge_bundle lane.lsup ~job ~elapsed_ms:0);
-               journal_finish t tk "wedged"
-             end
-           | None -> ());
           List.iter fail (List.rev leftovers)
         end)
       t.lanes;
@@ -586,7 +565,7 @@ let drain (t : t) : unit =
    | None -> ());
   (match t.journal with Some j -> Journal.close j | None -> ());
   Cache.close t.cache;
-  Runtime.Pool.shutdown_cached ()
+  ignore (Runtime.Pool.shutdown_cached ())
 
 (* --- introspection --- *)
 
@@ -602,43 +581,18 @@ let executor_kills (t : t) : int =
 (* Fleet-wide supervisor stats: the sum over the lanes' private
    supervisors. *)
 let agg_stats (t : t) : Supervisor.stats =
-  let z =
-    { Supervisor.jobs = 0
-    ; completed = 0
-    ; failed = 0
-    ; retries = 0
-    ; bundles = 0
-    ; pool_rebuilds = 0
-    ; leaked_domains = 0
-    ; breaker_served = 0
-    }
+  let sum f =
+    Array.fold_left (fun n lane -> n + f lane.lsup.Supervisor.stats) 0 t.lanes
   in
-  Array.iter
-    (fun lane ->
-      let s = lane.lsup.Supervisor.stats in
-      z.Supervisor.jobs <- z.Supervisor.jobs + s.Supervisor.jobs;
-      z.Supervisor.completed <- z.Supervisor.completed + s.Supervisor.completed;
-      z.Supervisor.failed <- z.Supervisor.failed + s.Supervisor.failed;
-      z.Supervisor.retries <- z.Supervisor.retries + s.Supervisor.retries;
-      z.Supervisor.bundles <- z.Supervisor.bundles + s.Supervisor.bundles;
-      z.Supervisor.pool_rebuilds <-
-        z.Supervisor.pool_rebuilds + s.Supervisor.pool_rebuilds;
-      z.Supervisor.leaked_domains <-
-        z.Supervisor.leaked_domains + s.Supervisor.leaked_domains;
-      z.Supervisor.breaker_served <-
-        z.Supervisor.breaker_served + s.Supervisor.breaker_served)
-    t.lanes;
-  z
-
-let breaker_trips (t : t) : int =
-  Array.fold_left
-    (fun acc lane -> acc + Supervisor.breaker_trips lane.lsup)
-    0 t.lanes
-
-(* The lane supervisor a given job would run under — tests use this to
-   inspect per-source breaker state. *)
-let supervisor_for (t : t) (job : Proto.job) : Supervisor.t =
-  t.lanes.(lane_index t job).lsup
+  { Supervisor.jobs = sum (fun s -> s.Supervisor.jobs)
+  ; completed = sum (fun s -> s.completed)
+  ; failed = sum (fun s -> s.failed)
+  ; retries = sum (fun s -> s.retries)
+  ; bundles = sum (fun s -> s.bundles)
+  ; pool_rebuilds = sum (fun s -> s.pool_rebuilds)
+  ; leaked_domains = sum (fun s -> s.leaked_domains)
+  ; breaker_served = sum (fun s -> s.breaker_served)
+  }
 
 (* --- Unix-domain-socket front end --- *)
 

@@ -5,6 +5,9 @@
    codes and output checksum) inside a supervision harness that the
    one-shot driver does not need:
 
+     - one decode ({!Proto.decode}): a job whose settings do not name
+       a recipe, engine, schedule, team size or fault plan is answered
+       "invalid job" at once — no attempt, no retry, no bundle;
      - a wall-clock deadline enforced through {!Runtime.Watchdog}: the
        parallel engine gets the remaining budget as its cancel bound,
        and serving-layer hangs (the serve:hang fault) spin on the
@@ -13,17 +16,18 @@
        raises {!Core.Fuel.Exhausted} instead of wedging the executor;
      - exception containment: NOTHING escapes [run_job] — every job
        death becomes a structured failure outcome plus a replayable
-       rung="serve" crash bundle (format v3: duration, retry count,
-       queue depth);
-     - pool hygiene: any failure after a parallel launch rebuilds the
-       process-wide domain pool ({!Runtime.Pool.rebuild}), so a
-       poisoned team never bleeds into the next job;
+       rung="serve" crash bundle (duration, retry count, queue depth);
+     - pool hygiene: any failure after a parallel launch tears down the
+       lane's cached domain pool ({!Runtime.Pool.shutdown_cached}), so a
+       poisoned team never bleeds into the next job, whose launch
+       builds a fresh one;
      - retry with decorrelated-jitter backoff ({!Backoff}) for
        transient failure classes (timeouts, injected faults, corrupt
        artifacts) — deterministic failures are never retried;
      - a per-source circuit breaker: a source hash that keeps failing
        is tripped to the conservative no-opt lowering (the pass
-       manager's final ladder rung) instead of burning retries forever.
+       manager's final ladder rung), one attempt and no retries,
+       instead of burning retries forever.
 
    Integrity: a successful result is serialized and digest-sealed
    before it is cached or returned; the serve:corrupt fault flips a
@@ -136,12 +140,11 @@ let run_entry ~(log : string -> unit) ~(exec : [ `Interp | `Parallel ])
       None
     | `Parallel ->
       let fault =
-        List.find_map
-          (fun (stage, k) ->
-            if stage <> "runtime" then None
-            else if k = Core.Fault.Hang then Some Runtime.Exec.Hang
-            else Some Runtime.Exec.Raise)
-          plan
+        Option.map
+          (fun k ->
+            if k = Core.Fault.Hang then Runtime.Exec.Hang
+            else Runtime.Exec.Raise)
+          (Core.Fault.take (Core.Fault.pending_of_plan plan) "runtime")
       in
       let _, s =
         Runtime.Exec.run_module ~domains ~schedule ?chunk ?team_reuse ?fault
@@ -245,7 +248,7 @@ type stats =
   ; mutable failed : int (* jobs that died after exhausting retries *)
   ; mutable retries : int
   ; mutable bundles : int
-  ; mutable pool_rebuilds : int
+  ; mutable pool_rebuilds : int (* teams torn down after a failed launch *)
   ; mutable leaked_domains : int
   ; mutable breaker_served : int (* jobs served via a tripped breaker *)
   }
@@ -275,15 +278,15 @@ let create (cfg : config) : t =
 
 let breaker_trips (t : t) : int = t.breaker.Breaker.trips
 
-(* Replace the process-wide domain pool after a failed launch, so a
-   poisoned team never bleeds into the next job. *)
-let rebuild_pool (t : t) ~(domains : int) : unit =
-  let _, leaked = Runtime.Pool.rebuild ~domains in
+(* Tear down the lane's cached domain pool after a failed launch, so a
+   poisoned team never bleeds into the next job: the next launch builds
+   a fresh team. *)
+let drop_pool (t : t) : unit =
   t.stats.pool_rebuilds <- t.stats.pool_rebuilds + 1;
-  t.stats.leaked_domains <- t.stats.leaked_domains + leaked
+  t.stats.leaked_domains <-
+    t.stats.leaked_domains + Runtime.Pool.shutdown_cached ()
 
-(* A one-shot-CLI-shaped repro line: --replay parses entry and sizes
-   back out of it exactly like it does for runtime bundles. *)
+(* A one-shot-CLI-shaped repro line, for humans reading the bundle. *)
 let repro_of_job (j : Proto.job) : string =
   let b = Buffer.create 128 in
   Buffer.add_string b "polygeist-cpu JOB.cu -cuda-lower";
@@ -309,28 +312,25 @@ let repro_of_job (j : Proto.job) : string =
    serial interpreter, except a timeout: the bound came from the job
    deadline, so that is job death.  [launched] is set as soon as a
    parallel launch is attempted, so the fault wall knows whether the
-   domain pool needs a rebuild.  [remaining_ms] reports the deadline
+   domain pool needs a teardown.  [remaining_ms] reports the deadline
    budget left (0 = no deadline). *)
 let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
-    ~(remaining_ms : unit -> int) ~(job : Proto.job) ~(plan : Core.Fault.plan)
-    : Proto.outcome =
+    ~(remaining_ms : unit -> int) ~(job : Proto.job) ~(spec : Proto.spec) :
+  Proto.outcome =
   let logb = Buffer.create 256 in
   let log s =
     Buffer.add_string logb s;
     Buffer.add_char logb '\n'
   in
   let m = Cudafe.Codegen.compile job.source in
-  let breaker_degraded = conservative && job.mode <> "no-opt" in
+  let breaker_degraded = conservative && spec.recipe <> Core.Passmgr.No_opt in
   if breaker_degraded then
     log "circuit breaker tripped for this source: conservative no-opt lowering";
-  let recipe =
-    if conservative then Core.Passmgr.No_opt
-    else Core.Passmgr.recipe_of_string job.mode
-  in
+  let recipe = if conservative then Core.Passmgr.No_opt else spec.recipe in
   let report =
     match
       Core.Fuel.with_budget fuel (fun () ->
-          Core.Passmgr.lower ~faults:plan ~source:job.source
+          Core.Passmgr.lower ~faults:spec.plan ~source:job.source
             ~repro:(repro_of_job job) recipe m)
     with
     | Ok report -> report
@@ -347,11 +347,10 @@ let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
       | Some f -> begin
         let run exec =
           fst
-            (run_entry ~log ~exec ~domains:job.domains
-               ~schedule:(Runtime.Schedule.of_string job.schedule)
-               ~timeout_ms:(remaining_ms ()) ~plan m f job.sizes)
+            (run_entry ~log ~exec ~domains:spec.team ~schedule:spec.policy
+               ~timeout_ms:(remaining_ms ()) ~plan:spec.plan m f job.sizes)
         in
-        if job.exec = "interp" || conservative then (run `Interp, false)
+        if spec.engine = `Interp || conservative then (run `Interp, false)
         else begin
           launched := true;
           match run `Parallel with
@@ -363,7 +362,7 @@ let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
                  "parallel runtime failed (%s); degrading to the serial \
                   interpreter"
                  (describe e));
-            rebuild_pool t ~domains:job.domains;
+            drop_pool t;
             (run `Interp, true)
         end
       end
@@ -387,7 +386,7 @@ let execute (t : t) ~(conservative : bool) ~(launched : bool ref)
    artifact payload.  Raises on job death — the caller (retry loop)
    owns containment. *)
 let attempt (t : t) ~(conservative : bool) ~(launched : bool ref)
-    ~(job : Proto.job) ~(plan : Core.Fault.plan)
+    ~(job : Proto.job) ~(spec : Proto.spec)
     ~(serve_fault : Core.Fault.kind option) : Proto.outcome * string =
   let deadline_ms = t.cfg.deadline_ms in
   let token =
@@ -409,10 +408,8 @@ let attempt (t : t) ~(conservative : bool) ~(launched : bool ref)
     ~finally:(fun () ->
       match token with Some tok -> Runtime.Watchdog.disarm tok | None -> ())
     (fun () ->
-      let corrupt_result = ref false in
       (match serve_fault with
-       | None -> ()
-       | Some Core.Fault.Corrupt -> corrupt_result := true
+       | None | Some Core.Fault.Corrupt -> () (* after the seal, below *)
        | Some Core.Fault.Raise ->
          raise (Core.Fault.Injected "serve:raise")
        | Some Core.Fault.Exhaust ->
@@ -432,18 +429,14 @@ let attempt (t : t) ~(conservative : bool) ~(launched : bool ref)
            done;
            raise (Runtime.Exec.Timeout deadline_ms)
        end);
-      let o = execute t ~conservative ~launched ~remaining_ms ~job ~plan in
+      let o = execute t ~conservative ~launched ~remaining_ms ~job ~spec in
       (* integrity seal: hash the artifact, then verify before it may
          be cached or returned.  serve:corrupt flips a byte in between,
          which the verification must catch. *)
       let payload = Proto.outcome_to_string o in
       let digest = Digest.string payload in
       let payload =
-        if !corrupt_result && String.length payload > 0 then begin
-          let b = Bytes.of_string payload in
-          Bytes.set b 0 (Char.chr (Char.code (Bytes.get b 0) lxor 0x40));
-          Bytes.to_string b
-        end
+        if serve_fault = Some Core.Fault.Corrupt then Cache.rot payload
         else payload
       in
       if Digest.string payload <> digest then raise Corrupt_artifact;
@@ -451,8 +444,7 @@ let attempt (t : t) ~(conservative : bool) ~(launched : bool ref)
 
 (* --- the supervised job --- *)
 
-let source_hash (j : Proto.job) : string =
-  Digest.to_hex (Digest.string j.source)
+let source_hash (j : Proto.job) : string = Wal.digest j.source
 
 let write_bundle (t : t) ~(job : Proto.job) ~(plan : Core.Fault.plan)
     ~(exn_text : string) ~(backtrace : string) ~(attempt_no : int)
@@ -479,6 +471,9 @@ let write_bundle (t : t) ~(job : Proto.job) ~(plan : Core.Fault.plan)
             ; rtimeout_ms =
                 (if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms
                  else None)
+            ; rentry = job.entry
+            ; rsizes = job.sizes
+            ; rrecipe = job.mode
             }
       ; serve =
           Some
@@ -504,10 +499,10 @@ let write_bundle (t : t) ~(job : Proto.job) ~(plan : Core.Fault.plan)
    in the race window leaves no bundle). *)
 let wedge_bundle (t : t) ~(job : Proto.job) ~(elapsed_ms : int) : string option
     =
+  (* an invalid job is answered at once, so it never wedges *)
   let plan =
-    match Core.Fault.plan_of_string job.Proto.faults with
-    | Ok p -> p
-    | Error _ -> []
+    Result.fold ~ok:(fun s -> s.Proto.plan) ~error:(fun _ -> [])
+      (Proto.decode job)
   in
   t.stats.failed <- t.stats.failed + 1;
   write_bundle t ~job ~plan
@@ -517,8 +512,9 @@ let wedge_bundle (t : t) ~(job : Proto.job) ~(elapsed_ms : int) : string option
          elapsed_ms)
     ~backtrace:"" ~attempt_no:1 ~duration_ms:elapsed_ms ~queue_depth:0
 
-let failure_outcome ~(exn_text : string) ~(retries : int)
-    ~(bundle : string option) : Proto.outcome =
+(* The answer to a job that died: exit 2, no checksum. *)
+let failure_outcome ?(retries = 0) ?(bundle : string option) (exn_text : string)
+    : Proto.outcome =
   let log =
     match bundle with
     | Some path ->
@@ -534,122 +530,87 @@ let failure_outcome ~(exn_text : string) ~(retries : int)
   }
 
 (* Run one job to completion under the full fault wall.  Never raises;
-   never takes more than [1 + backoff.max_retries] attempts; every
-   failed attempt leaves exactly one crash bundle (when crash_dir is
-   set) and a rebuilt pool behind it. *)
+   never takes more than [1 + backoff.max_retries] attempts (one, while
+   the source's breaker is tripped); every failed attempt leaves exactly
+   one crash bundle (when crash_dir is set) and a torn-down pool behind
+   it. *)
 let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
     (job : Proto.job) : Proto.outcome =
   t.stats.jobs <- t.stats.jobs + 1;
-  match Core.Fault.plan_of_string job.faults with
+  match Proto.decode job with
   | Error e ->
     t.stats.failed <- t.stats.failed + 1;
-    failure_outcome ~exn_text:("invalid fault plan: " ^ e) ~retries:0
-      ~bundle:None
-  | Ok plan ->
+    failure_outcome ("invalid job: " ^ e)
+  | Ok spec ->
     (* injected-fault jobs are never cached: caching would swallow the
        injection (and its crash bundle) on every later submission *)
     let cacheable = job.faults = "" in
     let key = Cache.key ~source:job.source ~flags:(Proto.job_flags job) in
-    let cached_hit =
-      if cacheable then
-        match Cache.find cache key with
-        | Some payload -> begin
-          match Proto.outcome_of_string payload with
-          | Ok o ->
-            t.stats.completed <- t.stats.completed + 1;
-            Some { o with Proto.cached = true }
-          | Error _ -> None (* unparsable artifact: fall through to re-run *)
-        end
-        | None -> None
-      else None
+    let hit =
+      if not cacheable then None
+      else
+        (* an unparsable artifact falls through to a re-run *)
+        Option.bind (Cache.find cache key) (fun payload ->
+            Result.to_option (Proto.outcome_of_string payload))
     in
-    match cached_hit with
-    | Some o -> o
+    match hit with
+    | Some o ->
+      t.stats.completed <- t.stats.completed + 1;
+      { o with Proto.cached = true }
     | None ->
       let hash = source_hash job in
-      let serve_pending =
-        ref (List.filter_map (fun (s, k) -> if s = "serve" then Some k else None) plan)
-      in
-      let next_serve_fault () =
-        match !serve_pending with
-        | [] -> None
-        | k :: rest ->
-          serve_pending := rest;
-          Some k
-      in
+      (* serve faults are one-shot across the job's attempts *)
+      let serve_faults = Core.Fault.pending_of_plan spec.plan in
+      (* tripped: one conservative attempt, no retries — the ladder's
+         last rung either serves a degraded result or fails cleanly *)
       let conservative = Breaker.tripped t.breaker hash in
-      if conservative then begin
-        (* tripped: one conservative attempt, no retries — the ladder's
-           last rung either serves a degraded result or fails cleanly *)
+      let backoff =
+        if conservative then { t.cfg.backoff with max_retries = 0 }
+        else t.cfg.backoff
+      in
+      let rec go attempt_no prev_delay =
         let launched = ref false in
         let t0 = Unix.gettimeofday () in
         match
-          attempt t ~conservative:true ~launched ~job ~plan
-            ~serve_fault:(next_serve_fault ())
+          attempt t ~conservative ~launched ~job ~spec
+            ~serve_fault:(Core.Fault.take serve_faults "serve")
         with
-        | o, _payload ->
-          Breaker.record_success t.breaker hash ~conservative:true;
+        | o, payload ->
+          Breaker.record_success t.breaker hash ~conservative;
+          if conservative then
+            t.stats.breaker_served <- t.stats.breaker_served + 1
+          else if cacheable then Cache.store cache key payload;
           t.stats.completed <- t.stats.completed + 1;
-          t.stats.breaker_served <- t.stats.breaker_served + 1;
-          o
+          { o with Proto.retries = attempt_no - 1 }
         | exception e ->
           let duration_ms =
             int_of_float ((Unix.gettimeofday () -. t0) *. 1000.)
           in
           let exn_text = describe e in
           let backtrace = Printexc.get_backtrace () in
-          if !launched then rebuild_pool t ~domains:job.domains;
+          if !launched then drop_pool t;
           Breaker.record_failure t.breaker hash;
           let bundle =
-            write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no:1
+            write_bundle t ~job ~plan:spec.plan ~exn_text ~backtrace ~attempt_no
               ~duration_ms ~queue_depth
           in
-          t.stats.failed <- t.stats.failed + 1;
-          failure_outcome ~exn_text ~retries:0 ~bundle
-      end
-      else begin
-        let rec go attempt_no prev_delay =
-          let launched = ref false in
-          let t0 = Unix.gettimeofday () in
-          match
-            attempt t ~conservative:false ~launched ~job ~plan
-              ~serve_fault:(next_serve_fault ())
-          with
-          | o, payload ->
-            Breaker.record_success t.breaker hash ~conservative:false;
-            if cacheable then Cache.store cache key payload;
-            t.stats.completed <- t.stats.completed + 1;
-            { o with Proto.retries = attempt_no - 1 }
-          | exception e ->
-            let duration_ms =
-              int_of_float ((Unix.gettimeofday () -. t0) *. 1000.)
+          let cls = classify e in
+          if Backoff.retryable backoff cls ~attempt:attempt_no then begin
+            let delay =
+              Backoff.delay_ms backoff
+                ~seed:(t.cfg.seed lxor job_id)
+                ~attempt:attempt_no ~prev_ms:prev_delay
             in
-            let exn_text = describe e in
-            let backtrace = Printexc.get_backtrace () in
-            if !launched then rebuild_pool t ~domains:job.domains;
-            Breaker.record_failure t.breaker hash;
-            let bundle =
-              write_bundle t ~job ~plan ~exn_text ~backtrace ~attempt_no
-                ~duration_ms ~queue_depth
-            in
-            let cls = classify e in
-            if Backoff.retryable t.cfg.backoff cls ~attempt:attempt_no then begin
-              let delay =
-                Backoff.delay_ms t.cfg.backoff
-                  ~seed:(t.cfg.seed lxor job_id)
-                  ~attempt:attempt_no ~prev_ms:prev_delay
-              in
-              t.stats.retries <- t.stats.retries + 1;
-              Unix.sleepf (float_of_int delay /. 1000.);
-              go (attempt_no + 1) delay
-            end
-            else begin
-              t.stats.failed <- t.stats.failed + 1;
-              failure_outcome ~exn_text ~retries:(attempt_no - 1) ~bundle
-            end
-        in
-        go 1 t.cfg.backoff.Backoff.base_ms
-      end
+            t.stats.retries <- t.stats.retries + 1;
+            Unix.sleepf (float_of_int delay /. 1000.);
+            go (attempt_no + 1) delay
+          end
+          else begin
+            t.stats.failed <- t.stats.failed + 1;
+            failure_outcome ~retries:(attempt_no - 1) ?bundle exn_text
+          end
+      in
+      go 1 backoff.Backoff.base_ms
 
 (* A single unsupervised attempt, for --replay of rung="serve" crash
    bundles: same fault wall, no retry/cache/bundle.  Returns the
@@ -657,15 +618,15 @@ let run_job (t : t) ~(cache : Cache.t) ~(queue_depth : int) ~(job_id : int)
 let replay_attempt ~(deadline_ms : int) (job : Proto.job) :
   (Proto.outcome, string) result =
   let t = create { default_config with deadline_ms; crash_dir = None } in
-  match Core.Fault.plan_of_string job.Proto.faults with
-  | Error e -> Error ("invalid fault plan: " ^ e)
-  | Ok plan ->
-    let serve_fault =
-      List.find_map (fun (s, k) -> if s = "serve" then Some k else None) plan
-    in
+  match Proto.decode job with
+  | Error e -> Error ("invalid job: " ^ e)
+  | Ok spec -> (
     let launched = ref false in
-    (match attempt t ~conservative:false ~launched ~job ~plan ~serve_fault with
-     | o, _ -> Ok o
-     | exception e ->
-       if !launched then rebuild_pool t ~domains:job.Proto.domains;
-       Error (describe e))
+    let serve_fault =
+      Core.Fault.take (Core.Fault.pending_of_plan spec.plan) "serve"
+    in
+    match attempt t ~conservative:false ~launched ~job ~spec ~serve_fault with
+    | o, _ -> Ok o
+    | exception e ->
+      if !launched then drop_pool t;
+      Error (describe e))

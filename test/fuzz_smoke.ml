@@ -71,6 +71,9 @@ let () =
           ; rchunk = None
           ; rseed = Some seed
           ; rtimeout_ms = Some 5000
+          ; rentry = Some Fuzz.Oracle.entry
+          ; rsizes = []
+          ; rrecipe = "inner-serial"
           }
     ; serve = None
     ; source = Fuzz.Gen.source ~seed

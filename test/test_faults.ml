@@ -194,7 +194,9 @@ let cli_checks (driver : string) =
      Sys.rmdir rt_dir
    with Sys_error _ -> ());
   (* a runtime bundle replays the program that failed: one written under
-     a non-default --cpuify recipe lowers through that recipe again *)
+     a non-default --cpuify recipe lowers through that recipe again, and
+     one recorded with flag abbreviations cmdliner accepts runs the
+     recorded entry and sizes *)
   List.iter
     (fun recipe ->
       let dir = Filename.temp_file "faults" ".rtcrash" in
@@ -202,16 +204,15 @@ let cli_checks (driver : string) =
       let code, _ =
         run
           (Printf.sprintf
-             "--cuda-lower --cpuify %s --run run --size 128 --exec parallel \
-              --domains 4 --inject-fault runtime:raise --crash-dir %s"
+             "--cuda-lower %s --exec parallel --inject-fault runtime:raise \
+              --crash-dir %s"
              recipe (Filename.quote dir))
       in
       if code <> 1 then
-        fail "CLI: runtime fault under --cpuify %s exited %d, want 1\n" recipe
-          code;
+        fail "CLI: runtime fault under %s exited %d, want 1\n" recipe code;
       let bundles = try Sys.readdir dir with Sys_error _ -> [||] in
       if bundles = [||] then
-        fail "CLI: no runtime crash bundle under --cpuify %s\n" recipe;
+        fail "CLI: no runtime crash bundle under %s\n" recipe;
       Array.iter
         (fun bundle ->
           let path = Filename.concat dir bundle in
@@ -222,13 +223,29 @@ let cli_checks (driver : string) =
                  (Filename.quote tmp))
           in
           if code <> 0 then
-            fail "CLI: --replay of a --cpuify %s runtime bundle exited %d, \
+            fail "CLI: --replay of a runtime bundle under %s exited %d, \
                   want 0 (reproduced)\n"
               recipe code;
           Sys.remove path)
         bundles;
       try Sys.rmdir dir with Sys_error _ -> ())
-    [ "no-opt"; "inner-parallel" ];
+    [ "--cpuify no-opt --run run --size 128 --domains 4"
+    ; "--cpuify inner-parallel --run run --size 128 --domains 4"
+    ; "--cpu inner-parallel --ru run --si 100 --domains 2"
+    ];
+  (* a value the job decode would refuse stops at the command line, in
+     the one-shot driver and the client alike (cmdliner's exit 124) *)
+  List.iter
+    (fun args ->
+      let code, _ = run args in
+      if code <> 124 then fail "CLI: %s exited %d, want 124\n" args code)
+    [ "--cuda-lower --run run --exec parallel --domains 0"
+    ; "--cuda-lower --run run --exec parallel --domains 300"
+    ; "client --socket /nonexistent.sock --run run --exec interpp"
+    ; "client --socket /nonexistent.sock --run run --domains 300"
+    ; "client --socket /nonexistent.sock --run run --schedule dynamc"
+    ; "client --socket /nonexistent.sock --run run --cpuify inner-paralel"
+    ];
   (* the fuzz subcommand: a tiny fixed-seed campaign on a healthy build
      finds nothing and exits 0 (the real budget lives in @fuzz-smoke) *)
   let code =

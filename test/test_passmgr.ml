@@ -296,6 +296,9 @@ let test_bundle_roundtrip () =
           ; rchunk = Some 8
           ; rseed = None
           ; rtimeout_ms = Some 500
+          ; rentry = Some "run"
+          ; rsizes = [ 128; 7 ]
+          ; rrecipe = "inner-parallel"
           }
     ; serve =
         Some
@@ -365,31 +368,37 @@ let test_bundle_v1_rejected () =
   | exception e ->
     Alcotest.failf "v1 bundle raised %s" (Printexc.to_string e)
 
-(* Likewise a v2 head (runtime line, no serve line). *)
+(* Likewise a v2 head (runtime line, no serve line) and a v3 head (the
+   run recorded only in the repro line). *)
 let test_bundle_v2_rejected () =
-  let v2_text =
+  let text version extra =
     String.concat "\n"
-      [ "polygeist-cpu crash bundle v2"
-      ; "stage: runtime"
-      ; "stage-index: 0"
-      ; "rung: runtime"
-      ; "exception: injected fault"
-      ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
-      ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
-      ; "faults: runtime:raise"
-      ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,timeout-ms=500"
-      ; "=== source ==="
-      ; "__global__ void k() {}"
-      ; "=== pre-stage ir ==="
-      ; "module {"
-      ; "}"
-      ]
+      ([ "polygeist-cpu crash bundle " ^ version
+       ; "stage: runtime"
+       ; "stage-index: 0"
+       ; "rung: runtime"
+       ; "exception: injected fault"
+       ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
+       ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
+       ; "faults: runtime:raise"
+       ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,timeout-ms=500"
+       ]
+       @ extra
+       @ [ "=== source ==="
+         ; "__global__ void k() {}"
+         ; "=== pre-stage ir ==="
+         ; "module {"
+         ; "}"
+         ])
   in
-  match Core.Crashbundle.of_string v2_text with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v2 bundle was accepted"
-  | exception e ->
-    Alcotest.failf "v2 bundle raised %s" (Printexc.to_string e)
+  List.iter
+    (fun (version, extra) ->
+      match Core.Crashbundle.of_string (text version extra) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%s bundle was accepted" version
+      | exception e ->
+        Alcotest.failf "%s bundle raised %s" version (Printexc.to_string e))
+    [ ("v2", []); ("v3", [ "serve: duration-ms=12,retries=1,queue-depth=0" ]) ]
 
 (* A bundle written by the pass manager replays deterministically:
    recompiling the embedded source under the recorded options and fault

@@ -116,7 +116,7 @@ let test_barrier_poison () =
 (* --- pool --- *)
 
 let test_pool_reuse () =
-  Runtime.Pool.shutdown_cached ();
+  ignore (Runtime.Pool.shutdown_cached ());
   let s0 = Runtime.Pool.total_spawns () in
   let p = Runtime.Pool.get ~domains:4 ~reuse:true in
   let hits = Atomic.make 0 in
@@ -133,12 +133,12 @@ let test_pool_reuse () =
   Runtime.Pool.release p3;
   Alcotest.(check int) "no-reuse pays the spawn cost again" 6
     (Runtime.Pool.total_spawns () - s0);
-  Runtime.Pool.shutdown_cached ()
+  ignore (Runtime.Pool.shutdown_cached ())
 
 exception Boom
 
 let test_pool_exception () =
-  Runtime.Pool.shutdown_cached ();
+  ignore (Runtime.Pool.shutdown_cached ());
   let p = Runtime.Pool.get ~domains:4 ~reuse:true in
   let raised =
     match Runtime.Pool.run p (fun rank -> if rank = 2 then raise Boom) with
@@ -150,7 +150,16 @@ let test_pool_exception () =
   let hits = Atomic.make 0 in
   Runtime.Pool.run p (fun _ -> Atomic.incr hits);
   Alcotest.(check int) "pool healthy after a failed job" 4 (Atomic.get hits);
-  Runtime.Pool.shutdown_cached ()
+  ignore (Runtime.Pool.shutdown_cached ())
+
+(* A team larger than OCaml lets one process hold fails to build, and
+   takes its partly spawned workers down with it: the process can
+   still spawn domains afterwards. *)
+let test_pool_spawn_failure () =
+  (match Runtime.Pool.get ~domains:200 ~reuse:false with
+   | p -> Runtime.Pool.release p (* a runtime without the 128 limit *)
+   | exception Failure _ -> ());
+  Domain.join (Domain.spawn ignore)
 
 (* --- schedule --- *)
 
@@ -1391,7 +1400,7 @@ let test_unbound_buffer_register () =
 (* --- launch lifecycle: zero-allocation relaunch, --chunk plumbing --- *)
 
 let test_zero_alloc_relaunch () =
-  Runtime.Pool.shutdown_cached ();
+  ignore (Runtime.Pool.shutdown_cached ());
   let n = 64 in
   let m = mk_barrier_team_module n in
   let c = Runtime.Exec.compile m "k" in
@@ -1415,7 +1424,7 @@ let test_zero_alloc_relaunch () =
   Alcotest.(check bool) "the omp.barrier is counted" true
     (st2.Runtime.Exec.barrier_phases >= 1);
   Alcotest.(check bool) "warm result identical" true (out1 = out2);
-  Runtime.Pool.shutdown_cached ()
+  ignore (Runtime.Pool.shutdown_cached ())
 
 let test_chunk_flag () =
   let n = 101 in
@@ -1457,7 +1466,7 @@ let test_chunk_flag () =
 (* --- stats: team reuse visible end-to-end --- *)
 
 let test_exec_team_reuse_stats () =
-  Runtime.Pool.shutdown_cached ();
+  ignore (Runtime.Pool.shutdown_cached ());
   let n = 8 in
   let m = mk_barrier_team_module n in
   let c = Runtime.Exec.compile m "k" in
@@ -1477,7 +1486,7 @@ let test_exec_team_reuse_stats () =
   Alcotest.(check int) "ablation re-spawns per launch" 3
     st3.Runtime.Exec.domain_spawns;
   Alcotest.(check int) "one launch each" 1 st3.Runtime.Exec.launches;
-  Runtime.Pool.shutdown_cached ()
+  ignore (Runtime.Pool.shutdown_cached ())
 
 let () =
   let rodinia =
@@ -1496,6 +1505,8 @@ let () =
         [ Alcotest.test_case "team reuse" `Quick test_pool_reuse
         ; Alcotest.test_case "exception propagation" `Quick
             test_pool_exception
+        ; Alcotest.test_case "failed spawn joins the partial team" `Quick
+            test_pool_spawn_failure
         ] )
     ; ( "schedule",
         [ Alcotest.test_case "partition / exactly-once" `Quick

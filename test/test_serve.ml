@@ -188,6 +188,38 @@ let test_proto_v1_rejected () =
         |> List.exists (fun l ->
             String.length l >= 3 && String.sub l 0 3 = "id=")))
 
+(* A submit frame whose integers do not parse, or whose names the job
+   decode does not know, is a typed [Error], never a silent default;
+   absent fields still take [default_job]'s values. *)
+let test_proto_malformed_job () =
+  let frame fields =
+    "polygeist-serve/2 submit\nid=1\n"
+    ^ String.concat "" (List.map (fun (k, v) -> k ^ "=" ^ v ^ "\n") fields)
+    ^ "source=k\n"
+  in
+  List.iter
+    (fun field ->
+      match Serve.Proto.request_of_string (frame [ field ]) with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "frame with %s=%s accepted" (fst field) (snd field)
+      | exception e ->
+        Alcotest.failf "frame with %s=%s raised %s" (fst field) (snd field)
+          (Printexc.to_string e))
+    [ ("sizes", "12,x,3")
+    ; ("domains", "abc")
+    ; ("domains", "0")
+    ; ("domains", "300")
+    ; ("mode", "inner-paralel")
+    ; ("exec", "interpp")
+    ; ("schedule", "dynamc")
+    ; ("faults", "serve:raze")
+    ];
+  match Serve.Proto.request_of_string (frame []) with
+  | Ok (1, Serve.Proto.Submit j) ->
+    Alcotest.(check bool) "absent fields take the defaults" true
+      (j = { Serve.Proto.default_job with source = "k" })
+  | _ -> Alcotest.fail "a frame with only a source was refused"
+
 (* --- cache: content addressing and corruption eviction --- *)
 
 let test_cache_corruption () =
@@ -430,6 +462,56 @@ let test_wal_replay_roundtrip =
       Serve.Cache.close c2;
       ok)
 
+(* The journals' bytes, pinned: both journals share one log
+   implementation, and neither format may drift.  Covers payloads with
+   spaces, newlines, quotes and a tab, an empty payload, a re-store, the
+   in-flight S/E records and one compaction. *)
+let test_journal_bytes () =
+  let dir = fresh_tmp_dir () in
+  let c = Serve.Cache.create () in
+  ignore (Serve.Cache.load c ~dir);
+  let key = Serve.Cache.key ~source:"s" ~flags:"f" in
+  Serve.Cache.store c "k1" "a payload with spaces";
+  Serve.Cache.store c "k2" "two\nlines \"quoted\"\tand a tab";
+  Serve.Cache.store c key "";
+  Serve.Cache.store c "k1" "rewritten";
+  (match Serve.Journal.open_ ~dir with
+   | Error e -> Alcotest.fail e
+   | Ok j ->
+     Serve.Journal.start j ~id:7 ~digest:key;
+     Serve.Journal.start j ~id:8 ~digest:"d8";
+     Serve.Journal.finish j ~id:7 ~status:"done";
+     Serve.Journal.close j);
+  let read f =
+    In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all
+  in
+  Alcotest.(check string) "cache journal"
+    {|polygeist-serve cache journal v2 gen=0
+A k1 f2437a1fe9a41c72b0b52d754d8dc7a1 a payload with spaces 1250306e330951be96c0d1681add49cc
+A k2 026efa40e43410631d0e173f0dcb70a5 two\nlines \"quoted\"\tand a tab 224604d9deefaf3594bf66d86909506e
+A c182685806a59845119bdf70f970d0cc d41d8cd98f00b204e9800998ecf8427e  36a2947726114a3e3366daffc5ce1cd4
+A k1 5462c0d7089829913124388c51ef6d67 rewritten dcfd90d37c468856944aab10fe80913d
+|}
+    (read "cache-journal.v2");
+  Alcotest.(check string) "in-flight journal"
+    {|polygeist-serve inflight journal v1
+S 7 c182685806a59845119bdf70f970d0cc 3c2098dc0a58a2f0f19f30dcb64535c2
+S 8 d8 ab2fa54f0238b198c2841aa8aa142689
+E 7 done d281ef8df7d96465758dfa379b5af5e6
+|}
+    (read "inflight.v1");
+  (match Serve.Cache.flush c ~dir with
+   | Ok _ -> ()
+   | Error e -> Alcotest.fail e);
+  Serve.Cache.close c;
+  Alcotest.(check string) "compacted cache journal"
+    {|polygeist-serve cache journal v2 gen=1
+A c182685806a59845119bdf70f970d0cc d41d8cd98f00b204e9800998ecf8427e  36a2947726114a3e3366daffc5ce1cd4
+A k2 026efa40e43410631d0e173f0dcb70a5 two\nlines \"quoted\"\tand a tab 224604d9deefaf3594bf66d86909506e
+A k1 5462c0d7089829913124388c51ef6d67 rewritten dcfd90d37c468856944aab10fe80913d
+|}
+    (read "cache-journal.v2")
+
 (* --- the in-flight job journal --- *)
 
 let test_inflight_journal () =
@@ -585,6 +667,35 @@ let test_supervisor_deterministic_failure () =
   Alcotest.(check int) "deterministic failure is NOT retried" 0
     o.Serve.Proto.retries
 
+(* The settings the job decode refuses: each job is answered at once
+   with a typed exit-2 outcome — no exception, no retry, no crash
+   bundle — and spawns nothing, so a domain can still be spawned. *)
+let test_supervisor_invalid_jobs () =
+  let dir = Filename.temp_file "serve" ".crash" in
+  Sys.remove dir;
+  let t = Serve.Supervisor.create (sup_config ~crash_dir:(Some dir)) in
+  let cache = Serve.Cache.create () in
+  let job = mk_job ~exec:"parallel" () in
+  List.iteri
+    (fun i (what, job) ->
+      match Serve.Supervisor.run_job t ~cache ~queue_depth:0 ~job_id:i job with
+      | exception e ->
+        Alcotest.failf "%s: run_job raised %s" what (Printexc.to_string e)
+      | o ->
+        Alcotest.(check int) (what ^ ": exit 2") 2 o.Serve.Proto.exit_code;
+        Alcotest.(check int) (what ^ ": not retried") 0 o.Serve.Proto.retries;
+        Alcotest.(check bool) (what ^ ": an invalid job") true
+          (String.starts_with ~prefix:"job failed: invalid job: "
+             o.Serve.Proto.log))
+    [ ("domains 300", { job with domains = 300 })
+    ; ("domains 0", { job with domains = 0 })
+    ; ("mode typo", { job with mode = "inner-paralel" })
+    ; ("exec typo", { job with exec = "interpp" })
+    ; ("schedule typo", { job with schedule = "dynamc" })
+    ];
+  Alcotest.(check bool) "no crash bundle" false (Sys.file_exists dir);
+  Domain.join (Domain.spawn ignore)
+
 let test_supervisor_breaker_trip () =
   let t =
     Serve.Supervisor.create
@@ -673,6 +784,8 @@ let tests =
   ; Alcotest.test_case "protocol round trips" `Quick test_proto_roundtrip
   ; Alcotest.test_case "protocol v1 frames rejected" `Quick
       test_proto_v1_rejected
+  ; Alcotest.test_case "protocol: malformed job fields rejected" `Quick
+      test_proto_malformed_job
   ; Alcotest.test_case "cache never serves corruption" `Quick
       test_cache_corruption
   ; Alcotest.test_case "cache journal: stores durable without flush" `Quick
@@ -688,6 +801,7 @@ let tests =
   ; Alcotest.test_case "cache: corrupt artifacts quarantined on disk" `Quick
       test_cache_quarantine
   ; QCheck_alcotest.to_alcotest test_wal_replay_roundtrip
+  ; Alcotest.test_case "journals: bytes pinned" `Quick test_journal_bytes
   ; Alcotest.test_case "in-flight journal: lost tickets recovered" `Quick
       test_inflight_journal
   ; Alcotest.test_case "fleet: wedged executor killed, work rerouted" `Quick
@@ -702,4 +816,6 @@ let tests =
       `Quick test_supervisor_deterministic_failure
   ; Alcotest.test_case "supervisor: circuit breaker degrades hot failures"
       `Quick test_supervisor_breaker_trip
+  ; Alcotest.test_case "supervisor: invalid jobs answered, nothing spawned"
+      `Quick test_supervisor_invalid_jobs
   ]
