@@ -172,7 +172,8 @@ let classify (ctx : ctx) (v : Value.t) : [ `Sym | `Expand | `Opaque ] =
         if not (Info.defined_inside ctx.info ~container:par v) then `Sym
         else begin
           match Info.def ctx.info v with
-          | Info.Def_arg ({ Op.kind = Op.For; _ }, _) -> `Sym
+          (* the iv only: an iter_arg carries a per-thread value *)
+          | Info.Def_arg ({ Op.kind = Op.For; _ }, 0) -> `Sym
           | Info.Def_arg _ -> `Opaque
           | Info.Def_op _ | Info.Def_external -> `Expand
         end
@@ -190,7 +191,7 @@ let derive_idx (ctx : ctx) (idx_operands : Value.t array) :
           List.iter
             (fun sym ->
               match Info.def ctx.info sym with
-              | Info.Def_arg ({ Op.kind = Op.For; _ }, _)
+              | Info.Def_arg ({ Op.kind = Op.For; _ }, 0)
                 when (match ctx.par with
                       | Some par ->
                         Info.defined_inside ctx.info ~container:par sym

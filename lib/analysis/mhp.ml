@@ -109,20 +109,29 @@ let mk_taint (ctx : Effects.ctx) : Value.t -> bool =
           | Info.Def_external -> false (* defined above the kernel *)
           | Info.Def_arg (op, _) when outside op -> false
           | Info.Def_op op when outside op -> false
-          | Info.Def_arg (op, _) -> begin
+          | Info.Def_arg (op, i) -> begin
             match op.Op.kind with
             | Op.Func _ -> false (* parameters are launch-uniform *)
             | Op.Parallel Op.Grid -> false (* same block for all threads *)
             | Op.Parallel _ | Op.OmpWsloop | Op.OmpParallel -> true
-            | Op.For ->
+            | Op.For when i = 0 ->
               (* uniform bounds => all threads see the same iv sequence
                  (same-iteration/lock-step comparison) *)
               go (Op.for_lo op) || go (Op.for_hi op) || go (Op.for_step op)
+            | Op.For -> carried_tainted op (i - 1)
             | _ -> true
           end
           | Info.Def_op op -> begin
             match op.Op.kind with
             | Op.Constant _ -> false
+            | Op.For -> carried_tainted op (result_index op v)
+            | Op.If ->
+              (* threads agree on the result when they agree on the
+                 branch and on what it yields *)
+              let k = result_index op v in
+              go op.Op.operands.(0)
+              || go (Op.yielded op.Op.regions.(0)).(k)
+              || go (Op.yielded op.Op.regions.(1)).(k)
             | Op.Alloc | Op.Alloca -> false (* the memref value itself *)
             | Op.Load -> load_tainted op
             | Op.Call _ -> true
@@ -135,6 +144,17 @@ let mk_taint (ctx : Effects.ctx) : Value.t -> bool =
       in
       Hashtbl.replace memo v.Value.id r;
       r
+  (* iter_arg / result [k] of a for: its init, what each iteration
+     yields, and how many iterations ran *)
+  and carried_tainted (op : Op.op) (k : int) : bool =
+    go (Op.for_lo op) || go (Op.for_hi op) || go (Op.for_step op)
+    || go (Op.for_inits op).(k)
+    || go (Op.yielded op.Op.regions.(0)).(k)
+  and result_index (op : Op.op) (v : Value.t) : int =
+    let rec find k =
+      if Value.equal op.Op.results.(k) v then k else find (k + 1)
+    in
+    find 0
   and outside (op : Op.op) : bool =
     match ctx.par with
     | Some par -> not (Info.is_ancestor ctx.info ~anc:par op)

@@ -1,5 +1,6 @@
 (* Canonicalization: constant folding, algebraic identities, constant
-   control-flow simplification and dead pure-op elimination.
+   control-flow simplification and dead-code elimination (pure ops, and
+   scf.if/scf.for ops that hold nothing else).
 
    These are deliberately *generic* transformations: the point of the
    paper's barrier semantics is that such passes keep working unmodified
@@ -79,12 +80,20 @@ let result_dtype (op : Op.op) =
   | Types.Scalar d -> d
   | Types.Memref _ -> Types.Index
 
+let replace_value st (r : Value.t) (v : Value.t) =
+  Clone.add_subst st.subst ~from:r ~to_:v;
+  match Value.Tbl.find_opt st.consts v with
+  | Some c -> Value.Tbl.replace st.consts r c
+  | None -> ()
+
 (* Replace op's single result by [v] everywhere downstream. *)
 let replace_with st (op : Op.op) (v : Value.t) : Op.op list =
-  Clone.add_subst st.subst ~from:(Op.result op) ~to_:v;
-  (match Value.Tbl.find_opt st.consts v with
-   | Some c -> Value.Tbl.replace st.consts (Op.result op) c
-   | None -> ());
+  replace_value st (Op.result op) v;
+  []
+
+(* Delete op, its results standing for [vs] downstream. *)
+let replace_results st (op : Op.op) (vs : Value.t array) : Op.op list =
+  Array.iteri (fun i r -> replace_value st r vs.(i)) op.results;
   []
 
 let materialize_const st (op : Op.op) (c : const_val) : Op.op list =
@@ -208,17 +217,17 @@ let simplify_op st (op : Op.op) : Op.op list =
       materialize_const st op (Cf (Float.pow x y))
     | _ -> [ op ]
   end
-  | Op.If -> begin
-    match const_of st op.operands.(0) with
-    | Some (Ci 0) -> op.regions.(1).body
-    | Some (Ci _) -> op.regions.(0).body
-    | _ ->
-      if op.regions.(0).body = [] && op.regions.(1).body = [] then []
-      else [ op ]
-  end
   | Op.For -> begin
-    match const_of st (Op.for_lo op), const_of st (Op.for_hi op) with
-    | Some (Ci lo), Some (Ci hi) when lo >= hi -> []
+    (* a zero-trip loop is its inits — but only a positive literal step
+       is sure not to trap, so anything else stays for the run to
+       reject *)
+    match
+      ( const_of st (Op.for_lo op)
+      , const_of st (Op.for_hi op)
+      , const_of st (Op.for_step op) )
+    with
+    | Some (Ci lo), Some (Ci hi), Some (Ci step) when lo >= hi && step > 0 ->
+      replace_results st op (Op.for_inits op)
     | _ -> [ op ]
   end
   | _ -> [ op ]
@@ -227,19 +236,78 @@ let simplify_op st (op : Op.op) : Op.op list =
 let apply_subst st (op : Op.op) =
   op.operands <- Array.map (Clone.lookup st.subst) op.operands
 
+let positive_step st (op : Op.op) =
+  match const_of st (Op.for_step op) with Some (Ci n) -> n > 0 | _ -> false
+
+(* A region whose body is just [scf.yield vs]: the values it yields. *)
+let lone_yield (r : Op.region) : Value.t array option =
+  match r.body with
+  | [ { Op.kind = Op.Yield; operands; _ } ] -> Some operands
+  | _ -> None
+
 let rec walk st (op : Op.op) : Op.op list =
   apply_subst st op;
   (* top-down so region bodies see outer constants *)
-  match simplify_op st op with
-  | [ o ] when o == op ->
-    Array.iter
-      (fun (r : Op.region) -> r.body <- List.concat_map (walk st) r.body)
-      op.regions;
-    [ op ]
-  | others ->
-    (* the op was replaced (e.g. an scf.if inlined its taken branch):
-       the replacement ops have not been visited yet *)
-    List.concat_map (walk st) others
+  let const_cond =
+    match op.kind with
+    | Op.If -> const_of st op.operands.(0)
+    | _ -> None
+  in
+  match const_cond with
+  | Some (Ci c) ->
+    (* a constant condition inlines the taken branch, whose yielded
+       values stand for the results *)
+    inline_region st (if c <> 0 then op.regions.(0) else op.regions.(1))
+      op.results
+  | Some (Cf _) | None -> begin
+    match simplify_op st op with
+    | [ o ] when o == op ->
+      Array.iter
+        (fun (r : Op.region) -> r.body <- List.concat_map (walk st) r.body)
+        op.regions;
+      simplify_after_regions st op
+    | others ->
+      (* the op was replaced: the replacement ops have not been visited
+         yet *)
+      List.concat_map (walk st) others
+  end
+
+and inline_region st (r : Op.region) (results : Value.t array) : Op.op list =
+  let body = List.filter (fun (o : Op.op) -> o.Op.kind <> Op.Yield) r.body in
+  let out = List.concat_map (walk st) body in
+  Array.iteri
+    (fun i (v : Value.t) -> replace_value st results.(i) (Clone.lookup st.subst v))
+    (Op.yielded r);
+  out
+
+(* Rules that need the simplified regions: an [scf.if] of lone yields
+   is a select per result, and a loop that only passes its iter_args
+   through is its inits (empty loops without results are DCE's). *)
+and simplify_after_regions st (op : Op.op) : Op.op list =
+  match op.kind with
+  | Op.If when Array.length op.results > 0 -> begin
+    match lone_yield op.regions.(0), lone_yield op.regions.(1) with
+    | Some a, Some b ->
+      let c = op.operands.(0) in
+      List.concat
+        (List.mapi
+           (fun i (r : Value.t) ->
+             if Value.equal a.(i) b.(i) then (replace_value st r a.(i); [])
+             else begin
+               let sel = Builder.select c a.(i) b.(i) in
+               replace_value st r (Op.result sel);
+               [ sel ]
+             end)
+           (Array.to_list op.results))
+    | _ -> [ op ]
+  end
+  | Op.For when positive_step st op -> begin
+    match lone_yield op.regions.(0) with
+    | Some ys when Array.for_all2 Value.equal ys (Op.for_iter_args op) ->
+      replace_results st op (Op.for_inits op)
+    | _ -> [ op ]
+  end
+  | _ -> [ op ]
 
 (* --- dead code elimination --- *)
 
@@ -262,18 +330,36 @@ let count_uses (root : Op.op) : int Value.Tbl.t =
     root;
   uses
 
-let dce (root : Op.op) : bool =
+(* Bottom-up: an op whose results are unused goes when it is pure, or
+   when it is an [scf.if] or an [scf.for] whose regions hold nothing
+   but such ops and yields — a loop only with a positive literal step,
+   since any other step may trap.  Children go first, so a whole empty
+   nest collapses in one round. *)
+let dce st (root : Op.op) : bool =
   let changed = ref false in
   let continue_ = ref true in
   while !continue_ do
     let uses = count_uses root in
     let used v = Value.Tbl.mem uses v in
+    let rec effect_free (op : Op.op) =
+      is_pure op
+      ||
+      match op.kind with
+      | Op.Yield -> true
+      | Op.If -> Array.for_all region_free op.regions
+      | Op.For -> positive_step st op && region_free op.regions.(0)
+      | _ -> false
+    and region_free (r : Op.region) = List.for_all effect_free r.body in
     let removed = ref false in
     let rec clean (op : Op.op) : Op.op list =
       Array.iter
         (fun (r : Op.region) -> r.body <- List.concat_map clean r.body)
         op.Op.regions;
-      if is_pure op && not (Array.exists used op.results) then begin
+      if
+        op.kind <> Op.Yield
+        && (not (Array.exists used op.results))
+        && effect_free op
+      then begin
         removed := true;
         []
       end
@@ -289,4 +375,4 @@ let dce (root : Op.op) : bool =
 let run (m : Op.op) : unit =
   let st = new_st () in
   (match walk st m with [ _ ] -> () | _ -> ());
-  ignore (dce m)
+  ignore (dce st m)

@@ -1,11 +1,9 @@
 (** Canonicalization: constant folding, algebraic identities, constant
-    control-flow simplification and dead pure-op elimination.  These are
+    control-flow simplification and dead-code elimination (pure ops, and
+    [scf.if]/[scf.for] ops that hold nothing else).  These are
     deliberately generic transformations: the barrier semantics are
     designed so that passes like this keep working unmodified in code
     containing [polygeist.barrier]. *)
 
 (** Run to fixpoint over a module, in place. *)
 val run : Ir.Op.op -> unit
-
-(** Dead pure-op elimination only; returns whether anything changed. *)
-val dce : Ir.Op.op -> bool

@@ -286,6 +286,10 @@ let interchange (modul : Op.op) (m_par : Op.op) : Op.op list option =
   match isolate_body m_par.Op.regions.(0).body with
   | None -> None
   | Some (prefix, c, suffix) ->
+    (* the verifier keeps barriers out of value-carrying ops, so [c]
+       never carries values; refuse rather than drop its yields *)
+    if Op.carries_values c then
+      fail "cannot interchange a parallel loop with a value-carrying op";
     let info = Info.build modul in
     let ctx = Effects.make_ctx ~modul ~par:m_par info in
     check_movable ctx ~c prefix suffix;

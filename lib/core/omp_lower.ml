@@ -18,6 +18,8 @@
 
 open Ir
 
+exception Unsupported of string
+
 type inner_mode =
   | Inner_parallel (* nested omp regions: "PolygeistInnerPar" *)
   | Inner_serial (* serialize nested regions: "PolygeistInnerSer" *)
@@ -46,14 +48,21 @@ let lower_parallel (op : Op.op) : Op.op =
   Op.mk Op.OmpParallel ~regions:[| Op.region [ ws ] |]
     ~attrs:[ ("dims", Op.Aint n) ]
 
-let rec lower_all (op : Op.op) : Op.op list =
+(* [in_carry]: some enclosing op carries values through yields, which
+   an OpenMP region cannot sit inside (the verifier already rejects a
+   parallel loop there). *)
+let rec lower_all ~in_carry (op : Op.op) : Op.op list =
+  let inner = in_carry || Op.carries_values op in
   Array.iter
-    (fun (r : Op.region) -> r.body <- List.concat_map lower_all r.body)
+    (fun (r : Op.region) ->
+      r.body <- List.concat_map (lower_all ~in_carry:inner) r.body)
     op.regions;
   match op.kind with
   | Op.Parallel _ ->
     if Op.contains_barrier op then
       invalid_arg "omp lowering requires barrier-free parallel loops";
+    if in_carry then
+      raise (Unsupported "parallel loop inside a value-carrying scf.if/scf.for");
     [ lower_parallel op ]
   | _ -> [ op ]
 
@@ -296,7 +305,7 @@ type report =
   }
 
 let run ?(options = default_options) (m : Op.op) : report =
-  (match lower_all m with [ _ ] -> () | _ -> ());
+  (match lower_all ~in_carry:false m with [ _ ] -> () | _ -> ());
   let collapsed = if options.collapse then collapse m else 0 in
   let serialized =
     match options.inner with

@@ -3,6 +3,10 @@
     parallel-region fusion (Fig. 10), region hoisting out of serial loops
     (Fig. 11), and inner-loop serialization ("PolygeistInnerSer"). *)
 
+(** Raised by {!run} on a parallel loop nested inside an [scf.if] with
+    results or an [scf.for] with iter_args (IR the verifier rejects). *)
+exception Unsupported of string
+
 type inner_mode =
   | Inner_parallel (** keep nested regions: "PolygeistInnerPar" *)
   | Inner_serial (** serialize nested regions: "PolygeistInnerSer" *)

@@ -9,9 +9,13 @@
      }
 
    Mutable C locals become rank-0 allocas with loads/stores (Polygeist
-   does the same); the mem2reg pass later promotes them to SSA, including
-   across barriers.  Canonical [for] loops are raised to [scf.for] with an
-   SSA induction variable; everything else becomes [scf.while]. *)
+   does the same); the mem2reg pass later promotes them to SSA values —
+   scf.if results and scf.for iter_args where control flow merges — and
+   forwards across barriers.  [&&], [||] and [?:] lower to arith ops
+   when the lazily evaluated side cannot fault, and to a value-yielding
+   scf.if otherwise (a slot only when that side synchronizes).
+   Canonical [for] loops are raised to [scf.for] with an SSA induction
+   variable; everything else becomes [scf.while]. *)
 
 open Ir
 
@@ -73,14 +77,37 @@ let locate env (op : Op.op) =
 let emit env op = ignore (Builder.Seq.emit env.seq (locate env op))
 let emitv env op = Builder.Seq.emitv env.seq (locate env op)
 
-(* Emit into a fresh sequence, returning the op list. *)
-let in_seq env f =
+(* Emit into a fresh sequence, returning the op list (and, for
+   [in_seq_v], [f]'s result). *)
+let in_seq_v env f =
   let saved = env.seq in
   env.seq <- Builder.Seq.create ();
-  f ();
+  let r = f () in
   let ops = Builder.Seq.to_list env.seq in
   env.seq <- saved;
-  ops
+  (ops, r)
+
+let in_seq env f = fst (in_seq_v env f)
+
+(* [c ? a : b] where each arm is ops computing a value of dtype [dt],
+   only the taken arm running: a value-yielding scf.if.  An arm holding
+   a barrier (a shuffle or [__syncwarp]) cannot sit inside an op with
+   results, so then the arms store into a scratch slot read after a
+   plain scf.if. *)
+let lazy_select env (c : Value.t) (dt : Types.dtype) (a_ops, (av : Value.t))
+    (b_ops, (bv : Value.t)) : Value.t =
+  if List.exists (Op.exists Op.blocks_carry) (a_ops @ b_ops) then begin
+    let slot = emitv env (Builder.alloca dt []) in
+    let arm ops v = ops @ [ locate env (Builder.store v slot []) ] in
+    emit env (Builder.if_ c (arm a_ops av) ~else_:(arm b_ops bv));
+    emitv env (Builder.load slot [])
+  end
+  else begin
+    let arm ops v = ops @ [ locate env (Builder.yield_ [ v ]) ] in
+    emitv env
+      (Builder.if_ ~results:[ Types.Scalar dt ] c (arm a_ops av)
+         ~else_:(arm b_ops bv))
+  end
 
 let find_fn env name =
   List.find_opt (fun (f : Ast.func) -> f.fn_name = name) env.program
@@ -108,6 +135,23 @@ let rec eval_const (e : Ast.expr) : int option =
   | Ast.E_un (Ast.Uneg, a) -> Option.map (fun x -> -x) (eval_const a)
   | Ast.E_cast (_, a) -> eval_const a
   | _ -> None
+
+(* Can [e] be evaluated whether or not C's lazy operators would reach
+   it, with no observable difference?  No memory load, call or
+   assignment, and no division or remainder by anything but a nonzero
+   literal.  Reading a scalar local is fine: its slot cannot fault. *)
+let rec eager_safe (e : Ast.expr) : bool =
+  match e with
+  | Ast.E_int _ | Ast.E_float _ | Ast.E_id _ | Ast.E_builtin _ -> true
+  | Ast.E_bin ((Ast.Bdiv | Ast.Bmod), a, b) ->
+    eager_safe a
+    && (match b with Ast.E_int n -> n <> 0 | Ast.E_float _ -> true | _ -> false)
+  | Ast.E_bin (_, a, b) -> eager_safe a && eager_safe b
+  | Ast.E_un (_, a) | Ast.E_cast (_, a) -> eager_safe a
+  | Ast.E_cond (c, a, b) -> eager_safe c && eager_safe a && eager_safe b
+  | Ast.E_index _ | Ast.E_deref _ | Ast.E_call _ | Ast.E_assign _
+  | Ast.E_opassign _ | Ast.E_incr _ | Ast.E_decr _ ->
+    false
 
 (* --- numeric coercions --- *)
 
@@ -240,30 +284,28 @@ let rec gen_expr env (e : Ast.expr) : Value.t * Ast.ctype =
     (emitv env (Builder.load base idxs), elem)
   | Ast.E_cast (t, e') -> gen_cast env t e'
   | Ast.E_cond (c, a, b) ->
-    (* C ternary is lazy: a branch may guard an out-of-bounds access, so
-       each side lowers into its own region of an scf.if feeding a
-       temporary slot. *)
     let cv, ct = gen_expr env c in
     let cb = coerce env cv ct Ast.Tbool in
-    let in_seq_v f =
-      let saved = env.seq in
-      env.seq <- Builder.Seq.create ();
-      let r = f () in
-      let ops = Builder.Seq.to_list env.seq in
-      env.seq <- saved;
-      (ops, r)
-    in
-    let a_ops, (av, at) = in_seq_v (fun () -> gen_expr env a) in
-    let b_ops, (bv, bt) = in_seq_v (fun () -> gen_expr env b) in
-    let t = unify_arith at bt in
-    let slot = emitv env (Builder.alloca (dtype_of_ctype t) []) in
-    let a_cast, av' = in_seq_v (fun () -> coerce env av at t) in
-    let b_cast, bv' = in_seq_v (fun () -> coerce env bv bt t) in
-    emit env
-      (Builder.if_ cb
-         (a_ops @ a_cast @ [ locate env (Builder.store av' slot []) ])
-         ~else_:(b_ops @ b_cast @ [ locate env (Builder.store bv' slot []) ]));
-    (emitv env (Builder.load slot []), t)
+    if eager_safe a && eager_safe b then begin
+      let av, at = gen_expr env a in
+      let bv, bt = gen_expr env b in
+      let t = unify_arith at bt in
+      let av = coerce env av at t in
+      let bv = coerce env bv bt t in
+      (emitv env (Builder.select cb av bv), t)
+    end
+    else begin
+      (* C's ternary is lazy: an arm may guard an out-of-bounds access,
+         so each arm lowers into its own region of an scf.if *)
+      let a_ops, (av, at) = in_seq_v env (fun () -> gen_expr env a) in
+      let b_ops, (bv, bt) = in_seq_v env (fun () -> gen_expr env b) in
+      let t = unify_arith at bt in
+      let a_cast, av' = in_seq_v env (fun () -> coerce env av at t) in
+      let b_cast, bv' = in_seq_v env (fun () -> coerce env bv bt t) in
+      ( lazy_select env cb (dtype_of_ctype t) (a_ops @ a_cast, av')
+          (b_ops @ b_cast, bv')
+      , t )
+    end
   | Ast.E_assign (lhs, rhs) ->
     let v, t = gen_expr env rhs in
     gen_store env lhs v t
@@ -416,34 +458,33 @@ and gen_binop env op a b : Value.t * Ast.ctype =
   | Ast.Bne -> compare Op.Ne
   | Ast.Bland | Ast.Blor -> assert false
 
-(* Short-circuit evaluation through a temporary slot, so that the RHS is
-   only evaluated when needed (guarding patterns like
-   [i < n && data[i] > 0]). *)
+(* [a && b] / [a || b].  When [b] is {!eager_safe} both sides are
+   evaluated and combined with [arith.andi]/[ori]; otherwise [b] runs
+   only when it decides the result (guarding patterns like
+   [i < n && data[i] > 0]), inside an scf.if ({!lazy_select}). *)
 and gen_shortcircuit env op a b : Value.t * Ast.ctype =
-  let slot = emitv env (Builder.alloca Types.I1 []) in
   let av, at = gen_expr env a in
   let ab = coerce env av at Ast.Tbool in
-  let rhs_ops =
-    in_seq env (fun () ->
-        let bv, bt = gen_expr env b in
-        let bb = coerce env bv bt Ast.Tbool in
-        emit env (Builder.store bb slot []))
-  in
-  (match op with
-   | Ast.Bland ->
-     (* slot := false; if a then slot := b *)
-     let f = emitv env (Builder.const_int ~dtype:Types.I1 0) in
-     emit env (Builder.store f slot []);
-     emit env (Builder.if_ ab rhs_ops)
-   | Ast.Blor ->
-     (* slot := true; if !a then slot := b *)
-     let t = emitv env (Builder.const_int ~dtype:Types.I1 1) in
-     emit env (Builder.store t slot []);
-     let one = emitv env (Builder.const_int ~dtype:Types.I1 1) in
-     let na = emitv env (Builder.binop Op.Xor ab one) in
-     emit env (Builder.if_ na rhs_ops)
-   | _ -> assert false);
-  (emitv env (Builder.load slot []), Ast.Tbool)
+  let is_and = match op with Ast.Bland -> true | _ -> false in
+  if eager_safe b then begin
+    let bv, bt = gen_expr env b in
+    let bb = coerce env bv bt Ast.Tbool in
+    (emitv env (Builder.binop (if is_and then Op.And else Op.Or) ab bb), Ast.Tbool)
+  end
+  else begin
+    let rhs_ops, bb =
+      in_seq_v env (fun () ->
+          let bv, bt = gen_expr env b in
+          coerce env bv bt Ast.Tbool)
+    in
+    (* the value when [a] alone decides: false for &&, true for || *)
+    let decided =
+      emitv env (Builder.const_int ~dtype:Types.I1 (if is_and then 0 else 1))
+    in
+    let rhs = (rhs_ops, bb) and short = ([], decided) in
+    let then_, else_ = if is_and then (rhs, short) else (short, rhs) in
+    (lazy_select env ab Types.I1 then_ else_, Ast.Tbool)
+  end
 
 and gen_cast env (t : Ast.ctype) (e : Ast.expr) : Value.t * Ast.ctype =
   match t, e with

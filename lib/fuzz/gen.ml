@@ -17,7 +17,10 @@
    - barriers whose only job is protecting a write-after-read (the
      redundant-barrier eliminator must keep them),
    - thread-0 reductions and block-uniform [if]s (divergent-looking but
-     uniform barrier positions).
+     uniform barrier positions),
+   - scalar temporaries: lazy [&&]/[||]/[?:] with a faulting side,
+     conditionally assigned locals and loop accumulators (mem2reg's
+     if results and iter_args).
 
    The frontend has no atomics, so the guarded thread-0 reduction phase
    stands in for the atomic-update pattern. *)
@@ -173,8 +176,75 @@ let serial_loop_phase st =
       i i trips i j j j body
   end
 
+(* Scalar temporaries, the shapes mem2reg turns into scf.if results and
+   scf.for iter_args: [&&]/[||] guards and [?:] arms that would fault if
+   evaluated eagerly (an index past [in]'s end in the last block, an
+   integer division by zero), locals assigned under a condition, and
+   accumulators in serial loops — one of them carried through a loop
+   that holds barriers (fenced like [for_barrier_phase]) — and lazy
+   sides holding a shuffle under a block-uniform condition (their
+   barriers keep the value in a scratch slot). *)
+let scalar_phase st =
+  let t = st.t in
+  let k = 1 + int st (t - 1) in
+  let c = 1 + int st 7 in
+  match int st 7 with
+  | 0 ->
+    let g = fv st "g" in
+    Printf.sprintf
+      "float %s = (t + %d < %d && in[b * %d + t + %d] > 0.%df) ? 1.0f : 0.5f;\n\
+      \  s1[t] = s1[t] + %s;"
+      g k t t k c g
+  | 1 ->
+    let q = fv st "q" and k0 = int st (t - 1) in
+    Printf.sprintf
+      "int %s = 0;\n\
+      \  if (t <= %d || 12 / (t - %d) > 2) { %s = 1; }\n\
+      \  s2[t] = s2[t] * 0.5f + %s;"
+      q k0 k0 q q
+  | 2 ->
+    let v = fv st "v" in
+    Printf.sprintf
+      "float %s = (t + %d < %d) ? in[b * %d + t + %d] * 0.%df : s2[t];\n\
+      \  s1[t] = %s + 1.0f;"
+      v k t t k c v
+  | 3 ->
+    let v = fv st "c" in
+    Printf.sprintf
+      "float %s = s2[t] * 0.5f;\n\
+      \  if (t < %d) { %s = s1[t] + %d.0f; }\n\
+      \  s1[t] = %s;"
+      v k v c v
+  | 4 ->
+    let a = fv st "a" and i = fv st "i" in
+    Printf.sprintf
+      "float %s = 0.0f;\n\
+      \  for (int %s = 0; %s < %d; %s++) { %s = %s + in[b * %d + (t + %s) %% %d] * 0.25f; }\n\
+      \  s2[t] = s2[t] + %s;"
+      a i i (1 + int st 3) i a a t i t a
+  | 5 ->
+    let w = fv st "w" in
+    Printf.sprintf
+      "float %s = (b %% 2 == 0) ? __shfl_down_sync(0xffffffff, s1[t], %d) : s2[t];\n\
+      \  if (b %% 3 != 1 && __shfl_xor_sync(0xffffffff, %s, 1) > 0.%df) { %s = %s + 1.0f; }\n\
+      \  s2[t] = s2[t] * 0.5f + %s;"
+      w k w c w w w
+  | _ ->
+    let a = fv st "a" and i = fv st "i" in
+    Printf.sprintf
+      "__syncthreads();\n\
+      \  float %s = 0.0f;\n\
+      \  for (int %s = 0; %s < %d; %s++) {\n\
+      \    %s = %s + s2[(t + %s + %d) %% %d] * 0.5f;\n\
+      \    __syncthreads();\n\
+      \    s2[t] = %s * 0.75f + 1.0f;\n\
+      \    __syncthreads();\n\
+      \  }\n\
+      \  s1[t] = s1[t] + %s;"
+      a i i (1 + int st 3) i a a i k t a a
+
 let phase st =
-  match int st 10 with
+  match int st 11 with
   | 0 | 1 -> per_thread_stmt st
   | 2 -> cross_thread_phase st
   | 3 | 4 -> live_across_phase st
@@ -182,7 +252,8 @@ let phase st =
   | 6 -> while_barrier_phase st
   | 7 -> reduction_phase st
   | 8 -> uniform_if_phase st
-  | _ -> serial_loop_phase st
+  | 9 -> serial_loop_phase st
+  | _ -> scalar_phase st
 
 (* All start offsets of [needle] in [hay], left to right. *)
 let find_all ~needle hay =

@@ -328,13 +328,28 @@ and exec_op (st : state) (env : env) (op : Op.op) : unit =
     let step = Mem.as_int (lookup env (Op.for_step op)) in
     if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
     let iv = Op.for_iv op in
+    (* The iter_args' values: the inits, then what each iteration
+       yields, read from that iteration's scope before the next one
+       binds anything (so [scf.yield %b, %a] swaps).  A loop that
+       carries nothing allocates nothing for them. *)
+    let carried = Array.length op.results > 0 in
+    let cur =
+      if carried then Array.map (lookup env) (Op.for_inits op) else [||]
+    in
     let i = ref lo in
     while !i < hi do
       let env' = new_env ~parent:env () in
       bind env' iv (Mem.Int !i);
+      if carried then
+        Array.iteri (fun k a -> bind env' a cur.(k)) (Op.for_iter_args op);
       exec_ops st env' op.regions.(0).body;
+      if carried then
+        Array.iteri
+          (fun k v -> cur.(k) <- lookup env' v)
+          (Op.yielded op.regions.(0));
       i := !i + step
-    done
+    done;
+    if carried then Array.iteri (fun k r -> bind env r cur.(k)) op.results
   | Op.While ->
     let rec loop () =
       let env' = new_env ~parent:env () in
@@ -358,7 +373,11 @@ and exec_op (st : state) (env : env) (op : Op.op) : unit =
     let c = Mem.as_int (lookup env op.operands.(0)) in
     let region = if c <> 0 then op.regions.(0) else op.regions.(1) in
     let env' = new_env ~parent:env () in
-    exec_ops st env' region.body
+    exec_ops st env' region.body;
+    if Array.length op.results > 0 then
+      Array.iter2
+        (fun r v -> bind env r (lookup env' v))
+        op.results (Op.yielded region)
   | Op.Parallel kind -> exec_parallel st env op kind
   | Op.Barrier ->
     st.stats.barriers <- st.stats.barriers + 1;

@@ -60,19 +60,32 @@ let dim (m : Value.t) i =
   Op.mk (Dim i) ~operands:[| m |]
     ~results:[| Value.fresh ~name:"dim" (Types.Scalar Types.Index) |]
 
-let for_ ~lo ~hi ~step body_of_iv =
+let for_iter ~lo ~hi ~step ~inits body_of =
   let iv = Value.fresh ~name:"i" (Types.Scalar Types.Index) in
-  let body = body_of_iv iv in
-  Op.mk For ~operands:[| lo; hi; step |]
-    ~regions:[| Op.region ~args:[| iv |] body |]
+  let args =
+    Array.of_list
+      (List.map (fun (v : Value.t) -> Value.fresh ~name:"it" v.typ) inits)
+  in
+  let body = body_of iv args in
+  Op.mk For
+    ~operands:(Array.of_list (lo :: hi :: step :: inits))
+    ~results:(Array.map (fun (a : Value.t) -> Value.fresh ~name:"for" a.typ) args)
+    ~regions:[| Op.region ~args:(Array.append [| iv |] args) body |]
+
+let for_ ~lo ~hi ~step body_of_iv =
+  for_iter ~lo ~hi ~step ~inits:[] (fun iv _ -> body_of_iv iv)
+
+let yield_ vals = Op.mk Yield ~operands:(Array.of_list vals)
 
 let while_ ~cond_body ~body =
   Op.mk While ~regions:[| Op.region cond_body; Op.region body |]
 
 let condition (c : Value.t) = Op.mk Condition ~operands:[| c |]
 
-let if_ ?(else_ = []) (c : Value.t) then_ =
-  Op.mk If ~operands:[| c |] ~regions:[| Op.region then_; Op.region else_ |]
+let if_ ?(else_ = []) ?(results = []) (c : Value.t) then_ =
+  Op.mk If ~operands:[| c |]
+    ~results:(Array.of_list (List.map (Value.fresh ~name:"if") results))
+    ~regions:[| Op.region then_; Op.region else_ |]
 
 let parallel kind ~lbs ~ubs ~steps body_of_ivs =
   let n = List.length lbs in

@@ -35,11 +35,31 @@ val dim : Value.t -> int -> Op.op
     fresh induction variable. *)
 val for_ : lo:Value.t -> hi:Value.t -> step:Value.t -> (Value.t -> Op.op list) -> Op.op
 
+(** [for_iter ~lo ~hi ~step ~inits body] builds an [scf.for] carrying
+    one iter_arg per init; [body] receives the iv and the iter_args and
+    must end in a {!yield_} of the next values.  The results have the
+    inits' types. *)
+val for_iter :
+  lo:Value.t ->
+  hi:Value.t ->
+  step:Value.t ->
+  inits:Value.t list ->
+  (Value.t -> Value.t array -> Op.op list) ->
+  Op.op
+
+(** [scf.yield]: the terminator that hands values to an [scf.if]'s
+    results or an [scf.for]'s next iteration. *)
+val yield_ : Value.t list -> Op.op
+
 (** [while_ ~cond_body ~body]: [cond_body] must end in {!condition}. *)
 val while_ : cond_body:Op.op list -> body:Op.op list -> Op.op
 
 val condition : Value.t -> Op.op
-val if_ : ?else_:Op.op list -> Value.t -> Op.op list -> Op.op
+
+(** [if_ ?else_ ?results c then_]: with [results] (their types), both
+    regions must end in a {!yield_} of matching values. *)
+val if_ :
+  ?else_:Op.op list -> ?results:Types.typ list -> Value.t -> Op.op list -> Op.op
 
 (** [parallel kind ~lbs ~ubs ~steps body] builds an n-D parallel loop;
     [body] receives the fresh induction variables. *)

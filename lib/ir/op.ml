@@ -93,9 +93,14 @@ type kind =
   | Store (* operands: value, memref, indices... *)
   | Copy (* operands: src, dst memrefs of identical shape *)
   | Dim of int
-  | For (* operands: lo, hi, step; region args: [iv] *)
+  | For
+    (* operands: lo, hi, step, inits...; region args: [iv; iter_args...];
+       results: one per iter_arg; with iter_args the body ends in a
+       Yield of the next iteration's values *)
   | While (* regions: [cond (ends in Condition)] [body] *)
-  | If (* operand: cond; regions: [then] [else] *)
+  | If
+    (* operand: cond; regions: [then] [else]; with results both regions
+       end in a Yield of the result values *)
   | Parallel of par_kind (* operands: lo*n, hi*n, step*n; region args: ivs *)
   | Barrier
   | Yield
@@ -175,14 +180,44 @@ let for_hi op = op.operands.(1)
 let for_step op = op.operands.(2)
 let for_iv op = op.regions.(0).rargs.(0)
 
-let body_region op = op.regions.(0)
+let for_inits op = Array.sub op.operands 3 (Array.length op.operands - 3)
 
-let is_terminatorless_region_op op =
+let for_iter_args op =
+  let a = op.regions.(0).rargs in
+  Array.sub a 1 (Array.length a - 1)
+
+(* The trailing [scf.yield] of a region, if it ends in one. *)
+let region_yield (r : region) =
+  let rec last = function
+    | [] -> None
+    | [ ({ kind = Yield; _ } as y) ] -> Some y
+    | [ _ ] -> None
+    | _ :: rest -> last rest
+  in
+  last r.body
+
+let yielded (r : region) =
+  match region_yield r with Some y -> y.operands | None -> [||]
+
+(* An [scf.if] with results or an [scf.for] with iter_args: its regions
+   hand scalar values to the code after it (and, for the loop, to the
+   next iteration) through [scf.yield]. *)
+let carries_values op =
   match op.kind with
-  | For | If | Parallel _ | While | OmpParallel | OmpWsloop | Func _ | Module
-    ->
+  | If | For -> Array.length op.results > 0
+  | _ -> false
+
+(* Ops no value-carrying op may contain: synchronization, parallel
+   loops, the OpenMP dialect and [scf.while].  Keeping them out means
+   barrier lowering never has to split or interchange a region whose
+   values flow through yields. *)
+let blocks_carry op =
+  match op.kind with
+  | Barrier | Parallel _ | OmpParallel | OmpWsloop | OmpBarrier | While ->
     true
   | _ -> false
+
+let body_region op = op.regions.(0)
 
 (* Structural iteration over an op and everything nested inside it
    (pre-order). *)

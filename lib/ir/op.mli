@@ -92,9 +92,15 @@ type kind =
   | Store (** operands: value, memref, indices... *)
   | Copy (** operands: src, dst *)
   | Dim of int
-  | For (** operands: lo, hi, step; one region arg: the iv *)
+  | For
+    (** operands: lo, hi, step, inits; region args: the iv, then one
+        iter_arg per init; one result per iter_arg.  With iter_args the
+        body ends in a [Yield] of the next iteration's values; a
+        zero-trip loop returns its inits. *)
   | While (** regions: cond (ends in [Condition]), body *)
-  | If (** operand: cond (i1); regions: then, else *)
+  | If
+    (** operand: cond (i1); regions: then, else.  With results, both
+        regions end in a [Yield] of the result values. *)
   | Parallel of par_kind
     (** operands: lbs, ubs, steps (n each); region args: the n ivs *)
   | Barrier (** [polygeist.barrier] *)
@@ -161,8 +167,26 @@ val for_hi : op -> Value.t
 val for_step : op -> Value.t
 val for_iv : op -> Value.t
 
+(** The init operands and region iter_args of a [For] (after lo/hi/step
+    and after the iv). *)
+val for_inits : op -> Value.t array
+
+val for_iter_args : op -> Value.t array
+
+(** The trailing [Yield] of a region, if it ends in one, and its
+    operands ([[||]] when it has none). *)
+val region_yield : region -> op option
+
+val yielded : region -> Value.t array
+
+(** An [If] with results or a [For] with iter_args. *)
+val carries_values : op -> bool
+
+(** Barrier, parallel, [omp.*] and [While] ops: none may be nested inside
+    an op that {!carries_values}. *)
+val blocks_carry : op -> bool
+
 val body_region : op -> region
-val is_terminatorless_region_op : op -> bool
 
 (** Pre-order traversal of the op and everything nested inside it. *)
 val iter : (op -> unit) -> op -> unit

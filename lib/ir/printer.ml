@@ -8,6 +8,10 @@ let value v = Value.to_string v
 
 let values vs = String.concat ", " (List.map value (Array.to_list vs))
 
+let types vs =
+  String.concat ", "
+    (List.map (fun (v : Value.t) -> Types.to_string v.typ) (Array.to_list vs))
+
 let const_to_string = function
   | Op.Cint (n, d) -> Printf.sprintf "%d : %s" n (Types.dtype_to_string d)
   | Op.Cfloat (f, d) -> Printf.sprintf "%g : %s" f (Types.dtype_to_string d)
@@ -117,12 +121,26 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
          (value op.operands.(1)))
   | Dim i -> line (Printf.sprintf "memref.dim %s, %d" (value op.operands.(0)) i)
   | For ->
+    let iter =
+      match Op.for_inits op with
+      | [||] -> ""
+      | inits ->
+        let pairs =
+          Array.to_list
+            (Array.map2
+               (fun a i -> value a ^ " = " ^ value i)
+               (Op.for_iter_args op) inits)
+        in
+        Printf.sprintf "iter_args(%s) -> (%s) " (String.concat ", " pairs)
+          (types op.results)
+    in
     buf_add b
-      (Printf.sprintf "%sscf.for %s = %s to %s step %s " pad
+      (Printf.sprintf "%s%sscf.for %s = %s to %s step %s %s" pad res
          (value (Op.for_iv op))
          (value (Op.for_lo op))
          (value (Op.for_hi op))
-         (value (Op.for_step op)));
+         (value (Op.for_step op))
+         iter);
     buf_add b "{\n";
     List.iter (print_op b (indent + 2)) op.regions.(0).body;
     buf_add b (pad ^ "}\n")
@@ -130,7 +148,12 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
     region ~hdr:"scf.while cond " 0;
     region ~hdr:"do " 1
   | If ->
-    buf_add b (Printf.sprintf "%sscf.if %s {\n" pad (value op.operands.(0)));
+    let rtys =
+      if Array.length op.results = 0 then ""
+      else Printf.sprintf " -> (%s)" (types op.results)
+    in
+    buf_add b
+      (Printf.sprintf "%s%sscf.if %s%s {\n" pad res (value op.operands.(0)) rtys);
     List.iter (print_op b (indent + 2)) op.regions.(0).body;
     if op.regions.(1).body <> [] then begin
       buf_add b (pad ^ "} else {\n");
@@ -147,7 +170,10 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
     List.iter (print_op b (indent + 2)) op.regions.(0).body;
     buf_add b (pad ^ "}\n")
   | Barrier -> line "polygeist.barrier"
-  | Yield -> line "scf.yield"
+  | Yield ->
+    line
+      (if Array.length op.operands = 0 then "scf.yield"
+       else "scf.yield " ^ values op.operands)
   | Condition ->
     line (Printf.sprintf "scf.condition %s" (value op.operands.(0)))
   | OmpParallel ->

@@ -5,7 +5,12 @@
    - arity/typing: operand and result shapes of each op kind.
    - placement: [Barrier] only appears inside a [Parallel Block] (or
      [Parallel Grid] for grid-level sync, which we do not generate) and
-     [Condition] only terminates a [While] condition region. *)
+     [Condition] only terminates a [While] condition region.
+   - carried values: an [If] with results and a [For] with iter_args
+     hold scalars only, every region of theirs ends in a [Yield] of
+     matching arity and types, and none of them contains a barrier, a
+     parallel loop, an [omp.*] op or a [While] ({!Op.blocks_carry});
+     [Yield] appears only as the last op of an [If]/[For] region. *)
 
 exception Error of string
 
@@ -35,6 +40,7 @@ type ctx =
   ; mutable locals : Value.t list
   ; mutable inside_block_par : bool
   ; mutable inside_while_cond : bool
+  ; mutable inside_carry : bool
   }
 
 let define ctx (v : Value.t) =
@@ -71,6 +77,26 @@ let expect (op : Op.op) ?(operands = -1) ?(results = -1) ?(regions = -1) name =
     fail "%s: expected %d results, got %d" name results nres;
   if regions >= 0 && nreg <> regions then
     fail "%s: expected %d regions, got %d" name regions nreg
+
+let check_scalars what (vs : Value.t array) =
+  Array.iter
+    (fun (v : Value.t) ->
+      match v.typ with
+      | Types.Scalar _ -> ()
+      | Types.Memref _ ->
+        fail "%s: memref-typed value %s cannot be carried" what
+          (Value.to_string v))
+    vs
+
+let check_same_types what (a : Value.t array) (b : Value.t array) =
+  if Array.length a <> Array.length b then
+    fail "%s: %d values for %d slots" what (Array.length a) (Array.length b);
+  Array.iteri
+    (fun i (x : Value.t) ->
+      if not (Types.equal x.typ b.(i).typ) then
+        fail "%s: type mismatch at %d (%s vs %s)" what i
+          (Types.to_string x.typ) (Types.to_string b.(i).typ))
+    a
 
 let check_op_shape (op : Op.op) =
   let nops = Array.length op.operands in
@@ -113,15 +139,24 @@ let check_op_shape (op : Op.op) =
     check_memref "copy dst" op.operands.(1)
   | Op.Dim _ -> expect op ~operands:1 ~results:1 ~regions:0 "dim"
   | Op.For ->
-    expect op ~operands:3 ~results:0 ~regions:1 "for";
-    Array.iter (check_index "for bound") op.operands;
-    if Array.length op.regions.(0).rargs <> 1 then
-      fail "for: expected 1 region arg"
+    expect op ~regions:1 "for";
+    if nops < 3 then fail "for: expected at least 3 operands, got %d" nops;
+    for i = 0 to 2 do
+      check_index "for bound" op.operands.(i)
+    done;
+    if Array.length op.regions.(0).rargs <> nops - 2 then
+      fail "for: expected %d region args (iv + iter_args), got %d" (nops - 2)
+        (Array.length op.regions.(0).rargs);
+    let inits = Op.for_inits op in
+    check_scalars "for iter_arg" inits;
+    check_same_types "for iter_args" (Op.for_iter_args op) inits;
+    check_same_types "for results" op.results inits
   | Op.While ->
     expect op ~operands:0 ~results:0 ~regions:2 "while"
   | Op.If ->
-    expect op ~operands:1 ~results:0 ~regions:2 "if";
-    check_i1 "if cond" op.operands.(0)
+    expect op ~operands:1 ~regions:2 "if";
+    check_i1 "if cond" op.operands.(0);
+    check_scalars "if result" op.results
   | Op.Parallel _ | Op.OmpWsloop ->
     expect op ~results:0 ~regions:1 "parallel";
     let n = Array.length op.regions.(0).rargs in
@@ -141,6 +176,13 @@ let rec check_op ctx (op : Op.op) =
     use ctx op op.operands.(i)
   done;
   check_op_shape op;
+  if ctx.inside_carry && Op.blocks_carry op then
+    fail "%s nested inside an scf.if with results or an scf.for with iter_args"
+      (match op.kind with
+       | Op.Barrier -> "polygeist.barrier"
+       | Op.While -> "scf.while"
+       | Op.Parallel _ -> "scf.parallel"
+       | _ -> "omp op");
   (match op.kind with
    | Op.Barrier ->
      if not ctx.inside_block_par then
@@ -161,7 +203,9 @@ and check_region ctx (op : Op.op) i (r : Op.region) =
   let saved_locals = ctx.locals in
   let saved_block = ctx.inside_block_par in
   let saved_cond = ctx.inside_while_cond in
+  let saved_carry = ctx.inside_carry in
   ctx.locals <- [];
+  if Op.carries_values op then ctx.inside_carry <- true;
   (match op.kind with
    | Op.Parallel Op.Block -> ctx.inside_block_par <- true
    | Op.Parallel _ | Op.OmpParallel | Op.OmpWsloop | Op.Func _ ->
@@ -176,11 +220,39 @@ and check_region ctx (op : Op.op) i (r : Op.region) =
       | { kind = Op.Condition; _ } :: _ -> ()
       | _ -> fail "while cond region must end in scf.condition")
    | _ -> ());
+  check_yields op r;
   (* leaving the region: its definitions stay defined, out of scope *)
   List.iter (fun v -> Value.Tbl.replace ctx.seen v false) ctx.locals;
   ctx.locals <- saved_locals;
   ctx.inside_block_par <- saved_block;
-  ctx.inside_while_cond <- saved_cond
+  ctx.inside_while_cond <- saved_cond;
+  ctx.inside_carry <- saved_carry
+
+(* [Yield] terminates [If]/[For] regions only; a value-carrying op's
+   regions must end in one that matches what the op carries. *)
+and check_yields (op : Op.op) (r : Op.region) =
+  let carried =
+    match op.kind with
+    | Op.If -> Some op.results
+    | Op.For -> Some (Op.for_iter_args op)
+    | _ -> None
+  in
+  let rec go = function
+    | [] ->
+      if Op.carries_values op then fail "value-carrying region must end in scf.yield"
+    | [ (last : Op.op) ] -> begin
+      match last.kind, carried with
+      | Op.Yield, None -> fail "scf.yield outside an scf.if/scf.for region"
+      | Op.Yield, Some want -> check_same_types "scf.yield" last.operands want
+      | _ ->
+        if Op.carries_values op then
+          fail "value-carrying region must end in scf.yield"
+    end
+    | (o : Op.op) :: rest ->
+      if o.kind = Op.Yield then fail "scf.yield must be the last op of its region";
+      go rest
+  in
+  go r.body
 
 let verify (m : Op.op) =
   let ctx =
@@ -188,6 +260,7 @@ let verify (m : Op.op) =
     ; locals = []
     ; inside_block_par = false
     ; inside_while_cond = false
+    ; inside_carry = false
     }
   in
   check_op ctx m

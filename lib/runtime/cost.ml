@@ -60,6 +60,9 @@ type ctx =
   ; modul : Op.op
   ; env : sval Value.Tbl.t
   ; iv_trips : int Value.Tbl.t (* known trip count of the loop an iv drives *)
+  ; means : int Value.Tbl.t
+    (* mean value of a serial-loop iv over its trips, carried through
+       integer arithmetic: only trip counts read it *)
   ; mutable unknown_trips : int (* how often a default trip was used *)
   ; default_trip : int
   }
@@ -72,6 +75,13 @@ let lookup ctx (v : Value.t) : sval =
 let bind ctx v s = Value.Tbl.replace ctx.env v s
 
 let as_int = function Ki n -> Some n | Kf _ | Unk -> None
+
+(* The exact value when known, else the mean over the enclosing serial
+   loops' iterations (a triangular or wavefront nest). *)
+let mean_int ctx (v : Value.t) =
+  match lookup ctx v with
+  | Ki n -> Some n
+  | Kf _ | Unk -> Value.Tbl.find_opt ctx.means v
 
 (* Probability that a condition holds, for costing an if-branch.  Exact
    when the condition folded to a constant; the tid==0 / iv==const guard
@@ -144,7 +154,17 @@ let eval_scalar ctx (op : Op.op) : unit =
       in
       bind ctx (Op.result op) (match r with Some n -> Ki n | None -> Unk)
     end
-    | _ -> bind ctx (Op.result op) Unk
+    | _ ->
+      bind ctx (Op.result op) Unk;
+      begin
+        match mean_int ctx op.Op.operands.(0), mean_int ctx op.Op.operands.(1), b with
+        | Some x, Some y, Op.Add -> Value.Tbl.replace ctx.means (Op.result op) (x + y)
+        | Some x, Some y, Op.Sub -> Value.Tbl.replace ctx.means (Op.result op) (x - y)
+        | Some x, Some y, Op.Mul -> Value.Tbl.replace ctx.means (Op.result op) (x * y)
+        | Some x, Some y, Op.Div when y <> 0 ->
+          Value.Tbl.replace ctx.means (Op.result op) (x / y)
+        | _ -> ()
+      end
   end
   | Op.Cmp pred -> begin
     match lookup ctx op.Op.operands.(0), lookup ctx op.Op.operands.(1) with
@@ -172,7 +192,7 @@ let eval_scalar ctx (op : Op.op) : unit =
 
 let trip_count ctx ~(lo : Value.t) ~(hi : Value.t) ~(step : Value.t)
     (op : Op.op) : int =
-  match as_int (lookup ctx lo), as_int (lookup ctx hi), as_int (lookup ctx step) with
+  match mean_int ctx lo, mean_int ctx hi, mean_int ctx step with
   | Some l, Some h, Some s when s > 0 -> max 0 ((h - l + s - 1) / s)
   | _ -> begin
     match Op.attr_int op "trip" with
@@ -262,6 +282,10 @@ and cost_op ctx ~(team : team_ctx option) ~(depth : int) (op : Op.op) : work =
     in
     Value.Tbl.replace ctx.iv_trips (Op.for_iv op) trips;
     bind ctx (Op.for_iv op) Unk;
+    (match as_int (lookup ctx (Op.for_lo op)), as_int (lookup ctx (Op.for_step op)) with
+     | Some lo, Some step when trips > 0 ->
+       Value.Tbl.replace ctx.means (Op.for_iv op) (lo + (step * (trips - 1) / 2))
+     | _ -> ());
     scale (float_of_int trips) (cost_ops ctx ~team ~depth op.Op.regions.(0).body)
   | Op.While ->
     let trips =
@@ -410,6 +434,7 @@ let of_func ?(default_trip = 16) (machine : Machine.t) ~(threads : int)
     ; modul
     ; env = Value.Tbl.create 256
     ; iv_trips = Value.Tbl.create 64
+    ; means = Value.Tbl.create 64
     ; unknown_trips = 0
     ; default_trip
     }

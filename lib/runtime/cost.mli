@@ -3,8 +3,10 @@
     machine model with a given thread count.  Compute scales with threads
     until memory bandwidth saturates; overheads (team spawns, barriers,
     worksharing chunks) are charged per the machine model.  Trip counts
-    derived from the arguments are exact; data-dependent ones fall back
-    to a [trip] attribute or [default_trip]. *)
+    derived from the arguments are exact; a loop whose bounds depend on
+    an enclosing serial loop's iv (a triangular or wavefront nest) is
+    costed at that iv's mean over its trips; data-dependent ones fall
+    back to a [trip] attribute or [default_trip]. *)
 
 type sval =
   | Ki of int

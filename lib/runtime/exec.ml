@@ -773,10 +773,15 @@ and compile_op (ce : cenv) (op : Op.op) : code =
   | Op.For -> compile_for ce op
   | Op.While -> compile_while ce op
   | Op.If -> begin
-    let t = compile_region ce op.Op.regions.(0).Op.body in
+    (* a branch ends by moving its yielded values into the results *)
+    let branch (r : Op.region) =
+      let c = compile_region ce r.Op.body in
+      if Array.length op.Op.results = 0 then c
+      else seq [ c; compile_moves ce op (Op.yielded r) op.Op.results ]
+    in
+    let t = branch op.Op.regions.(0) in
     let e =
-      if Array.length op.Op.regions > 1 then
-        compile_region ce op.Op.regions.(1).Op.body
+      if Array.length op.Op.regions > 1 then branch op.Op.regions.(1)
       else nop
     in
     match int_lit ce o.(0) with
@@ -848,20 +853,65 @@ and compile_select ce op : code =
         let x = bget ce op o.(1) and y = bget ce op o.(2) in
         fun fr -> fr.bregs.(r) <- (if ig fr c <> 0 then x fr else y fr))
 
+(* Register moves [dsts.(i) <- srcs.(i)] for carried values.  All
+   sources are read before any destination is written — a parallel
+   copy, so [scf.yield %b, %a] over iter_args [%a, %b] swaps them;
+   temporaries are used only when a source is another pair's
+   destination. *)
+and compile_moves ce op (srcs : Value.t array) (dsts : Value.t array) : code =
+  let pairs =
+    Array.to_list (Array.map2 (fun s d -> (slot_of ce s, slot_of ce d)) srcs dsts)
+    |> List.filter (fun (a, b) -> a <> b)
+  in
+  let move = function
+    | SI x, SI y -> fun fr -> is fr y (ig fr x)
+    | SF x, SF y -> fun fr -> fs fr y (fg fr x)
+    | _ ->
+      raise
+        (Unsupported (Op.loc_string op ^ ": carried value of another register kind"))
+  in
+  if not (List.exists (fun (a, _) -> List.exists (fun (_, b) -> a = b) pairs) pairs)
+  then seq (List.map move pairs)
+  else begin
+    let temps =
+      List.map
+        (fun (a, b) ->
+          let t = match a with SF _ -> SF (new_fslot ce) | _ -> SI (new_islot ce) in
+          ((a, t), (t, b)))
+        pairs
+    in
+    seq (List.map (fun (p, _) -> move p) temps @ List.map (fun (_, p) -> move p) temps)
+  end
+
+(* An [scf.for]: bounds read once; iter_args start as the inits and take
+   the yielded values after each iteration.  The results share the
+   iter_args' registers (a result is only read after the loop, where its
+   iter_arg is dead), so a zero-trip loop returns its inits with no
+   extra move. *)
 and compile_for ce op : code =
   let iv =
     match slot_of ce (Op.for_iv op) with
     | SI k -> k
     | SF _ | SB _ -> raise (Unsupported "scf.for: non-integer iv")
   in
+  let args = Op.for_iter_args op in
+  Array.iteri
+    (fun k (r : Value.t) -> Hashtbl.replace ce.slots r.Value.id (slot_of ce args.(k)))
+    op.Op.results;
   with_conv (fun pre _ ->
       let lo = ireg ce pre (Op.for_lo op) in
       let hi = ireg ce pre (Op.for_hi op) in
       let step = ireg ce pre (Op.for_step op) in
-      let body = compile_region ce op.Op.regions.(0).Op.body in
+      let init = compile_moves ce op (Op.for_inits op) args in
+      let region = op.Op.regions.(0) in
+      (* the body first: a nested loop's results take their registers
+         while it compiles, before this yield reads them *)
+      let body = compile_region ce region.Op.body in
+      let body = seq [ body; compile_moves ce op (Op.yielded region) args ] in
       fun fr ->
         let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
         if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
+        init fr;
         let i = ref lo in
         while !i < hi do
           is fr iv !i;

@@ -208,6 +208,98 @@ let test_verify_shape_text () =
   in
   expect_error (in_func [ c; bad ]) "binop: expected 2 operands, got 1"
 
+(* --- value-carrying ops: one rejection per rule --- *)
+
+let f64 = Types.Scalar Types.F64
+
+(* [scf.if %true -> types] with the given then/else bodies. *)
+let if_results types then_ else_ =
+  let t = Builder.const_int ~dtype:Types.I1 1 in
+  let op = Builder.if_ ~results:types (Op.result t) then_ ~else_ in
+  (t, op)
+
+let expect_prefix m want =
+  match Verifier.verify_result m with
+  | Ok () -> Alcotest.failf "verifier accepted invalid IR, wanted %S" want
+  | Error got ->
+    if not (String.length got >= String.length want
+            && String.sub got 0 (String.length want) = want)
+    then Alcotest.failf "verifier said %S, wanted it to start with %S" got want
+
+let test_verify_carried_values () =
+  (* well-formed: an if result and a for iter_arg *)
+  let one = Builder.const_float ~dtype:Types.F64 1.0 in
+  let x = Op.result one in
+  let t, ok_if = if_results [ f64 ] [ Builder.yield_ [ x ] ] [ Builder.yield_ [ x ] ] in
+  let lo = c0 () and hi = c1 () in
+  let ok_for =
+    Builder.for_iter ~lo:(Op.result lo) ~hi:(Op.result hi) ~step:(Op.result hi)
+      ~inits:[ x ] (fun _ args -> [ Builder.yield_ [ args.(0) ] ])
+  in
+  (match Verifier.verify_result (in_func [ one; t; ok_if; lo; hi; ok_for ]) with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "well-formed carried values rejected: %s" e);
+  (* yield arity and types *)
+  let t, bad = if_results [ f64 ] [ Builder.yield_ [ x; x ] ] [ Builder.yield_ [ x ] ] in
+  expect_error (in_func [ one; t; bad ]) "scf.yield: 2 values for 1 slots";
+  let i = c1 () in
+  let t, bad =
+    if_results [ f64 ] [ Builder.yield_ [ Op.result i ] ] [ Builder.yield_ [ x ] ]
+  in
+  expect_error (in_func [ one; i; t; bad ])
+    "scf.yield: type mismatch at 0 (index vs f64)";
+  (* a carrying region must end in a yield; a yield must end its region *)
+  let t, bad = if_results [ f64 ] [] [ Builder.yield_ [ x ] ] in
+  expect_error (in_func [ one; t; bad ])
+    "value-carrying region must end in scf.yield";
+  let t, bad =
+    if_results [ f64 ] [ Builder.yield_ [ x ]; Builder.const_int 3 ] [ Builder.yield_ [ x ] ]
+  in
+  expect_error (in_func [ one; t; bad ])
+    "scf.yield must be the last op of its region";
+  expect_error
+    (Builder.module_ [ Builder.func "f" [] (fun _ -> [ Builder.yield_ [] ]) ])
+    "scf.yield outside an scf.if/scf.for region";
+  (* memref-typed results *)
+  let buf = Builder.alloca Types.F64 [] in
+  let b = Op.result buf in
+  let t, bad =
+    if_results [ b.Value.typ ] [ Builder.yield_ [ b ] ] [ Builder.yield_ [ b ] ]
+  in
+  expect_error (in_func [ buf; t; bad ])
+    (Printf.sprintf "if result: memref-typed value %s cannot be carried"
+       (Value.to_string (Op.result bad)));
+  (* no barrier, parallel loop, omp op or while inside a carrying op *)
+  let nested what inner =
+    let lo = c0 () and hi = c1 () in
+    let body =
+      Builder.for_iter ~lo:(Op.result lo) ~hi:(Op.result hi)
+        ~step:(Op.result hi) ~inits:[ x ] (fun _ args ->
+          inner () @ [ Builder.yield_ [ args.(0) ] ])
+    in
+    let blo = c0 () and bhi = c1 () in
+    expect_prefix
+      (in_func
+         [ one; blo; bhi
+         ; Builder.parallel Op.Block ~lbs:[ Op.result blo ]
+             ~ubs:[ Op.result bhi ] ~steps:[ Op.result bhi ] (fun _ ->
+               [ lo; hi; body ])
+         ])
+      (what ^ " nested inside an scf.if with results or an scf.for with \
+               iter_args")
+  in
+  nested "polygeist.barrier" (fun () -> [ Builder.barrier () ]);
+  nested "scf.while" (fun () ->
+      let c = Builder.const_int ~dtype:Types.I1 0 in
+      [ Builder.while_ ~cond_body:[ c; Builder.condition (Op.result c) ] ~body:[] ]);
+  nested "scf.parallel" (fun () ->
+      let lo = c0 () and hi = c1 () in
+      [ lo; hi
+      ; Builder.parallel Op.Flat ~lbs:[ Op.result lo ] ~ubs:[ Op.result hi ]
+          ~steps:[ Op.result hi ] (fun _ -> [])
+      ]);
+  nested "omp op" (fun () -> [ Builder.omp_parallel [] ])
+
 (* --- linearity guard: the harness's own checks cost O(IR) --- *)
 
 (* A func of [n] binops spread evenly over [depth] nested loops. *)
@@ -274,6 +366,8 @@ let tests =
   ; Alcotest.test_case "verify: barrier placement" `Quick
       test_verify_barrier_placement
   ; Alcotest.test_case "verify: shape message" `Quick test_verify_shape_text
+  ; Alcotest.test_case "verify: carried values, one rejection per rule" `Quick
+      test_verify_carried_values
   ; Alcotest.test_case "verify and snapshot allocate O(IR)" `Quick
       test_harness_linear
   ]

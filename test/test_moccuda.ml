@@ -343,6 +343,113 @@ let test_kernel_cache_reuse () =
   Alcotest.(check int) "new shape: new entry" 2 s.Moccuda.Kmgr.compiles;
   Alcotest.(check int) "nothing degraded" 0 s.Moccuda.Kmgr.degraded
 
+(* --- scalar temporaries: what the kernel library lowers to --- *)
+
+let im2col_kernel ~batch =
+  Moccuda.Kernels.im2col
+    { Conv.n = batch; c = 8; h = 8; w = 8; k = 8; r = 3; s = 3
+    ; p = { Conv.stride = 1; pad = 1 } }
+
+(* Every kernel of the library (and every Rodinia program) lowers on the
+   primary rung, nothing degraded. *)
+let lower_primary what src =
+  let m = Cudafe.Codegen.compile src in
+  match
+    Core.Passmgr.lower (Core.Passmgr.Optimized Core.Omp_lower.default_options) m
+  with
+  | Ok r when not (Core.Passmgr.degraded r) -> m
+  | Ok r ->
+    Alcotest.failf "%s degraded:\n%s" what (Core.Passmgr.report_to_string r)
+  | Error (_, e) -> Alcotest.failf "%s failed to lower: %s" what e
+
+let count p m =
+  let n = ref 0 in
+  Ir.Op.iter (fun o -> if p o then incr n) m;
+  !n
+
+let is_alloc (o : Ir.Op.op) =
+  match o.Ir.Op.kind with Ir.Op.Alloc | Ir.Op.Alloca -> true | _ -> false
+
+let test_library_lowers_primary () =
+  let open Moccuda.Kernels in
+  List.iter
+    (fun (k : Moccuda.Kernels.t) -> ignore (lower_primary k.name k.src))
+    [ gemm ~m:8 ~n:128 ~k:72; im2col_kernel ~batch:2
+    ; col2im ~n:2 ~k:8 ~oh:8 ~ow:8; relu ~numel:1000
+    ; bias_relu ~numel:512 ~c:8 ~hw:64; add ~numel:1000
+    ; maxpool ~n:2 ~c:4 ~h:8 ~w:8 ~size:2 ~stride:2
+    ; avgpool_global ~n:2 ~c:8 ~hw:64; batchnorm ~numel:512 ~c:8 ~hw:64
+    ; linear ~n:2 ~infeat:8 ~outfeat:10; softmax ~rows:2 ~cols:10
+    ; logk ~numel:20; nll ~n:2 ~classes:10 ];
+  List.iter
+    (fun (b : Rodinia.Bench_def.t) -> ignore (lower_primary b.name b.cuda_src))
+    (Rodinia.Registry.matmul :: Rodinia.Registry.all);
+  let im2col = lower_primary "im2col" (im2col_kernel ~batch:2).src in
+  Alcotest.(check int) "im2col keeps no alloca or alloc" 0 (count is_alloc im2col)
+
+(* The lowered 8x128x72 GEMM keeps one thread-private slab, for [acc],
+   allocated once per block (outside every serial loop); the k loop
+   carries [acc] in a register (an iter_arg) and touches no slab; no
+   empty loop is left. *)
+let test_gemm_lowering () =
+  let m = lower_primary "gemm" (Moccuda.Kernels.gemm ~m:8 ~n:128 ~k:72).src in
+  let slabs = ref [] in
+  let rec walk ~in_for (o : Ir.Op.op) =
+    (match o.Ir.Op.kind with
+     | Ir.Op.Alloc ->
+       if in_for then Alcotest.fail "a slab is allocated inside a serial loop";
+       slabs := Ir.Op.result o :: !slabs
+     | _ -> ());
+    let in_for = in_for || o.Ir.Op.kind = Ir.Op.For in
+    Array.iter (fun r -> List.iter (walk ~in_for) r.Ir.Op.body) o.Ir.Op.regions
+  in
+  walk ~in_for:false m;
+  Alcotest.(check int) "one slab" 1 (List.length !slabs);
+  let slab = List.hd !slabs in
+  let carrying = ref 0 in
+  Ir.Op.iter
+    (fun o ->
+      if o.Ir.Op.kind = Ir.Op.For && Ir.Op.carries_values o then begin
+        incr carrying;
+        let touches =
+          count
+            (fun a ->
+              Array.exists (Ir.Value.equal slab) a.Ir.Op.operands
+              && (a.Ir.Op.kind = Ir.Op.Load || a.Ir.Op.kind = Ir.Op.Store))
+            o
+        in
+        Alcotest.(check int) "no slab access inside the k loop" 0 touches
+      end)
+    m;
+  Alcotest.(check int) "the k loop carries acc" 1 !carrying;
+  Alcotest.(check int) "no empty loop" 0
+    (count
+       (fun o ->
+         o.Ir.Op.kind = Ir.Op.For
+         && List.for_all
+              (fun (b : Ir.Op.op) -> b.Ir.Op.kind = Ir.Op.Yield)
+              o.Ir.Op.regions.(0).Ir.Op.body)
+       m)
+
+(* A warm im2col launch allocates the same few words at batch 1 and at
+   batch 8: no scratch slot is heap-allocated per element. *)
+let test_im2col_allocation_gate () =
+  let words batch =
+    let m = lower_primary "im2col" (im2col_kernel ~batch).src in
+    let c = Runtime.Exec.compile m "run" in
+    let p = Interp.Mem.alloc_buffer Ir.Types.F64 [| 72 * batch * 64 |] in
+    let x = Interp.Mem.alloc_buffer Ir.Types.F64 [| batch * 8 * 64 |] in
+    let args = [ Interp.Mem.Buf p; Interp.Mem.Buf x ] in
+    ignore (Runtime.Exec.run ~domains:1 c args);
+    let w0 = Gc.minor_words () in
+    ignore (Runtime.Exec.run ~domains:1 c args);
+    Gc.minor_words () -. w0
+  in
+  let w1 = words 1 and w8 = words 8 in
+  if Float.abs (w8 -. w1) >= 1000.0 then
+    Alcotest.failf "minor words per launch: %.0f at batch 1, %.0f at batch 8" w1
+      w8
+
 let tests =
   [ Alcotest.test_case "blocked gemm = naive" `Quick
       test_gemm_blocked_matches_naive
@@ -364,4 +471,9 @@ let tests =
       test_kernel_nll_matches_reference
   ; Alcotest.test_case "graph shape errors" `Quick test_graph_shape_errors
   ; Alcotest.test_case "kernel cache reuse" `Quick test_kernel_cache_reuse
+  ; Alcotest.test_case "library lowers on the primary rung" `Quick
+      test_library_lowers_primary
+  ; Alcotest.test_case "gemm: one slab, acc carried" `Quick test_gemm_lowering
+  ; Alcotest.test_case "im2col: allocation flat in batch" `Quick
+      test_im2col_allocation_gate
   ]

@@ -176,6 +176,26 @@ let test_inner_serial_cheaper () =
     (Printf.sprintf "serial %.3e <= parallel %.3e" ser par)
     true (ser <= par)
 
+(* A loop whose bounds depend on an enclosing serial loop's iv is costed
+   at that iv's mean, so a triangular nest's simulated time grows as n^2
+   (the default trip count of 16 would make it grow as n). *)
+let triangle_src =
+  {|
+void launch(float* a, float* b, int n) {
+  for (int i = 0; i < n; i++) {
+    for (int j = i; j < n; j++) { a[j] = a[j] + b[i]; }
+  }
+}
+|}
+
+let test_cost_triangular_nest () =
+  let t n = cost_of ~threads:1 triangle_src n in
+  let r = t 2000 /. t 1000 in
+  Alcotest.(check bool)
+    (Printf.sprintf "t(2n) / t(n) = %.2f, about 4" r)
+    true
+    (r > 3.5 && r < 4.5)
+
 let tests =
   [ Alcotest.test_case "reduction lowering (inner serial)" `Quick
       test_lower_reduction_inner_serial
@@ -190,6 +210,8 @@ let tests =
   ; Alcotest.test_case "cost scales with size" `Quick test_cost_scales_with_size
   ; Alcotest.test_case "inner serialization cheaper" `Quick
       test_inner_serial_cheaper
+  ; Alcotest.test_case "cost of a triangular nest grows as n^2" `Quick
+      test_cost_triangular_nest
   ]
 
 (* appended: suite-wide cost-model sanity *)

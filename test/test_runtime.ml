@@ -22,8 +22,10 @@
    worksharing via builder-built IR under many team sizes and all three
    schedules (including a skewed load for dynamic work stealing), the
    interpreter's team-size plumbing (wsloops inside GPU block regions
-   must NOT be chunked), and fault injection through the parallel
-   path. *)
+   must NOT be chunked), scf.if results and scf.for iter_args on both
+   engines (int and float registers, a parallel-copy swap, zero-trip and
+   nested loops, a faulting arm), and fault injection through the
+   parallel path. *)
 
 open Ir
 
@@ -1488,6 +1490,203 @@ let test_exec_team_reuse_stats () =
   Alcotest.(check int) "one launch each" 1 st3.Runtime.Exec.launches;
   ignore (Runtime.Pool.shutdown_cached ())
 
+(* --- carried values: scf.if results and scf.for iter_args --- *)
+
+let f64 = Types.Scalar Types.F64
+
+(* func @k(out : memref<?xf64>, ints : index...) built by [body]. *)
+let carried_module nints body =
+  Builder.module_
+    [ Builder.func "k"
+        (("out", Types.memref Types.F64 [ None ])
+         :: List.init nints (fun i -> (Printf.sprintf "x%d" i, Types.Scalar Types.Index)))
+        (fun p ->
+          let s = Builder.Seq.create () in
+          body s p;
+          Builder.Seq.to_list s @ [ Builder.return_ [] ])
+    ]
+
+(* [out[k] = float v] for each value, in order. *)
+let store_all s (out : Value.t) (vs : Value.t list) =
+  List.iteri
+    (fun k (v : Value.t) ->
+      let v =
+        if Types.equal v.Value.typ f64 then v
+        else Builder.Seq.emitv s (Builder.cast Types.F64 v)
+      in
+      let i = Builder.Seq.emitv s (Builder.const_int k) in
+      ignore (Builder.Seq.emit s (Builder.store v out [ i ])))
+    vs
+
+(* [out] after @k on the interpreter and on the engine, or the error
+   text; both engines must agree. *)
+let carried_run m ~n ints : (float list, string) result =
+  let outcome run =
+    let out = Interp.Mem.alloc_buffer Types.F64 [| n |] in
+    match run (Interp.Mem.Buf out :: List.map (fun i -> Interp.Mem.Int i) ints) with
+    | () -> Ok (Array.to_list (Interp.Mem.float_contents out))
+    | exception Interp.Mem.Runtime_error e -> Error e
+  in
+  let interp = outcome (fun args -> ignore (Interp.Eval.run m "k" args)) in
+  List.iter
+    (fun d ->
+      let engine =
+        outcome (fun args -> ignore (Runtime.Exec.run_module ~domains:d m "k" args))
+      in
+      if engine <> interp then
+        Alcotest.failf "engine at %d domains differs from the interpreter" d)
+    domains_under_test;
+  interp
+
+let check_carried what want got =
+  Alcotest.(check (result (list (float 0.0)) string)) what want got
+
+(* if results into an f64 and an index register, yielding literals in
+   one branch and computed registers in the other *)
+let test_if_results () =
+  let m =
+    carried_module 1 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let x = p.(1) in
+        let c = e (Builder.cmp Op.Lt x (e (Builder.const_int 5))) in
+        let lit_f = e (Builder.const_float ~dtype:Types.F64 1.5) in
+        let lit_i = e (Builder.const_int 7) in
+        let fx = e (Builder.cast Types.F64 x) in
+        let r =
+          Builder.Seq.emit s
+            (Builder.if_ ~results:[ f64; Types.Scalar Types.Index ] c
+               [ Builder.yield_ [ lit_f; x ] ]
+               ~else_:[ Builder.yield_ [ fx; lit_i ] ])
+        in
+        store_all s p.(0) (Array.to_list r.Op.results))
+  in
+  check_carried "then: literal f64, register index" (Ok [ 1.5; 3.0 ])
+    (carried_run m ~n:2 [ 3 ]);
+  check_carried "else: register f64, literal index" (Ok [ 9.0; 7.0 ])
+    (carried_run m ~n:2 [ 9 ])
+
+(* [yield %b, %a] swaps: a parallel copy, in both register files *)
+let test_iter_arg_swap () =
+  let m =
+    carried_module 1 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let inits =
+          [ e (Builder.const_float ~dtype:Types.F64 1.0)
+          ; e (Builder.const_float ~dtype:Types.F64 2.0)
+          ; e (Builder.const_int 10)
+          ; e (Builder.const_int 20)
+          ]
+        in
+        let lo = e (Builder.const_int 0) and one = e (Builder.const_int 1) in
+        let l =
+          Builder.Seq.emit s
+            (Builder.for_iter ~lo ~hi:p.(1) ~step:one ~inits (fun _ a ->
+                 [ Builder.yield_ [ a.(1); a.(0); a.(3); a.(2) ] ]))
+        in
+        store_all s p.(0) (Array.to_list l.Op.results))
+  in
+  check_carried "3 trips swap" (Ok [ 2.0; 1.0; 20.0; 10.0 ]) (carried_run m ~n:4 [ 3 ]);
+  check_carried "4 trips restore" (Ok [ 1.0; 2.0; 10.0; 20.0 ]) (carried_run m ~n:4 [ 4 ]);
+  check_carried "zero trips return the inits" (Ok [ 1.0; 2.0; 10.0; 20.0 ])
+    (carried_run m ~n:4 [ 0 ])
+
+(* lo > hi: the loop body never runs, the result is the init *)
+let test_zero_trip_loop () =
+  let m =
+    carried_module 0 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let init = e (Builder.const_float ~dtype:Types.F64 42.0) in
+        let lo = e (Builder.const_int 5) and hi = e (Builder.const_int 2) in
+        let one = e (Builder.const_int 1) in
+        let l =
+          Builder.Seq.emit s
+            (Builder.for_iter ~lo ~hi ~step:one ~inits:[ init ] (fun _ a ->
+                 let inc = Builder.const_float ~dtype:Types.F64 1.0 in
+                 let add = Builder.binop Op.Add a.(0) (Op.result inc) in
+                 [ inc; add; Builder.yield_ [ Op.result add ] ]))
+        in
+        store_all s p.(0) [ Op.result l ])
+  in
+  check_carried "inits" (Ok [ 42.0 ]) (carried_run m ~n:1 [])
+
+(* acc = sum of the even ivs below n: an if carrying a value inside a
+   loop carrying it *)
+let test_if_in_for () =
+  let m =
+    carried_module 1 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let zero = e (Builder.const_float ~dtype:Types.F64 0.0) in
+        let lo = e (Builder.const_int 0) and one = e (Builder.const_int 1) in
+        let two = e (Builder.const_int 2) in
+        let l =
+          Builder.Seq.emit s
+            (Builder.for_iter ~lo ~hi:p.(1) ~step:one ~inits:[ zero ] (fun i a ->
+                 let b = Builder.Seq.create () in
+                 let e op = Builder.Seq.emitv b op in
+                 let even =
+                   e (Builder.cmp Op.Eq (e (Builder.binop Op.Rem i two)) lo)
+                 in
+                 let fi = Builder.cast Types.F64 i in
+                 let add = Builder.binop Op.Add a.(0) (Op.result fi) in
+                 let r =
+                   e
+                     (Builder.if_ ~results:[ f64 ] even
+                        [ fi; add; Builder.yield_ [ Op.result add ] ]
+                        ~else_:[ Builder.yield_ [ a.(0) ] ])
+                 in
+                 Builder.Seq.to_list b @ [ Builder.yield_ [ r ] ]))
+        in
+        store_all s p.(0) [ Op.result l ])
+  in
+  check_carried "0+2+4" (Ok [ 6.0 ]) (carried_run m ~n:1 [ 6 ]);
+  check_carried "no trips" (Ok [ 0.0 ]) (carried_run m ~n:1 [ 0 ])
+
+(* a loop carrying the result of a loop nested in it: n * m *)
+let test_nested_for () =
+  let m =
+    carried_module 2 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let zero = e (Builder.const_float ~dtype:Types.F64 0.0) in
+        let one_f = e (Builder.const_float ~dtype:Types.F64 1.0) in
+        let lo = e (Builder.const_int 0) and one = e (Builder.const_int 1) in
+        let l =
+          Builder.Seq.emit s
+            (Builder.for_iter ~lo ~hi:p.(1) ~step:one ~inits:[ zero ] (fun _ a ->
+                 let inner =
+                   Builder.for_iter ~lo ~hi:p.(2) ~step:one ~inits:[ a.(0) ]
+                     (fun _ b ->
+                       let add = Builder.binop Op.Add b.(0) one_f in
+                       [ add; Builder.yield_ [ Op.result add ] ])
+                 in
+                 [ inner; Builder.yield_ [ Op.result inner ] ]))
+        in
+        store_all s p.(0) [ Op.result l ])
+  in
+  check_carried "3 x 4" (Ok [ 12.0 ]) (carried_run m ~n:1 [ 3; 4 ]);
+  check_carried "inner zero trips" (Ok [ 0.0 ]) (carried_run m ~n:1 [ 3; 0 ])
+
+(* r = c ? 10 / d : 0 with the division inside the taken arm only *)
+let test_trapping_arm () =
+  let m =
+    carried_module 2 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let zero = e (Builder.const_int 0) in
+        let c = e (Builder.cmp Op.Ne p.(1) zero) in
+        let ten = Builder.const_int 10 in
+        let q = Builder.binop Op.Div (Op.result ten) p.(2) in
+        let r =
+          e
+            (Builder.if_ ~results:[ Types.Scalar Types.Index ] c
+               [ ten; q; Builder.yield_ [ Op.result q ] ]
+               ~else_:[ Builder.yield_ [ zero ] ])
+        in
+        store_all s p.(0) [ r ])
+  in
+  check_carried "arm not taken: nothing fails" (Ok [ 0.0 ]) (carried_run m ~n:1 [ 0; 0 ]);
+  check_carried "arm taken" (Ok [ 5.0 ]) (carried_run m ~n:1 [ 1; 2 ]);
+  check_carried "arm taken, traps on both engines alike"
+    (Error "integer division by zero") (carried_run m ~n:1 [ 1; 0 ])
+
 let () =
   let rodinia =
     List.map
@@ -1554,6 +1753,20 @@ let () =
             test_interp_wsloop_exactly_once
         ; Alcotest.test_case "engine rejects GPU barriers" `Quick
             test_exec_rejects_gpu_barriers
+        ] )
+    ; ( "carried-values",
+        [ Alcotest.test_case "if results: int/float, literal/register" `Quick
+            test_if_results
+        ; Alcotest.test_case "iter_arg swap is a parallel copy" `Quick
+            test_iter_arg_swap
+        ; Alcotest.test_case "zero-trip loop returns its inits" `Quick
+            test_zero_trip_loop
+        ; Alcotest.test_case "if carrying a value inside a for" `Quick
+            test_if_in_for
+        ; Alcotest.test_case "for carrying a nested for's result" `Quick
+            test_nested_for
+        ; Alcotest.test_case "trapping arm: same error or none" `Quick
+            test_trapping_arm
         ] )
     ; ( "faults",
         [ Alcotest.test_case "inject through parallel path" `Quick

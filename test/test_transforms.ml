@@ -83,6 +83,59 @@ let test_if_folding () =
   let r, _ = Interp.Eval.run m "f" [ Interp.Mem.Int 10 ] in
   Alcotest.(check int) "value" 11 (Interp.Mem.as_int (Option.get r))
 
+(* A zero-trip loop goes only when its step is a positive literal: a
+   step of 0 must still fail the run, on the interpreter before and
+   after lowering and on the engine. *)
+let test_zero_step_loop_kept () =
+  let src =
+    "void run(int* out){ out[0]=1; for (int i = 5; i < 0; i += 0) { out[0] = 2; } }"
+  in
+  let error run =
+    let out = Interp.Mem.alloc_buffer Types.Index [| 1 |] in
+    match run [ Interp.Mem.Buf out ] with
+    | () -> "no error"
+    | exception Interp.Mem.Runtime_error e -> e
+  in
+  let want = "scf.for: non-positive step 0" in
+  let front = compile_ok src in
+  Alcotest.(check string) "frontend IR, interpreter" want
+    (error (fun a -> ignore (Interp.Eval.run front "run" a)));
+  let m = compile_ok src in
+  (match
+     Core.Passmgr.lower
+       (Core.Passmgr.Optimized Core.Omp_lower.default_options)
+       m
+   with
+   | Ok _ -> ()
+   | Error (_, e) -> Alcotest.failf "lowering failed: %s" e);
+  Alcotest.(check string) "lowered, interpreter" want
+    (error (fun a -> ignore (Interp.Eval.run m "run" a)));
+  Alcotest.(check string) "lowered, engine" want
+    (error (fun a -> ignore (Runtime.Exec.run_module ~domains:1 m "run" a)))
+
+(* Empty, side-effect-free loops go bottom-up, so a whole nest
+   collapses; one whose step is not a positive literal stays. *)
+let test_empty_nest_collapses () =
+  let src =
+    {|
+void run(int* out, int s) {
+  for (int i = 0; i < 4; i++) {
+    for (int j = 0; j < 4; j++) {
+      for (int k = 0; k < 4; k++) { int t = i + j + k; }
+    }
+  }
+  for (int q = 0; q < 4; q += s) { int u = q; }
+  out[0] = 1;
+}
+|}
+  in
+  let m = compile_ok src in
+  ignore (Core.Mem2reg.run m);
+  Core.Canonicalize.run m;
+  verify_ok m;
+  Alcotest.(check int) "only the loop with a register step is left" 1
+    (count (fun o -> o.Op.kind = Op.For) m)
+
 let test_cse_unifies () =
   let src =
     {|
@@ -126,6 +179,79 @@ int f(int x) {
     (count (fun o -> o.Op.kind = Op.Alloca) m);
   let r, _ = Interp.Eval.run m "f" [ Interp.Mem.Int 5 ] in
   Alcotest.(check int) "value" 7 (Interp.Mem.as_int (Option.get r))
+
+(* Locals assigned under a condition and carried across iterations
+   become scf.if results and scf.for iter_args; [&&] and [?:] with a
+   right side that may trap keep it lazy. *)
+let test_mem2reg_carried () =
+  let src =
+    {|
+int f(int n, int d) {
+  int best = 0;
+  int acc = 0;
+  for (int i = 0; i < n; i++) {
+    if (i % 3 == 0) best = i;
+    acc = acc + (d != 0 && 12 / d > i ? 1 : 2);
+  }
+  int pick = n > 4 ? best : acc;
+  return pick * 100 + acc;
+}
+|}
+  in
+  let run m d =
+    let r, _ = Interp.Eval.run m "f" [ Interp.Mem.Int 7; Interp.Mem.Int d ] in
+    Interp.Mem.as_int (Option.get r)
+  in
+  let m = compile_ok src in
+  let r = Core.Mem2reg.run m in
+  Core.Canonicalize.run m;
+  verify_ok m;
+  Alcotest.(check int) "no allocas left" 0
+    (count (fun o -> o.Op.kind = Op.Alloca) m);
+  Alcotest.(check bool)
+    (Printf.sprintf "values carried (%d)" r.Core.Mem2reg.carried_values)
+    true
+    (r.Core.Mem2reg.carried_values >= 2);
+  Alcotest.(check int) "d = 0: the division never runs" 614 (run m 0);
+  Alcotest.(check int) "d = 4" 611 (run m 4)
+
+(* An accumulator whose loop holds a barrier stays in memory across it,
+   and is an iter_arg in the barrier-free loop inside. *)
+let test_mem2reg_barrier_boundary () =
+  let src =
+    {|
+__global__ void k(float* out, float* in) {
+  __shared__ float s[8];
+  int t = threadIdx.x;
+  float acc = 0.0f;
+  for (int r = 0; r < 3; r++) {
+    s[t] = in[r * 8 + t];
+    __syncthreads();
+    for (int j = 0; j < 8; j++) { acc = acc + s[j] * 0.5f; }
+    __syncthreads();
+  }
+  out[t] = acc;
+}
+void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
+|}
+  in
+  let m = compile_ok src in
+  ignore (Core.Mem2reg.run m);
+  Core.Canonicalize.run m;
+  verify_ok m;
+  let iter_loops =
+    count (fun o -> o.Op.kind = Op.For && Op.carries_values o) m
+  in
+  Alcotest.(check int) "the inner loop carries acc" 1 iter_loops;
+  Alcotest.(check int) "acc's slot stays across the barriers" 1
+    (count
+       (fun o ->
+         o.Op.kind = Op.Alloca
+         && (Op.result o).Value.typ = Types.memref ~space:Types.Local Types.F32 [])
+       m);
+  check_same_results src "launch"
+    [| Array.make 8 0.0; Array.init 24 (fun i -> float_of_int (i mod 5)) |]
+    [] Core.Cpuify.pipeline
 
 (* Fig. 9 pattern: store/load of shared[ty][tx] across a barrier forwards
    because the address is injective in the thread ids. *)
@@ -444,6 +570,13 @@ let tests =
   ; Alcotest.test_case "cse unifies" `Quick test_cse_unifies
   ; Alcotest.test_case "mem2reg slots disappear" `Quick
       test_mem2reg_slots_disappear
+  ; Alcotest.test_case "zero-step loop keeps its trap" `Quick
+      test_zero_step_loop_kept
+  ; Alcotest.test_case "empty loop nest collapses" `Quick
+      test_empty_nest_collapses
+  ; Alcotest.test_case "mem2reg carries values" `Quick test_mem2reg_carried
+  ; Alcotest.test_case "mem2reg slot stays across barriers" `Quick
+      test_mem2reg_barrier_boundary
   ; Alcotest.test_case "forwarding across barrier" `Quick
       test_forwarding_across_barrier
   ; Alcotest.test_case "barrier elimination backprop" `Quick
@@ -492,8 +625,68 @@ let test_cpuify_preserves_warp_shuffle () =
   cpuify_full m;
   Alcotest.(check int) "no barriers" 0 (count_barriers m)
 
+(* A lazy side holding a shuffle (two barriers) cannot sit in a
+   value-yielding scf.if, so [?:] and [&&] keep a scratch slot there;
+   with a uniform condition the kernel still lowers at Primary and the
+   interpreter on the frontend IR, the interpreter on the lowered IR and
+   the engine agree bit for bit. *)
+let warp_cond_src =
+  {|
+__global__ void warp_cond(float* out, float* in, int off) {
+  int t = threadIdx.x;
+  float v = in[blockIdx.x * 32 + t];
+  v = (off > 0) ? __shfl_down_sync(0xffffffff, v, off) : v;
+  if (off > 1 && __shfl_down_sync(0xffffffff, v, 1) > 3.0f) v = v + 100.0f;
+  out[blockIdx.x * 32 + t] = v;
+}
+void launch(float* out, float* in, int nblocks, int off) {
+  warp_cond<<<nblocks, 32>>>(out, in, off);
+}
+|}
+
+let test_lazy_shuffle_lowers () =
+  let inputs = Array.init 64 (fun i -> float_of_int (i mod 7)) in
+  let run exec m off =
+    let out = Interp.Mem.of_float_array (Array.make 64 0.0) in
+    let args =
+      [ Interp.Mem.Buf out
+      ; Interp.Mem.Buf (Interp.Mem.of_float_array inputs)
+      ; Interp.Mem.Int 2
+      ; Interp.Mem.Int off
+      ]
+    in
+    exec m args;
+    Array.map Int64.bits_of_float (Interp.Mem.float_contents out)
+  in
+  let interp m a = ignore (Interp.Eval.run m "launch" a) in
+  let engine m a = ignore (Runtime.Exec.run_module ~domains:2 m "launch" a) in
+  let front = compile_ok warp_cond_src in
+  Alcotest.(check int) "no value-yielding if holds a barrier" 0
+    (count (fun o -> Op.carries_values o && Op.contains_barrier o) front);
+  let m = compile_ok warp_cond_src in
+  (match
+     Core.Passmgr.lower
+       (Core.Passmgr.Optimized Core.Omp_lower.default_options)
+       m
+   with
+   | Ok r ->
+     Alcotest.(check bool) "lowered at Primary" false (Core.Passmgr.degraded r)
+   | Error (_, e) -> Alcotest.failf "lowering failed: %s" e);
+  verify_ok ~what:"lowered IR" m;
+  List.iter
+    (fun off ->
+      let want = run interp front off in
+      let label what = Printf.sprintf "off = %d, %s" off what in
+      Alcotest.(check (array int64)) (label "lowered, interpreter") want
+        (run interp m off);
+      Alcotest.(check (array int64)) (label "lowered, engine") want
+        (run engine m off))
+    [ 0; 1; 2 ]
+
 let tests =
   tests
   @ [ Alcotest.test_case "cpuify warp-shuffle differential" `Quick
         test_cpuify_preserves_warp_shuffle
+    ; Alcotest.test_case "lazy shuffle keeps a slot and lowers" `Quick
+        test_lazy_shuffle_lowers
     ]
