@@ -22,6 +22,10 @@
      guard, ...).  Suppressed by default to keep the checker quiet on
      the benchmark suite; [~report_possible:true] surfaces them as
      warnings.
+   - No race: the same affine argument, with the static extents of the
+     thread ivs, forces every thread iv equal — the two accesses meet
+     only within one thread (e.g. a lane index [tx + BX * (ty + tz)]
+     over a 1-D block).  Not reported.
 
    Each racing op pair yields ONE diagnostic carrying its strongest
    classification, the interval pair, and — through {!findings} — the
@@ -39,11 +43,7 @@ type strength =
 let tid_extent (ctx : Effects.ctx) (par : Op.op) (v : Value.t) : int option =
   let n = Op.par_dims par in
   let res = ref None in
-  let cint value =
-    match Info.defining_op ctx.info value with
-    | Some { Op.kind = Op.Constant (Op.Cint (c, _)); _ } -> Some c
-    | _ -> None
-  in
+  let cint = Info.int_literal ctx.info in
   for i = 0 to n - 1 do
     if Value.equal par.Op.regions.(0).rargs.(i) v then begin
       match cint (Op.par_lo par i), cint (Op.par_hi par i) with
@@ -55,7 +55,7 @@ let tid_extent (ctx : Effects.ctx) (par : Op.op) (v : Value.t) : int option =
 
 let classify (ctx : Effects.ctx) ~(taint : Value.t -> bool)
     ~(extent : Value.t -> int option) (a : Effects.access) (ga : bool)
-    (b : Effects.access) (gb : bool) : strength =
+    (b : Effects.access) (gb : bool) : strength option =
   let open Effects in
   let same_known_origin =
     match a.base, b.base with
@@ -81,38 +81,40 @@ let classify (ctx : Effects.ctx) ~(taint : Value.t -> bool)
       (fun v -> not (Value.Set.mem v ctx.tids))
       (Affine.variables e)
   in
-  let definite =
-    (not ga) && (not gb) && (not a.shifted) && (not b.shifted)
-    && same_known_origin
-    &&
-    match a.idx, b.idx with
-    | Some da, Some db when List.length da = List.length db ->
-      let forced =
-        ref
-          (Value.Set.union (unit_tids ctx) (Value.Set.inter a.pinned b.pinned))
-      in
-      let ok =
-        List.for_all2
-          (fun xa xb ->
-            match xa, xb with
-            | Some ea, Some eb when vars_ok ea && vars_ok eb ->
-              if Affine.equal ea eb && tid_free ea then true
+  (* The thread ivs the indices force equal, with the unit-extent ones,
+     when every dimension is affine over thread-uniform values and
+     either identical and thread-invariant or forcing; [None] when the
+     analysis cannot tell. *)
+  let forced =
+    if a.shifted || b.shifted || not same_known_origin then None
+    else begin
+      match a.idx, b.idx with
+      | Some da, Some db when List.length da = List.length db ->
+        List.fold_left2
+          (fun acc xa xb ->
+            match acc, xa, xb with
+            | Some f, Some ea, Some eb when vars_ok ea && vars_ok eb ->
+              if Affine.equal ea eb && tid_free ea then Some f
               else begin
                 match Affine.compare_dim ~tids:ctx.tids ~extent ea eb with
-                | Affine.Forces s ->
-                  forced := Value.Set.union !forced s;
-                  true
-                | Affine.Disjoint | Affine.Maybe -> false
+                | Affine.Forces s -> Some (Value.Set.union f s)
+                | Affine.Disjoint | Affine.Maybe -> None
               end
-            | _ -> false)
-          da db
-      in
-      (* Some thread iv remains unconstrained: two DISTINCT threads reach
-         the same address. *)
-      ok && not (Value.Set.subset ctx.tids !forced)
-    | _ -> false
+            | _ -> None)
+          (Some (unit_tids ctx)) da db
+      | _ -> None
+    end
   in
-  if definite then Definite else Possible
+  match forced with
+  | Some f when Value.Set.subset ctx.tids f -> None (* one thread only *)
+  | Some f
+    when (not ga) && (not gb)
+         && not
+              (Value.Set.subset ctx.tids
+                 (Value.Set.union f (Value.Set.inter a.pinned b.pinned))) ->
+    (* some thread iv remains free: two distinct threads collide *)
+    Some Definite
+  | _ -> Some Possible
 
 (* A reported race with the handles the repair search needs: the two
    source ops (write side first, as in the diagnostic) and whether the
@@ -144,17 +146,20 @@ let findings ?(report_possible = false) (mhp : Mhp.t) : finding list =
         (min (oid c.Mhp.cf_a) (oid c.Mhp.cf_b),
          max (oid c.Mhp.cf_a) (oid c.Mhp.cf_b))
       in
-      let strength =
+      match
         classify ctx ~taint ~extent c.Mhp.cf_a c.Mhp.cf_ga c.Mhp.cf_b
           c.Mhp.cf_gb
-      in
-      match Hashtbl.find_opt best key with
-      | None ->
-        order := key :: !order;
-        Hashtbl.replace best key (strength, c)
-      | Some (Possible, _) when strength = Definite ->
-        Hashtbl.replace best key (strength, c)
-      | Some _ -> ())
+      with
+      | None -> ()
+      | Some strength -> begin
+        match Hashtbl.find_opt best key with
+        | None ->
+          order := key :: !order;
+          Hashtbl.replace best key (strength, c)
+        | Some (Possible, _) when strength = Definite ->
+          Hashtbl.replace best key (strength, c)
+        | Some _ -> ()
+      end)
     (Mhp.conflicts mhp);
   List.filter_map
     (fun key ->

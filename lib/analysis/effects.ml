@@ -141,13 +141,9 @@ let unit_tids (ctx : ctx) : Value.Set.t =
   | Some p ->
     let n = Op.par_dims p in
     let set = ref Value.Set.empty in
+    let lit = Info.int_literal ctx.info in
     for i = 0 to n - 1 do
-      let is_const_k (v : Value.t) k =
-        match Info.defining_op ctx.info v with
-        | Some { Op.kind = Op.Constant (Op.Cint (c, _)); _ } -> c = k
-        | _ -> false
-      in
-      if is_const_k (Op.par_lo p i) 0 && is_const_k (Op.par_hi p i) 1 then
+      if lit (Op.par_lo p i) = Some 0 && lit (Op.par_hi p i) = Some 1 then
         set := Value.Set.add p.Op.regions.(0).rargs.(i) !set
     done;
     !set
@@ -414,22 +410,6 @@ let conflicts_cross ctx (xs : access list) (ys : access list) : bool =
 
 (* --- barrier before/after interval sets --- *)
 
-(* Does this serial loop provably execute at least one iteration?
-   (constant bounds after canonicalization) *)
-let trip_nonzero ctx (op : Op.op) : bool =
-  let cint (v : Value.t) =
-    match Info.defining_op ctx.info v with
-    | Some { Op.kind = Op.Constant (Op.Cint (n, _)); _ } -> Some n
-    | _ -> None
-  in
-  match op.Op.kind with
-  | Op.For -> begin
-    match cint (Op.for_lo op), cint (Op.for_hi op) with
-    | Some lo, Some hi -> lo < hi
-    | _ -> false
-  end
-  | _ -> false
-
 (* Scan backward from just before [idx] in [ops]; stop at a barrier.
    A sibling construct that itself contains barriers only contributes its
    "tail" — the effects after its last barrier along each path — and
@@ -474,7 +454,7 @@ and tail_effects ctx ~(shifted : bool) (op : Op.op) : access list * bool =
   | Op.For ->
     let body = op.Op.regions.(0).body in
     let t, s = scan_ops_back ctx ~shifted body (List.length body) in
-    (t, s && trip_nonzero ctx op)
+    (t, s && Info.trip_nonzero ctx.info op)
   | Op.If ->
     let scan r =
       let body = op.Op.regions.(r).Op.body in
@@ -534,7 +514,7 @@ and head_effects ctx ~(shifted : bool) (op : Op.op) : access list * bool =
   match op.Op.kind with
   | Op.For ->
     let h, s = scan_ops_fwd ctx ~shifted op.Op.regions.(0).body (-1) in
-    (h, s && trip_nonzero ctx op)
+    (h, s && Info.trip_nonzero ctx.info op)
   | Op.If ->
     let scan r =
       let body = op.Op.regions.(r).Op.body in

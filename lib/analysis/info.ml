@@ -44,6 +44,22 @@ let defining_op (t : t) (v : Value.t) : Op.op option =
   | Def_op op -> Some op
   | Def_arg _ | Def_external -> None
 
+let int_literal (t : t) (v : Value.t) : int option =
+  match defining_op t v with
+  | Some { Op.kind = Op.Constant (Op.Cint (n, _)); _ } -> Some n
+  | _ -> None
+
+(* Does this loop provably run its body: an [scf.for] with literal
+   bounds lo < hi (constant after canonicalization)? *)
+let trip_nonzero (t : t) (op : Op.op) : bool =
+  match op.Op.kind with
+  | Op.For -> begin
+    match int_literal t (Op.for_lo op), int_literal t (Op.for_hi op) with
+    | Some lo, Some hi -> lo < hi
+    | _ -> false
+  end
+  | _ -> false
+
 let parent (t : t) (op : Op.op) : Op.op option =
   Hashtbl.find_opt t.parents op.oid
 

@@ -12,6 +12,15 @@ type t
 val build : Ir.Op.op -> t
 val def : t -> Ir.Value.t -> def
 val defining_op : t -> Ir.Value.t -> Ir.Op.op option
+
+(** The literal of the integer [arith.constant] defining the value, if
+    that is what defines it. *)
+val int_literal : t -> Ir.Value.t -> int option
+
+(** Does the op provably run its body at least once: an [scf.for] whose
+    bounds are literals lo < hi?  False for any other op. *)
+val trip_nonzero : t -> Ir.Op.op -> bool
+
 val parent : t -> Ir.Op.op -> Ir.Op.op option
 
 (** Is [anc] a (non-strict) ancestor of [op]? *)

@@ -250,23 +250,6 @@ let home t (o : Op.op) =
   | Some st when not (IS.is_empty st.u) -> IS.min_elt st.u
   | _ -> 0
 
-(* Does this serial loop provably execute at least one iteration?
-   (mirrors the private test the effect analysis applies to loop-exit
-   paths) *)
-let trip_nonzero (ctx : Effects.ctx) (op : Op.op) : bool =
-  let cint (v : Value.t) =
-    match Info.defining_op ctx.info v with
-    | Some { Op.kind = Op.Constant (Op.Cint (n, _)); _ } -> Some n
-    | _ -> None
-  in
-  match op.Op.kind with
-  | Op.For -> begin
-    match cint (Op.for_lo op), cint (Op.for_hi op) with
-    | Some lo, Some hi -> lo < hi
-    | _ -> false
-  end
-  | _ -> false
-
 (* The fixpoint cap is a safety net only: states grow monotonically in
    a lattice of height <= 2 * interval count, so real kernels converge
    in two or three passes. *)
@@ -311,7 +294,8 @@ let dataflow (t : t) : unit =
         else fix st_in' (n + 1)
       in
       let st_out = fix st 0 in
-      if trip_nonzero t.t_ctx o then st_out else union_state st st_out
+      if Info.trip_nonzero t.t_ctx.Effects.info o then st_out
+      else union_state st st_out
     | Op.While ->
       (* cond runs first and again after each body iteration; the loop
          exits from the cond region *)

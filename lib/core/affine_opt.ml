@@ -11,11 +11,6 @@ open Analysis
 
 let max_unroll = 16
 
-let const_of info (v : Value.t) =
-  match Info.defining_op info v with
-  | Some { Op.kind = Op.Constant (Op.Cint (n, _)); _ } -> Some n
-  | _ -> None
-
 (* Fully unroll [For] ops with known trip count <= max_unroll that contain
    a barrier.  Returns the number of loops unrolled. *)
 let run (m : Op.op) : int =
@@ -34,9 +29,9 @@ let run (m : Op.op) : int =
       match op.Op.kind with
       | Op.For when Op.contains_barrier op -> begin
         match
-          ( const_of info (Op.for_lo op)
-          , const_of info (Op.for_hi op)
-          , const_of info (Op.for_step op) )
+          ( Info.int_literal info (Op.for_lo op)
+          , Info.int_literal info (Op.for_hi op)
+          , Info.int_literal info (Op.for_step op) )
         with
         | Some lo, Some hi, Some step
           when step > 0 && (hi - lo + step - 1) / step <= max_unroll ->

@@ -1,6 +1,8 @@
 (* Canonicalization: constant folding, algebraic identities, constant
-   control-flow simplification and dead-code elimination (pure ops, and
-   scf.if/scf.for ops that hold nothing else).
+   control-flow simplification and dead-code elimination (pure ops that
+   cannot trap, and scf.if/scf.for ops that hold nothing else).  Folds
+   evaluate with {!Interp.Scalar}, the semantics every engine runs, and
+   identities are kept only where they hold bit for bit.
 
    These are deliberately *generic* transformations: the point of the
    paper's barrier semantics is that such passes keep working unmodified
@@ -8,14 +10,13 @@
    synchronization. *)
 
 open Ir
+module Mem = Interp.Mem
+module Scalar = Interp.Scalar
 
-type const_val =
-  | Ci of int
-  | Cf of float
-
-(* The walking state: known constants and a value substitution. *)
+(* The walking state: known constants (their values as a run sees them)
+   and a value substitution. *)
 type st =
-  { consts : const_val Value.Tbl.t
+  { consts : Mem.rv Value.Tbl.t
   ; subst : Clone.subst
   }
 
@@ -23,57 +24,8 @@ let new_st () = { consts = Value.Tbl.create 64; subst = Clone.create_subst () }
 
 let const_of st (v : Value.t) = Value.Tbl.find_opt st.consts v
 
-let fold_binop kind (a : const_val) (b : const_val) : const_val option =
-  match a, b with
-  | Ci x, Ci y -> begin
-    match kind with
-    | Op.Add -> Some (Ci (x + y))
-    | Op.Sub -> Some (Ci (x - y))
-    | Op.Mul -> Some (Ci (x * y))
-    | Op.Div -> if y = 0 then None else Some (Ci (x / y))
-    | Op.Rem -> if y = 0 then None else Some (Ci (x mod y))
-    | Op.Min -> Some (Ci (min x y))
-    | Op.Max -> Some (Ci (max x y))
-    | Op.And -> Some (Ci (x land y))
-    | Op.Or -> Some (Ci (x lor y))
-    | Op.Xor -> Some (Ci (x lxor y))
-    | Op.Shl -> Some (Ci (x lsl y))
-    | Op.Shr -> Some (Ci (x asr y))
-  end
-  | Cf x, Cf y -> begin
-    match kind with
-    | Op.Add -> Some (Cf (x +. y))
-    | Op.Sub -> Some (Cf (x -. y))
-    | Op.Mul -> Some (Cf (x *. y))
-    | Op.Div -> Some (Cf (x /. y))
-    | Op.Min -> Some (Cf (Float.min x y))
-    | Op.Max -> Some (Cf (Float.max x y))
-    | Op.Rem | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr -> None
-  end
-  | _ -> None
-
-let fold_cmp pred (a : const_val) (b : const_val) : bool option =
-  let cmp c = Some c in
-  match a, b with
-  | Ci x, Ci y -> begin
-    match pred with
-    | Op.Eq -> cmp (x = y)
-    | Op.Ne -> cmp (x <> y)
-    | Op.Lt -> cmp (x < y)
-    | Op.Le -> cmp (x <= y)
-    | Op.Gt -> cmp (x > y)
-    | Op.Ge -> cmp (x >= y)
-  end
-  | Cf x, Cf y -> begin
-    match pred with
-    | Op.Eq -> cmp (x = y)
-    | Op.Ne -> cmp (x <> y)
-    | Op.Lt -> cmp (x < y)
-    | Op.Le -> cmp (x <= y)
-    | Op.Gt -> cmp (x > y)
-    | Op.Ge -> cmp (x >= y)
-  end
-  | _ -> None
+let int_const st (v : Value.t) =
+  match const_of st v with Some (Mem.Int n) -> Some n | _ -> None
 
 let result_dtype (op : Op.op) =
   match (Op.result op).typ with
@@ -96,137 +48,130 @@ let replace_results st (op : Op.op) (vs : Value.t array) : Op.op list =
   Array.iteri (fun i r -> replace_value st r vs.(i)) op.results;
   []
 
-let materialize_const st (op : Op.op) (c : const_val) : Op.op list =
-  let d = result_dtype op in
+let materialize_const st (op : Op.op) (c : Op.const) : Op.op list =
   let k =
     match c with
-    | Ci n -> Builder.const_int ~dtype:d n
-    | Cf f -> Builder.const_float ~dtype:d f
+    | Op.Cint (n, dtype) -> Builder.const_int ~dtype n
+    | Op.Cfloat (f, dtype) -> Builder.const_float ~dtype f
   in
-  Value.Tbl.replace st.consts (Op.result k) c;
+  Value.Tbl.replace st.consts (Op.result k) (Scalar.const c);
   Clone.add_subst st.subst ~from:(Op.result op) ~to_:(Op.result k);
   [ k ]
 
+let same_bits (a : Mem.rv) (b : Mem.rv) =
+  match a, b with
+  | Mem.Int x, Mem.Int y -> x = y
+  | Mem.Flt x, Mem.Flt y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | _ -> false
+
+(* An op whose operands are all constants becomes the constant of its
+   value — unless evaluating it traps, or no literal of the result type
+   reads back as exactly that value (an f32 constant is rounded, f32
+   arithmetic is not). *)
+let fold st (op : Op.op) : Op.op list option =
+  if not (Array.for_all (Value.Tbl.mem st.consts) op.operands) then None
+  else begin
+    match Scalar.eval op (Array.map (Value.Tbl.find st.consts) op.operands) with
+    | exception Mem.Runtime_error _ -> None
+    | v ->
+      let d = result_dtype op in
+      let lit =
+        match v with
+        | Mem.Int n when not (Types.is_float_dtype d) -> Some (Op.Cint (n, d))
+        | Mem.Flt f when Types.is_float_dtype d -> Some (Op.Cfloat (f, d))
+        | _ -> None
+      in
+      match lit with
+      | Some c when same_bits (Scalar.const c) v ->
+        Some (materialize_const st op c)
+      | _ -> None
+  end
+
+(* Identities that hold bit for bit: [x + 0] and [x * 0] only on
+   integers ([-0.0 + 0.0] is [+0.0], [x * 0.0] may be [-0.0] or NaN),
+   [x - 0] for a +0, [x * 1], [x / 1]. *)
+let binop_identity st (op : Op.op) kind : Op.op list =
+  let a = op.operands.(0) and b = op.operands.(1) in
+  let int = not (Scalar.is_float_value a) in
+  (* does the constant hold [n], read the way this op reads it?  A float
+     op tells -0.0 from 0 *)
+  let holds c n =
+    match c with
+    | None -> false
+    | Some c when int -> same_bits c (Mem.Int n)
+    | Some c -> same_bits (Mem.Flt (Mem.as_float c)) (Mem.Flt (float_of_int n))
+  in
+  let ca = const_of st a and cb = const_of st b in
+  match kind with
+  | Op.Add when int && holds ca 0 -> replace_with st op b
+  | Op.Add when int && holds cb 0 -> replace_with st op a
+  | Op.Sub when holds cb 0 -> replace_with st op a
+  | Op.Mul when holds ca 1 -> replace_with st op b
+  | Op.Mul when holds cb 1 -> replace_with st op a
+  | (Op.Mul | Op.And) when int && holds ca 0 -> replace_with st op a
+  | (Op.Mul | Op.And) when int && holds cb 0 -> replace_with st op b
+  | Op.Div when holds cb 1 -> replace_with st op a
+  | (Op.Or | Op.Xor | Op.Shl | Op.Shr) when int && holds cb 0 ->
+    replace_with st op a
+  | Op.Sub when int && Value.equal a b ->
+    materialize_const st op (Op.Cint (0, result_dtype op))
+  | _ -> [ op ]
+
 (* One canonicalization step for one op (operands already substituted). *)
 let simplify_op st (op : Op.op) : Op.op list =
+  let or_fold rules =
+    match fold st op with Some ops -> ops | None -> rules ()
+  in
   match op.kind with
-  | Op.Constant (Op.Cint (n, _)) ->
-    Value.Tbl.replace st.consts (Op.result op) (Ci n);
+  | Op.Constant c ->
+    Value.Tbl.replace st.consts (Op.result op) (Scalar.const c);
     [ op ]
-  | Op.Constant (Op.Cfloat (f, _)) ->
-    Value.Tbl.replace st.consts (Op.result op) (Cf f);
-    [ op ]
-  | Op.Binop kind -> begin
-    let a = op.operands.(0) and b = op.operands.(1) in
-    match const_of st a, const_of st b with
-    | Some ca, Some cb -> begin
-      match fold_binop kind ca cb with
-      | Some c -> materialize_const st op c
-      | None -> [ op ]
-    end
-    | ca, cb -> begin
-      (* algebraic identities *)
-      let is0 = function Some (Ci 0) | Some (Cf 0.0) -> true | _ -> false in
-      let is1 = function Some (Ci 1) | Some (Cf 1.0) -> true | _ -> false in
-      match kind with
-      | Op.Add when is0 ca -> replace_with st op b
-      | Op.Add when is0 cb -> replace_with st op a
-      | Op.Sub when is0 cb -> replace_with st op a
-      | Op.Mul when is1 ca -> replace_with st op b
-      | Op.Mul when is1 cb -> replace_with st op a
-      | (Op.Mul | Op.And) when is0 ca && not (Types.is_float_dtype (result_dtype op)) ->
-        replace_with st op a
-      | (Op.Mul | Op.And) when is0 cb && not (Types.is_float_dtype (result_dtype op)) ->
-        replace_with st op b
-      | Op.Div when is1 cb -> replace_with st op a
-      | (Op.Or | Op.Xor | Op.Shl | Op.Shr) when is0 cb -> replace_with st op a
-      | Op.Sub when Value.equal a b && not (Types.is_float_dtype (result_dtype op)) ->
-        materialize_const st op (Ci 0)
-      | _ -> [ op ]
-    end
-  end
-  | Op.Cmp pred -> begin
-    match const_of st op.operands.(0), const_of st op.operands.(1) with
-    | Some ca, Some cb -> begin
-      match fold_cmp pred ca cb with
-      | Some c -> materialize_const st op (Ci (if c then 1 else 0))
-      | None -> [ op ]
-    end
-    | _ ->
-      if Value.equal op.operands.(0) op.operands.(1) then begin
-        match pred with
-        | Op.Eq | Op.Le | Op.Ge -> materialize_const st op (Ci 1)
-        | Op.Ne | Op.Lt | Op.Gt -> materialize_const st op (Ci 0)
-      end
-      else [ op ]
-  end
+  | Op.Binop kind -> or_fold (fun () -> binop_identity st op kind)
+  | Op.Cmp pred ->
+    (* [x op x] is known for integers only: a NaN is unequal to itself *)
+    or_fold (fun () ->
+        let a = op.operands.(0) in
+        if Value.equal a op.operands.(1) && not (Scalar.is_float_value a)
+        then begin
+          let c = match pred with Op.Eq | Op.Le | Op.Ge -> 1 | _ -> 0 in
+          materialize_const st op (Op.Cint (c, result_dtype op))
+        end
+        else [ op ])
   | Op.Select -> begin
     match const_of st op.operands.(0) with
-    | Some (Ci 0) -> replace_with st op op.operands.(2)
-    | Some (Ci _) -> replace_with st op op.operands.(1)
+    | Some (Mem.Int 0) -> replace_with st op op.operands.(2)
+    | Some (Mem.Int _) -> replace_with st op op.operands.(1)
     | _ ->
       if Value.equal op.operands.(1) op.operands.(2) then
         replace_with st op op.operands.(1)
       else [ op ]
   end
   | Op.Cast d -> begin
+    (* integer widths share one representation, and an f64 cast of an
+       f64 is the value itself (an f32 cast rounds) *)
     let src = op.operands.(0) in
     let same =
       match src.typ with
       | Types.Scalar s ->
-        s = d
+        (s = d && d <> Types.F32)
         || (Types.is_int_dtype s && Types.is_int_dtype d && d <> Types.I1
             && s <> Types.I1)
       | Types.Memref _ -> false
     in
-    if same then replace_with st op src
-    else begin
-      match const_of st src with
-      | Some (Ci n) when Types.is_float_dtype d -> materialize_const st op (Cf (float_of_int n))
-      | Some (Ci n) when d = Types.I1 -> materialize_const st op (Ci (if n <> 0 then 1 else 0))
-      | Some (Ci n) -> materialize_const st op (Ci n)
-      | Some (Cf f) when not (Types.is_float_dtype d) ->
-        materialize_const st op (Ci (int_of_float f))
-      | Some (Cf f) when d = Types.F32 ->
-        materialize_const st op (Cf (Int32.float_of_bits (Int32.bits_of_float f)))
-      | _ -> [ op ]
-    end
+    if same then replace_with st op src else or_fold (fun () -> [ op ])
   end
-  | Op.Math fn -> begin
-    match Array.to_list (Array.map (const_of st) op.operands) with
-    | [ Some (Cf x) ] -> begin
-      let r =
-        match fn with
-        | Op.Sqrt -> Some (sqrt x)
-        | Op.Exp -> Some (exp x)
-        | Op.Log -> Some (log x)
-        | Op.Log2 -> Some (log x /. log 2.0)
-        | Op.Fabs -> Some (Float.abs x)
-        | Op.Floor -> Some (Float.floor x)
-        | Op.Neg -> Some (-.x)
-        | Op.Sin -> Some (sin x)
-        | Op.Cos -> Some (cos x)
-        | Op.Tanh -> Some (tanh x)
-        | Op.Not | Op.Erf | Op.Pow -> None
-      in
-      match r with
-      | Some f -> materialize_const st op (Cf f)
-      | None -> [ op ]
-    end
-    | [ Some (Cf x); Some (Cf y) ] when fn = Op.Pow ->
-      materialize_const st op (Cf (Float.pow x y))
-    | _ -> [ op ]
-  end
+  | Op.Math _ -> or_fold (fun () -> [ op ])
   | Op.For -> begin
     (* a zero-trip loop is its inits — but only a positive literal step
        is sure not to trap, so anything else stays for the run to
        reject *)
     match
-      ( const_of st (Op.for_lo op)
-      , const_of st (Op.for_hi op)
-      , const_of st (Op.for_step op) )
+      ( int_const st (Op.for_lo op)
+      , int_const st (Op.for_hi op)
+      , int_const st (Op.for_step op) )
     with
-    | Some (Ci lo), Some (Ci hi), Some (Ci step) when lo >= hi && step > 0 ->
+    | Some lo, Some hi, Some step when lo >= hi && step > 0 ->
       replace_results st op (Op.for_inits op)
     | _ -> [ op ]
   end
@@ -237,7 +182,7 @@ let apply_subst st (op : Op.op) =
   op.operands <- Array.map (Clone.lookup st.subst) op.operands
 
 let positive_step st (op : Op.op) =
-  match const_of st (Op.for_step op) with Some (Ci n) -> n > 0 | _ -> false
+  match int_const st (Op.for_step op) with Some n -> n > 0 | None -> false
 
 (* A region whose body is just [scf.yield vs]: the values it yields. *)
 let lone_yield (r : Op.region) : Value.t array option =
@@ -250,16 +195,16 @@ let rec walk st (op : Op.op) : Op.op list =
   (* top-down so region bodies see outer constants *)
   let const_cond =
     match op.kind with
-    | Op.If -> const_of st op.operands.(0)
+    | Op.If -> int_const st op.operands.(0)
     | _ -> None
   in
   match const_cond with
-  | Some (Ci c) ->
+  | Some c ->
     (* a constant condition inlines the taken branch, whose yielded
        values stand for the results *)
     inline_region st (if c <> 0 then op.regions.(0) else op.regions.(1))
       op.results
-  | Some (Cf _) | None -> begin
+  | None -> begin
     match simplify_op st op with
     | [ o ] when o == op ->
       Array.iter
@@ -311,13 +256,6 @@ and simplify_after_regions st (op : Op.op) : Op.op list =
 
 (* --- dead code elimination --- *)
 
-let is_pure (op : Op.op) =
-  match op.kind with
-  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Dim _ ->
-    true
-  | _ -> false
-
 let count_uses (root : Op.op) : int Value.Tbl.t =
   let uses = Value.Tbl.create 256 in
   Op.iter
@@ -330,11 +268,11 @@ let count_uses (root : Op.op) : int Value.Tbl.t =
     root;
   uses
 
-(* Bottom-up: an op whose results are unused goes when it is pure, or
-   when it is an [scf.if] or an [scf.for] whose regions hold nothing
-   but such ops and yields — a loop only with a positive literal step,
-   since any other step may trap.  Children go first, so a whole empty
-   nest collapses in one round. *)
+(* Bottom-up: an op whose results are unused goes when it is pure and
+   cannot trap, or when it is an [scf.if] or an [scf.for] whose regions
+   hold nothing but such ops and yields — a loop only with a positive
+   literal step, since any other step may trap.  Children go first, so
+   a whole empty nest collapses in one round. *)
 let dce st (root : Op.op) : bool =
   let changed = ref false in
   let continue_ = ref true in
@@ -342,7 +280,7 @@ let dce st (root : Op.op) : bool =
     let uses = count_uses root in
     let used v = Value.Tbl.mem uses v in
     let rec effect_free (op : Op.op) =
-      is_pure op
+      (Op.is_pure op && not (Scalar.may_trap ~literal:(int_const st) op))
       ||
       match op.kind with
       | Op.Yield -> true

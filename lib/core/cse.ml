@@ -95,16 +95,9 @@ let thread_private st (base : Value.t) : bool =
   end
   | _ -> false
 
-let pure_cseable (op : Op.op) =
-  match op.kind with
-  | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Constant _ | Op.Dim _ ->
-    true
-  | _ -> false
-
 let rec visit st (op : Op.op) : Op.op list =
   op.operands <- Array.map (Clone.lookup st.subst) op.operands;
-  if pure_cseable op then begin
+  if Op.is_pure op then begin
     let k = key_of ~epoch:0 op in
     match find st k with
     | Some v ->

@@ -41,13 +41,6 @@ exception Unsupported of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let is_pure (op : Op.op) =
-  match op.kind with
-  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Dim _ ->
-    true
-  | _ -> false
-
 (* Split M's body into (prefix, C, suffix) around the unique
    barrier-containing top-level op. *)
 let isolate_body (body : Op.op list) : (Op.op list * Op.op * Op.op list) option =
@@ -69,7 +62,7 @@ let check_movable (ctx : Effects.ctx) ~(c : Op.op) (prefix : Op.op list)
   in
   List.iter
     (fun (op : Op.op) ->
-      if is_pure op then ()
+      if Op.is_pure op then ()
       else
         match op.kind with
         | Op.Load ->
@@ -84,7 +77,7 @@ let check_movable (ctx : Effects.ctx) ~(c : Op.op) (prefix : Op.op list)
     prefix;
   List.iter
     (fun (op : Op.op) ->
-      if is_pure op then ()
+      if Op.is_pure op then ()
       else
         match op.kind with
         | Op.Store ->

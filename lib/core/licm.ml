@@ -16,13 +16,12 @@
 
 open Ir
 open Analysis
+module Scalar = Interp.Scalar
 
-let is_pure (op : Op.op) =
-  match op.kind with
-  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Dim _ ->
-    true
-  | _ -> false
+(* Pure ops move freely, except one that may trap: hoisted out of a
+   loop that runs zero times, it would fail a run that succeeds. *)
+let movable_pure info (op : Op.op) =
+  Op.is_pure op && not (Scalar.may_trap ~literal:(Info.int_literal info) op)
 
 (* Effects of an op, or None when the op is opaque to this analysis. *)
 let op_effects ctx (op : Op.op) : Effects.access list =
@@ -53,7 +52,7 @@ let hoist_from_parallel (info : Info.t) (modul : Op.op) (par : Op.op) :
       let can_hoist =
         operands_ok
         &&
-        if is_pure op then true
+        if movable_pure info op then true
         else begin
           match op.kind with
           | Op.Load | Op.Call _ ->
@@ -90,16 +89,6 @@ let hoist_from_parallel (info : Info.t) (modul : Op.op) (par : Op.op) :
 
 (* --- serial LICM --- *)
 
-let const_of info (v : Value.t) =
-  match Info.defining_op info v with
-  | Some { Op.kind = Op.Constant (Op.Cint (n, _)); _ } -> Some n
-  | _ -> None
-
-let trip_at_least_one info (op : Op.op) =
-  match const_of info (Op.for_lo op), const_of info (Op.for_hi op) with
-  | Some lo, Some hi -> lo < hi
-  | _ -> false
-
 let hoist_from_for (info : Info.t) (modul : Op.op) (floop : Op.op) :
   Op.op list =
   let ctx = Effects.make_ctx ~modul info in
@@ -109,7 +98,7 @@ let hoist_from_for (info : Info.t) (modul : Op.op) (floop : Op.op) :
       (fun (a : Effects.access) -> a.Effects.acc_kind = Effects.Write)
       (Effects.collect ctx body)
   in
-  let nonzero_trip = trip_at_least_one info floop in
+  let nonzero_trip = Info.trip_nonzero info floop in
   let hoisted = ref [] in
   let hoisted_vals = ref Value.Set.empty in
   let invariant (v : Value.t) =
@@ -123,7 +112,7 @@ let hoist_from_for (info : Info.t) (modul : Op.op) (floop : Op.op) :
       let can_hoist =
         operands_ok
         &&
-        if is_pure op then true
+        if movable_pure info op then true
         else begin
           match op.kind with
           | Op.Load | Op.Call _ when nonzero_trip ->

@@ -112,13 +112,6 @@ let serialize_nested (m : Op.op) : int =
    { body } } } }  ==>  omp.parallel { omp.wsloop (G@B) { pures; body } }.
    Legal when nothing with memory effects sits between the two loops — in
    particular no shared-memory allocation. *)
-let is_pure (op : Op.op) =
-  match op.kind with
-  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Dim _ ->
-    true
-  | _ -> false
-
 let collapse (m : Op.op) : int =
   let count = ref 0 in
   let rec visit (op : Op.op) : Op.op list =
@@ -133,7 +126,7 @@ let collapse (m : Op.op) : int =
         let rec split pures = function
           | [ ({ Op.kind = Op.OmpParallel; _ } as ip) ] ->
             Some (List.rev pures, ip)
-          | p :: rest when is_pure p -> split (p :: pures) rest
+          | p :: rest when Op.is_pure p -> split (p :: pures) rest
           | _ -> None
         in
         match split [] g.Op.regions.(0).body with
@@ -199,7 +192,7 @@ let collapse (m : Op.op) : int =
    allocations (the caches produced by barrier fission sit between the
    fissioned loops). *)
 let movable (op : Op.op) =
-  is_pure op
+  Op.is_pure op
   || match op.kind with Op.Alloc | Op.Alloca -> true | _ -> false
 
 (* In every region body: hoist movable ops out of runs of omp.parallel
@@ -271,7 +264,7 @@ let hoist (m : Op.op) : int =
       let rec split pures = function
         | [ ({ Op.kind = Op.OmpParallel; _ } as p) ] ->
           Some (List.rev pures, p)
-        | (x : Op.op) :: rest when is_pure x -> split (x :: pures) rest
+        | (x : Op.op) :: rest when Op.is_pure x -> split (x :: pures) rest
         | _ -> None
       in
       match split [] body with

@@ -20,13 +20,6 @@ exception Unsupported of string
 
 let fail fmt = Printf.ksprintf (fun s -> raise (Unsupported s)) fmt
 
-let is_pure (op : Op.op) =
-  match op.kind with
-  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
-  | Op.Dim _ ->
-    true
-  | _ -> false
-
 (* --- alloca expansion --- *)
 
 (* Hoist every top-level alloca/alloc of [par]'s body out of the loop,
@@ -203,7 +196,7 @@ let split_parallel ~(use_mincut : bool) (par : Op.op) : Op.op list option =
           (fun i v ->
             let def = Value.Tbl.find closure v in
             Mincut.add_edge g (2 * i) ((2 * i) + 1) ~cap:1;
-            if not (is_pure def) then Mincut.add_edge g s (2 * i) ~cap:Mincut.inf;
+            if not (Op.is_pure def) then Mincut.add_edge g s (2 * i) ~cap:Mincut.inf;
             (* def -> use edges *)
             Array.iter
               (fun u ->
@@ -315,7 +308,7 @@ let split_parallel ~(use_mincut : bool) (par : Op.op) : Op.op list option =
             op.Op.results
         end
         else if result_needed recompute then begin
-          assert (is_pure op);
+          assert (Op.is_pure op);
           stats.recomputed_ops <- stats.recomputed_ops + 1;
           let c = Clone.clone_op subst op in
           ignore (Builder.Seq.emit prefix c)

@@ -20,7 +20,9 @@
      uniform barrier positions),
    - scalar temporaries: lazy [&&]/[||]/[?:] with a faulting side,
      conditionally assigned locals and loop accumulators (mem2reg's
-     if results and iter_args).
+     if results and iter_args),
+   - literal-on-literal float arithmetic and signed zeros (constant
+     folding must keep every engine's bits).
 
    The frontend has no atomics, so the guarded thread-0 reduction phase
    stands in for the atomic-update pattern. *)
@@ -243,8 +245,27 @@ let scalar_phase st =
       \  s1[t] = s1[t] + %s;"
       a i i (1 + int st 3) i a a i k t a a
 
+(* Literal-on-literal f32 arithmetic and math, which canonicalization
+   folds: f32 literals are rounded and the arithmetic on them is not, so
+   a fold must keep the unrounded result.  And a [+ 0.0f] on a value
+   that may be -0.0 ([-0.0 + 0.0] is [+0.0]), its sign shown by a
+   division. *)
+let fold_phase st =
+  let v = fv st "f" in
+  let c = 1 + int st 9 in
+  match int st 3 with
+  | 0 -> Printf.sprintf "float %s = 0.%df * 3.0f;\n  s1[t] = s1[t] + %s;" v c v
+  | 1 ->
+    Printf.sprintf "float %s = sqrtf(%d.0f);\n  s2[t] = s2[t] * 0.5f + %s;" v
+      (c + 1) v
+  | _ ->
+    Printf.sprintf
+      "float %s = -(s1[t] * 0.0f) + 0.0f;\n\
+      \  s2[t] = s2[t] + (1.0f / %s > 0.0f ? 1.0f : 0.5f);"
+      v v
+
 let phase st =
-  match int st 11 with
+  match int st 12 with
   | 0 | 1 -> per_thread_stmt st
   | 2 -> cross_thread_phase st
   | 3 | 4 -> live_across_phase st
@@ -253,6 +274,7 @@ let phase st =
   | 7 -> reduction_phase st
   | 8 -> uniform_if_phase st
   | 9 -> serial_loop_phase st
+  | 10 -> fold_phase st
   | _ -> scalar_phase st
 
 (* All start offsets of [needle] in [hay], left to right. *)

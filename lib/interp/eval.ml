@@ -56,119 +56,6 @@ type state =
   ; mutable fuel : int (* remaining op budget; negative = unbounded *)
   }
 
-let f32 x = Int32.float_of_bits (Int32.bits_of_float x)
-
-let eval_const = function
-  | Op.Cint (n, _) -> Mem.Int n
-  | Op.Cfloat (f, Types.F32) -> Mem.Flt (f32 f)
-  | Op.Cfloat (f, _) -> Mem.Flt f
-
-let is_float_value (v : Value.t) =
-  match v.typ with
-  | Types.Scalar d -> Types.is_float_dtype d
-  | Types.Memref _ -> false
-
-let eval_binop kind ~is_float a b : Mem.rv =
-  if is_float then begin
-    let x = Mem.as_float a and y = Mem.as_float b in
-    let r =
-      match kind with
-      | Op.Add -> x +. y
-      | Op.Sub -> x -. y
-      | Op.Mul -> x *. y
-      | Op.Div -> x /. y
-      | Op.Rem -> Float.rem x y
-      | Op.Min -> Float.min x y
-      | Op.Max -> Float.max x y
-      | Op.And | Op.Or | Op.Xor | Op.Shl | Op.Shr ->
-        Mem.fail "bitwise op on float"
-    in
-    Mem.Flt r
-  end
-  else begin
-    let x = Mem.as_int a and y = Mem.as_int b in
-    let r =
-      match kind with
-      | Op.Add -> x + y
-      | Op.Sub -> x - y
-      | Op.Mul -> x * y
-      | Op.Div -> if y = 0 then Mem.fail "integer division by zero" else x / y
-      | Op.Rem -> if y = 0 then Mem.fail "integer modulo by zero" else x mod y
-      | Op.Min -> min x y
-      | Op.Max -> max x y
-      | Op.And -> x land y
-      | Op.Or -> x lor y
-      | Op.Xor -> x lxor y
-      | Op.Shl -> x lsl y
-      | Op.Shr -> x asr y
-    in
-    Mem.Int r
-  end
-
-let eval_cmp pred ~is_float a b : Mem.rv =
-  let c =
-    if is_float then begin
-      let x = Mem.as_float a and y = Mem.as_float b in
-      match pred with
-      | Op.Eq -> x = y
-      | Op.Ne -> x <> y
-      | Op.Lt -> x < y
-      | Op.Le -> x <= y
-      | Op.Gt -> x > y
-      | Op.Ge -> x >= y
-    end
-    else begin
-      let x = Mem.as_int a and y = Mem.as_int b in
-      match pred with
-      | Op.Eq -> x = y
-      | Op.Ne -> x <> y
-      | Op.Lt -> x < y
-      | Op.Le -> x <= y
-      | Op.Gt -> x > y
-      | Op.Ge -> x >= y
-    end
-  in
-  Mem.Int (if c then 1 else 0)
-
-let eval_math fn (args : Mem.rv list) : Mem.rv =
-  match fn, args with
-  | Op.Neg, [ a ] -> Mem.Flt (-.Mem.as_float a)
-  | Op.Not, [ a ] -> Mem.Int (if Mem.as_int a = 0 then 1 else 0)
-  | Op.Sqrt, [ a ] -> Mem.Flt (sqrt (Mem.as_float a))
-  | Op.Exp, [ a ] -> Mem.Flt (exp (Mem.as_float a))
-  | Op.Log, [ a ] -> Mem.Flt (log (Mem.as_float a))
-  | Op.Log2, [ a ] -> Mem.Flt (log (Mem.as_float a) /. log 2.0)
-  | Op.Fabs, [ a ] -> Mem.Flt (Float.abs (Mem.as_float a))
-  | Op.Floor, [ a ] -> Mem.Flt (Float.floor (Mem.as_float a))
-  | Op.Sin, [ a ] -> Mem.Flt (sin (Mem.as_float a))
-  | Op.Cos, [ a ] -> Mem.Flt (cos (Mem.as_float a))
-  | Op.Tanh, [ a ] -> Mem.Flt (tanh (Mem.as_float a))
-  | Op.Erf, [ a ] ->
-    (* Abramowitz–Stegun approximation; plenty for test kernels. *)
-    let x = Mem.as_float a in
-    let s = if x < 0.0 then -1.0 else 1.0 in
-    let x = Float.abs x in
-    let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-    let y =
-      1.0
-      -. ((((((1.061405429 *. t) -. 1.453152027) *. t) +. 1.421413741) *. t
-           -. 0.284496736)
-          *. t
-          +. 0.254829592)
-         *. t
-         *. exp (-.x *. x)
-    in
-    Mem.Flt (s *. y)
-  | Op.Pow, [ a; b ] -> Mem.Flt (Float.pow (Mem.as_float a) (Mem.as_float b))
-  | _ -> Mem.fail "math %s: bad arity" (Op.math_to_string fn)
-
-let eval_cast dtype (v : Mem.rv) : Mem.rv =
-  match dtype with
-  | Types.F32 -> Mem.Flt (f32 (Mem.as_float v))
-  | Types.F64 -> Mem.Flt (Mem.as_float v)
-  | Types.I1 -> Mem.Int (if Mem.as_int_or_trunc v <> 0 then 1 else 0)
-  | Types.I32 | Types.I64 | Types.Index -> Mem.Int (Mem.as_int_or_trunc v)
-
 (* The one static worksharing partition, shared with the parallel
    runtime ([Runtime.Schedule] delegates here): a balanced contiguous
    split where the first [n mod size] ranks take one extra iteration,
@@ -253,27 +140,31 @@ and exec_op (st : state) (env : env) (op : Op.op) : unit =
   | Op.Module | Op.Func _ -> Mem.fail "cannot execute module/func as a statement"
   | Op.Yield -> ()
   | Op.Condition -> Mem.fail "scf.condition outside while handling"
-  | Op.Constant c -> bind env (Op.result op) (eval_const c)
+  (* The frequent scalar ops call [Scalar] on their looked-up operands:
+     building [Scalar.eval]'s operand array for each slowed the suite's
+     interpretation by ~15%. *)
+  | Op.Constant c -> bind env (Op.result op) (Scalar.const c)
   | Op.Binop kind ->
-    let a = lookup env op.operands.(0) in
-    let b = lookup env op.operands.(1) in
-    let isf = is_float_value op.operands.(0) in
-    if isf then st.stats.flops <- st.stats.flops + 1;
-    bind env (Op.result op) (eval_binop kind ~is_float:isf a b)
+    let is_float = Scalar.is_float_value op.operands.(0) in
+    if is_float then st.stats.flops <- st.stats.flops + 1;
+    bind env (Op.result op)
+      (Scalar.binop kind ~is_float
+         (lookup env op.operands.(0))
+         (lookup env op.operands.(1)))
   | Op.Cmp pred ->
-    let a = lookup env op.operands.(0) in
-    let b = lookup env op.operands.(1) in
     bind env (Op.result op)
-      (eval_cmp pred ~is_float:(is_float_value op.operands.(0)) a b)
-  | Op.Select ->
-    let c = Mem.as_int (lookup env op.operands.(0)) in
+      (Scalar.cmp pred
+         ~is_float:(Scalar.is_float_value op.operands.(0))
+         (lookup env op.operands.(0))
+         (lookup env op.operands.(1)))
+  | Op.Cast d ->
+    bind env (Op.result op) (Scalar.cast d (lookup env op.operands.(0)))
+  | Op.Select | Op.Math _ ->
+    (match op.kind with
+     | Op.Math _ -> st.stats.flops <- st.stats.flops + 1
+     | _ -> ());
     bind env (Op.result op)
-      (lookup env (if c <> 0 then op.operands.(1) else op.operands.(2)))
-  | Op.Cast d -> bind env (Op.result op) (eval_cast d (lookup env op.operands.(0)))
-  | Op.Math fn ->
-    st.stats.flops <- st.stats.flops + 1;
-    let args = Array.to_list (Array.map (lookup env) op.operands) in
-    bind env (Op.result op) (eval_math fn args)
+      (Scalar.eval op (Array.map (lookup env) op.operands))
   | Op.Alloc | Op.Alloca -> begin
     match (Op.result op).typ with
     | Types.Memref { elem; shape; _ } ->

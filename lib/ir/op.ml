@@ -217,6 +217,13 @@ let blocks_carry op =
     true
   | _ -> false
 
+(* Ops with no effect but their result: arithmetic, constants and
+   [memref.dim].  Some may still trap ([Interp.Scalar.may_trap]). *)
+let is_pure op =
+  match op.kind with
+  | Constant _ | Binop _ | Cmp _ | Select | Cast _ | Math _ | Dim _ -> true
+  | _ -> false
+
 let body_region op = op.regions.(0)
 
 (* Structural iteration over an op and everything nested inside it

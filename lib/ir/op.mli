@@ -186,6 +186,11 @@ val carries_values : op -> bool
     an op that {!carries_values}. *)
 val blocks_carry : op -> bool
 
+(** Constants, arithmetic ([Binop], [Cmp], [Select], [Cast], [Math]) and
+    [Dim]: ops with no effect but their result.  An integer division may
+    still trap ({!Interp.Scalar.may_trap}). *)
+val is_pure : op -> bool
+
 val body_region : op -> region
 
 (** Pre-order traversal of the op and everything nested inside it. *)

@@ -1,43 +1,5 @@
-(* Region-rebuilding utilities shared by all transformation passes.
-
-   The passes in this project are expressed as bottom-up rewrites: a
-   function [Op.op -> Op.op list] is applied to every op (innermost
-   first), and each region body is rebuilt from the concatenated
-   results.  Returning [[op]] keeps the op, [[]] deletes it, and several
-   ops splice a replacement sequence in place. *)
-
-let rec rewrite_op (f : Op.op -> Op.op list) (op : Op.op) : Op.op list =
-  Array.iter
-    (fun (r : Op.region) -> r.body <- List.concat_map (rewrite_op f) r.body)
-    op.regions;
-  f op
-
-let rewrite_region f (r : Op.region) =
-  r.body <- List.concat_map (rewrite_op f) r.body
-
-(* Top-down variant: [f] sees the op before its regions are processed. *)
-let rec rewrite_topdown (f : Op.op -> Op.op list) (op : Op.op) : Op.op list =
-  let replaced = f op in
-  List.iter
-    (fun (o : Op.op) ->
-      Array.iter
-        (fun (r : Op.region) ->
-          r.body <- List.concat_map (rewrite_topdown f) r.body)
-        o.regions)
-    replaced;
-  replaced
-
-(* Substitute values in-place through an op tree (operands only). *)
-let substitute (s : Clone.subst) op =
-  Op.iter
-    (fun (o : Op.op) -> o.operands <- Array.map (Clone.lookup s) o.operands)
-    op
-
-let substitute_region (s : Clone.subst) (r : Op.region) =
-  List.iter (substitute s) r.body
-
-(* The set of values used by [op] (including in nested regions) that are
-   not defined inside it — its free values. *)
+(* The set of values used by [ops] (including in nested regions) that
+   are not defined inside them — their free values. *)
 let free_values (ops : Op.op list) : Value.Set.t =
   let defined = ref Value.Set.empty in
   let used = ref Value.Set.empty in

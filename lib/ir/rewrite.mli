@@ -1,21 +1,3 @@
-(** Region-rebuilding utilities shared by the transformation passes.
-
-    Passes are bottom-up rewrites: a function [Op.op -> Op.op list] is
-    applied to every op (innermost first) and each region body is rebuilt
-    from the concatenated results — return [[op]] to keep, [[]] to
-    delete, several ops to splice a replacement. *)
-
-val rewrite_op : (Op.op -> Op.op list) -> Op.op -> Op.op list
-val rewrite_region : (Op.op -> Op.op list) -> Op.region -> unit
-
-(** Top-down variant: the callback sees an op before its regions. *)
-val rewrite_topdown : (Op.op -> Op.op list) -> Op.op -> Op.op list
-
-(** Apply a substitution to every operand in an op tree, in place. *)
-val substitute : Clone.subst -> Op.op -> unit
-
-val substitute_region : Clone.subst -> Op.region -> unit
-
 (** Values used by the ops (including nested regions) but not defined by
     them — their free values. *)
 val free_values : Op.op list -> Value.Set.t

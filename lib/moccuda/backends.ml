@@ -9,9 +9,9 @@
    - [Moccuda_expert]: MocCUDA with the hand-written OpenMP kernels —
      im2col + GEMM convolutions, HBM-friendly streaming.
    - [Moccuda_polygeist]: the same, but the custom PyTorch CUDA kernels
-     (the NLL criterion with its __syncthreads) are transpiled
-     automatically by the Polygeist pipeline instead of hand-ported; a
-     small launch overhead accounts for the extra fissioned regions. *)
+     (the NLL criterion) are transpiled automatically by the Polygeist
+     pipeline instead of hand-ported; a small launch overhead accounts
+     for the extra fissioned regions. *)
 
 open Tensorlib
 
@@ -43,8 +43,20 @@ let nll_loss (backend : t) ~(log_probs : Tensor.t) ~(targets : int array) :
   float =
   match backend with
   | Moccuda_polygeist ->
-    (* the actual transpiled CUDA kernel, through the whole pipeline *)
-    Nll_kernel.forward ~log_probs ~targets
+    (* the transpiled kernel-tier NLL, through the whole pipeline *)
+    let n = log_probs.Tensor.shape.(0) in
+    let loss = Graph.buffer_of_floats [| 0.0 |] in
+    Kmgr.launch
+      (Kmgr.create ~domains:1 ())
+      (Kernels.nll ~n ~classes:log_probs.Tensor.shape.(1))
+      (List.map
+         (fun b -> Interp.Mem.Buf b)
+         [ loss
+         ; Graph.buffer_of_floats (Array.make n 0.0)
+         ; Graph.buffer_of_tensor log_probs
+         ; Graph.buffer_of_ints targets
+         ]);
+    Interp.Mem.get_f loss 0
   | Native | One_dnn | Moccuda_expert -> Layers.nll_loss ~log_probs ~targets
 
 (* --- cost --- *)

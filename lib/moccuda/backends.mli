@@ -20,8 +20,9 @@ val conv2d :
   p:Tensorlib.Conv.params ->
   Tensorlib.Tensor.t
 
-(** [Moccuda_polygeist] computes the loss by interpreting the actual
-    transpiled ClassNLLCriterion CUDA kernel. *)
+(** [Moccuda_polygeist] computes the loss by launching the kernel tier's
+    transpiled NLL kernel ({!Kernels.nll}) through a {!Kmgr}; it is
+    bitwise equal to the others. *)
 val nll_loss :
   t -> log_probs:Tensorlib.Tensor.t -> targets:int array -> float
 

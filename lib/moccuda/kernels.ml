@@ -4,8 +4,8 @@
    {!Kmgr} — not hand-written OCaml.
 
    Shapes are baked into each source as integer literals (the
-   [Nll_kernel]/[Rodinia.Matmul] idiom): the affine passes see constant
-   loop bounds, and the (op, shape) pair becomes the kernel cache key.
+   [Rodinia.Matmul] idiom): the affine passes see constant loop bounds,
+   and the (op, shape) pair becomes the kernel cache key.
 
    Numerics contract: every kernel is written in [double] with
    unsuffixed float constants.  The interpreter and the compiled engine

@@ -128,65 +128,48 @@ let bytes_of_access (v : Value.t) =
       | Types.Global -> false )
   | Types.Scalar d -> (float_of_int (Types.dtype_bytes d), false)
 
-(* partial evaluation of scalar ops *)
+(* Partial evaluation of scalar ops: {!Interp.Scalar.eval} when every
+   operand is known (a trap leaves the result unknown); a select with a
+   known condition is its chosen operand; integer arithmetic on unknown
+   operands carries their means. *)
 let eval_scalar ctx (op : Op.op) : unit =
-  let k = op.Op.kind in
-  match k with
-  | Op.Constant (Op.Cint (n, _)) -> bind ctx (Op.result op) (Ki n)
-  | Op.Constant (Op.Cfloat (f, _)) -> bind ctx (Op.result op) (Kf f)
-  | Op.Binop b -> begin
-    match lookup ctx op.Op.operands.(0), lookup ctx op.Op.operands.(1) with
-    | Ki x, Ki y -> begin
-      let r =
-        match b with
-        | Op.Add -> Some (x + y)
-        | Op.Sub -> Some (x - y)
-        | Op.Mul -> Some (x * y)
-        | Op.Div -> if y = 0 then None else Some (x / y)
-        | Op.Rem -> if y = 0 then None else Some (x mod y)
-        | Op.Min -> Some (min x y)
-        | Op.Max -> Some (max x y)
-        | Op.And -> Some (x land y)
-        | Op.Or -> Some (x lor y)
-        | Op.Xor -> Some (x lxor y)
-        | Op.Shl -> Some (x lsl y)
-        | Op.Shr -> Some (x asr y)
-      in
-      bind ctx (Op.result op) (match r with Some n -> Ki n | None -> Unk)
-    end
-    | _ ->
-      bind ctx (Op.result op) Unk;
-      begin
-        match mean_int ctx op.Op.operands.(0), mean_int ctx op.Op.operands.(1), b with
-        | Some x, Some y, Op.Add -> Value.Tbl.replace ctx.means (Op.result op) (x + y)
-        | Some x, Some y, Op.Sub -> Value.Tbl.replace ctx.means (Op.result op) (x - y)
-        | Some x, Some y, Op.Mul -> Value.Tbl.replace ctx.means (Op.result op) (x * y)
-        | Some x, Some y, Op.Div when y <> 0 ->
-          Value.Tbl.replace ctx.means (Op.result op) (x / y)
-        | _ -> ()
-      end
-  end
-  | Op.Cmp pred -> begin
-    match lookup ctx op.Op.operands.(0), lookup ctx op.Op.operands.(1) with
-    | Ki x, Ki y ->
-      let c =
-        match pred with
-        | Op.Eq -> x = y
-        | Op.Ne -> x <> y
-        | Op.Lt -> x < y
-        | Op.Le -> x <= y
-        | Op.Gt -> x > y
-        | Op.Ge -> x >= y
-      in
-      bind ctx (Op.result op) (Ki (if c then 1 else 0))
-    | _ -> bind ctx (Op.result op) Unk
-  end
-  | Op.Cast _ -> bind ctx (Op.result op) (lookup ctx op.Op.operands.(0))
+  let rv = function
+    | Ki n -> Some (Interp.Mem.Int n)
+    | Kf f -> Some (Interp.Mem.Flt f)
+    | Unk -> None
+  in
+  match op.Op.kind with
   | Op.Select -> begin
     match lookup ctx op.Op.operands.(0) with
     | Ki 0 -> bind ctx (Op.result op) (lookup ctx op.Op.operands.(2))
     | Ki _ -> bind ctx (Op.result op) (lookup ctx op.Op.operands.(1))
     | _ -> bind ctx (Op.result op) Unk
+  end
+  | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Cast _ -> begin
+    let r = Op.result op in
+    let args = Array.map (fun v -> rv (lookup ctx v)) op.Op.operands in
+    if Array.for_all Option.is_some args then
+      bind ctx r
+        (match Interp.Scalar.eval op (Array.map Option.get args) with
+         | Interp.Mem.Int n -> Ki n
+         | Interp.Mem.Flt f -> Kf f
+         | Interp.Mem.Buf _ -> Unk
+         | exception Interp.Mem.Runtime_error _ -> Unk)
+    else begin
+      bind ctx r Unk;
+      match op.Op.kind with
+      | Op.Binop b -> begin
+        let mean = Value.Tbl.replace ctx.means r in
+        let o = op.Op.operands in
+        match b, mean_int ctx o.(0), mean_int ctx o.(1) with
+        | Op.Add, Some x, Some y -> mean (x + y)
+        | Op.Sub, Some x, Some y -> mean (x - y)
+        | Op.Mul, Some x, Some y -> mean (x * y)
+        | Op.Div, Some x, Some y when y <> 0 -> mean (x / y)
+        | _ -> ()
+      end
+      | _ -> ()
+    end
   end
   | _ -> Array.iter (fun r -> bind ctx r Unk) op.Op.results
 

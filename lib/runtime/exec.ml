@@ -21,13 +21,15 @@
    a temporary register by a closure chosen at compile time from the
    slot kinds.
 
-   Scalar semantics mirror {!Interp.Eval} exactly: all float arithmetic
-   in double precision with f32 rounding only at f32 constants and
-   casts-to-f32, integer division/modulo by zero failing, [scf.for]
-   bounds evaluated once.  [scf.parallel] regions are executed as
-   serial nested loops in the interpreter's iteration order; if they
-   still contain GPU barriers, the function is rejected at compile time
-   ({!Unsupported}) so the driver can degrade to the fiber interpreter.
+   Scalar ops compute {!Interp.Scalar.eval} ([test_scalar_edges] in
+   test/test_runtime.ml checks every op, bits and error texts): all
+   float arithmetic in double precision with f32 rounding only at f32
+   constants and casts-to-f32, integer division/modulo by zero failing.
+   [scf.for] bounds are evaluated once.  [scf.parallel] regions are
+   executed as serial nested loops in the interpreter's iteration order;
+   if they still contain GPU barriers, the function is rejected at
+   compile time ({!Unsupported}) so the driver can degrade to the fiber
+   interpreter.
 
    Every memory access compiles to one checked path: it reads its
    index registers directly and inlines the rank test, the bounds tests
@@ -261,13 +263,6 @@ let bind_slot (fr : frame) (s : slot) (v : Mem.rv) : unit =
   | SF k -> fr.fregs.(k) <- Mem.as_float v
   | SB k -> fr.bregs.(k) <- Mem.as_buf v
 
-let is_float_value (v : Value.t) =
-  match v.Value.typ with
-  | Types.Scalar d -> Types.is_float_dtype d
-  | Types.Memref _ -> false
-
-let[@inline] f32 x = Int32.float_of_bits (Int32.bits_of_float x)
-
 (* --- register-direct operands --- *)
 
 let nop : code = fun _ -> ()
@@ -372,7 +367,8 @@ let with_conv (core : code list ref -> code list ref -> code) : code =
   let c = core pre post in
   seq (List.rev_append !pre (c :: List.rev !post))
 
-(* --- scalar op semantics (identical formulas to Interp.Eval) --- *)
+(* --- scalar op semantics: {!Interp.Scalar.eval} on registers, pinned
+   bit for bit by [test_scalar_edges] in test/test_runtime.ml --- *)
 
 let ibin (kind : Op.binop) r x y : code =
   match kind with
@@ -444,37 +440,20 @@ let fcmp (pred : Op.cmp_pred) r x y : code =
   | Op.Gt -> fun fr -> is fr r (b2i (fg fr x > fg fr y))
   | Op.Ge -> fun fr -> is fr r (b2i (fg fr x >= fg fr y))
 
-(* Same Abramowitz–Stegun expression as the interpreter, same
-   association, so results are bit-identical. *)
-let[@inline] erf_as x =
-  let s = if x < 0.0 then -1.0 else 1.0 in
-  let x = Float.abs x in
-  let t = 1.0 /. (1.0 +. (0.3275911 *. x)) in
-  let y =
-    1.0
-    -. ((((((1.061405429 *. t) -. 1.453152027) *. t) +. 1.421413741) *. t
-         -. 0.284496736)
-        *. t
-        +. 0.254829592)
-       *. t
-       *. exp (-.x *. x)
-  in
-  s *. y
-
 (* One-operand float functions ([Not] and [Pow] are compiled apart). *)
 let fmath (fn : Op.math_fn) r x : code =
   match fn with
   | Op.Sqrt -> fun fr -> fs fr r (sqrt (fg fr x))
   | Op.Exp -> fun fr -> fs fr r (exp (fg fr x))
   | Op.Log -> fun fr -> fs fr r (log (fg fr x))
-  | Op.Log2 -> fun fr -> fs fr r (log (fg fr x) /. log 2.0)
+  | Op.Log2 -> fun fr -> fs fr r (Scalar.log2 (fg fr x))
   | Op.Fabs -> fun fr -> fs fr r (Float.abs (fg fr x))
   | Op.Floor -> fun fr -> fs fr r (Float.floor (fg fr x))
   | Op.Neg -> fun fr -> fs fr r (-.fg fr x)
   | Op.Sin -> fun fr -> fs fr r (sin (fg fr x))
   | Op.Cos -> fun fr -> fs fr r (cos (fg fr x))
   | Op.Tanh -> fun fr -> fs fr r (tanh (fg fr x))
-  | Op.Erf -> fun fr -> fs fr r (erf_as (fg fr x))
+  | Op.Erf -> fun fr -> fs fr r (Scalar.erf (fg fr x))
   | Op.Not | Op.Pow -> fun _ -> Mem.fail "math: bad arity"
 
 (* --- checked element access --- *)
@@ -679,7 +658,7 @@ and compile_op (ce : cenv) (op : Op.op) : code =
   | Op.Constant c -> compile_constant ce op c
   | Op.Binop kind ->
     with_conv (fun pre post ->
-        if is_float_value o.(0) then begin
+        if Scalar.is_float_value o.(0) then begin
           let x = freg ce pre o.(0) in
           let y = freg ce pre o.(1) in
           fbin kind (fres ce post (Op.result op)) x y
@@ -696,7 +675,7 @@ and compile_op (ce : cenv) (op : Op.op) : code =
   | Op.Cmp pred ->
     with_conv (fun pre post ->
         let r = ires ce post (Op.result op) in
-        if is_float_value o.(0) then begin
+        if Scalar.is_float_value o.(0) then begin
           let x = freg ce pre o.(0) in
           fcmp pred r x (freg ce pre o.(1))
         end
@@ -711,7 +690,7 @@ and compile_op (ce : cenv) (op : Op.op) : code =
         match d with
         | Types.F32 ->
           let x = freg ce pre o.(0) and r = fres ce post res in
-          fun fr -> fs fr r (f32 (fg fr x))
+          fun fr -> fs fr r (Scalar.f32 (fg fr x))
         | Types.F64 ->
           let x = freg ce pre o.(0) and r = fres ce post res in
           fun fr -> fs fr r (fg fr x)
@@ -826,8 +805,8 @@ and compile_constant ce op (c : Op.const) : code =
   | Op.Cint (n, _), (SF _ | SB _) ->
     let set = iset ce v in
     fun fr -> set fr n
-  | Op.Cfloat (f, d), s -> begin
-    let x = if d = Types.F32 then f32 f else f in
+  | Op.Cfloat _, s -> begin
+    let x = Mem.as_float (Scalar.const c) in
     match s with
     | SF k -> fun fr -> fs fr k x
     | SI _ | SB _ ->

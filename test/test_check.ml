@@ -150,6 +150,28 @@ let test_clean_kernels_execute () =
       ())
     (all_benches ())
 
+(* A warp shuffle stages each lane's value in a scratch buffer at the
+   lane index [tx + BX * (ty + tz)].  Over a 1-D block that index is
+   injective, so two staging writes meet only within one thread: no
+   diagnostic, not even a possible race. *)
+let test_shuffle_scratch_not_racy () =
+  let m =
+    Cudafe.Codegen.compile
+      {|
+__global__ void k(float* out, float* in) {
+  int t = threadIdx.x;
+  out[t] = __shfl_down_sync(0xffffffff, in[t], 1);
+}
+void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
+|}
+  in
+  cleanup m;
+  Alcotest.(check (list string))
+    "no diagnostics" []
+    (List.map
+       (Diag.to_string ~file:"k.cu")
+       (Kernelcheck.check_module ~report_possible:true m))
+
 let tests =
   [ Alcotest.test_case "racy fixture flagged at 5:3" `Quick test_racy_fixture
   ; Alcotest.test_case "divergent fixture flagged at 6:5" `Quick
@@ -159,4 +181,6 @@ let tests =
   ; Alcotest.test_case "rodinia kernels clean" `Quick test_rodinia_clean
   ; Alcotest.test_case "clean kernels execute" `Quick
       test_clean_kernels_execute
+  ; Alcotest.test_case "shuffle scratch is not a race" `Quick
+      test_shuffle_scratch_not_racy
   ]

@@ -11,21 +11,22 @@
    Unit tests cover the sense-reversing barrier under contention and
    poisoning, domain-pool reuse and exception propagation, schedule
    partition/exactly-once properties and the balanced static partition
-   (single source of truth in Interp.Eval), the compiled access paths
-   (a QCheck differential of strided loads/stores against the
-   interpreter, including out-of-bounds ranges that must be rejected at
-   loop entry, and one of checked accesses at ranks 0, 1, 3 and 4 with
-   exact error texts), every scalar op against the interpreter bit for
-   bit (registers and literals, edge values), the per-compile
-   unbound-register sentinel, the zero-allocation relaunch contract, a
-   loop that must allocate nothing per iteration, and the --chunk knob,
-   worksharing via builder-built IR under many team sizes and all three
-   schedules (including a skewed load for dynamic work stealing), the
-   interpreter's team-size plumbing (wsloops inside GPU block regions
-   must NOT be chunked), scf.if results and scf.for iter_args on both
-   engines (int and float registers, a parallel-copy swap, zero-trip and
-   nested loops, a faulting arm), and fault injection through the
-   parallel path. *)
+   (single source of truth in Interp.Eval), the compiled access paths (a
+   QCheck differential of strided loads/stores against the interpreter,
+   including out-of-bounds ranges that must be rejected at loop entry,
+   and one of checked accesses at ranks 0, 1, 3 and 4 with exact error
+   texts), every scalar op against the interpreter bit for bit (QCheck)
+   and, as a table over edge operands in registers and literals, the
+   engine at every domain count and the interpreter against
+   Interp.Scalar.eval, the per-compile unbound-register sentinel, the
+   zero-allocation relaunch contract, a loop that must allocate nothing
+   per iteration, and the --chunk knob, worksharing via builder-built IR
+   under many team sizes and all three schedules (including a skewed
+   load for dynamic work stealing), the interpreter's team-size plumbing
+   (wsloops inside GPU block regions must NOT be chunked), scf.if
+   results and scf.for iter_args on both engines (int and float
+   registers, a parallel-copy swap, zero-trip and nested loops, a
+   faulting arm), and fault injection through the parallel path. *)
 
 open Ir
 
@@ -1089,10 +1090,11 @@ let all_dtypes = Types.[ I1; I32; I64; Index; F32; F64 ]
 let all_math =
   Op.[ Sqrt; Exp; Log; Log2; Fabs; Floor; Neg; Sin; Cos; Tanh; Erf; Not; Pow ]
 
-let int_edges = [ 0; -1; 1; 7; max_int; min_int ]
+let int_edges = [ 0; 1; -1; 7; -7; 62; max_int; min_int ]
 
 let float_edges =
-  [ 0.0; -0.0; 1.0; -2.5; Float.infinity; Float.neg_infinity; Float.nan ]
+  [ 0.0; -0.0; 1.0; 0.1; Interp.Scalar.f32 0.1; -1.5; -2.5; 1e308
+  ; Float.infinity; Float.neg_infinity; Float.nan ]
 
 (* (op, operand floatness, arity) for every op the engine compiles. *)
 let all_sops : (sop * bool * int) list =
@@ -1118,6 +1120,14 @@ let result_is_float (c : scase) =
   | Sbin _ | Ssel | Smath _ -> c.fl
   | Scmp _ -> false
   | Scast d -> Types.is_float_dtype d
+
+let sop_op (sop : sop) (o : Value.t array) : Op.op =
+  match sop with
+  | Sbin k -> Builder.binop k o.(0) o.(1)
+  | Scmp p -> Builder.cmp p o.(0) o.(1)
+  | Ssel -> Builder.select o.(0) o.(1) o.(2)
+  | Scast d -> Builder.cast d o.(0)
+  | Smath fn -> Builder.math fn (Array.to_list o)
 
 (* func @k(out : memref<1xT>, params...) { out[0] <- op(operands) } *)
 let mk_scalar_module (c : scase) : Op.op =
@@ -1162,16 +1172,7 @@ let mk_scalar_module (c : scase) : Op.op =
                 end)
               (List.combine c.lit c.args)
           in
-          let o = Array.of_list opnds in
-          let r =
-            Builder.Seq.emitv s
-              (match c.sop with
-               | Sbin k -> Builder.binop k o.(0) o.(1)
-               | Scmp p -> Builder.cmp p o.(0) o.(1)
-               | Ssel -> Builder.select o.(0) o.(1) o.(2)
-               | Scast d -> Builder.cast d o.(0)
-               | Smath fn -> Builder.math fn (Array.to_list o))
-          in
+          let r = Builder.Seq.emitv s (sop_op c.sop (Array.of_list opnds)) in
           let c0 =
             Builder.Seq.emitv s (Builder.const_int ~dtype:Types.Index 0)
           in
@@ -1215,6 +1216,10 @@ let show_scase (c : scase) =
     (if c.fl then "float" else "int")
     (String.concat ", " (List.map2 arg c.lit c.args))
 
+let show_outcome = function
+  | Ok bits -> Printf.sprintf "bits %Lx" bits
+  | Error e -> "error " ^ e
+
 let scalar_agrees (c : scase) : (unit, string) result =
   let m = mk_scalar_module c in
   let interp =
@@ -1226,13 +1231,9 @@ let scalar_agrees (c : scase) : (unit, string) result =
   in
   if interp = engine then Ok ()
   else
-    let show = function
-      | Ok bits -> Printf.sprintf "bits %Lx" bits
-      | Error e -> "error " ^ e
-    in
     Error
-      (Printf.sprintf "%s: interp %s, engine %s" (show_scase c) (show interp)
-         (show engine))
+      (Printf.sprintf "%s: interp %s, engine %s" (show_scase c)
+         (show_outcome interp) (show_outcome engine))
 
 let gen_scase : scase QCheck.Gen.t =
   QCheck.Gen.(
@@ -1262,9 +1263,28 @@ let prop_scalar_ops =
       | Ok () -> true
       | Error e -> QCheck.Test.fail_report e)
 
-(* The edge values exhaustively: every op, every pair of edge values,
-   each operand in a register and as a literal (so division and
-   remainder by a zero register and by a zero literal are both here). *)
+(* What [Interp.Scalar.eval] says of a case: the result's bits (as
+   [scalar_outcome] reads them back) or the error text. *)
+let scalar_reference (c : scase) : (int64, string) result =
+  let vty = Types.Scalar (if c.fl then Types.F64 else Types.I64) in
+  let operand i =
+    match c.sop with
+    | Ssel when i = 0 -> Value.fresh (Types.Scalar Types.I1)
+    | _ -> Value.fresh vty
+  in
+  let op = sop_op c.sop (Array.init (List.length c.args) operand) in
+  match Interp.Scalar.eval op (Array.of_list c.args) with
+  | Interp.Mem.Flt f -> Ok (Int64.bits_of_float f)
+  | Interp.Mem.Int n -> Ok (Int64.of_int n)
+  | Interp.Mem.Buf _ -> Error "buffer result"
+  | exception Interp.Mem.Runtime_error e -> Error e
+
+(* The table test pinning the engine's closures, and the interpreter,
+   to [Interp.Scalar.eval]: every op, every tuple of edge values, each
+   operand in a register and as a literal (so division and remainder by
+   a zero register and by a zero literal are both here), the engine at
+   every domain count under test — the same bits or the same error
+   text. *)
 let test_scalar_edges () =
   let failures = ref [] and cases = ref 0 in
   List.iter
@@ -1294,9 +1314,31 @@ let test_scalar_edges () =
           List.iter
             (fun lit ->
               incr cases;
-              match scalar_agrees { sop; fl; args; lit } with
-              | Ok () -> ()
-              | Error e -> failures := e :: !failures)
+              let c = { sop; fl; args; lit } in
+              let m = mk_scalar_module c and want = scalar_reference c in
+              let interp =
+                scalar_outcome c (fun args ->
+                    ignore (Interp.Eval.run m "k" args))
+              in
+              if interp <> want then
+                failures :=
+                  Printf.sprintf "%s: Scalar.eval %s, interpreter %s"
+                    (show_scase c) (show_outcome want) (show_outcome interp)
+                  :: !failures;
+              List.iter
+                (fun domains ->
+                  let got =
+                    scalar_outcome c (fun args ->
+                        ignore (Runtime.Exec.run_module ~domains m "k" args))
+                  in
+                  if got <> want then
+                    failures :=
+                      Printf.sprintf
+                        "%s at %d domain(s): Scalar.eval %s, engine %s"
+                        (show_scase c) domains (show_outcome want)
+                        (show_outcome got)
+                      :: !failures)
+                domains_under_test)
             (placements 0))
         (tuples 0))
     all_sops;

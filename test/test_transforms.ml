@@ -136,6 +136,108 @@ void run(int* out, int s) {
   Alcotest.(check int) "only the loop with a register step is left" 1
     (count (fun o -> o.Op.kind = Op.For) m)
 
+(* --- lowering keeps every scalar op's bits and traps --- *)
+
+(* Run [entry] of the frontend IR on the interpreter, then of the IR
+   after [Passmgr.lower] on the interpreter and on the engine at 1 and
+   4 domains: each run gives the output buffer's bits or the error
+   text, and all must agree. *)
+let lowering_agrees src entry
+    (mk_args : unit -> Interp.Mem.buffer * Interp.Mem.rv list) =
+  let outcome run =
+    let out, args = mk_args () in
+    match run args with
+    | () ->
+      Ok
+        (match out.Interp.Mem.data with
+         | Interp.Mem.Fdata a -> Array.map Int64.bits_of_float a
+         | Interp.Mem.Idata a -> Array.map Int64.of_int a)
+    | exception Interp.Mem.Runtime_error e -> Error e
+  in
+  let front = compile_ok src in
+  let want = outcome (fun a -> ignore (Interp.Eval.run front entry a)) in
+  let m = compile_ok src in
+  (match
+     Core.Passmgr.lower
+       (Core.Passmgr.Optimized Core.Omp_lower.default_options)
+       m
+   with
+   | Ok _ -> ()
+   | Error (_, e) -> Alcotest.failf "lowering failed: %s" e);
+  let same = Alcotest.(result (array int64) string) in
+  Alcotest.check same "lowered, interpreter" want
+    (outcome (fun a -> ignore (Interp.Eval.run m entry a)));
+  List.iter
+    (fun domains ->
+      Alcotest.check same
+        (Printf.sprintf "lowered, engine at %d domain(s)" domains)
+        want
+        (outcome (fun a ->
+             ignore (Runtime.Exec.run_module ~domains m entry a))))
+    [ 1; 4 ]
+
+let float_out n () =
+  let out = Interp.Mem.of_float_array (Array.make n 0.0) in
+  (out, [ Interp.Mem.Buf out ])
+
+(* f32 literals are rounded, the arithmetic on them is not: a fold must
+   not round its result to f32. *)
+let test_f32_folds_keep_bits () =
+  lowering_agrees
+    {|
+void run(float* out) {
+  float a = 0.1f;
+  float b = 0.2f;
+  out[0] = a + b;
+  out[1] = sqrtf(2.0f);
+  out[2] = 0.1f * 3.0f;
+}
+|}
+    "run" (float_out 3)
+
+(* [-0.0 + 0.0] is [+0.0], and so is [-0.0 - (-0.0)]. *)
+let test_signed_zero_identities () =
+  lowering_agrees
+    {|
+void run(float* out) {
+  out[3] = -0.0f;
+  out[4] = out[3] + 0.0f;
+  out[5] = 0.0f + out[3];
+  out[6] = out[3] - (-0.0f);
+  out[7] = out[3] - 0.0f;
+}
+|}
+    "run" (float_out 8)
+
+(* An unused integer division by zero still fails the run. *)
+let test_dce_keeps_trap () =
+  lowering_agrees
+    "void run(int* out, int n) { int z = out[0] / n; out[1] = 5; }" "run"
+    (fun () ->
+      let out = Interp.Mem.of_int_array [| 3; 0 |] in
+      (out, [ Interp.Mem.Buf out; Interp.Mem.Int 0 ]))
+
+(* A division in a loop that runs zero times never executes: hoisting
+   it out of a serial loop or a thread loop would fail the run. *)
+let test_licm_adds_no_trap () =
+  let args () =
+    let out = Interp.Mem.of_int_array [| 1; 2 |] in
+    (out, [ Interp.Mem.Buf out; Interp.Mem.Int 0; Interp.Mem.Int 0 ])
+  in
+  lowering_agrees
+    {|
+void run(int* out, int n, int d) {
+  for (int i = 0; i < n; i++) { out[i] = 7 / d; }
+}
+|}
+    "run" args;
+  lowering_agrees
+    {|
+__global__ void k(int* out, int d) { out[threadIdx.x] = 7 / d; }
+void run(int* out, int n, int d) { k<<<1, n>>>(out, d); }
+|}
+    "run" args
+
 let test_cse_unifies () =
   let src =
     {|
@@ -574,6 +676,13 @@ let tests =
       test_zero_step_loop_kept
   ; Alcotest.test_case "empty loop nest collapses" `Quick
       test_empty_nest_collapses
+  ; Alcotest.test_case "f32 folds keep the engines' bits" `Quick
+      test_f32_folds_keep_bits
+  ; Alcotest.test_case "float identities keep signed zeros" `Quick
+      test_signed_zero_identities
+  ; Alcotest.test_case "dce keeps a division's trap" `Quick
+      test_dce_keeps_trap
+  ; Alcotest.test_case "licm hoists no trap" `Quick test_licm_adds_no_trap
   ; Alcotest.test_case "mem2reg carries values" `Quick test_mem2reg_carried
   ; Alcotest.test_case "mem2reg slot stays across barriers" `Quick
       test_mem2reg_barrier_boundary
