@@ -111,7 +111,7 @@ let classify (ctx : Effects.ctx) ~(taint : Value.t -> bool)
     when (not ga) && (not gb)
          && not
               (Value.Set.subset ctx.tids
-                 (Value.Set.union f (Value.Set.inter a.pinned b.pinned))) ->
+                 (Value.Set.union f (Effects.same_pins a.pinned b.pinned))) ->
     (* some thread iv remains free: two distinct threads collide *)
     Some Definite
   | _ -> Some Possible

@@ -20,9 +20,9 @@ type access =
   ; acc_kind : kind
   ; idx : Affine.expr option list option
     (* None: unknown indexing; Some dims: per-dimension affine forms *)
-  ; pinned : Value.Set.t
-    (* thread ivs pinned to an invariant value by enclosing guards
-       (e.g. accesses under [if (tx == 0)]) *)
+  ; pinned : Affine.expr Value.Map.t
+    (* thread ivs pinned by enclosing guards (e.g. accesses under
+       [if (tx == 0)]), each to the invariant value it is compared with *)
   ; livs : Value.Set.t
     (* serial-loop ivs (inside the parallel region) appearing in [idx];
        their cross-thread equality only holds within one iteration *)
@@ -32,7 +32,7 @@ type access =
        diagnostics; None for synthetic/unknown accesses *)
   }
 
-let mk_access ?base ?idx ?(pinned = Value.Set.empty)
+let mk_access ?base ?idx ?(pinned = Value.Map.empty)
     ?(livs = Value.Set.empty) ?(shifted = false) ?src acc_kind =
   { base; acc_kind; idx; pinned; livs; shifted; src }
 
@@ -199,14 +199,14 @@ let derive_idx (ctx : ctx) (idx_operands : Value.t array) :
   in
   (dims, !livs)
 
-(* Guard pinning: if an access is nested under [if (tx == e)] with [e]
-   thread-invariant, then in any two executions of the access the value of
-   tx is equal.  Recognizes conditions that are equality comparisons
-   between a bare thread iv and an invariant expression. *)
-let pinned_by_cond (ctx : ctx) (cond : Value.t) : Value.Set.t =
+(* Guard pinning: an access nested under [if (tx == e)], with [e]
+   thread-invariant, runs only where tx is [e].  Recognizes conditions
+   that are equality comparisons between a bare thread iv and an
+   invariant expression, and maps the iv to that expression. *)
+let pinned_by_cond (ctx : ctx) (cond : Value.t) : Affine.expr Value.Map.t =
   match Info.defining_op ctx.info cond with
   | Some { Op.kind = Op.Cmp Op.Eq; operands; _ } ->
-    let side v other =
+    let side pins (v, other) =
       if Value.Set.mem v ctx.tids then begin
         (* other side must be invariant across threads *)
         match Affine.of_value ctx.info ~classify:(classify ctx) other with
@@ -214,15 +214,28 @@ let pinned_by_cond (ctx : ctx) (cond : Value.t) : Value.Set.t =
           when List.for_all
                  (fun s -> not (Value.Set.mem s ctx.tids))
                  (Affine.variables e) ->
-          Value.Set.singleton v
-        | _ -> Value.Set.empty
+          Value.Map.add v e pins
+        | _ -> pins
       end
-      else Value.Set.empty
+      else pins
     in
-    Value.Set.union
-      (side operands.(0) operands.(1))
-      (side operands.(1) operands.(0))
-  | _ -> Value.Set.empty
+    List.fold_left side Value.Map.empty
+      [ (operands.(0), operands.(1)); (operands.(1), operands.(0)) ]
+  | _ -> Value.Map.empty
+
+(* The pins inside a guard: an inner pin of an iv replaces the outer
+   one (where the two differ, the code never runs). *)
+let add_pins outer inner = Value.Map.union (fun _ _ e -> Some e) outer inner
+
+(* The thread ivs two pin sets pin to the same value: equal in any two
+   executions of the accesses they guard. *)
+let same_pins a b : Value.Set.t =
+  Value.Map.fold
+    (fun v ea acc ->
+      match Value.Map.find_opt v b with
+      | Some eb when Affine.equal ea eb -> Value.Set.add v acc
+      | _ -> acc)
+    a Value.Set.empty
 
 (* --- collecting the effects of an op subtree --- *)
 
@@ -246,7 +259,7 @@ let shift_access (a : access) : access =
           a.idx
     }
 
-let rec collect_op (ctx : ctx) ~(pinned : Value.Set.t) (op : Op.op) :
+let rec collect_op (ctx : ctx) ~(pinned : Affine.expr Value.Map.t) (op : Op.op) :
   access list =
   match op.kind with
   | Op.Load ->
@@ -276,8 +289,7 @@ let rec collect_op (ctx : ctx) ~(pinned : Value.Set.t) (op : Op.op) :
           | _ -> mk_access ~pinned ~src:op it.s_kind)
   end
   | Op.If ->
-    let extra = pinned_by_cond ctx op.operands.(0) in
-    let then_pin = Value.Set.union pinned extra in
+    let then_pin = add_pins pinned (pinned_by_cond ctx op.operands.(0)) in
     collect_region ctx ~pinned:then_pin op.regions.(0)
     @ collect_region ctx ~pinned op.regions.(1)
   | Op.Constant _ | Op.Binop _ | Op.Cmp _ | Op.Select | Op.Cast _ | Op.Math _
@@ -293,7 +305,7 @@ and collect_region ctx ~pinned (r : Op.region) : access list =
   List.concat_map (collect_op ctx ~pinned) r.body
 
 let collect (ctx : ctx) (ops : Op.op list) : access list =
-  List.concat_map (collect_op ctx ~pinned:Value.Set.empty) ops
+  List.concat_map (collect_op ctx ~pinned:Value.Map.empty) ops
 
 (* --- aliasing of bases --- *)
 
@@ -365,7 +377,7 @@ let cross_thread_conflict (ctx : ctx) (a : access) (b : access) : bool =
                     | Affine.Forces s -> Value.Set.union acc s
                     | Affine.Disjoint | Affine.Maybe -> acc)
                   (Value.Set.union (unit_tids ctx)
-                     (Value.Set.inter a.pinned b.pinned))
+                     (same_pins a.pinned b.pinned))
                   verdicts
               in
               (* all thread ivs forced equal => the "conflict" is within a
@@ -432,13 +444,13 @@ let rec scan_ops_back ctx ~(shifted : bool) (ops : Op.op list) (idx : int) :
       else begin
         (* barrier-free paths may bypass it: fall back to its full
            effects and keep scanning *)
-        let effs = collect_op ctx ~pinned:Value.Set.empty o in
+        let effs = collect_op ctx ~pinned:Value.Map.empty o in
         let effs = if shifted then List.map shift_access effs else effs in
         acc := effs @ !acc
       end
     end
     else begin
-      let effs = collect_op ctx ~pinned:Value.Set.empty o in
+      let effs = collect_op ctx ~pinned:Value.Map.empty o in
       let effs = if shifted then List.map shift_access effs else effs in
       acc := effs @ !acc
     end;
@@ -477,7 +489,7 @@ and tail_effects ctx ~(shifted : bool) (op : Op.op) : access list * bool =
       (tc @ tb, false) (* the body may have run zero times *)
     end
   | _ ->
-    (collect_op ctx ~pinned:Value.Set.empty op, false)
+    (collect_op ctx ~pinned:Value.Map.empty op, false)
 
 let rec scan_ops_fwd ctx ~(shifted : bool) (ops : Op.op list) (idx : int) :
   access list * bool =
@@ -493,13 +505,13 @@ let rec scan_ops_fwd ctx ~(shifted : bool) (ops : Op.op list) (idx : int) :
       acc := !acc @ h;
       if s then stopped := true
       else begin
-        let effs = collect_op ctx ~pinned:Value.Set.empty o in
+        let effs = collect_op ctx ~pinned:Value.Map.empty o in
         let effs = if shifted then List.map shift_access effs else effs in
         acc := !acc @ effs
       end
     end
     else begin
-      let effs = collect_op ctx ~pinned:Value.Set.empty o in
+      let effs = collect_op ctx ~pinned:Value.Map.empty o in
       let effs = if shifted then List.map shift_access effs else effs in
       acc := !acc @ effs;
       if Op.contains_barrier o then stopped := true
@@ -534,7 +546,7 @@ and head_effects ctx ~(shifted : bool) (op : Op.op) : access list * bool =
       (hc @ hb, false)
     end
   | _ ->
-    (collect_op ctx ~pinned:Value.Set.empty op, false)
+    (collect_op ctx ~pinned:Value.Map.empty op, false)
 
 (* Position of [op] within its parent's regions. *)
 let position_in_parent (info : Info.t) (op : Op.op) :

@@ -17,8 +17,9 @@ type access =
   ; acc_kind : kind
   ; idx : Affine.expr option list option
     (** [None]: unknown indexing; otherwise one affine form per dim *)
-  ; pinned : Ir.Value.Set.t
-    (** thread ivs pinned by enclosing [if (tid == e)] guards *)
+  ; pinned : Affine.expr Ir.Value.Map.t
+    (** thread ivs pinned by enclosing [if (tid == e)] guards, each to
+        its [e] *)
   ; livs : Ir.Value.Set.t
     (** serial-loop ivs (inside the parallel region) used in [idx] *)
   ; shifted : bool (** collected through loop wrap-around *)
@@ -30,7 +31,7 @@ type access =
 val mk_access :
   ?base:Ir.Value.t ->
   ?idx:Affine.expr option list ->
-  ?pinned:Ir.Value.Set.t ->
+  ?pinned:Affine.expr Ir.Value.Map.t ->
   ?livs:Ir.Value.Set.t ->
   ?shifted:bool ->
   ?src:Ir.Op.op ->
@@ -81,12 +82,24 @@ val derive_idx :
 
 (** Thread ivs pinned to an invariant value by an [if] condition: the
     condition is an equality comparison between a bare thread iv and a
-    thread-invariant expression. *)
-val pinned_by_cond : ctx -> Ir.Value.t -> Ir.Value.Set.t
+    thread-invariant expression, and the iv maps to that expression. *)
+val pinned_by_cond : ctx -> Ir.Value.t -> Affine.expr Ir.Value.Map.t
+
+(** The pins that hold inside a guard: [inner]'s, then [outer]'s on the
+    other ivs. *)
+val add_pins :
+  Affine.expr Ir.Value.Map.t ->
+  Affine.expr Ir.Value.Map.t ->
+  Affine.expr Ir.Value.Map.t
+
+(** The thread ivs both pin sets pin to the same value. *)
+val same_pins :
+  Affine.expr Ir.Value.Map.t -> Affine.expr Ir.Value.Map.t -> Ir.Value.Set.t
 
 (** {2 Effect collection} *)
 
-val collect_op : ctx -> pinned:Ir.Value.Set.t -> Ir.Op.op -> access list
+val collect_op :
+  ctx -> pinned:Affine.expr Ir.Value.Map.t -> Ir.Op.op -> access list
 val collect : ctx -> Ir.Op.op list -> access list
 
 (** {2 Aliasing} *)

@@ -213,7 +213,7 @@ let shift_state st = { u = IS.empty; s = IS.union st.u st.s }
 type leaf =
   { l_op : Op.op
   ; l_accs : Effects.access list
-  ; l_pinned : Value.Set.t
+  ; l_pinned : Affine.expr Value.Map.t
   ; l_guarded : bool
   }
 
@@ -344,16 +344,16 @@ let collect_leaves (t : t) : unit =
       (* a pinning guard (tid == e) is fully accounted for by [pinned];
          any other thread-dependent guard forfeits definiteness *)
       let then_guarded =
-        guarded || (cond_tainted && Value.Set.is_empty extra)
+        guarded || (cond_tainted && Value.Map.is_empty extra)
       in
-      go_region ~pinned:(Value.Set.union pinned extra) ~guarded:then_guarded
+      go_region ~pinned:(Effects.add_pins pinned extra) ~guarded:then_guarded
         op.Op.regions.(0);
       go_region ~pinned ~guarded:(guarded || cond_tainted) op.Op.regions.(1)
     | _ -> Array.iter (go_region ~pinned ~guarded) op.Op.regions
   and go_region ~pinned ~guarded (r : Op.region) =
     List.iter (go_op ~pinned ~guarded) r.body
   in
-  go_region ~pinned:Value.Set.empty ~guarded:false t.t_par.Op.regions.(0);
+  go_region ~pinned:Value.Map.empty ~guarded:false t.t_par.Op.regions.(0);
   t.t_leaves <- List.rev !leaves;
   (* per-interval shared access sets: a leaf contributes as-is to every
      interval it can occupy lock-step, and iv-stripped to the intervals
@@ -438,7 +438,7 @@ let conflicts (t : t) : conflict list =
                executions; a wrap-around copy crosses an iteration
                boundary, so drop them *)
             let pinned =
-              if b.Effects.shifted then Value.Set.empty else lb.l_pinned
+              if b.Effects.shifted then Value.Map.empty else lb.l_pinned
             in
             ({ b with Effects.pinned }, lb.l_guarded)
           | None -> (b, true)

@@ -88,8 +88,9 @@ val interval_accesses : t -> int -> Effects.access list
 type leaf =
   { l_op : Ir.Op.op
   ; l_accs : Effects.access list
-  ; l_pinned : Ir.Value.Set.t
-        (** thread ivs pinned by enclosing [if (tid == e)] guards *)
+  ; l_pinned : Affine.expr Ir.Value.Map.t
+        (** thread ivs pinned by enclosing [if (tid == e)] guards, each
+            to its [e] *)
   ; l_guarded : bool
         (** some enclosing condition is thread-dependent without
             pinning — a conflict under it is never definite *)

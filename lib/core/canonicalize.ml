@@ -1,8 +1,16 @@
-(* Canonicalization: constant folding, algebraic identities, constant
-   control-flow simplification and dead-code elimination (pure ops that
-   cannot trap, and scf.if/scf.for ops that hold nothing else).  Folds
-   evaluate with {!Interp.Scalar}, the semantics every engine runs, and
-   identities are kept only where they hold bit for bit.
+(* Canonicalization: constant folding, algebraic identities, integer
+   range facts, constant control-flow simplification and dead-code
+   elimination (pure ops that cannot trap, and scf.if/scf.for ops that
+   hold nothing else).  Folds evaluate with {!Interp.Scalar}, the
+   semantics every engine runs, and identities are kept only where they
+   hold bit for bit.
+
+   Range facts come from integer constants, loop bounds (a launch's
+   thread and block extents among them) and i1 types, and flow through
+   integer arithmetic.  They fold the comparisons they decide, so an
+   edge guard a tile-aligned shape makes always true disappears, turn a
+   division or remainder of a non-negative value by a power of two into
+   a shift or a mask, and inline loops that run exactly once.
 
    These are deliberately *generic* transformations: the point of the
    paper's barrier semantics is that such passes keep working unmodified
@@ -13,19 +21,48 @@ open Ir
 module Mem = Interp.Mem
 module Scalar = Interp.Scalar
 
-(* The walking state: known constants (their values as a run sees them)
-   and a value substitution. *)
+(* The walking state: known constants (their values as a run sees them),
+   integer ranges [(lo, hi)] with both ends inclusive, and a value
+   substitution. *)
 type st =
   { consts : Mem.rv Value.Tbl.t
+  ; ranges : (int * int) Value.Tbl.t
   ; subst : Clone.subst
   }
 
-let new_st () = { consts = Value.Tbl.create 64; subst = Clone.create_subst () }
+let new_st () =
+  { consts = Value.Tbl.create 64
+  ; ranges = Value.Tbl.create 64
+  ; subst = Clone.create_subst ()
+  }
 
 let const_of st (v : Value.t) = Value.Tbl.find_opt st.consts v
 
 let int_const st (v : Value.t) =
   match const_of st v with Some (Mem.Int n) -> Some n | _ -> None
+
+(* Facts stay within +-2^30, so no interval arithmetic below can wrap
+   in 63 bits. *)
+let bound = 1 lsl 30
+
+let fits (lo, hi) = -bound <= lo && lo <= hi && hi <= bound
+
+let is_i1 (v : Value.t) = v.typ = Types.Scalar Types.I1
+
+(* The range a value is known to stay in: a constant's value, a
+   recorded fact, or [0, 1] for any i1. *)
+let range st (v : Value.t) : (int * int) option =
+  match int_const st v with
+  | Some n -> if fits (n, n) then Some (n, n) else None
+  | None -> (
+    match Value.Tbl.find_opt st.ranges v with
+    | Some _ as r -> r
+    | None -> if is_i1 v then Some (0, 1) else None)
+
+let set_range st (v : Value.t) r = if fits r then Value.Tbl.replace st.ranges v r
+
+(* The positive integer literal [v] holds, if any. *)
+let positive st v = match int_const st v with Some n when n > 0 -> Some n | _ -> None
 
 let result_dtype (op : Op.op) =
   match (Op.result op).typ with
@@ -118,16 +155,121 @@ let binop_identity st (op : Op.op) kind : Op.op list =
     materialize_const st op (Op.Cint (0, result_dtype op))
   | _ -> [ op ]
 
+(* The range of an integer binop's result from its operands' ranges:
+   [divi]/[remi] only by a positive literal, [andi] only of two
+   non-negatives and [shri] only by a literal. *)
+let binop_range st kind a b : (int * int) option =
+  match range st a, range st b with
+  | Some (la, ha), Some (lb, hb) -> begin
+    match kind with
+    | Op.Add -> Some (la + lb, ha + hb)
+    | Op.Sub -> Some (la - hb, ha - lb)
+    | Op.Mul ->
+      let ps = [ la * lb; la * hb; ha * lb; ha * hb ] in
+      Some (List.fold_left min max_int ps, List.fold_left max min_int ps)
+    | Op.Min -> Some (min la lb, min ha hb)
+    | Op.Max -> Some (max la lb, max ha hb)
+    | Op.Div when lb = hb && lb > 0 -> Some (la / lb, ha / lb)
+    | Op.Rem when lb = hb && lb > 0 ->
+      (* the remainder takes the dividend's sign *)
+      Some
+        ( (if la >= 0 then 0 else max la (1 - lb))
+        , if ha <= 0 then 0 else min ha (lb - 1) )
+    | Op.And when la >= 0 && lb >= 0 -> Some (0, min ha hb)
+    | Op.Shr when lb = hb && lb >= 0 && lb < Sys.int_size ->
+      Some (la asr lb, ha asr lb)
+    | _ -> None
+  end
+  | _ -> None
+
+(* A comparison the ranges decide: [Some 1] or [Some 0]. *)
+let cmp_decided st pred a b : int option =
+  match range st a, range st b with
+  | Some (la, ha), Some (lb, hb) ->
+    let lt = ha < lb and ge = la >= hb in
+    let le = ha <= lb and gt = la > hb in
+    let eq = la = ha && lb = hb && la = lb and ne = ha < lb || hb < la in
+    let decide yes no = if yes then Some 1 else if no then Some 0 else None in
+    begin match pred with
+    | Op.Lt -> decide lt ge
+    | Op.Ge -> decide ge lt
+    | Op.Le -> decide le gt
+    | Op.Gt -> decide gt le
+    | Op.Eq -> decide eq ne
+    | Op.Ne -> decide ne eq
+    end
+  | _ -> None
+
+(* The range of an integer op's result, when its operands' ranges give
+   one. *)
+let op_range st (op : Op.op) : (int * int) option =
+  let ints = not (Scalar.is_float_value op.operands.(0)) in
+  match op.kind with
+  | Op.Binop kind when ints -> binop_range st kind op.operands.(0) op.operands.(1)
+  | Op.Cmp pred when ints ->
+    Option.map (fun c -> (c, c)) (cmp_decided st pred op.operands.(0) op.operands.(1))
+  | Op.Select when not (Scalar.is_float_value op.operands.(1)) -> begin
+    match range st op.operands.(1), range st op.operands.(2) with
+    | Some (l1, h1), Some (l2, h2) -> Some (min l1 l2, max h1 h2)
+    | _ -> None
+  end
+  | Op.Cast d when ints && Types.is_int_dtype d && d <> Types.I1 ->
+    range st op.operands.(0)
+  | _ -> None
+
+(* Rewrites the operands' ranges allow: the remainder of a value already
+   below its positive divisor is the value, a division or remainder of a
+   non-negative value by a power of two is a shift or a mask, and
+   [c && true] on i1 is [c]. *)
+let range_rewrite st (op : Op.op) kind : Op.op list =
+  let a = op.operands.(0) and b = op.operands.(1) in
+  let a_within lo hi =
+    match range st a with Some (l, h) -> lo <= l && h <= hi | None -> false
+  in
+  let pow2 k = k > 1 && k land (k - 1) = 0 in
+  let rec log2 k = if k = 1 then 0 else 1 + log2 (k lsr 1) in
+  match kind, positive st b with
+  | Op.Rem, Some k when a_within 0 (k - 1) -> replace_with st op a
+  | (Op.Div | Op.Rem), Some k when pow2 k && a_within 0 bound ->
+    let kind', c =
+      if kind = Op.Div then (Op.Shr, log2 k) else (Op.And, k - 1)
+    in
+    let c = Builder.const_int ~dtype:(result_dtype op) c in
+    let r = Builder.binop kind' a (Op.result c) in
+    r.loc <- op.loc;
+    replace_value st (Op.result op) (Op.result r);
+    [ c; r ]
+  | Op.And, _ when is_i1 a && int_const st b = Some 1 -> replace_with st op a
+  | Op.And, _ when is_i1 a && int_const st a = Some 1 -> replace_with st op b
+  | _ -> [ op ]
+
 (* One canonicalization step for one op (operands already substituted). *)
 let simplify_op st (op : Op.op) : Op.op list =
+  (* fold an op whose operands are constants, or whose range is one value
+     it is sure to produce; otherwise record its range and try [rules] *)
   let or_fold rules =
-    match fold st op with Some ops -> ops | None -> rules ()
+    match fold st op with
+    | Some ops -> ops
+    | None -> begin
+      match op_range st op with
+      | Some (lo, hi)
+        when lo = hi && not (Scalar.may_trap ~literal:(int_const st) op) ->
+        materialize_const st op (Op.Cint (lo, result_dtype op))
+      | r ->
+        Option.iter (set_range st (Op.result op)) r;
+        rules ()
+    end
   in
   match op.kind with
   | Op.Constant c ->
     Value.Tbl.replace st.consts (Op.result op) (Scalar.const c);
     [ op ]
-  | Op.Binop kind -> or_fold (fun () -> binop_identity st op kind)
+  | Op.Binop kind ->
+    or_fold (fun () ->
+        match binop_identity st op kind with
+        | [ o ] when o == op && not (Scalar.is_float_value op.operands.(0)) ->
+          range_rewrite st op kind
+        | ops -> ops)
   | Op.Cmp pred ->
     (* [x op x] is known for integers only: a NaN is unequal to itself *)
     or_fold (fun () ->
@@ -145,7 +287,7 @@ let simplify_op st (op : Op.op) : Op.op list =
     | _ ->
       if Value.equal op.operands.(1) op.operands.(2) then
         replace_with st op op.operands.(1)
-      else [ op ]
+      else or_fold (fun () -> [ op ])
   end
   | Op.Cast d -> begin
     (* integer widths share one representation, and an f64 cast of an
@@ -169,9 +311,9 @@ let simplify_op st (op : Op.op) : Op.op list =
     match
       ( int_const st (Op.for_lo op)
       , int_const st (Op.for_hi op)
-      , int_const st (Op.for_step op) )
+      , positive st (Op.for_step op) )
     with
-    | Some lo, Some hi, Some step when lo >= hi && step > 0 ->
+    | Some lo, Some hi, Some _ when lo >= hi ->
       replace_results st op (Op.for_inits op)
     | _ -> [ op ]
   end
@@ -181,8 +323,7 @@ let simplify_op st (op : Op.op) : Op.op list =
 let apply_subst st (op : Op.op) =
   op.operands <- Array.map (Clone.lookup st.subst) op.operands
 
-let positive_step st (op : Op.op) =
-  match int_const st (Op.for_step op) with Some n -> n > 0 | None -> false
+let positive_step st (op : Op.op) = Option.is_some (positive st (Op.for_step op))
 
 (* A region whose body is just [scf.yield vs]: the values it yields. *)
 let lone_yield (r : Op.region) : Value.t array option =
@@ -190,9 +331,40 @@ let lone_yield (r : Op.region) : Value.t array option =
   | [ { Op.kind = Op.Yield; operands; _ } ] -> Some operands
   | _ -> None
 
+(* The ivs of a loop with a positive literal step range over
+   [min lo, max hi - 1]. *)
+let record_iv_ranges st (op : Op.op) =
+  let iv_range iv ~lo ~hi ~step =
+    match positive st step, range st lo, range st hi with
+    | Some _, Some (l, _), Some (_, h) -> set_range st iv (l, h - 1)
+    | _ -> ()
+  in
+  match op.kind with
+  | Op.For ->
+    iv_range (Op.for_iv op) ~lo:(Op.for_lo op) ~hi:(Op.for_hi op)
+      ~step:(Op.for_step op)
+  | Op.Parallel _ | Op.OmpWsloop ->
+    Array.iteri
+      (fun d iv ->
+        iv_range iv ~lo:(Op.par_lo op d) ~hi:(Op.par_hi op d)
+          ~step:(Op.par_step op d))
+      (Op.body_region op).rargs
+  | _ -> ()
+
+(* A loop with literal bounds whose first step already passes [hi] (a
+   [lo + step] that wraps is negative, so it counts as more trips). *)
+let one_trip st (op : Op.op) =
+  match
+    ( int_const st (Op.for_lo op)
+    , int_const st (Op.for_hi op)
+    , positive st (Op.for_step op) )
+  with
+  | Some lo, Some hi, Some step -> lo < hi && hi <= lo + step
+  | _ -> false
+
 let rec walk st (op : Op.op) : Op.op list =
   apply_subst st op;
-  (* top-down so region bodies see outer constants *)
+  (* top-down so region bodies see outer constants and ranges *)
   let const_cond =
     match op.kind with
     | Op.If -> int_const st op.operands.(0)
@@ -204,9 +376,16 @@ let rec walk st (op : Op.op) : Op.op list =
        values stand for the results *)
     inline_region st (if c <> 0 then op.regions.(0) else op.regions.(1))
       op.results
+  | None when op.kind = Op.For && one_trip st op ->
+    (* a one-trip loop is its body run once: the iv is [lo], the
+       iter_args are the inits and the yielded values the results *)
+    replace_value st (Op.for_iv op) (Op.for_lo op);
+    Array.iter2 (replace_value st) (Op.for_iter_args op) (Op.for_inits op);
+    inline_region st (Op.body_region op) op.results
   | None -> begin
     match simplify_op st op with
     | [ o ] when o == op ->
+      record_iv_ranges st op;
       Array.iter
         (fun (r : Op.region) -> r.body <- List.concat_map (walk st) r.body)
         op.regions;

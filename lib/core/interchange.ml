@@ -66,7 +66,7 @@ let check_movable (ctx : Effects.ctx) ~(c : Op.op) (prefix : Op.op list)
       else
         match op.kind with
         | Op.Load ->
-          let effs = Effects.collect_op ctx ~pinned:Value.Set.empty op in
+          let effs = Effects.collect_op ctx ~pinned:Value.Map.empty op in
           if
             List.exists
               (fun r ->
@@ -81,7 +81,7 @@ let check_movable (ctx : Effects.ctx) ~(c : Op.op) (prefix : Op.op list)
       else
         match op.kind with
         | Op.Store ->
-          let effs = Effects.collect_op ctx ~pinned:Value.Set.empty op in
+          let effs = Effects.collect_op ctx ~pinned:Value.Map.empty op in
           if
             List.exists
               (fun w ->

@@ -25,7 +25,7 @@ let movable_pure info (op : Op.op) =
 
 (* Effects of an op, or None when the op is opaque to this analysis. *)
 let op_effects ctx (op : Op.op) : Effects.access list =
-  Effects.collect_op ctx ~pinned:Value.Set.empty op
+  Effects.collect_op ctx ~pinned:Value.Map.empty op
 
 let read_only effs =
   List.for_all (fun (a : Effects.access) -> a.Effects.acc_kind = Effects.Read) effs

@@ -161,14 +161,14 @@ let rec walk_region (st : st) ~(par : Op.op option)
             []
           | None ->
             (* may observe entries it aliases *)
-            let effs = Effects.collect_op ctx ~pinned:Value.Set.empty op in
+            let effs = Effects.collect_op ctx ~pinned:Value.Map.empty op in
             List.iter
               (fun e -> if may_read_entry ctx effs e then e.e_observed <- true)
               !entries;
             [ op ]
         end
       | Op.Call _ | Op.Copy | Op.Dealloc ->
-        let effs = Effects.collect_op ctx ~pinned:Value.Set.empty op in
+        let effs = Effects.collect_op ctx ~pinned:Value.Map.empty op in
         List.iter
           (fun e -> if may_read_entry ctx effs e then e.e_observed <- true)
           !entries;

@@ -393,16 +393,21 @@ let rec parse_stmt st : Ast.stmt =
   | Lexer.KW "for" ->
     advance st;
     eat_punct st "(";
-    let init =
-      if accept_punct st ";" then None
+    (* [for (int a = 0, b = 1; ...)]: the loop's own initializer is the
+       last declarator; the others go before it, in a block that scopes
+       them to the loop as C does *)
+    let outer, init =
+      if accept_punct st ";" then ([], None)
+      else if is_type_start st then begin
+        match List.rev (parse_decls st) with
+        | last :: before -> (List.rev before, Some last)
+        | [] -> ([], None)
+      end
       else begin
         let iloc = cur_loc st in
-        let s =
-          if is_type_start st then parse_decl_stmt st
-          else Ast.at iloc (Ast.S_expr (parse_expr st))
-        in
-        (match s.s with Ast.S_decl _ -> () | _ -> eat_punct st ";");
-        Some s
+        let e = parse_expr st in
+        eat_punct st ";";
+        ([], Some (Ast.at iloc (Ast.S_expr e)))
       end
     in
     let cond =
@@ -424,7 +429,10 @@ let rec parse_stmt st : Ast.stmt =
         Some e
     in
     let body = parse_stmt_as_block st in
-    Ast.at loc (Ast.S_for ({ f_init = init; f_cond = cond; f_step = step }, body))
+    let loop =
+      Ast.at loc (Ast.S_for ({ f_init = init; f_cond = cond; f_step = step }, body))
+    in
+    if outer = [] then loop else Ast.at loc (Ast.S_block (outer @ [ loop ]))
   | Lexer.KW "return" ->
     advance st;
     if accept_punct st ";" then Ast.at loc (Ast.S_return None)
@@ -435,8 +443,8 @@ let rec parse_stmt st : Ast.stmt =
     end
   | Lexer.KW "break" -> fail st "break is not supported"
   | Lexer.KW "continue" -> fail st "continue is not supported"
-  | Lexer.KW "__shared__" -> parse_decl_stmt st
-  | Lexer.KW _ when is_type_start st -> parse_decl_stmt st
+  | Lexer.KW "__shared__" -> decl_stmt st
+  | Lexer.KW _ when is_type_start st -> decl_stmt st
   | Lexer.IDENT "__syncthreads" when peek2 st = Lexer.PUNCT "(" ->
     advance st;
     eat_punct st "(";
@@ -465,13 +473,27 @@ and parse_stmt_as_block st : Ast.stmt list =
   | Ast.S_block b -> b
   | _ -> [ s ]
 
+(* A block's declarations belong to the block's own scope, however many
+   declarators one statement has. *)
 and parse_block st : Ast.stmt list =
   let rec loop acc =
-    if accept_punct st "}" then List.rev acc else loop (parse_stmt st :: acc)
+    if accept_punct st "}" then List.rev acc
+    else if peek st = Lexer.KW "__shared__" || is_type_start st then
+      loop (List.rev_append (parse_decls st) acc)
+    else loop (parse_stmt st :: acc)
   in
   loop []
 
-and parse_decl_stmt st : Ast.stmt =
+(* A declaration where one statement stands (an [if] arm): its own
+   scope. *)
+and decl_stmt st : Ast.stmt =
+  let loc = cur_loc st in
+  match parse_decls st with
+  | [ d ] -> d
+  | ds -> Ast.at loc (Ast.S_block ds)
+
+(* One declaration statement: an [S_decl] per declarator, in order. *)
+and parse_decls st : Ast.stmt list =
   let loc = cur_loc st in
   let shared = accept_kw st "__shared__" in
   let shared = shared || accept_kw st "__shared__" in
@@ -502,10 +524,8 @@ and parse_decl_stmt st : Ast.stmt =
     end
   in
   match one_decl [] with
-  | [ d ] -> Ast.at loc (Ast.S_decl d)
-  | ds ->
-    Ast.at loc
-      (Ast.S_block (List.map (fun d -> Ast.at d.Ast.d_loc (Ast.S_decl d)) ds))
+  | [ d ] -> [ Ast.at loc (Ast.S_decl d) ]
+  | ds -> List.map (fun d -> Ast.at d.Ast.d_loc (Ast.S_decl d)) ds
 
 (* --- top level --- *)
 

@@ -22,7 +22,12 @@
      conditionally assigned locals and loop accumulators (mem2reg's
      if results and iter_args),
    - literal-on-literal float arithmetic and signed zeros (constant
-     folding must keep every engine's bits).
+     folding must keep every engine's bits),
+   - guards at and one off the thread extent, division and remainder
+     of possibly negative values by powers of two, and one-trip loops
+     (the integer range facts of canonicalization),
+   - two guards pinning the thread id to different values around a
+     barrier (barrier elimination must keep it).
 
    The frontend has no atomics, so the guarded thread-0 reduction phase
    stands in for the atomic-update pattern. *)
@@ -264,8 +269,69 @@ let fold_phase st =
       \  s2[t] = s2[t] + (1.0f / %s > 0.0f ? 1.0f : 0.5f);"
       v v
 
+(* What canonicalization's integer range facts decide: a guard exactly
+   at or one off the thread extent, division and remainder by 2, 4, 8
+   and 3 of a value that may be negative (where a shift or a mask would
+   round the other way) or cannot be, and loops that run once — one
+   carrying a value — or twice. *)
+let range_phase st =
+  let t = st.t in
+  let dst = pick st [ "s1"; "s2" ] in
+  let guard =
+    pick st
+      [ Printf.sprintf "t < %d" t; Printf.sprintf "t <= %d - 1" t
+      ; Printf.sprintf "t < %d - 1" t; Printf.sprintf "t + 1 > %d - 1" t ]
+  in
+  let x =
+    pick st
+      [ "t - 3"; Printf.sprintf "t - %d / 2" t; "t"; Printf.sprintf "t + b * %d" t ]
+  in
+  let d = pick st [ 2; 4; 8; 3 ] and q = fv st "q" in
+  let j = fv st "j" in
+  let loop =
+    match int st 4 with
+    | 0 ->
+      Printf.sprintf "for (int %s = 2; %s < 3; %s++) { %s[t] = %s[t] * 0.5f + %s; }"
+        j j j dst dst j
+    | 1 ->
+      Printf.sprintf
+        "for (int %s = 0; %s < 3; %s += 4) { %s[t] = %s[t] + %s + 1.0f; }" j j j
+        dst dst j
+    | 2 ->
+      let a = fv st "a" in
+      Printf.sprintf
+        "float %s = s2[t];\n\
+        \  for (int %s = 5; %s < 6; %s++) { %s = %s * 0.5f + %s; }\n\
+        \  %s[t] = %s[t] + %s;"
+        a j j j a a j dst dst a
+    | _ ->
+      Printf.sprintf "for (int %s = 0; %s < 2; %s++) { %s[t] = %s[t] * 0.5f + %s; }"
+        j j j dst dst j
+  in
+  Printf.sprintf
+    "if (%s) { %s[t] = %s[t] + %d.0f; }\n\
+    \  int %s = (%s) / %d + 100 * ((%s) %% %d);\n\
+    \  %s[t] = %s[t] + %s;\n\
+    \  %s"
+    guard dst dst (1 + int st 5) q x d x d dst dst q loop
+
+(* Two guards pinning the thread id to different values, with a barrier
+   between them: thread [w] writes a slot that thread [r] reads next.
+   Two accesses under [t == w] and [t == r] are made by two different
+   threads, so the barrier must stay. *)
+let pinned_pair_phase st =
+  let w = int st st.t in
+  let r = (w + 1 + int st (st.t - 1)) mod st.t in
+  Printf.sprintf
+    "__syncthreads();\n\
+    \  if (t == %d) { s1[0] = s1[0] * 0.5f + 3.0f; }\n\
+    \  __syncthreads();\n\
+    \  if (t == %d) { s2[t] = s2[t] + s1[0]; }\n\
+    \  __syncthreads();"
+    w r
+
 let phase st =
-  match int st 12 with
+  match int st 14 with
   | 0 | 1 -> per_thread_stmt st
   | 2 -> cross_thread_phase st
   | 3 | 4 -> live_across_phase st
@@ -275,6 +341,8 @@ let phase st =
   | 8 -> uniform_if_phase st
   | 9 -> serial_loop_phase st
   | 10 -> fold_phase st
+  | 11 -> range_phase st
+  | 12 -> pinned_pair_phase st
   | _ -> scalar_phase st
 
 (* All start offsets of [needle] in [hay], left to right. *)

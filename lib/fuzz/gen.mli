@@ -9,8 +9,10 @@
     barrier-lowering passes must get right: values live across barriers
     (min-cut), loops containing uniform barriers (interchange, thread-0
     [while]-condition capture), write-after-read-protecting barriers
-    (redundant-barrier elimination), thread-0 reductions and
-    block-uniform branches. *)
+    (redundant-barrier elimination), thread-0 reductions,
+    block-uniform branches, guards pinning the thread id to different
+    values around a barrier, and the guards, power-of-two divisions and
+    one-trip loops canonicalization's integer range facts decide. *)
 
 (** Grid width of every generated program (the launch is always
     [k<<<blocks, threads>>>]). *)

@@ -5,7 +5,12 @@
 
    Shapes are baked into each source as integer literals (the
    [Rodinia.Matmul] idiom): the affine passes see constant loop bounds,
-   and the (op, shape) pair becomes the kernel cache key.
+   and the (op, shape) pair becomes the kernel cache key.  Literal
+   shapes also let canonicalization's integer range facts prove the
+   edge guards of tile-aligned shapes true — GEMM's row, column and k
+   tests when M, N and K are multiples of the tile, an elementwise
+   kernel's [idx < total] when the total is a multiple of the block —
+   so those lowerings keep no guard.
 
    Numerics contract: every kernel is written in [double] with
    unsuffixed float constants.  The interpreter and the compiled engine

@@ -216,6 +216,24 @@ float f(int n) {
   let r, _ = Interp.Eval.run m "f" [ Interp.Mem.Int 5 ] in
   Alcotest.(check (float 1e-6)) "sum" 10.0 (Interp.Mem.as_float (Option.get r))
 
+(* One declaration statement with several declarators declares each in
+   the enclosing scope; in a [for] initializer, in the loop's scope,
+   where a declarator may shadow an outer name until the loop ends. *)
+let test_multi_declarators () =
+  let src =
+    {|
+float f(int n) {
+  float a = 0.5f, b = 0.25f;
+  int j = 7;
+  for (int i = 0, j = n; i < j; i++) { a = a + b; }
+  return a + b + j;
+}
+|}
+  in
+  let m = compile_ok src in
+  let r, _ = Interp.Eval.run m "f" [ Interp.Mem.Int 2 ] in
+  Alcotest.(check (float 0.0)) "a + b + j" 8.25 (Interp.Mem.as_float (Option.get r))
+
 let tests =
   [ Alcotest.test_case "lexer launch tokens" `Quick test_lexer_launch_tokens
   ; Alcotest.test_case "parse fig1" `Quick test_parse_fig1
@@ -231,6 +249,7 @@ let tests =
   ; Alcotest.test_case "positioned parse errors" `Quick
       test_parse_errors_are_positioned
   ; Alcotest.test_case "malloc/free" `Quick test_malloc_free
+  ; Alcotest.test_case "multi-declarator scope" `Quick test_multi_declarators
   ]
 
 (* appended: warp-primitive emulation tests *)

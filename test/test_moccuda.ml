@@ -368,6 +368,27 @@ let count p m =
 let is_alloc (o : Ir.Op.op) =
   match o.Ir.Op.kind with Ir.Op.Alloc | Ir.Op.Alloca -> true | _ -> false
 
+let is_cmp (o : Ir.Op.op) =
+  match o.Ir.Op.kind with Ir.Op.Cmp _ -> true | _ -> false
+
+(* The integer constants of [m], by value. *)
+let literals m : Ir.Value.t -> int option =
+  let lits = Ir.Value.Tbl.create 16 in
+  Ir.Op.iter
+    (fun o ->
+      match o.Ir.Op.kind with
+      | Ir.Op.Constant (Ir.Op.Cint (n, _)) ->
+        Ir.Value.Tbl.replace lits (Ir.Op.result o) n
+      | _ -> ())
+    m;
+  Ir.Value.Tbl.find_opt lits
+
+(* Does one of [o]'s operands hold a literal satisfying [p]? *)
+let has_literal lit p (o : Ir.Op.op) =
+  Array.exists
+    (fun v -> match lit v with Some n -> p n | None -> false)
+    o.Ir.Op.operands
+
 let test_library_lowers_primary () =
   let open Moccuda.Kernels in
   List.iter
@@ -383,14 +404,38 @@ let test_library_lowers_primary () =
     (fun (b : Rodinia.Bench_def.t) -> ignore (lower_primary b.name b.cuda_src))
     (Rodinia.Registry.matmul :: Rodinia.Registry.all);
   let im2col = lower_primary "im2col" (im2col_kernel ~batch:2).src in
-  Alcotest.(check int) "im2col keeps no alloca or alloc" 0 (count is_alloc im2col)
+  Alcotest.(check int) "im2col keeps no alloca or alloc" 0 (count is_alloc im2col);
+  (* 144 blocks of 64 threads cover the 72 x 128 patch matrix exactly,
+     and every index is non-negative: the [idx < total] guard folds, and
+     the power-of-two divisions become shifts and masks *)
+  let lit = has_literal (literals im2col) in
+  Alcotest.(check int) "im2col keeps no idx < total test" 0
+    (count (fun o -> is_cmp o && lit (( = ) (72 * 128)) o) im2col);
+  Alcotest.(check int) "im2col keeps no divi/remi by 8, 64 or 128" 0
+    (count
+       (fun o ->
+         (match o.Ir.Op.kind with
+          | Ir.Op.Binop (Ir.Op.Div | Ir.Op.Rem) -> true
+          | _ -> false)
+         && lit (fun n -> List.mem n [ 8; 64; 128 ]) o)
+       im2col)
 
 (* The lowered 8x128x72 GEMM keeps one thread-private slab, for [acc],
    allocated once per block (outside every serial loop); the k loop
    carries [acc] in a register (an iter_arg) and touches no slab; no
-   empty loop is left. *)
+   empty loop is left.  Its shape is tile-aligned, so the launch bounds
+   prove every edge guard true: no [scf.if] and no comparison is left.
+   With K = 27 only the k-edge guards remain. *)
 let test_gemm_lowering () =
   let m = lower_primary "gemm" (Moccuda.Kernels.gemm ~m:8 ~n:128 ~k:72).src in
+  Alcotest.(check int) "tile-aligned: no scf.if" 0
+    (count (fun o -> o.Ir.Op.kind = Ir.Op.If) m);
+  Alcotest.(check int) "tile-aligned: no arith.cmp" 0 (count is_cmp m);
+  let m27 = lower_primary "gemm" (Moccuda.Kernels.gemm ~m:8 ~n:128 ~k:27).src in
+  let cmps = count is_cmp m27 in
+  Alcotest.(check bool) "K = 27: the k edge is still guarded" true (cmps > 0);
+  Alcotest.(check int) "K = 27: every comparison is against K" cmps
+    (count (fun o -> is_cmp o && has_literal (literals m27) (( = ) 27) o) m27);
   let slabs = ref [] in
   let rec walk ~in_for (o : Ir.Op.op) =
     (match o.Ir.Op.kind with

@@ -139,10 +139,13 @@ void run(int* out, int s) {
 (* --- lowering keeps every scalar op's bits and traps --- *)
 
 (* Run [entry] of the frontend IR on the interpreter, then of the IR
-   after [Passmgr.lower] on the interpreter and on the engine at 1 and
-   4 domains: each run gives the output buffer's bits or the error
-   text, and all must agree. *)
-let lowering_agrees src entry
+   after [Passmgr.lower] with [recipe] on the interpreter and on the
+   engine at each of [domains]: each run gives the output buffer's bits
+   or the error text, and all must agree.  [shape] checks the lowered
+   IR. *)
+let lowering_agrees
+    ?(recipe = Core.Passmgr.Optimized Core.Omp_lower.default_options)
+    ?(domains = [ 1; 4 ]) ?(shape = ignore) src entry
     (mk_args : unit -> Interp.Mem.buffer * Interp.Mem.rv list) =
   let outcome run =
     let out, args = mk_args () in
@@ -157,13 +160,10 @@ let lowering_agrees src entry
   let front = compile_ok src in
   let want = outcome (fun a -> ignore (Interp.Eval.run front entry a)) in
   let m = compile_ok src in
-  (match
-     Core.Passmgr.lower
-       (Core.Passmgr.Optimized Core.Omp_lower.default_options)
-       m
-   with
+  (match Core.Passmgr.lower recipe m with
    | Ok _ -> ()
    | Error (_, e) -> Alcotest.failf "lowering failed: %s" e);
+  shape m;
   let same = Alcotest.(result (array int64) string) in
   Alcotest.check same "lowered, interpreter" want
     (outcome (fun a -> ignore (Interp.Eval.run m entry a)));
@@ -174,7 +174,7 @@ let lowering_agrees src entry
         want
         (outcome (fun a ->
              ignore (Runtime.Exec.run_module ~domains m entry a))))
-    [ 1; 4 ]
+    domains
 
 let float_out n () =
   let out = Interp.Mem.of_float_array (Array.make n 0.0) in
@@ -237,6 +237,33 @@ __global__ void k(int* out, int d) { out[threadIdx.x] = 7 / d; }
 void run(int* out, int n, int d) { k<<<1, n>>>(out, d); }
 |}
     "run" args
+
+(* Range facts: the guards the launch bounds decide fold away and the
+   one-trip loop (carrying [a]) is inlined, but the guard one off the
+   extent stays, and so do the division and remainder of [t - 3], which
+   may be negative (a shift or a mask would round it the other way). *)
+let test_range_folds () =
+  let kind p m = count (fun o -> p o.Op.kind) m in
+  lowering_agrees
+    ~shape:(fun m ->
+      Alcotest.(check int) "only the off-by-one guard is left" 1
+        (kind (function Op.Cmp _ -> true | _ -> false) m);
+      Alcotest.(check int) "no loop is left" 0 (kind (( = ) Op.For) m);
+      Alcotest.(check int) "divi and remi stay" 2
+        (kind (function Op.Binop (Op.Div | Op.Rem) -> true | _ -> false) m))
+    {|
+__global__ void k(float* out) {
+  int t = threadIdx.x;
+  float a = 1.0f;
+  if (t < 8 && t <= 8 - 1 && t + 1 > 0) { a = a + 2.0f; }
+  if (t < 8 - 1) { a = a + 0.5f; }
+  out[t] = (t - 3) / 4 + 100 * ((t - 3) % 4);
+  for (int j = 2; j < 3; j++) { a = a * 0.5f + j; }
+  out[8 + t] = a;
+}
+void run(float* out) { k<<<1, 8>>>(out); }
+|}
+    "run" (float_out 16)
 
 let test_cse_unifies () =
   let src =
@@ -473,6 +500,29 @@ void launch(int* out, int* in) { shift<<<1, 8>>>(out, in); }
   let eliminated = Core.Barrier_elim.run m in
   Alcotest.(check int) "kept the required barrier" 0 eliminated
 
+(* Accesses under [t == 1] and under [t == 0] are made by two different
+   threads, so the barrier between them stays under every recipe.  The
+   engine runs inner-parallel at 1 domain only: it runs the ranks of a
+   nested team one after another with a no-op barrier, so at 4 domains
+   thread 0 reads [out[0]] before thread 1 writes it whatever the IR
+   says (an engine defect, listed in ROADMAP.md). *)
+let test_pinned_guards_keep_barrier () =
+  List.iter
+    (fun (name, recipe) ->
+      let domains = if name = "inner-parallel" then [ 1 ] else [ 1; 4 ] in
+      lowering_agrees ~recipe ~domains
+        {|
+__global__ void k(float* out) {
+  int t = threadIdx.x;
+  if (t == 1) { out[0] = 5.0f; }
+  __syncthreads();
+  if (t == 0) { out[1] = out[0]; }
+}
+void run(float* out) { k<<<1, 4>>>(out); }
+|}
+        "run" (float_out 4))
+    Core.Passmgr.recipes
+
 (* --- parallel LICM: Fig. 1 --- *)
 
 let fig1_src =
@@ -683,6 +733,8 @@ let tests =
   ; Alcotest.test_case "dce keeps a division's trap" `Quick
       test_dce_keeps_trap
   ; Alcotest.test_case "licm hoists no trap" `Quick test_licm_adds_no_trap
+  ; Alcotest.test_case "range facts fold guards and one-trip loops" `Quick
+      test_range_folds
   ; Alcotest.test_case "mem2reg carries values" `Quick test_mem2reg_carried
   ; Alcotest.test_case "mem2reg slot stays across barriers" `Quick
       test_mem2reg_barrier_boundary
@@ -693,6 +745,8 @@ let tests =
   ; Alcotest.test_case "barrier elim differential" `Quick
       test_barrier_elim_preserves_semantics
   ; Alcotest.test_case "required barrier kept" `Quick test_required_barrier_kept
+  ; Alcotest.test_case "guards pinning different threads keep a barrier" `Quick
+      test_pinned_guards_keep_barrier
   ; Alcotest.test_case "parallel licm hoists sum" `Quick
       test_parallel_licm_hoists_sum
   ; Alcotest.test_case "licm differential" `Quick test_licm_preserves_normalize
