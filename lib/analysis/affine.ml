@@ -113,7 +113,8 @@ and binary info ~classify (op : Op.op) f =
    thread-invariant at the synchronization point):
 
    - no thread ivs on either side: equal iff s = s'; a nonzero constant
-     difference proves Disjoint, otherwise Maybe.
+     difference proves Disjoint, identical forms are always equal and
+     force nothing (Forces of the empty set), otherwise Maybe.
    - identical coefficients on every thread iv and s - s' = 0: equality
      forces f(t1) = f(t2); if f depends on exactly one iv with nonzero
      coefficient this forces that iv equal (Forces), the paper's
@@ -173,7 +174,9 @@ let compare_dim ~(tids : Value.Set.t) ?extent (a : expr) (b : expr) :
   let tid_b, inv_b = split b in
   let inv_diff = sub inv_a inv_b in
   if VM.is_empty tid_a && VM.is_empty tid_b then begin
-    if is_const inv_diff && inv_diff.const <> 0 then Disjoint else Maybe
+    if not (is_const inv_diff) then Maybe
+    else if inv_diff.const <> 0 then Disjoint
+    else Forces Value.Set.empty
   end
   else if VM.equal Int.equal tid_a tid_b && is_const inv_diff
           && inv_diff.const = 0 then begin

@@ -36,7 +36,8 @@ val of_value :
     in two (possibly different) threads:
     - [Disjoint]: the dimension can never be equal — no conflict at all;
     - [Forces s]: equality implies [t1.v = t2.v] for each thread iv in
-      [s] (the paper's injectivity argument, Fig. 5);
+      [s] (the paper's injectivity argument, Fig. 5); two identical
+      thread-free forms give [Forces] of the empty set;
     - [Maybe]: may coincide for distinct threads (e.g. the offset-by-one
       case). *)
 type dim_verdict =

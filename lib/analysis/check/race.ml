@@ -10,22 +10,21 @@
    reachable forward of it before the next barrier, and annotates each
    pair with the static intervals of its two sides.
 
-   Conflicts are then classified:
+   Whether two accesses can meet across threads is decided once, by
+   {!Effects.meet}, for this check and for the passes alike: a pair
+   whose addresses force every thread iv equal (e.g. a lane index
+   [tx + BX * (ty + tz)] over a 1-D block) meets only within one thread,
+   so {!Mhp.conflicts} never pairs it.  This module keeps the policy
+   that classifies the remaining pairs:
 
-   - [Definite]: both bases have the same known origin, every index
-     dimension is fully affine and either identically thread-invariant
-     or forced equal by the injectivity argument, and after accounting
-     for forced/pinned/unit thread ivs some thread iv remains free — so
-     two distinct threads provably collide.  Reported as an error.
-   - [Possible]: the conservative conflict test fires but the analysis
-     lost precision (unknown base, non-affine index, thread-dependent
-     guard, ...).  Suppressed by default to keep the checker quiet on
-     the benchmark suite; [~report_possible:true] surfaces them as
-     warnings.
-   - No race: the same affine argument, with the static extents of the
-     thread ivs, forces every thread iv equal — the two accesses meet
-     only within one thread (e.g. a lane index [tx + BX * (ty + tz)]
-     over a 1-D block).  Not reported.
+   - [Definite]: the meet is exact on a base of known origin, no side is
+     shifted or under a thread-dependent guard, and every index
+     variable is thread-uniform or a thread iv — two distinct threads
+     provably collide.  Reported as an error.
+   - [Possible]: the analysis lost precision (unknown base, non-affine
+     index, thread-dependent guard, ...).  Suppressed by default to keep
+     the checker quiet on the benchmark suite; [~report_possible:true]
+     surfaces them as warnings.
 
    Each racing op pair yields ONE diagnostic carrying its strongest
    classification, the interval pair, and — through {!findings} — the
@@ -38,83 +37,31 @@ type strength =
   | Definite
   | Possible
 
-(* Static extent of a thread iv of [par] ([Some hi] when bounds are the
-   constants [0, hi)), feeding the mixed-radix injectivity argument. *)
-let tid_extent (ctx : Effects.ctx) (par : Op.op) (v : Value.t) : int option =
-  let n = Op.par_dims par in
-  let res = ref None in
-  let cint = Info.int_literal ctx.info in
-  for i = 0 to n - 1 do
-    if Value.equal par.Op.regions.(0).rargs.(i) v then begin
-      match cint (Op.par_lo par i), cint (Op.par_hi par i) with
-      | Some 0, Some hi when hi > 0 -> res := Some hi
-      | _ -> ()
-    end
-  done;
-  !res
-
+(* The affine comparison treats every variable but the thread ivs as
+   having the same value in both executions.  That only holds for
+   thread-uniform values (parameters, block ids, lock-step serial ivs):
+   a thread-dependent variable in an index keeps a conflict merely
+   possible. *)
 let classify (ctx : Effects.ctx) ~(taint : Value.t -> bool)
-    ~(extent : Value.t -> int option) (a : Effects.access) (ga : bool)
-    (b : Effects.access) (gb : bool) : strength option =
+    (a : Effects.access) (ga : bool) (b : Effects.access) (gb : bool) :
+  strength =
   let open Effects in
-  let same_known_origin =
-    match a.base, b.base with
-    | Some ba, Some bb -> begin
-      match origin ctx.info ba, origin ctx.info bb with
-      | Ounknown, _ | _, Ounknown -> false
-      | oa, ob -> oa = ob
-    end
-    | _ -> false
+  let known_origin =
+    match a.base with
+    | Some v -> origin ctx.info v <> Ounknown
+    | None -> false
   in
-  (* The affine comparison treats every non-tid variable as having the
-     same value in both executions.  That only holds for thread-uniform
-     values (parameters, block ids, lock-step serial ivs) — a
-     thread-dependent variable (e.g. a load result) in an index keeps a
-     conflict merely possible. *)
-  let vars_ok e =
-    List.for_all
-      (fun v -> Value.Set.mem v ctx.tids || not (taint v))
-      (Affine.variables e)
+  let uniform (x : access) =
+    Option.value ~default:[] x.idx
+    |> List.concat_map (Option.fold ~none:[] ~some:Affine.variables)
+    |> List.for_all (fun v -> Value.Set.mem v ctx.tids || not (taint v))
   in
-  let tid_free e =
-    List.for_all
-      (fun v -> not (Value.Set.mem v ctx.tids))
-      (Affine.variables e)
-  in
-  (* The thread ivs the indices force equal, with the unit-extent ones,
-     when every dimension is affine over thread-uniform values and
-     either identical and thread-invariant or forcing; [None] when the
-     analysis cannot tell. *)
-  let forced =
-    if a.shifted || b.shifted || not same_known_origin then None
-    else begin
-      match a.idx, b.idx with
-      | Some da, Some db when List.length da = List.length db ->
-        List.fold_left2
-          (fun acc xa xb ->
-            match acc, xa, xb with
-            | Some f, Some ea, Some eb when vars_ok ea && vars_ok eb ->
-              if Affine.equal ea eb && tid_free ea then Some f
-              else begin
-                match Affine.compare_dim ~tids:ctx.tids ~extent ea eb with
-                | Affine.Forces s -> Some (Value.Set.union f s)
-                | Affine.Disjoint | Affine.Maybe -> None
-              end
-            | _ -> None)
-          (Some (unit_tids ctx)) da db
-      | _ -> None
-    end
-  in
-  match forced with
-  | Some f when Value.Set.subset ctx.tids f -> None (* one thread only *)
-  | Some f
-    when (not ga) && (not gb)
-         && not
-              (Value.Set.subset ctx.tids
-                 (Value.Set.union f (Effects.same_pins a.pinned b.pinned))) ->
-    (* some thread iv remains free: two distinct threads collide *)
-    Some Definite
-  | _ -> Some Possible
+  match meet ctx a b with
+  | Forced { exact = true; _ }
+    when known_origin && (not (a.shifted || b.shifted)) && (not (ga || gb))
+         && uniform a && uniform b ->
+    Definite
+  | Never | Forced _ -> Possible
 
 (* A reported race with the handles the repair search needs: the two
    source ops (write side first, as in the diagnostic) and whether the
@@ -130,7 +77,6 @@ type finding =
 let findings ?(report_possible = false) (mhp : Mhp.t) : finding list =
   let ctx = Mhp.ctx mhp in
   let taint = Mhp.taint mhp in
-  let extent = tid_extent ctx (Mhp.par mhp) in
   (* one finding per op pair, keeping the strongest classification (an
      early Possible pairing must not mask a later Definite one) *)
   let best : (int * int, strength * Mhp.conflict) Hashtbl.t =
@@ -146,20 +92,16 @@ let findings ?(report_possible = false) (mhp : Mhp.t) : finding list =
         (min (oid c.Mhp.cf_a) (oid c.Mhp.cf_b),
          max (oid c.Mhp.cf_a) (oid c.Mhp.cf_b))
       in
-      match
-        classify ctx ~taint ~extent c.Mhp.cf_a c.Mhp.cf_ga c.Mhp.cf_b
-          c.Mhp.cf_gb
-      with
-      | None -> ()
-      | Some strength -> begin
-        match Hashtbl.find_opt best key with
-        | None ->
-          order := key :: !order;
-          Hashtbl.replace best key (strength, c)
-        | Some (Possible, _) when strength = Definite ->
-          Hashtbl.replace best key (strength, c)
-        | Some _ -> ()
-      end)
+      let strength =
+        classify ctx ~taint c.Mhp.cf_a c.Mhp.cf_ga c.Mhp.cf_b c.Mhp.cf_gb
+      in
+      match Hashtbl.find_opt best key with
+      | None ->
+        order := key :: !order;
+        Hashtbl.replace best key (strength, c)
+      | Some (Possible, _) when strength = Definite ->
+        Hashtbl.replace best key (strength, c)
+      | Some _ -> ())
     (Mhp.conflicts mhp);
   List.filter_map
     (fun key ->

@@ -123,30 +123,34 @@ type ctx =
   ; summaries : summaries
   ; par : Op.op option (* the block-parallel loop under analysis *)
   ; tids : Value.Set.t
+  ; extents : int Value.Map.t
+    (* each thread iv whose bounds are the literals [0, n), n > 0, to n *)
   }
 
 let make_ctx ?modul ?par (info : Info.t) : ctx =
-  let tids =
+  let tids, extents =
     match par with
-    | Some p -> Array.to_list p.Op.regions.(0).rargs |> Value.Set.of_list
-    | None -> Value.Set.empty
+    | None -> (Value.Set.empty, Value.Map.empty)
+    | Some p ->
+      let ivs = p.Op.regions.(0).rargs in
+      let lit = Info.int_literal info in
+      let extents = ref Value.Map.empty in
+      for i = 0 to Op.par_dims p - 1 do
+        match lit (Op.par_lo p i), lit (Op.par_hi p i) with
+        | Some 0, Some n when n > 0 ->
+          extents := Value.Map.add ivs.(i) n !extents
+        | _ -> ()
+      done;
+      (Value.Set.of_list (Array.to_list ivs), !extents)
   in
-  { info; modul; summaries = new_summaries (); par; tids }
+  { info; modul; summaries = new_summaries (); par; tids; extents }
 
 (* Thread ivs whose extent is statically 1 (e.g. the unused z dimension of
    a 2-D launch): always equal across threads. *)
 let unit_tids (ctx : ctx) : Value.Set.t =
-  match ctx.par with
-  | None -> Value.Set.empty
-  | Some p ->
-    let n = Op.par_dims p in
-    let set = ref Value.Set.empty in
-    let lit = Info.int_literal ctx.info in
-    for i = 0 to n - 1 do
-      if lit (Op.par_lo p i) = Some 0 && lit (Op.par_hi p i) = Some 1 then
-        set := Value.Set.add p.Op.regions.(0).rargs.(i) !set
-    done;
-    !set
+  Value.Map.fold
+    (fun v n acc -> if n = 1 then Value.Set.add v acc else acc)
+    ctx.extents Value.Set.empty
 
 (* Affine classification for index derivation: thread ivs and serial-loop
    ivs are symbols; anything defined outside the parallel region is an
@@ -241,12 +245,13 @@ let same_pins a b : Value.Set.t =
 
 let shift_access (a : access) : access =
   (* wrap-around: loop-iv symbols are no longer comparable across the
-     barrier — drop the affine info of dimensions that mention them. *)
-  if Value.Set.is_empty a.livs then { a with shifted = true }
+     barrier — drop the affine info of dimensions that mention them, and
+     the pins, whose guard values may be another iteration's. *)
+  let a = { a with shifted = true; pinned = Value.Map.empty } in
+  if Value.Set.is_empty a.livs then a
   else
     { a with
-      shifted = true
-    ; idx =
+      idx =
         Option.map
           (List.map (fun d ->
                match d with
@@ -343,79 +348,90 @@ let bases_may_alias (info : Info.t) (a : Value.t) (b : Value.t) : bool =
 
 let is_rar a b = a.acc_kind = Read && b.acc_kind = Read
 
+(* The pair decision: what would equal addresses tell about the two
+   threads t1 and t2 executing [a] and [b]?  Either the addresses are
+   never equal, or they force a set of thread ivs equal in t1 and t2:
+   the unit-extent ivs, the ivs both accesses' guards pin to the same
+   value, and those the index dimensions force through the injectivity
+   argument with the ivs' extents.  The dimensions never meet when they
+   force an iv equal that the two guards pin a nonzero constant apart.
+   [exact] holds when both bases are the same value and every dimension
+   was decided ([Forces]): then, with thread-uniform symbols, threads
+   that agree on the forced ivs touch the same address. *)
+type meet =
+  | Never
+  | Forced of
+      { ivs : Value.Set.t
+      ; exact : bool
+      }
+
+(* Do the guards of [a] and [b] pin [v] a nonzero constant apart? *)
+let pinned_apart (a : access) (b : access) (v : Value.t) : bool =
+  match Value.Map.(find_opt v a.pinned, find_opt v b.pinned) with
+  | Some pa, Some pb ->
+    let d = Affine.sub pa pb in
+    Affine.is_const d && d.const <> 0
+  | _ -> false
+
+(* The index dimensions' share of [meet]: [None] when the addresses are
+   never equal, else the thread ivs the dimensions force and whether
+   every dimension was decided. *)
+let meet_dims (ctx : ctx) (a : access) (b : access) :
+  (Value.Set.t * bool) option =
+  let undecided = Some (Value.Set.empty, false) in
+  match a.base, b.base with
+  | None, _ | _, None -> undecided
+  | Some ba, Some bb ->
+    if not (bases_may_alias ctx.info ba bb) then None
+    else if not (Value.equal ba bb) then undecided
+    else begin
+      match a.idx, b.idx with
+      | Some da, Some db when List.length da = List.length db ->
+        let extent v = Value.Map.find_opt v ctx.extents in
+        let rec fold ivs exact da db =
+          match da, db with
+          | Some ea :: da, Some eb :: db -> begin
+            match Affine.compare_dim ~tids:ctx.tids ~extent ea eb with
+            | Affine.Disjoint -> None
+            | Affine.Forces s -> fold (Value.Set.union ivs s) exact da db
+            | Affine.Maybe -> fold ivs false da db
+          end
+          | _ :: da, _ :: db -> fold ivs false da db
+          | _ ->
+            if Value.Set.exists (pinned_apart a b) ivs then None
+            else Some (ivs, exact)
+        in
+        fold Value.Set.empty true da db
+      | _ -> undecided
+    end
+
+let meet (ctx : ctx) (a : access) (b : access) : meet =
+  match meet_dims ctx a b with
+  | None -> Never
+  | Some (ivs, exact) ->
+    Forced
+      { ivs =
+          Value.Set.union ivs
+            (Value.Set.union (unit_tids ctx) (same_pins a.pinned b.pinned))
+      ; exact
+      }
+
 (* Cross-thread conflict: can accesses [a] and [b], executed by two
    *different* threads, touch the same address (with at least one write)?
-   This is the test behind barrier elimination and motion. *)
+   Not when equal addresses force every thread iv equal: then the
+   "conflict" is within a single thread, where program order handles
+   it.  This is the test behind barrier elimination and motion. *)
 let cross_thread_conflict (ctx : ctx) (a : access) (b : access) : bool =
-  if is_rar a b then false
-  else
-    match a.base, b.base with
-    | None, _ | _, None -> true
-    | Some ba, Some bb ->
-      if not (bases_may_alias ctx.info ba bb) then false
-      else if not (Value.equal ba bb) then true
-      else begin
-        match a.idx, b.idx with
-        | None, _ | _, None -> true
-        | Some da, Some db ->
-          if List.length da <> List.length db then true
-          else begin
-            let verdicts =
-              List.map2
-                (fun xa xb ->
-                  match xa, xb with
-                  | Some ea, Some eb -> Affine.compare_dim ~tids:ctx.tids ea eb
-                  | _ -> Affine.Maybe)
-                da db
-            in
-            if List.mem Affine.Disjoint verdicts then false
-            else begin
-              let forced =
-                List.fold_left
-                  (fun acc v ->
-                    match v with
-                    | Affine.Forces s -> Value.Set.union acc s
-                    | Affine.Disjoint | Affine.Maybe -> acc)
-                  (Value.Set.union (unit_tids ctx)
-                     (same_pins a.pinned b.pinned))
-                  verdicts
-              in
-              (* all thread ivs forced equal => the "conflict" is within a
-                 single thread: program order handles it. *)
-              not (Value.Set.subset ctx.tids forced)
-            end
-          end
-      end
+  (not (is_rar a b))
+  &&
+  match meet ctx a b with
+  | Never -> false
+  | Forced { ivs; _ } -> not (Value.Set.subset ctx.tids ivs)
 
 (* Any-thread conflict: can the two accesses touch the same address at
    all (same or different thread)?  Used by the lock-step LICM check. *)
 let any_thread_conflict (ctx : ctx) (a : access) (b : access) : bool =
-  if is_rar a b then false
-  else
-    match a.base, b.base with
-    | None, _ | _, None -> true
-    | Some ba, Some bb ->
-      if not (bases_may_alias ctx.info ba bb) then false
-      else if not (Value.equal ba bb) then true
-      else begin
-        match a.idx, b.idx with
-        | None, _ | _, None -> true
-        | Some da, Some db ->
-          if List.length da <> List.length db then true
-          else begin
-            (* definitely-disjoint only when some dimension can never be
-               equal under any thread assignment: exactly the [Disjoint]
-               verdict (thread-iv-free index expressions a nonzero
-               constant apart). *)
-            let dim_disjoint xa xb =
-              match xa, xb with
-              | Some ea, Some eb ->
-                Affine.compare_dim ~tids:ctx.tids ea eb = Affine.Disjoint
-              | _ -> false
-            in
-            not (List.exists2 dim_disjoint da db)
-          end
-      end
+  (not (is_rar a b)) && Option.is_some (meet_dims ctx a b)
 
 let conflicts_cross ctx (xs : access list) (ys : access list) : bool =
   List.exists (fun a -> List.exists (cross_thread_conflict ctx a) ys) xs

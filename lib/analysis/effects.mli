@@ -38,9 +38,10 @@ val mk_access :
   kind ->
   access
 
-(** The access as seen across a loop wrap-around: [shifted] set and
-    every index dimension that mentions a serial-loop iv dropped (iv
-    equalities do not hold across iterations). *)
+(** The access as seen across a loop wrap-around: [shifted] set, no
+    pins, and every index dimension that mentions a serial-loop iv
+    dropped (iv equalities, and a guard's pin, hold only within one
+    iteration). *)
 val shift_access : access -> access
 
 (** {2 Call effect summaries} *)
@@ -67,6 +68,9 @@ type ctx =
   ; summaries : summaries
   ; par : Ir.Op.op option (** the block-parallel loop under analysis *)
   ; tids : Ir.Value.Set.t
+  ; extents : int Ir.Value.Map.t
+    (** each thread iv whose bounds are the literals [0, n), [n > 0],
+        to [n]; recorded once by {!make_ctx} *)
   }
 
 val make_ctx : ?modul:Ir.Op.op -> ?par:Ir.Op.op -> Info.t -> ctx
@@ -92,10 +96,6 @@ val add_pins :
   Affine.expr Ir.Value.Map.t ->
   Affine.expr Ir.Value.Map.t
 
-(** The thread ivs both pin sets pin to the same value. *)
-val same_pins :
-  Affine.expr Ir.Value.Map.t -> Affine.expr Ir.Value.Map.t -> Ir.Value.Set.t
-
 (** {2 Effect collection} *)
 
 val collect_op :
@@ -119,8 +119,28 @@ val bases_may_alias : Info.t -> Ir.Value.t -> Ir.Value.t -> bool
 
 (** {2 Conflict queries} *)
 
+(** What equal addresses would tell about the two threads executing a
+    pair of accesses: [Never] equal, or equal only when the thread ivs
+    [ivs] agree in both threads — the unit-extent ivs, the ivs both
+    accesses pin to the same value, and those the index dimensions force
+    ({!Affine.compare_dim} with the ivs' extents; [Never] when the guards
+    pin a forced iv a nonzero constant apart).  [exact]: the bases
+    are one value and every dimension was decided, so — with
+    thread-uniform symbols — threads that agree on [ivs] touch the same
+    address.  The one pair decision behind the conflict queries below
+    and the race check. *)
+type meet =
+  | Never
+  | Forced of
+      { ivs : Ir.Value.Set.t
+      ; exact : bool
+      }
+
+val meet : ctx -> access -> access -> meet
+
 (** Can the accesses, executed by two DIFFERENT threads, touch the same
-    address with at least one write?  The test behind barrier
+    address with at least one write?  Not a read pair, and {!meet}
+    leaves some thread iv free.  The test behind barrier
     elimination/motion. *)
 val cross_thread_conflict : ctx -> access -> access -> bool
 

@@ -93,6 +93,28 @@ let ancestors_up_to (t : t) ~(stop : Op.op) (op : Op.op) : Op.op list =
   in
   go op []
 
+(* The nearest block-parallel loop strictly enclosing [op]: the threads
+   of one block that [__syncthreads] synchronizes. *)
+let rec nearest_block_par (t : t) (op : Op.op) : Op.op option =
+  match parent t op with
+  | None -> None
+  | Some ({ Op.kind = Op.Parallel Op.Block; _ } as p) -> Some p
+  | Some p -> nearest_block_par t p
+
+(* Is the memref a per-thread instance: an allocation, seen through
+   casts, made inside a block-parallel loop?  Each thread then owns its
+   own copy, so no other thread can observe or change it. *)
+let thread_private (t : t) (v : Value.t) : bool =
+  let rec alloc (v : Value.t) =
+    match defining_op t v with
+    | Some ({ Op.kind = Op.Alloc | Op.Alloca; _ } as o) -> Some o
+    | Some { Op.kind = Op.Cast _; operands; _ } -> alloc operands.(0)
+    | _ -> None
+  in
+  match alloc v with
+  | Some o -> nearest_block_par t o <> None
+  | None -> false
+
 (* All serial-loop induction variables (For ivs and While-iteration
    context) strictly between [op] and [stop]. *)
 let enclosing_loop_ivs (t : t) ~(stop : Op.op) (op : Op.op) : Value.Set.t =

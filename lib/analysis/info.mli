@@ -34,5 +34,13 @@ val defined_inside : t -> container:Ir.Op.op -> Ir.Value.t -> bool
     @raise Invalid_argument if [stop] is not an ancestor. *)
 val ancestors_up_to : t -> stop:Ir.Op.op -> Ir.Op.op -> Ir.Op.op list
 
+(** The nearest block-parallel loop strictly enclosing the op. *)
+val nearest_block_par : t -> Ir.Op.op -> Ir.Op.op option
+
+(** Is the memref a per-thread instance: an allocation, seen through
+    casts, made inside a block-parallel loop?  The one definition of
+    per-thread memory for the passes and the checks. *)
+val thread_private : t -> Ir.Value.t -> bool
+
 (** Serial-loop induction variables strictly between [op] and [stop]. *)
 val enclosing_loop_ivs : t -> stop:Ir.Op.op -> Ir.Op.op -> Ir.Value.Set.t

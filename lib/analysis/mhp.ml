@@ -15,9 +15,7 @@
 
    The same traversal collects the access-bearing leaves with their
    guard context (pinning [if (tid == e)] guards, thread-dependent
-   non-pinning guards) — previously private to the race check — and
-   per-interval shared access sets, which make barrier redundancy a
-   per-barrier conflict query.
+   non-pinning guards).
 
    Candidate racing pairs are NOT derived from interval co-membership
    alone: two ops can share an interval id through incompatible branch
@@ -40,17 +38,6 @@ let while_cond_value (op : Op.op) : Value.t option =
       if o.Op.kind = Op.Condition then found := Some o.Op.operands.(0))
     op.Op.regions.(0).Op.body;
   !found
-
-let thread_private (ctx : Effects.ctx) (par : Op.op) (v : Value.t) : bool =
-  let rec chase (v : Value.t) =
-    match Info.defining_op ctx.info v with
-    | Some ({ Op.kind = Op.Alloc | Op.Alloca; _ } as o) -> Some o
-    | Some { Op.kind = Op.Cast _; operands; _ } -> chase operands.(0)
-    | _ -> None
-  in
-  match chase v with
-  | Some o -> Info.is_ancestor ctx.info ~anc:par o
-  | None -> false
 
 (* Thread-dependence taint: can the value differ between two threads of
    one block (at the same point of the lock-step execution)?  Memoized
@@ -164,7 +151,7 @@ let mk_taint (ctx : Effects.ctx) : Value.t -> bool =
     | None -> true
     | Some par ->
       let b = load.Op.operands.(0) in
-      if not (thread_private ctx par b) || Hashtbl.mem escaped b.Value.id
+      if not (Info.thread_private ctx.info b) || Hashtbl.mem escaped b.Value.id
       then true (* other threads may have written the loaded value *)
       else begin
         let stores =
@@ -222,19 +209,16 @@ type t =
   ; t_par : Op.op
   ; t_taint : Value.t -> bool
   ; mutable t_n : int (* number of intervals *)
-  ; t_openers : (int, Op.op) Hashtbl.t (* id -> opening barrier *)
   ; t_opens : (int, int) Hashtbl.t (* barrier oid -> opened id *)
   ; t_closes : (int, state) Hashtbl.t (* barrier oid -> in-state *)
   ; t_at : (int, state) Hashtbl.t (* op oid -> in-state *)
   ; mutable t_leaves : leaf list
-  ; t_iaccs : (int, Effects.access list ref) Hashtbl.t
   }
 
 let ctx t = t.t_ctx
 let par t = t.t_par
 let taint t = t.t_taint
 let interval_count t = t.t_n
-let opener t i = Hashtbl.find_opt t.t_openers i
 let barrier_opens t (b : Op.op) = Hashtbl.find_opt t.t_opens b.Op.oid
 
 let sets_of_state st = (IS.elements st.u, IS.elements st.s)
@@ -269,7 +253,6 @@ let dataflow (t : t) : unit =
       let i = t.t_n in
       t.t_n <- t.t_n + 1;
       Hashtbl.replace t.t_opens b.Op.oid i;
-      Hashtbl.replace t.t_openers i b;
       i
   in
   let rec walk_region st (r : Op.region) : state =
@@ -318,21 +301,21 @@ let dataflow (t : t) : unit =
   in
   ignore (walk_region { u = IS.singleton 0; s = IS.empty } t.t_par.Op.regions.(0))
 
-(* --- leaves (with guard context) and per-interval access sets --- *)
+(* --- leaves (with guard context) --- *)
+
+let shared_visible (ctx : Effects.ctx) (a : Effects.access) =
+  match a.Effects.base with
+  | Some b -> not (Info.thread_private ctx.Effects.info b)
+  | None -> true
 
 let collect_leaves (t : t) : unit =
   let ctx = t.t_ctx in
-  let shared_visible (a : Effects.access) =
-    match a.Effects.base with
-    | Some b -> not (thread_private ctx t.t_par b)
-    | None -> true
-  in
   let leaves = ref [] in
   let rec go_op ~pinned ~guarded (op : Op.op) =
     match op.Op.kind with
     | Op.Load | Op.Store | Op.Copy | Op.Dealloc | Op.Call _ ->
       let accs =
-        List.filter shared_visible (Effects.collect_op ctx ~pinned op)
+        List.filter (shared_visible ctx) (Effects.collect_op ctx ~pinned op)
       in
       if accs <> [] then
         leaves :=
@@ -354,38 +337,9 @@ let collect_leaves (t : t) : unit =
     List.iter (go_op ~pinned ~guarded) r.body
   in
   go_region ~pinned:Value.Map.empty ~guarded:false t.t_par.Op.regions.(0);
-  t.t_leaves <- List.rev !leaves;
-  (* per-interval shared access sets: a leaf contributes as-is to every
-     interval it can occupy lock-step, and iv-stripped to the intervals
-     it only reaches through a back-edge *)
-  List.iter
-    (fun l ->
-      match Hashtbl.find_opt t.t_at l.l_op.Op.oid with
-      | None -> ()
-      | Some st ->
-        let add shifted i =
-          let r =
-            match Hashtbl.find_opt t.t_iaccs i with
-            | Some r -> r
-            | None ->
-              let r = ref [] in
-              Hashtbl.replace t.t_iaccs i r;
-              r
-          in
-          let accs =
-            if shifted then List.map Effects.shift_access l.l_accs
-            else l.l_accs
-          in
-          r := !r @ accs
-        in
-        IS.iter (add false) st.u;
-        IS.iter (add true) (IS.diff st.s st.u))
-    t.t_leaves
+  t.t_leaves <- List.rev !leaves
 
 let leaves t = t.t_leaves
-
-let interval_accesses t i =
-  match Hashtbl.find_opt t.t_iaccs i with Some r -> !r | None -> []
 
 let analyze (ctx : Effects.ctx) (par : Op.op) : t =
   let t =
@@ -393,12 +347,10 @@ let analyze (ctx : Effects.ctx) (par : Op.op) : t =
     ; t_par = par
     ; t_taint = mk_taint ctx
     ; t_n = 1 (* interval 0 = region entry *)
-    ; t_openers = Hashtbl.create 8
     ; t_opens = Hashtbl.create 8
     ; t_closes = Hashtbl.create 8
     ; t_at = Hashtbl.create 64
     ; t_leaves = []
-    ; t_iaccs = Hashtbl.create 8
     }
   in
   dataflow t;
@@ -434,26 +386,19 @@ let conflicts (t : t) : conflict list =
         | Some o -> begin
           match Hashtbl.find_opt table o.Op.oid with
           | Some lb ->
-            (* pins rely on the guard value being the same in both
-               executions; a wrap-around copy crosses an iteration
-               boundary, so drop them *)
-            let pinned =
-              if b.Effects.shifted then Value.Map.empty else lb.l_pinned
+            (* a wrap-around copy has no pins ({!Effects.shift_access}) *)
+            let b =
+              if b.Effects.shifted then b
+              else { b with Effects.pinned = lb.l_pinned }
             in
-            ({ b with Effects.pinned }, lb.l_guarded)
+            (b, lb.l_guarded)
           | None -> (b, true)
         end
         | None -> (b, true)
       in
       let candidates =
         List.map (fun x -> (x, l.l_guarded)) l.l_accs
-        @ List.map resolve
-            (List.filter
-               (fun (a : Effects.access) ->
-                 match a.Effects.base with
-                 | Some b -> not (thread_private ctx t.t_par b)
-                 | None -> true)
-               after)
+        @ List.map resolve (List.filter (shared_visible ctx) after)
       in
       List.iter
         (fun a ->
@@ -597,25 +542,3 @@ let separation_points (t : t) ~(shifted : bool) (a : Op.op) (b : Op.op) :
           []
       end
     end
-
-(* --- redundant barriers --- *)
-
-let redundant_barriers (t : t) : Op.op list =
-  let ctx = t.t_ctx in
-  let acc = ref [] in
-  Op.iter_region
-    (fun (b : Op.op) ->
-      if b.Op.kind = Op.Barrier then begin
-        match Hashtbl.find_opt t.t_closes b.Op.oid, barrier_opens t b with
-        | Some closed, Some opened ->
-          let before =
-            List.concat_map (interval_accesses t)
-              (IS.elements (IS.union closed.u closed.s))
-          in
-          let after = interval_accesses t opened in
-          if not (Effects.conflicts_cross ctx before after) then
-            acc := b :: !acc
-        | _ -> ()
-      end)
-    t.t_par.Op.regions.(0);
-  List.rev !acc

@@ -29,10 +29,6 @@
     terminator of its cond region. *)
 val while_cond_value : Ir.Op.op -> Ir.Value.t option
 
-(** Is the memref a per-thread instance — an allocation made strictly
-    inside the block-parallel region? *)
-val thread_private : Effects.ctx -> Ir.Op.op -> Ir.Value.t -> bool
-
 (** Memoized thread-dependence taint: can the value differ between two
     threads of one block at the same lock-step point? *)
 val mk_taint : Effects.ctx -> Ir.Value.t -> bool
@@ -54,10 +50,6 @@ val taint : t -> Ir.Value.t -> bool
 (** Number of intervals: 1 (entry) + one per reachable barrier. *)
 val interval_count : t -> int
 
-(** The barrier that opens interval [i]; [None] for the entry interval
-    0 (and out-of-range ids). *)
-val opener : t -> int -> Ir.Op.op option
-
 (** The interval a barrier opens, when the dataflow reached it. *)
 val barrier_opens : t -> Ir.Op.op -> int option
 
@@ -73,13 +65,6 @@ val intervals_at : t -> Ir.Op.op -> (int list * int list) option
 (** The op's static home interval: the smallest unshifted id at it.
     Defaults to 0 for unreached ops. *)
 val home : t -> Ir.Op.op -> int
-
-(** {2 Per-interval shared-memory access sets} *)
-
-(** All shared-visible accesses whose op can execute in interval [i];
-    accesses contributed through a back-edge come shifted (loop-iv
-    index dimensions dropped).  Sorted by source op. *)
-val interval_accesses : t -> int -> Effects.access list
 
 (** {2 Access-bearing leaves} *)
 
@@ -144,11 +129,3 @@ type point =
     thread-dependent enclosing control). *)
 val separation_points :
   t -> shifted:bool -> Ir.Op.op -> Ir.Op.op -> point list
-
-(** {2 Redundant barriers} *)
-
-(** Barriers whose closed-interval access set does not cross-thread
-    conflict with their opened-interval access set: removing any single
-    one of them cannot introduce a race.  (Removing several at once
-    can — re-analyze after each removal.) *)
-val redundant_barriers : t -> Ir.Op.op list

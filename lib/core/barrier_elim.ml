@@ -16,15 +16,6 @@
 open Ir
 open Analysis
 
-let rec nearest_block_par (info : Info.t) (op : Op.op) : Op.op option =
-  match Info.parent info op with
-  | None -> None
-  | Some p -> begin
-    match p.Op.kind with
-    | Op.Parallel Op.Block -> Some p
-    | _ -> nearest_block_par info p
-  end
-
 (* Is this barrier redundant per the interval-effect criterion? *)
 let redundant (ctx : Effects.ctx) ~(par : Op.op) (barrier : Op.op) : bool =
   let before, after = Effects.barrier_intervals ctx ~par barrier in
@@ -41,7 +32,7 @@ let run (m : Op.op) : int =
     Op.iter
       (fun (o : Op.op) ->
         if o.Op.kind = Op.Barrier then begin
-          match nearest_block_par info o with
+          match Info.nearest_block_par info o with
           | Some par -> barriers := (o, par) :: !barriers
           | None -> ()
         end)
@@ -99,7 +90,7 @@ let hoist_edge_barriers (m : Op.op) : int =
                    | { Op.kind = Op.Barrier; _ } :: _ -> true
                    | _ -> false)
                && ifop.Op.regions.(1).body = [] -> begin
-          match nearest_block_par info ifop with
+          match Info.nearest_block_par info ifop with
           | None -> go (ifop :: prefix) rest
           | Some par ->
             let nb = Builder.barrier () in

@@ -73,28 +73,6 @@ let in_scope st f =
   ignore saved_epoch;
   st.scopes <- List.tl st.scopes
 
-(* Is this load from a thread-private allocation (alloca/alloc defined
-   inside the nearest enclosing block-parallel)?  Used to let loads of
-   locals survive barrier epochs. *)
-let thread_private st (base : Value.t) : bool =
-  match Info.defining_op st.info base with
-  | Some ({ Op.kind = Op.Alloc | Op.Alloca; _ } as def) -> begin
-    (* private if no block-parallel encloses... conservative: private when
-       the alloc's nearest parallel ancestor is a Block parallel, i.e. the
-       buffer is created per-thread. *)
-    let rec nearest_par (o : Op.op) =
-      match Info.parent st.info o with
-      | None -> None
-      | Some p -> begin
-        match p.Op.kind with
-        | Op.Parallel k -> Some k
-        | _ -> nearest_par p
-      end
-    in
-    nearest_par def = Some Op.Block
-  end
-  | _ -> false
-
 let rec visit st (op : Op.op) : Op.op list =
   op.operands <- Array.map (Clone.lookup st.subst) op.operands;
   if Op.is_pure op then begin
@@ -110,8 +88,9 @@ let rec visit st (op : Op.op) : Op.op list =
   else begin
     match op.kind with
     | Op.Load ->
+      (* a load of per-thread memory survives barrier epochs *)
       let epoch =
-        if thread_private st op.operands.(0) then st.private_epoch
+        if Info.thread_private st.info op.operands.(0) then st.private_epoch
         else st.epoch
       in
       let k = key_of ~epoch op in

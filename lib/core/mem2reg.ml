@@ -56,24 +56,6 @@ type st =
   ; mutable dead_stores : int
   }
 
-(* Nearest enclosing block-level parallel loop, if any. *)
-let rec nearest_block_par (info : Info.t) (op : Op.op) : Op.op option =
-  match Info.parent info op with
-  | None -> None
-  | Some p -> begin
-    match p.Op.kind with
-    | Op.Parallel Op.Block -> Some p
-    | _ -> nearest_block_par info p
-  end
-
-(* Is this buffer private to each thread of the block loop (allocated
-   inside the thread-parallel body)? *)
-let thread_private (st : st) (base : Value.t) : bool =
-  match Info.defining_op st.info base with
-  | Some ({ Op.kind = Op.Alloc | Op.Alloca; _ } as def) ->
-    nearest_block_par st.info def <> None
-  | _ -> false
-
 let entry_of_store (ctx : Effects.ctx) (op : Op.op) : entry =
   let idx_ops = Array.sub op.operands 2 (Array.length op.operands - 2) in
   let dims, livs = Effects.derive_idx ctx idx_ops in
@@ -181,7 +163,7 @@ let rec walk_region (st : st) ~(par : Op.op option)
           entries :=
             List.filter
               (fun e ->
-                if thread_private st e.e_base then true
+                if Info.thread_private st.info e.e_base then true
                 else begin
                   (* cross-thread reads observe; cross-thread writes kill *)
                   if
@@ -203,14 +185,16 @@ let rec walk_region (st : st) ~(par : Op.op option)
         | _ ->
           (* no context: conservative *)
           List.iter (fun e -> e.e_observed <- true) !entries;
-          entries := List.filter (fun e -> thread_private st e.e_base) !entries;
+          entries :=
+            List.filter
+              (fun e -> Info.thread_private st.info e.e_base)
+              !entries;
           [ op ]
       end
       | Op.OmpBarrier ->
-        List.iter
-          (fun e -> if not (thread_private st e.e_base) then e.e_observed <- true)
-          !entries;
-        entries := List.filter (fun e -> thread_private st e.e_base) !entries;
+        let shared e = not (Info.thread_private st.info e.e_base) in
+        List.iter (fun e -> if shared e then e.e_observed <- true) !entries;
+        entries := List.filter (fun e -> not (shared e)) !entries;
         [ op ]
       | Op.Module | Op.Func _ ->
         Array.iter
@@ -632,7 +616,7 @@ let run (m : Op.op) : report =
   Op.iter
     (fun (o : Op.op) ->
       if o.Op.kind = Op.Barrier then begin
-        match nearest_block_par info o with
+        match Info.nearest_block_par info o with
         | Some par ->
           let ctx = Effects.make_ctx ~modul:m ~par info in
           Hashtbl.replace barrier_sets o.Op.oid

@@ -103,16 +103,6 @@ let container (info : Info.t) (o : Op.op) : (Op.region * int) option =
       p.Op.regions;
     !found
 
-let block_pars (m : Op.op) : Op.op list =
-  let acc = ref [] in
-  Op.iter
-    (fun o ->
-      match o.Op.kind with
-      | Op.Parallel Op.Block -> acc := o :: !acc
-      | _ -> ())
-    m;
-  List.rev !acc
-
 (* Source location an insertion at (r, i) lands before, for the patch
    line; falls back to [fb] past the end of the body. *)
 let loc_at (r : Op.region) (i : int) (fb : Srcloc.t option) : Srcloc.t option =
@@ -230,7 +220,7 @@ let propose (m : Op.op) : candidate list =
         in
         let div_cands = div_candidates info mhp in
         race_cands @ div_cands)
-      (block_pars m)
+      (Kernelcheck.block_pars m)
   in
   let sorted =
     List.stable_sort (fun (ra, _) (rb, _) -> compare ra rb) ranked

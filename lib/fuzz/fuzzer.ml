@@ -46,7 +46,10 @@ let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
         ; rtimeout_ms = Some timeout_ms
         ; rentry = Some Oracle.entry
         ; rsizes = []
-        ; rrecipe = "inner-serial"
+        ; rrecipe =
+            (if String.equal f.ffailure.f_stage Oracle.inner_par_stage then
+               "inner-parallel"
+             else "inner-serial")
         }
   ; serve = None
   ; source = f.freduced

@@ -10,7 +10,10 @@
      team sizes 1 and 4,
    - the compiled multicore engine ([Runtime.Exec]) at 1 and 4 domains,
      watchdog-armed so a miscompiled loop times out instead of hanging
-     the fuzzer.
+     the fuzzer,
+   - the module after the last GPU stage lowered again with the
+     inner-parallel recipe ([Omp_lower.inner_par_options], nested teams)
+     and canonicalized, on the engine at 4 domains.
 
    A rung fails on verifier rejection, checksum divergence, runtime
    error text that differs from the reference's (located-error
@@ -105,16 +108,31 @@ let compare_rv ~(stage : string) (reference : rv) (got : rv) : failure option =
       ; f_detail = Printf.sprintf "reference failed (%s), rung succeeded" a
       }
 
-(* The stage sequence after the frontend: cpuify's own stages, then
-   OpenMP lowering and a final cleanup.  [`Lowered] marks the point
-   after which team size is meaningful to the interpreter. *)
+(* OpenMP lowering with [omp] and the final cleanup, after which team
+   size is meaningful to the interpreter. *)
+let lowered_stages omp =
+  [ ("omp-lower", fun m -> ignore (Core.Omp_lower.run ~options:omp m))
+  ; ("post-canonicalize", Core.Canonicalize.run)
+  ]
+
+(* The stage sequence after the frontend: cpuify's own stages, then the
+   default OpenMP lowering.  [`Lowered] marks the lowered stages. *)
 let stage_list options =
   List.map
     (fun (name, pass) -> (name, pass, `Gpu))
     (Core.Cpuify.pipeline_stages ~options ())
-  @ [ ("omp-lower", (fun m -> ignore (Core.Omp_lower.run m)), `Lowered)
-    ; ("post-canonicalize", Core.Canonicalize.run, `Lowered)
-    ]
+  @ List.map
+      (fun (name, pass) -> (name, pass, `Lowered))
+      (lowered_stages Core.Omp_lower.default_options)
+
+(* The last rung: the inner-parallel recipe, whose nested teams only it
+   runs on the engine. *)
+let inner_par_stage = "exec-inner-par-d4"
+
+let lower_inner_par m =
+  List.iter
+    (fun (_, pass) -> pass m)
+    (lowered_stages Core.Omp_lower.inner_par_options)
 
 let classify_pass_exn exn =
   match exn with
@@ -141,7 +159,11 @@ let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
       { f_stage = "reference"; f_class = "nonterminating"; f_detail = msg }
   | _ ->
     let m = Ir.Clone.snapshot m0 in
+    (* the module after the last GPU stage, for the inner-parallel rung *)
+    let after_gpu = ref None in
     let check_stage (name, pass, kind) : failure option =
+      if kind = `Lowered && Option.is_none !after_gpu then
+        after_gpu := Some (Ir.Clone.snapshot m);
       match pass m with
       | exception exn ->
         let cls, detail = classify_pass_exn exn in
@@ -156,8 +178,7 @@ let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
             (fun ts -> compare_rv ~stage:name ref_rv (interp_run ~team_size:ts m))
             teams)
     in
-    let exec_stage domains : failure option =
-      let stage = Printf.sprintf "exec-d%d" domains in
+    let exec_stage ~stage m domains : failure option =
       match
         let out, args = make_args () in
         let _ = Runtime.Exec.run_module ~domains ~timeout_ms m entry args in
@@ -176,9 +197,22 @@ let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
               Printf.sprintf "parallel execution exceeded %d ms (watchdog)" ms
           }
     in
+    let inner_par () =
+      match !after_gpu with
+      | None -> None
+      | Some m -> (
+        match lower_inner_par m with
+        | exception exn ->
+          let cls, detail = classify_pass_exn exn in
+          Some { f_stage = inner_par_stage; f_class = cls; f_detail = detail }
+        | () -> exec_stage ~stage:inner_par_stage m 4)
+    in
     let rungs =
       List.map (fun st () -> check_stage st) (stage_list options)
-      @ List.map (fun d () -> exec_stage d) [ 1; 4 ]
+      @ List.map
+          (fun d () -> exec_stage ~stage:(Printf.sprintf "exec-d%d" d) m d)
+          [ 1; 4 ]
+      @ [ inner_par ]
     in
     (match List.find_map (fun rung -> rung ()) rungs with
      | Some f -> Failed f
@@ -199,6 +233,9 @@ let ir_before ?(options = Core.Cpuify.default_options) src stage : string =
     let rec walk = function
       | [] -> Ir.Printer.op_to_string m (* exec-dN / unknown: final IR *)
       | (name, _, _) :: _ when String.equal name stage ->
+        Ir.Printer.op_to_string m
+      | (_, _, `Lowered) :: _ when String.equal stage inner_par_stage ->
+        (try lower_inner_par m with _ -> ());
         Ir.Printer.op_to_string m
       | (_, pass, _) :: rest -> (
         match pass m with

@@ -6,7 +6,9 @@
     each, so a divergence is attributed to the first stage that
     introduced it — then through OpenMP lowering (interpreted at team
     sizes 1 and 4) and the compiled multicore engine at 1 and 4 domains,
-    watchdog-armed via [timeout_ms].
+    watchdog-armed via [timeout_ms]; last, the module after the GPU
+    stages is lowered with the inner-parallel recipe and run on the
+    engine at 4 domains.
 
     The program must follow the {!Gen} contract: host entry
     [void launch(float* out, float* in)]. *)
@@ -14,7 +16,8 @@
 type failure =
   { f_stage : string
     (** pipeline stage name, or ["frontend"], ["omp-lower"],
-        ["post-canonicalize"], ["exec-d1"], ["exec-d4"] *)
+        ["post-canonicalize"], ["exec-d1"], ["exec-d4"],
+        ["exec-inner-par-d4"] *)
   ; f_class : string
     (** ["verifier"], ["checksum"], ["error-mismatch"], ["crash"],
         ["stuck"], ["timeout"], ["exec-unsupported"] or ["frontend"] *)
@@ -30,6 +33,10 @@ val failure_to_string : failure -> string
 (** The {!Gen} execution contract's host entry name ([launch]) — what a
     module must define for {!run_module} to be applicable. *)
 val entry : string
+
+(** The stage name of the last rung, which lowers with the
+    inner-parallel recipe ([exec-inner-par-d4]). *)
+val inner_par_stage : string
 
 (** Stage and class equal — the invariant the reducer preserves. *)
 val same_failure : failure -> failure -> bool
@@ -49,5 +56,6 @@ val run_module :
 
 (** The IR as it stood {e before} the named stage (the crash bundle's
     pre-stage section); for ["frontend"] or executor stages, the
-    frontend output resp. fully-lowered IR. *)
+    frontend output resp. fully-lowered IR (lowered with the
+    inner-parallel recipe for ["exec-inner-par-d4"]). *)
 val ir_before : ?options:Core.Cpuify.options -> string -> string -> string

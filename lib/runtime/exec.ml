@@ -601,17 +601,6 @@ let new_team size =
   ; wtbl = Hashtbl.create 16
   }
 
-(* A nested [omp.parallel] runs its ranks sequentially on the current
-   thread (the interpreter runs them as cooperative fibers — identical
-   memory effects for race-free regions), so its barrier must be a
-   no-op. *)
-let nested_team size =
-  { size
-  ; barrier = Barrier.create 1
-  ; wmutex = Mutex.create ()
-  ; wtbl = Hashtbl.create 8
-  }
-
 let new_lc team rank = { team; rank; ws_seen = Hashtbl.create 8 }
 
 (* Pad a register file to a multiple of 8 slots (one 64-byte cache line
@@ -987,19 +976,15 @@ and compile_omp_parallel ce op : code =
   let sent = ce.cm.sentinel in
   let jobcache : (tstate * (int -> unit)) option ref = ref None in
   fun fr ->
-    let g = fr.glob in
-    let size = g.cfg.domains in
     match fr.lc with
     | Some _ ->
-      (* Nested team: ranks run sequentially on this thread, sharing its
-         register files (sound for SSA: each rank's defs precede its
-         uses).  The interpreter runs them as fibers — same memory
-         effects for race-free regions. *)
-      let team = nested_team size in
-      for rank = 0 to size - 1 do
-        body { fr with lc = Some (new_lc team rank) }
-      done
+      (* Nested team: a team of one on this thread, as OpenMP runs a
+         nested region with nested parallelism off — its wsloops cover
+         their whole range and its barriers hold trivially. *)
+      body { fr with lc = Some (new_lc (new_team 1) 0) }
     | None ->
+      let g = fr.glob in
+      let size = g.cfg.domains in
       g.stats.launches <- g.stats.launches + 1;
       let ni = Array.length fr.iregs
       and nf = Array.length fr.fregs

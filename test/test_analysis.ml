@@ -72,6 +72,145 @@ let test_compare_dim_brute_force =
         !equal_forces_t
       | Forces _ | Maybe -> true (* conservative answers are always sound *))
 
+(* Brute-force validation of the pair decision [Effects.meet] over two
+   thread ivs with literal extents 1..4, a serial-loop iv [s] (0..3) and
+   guard pins to [c] or to [s + c]: when the accesses do not conflict
+   across threads, no two distinct threads reach the same address; when
+   the meet is exact, any two distinct threads that run the accesses in
+   one iteration and agree on the forced ivs do, and with constant pins
+   and an iv left free two such threads exist.  A wrap-around copy
+   ({!Effects.shift_access}) runs in another iteration, so its [s]
+   ranges apart from the other access's. *)
+let test_meet_brute_force =
+  QCheck.Test.make ~name:"meet agrees with brute force over two thread ivs"
+    ~count:2000 QCheck.(int_bound 0x3FFFFFFF)
+    (fun seed ->
+      let rs = Random.State.make [| seed |] in
+      let pick l = List.nth l (Random.State.int rs (List.length l)) in
+      let index name = Value.fresh ~name (Types.Scalar Types.Index) in
+      let tx = index "tx" and ty = index "ty" and sym = index "s" in
+      let base =
+        Value.fresh ~name:"buf"
+          (Types.Memref
+             { elem = Types.F32; shape = [ None ]; space = Types.Global })
+      in
+      let ex = 1 + Random.State.int rs 4 and ey = 1 + Random.State.int rs 4 in
+      (* a dimension [cx*tx + cy*ty + cs*s + k]; the other access's is
+         the same, shifted by one, or drawn afresh *)
+      let dim () =
+        (pick [ -1; 0; 1; 2; 4 ], pick [ 0; 1; 2; 4; 8 ], pick [ 0; 1 ],
+         pick [ -1; 0; 1 ])
+      in
+      let da = List.init (1 + Random.State.int rs 2) (fun _ -> dim ()) in
+      let db =
+        List.map
+          (fun ((cx, cy, cs, k) as d) ->
+            match Random.State.int rs 3 with
+            | 0 -> d
+            | 1 -> (cx, cy, cs, k + pick [ -1; 1 ])
+            | _ -> dim ())
+          da
+      in
+      (* a pin holds its iv at [c], or at [s + c] *)
+      let pin n =
+        match Random.State.int rs 3 with
+        | 0 -> None
+        | 1 -> Some (0, Random.State.int rs n)
+        | _ -> Some (1, pick [ -1; 0; 1 ])
+      in
+      let pa = (pin ex, pin ey) and pb = (pin ex, pin ey) in
+      let wrapped = Random.State.bool rs in
+      let expr (cx, cy, cs, k) =
+        Affine.(
+          add (scale cx (var tx))
+            (add (scale cy (var ty)) (add (scale cs (var sym)) (const k))))
+      in
+      let access dims (px, py) kind =
+        let pin iv p pins =
+          match p with
+          | Some (cs, c) ->
+            Value.Map.add iv Affine.(add (scale cs (var sym)) (const c)) pins
+          | None -> pins
+        in
+        let pins = pin tx px (pin ty py Value.Map.empty) in
+        Effects.mk_access ~base ~idx:(List.map (fun d -> Some (expr d)) dims)
+          ~pinned:pins ~livs:(Value.Set.singleton sym) kind
+      in
+      let a = access da pa Effects.Write in
+      let b = access db pb Effects.Read in
+      let b = if wrapped then Effects.shift_access b else b in
+      let ctx =
+        { Effects.info = Info.build (Cudafe.Codegen.compile "void f() {}")
+        ; modul = None
+        ; summaries = Effects.new_summaries ()
+        ; par = None
+        ; tids = Value.Set.of_list [ tx; ty ]
+        ; extents = Value.Map.add tx ex (Value.Map.singleton ty ey)
+        }
+      in
+      let eval (cx, cy, cs, k) x y s = (cx * x) + (cy * y) + (cs * s) + k in
+      let runs (px, py) x y s =
+        let holds v =
+          Option.fold ~none:true ~some:(fun (cs, c) -> v = (cs * s) + c)
+        in
+        holds x px && holds y py
+      in
+      let exact_ivs =
+        match Effects.meet ctx a b with
+        | Effects.Forced { ivs; exact = true } when not wrapped -> Some ivs
+        | Effects.Forced _ | Effects.Never -> None
+      in
+      let agree ivs x1 y1 x2 y2 =
+        ((not (Value.Set.mem tx ivs)) || x1 = x2)
+        && ((not (Value.Set.mem ty ivs)) || y1 = y2)
+      in
+      let collide = ref false and inexact = ref false in
+      for s1 = 0 to 3 do
+        for s2 = 0 to 3 do
+          if wrapped || s1 = s2 then
+            for x1 = 0 to ex - 1 do
+              for y1 = 0 to ey - 1 do
+                for x2 = 0 to ex - 1 do
+                  for y2 = 0 to ey - 1 do
+                    if
+                      (x1, y1) <> (x2, y2)
+                      && runs pa x1 y1 s1 && runs pb x2 y2 s2
+                    then begin
+                      let same =
+                        List.for_all2
+                          (fun d1 d2 -> eval d1 x1 y1 s1 = eval d2 x2 y2 s2)
+                          da db
+                      in
+                      if same then collide := true;
+                      match exact_ivs with
+                      | Some ivs when agree ivs x1 y1 x2 y2 && not same ->
+                        inexact := true
+                      | _ -> ()
+                    end
+                  done
+                done
+              done
+            done
+        done
+      done;
+      (* with constant pins, an exact meet that leaves an iv free is a
+         collision of two distinct threads; pins that move with [s] can
+         keep the accesses apart in every iteration, which the meet
+         does not see *)
+      let fixed_pins =
+        List.for_all
+          (function Some (cs, _) -> cs = 0 | None -> true)
+          [ fst pa; snd pa; fst pb; snd pb ]
+      in
+      let exact_free =
+        match exact_ivs with
+        | Some ivs -> not (Value.Set.subset ctx.Effects.tids ivs)
+        | None -> false
+      in
+      (Effects.cross_thread_conflict ctx a b || not !collide)
+      && (not !inexact)
+      && ((not (exact_free && fixed_pins)) || !collide))
+
 (* --- effects / barrier intervals on a concrete kernel --- *)
 
 let build_kernel src =
@@ -336,6 +475,7 @@ void f(float* p, int n) {
 let tests =
   [ Alcotest.test_case "affine algebra" `Quick test_affine_algebra
   ; QCheck_alcotest.to_alcotest test_compare_dim_brute_force
+  ; QCheck_alcotest.to_alcotest test_meet_brute_force
   ; Alcotest.test_case "barrier intervals stop at barriers" `Quick
       test_barrier_intervals_stop_at_barriers
   ; Alcotest.test_case "loop entry path included" `Quick

@@ -172,6 +172,45 @@ void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
        (Diag.to_string ~file:"k.cu")
        (Kernelcheck.check_module ~report_possible:true m))
 
+(* Thread (0, 0) writes [s[tx]] and threads (1, y) read [s[tx]]: equal
+   addresses would force [tx] equal, which the two guards pin apart, so
+   the pair never meets.  With [s[ty]] on both sides thread (0, 0)
+   writes [s[0]] and thread (1, 0) reads it: a definite race. *)
+let test_pinned_apart () =
+  let src idx =
+    Printf.sprintf
+      {|
+__global__ void k(float* out, float* in) {
+  __shared__ float s[8];
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  s[tx + 2 * ty] = in[tx + 2 * ty];
+  __syncthreads();
+  if (tx == 0) {
+    if (ty == 0) {
+      s[%s] = 1.0f;
+    }
+  }
+  if (tx == 1) {
+    out[ty] = s[%s];
+  }
+}
+void run(float* out, float* in) { k<<<1, dim3(2, 2)>>>(out, in); }
+|}
+      idx idx
+  in
+  let races idx =
+    List.filter
+      (fun (d : Diag.t) -> d.Diag.check = "race")
+      (check_src (src idx))
+  in
+  Alcotest.(check int) "pinned apart: no race" 0 (List.length (races "tx"));
+  match races "ty" with
+  | [ d ] ->
+    Alcotest.(check bool) "free iv: definite race" true (Diag.is_error d);
+    Alcotest.(check string) "at the write" "10:7" (loc_str d.Diag.loc)
+  | l -> Alcotest.failf "expected 1 race, got %d" (List.length l)
+
 let tests =
   [ Alcotest.test_case "racy fixture flagged at 5:3" `Quick test_racy_fixture
   ; Alcotest.test_case "divergent fixture flagged at 6:5" `Quick
@@ -183,4 +222,6 @@ let tests =
       test_clean_kernels_execute
   ; Alcotest.test_case "shuffle scratch is not a race" `Quick
       test_shuffle_scratch_not_racy
+  ; Alcotest.test_case "guards pinning a forced iv apart" `Quick
+      test_pinned_apart
   ]

@@ -113,10 +113,10 @@ void launch(float* out, float* in) { k<<<2, 8>>>(out, in); }
       unshifted
   | None -> Alcotest.fail "final store not reached by the dataflow"
 
-(* Back-to-back barriers: each one individually separates nothing (the
-   other still fences the write from the mirrored read), so both are
-   reported — the query is per-barrier, removal must re-analyze (see the
-   mli).  With a real conflict across a single barrier, none is. *)
+(* Back-to-back barriers: each one alone fences the write from the
+   mirrored read, so barrier elimination removes one of the pair (and
+   re-analyzes before the next); across a single barrier the conflict is
+   real and nothing is removed. *)
 let test_redundant_barriers () =
   let doubled =
     build_kernel
@@ -132,8 +132,8 @@ __global__ void k(float* out, float* in) {
 void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
 |}
   in
-  Alcotest.(check int) "each of the pair is individually removable" 2
-    (List.length (Mhp.redundant_barriers (analyze doubled)));
+  Alcotest.(check int) "one of the pair is removed" 1
+    (Core.Barrier_elim.run doubled);
   let single =
     build_kernel
       {|
@@ -148,7 +148,7 @@ void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
 |}
   in
   Alcotest.(check int) "a load-bearing barrier is kept" 0
-    (List.length (Mhp.redundant_barriers (analyze single)))
+    (Core.Barrier_elim.run single)
 
 (* The seeded racy fixtures: the sanitizer must flag each, and the
    repair search must find the known-good minimal fix — one inserted

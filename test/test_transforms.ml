@@ -501,17 +501,19 @@ void launch(int* out, int* in) { shift<<<1, 8>>>(out, in); }
   Alcotest.(check int) "kept the required barrier" 0 eliminated
 
 (* Accesses under [t == 1] and under [t == 0] are made by two different
-   threads, so the barrier between them stays under every recipe.  The
-   engine runs inner-parallel at 1 domain only: it runs the ranks of a
-   nested team one after another with a no-op barrier, so at 4 domains
-   thread 0 reads [out[0]] before thread 1 writes it whatever the IR
-   says (an engine defect, listed in ROADMAP.md). *)
+   threads, so the barrier between them stays under every recipe.  A
+   pin holds only within one iteration: across the loop's back edge,
+   the write under [tx == i] reaches the next iteration's read under
+   [tx == i - 1] in the same thread column, and the write under
+   [tx == 3 - i] the read under [tx == 3 - i] in the thread one below,
+   so the barrier ending the loop body stays too. *)
 let test_pinned_guards_keep_barrier () =
   List.iter
-    (fun (name, recipe) ->
-      let domains = if name = "inner-parallel" then [ 1 ] else [ 1; 4 ] in
-      lowering_agrees ~recipe ~domains
-        {|
+    (fun src ->
+      List.iter
+        (fun (_, recipe) -> lowering_agrees ~recipe src "run" (float_out 8))
+        Core.Passmgr.recipes)
+    [ {|
 __global__ void k(float* out) {
   int t = threadIdx.x;
   if (t == 1) { out[0] = 5.0f; }
@@ -520,8 +522,82 @@ __global__ void k(float* out) {
 }
 void run(float* out) { k<<<1, 4>>>(out); }
 |}
-        "run" (float_out 4))
-    Core.Passmgr.recipes
+    ; {|
+__global__ void k(float* out) {
+  __shared__ float s[4];
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  if (ty == 0) { s[tx] = 0.0f; }
+  __syncthreads();
+  for (int i = 0; i < 4; i++) {
+    if (tx == i - 1) { out[tx + 4 * ty] = s[tx]; }
+    if (tx == i) { if (ty == 1) { s[tx] = 1.0f; } }
+    __syncthreads();
+  }
+}
+void run(float* out) { k<<<1, dim3(4, 2)>>>(out); }
+|}
+    ; {|
+__global__ void k(float* out) {
+  __shared__ float s[5];
+  int tx = threadIdx.x;
+  s[tx] = 0.0f;
+  if (tx == 0) { s[4] = 0.0f; }
+  __syncthreads();
+  for (int i = 0; i < 4; i++) {
+    if (tx == 3 - i) { out[tx] = s[tx + 1]; }
+    if (tx == 3 - i) { s[tx] = 1.0f; }
+    __syncthreads();
+  }
+}
+void run(float* out) { k<<<1, 4>>>(out); }
+|}
+    ]
+
+(* A slab written at [tx + 8*ty] and read back at the same index after
+   the barrier over an 8x8 block: the extents make the index injective,
+   so every thread reads only its own write, the barrier goes and the
+   slab with it.  Read at [tx + 7*ty] or at the neighbour
+   [(tx + 1) % 8 + 8*ty], threads read each other's writes: the barrier
+   and the slab stay. *)
+let test_extents_decide_barrier () =
+  let src read =
+    Printf.sprintf
+      {|
+__global__ void k(float* out, float* in) {
+  __shared__ float s[64];
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int t = tx + 8 * ty;
+  s[tx + 8 * ty] = in[t];
+  __syncthreads();
+  out[t] = s[%s] * 2.0f;
+}
+void run(float* out, float* in) { k<<<dim3(1, 1), dim3(8, 8)>>>(out, in); }
+|}
+      read
+  in
+  let args () =
+    let out = Interp.Mem.of_float_array (Array.make 64 0.0) in
+    let inp =
+      Interp.Mem.of_float_array (Array.init 64 (fun i -> float_of_int (i + 1)))
+    in
+    (out, [ Interp.Mem.Buf out; Interp.Mem.Buf inp ])
+  in
+  let slabs = count (fun o -> o.Op.kind = Op.Alloca) in
+  lowering_agrees
+    ~shape:(fun m ->
+      Alcotest.(check int) "no slab" 0 (slabs m);
+      Alcotest.(check int) "no serial nest" 0
+        (count (fun o -> o.Op.kind = Op.For) m))
+    (src "tx + 8 * ty") "run" args;
+  List.iter
+    (fun read ->
+      lowering_agrees
+        ~shape:(fun m ->
+          Alcotest.(check int) (read ^ ": slab kept") 1 (slabs m))
+        (src read) "run" args)
+    [ "tx + 7 * ty"; "(tx + 1) % 8 + 8 * ty" ]
 
 (* --- parallel LICM: Fig. 1 --- *)
 
@@ -747,6 +823,8 @@ let tests =
   ; Alcotest.test_case "required barrier kept" `Quick test_required_barrier_kept
   ; Alcotest.test_case "guards pinning different threads keep a barrier" `Quick
       test_pinned_guards_keep_barrier
+  ; Alcotest.test_case "thread extents decide a slab's barrier" `Quick
+      test_extents_decide_barrier
   ; Alcotest.test_case "parallel licm hoists sum" `Quick
       test_parallel_licm_hoists_sum
   ; Alcotest.test_case "licm differential" `Quick test_licm_preserves_normalize
