@@ -12,7 +12,9 @@
    *prior* ops in the loop body conflict with it — conflicts with
    *subsequent* ops do not matter.  This is strictly more powerful than
    the serial rule and is what hoists the O(N) call to @sum out of the
-   normalize kernel of Fig. 1, turning O(N^2) total work into O(N). *)
+   normalize kernel of Fig. 1, turning O(N^2) total work into O(N).
+   A load or call hoisted out of a parallel loop that may run zero times
+   runs under an [scf.if] testing that the loop is not empty. *)
 
 open Ir
 open Analysis
@@ -32,13 +34,81 @@ let read_only effs =
 
 (* --- parallel LICM --- *)
 
+(* The bounds of the loop's dimensions that may run zero times: all but
+   those with literal bounds lo < hi.  [Info.trip_nonzero] answers for
+   [scf.for] only; Mhp and Effects ask it of parallel loops too. *)
+let maybe_empty_dims info (par : Op.op) : (Value.t * Value.t) list =
+  List.filter
+    (fun (lo, hi) ->
+      match (Info.int_literal info lo, Info.int_literal info hi) with
+      | Some l, Some h -> l >= h
+      | _ -> true)
+    (List.init (Op.par_dims par) (fun d -> (Op.par_lo par d, Op.par_hi par d)))
+
+(* The zero a guard yields for a scalar result when the loop is empty.
+   A memref result has none: an op with one is not hoisted. *)
+let zero (v : Value.t) : Op.op =
+  match v.typ with
+  | Types.Scalar d when Types.is_float_dtype d ->
+    Builder.const_float ~dtype:d 0.0
+  | Types.Scalar d -> Builder.const_int ~dtype:d 0
+  | Types.Memref _ -> invalid_arg "Licm.zero: a memref has no zero"
+
+let scalar (v : Value.t) =
+  match v.typ with Types.Scalar _ -> true | Types.Memref _ -> false
+
+(* [lo < hi] in every one of [dims], and the ops computing it. *)
+let nonempty dims : Op.op list * Value.t =
+  let s = Builder.Seq.create () in
+  let test (lo, hi) = Builder.Seq.emitv s (Builder.cmp Op.Lt lo hi) in
+  let c =
+    List.fold_left
+      (fun c d -> Builder.Seq.emitv s (Builder.binop Op.And c (test d)))
+      (test (List.hd dims)) (List.tl dims)
+  in
+  (Builder.Seq.to_list s, c)
+
+(* [op] under [scf.if %cond]: the if takes over the op's results and
+   yields zeros when [cond] is false, so no use needs rewriting. *)
+let guarded (cond : Value.t) (op : Op.op) : Op.op =
+  let fresh =
+    Array.map (fun (v : Value.t) -> Value.fresh ?name:v.name v.typ) op.results
+  in
+  let inner =
+    Op.mk op.kind ~operands:op.operands ~results:fresh ~attrs:op.attrs
+      ?loc:op.loc
+  in
+  let zeros = Array.map zero op.results in
+  let yielding vals ops =
+    if vals = [||] then ops else ops @ [ Builder.yield_ (Array.to_list vals) ]
+  in
+  Op.mk Op.If ~operands:[| cond |] ~results:op.results ?loc:op.loc
+    ~regions:
+      [| Op.region (yielding fresh [ inner ])
+       ; Op.region (yielding (Array.map Op.result zeros) (Array.to_list zeros))
+      |]
+
 (* Hoist ops out of one parallel loop body.  Returns hoisted ops (in
    order); the loop body is updated in place. *)
 let hoist_from_parallel (info : Info.t) (modul : Op.op) (par : Op.op) :
   Op.op list =
   let ctx = Effects.make_ctx ~modul ~par info in
   let body = par.Op.regions.(0).body in
+  let dims = maybe_empty_dims info par in
+  let may_be_empty = dims <> [] in
   let hoisted = ref [] in
+  (* The loop's non-emptiness test, emitted before the first load or
+     call that needs it. *)
+  let cond = ref None in
+  let nonempty_cond () =
+    match !cond with
+    | Some c -> c
+    | None ->
+      let ops, c = nonempty dims in
+      hoisted := List.rev_append ops !hoisted;
+      cond := Some c;
+      c
+  in
   let hoisted_vals = ref Value.Set.empty in
   let prior_writes = ref [] in
   let invariant (v : Value.t) =
@@ -58,6 +128,7 @@ let hoist_from_parallel (info : Info.t) (modul : Op.op) (par : Op.op) :
           | Op.Load | Op.Call _ ->
             let effs = op_effects ctx op in
             read_only effs
+            && ((not may_be_empty) || Array.for_all scalar op.results)
             && not
                  (List.exists
                     (fun (r : Effects.access) ->
@@ -69,7 +140,12 @@ let hoist_from_parallel (info : Info.t) (modul : Op.op) (par : Op.op) :
         end
       in
       if can_hoist then begin
-        hoisted := op :: !hoisted;
+        if (not may_be_empty) || movable_pure info op then
+          hoisted := op :: !hoisted
+        else begin
+          let c = nonempty_cond () in
+          hoisted := guarded c op :: !hoisted
+        end;
         Array.iter
           (fun v -> hoisted_vals := Value.Set.add v !hoisted_vals)
           op.results

@@ -9,7 +9,21 @@
    contiguous chunks, and [omp.barrier] synchronizes the team.
 
    Divergent barriers (not all threads reaching the same barrier) raise,
-   which turns CUDA undefined behaviour into a test failure. *)
+   which turns CUDA undefined behaviour into a test failure.
+
+   Environments are dense slots.  A run resolves each function it calls
+   once, at its first call, into a tree that mirrors the function's ops:
+   every SSA definition gets a slot in an activation array, and every
+   operand the slot of the definition in scope at its op.  A definition
+   is in scope after it in its region and in the regions nested there,
+   so a region's slots are free again after it and the ops that follow
+   reuse them.  An operand with no definition in scope fails with
+   "unbound SSA value" when its op runs.  Loops, ifs and barrier-free
+   parallel loops rebind their slots in place; a fiber (a GPU thread of a
+   barrier block, an OpenMP team thread) runs on its own copy of the
+   activation.  The resolutions live in the run's [state]: passes mutate
+   the IR in place and executor domains interpret concurrently, so none
+   outlives its run. *)
 
 open Ir
 
@@ -29,23 +43,80 @@ type stats =
 
 let new_stats () = { ops = 0; loads = 0; stores = 0; flops = 0; barriers = 0 }
 
-type env =
-  { tbl : Mem.rv Value.Tbl.t
-  ; parent : env option
+(* --- resolution: SSA values to activation slots --- *)
+
+(* An op with the activation slot of each operand ([unbound] when no
+   definition is in scope) and of each result. *)
+type node =
+  { op : Op.op
+  ; args : int array
+  ; res : int array
+  ; regions : block array
+  ; fibers : bool (* a thread loop holding a barrier: one fiber a thread *)
   }
 
-let new_env ?parent () = { tbl = Value.Tbl.create 32; parent }
+and block =
+  { params : int array (* the slots of the region's arguments *)
+  ; body : node list
+  ; tail : node option (* the trailing [scf.yield] *)
+  }
 
-let rec lookup env (v : Value.t) : Mem.rv =
-  match Value.Tbl.find_opt env.tbl v with
-  | Some rv -> rv
-  | None -> begin
-    match env.parent with
-    | Some p -> lookup p v
-    | None -> Mem.fail "unbound SSA value %s" (Value.to_string v)
-  end
+type func =
+  { fop : Op.op
+  ; size : int (* activation length *)
+  ; entry : block
+  }
 
-let bind env (v : Value.t) rv = Value.Tbl.replace env.tbl v rv
+let unbound = -1
+
+(* Slots are handed out stack-wise from [depth]; [size] keeps the
+   deepest.  An op's results take their slots before its regions, so an
+   [scf.if] copies its yields into slots no region value occupies. *)
+let rec resolve_op size scope depth (op : Op.op) : node =
+  let slot (v : Value.t) =
+    match Value.Map.find_opt v scope with Some s -> s | None -> unbound
+  in
+  let inner = depth + Array.length op.results in
+  size := max !size inner;
+  { op
+  ; args = Array.map slot op.operands
+  ; res = Array.init (Array.length op.results) (fun i -> depth + i)
+  ; regions = Array.map (resolve_block size scope inner) op.regions
+  ; fibers =
+      (match op.kind with
+       | Op.Parallel Op.Block ->
+         Array.length op.regions > 0
+         && Op.contains_barrier_region op.regions.(0)
+       | _ -> false)
+  }
+
+and resolve_block size scope depth (r : Op.region) : block =
+  let scope = ref scope and depth = ref depth in
+  let define (v : Value.t) s = scope := Value.Map.add v s !scope in
+  let params = Array.mapi (fun i _ -> !depth + i) r.rargs in
+  Array.iter2 define r.rargs params;
+  depth := !depth + Array.length params;
+  size := max !size !depth;
+  let rev_body =
+    List.fold_left
+      (fun acc (op : Op.op) ->
+        let n = resolve_op size !scope !depth op in
+        Array.iter2 define op.results n.res;
+        depth := !depth + Array.length n.res;
+        n :: acc)
+      [] r.body
+  in
+  let tail =
+    match rev_body with
+    | ({ op = { Op.kind = Op.Yield; _ }; _ } as y) :: _ -> Some y
+    | _ -> None
+  in
+  { params; body = List.rev rev_body; tail }
+
+let resolve_func (f : Op.op) : func =
+  let size = ref 0 in
+  let entry = resolve_block size Value.Map.empty 0 f.regions.(0) in
+  { fop = f; size = !size; entry }
 
 type state =
   { modul : Op.op
@@ -54,7 +125,46 @@ type state =
   ; mutable team_rank : int (* rank of the currently-executing team thread *)
   ; mutable in_team : bool
   ; mutable fuel : int (* remaining op budget; negative = unbounded *)
+  ; funcs : (string, func) Hashtbl.t (* this run's resolutions *)
   }
+
+let func_named st name =
+  match Hashtbl.find_opt st.funcs name with
+  | Some _ as f -> f
+  | None ->
+    Option.map
+      (fun f ->
+        let r = resolve_func f in
+        Hashtbl.add st.funcs name r;
+        r)
+      (Op.find_func st.modul name)
+
+(* The value of operand [i] of [n]. *)
+let get (act : Mem.rv array) (n : node) i =
+  let s = n.args.(i) in
+  if s = unbound then
+    Mem.fail "unbound SSA value %s" (Value.to_string n.op.operands.(i))
+  else act.(s)
+
+(* Bind the op's one result; [Op.result] fails on any other count. *)
+let set (act : Mem.rv array) (n : node) v =
+  match n.res with
+  | [| s |] -> act.(s) <- v
+  | _ -> ignore (Op.result n.op)
+
+(* Operands [first..] of [n], as integer indices. *)
+let indices act (n : node) first =
+  let ix = Array.make (Array.length n.args - first) 0 in
+  for i = 0 to Array.length ix - 1 do
+    ix.(i) <- Mem.as_int (get act n (first + i))
+  done;
+  ix
+
+(* What the block's trailing [scf.yield] hands on. *)
+let yielded act (b : block) =
+  match b.tail with
+  | Some y -> Array.init (Array.length y.args) (get act y)
+  | None -> [||]
 
 (* The one static worksharing partition, shared with the parallel
    runtime ([Runtime.Schedule] delegates here): a balanced contiguous
@@ -71,6 +181,36 @@ let static_chunk ~rank ~size ~n =
   let lo = (rank * base) + min rank rem in
   let len = base + (if rank < rem then 1 else 0) in
   (lo, lo + len)
+
+(* The iteration space of a parallel op.  Point [k] is decoded from its
+   linear index, dimension 0 fastest. *)
+type space =
+  { lo : int array
+  ; step : int array
+  ; trips : int array
+  ; points : int
+  }
+
+let iteration_space act (n : node) : space =
+  let d = Op.par_dims n.op in
+  let lo = Array.init d (fun i -> Mem.as_int (get act n i)) in
+  let hi = Array.init d (fun i -> Mem.as_int (get act n (d + i))) in
+  let step = Array.init d (fun i -> Mem.as_int (get act n ((2 * d) + i))) in
+  Mem.check_par_steps step;
+  let trips =
+    Array.init d (fun i ->
+        if hi.(i) <= lo.(i) then 0
+        else (hi.(i) - lo.(i) + step.(i) - 1) / step.(i))
+  in
+  { lo; step; trips; points = Array.fold_left ( * ) 1 trips }
+
+let bind_point (act : Mem.rv array) (ivs : int array) sp k =
+  let k = ref k in
+  for d = 0 to Array.length ivs - 1 do
+    let t = sp.trips.(d) in
+    act.(ivs.(d)) <- Mem.Int (sp.lo.(d) + (!k mod t * sp.step.(d)));
+    k := !k / t
+  done
 
 (* --- fiber scheduling for barrier semantics --- *)
 
@@ -126,49 +266,47 @@ let run_threads ?(before_slice = fun (_ : int) -> ()) (thunks : (unit -> unit) a
 
 (* --- the interpreter --- *)
 
-let rec exec_ops (st : state) (env : env) (ops : Op.op list) : unit =
-  List.iter (exec_op st env) ops
+let rec exec_body (st : state) act : node list -> unit = function
+  | [] -> ()
+  | n :: rest ->
+    exec_op st act n;
+    exec_body st act rest
 
-and exec_op (st : state) (env : env) (op : Op.op) : unit =
+and exec_op (st : state) (act : Mem.rv array) (n : node) : unit =
   st.stats.ops <- st.stats.ops + 1;
   if st.fuel >= 0 then begin
     if st.fuel = 0 then
       Mem.fail "interpreter fuel exhausted after %d ops" st.stats.ops;
     st.fuel <- st.fuel - 1
   end;
+  let op = n.op in
   match op.kind with
   | Op.Module | Op.Func _ -> Mem.fail "cannot execute module/func as a statement"
   | Op.Yield -> ()
   | Op.Condition -> Mem.fail "scf.condition outside while handling"
-  (* The frequent scalar ops call [Scalar] on their looked-up operands:
-     building [Scalar.eval]'s operand array for each slowed the suite's
+  (* The frequent scalar ops call [Scalar] on their operands: building
+     [Scalar.eval]'s operand array for each slowed the suite's
      interpretation by ~15%. *)
-  | Op.Constant c -> bind env (Op.result op) (Scalar.const c)
+  | Op.Constant c -> set act n (Scalar.const c)
   | Op.Binop kind ->
     let is_float = Scalar.is_float_value op.operands.(0) in
     if is_float then st.stats.flops <- st.stats.flops + 1;
-    bind env (Op.result op)
-      (Scalar.binop kind ~is_float
-         (lookup env op.operands.(0))
-         (lookup env op.operands.(1)))
+    set act n (Scalar.binop kind ~is_float (get act n 0) (get act n 1))
   | Op.Cmp pred ->
-    bind env (Op.result op)
+    set act n
       (Scalar.cmp pred
          ~is_float:(Scalar.is_float_value op.operands.(0))
-         (lookup env op.operands.(0))
-         (lookup env op.operands.(1)))
-  | Op.Cast d ->
-    bind env (Op.result op) (Scalar.cast d (lookup env op.operands.(0)))
+         (get act n 0) (get act n 1))
+  | Op.Cast d -> set act n (Scalar.cast d (get act n 0))
   | Op.Select | Op.Math _ ->
     (match op.kind with
      | Op.Math _ -> st.stats.flops <- st.stats.flops + 1
      | _ -> ());
-    bind env (Op.result op)
-      (Scalar.eval op (Array.map (lookup env) op.operands))
+    set act n (Scalar.eval op (Array.init (Array.length n.args) (get act n)))
   | Op.Alloc | Op.Alloca -> begin
     match (Op.result op).typ with
     | Types.Memref { elem; shape; _ } ->
-      let dyn = ref (Array.to_list (Array.map (lookup env) op.operands)) in
+      let dyn = ref (List.init (Array.length n.args) (get act n)) in
       let dims =
         List.map
           (fun d ->
@@ -183,150 +321,104 @@ and exec_op (st : state) (env : env) (op : Op.op) : unit =
             end)
           shape
       in
-      bind env (Op.result op) (Mem.Buf (Mem.alloc_buffer elem (Array.of_list dims)))
+      set act n (Mem.Buf (Mem.alloc_buffer elem (Array.of_list dims)))
     | Types.Scalar _ -> Mem.fail "alloc of non-memref"
   end
   | Op.Dealloc -> ()
   | Op.Load ->
     st.stats.loads <- st.stats.loads + 1;
-    let b = Mem.as_buf (lookup env op.operands.(0)) in
-    let idxs =
-      Array.init
-        (Array.length op.operands - 1)
-        (fun i -> Mem.as_int (lookup env op.operands.(i + 1)))
-    in
-    bind env (Op.result op) (Mem.load b idxs)
+    let b = Mem.as_buf (get act n 0) in
+    set act n (Mem.load b (indices act n 1))
   | Op.Store ->
     st.stats.stores <- st.stats.stores + 1;
-    let v = lookup env op.operands.(0) in
-    let b = Mem.as_buf (lookup env op.operands.(1)) in
-    let idxs =
-      Array.init
-        (Array.length op.operands - 2)
-        (fun i -> Mem.as_int (lookup env op.operands.(i + 2)))
-    in
-    Mem.store b idxs v
+    let v = get act n 0 in
+    let b = Mem.as_buf (get act n 1) in
+    Mem.store b (indices act n 2) v
   | Op.Copy ->
-    let src = Mem.as_buf (lookup env op.operands.(0)) in
-    let dst = Mem.as_buf (lookup env op.operands.(1)) in
+    let src = Mem.as_buf (get act n 0) in
+    let dst = Mem.as_buf (get act n 1) in
     Mem.copy ~src ~dst
   | Op.Dim i ->
-    let b = Mem.as_buf (lookup env op.operands.(0)) in
-    bind env (Op.result op) (Mem.Int b.dims.(i))
+    let b = Mem.as_buf (get act n 0) in
+    set act n (Mem.Int b.dims.(i))
   | Op.For ->
-    let lo = Mem.as_int (lookup env (Op.for_lo op)) in
-    let hi = Mem.as_int (lookup env (Op.for_hi op)) in
-    let step = Mem.as_int (lookup env (Op.for_step op)) in
+    let lo = Mem.as_int (get act n 0) in
+    let hi = Mem.as_int (get act n 1) in
+    let step = Mem.as_int (get act n 2) in
     if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
-    let iv = Op.for_iv op in
+    let body = n.regions.(0) in
+    let iv = body.params.(0) in
     (* The iter_args' values: the inits, then what each iteration
-       yields, read from that iteration's scope before the next one
-       binds anything (so [scf.yield %b, %a] swaps).  A loop that
-       carries nothing allocates nothing for them. *)
-    let carried = Array.length op.results > 0 in
+       yields, read before the next one binds anything (so
+       [scf.yield %b, %a] swaps). *)
+    let carried = Array.length n.res > 0 in
     let cur =
-      if carried then Array.map (lookup env) (Op.for_inits op) else [||]
+      ref
+        (if carried then
+           Array.init (Array.length n.args - 3) (fun k -> get act n (k + 3))
+         else [||])
     in
     let i = ref lo in
     while !i < hi do
-      let env' = new_env ~parent:env () in
-      bind env' iv (Mem.Int !i);
+      act.(iv) <- Mem.Int !i;
       if carried then
-        Array.iteri (fun k a -> bind env' a cur.(k)) (Op.for_iter_args op);
-      exec_ops st env' op.regions.(0).body;
-      if carried then
-        Array.iteri
-          (fun k v -> cur.(k) <- lookup env' v)
-          (Op.yielded op.regions.(0));
+        Array.iteri (fun k v -> act.(body.params.(k + 1)) <- v) !cur;
+      exec_body st act body.body;
+      if carried then cur := yielded act body;
       i := !i + step
     done;
-    if carried then Array.iteri (fun k r -> bind env r cur.(k)) op.results
+    if carried then Array.iteri (fun k r -> act.(r) <- !cur.(k)) n.res
   | Op.While ->
-    let rec loop () =
-      let env' = new_env ~parent:env () in
-      let cond_region = op.regions.(0).body in
-      let rec run_cond = function
-        | [] -> Mem.fail "while cond region missing scf.condition"
-        | [ ({ Op.kind = Op.Condition; _ } as c) ] ->
-          Mem.as_int (lookup env' c.operands.(0)) <> 0
-        | o :: rest ->
-          exec_op st env' o;
-          run_cond rest
-      in
-      if run_cond cond_region then begin
-        let env'' = new_env ~parent:env () in
-        exec_ops st env'' op.regions.(1).body;
-        loop ()
-      end
+    let rec run_cond = function
+      | [] -> Mem.fail "while cond region missing scf.condition"
+      | [ ({ op = { Op.kind = Op.Condition; _ }; _ } as c) ] ->
+        Mem.as_int (get act c 0) <> 0
+      | o :: rest ->
+        exec_op st act o;
+        run_cond rest
     in
-    loop ()
+    while run_cond n.regions.(0).body do
+      exec_body st act n.regions.(1).body
+    done
   | Op.If ->
-    let c = Mem.as_int (lookup env op.operands.(0)) in
-    let region = if c <> 0 then op.regions.(0) else op.regions.(1) in
-    let env' = new_env ~parent:env () in
-    exec_ops st env' region.body;
-    if Array.length op.results > 0 then
-      Array.iter2
-        (fun r v -> bind env r (lookup env' v))
-        op.results (Op.yielded region)
-  | Op.Parallel kind -> exec_parallel st env op kind
+    let c = Mem.as_int (get act n 0) in
+    let b = if c <> 0 then n.regions.(0) else n.regions.(1) in
+    exec_body st act b.body;
+    if Array.length n.res > 0 then
+      Array.iter2 (fun r v -> act.(r) <- v) n.res (yielded act b)
+  | Op.Parallel _ -> exec_parallel st act n
   | Op.Barrier ->
     st.stats.barriers <- st.stats.barriers + 1;
     Effect.perform Sync
   | Op.Call name -> begin
     let callee =
-      match Op.find_func st.modul name with
+      match func_named st name with
       | Some f -> f
       | None -> Mem.fail "call to unknown function @%s" name
     in
-    let args = Array.map (lookup env) op.operands in
-    match call_func st callee args with
-    | Some rv when Array.length op.results = 1 -> bind env (Op.result op) rv
+    let args = Array.init (Array.length n.args) (get act n) in
+    match call st callee args with
+    | Some rv when Array.length n.res = 1 -> set act n rv
     | Some _ -> ()
     | None ->
-      if Array.length op.results = 1 then
+      if Array.length n.res = 1 then
         Mem.fail "function @%s returned no value" name
   end
   | Op.Return ->
     let v =
-      if Array.length op.operands = 1 then Some (lookup env op.operands.(0))
-      else None
+      if Array.length n.args = 1 then Some (get act n 0) else None
     in
     raise (Return_exc v)
-  | Op.OmpParallel -> exec_omp_parallel st env op
-  | Op.OmpWsloop -> exec_wsloop st env op
+  | Op.OmpParallel -> exec_omp_parallel st act n
+  | Op.OmpWsloop -> exec_wsloop st act n
   | Op.OmpBarrier ->
     st.stats.barriers <- st.stats.barriers + 1;
     if st.in_team then Effect.perform Sync
 
-(* Enumerate the (multi-dimensional) iteration space of a parallel op. *)
-and par_space env (op : Op.op) : int array list =
-  let n = Op.par_dims op in
-  let lo = Array.init n (fun i -> Mem.as_int (lookup env (Op.par_lo op i))) in
-  let hi = Array.init n (fun i -> Mem.as_int (lookup env (Op.par_hi op i))) in
-  let step =
-    Array.init n (fun i -> Mem.as_int (lookup env (Op.par_step op i)))
-  in
-  Mem.check_par_steps step;
-  let rec build dim acc =
-    if dim < 0 then [ acc ]
-    else begin
-      let out = ref [] in
-      let v = ref lo.(dim) in
-      while !v < hi.(dim) do
-        out := !out @ build (dim - 1) (!v :: acc);
-        v := !v + step.(dim)
-      done;
-      !out
-    end
-  in
-  List.map Array.of_list (build (n - 1) [])
-
-and exec_parallel st env (op : Op.op) (kind : Op.par_kind) : unit =
-  let space = par_space env op in
-  let ivs = op.regions.(0).rargs in
-  match kind with
-  | Op.Block when Op.contains_barrier_region op.regions.(0) ->
+and exec_parallel st act (n : node) : unit =
+  let sp = iteration_space act n in
+  let body = n.regions.(0) in
+  if n.fibers then begin
     (* Cooperative fibers synchronizing at barriers.  GPU threads are
        NOT an OpenMP team: any worksharing loop nested inside this
        region must be executed in full by every thread, so the team
@@ -336,31 +428,26 @@ and exec_parallel st env (op : Op.op) (kind : Op.par_kind) : unit =
     let was_team = st.in_team in
     let was_rank = st.team_rank in
     let thunks =
-      List.map
-        (fun idx () ->
-          let env' = new_env ~parent:env () in
-          Array.iteri (fun i _ -> bind env' ivs.(i) (Mem.Int idx.(i))) ivs;
-          exec_ops st env' op.regions.(0).body)
-        space
+      Array.init sp.points (fun k () ->
+          let act = Array.copy act in
+          bind_point act body.params sp k;
+          exec_body st act body.body)
     in
     Fun.protect
       ~finally:(fun () ->
         st.in_team <- was_team;
         st.team_rank <- was_rank)
       (fun () ->
-        run_threads
-          ~before_slice:(fun _ -> st.in_team <- false)
-          (Array.of_list thunks))
-  | Op.Grid | Op.Block | Op.Flat ->
+        run_threads ~before_slice:(fun _ -> st.in_team <- false) thunks)
+  end
+  else
     (* No synchronization inside: iterations run in order. *)
-    List.iter
-      (fun idx ->
-        let env' = new_env ~parent:env () in
-        Array.iteri (fun i _ -> bind env' ivs.(i) (Mem.Int idx.(i))) ivs;
-        exec_ops st env' op.regions.(0).body)
-      space
+    for k = 0 to sp.points - 1 do
+      bind_point act body.params sp k;
+      exec_body st act body.body
+    done
 
-and exec_omp_parallel st env (op : Op.op) : unit =
+and exec_omp_parallel st act (n : node) : unit =
   (* The team size comes uniformly from [?team_size] (default 4): it
      sets both how many team threads execute the region AND the
      worksharing chunk denominator in [exec_wsloop], so the two can
@@ -371,8 +458,7 @@ and exec_omp_parallel st env (op : Op.op) : unit =
   st.in_team <- true;
   let thunks =
     Array.init t (fun _rank () ->
-        let env' = new_env ~parent:env () in
-        exec_ops st env' op.regions.(0).body)
+        exec_body st (Array.copy act) n.regions.(0).body)
   in
   (* The scheduler re-establishes the executing thread's rank before every
      slice, so worksharing loops after a barrier still read the right
@@ -390,30 +476,27 @@ and exec_omp_parallel st env (op : Op.op) : unit =
           st.team_rank <- rank)
         thunks)
 
-and exec_wsloop st env (op : Op.op) : unit =
-  let space = par_space env op in
-  let ivs = op.regions.(0).rargs in
-  let iters = Array.of_list space in
-  let n = Array.length iters in
+and exec_wsloop st act (n : node) : unit =
+  let sp = iteration_space act n in
+  let body = n.regions.(0) in
   let lo, hi =
     if st.in_team then
       (* balanced static contiguous chunking across the team *)
-      static_chunk ~rank:st.team_rank ~size:st.team_size ~n
-    else (0, n)
+      static_chunk ~rank:st.team_rank ~size:st.team_size ~n:sp.points
+    else (0, sp.points)
   in
-  for i = lo to hi - 1 do
-    let env' = new_env ~parent:env () in
-    Array.iteri (fun d _ -> bind env' ivs.(d) (Mem.Int iters.(i).(d))) ivs;
-    exec_ops st env' op.regions.(0).body
+  for k = lo to hi - 1 do
+    bind_point act body.params sp k;
+    exec_body st act body.body
   done
 
-and call_func st (f : Op.op) (args : Mem.rv array) : Mem.rv option =
-  let env = new_env () in
-  let params = f.regions.(0).rargs in
+and call st (f : func) (args : Mem.rv array) : Mem.rv option =
+  let act = Array.make f.size (Mem.Int 0) in
+  let params = f.entry.params in
   if Array.length params <> Array.length args then
-    Mem.fail "@%s: arity mismatch" (Op.func_name f);
-  Array.iteri (fun i p -> bind env p args.(i)) params;
-  match exec_ops st env f.regions.(0).body with
+    Mem.fail "@%s: arity mismatch" (Op.func_name f.fop);
+  Array.iteri (fun i p -> act.(p) <- args.(i)) params;
+  match exec_body st act f.entry.body with
   | () -> None
   | exception Return_exc v -> v
 
@@ -426,15 +509,16 @@ let create ?(team_size = 4) ?fuel (modul : Op.op) : state =
   ; team_rank = 0
   ; in_team = false
   ; fuel = (match fuel with Some n when n >= 0 -> n | _ -> -1)
+  ; funcs = Hashtbl.create 8
   }
 
 let run ?(team_size = 4) ?fuel (modul : Op.op) (name : string)
     (args : Mem.rv list) : Mem.rv option * stats =
   let st = create ~team_size ?fuel modul in
   let f =
-    match Op.find_func modul name with
+    match func_named st name with
     | Some f -> f
     | None -> Mem.fail "no function @%s in module" name
   in
-  let r = call_func st f (Array.of_list args) in
+  let r = call st f (Array.of_list args) in
   (r, st.stats)

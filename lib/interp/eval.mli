@@ -4,7 +4,18 @@
     effect handlers) that all stop at each [polygeist.barrier] before any
     proceeds; OpenMP constructs run with a configurable team size, static
     worksharing chunks and explicit [omp.barrier] joins.  Divergent
-    barriers (CUDA UB) and out-of-bounds accesses raise. *)
+    barriers (CUDA UB) and out-of-bounds accesses raise.
+
+    Environments are dense slots, resolved per run: the first call of a
+    function in a run maps each SSA definition of the function to a slot
+    of an activation array and each operand to the slot of the
+    definition in scope at its op, following the regions' scopes.  Each
+    call gets a fresh activation; loops, ifs and barrier-free parallel
+    loops rebind their slots in place, and each fiber (a GPU thread of a
+    barrier block, an OpenMP team thread) runs on its own copy.  An
+    operand with no definition in scope fails with "unbound SSA value"
+    when its op runs.  Nothing is cached across runs, so a run sees the
+    IR as it is, and runs on several domains share nothing. *)
 
 type stats =
   { mutable ops : int

@@ -199,6 +199,167 @@ let test_omp_team_semantics () =
       ())
     [ 1; 3; 4; 16; 5 ]
 
+(* --- scopes and activations --- *)
+
+(* A thread's values live across [__syncthreads()]: every fiber keeps
+   its own. *)
+let test_locals_across_syncthreads () =
+  let m =
+    compile_ok
+      {|
+__global__ void k(int* out) {
+  __shared__ int s[64];
+  int t = threadIdx.x;
+  int v = 3 * t;
+  s[t] = t;
+  __syncthreads();
+  out[t] = v + s[63 - t];
+}
+void launch(int* out) { k<<<1, 64>>>(out); }
+|}
+  in
+  let out = Interp.Mem.of_int_array (Array.make 64 0) in
+  ignore (Interp.Eval.run m "launch" [ Interp.Mem.Buf out ]);
+  Alcotest.(check (array int))
+    "out[t] = 3t + 63 - t"
+    (Array.init 64 (fun t -> (3 * t) + 63 - t))
+    (Interp.Mem.int_contents out)
+
+(* The same across [omp.barrier] in a team of 4: each team thread loads
+   the iteration its worksharing chunk stored before the barrier and
+   uses it after. *)
+let test_locals_across_omp_barrier () =
+  let c0 = Builder.const_int 0 in
+  let c1 = Builder.const_int 1 in
+  let c4 = Builder.const_int 4 in
+  let c10 = Builder.const_int 10 in
+  let zero = Op.result c0 in
+  let f =
+    Builder.func "main"
+      [ ("out", Types.memref Types.Index [ Some 4 ]) ]
+      (fun ps ->
+        let slot = Builder.alloca Types.Index [ Some 1 ] in
+        let ws =
+          Builder.omp_wsloop ~lbs:[ zero ] ~ubs:[ Op.result c4 ]
+            ~steps:[ Op.result c1 ] (fun ivs ->
+              [ Builder.store ivs.(0) (Op.result slot) [ zero ] ])
+        in
+        let v = Builder.load (Op.result slot) [ zero ] in
+        let v10 = Builder.binop Op.Mul (Op.result v) (Op.result c10) in
+        [ c0; c1; c4; c10
+        ; Builder.omp_parallel
+            [ slot; ws; v; Builder.omp_barrier ()
+            ; v10; Builder.store (Op.result v10) ps.(0) [ Op.result v ]
+            ]
+        ; Builder.return_ []
+        ])
+  in
+  let m = Builder.module_ [ f ] in
+  (match Verifier.verify_result m with
+   | Ok () -> ()
+   | Error e -> Alcotest.failf "omp IR does not verify: %s" e);
+  let out = Interp.Mem.of_int_array (Array.make 4 0) in
+  ignore (Interp.Eval.run ~team_size:4 m "main" [ Interp.Mem.Buf out ]);
+  Alcotest.(check (array int))
+    "out[rank] = 10 rank" [| 0; 10; 20; 30 |]
+    (Interp.Mem.int_contents out)
+
+(* A value defined in a region is in scope only inside it: an if's
+   then-branch value used after the if, or a while condition's value
+   used in its body, fails the run at the use, naming the value. *)
+let fails_unbound (body : Op.op list) (v : Value.t) =
+  let f = Builder.func "f" [] ~ret:(Types.Scalar Types.Index) (fun _ -> body) in
+  match Interp.Eval.run (Builder.module_ [ f ]) "f" [] with
+  | exception Interp.Mem.Runtime_error e ->
+    Alcotest.(check string) "error" ("unbound SSA value " ^ Value.to_string v) e
+  | _ -> Alcotest.fail "ran"
+
+let test_then_value_after_if () =
+  let c = Builder.const_int ~dtype:Types.I1 1 in
+  let x = Builder.const_int 5 in
+  fails_unbound
+    [ c; Builder.if_ (Op.result c) [ x ]; Builder.return_ [ Op.result x ] ]
+    (Op.result x)
+
+let test_while_cond_value_in_body () =
+  let c = Builder.const_int ~dtype:Types.I1 1 in
+  let y = Builder.const_int 7 in
+  fails_unbound
+    [ Builder.while_
+        ~cond_body:[ y; c; Builder.condition (Op.result c) ]
+        ~body:[ Builder.return_ [ Op.result y ] ]
+    ]
+    (Op.result y)
+
+(* A recursive device function called twice, around a barrier: each
+   call runs on its own activation, so the outer call's [b] outlives
+   the inner one. *)
+let test_device_function_twice () =
+  let m =
+    compile_ok
+      {|
+__device__ int f(int a, int d) {
+  if (d == 0) return a;
+  int b = a * 2;
+  return f(a + 1, d - 1) + b;
+}
+__global__ void k(int* out, int* in) {
+  __shared__ int s[64];
+  int t = threadIdx.x;
+  int x = f(in[t], 3);
+  s[t] = x;
+  __syncthreads();
+  out[t] = f(s[63 - t], 1) + x;
+}
+void launch(int* out, int* in) { k<<<1, 64>>>(out, in); }
+|}
+  in
+  let out = Interp.Mem.of_int_array (Array.make 64 0) in
+  let inp = Interp.Mem.of_int_array (Array.init 64 Fun.id) in
+  ignore
+    (Interp.Eval.run m "launch" [ Interp.Mem.Buf out; Interp.Mem.Buf inp ]);
+  let rec f a d = if d = 0 then a else f (a + 1) (d - 1) + (a * 2) in
+  Alcotest.(check (array int))
+    "out[t] = f(f(63 - t, 3), 1) + f(t, 3)"
+    (Array.init 64 (fun t -> f (f (63 - t) 3) 1 + f t 3))
+    (Interp.Mem.int_contents out)
+
+(* The interpreter allocates per op, not per iteration space: minor
+   words per interpreted op of the lowered saxpy stay within 1.25x
+   from 256 to 16384 elements. *)
+let test_allocation_linear () =
+  let m =
+    compile_ok
+      {|
+__global__ void saxpy(float* x, float* y, int n) {
+  int i = blockIdx.x * 64 + threadIdx.x;
+  if (i < n) y[i] = 2.0f * x[i] + y[i];
+}
+void run(float* x, float* y, int n) {
+  saxpy<<<(n + 63) / 64, 64>>>(x, y, n);
+}
+|}
+  in
+  let recipe = Core.Passmgr.Optimized Core.Omp_lower.default_options in
+  (match Core.Passmgr.lower recipe m with
+   | Ok _ -> ()
+   | Error (_, e) -> Alcotest.failf "lowering failed: %s" e);
+  let words_per_op n =
+    let args =
+      [ Interp.Mem.Buf (Interp.Mem.of_float_array (Array.make n 1.0))
+      ; Interp.Mem.Buf (Interp.Mem.of_float_array (Array.make n 2.0))
+      ; Interp.Mem.Int n
+      ]
+    in
+    let w0 = Gc.minor_words () in
+    let _, st = Interp.Eval.run m "run" args in
+    (Gc.minor_words () -. w0) /. float_of_int st.Interp.Eval.ops
+  in
+  let small = words_per_op 256 and large = words_per_op 16384 in
+  if Float.max small large > 1.25 *. Float.min small large then
+    Alcotest.failf "minor words per op: %.1f at n = 256, %.1f at n = 16384"
+      small large
+
 let test_qcheck_interp_arith =
   (* Property: compiled arithmetic agrees with OCaml evaluation. *)
   QCheck.Test.make ~name:"compiled int arithmetic agrees with OCaml" ~count:100
@@ -225,5 +386,17 @@ let tests =
   ; Alcotest.test_case "out-of-bounds detected" `Quick
       test_out_of_bounds_detected
   ; Alcotest.test_case "omp team semantics" `Quick test_omp_team_semantics
+  ; Alcotest.test_case "locals live across __syncthreads" `Quick
+      test_locals_across_syncthreads
+  ; Alcotest.test_case "locals live across omp.barrier" `Quick
+      test_locals_across_omp_barrier
+  ; Alcotest.test_case "then value unbound after its if" `Quick
+      test_then_value_after_if
+  ; Alcotest.test_case "while condition value unbound in its body" `Quick
+      test_while_cond_value_in_body
+  ; Alcotest.test_case "device function called twice" `Quick
+      test_device_function_twice
+  ; Alcotest.test_case "allocation linear in the iteration count" `Quick
+      test_allocation_linear
   ; QCheck_alcotest.to_alcotest test_qcheck_interp_arith
   ]

@@ -238,6 +238,30 @@ void run(int* out, int n, int d) { k<<<1, n>>>(out, d); }
 |}
     "run" args
 
+(* A load hoisted out of a thread loop that may run zero times runs
+   under a guard: with no threads, [in[n]] is never read. *)
+let test_licm_guards_empty_loop () =
+  let src =
+    {|
+__global__ void k(float* out, float* in, int n) { out[threadIdx.x] = in[n]; }
+void run(float* out, float* in, int n) { k<<<1, n>>>(out, in, n); }
+|}
+  in
+  List.iter
+    (fun n ->
+      let args () =
+        let out = Interp.Mem.of_float_array (Array.make n 0.0) in
+        let inp =
+          Interp.Mem.of_float_array
+            (Array.init (2 * n) (fun i -> float_of_int (i + 1)))
+        in
+        (out, [ Interp.Mem.Buf out; Interp.Mem.Buf inp; Interp.Mem.Int n ])
+      in
+      List.iter
+        (fun (_, recipe) -> lowering_agrees ~recipe src "run" args)
+        Core.Passmgr.recipes)
+    [ 0; 8 ]
+
 (* Range facts: the guards the launch bounds decide fold away and the
    one-trip loop (carrying [a]) is inlined, but the guard one off the
    extent stays, and so do the division and remainder of [t - 3], which
@@ -809,6 +833,8 @@ let tests =
   ; Alcotest.test_case "dce keeps a division's trap" `Quick
       test_dce_keeps_trap
   ; Alcotest.test_case "licm hoists no trap" `Quick test_licm_adds_no_trap
+  ; Alcotest.test_case "licm guards a load out of an empty loop" `Quick
+      test_licm_guards_empty_loop
   ; Alcotest.test_case "range facts fold guards and one-trip loops" `Quick
       test_range_folds
   ; Alcotest.test_case "mem2reg carries values" `Quick test_mem2reg_carried
