@@ -93,10 +93,7 @@ let print_degradations () =
 
 let build_omp_reference (src : string) : Ir.Op.op =
   let m = Cudafe.Codegen.compile src in
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m;
+  Core.Cpuify.cleanup m;
   (* a conventional compiler: no parallel-region fusion or hoisting *)
   ignore
     (Core.Omp_lower.run
@@ -447,7 +444,7 @@ let robust () =
     ignore
       (Interp.Eval.run ~team_size:3 m b.entry
          (Rodinia.Bench_def.args_of_workload w));
-    Rodinia.Bench_def.checksum w
+    Interp.Mem.checksum w.buffers
   in
   pr "\n%16s" "benchmark";
   List.iter (fun (n, _) -> pr " %15s" n) scenarios;
@@ -474,15 +471,9 @@ let robust () =
                 m
             with
             | Ok report ->
-              let got = checksum_of m b in
-              let close =
-                let scale =
-                  Float.max 1.0 (Float.max (Float.abs baseline) (Float.abs got))
-                in
-                Float.abs (baseline -. got) /. scale < 1e-4
-              in
-              if not close then incr mismatches;
-              short (deepest_rung report) ^ if close then "" else "!"
+              let same = Float.equal baseline (checksum_of m b) in
+              if not same then incr mismatches;
+              short (deepest_rung report) ^ if same then "" else "!"
             | Error _ -> "UNRECOVERABLE"
           in
           pr " %15s" cell)

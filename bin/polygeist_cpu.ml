@@ -46,14 +46,6 @@ let guard (what : string) (f : unit -> ('a, [ `Msg of string ]) result) :
 let name_of (names : (string * 'a) list) (v : 'a) : string =
   fst (List.find (fun (_, x) -> x = v) names)
 
-(* The checks compare index expressions syntactically, so give them the
-   same normalized IR the barrier optimizations see. *)
-let cleanup (m : Ir.Op.op) : unit =
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m
-
 let print_diags ~file diags =
   List.iter
     (fun d -> print_endline (Analysis.Diag.to_string ~file d))
@@ -67,7 +59,7 @@ let exit_check_findings = 4
 
 let check_source ~file ~format (m : Ir.Op.op) :
   (int, [ `Msg of string ]) result =
-  cleanup m;
+  Core.Cpuify.cleanup m;
   let diags = Analysis.Kernelcheck.check_module m in
   (match format with
    | `Text ->
@@ -91,7 +83,7 @@ let check_source ~file ~format (m : Ir.Op.op) :
    both executors at 1 and 4 domains).  Prints the patch as
    file:line:col edits followed by the repaired pre-lowering IR. *)
 let repair_source ~file (m : Ir.Op.op) : (int, [ `Msg of string ]) result =
-  cleanup m;
+  Core.Cpuify.cleanup m;
   let validate m' =
     match Ir.Op.find_func m' Fuzz.Oracle.entry with
     | None -> Ok () (* no differential contract: sanitizer-only *)

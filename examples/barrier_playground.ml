@@ -12,10 +12,7 @@ let count_barriers m =
 let case ~name ~expect src =
   Printf.printf "--- %s ---\n%s\n" name src;
   let m = Cudafe.Codegen.compile src in
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m;
+  Core.Cpuify.cleanup m;
   let before = count_barriers m in
   let eliminated = Core.Barrier_elim.run m in
   Printf.printf "barriers: %d, eliminated as redundant: %d  (%s)\n\n" before

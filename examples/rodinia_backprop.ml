@@ -42,13 +42,13 @@ let () =
   let checksum m =
     let w = b.mk_workload b.test_size in
     let _ = Interp.Eval.run ~team_size:4 m b.entry (Rodinia.Bench_def.args_of_workload w) in
-    Rodinia.Bench_def.checksum w
+    Interp.Mem.checksum w.buffers
   in
   let reference = checksum (Cudafe.Codegen.compile b.cuda_src) in
   let got = checksum m in
-  Printf.printf "GPU-semantics checksum : %.6f\n" reference;
-  Printf.printf "transpiled checksum    : %.6f  (match: %b)\n\n" got
-    (Float.abs (reference -. got) < 1e-3);
+  Printf.printf "GPU-semantics checksum : %.17g\n" reference;
+  Printf.printf "transpiled checksum    : %.17g  (match: %b)\n\n" got
+    (Float.equal reference got);
   (* simulated comparison with the hand-written OpenMP version *)
   let args = Rodinia.Bench_def.cost_args b b.paper_size in
   let t m = (Runtime.Cost.of_func Runtime.Machine.commodity ~threads:32 m b.entry args).Runtime.Cost.seconds in

@@ -5,10 +5,10 @@
    diagnostic list.
 
    The checks read index expressions syntactically, so they are only as
-   precise as the IR is clean: callers should run the standard cleanup
-   pipeline (canonicalize, cse, mem2reg) BEFORE checking — the analysis
-   layer cannot invoke those passes itself (core depends on analysis,
-   not the other way round). *)
+   precise as the IR is clean: callers should run the cleanup prefix
+   [Core.Cpuify.cleanup] (canonicalize, cse, mem2reg, canonicalize)
+   BEFORE checking — the analysis layer cannot invoke those passes
+   itself (core depends on analysis, not the other way round). *)
 
 open Ir
 

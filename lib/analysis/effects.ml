@@ -354,7 +354,7 @@ let is_rar a b = a.acc_kind = Read && b.acc_kind = Read
    the unit-extent ivs, the ivs both accesses' guards pin to the same
    value, and those the index dimensions force through the injectivity
    argument with the ivs' extents.  The dimensions never meet when they
-   force an iv equal that the two guards pin a nonzero constant apart.
+   force an iv equal that the two guards pin apart.
    [exact] holds when both bases are the same value and every dimension
    was decided ([Forces]): then, with thread-uniform symbols, threads
    that agree on the forced ivs touch the same address. *)
@@ -365,12 +365,41 @@ type meet =
       ; exact : bool
       }
 
-(* Do the guards of [a] and [b] pin [v] a nonzero constant apart? *)
-let pinned_apart (a : access) (b : access) (v : Value.t) : bool =
+(* The values an [scf.for] iv with literal bounds [lo < hi] and a
+   positive literal step takes lie in [lo, hi - 1]. *)
+let iv_range (ctx : ctx) (v : Value.t) : (int * int) option =
+  match Info.def ctx.info v with
+  | Info.Def_arg (({ Op.kind = Op.For; _ } as f), 0) -> begin
+    let lit = Info.int_literal ctx.info in
+    match lit (Op.for_lo f), lit (Op.for_hi f), lit (Op.for_step f) with
+    | Some lo, Some hi, Some step when lo < hi && step > 0 -> Some (lo, hi - 1)
+    | _ -> None
+  end
+  | _ -> None
+
+(* Do the guards of [a] and [b] pin [v] apart: is their gap never 0?
+   The gap's range comes from the literal ranges of the loop ivs it
+   mentions, which is sound because the two pins are read in the same
+   iteration (a wrap-around copy carries none); a gap over any other
+   variable may be 0. *)
+let pinned_apart (ctx : ctx) (a : access) (b : access) (v : Value.t) : bool =
   match Value.Map.(find_opt v a.pinned, find_opt v b.pinned) with
-  | Some pa, Some pb ->
+  | Some pa, Some pb -> begin
     let d = Affine.sub pa pb in
-    Affine.is_const d && d.const <> 0
+    let range =
+      Affine.VM.fold
+        (fun x c acc ->
+          match acc, iv_range ctx x with
+          | Some (lo, hi), Some (xlo, xhi) ->
+            Some (lo + min (c * xlo) (c * xhi), hi + max (c * xlo) (c * xhi))
+          | _ -> None)
+        d.terms
+        (Some (d.const, d.const))
+    in
+    match range with
+    | Some (lo, hi) -> lo > 0 || hi < 0
+    | None -> false
+  end
   | _ -> false
 
 (* The index dimensions' share of [meet]: [None] when the addresses are
@@ -398,7 +427,7 @@ let meet_dims (ctx : ctx) (a : access) (b : access) :
           end
           | _ :: da, _ :: db -> fold ivs false da db
           | _ ->
-            if Value.Set.exists (pinned_apart a b) ivs then None
+            if Value.Set.exists (pinned_apart ctx a b) ivs then None
             else Some (ivs, exact)
         in
         fold Value.Set.empty true da db

@@ -124,7 +124,8 @@ val bases_may_alias : Info.t -> Ir.Value.t -> Ir.Value.t -> bool
     [ivs] agree in both threads — the unit-extent ivs, the ivs both
     accesses pin to the same value, and those the index dimensions force
     ({!Affine.compare_dim} with the ivs' extents; [Never] when the guards
-    pin a forced iv a nonzero constant apart).  [exact]: the bases
+    pin a forced iv apart: their gap is never 0 over the literal ranges
+    of the loop ivs it mentions).  [exact]: the bases
     are one value and every dimension was decided, so — with
     thread-uniform symbols — threads that agree on [ivs] touch the same
     address.  The one pair decision behind the conflict queries below

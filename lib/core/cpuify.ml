@@ -206,6 +206,14 @@ let pipeline_stages ?(options = default_options) () :
   @ opt "licm" options.opt_licm (fun m -> ignore (Licm.run m))
   @ [ ("canonicalize", Canonicalize.run) ]
 
+(* The normalized IR the barrier optimizations see, which the sanitizer
+   needs because it compares index expressions syntactically. *)
+let cleanup (m : Op.op) : unit =
+  Canonicalize.run m;
+  Cse.run m;
+  ignore (Mem2reg.run m);
+  Canonicalize.run m
+
 (* Unique stage names, in pipeline order — the vocabulary --inject-fault
    and random fault plans draw from. *)
 let stage_names ?options () : string list =

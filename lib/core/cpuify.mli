@@ -55,6 +55,11 @@ val default_options : options
 val pipeline_stages :
   ?options:options -> unit -> (string * (Ir.Op.op -> unit)) list
 
+(** The sanitizer's cleanup prefix: canonicalize, cse, mem2reg,
+    canonicalize.  {!Analysis.Kernelcheck} reads index expressions
+    syntactically and needs this normalized IR before it checks. *)
+val cleanup : Ir.Op.op -> unit
+
 (** Unique stage names of {!pipeline_stages}, in pipeline order — the
     vocabulary fault plans draw from. *)
 val stage_names : ?options:options -> unit -> string list

@@ -143,14 +143,6 @@ type repair_report =
   ; rsecs : float
   }
 
-(* The sanitizer's precision contract (see [Kernelcheck]): clean the IR
-   before checking — same sequence as the driver's -check path. *)
-let cleanup (m : Ir.Op.op) : unit =
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m
-
 let run_repair_campaign ?(options = Core.Cpuify.default_options)
     ?(timeout_ms = 5000) ?max_seeds ?(progress = fun _ _ -> ()) ~seed ~racy ()
   : repair_report =
@@ -165,7 +157,7 @@ let run_repair_campaign ?(options = Core.Cpuify.default_options)
     (match Cudafe.Codegen.compile (Gen.racy_source ~seed:case_seed) with
      | exception _ -> () (* mutation broke the frontend contract: skip *)
      | m ->
-       cleanup m;
+       Core.Cpuify.cleanup m;
        let errs =
          List.filter Core.Repair.target_diag
            (Analysis.Kernelcheck.check_module ~report_possible:true m)

@@ -56,4 +56,3 @@ let reset (t : t) : unit =
 
 let allocs t = t.allocs
 let reuses t = t.reuses
-let live t = List.length t.held

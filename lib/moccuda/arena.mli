@@ -18,5 +18,3 @@ val reset : t -> unit
 val allocs : t -> int (** fresh allocations so far *)
 
 val reuses : t -> int (** grabs served from the pool *)
-
-val live : t -> int (** buffers currently held out *)

@@ -1,9 +1,11 @@
 (* The graph executor: a small static dataflow graph over the
-   {!Kernels} op set.  Nodes are added in execution order with shape
-   inference (and shape-mismatch errors) at construction time; [run]
-   walks them, grabbing intermediates from an {!Arena} and launching
-   every op through a {!Kmgr} — so an op executes as a transpiled
-   mini-CUDA kernel through the full pipeline, never as OCaml loops.
+   {!Kernels} op set.  Each constructor checks its shapes (and rejects a
+   mismatch) and fixes the node's launch plan once: the kernels it
+   launches, each with its arguments, and the sizes of its scratch
+   buffers.  [run] walks the nodes, grabbing outputs and scratch buffers
+   from an {!Arena} and launching every planned kernel through a
+   {!Kmgr} — so an op executes as a transpiled mini-CUDA kernel through
+   the full pipeline, never as OCaml loops.
 
    Alongside the computation the graph accumulates the analytic
    {!Tensorlib.Opcost} of its ops, so a caller can print the machine
@@ -17,26 +19,17 @@ type kind =
   | Kf (* f64 tensor *)
   | Ki (* int tensor (targets) *)
 
-type opkind =
-  | Conv2d of Conv.params
-  | Relu
-  | Bias_relu
-  | Add
-  | Maxpool of
-      { size : int
-      ; stride : int
-      }
-  | Global_avgpool
-  | Batchnorm
-  | Linear
-  | Softmax
-  | Log
-  | Nll_loss
+(* A launch argument: a node input, the node's output, or one of its
+   scratch buffers. *)
+type arg =
+  | In of vid
+  | Out
+  | Scratch of int
 
 type node =
-  { op : opkind
-  ; ins : vid list
-  ; out : vid
+  { out : vid
+  ; scratch : int array (* element counts, grabbed in this order *)
+  ; launches : (Kernels.t * arg list) list
   }
 
 type info =
@@ -72,10 +65,10 @@ let new_val (g : t) (shape : int array) (kind : kind) : vid =
   Hashtbl.replace g.vals v { shape; kind };
   v
 
-let add_node (g : t) (op : opkind) (ins : vid list) (oshape : int array)
-    (cost : Opcost.t) : vid =
+let add_node ?(scratch = [||]) (g : t) (oshape : int array) (cost : Opcost.t)
+    (launches : (Kernels.t * arg list) list) : vid =
   let out = new_val g oshape Kf in
-  g.nodes <- { op; ins; out } :: g.nodes;
+  g.nodes <- { out; scratch; launches } :: g.nodes;
   g.cost <- Opcost.(g.cost ++ cost);
   out
 
@@ -115,13 +108,23 @@ let conv2d (g : t) ~(input : vid) ~(weight : vid) ~(p : Conv.params) : vid =
     fail "conv2d: a %dx%d kernel at stride %d pad %d does not fit the %dx%d \
           input"
       sh.Conv.r sh.Conv.s p.Conv.stride p.Conv.pad si.(2) si.(3);
-  add_node g (Conv2d p) [ input; weight ]
+  let rows = sh.Conv.c * sh.Conv.r * sh.Conv.s in
+  let cols = sh.Conv.n * oh * ow in
+  (* scratch 0: the patch matrix; scratch 1: the GEMM result *)
+  add_node g
+    ~scratch:[| rows * cols; sh.Conv.k * cols |]
     [| sh.Conv.n; sh.Conv.k; oh; ow |]
     (Conv.cost_im2col_gemm sh)
+    [ (Kernels.im2col sh, [ Scratch 0; In input ])
+    ; ( Kernels.gemm ~m:sh.Conv.k ~n:cols ~k:rows
+      , [ Scratch 1; In weight; Scratch 0 ] )
+    ; (Kernels.col2im ~n:sh.Conv.n ~k:sh.Conv.k ~oh ~ow, [ Out; Scratch 1 ])
+    ]
 
 let relu (g : t) (x : vid) : vid =
   let s = shape g x in
-  add_node g Relu [ x ] (Array.copy s) (Layers.cost_relu (numel s))
+  add_node g (Array.copy s) (Layers.cost_relu (numel s))
+    [ (Kernels.relu ~numel:(numel s), [ Out; In x ]) ]
 
 let bias_relu (g : t) ~(input : vid) ~(bias : vid) : vid =
   let s = rank4 g "bias_relu" input in
@@ -129,15 +132,20 @@ let bias_relu (g : t) ~(input : vid) ~(bias : vid) : vid =
   if Array.length sb <> 1 || sb.(0) <> s.(1) then
     fail "bias_relu: bias has %d elements but the input has %d channels"
       (numel sb) s.(1);
-  add_node g Bias_relu [ input; bias ] (Array.copy s)
+  add_node g (Array.copy s)
     (Layers.cost_bias_relu (numel s))
+    [ ( Kernels.bias_relu ~numel:(numel s) ~c:s.(1) ~hw:(s.(2) * s.(3))
+      , [ Out; In input; In bias ] )
+    ]
 
 let add (g : t) (a : vid) (b : vid) : vid =
   let sa = shape g a and sb = shape g b in
   if numel sa <> numel sb then
     fail "add: operand shapes %s and %s differ in element count"
       (shape_str sa) (shape_str sb);
-  add_node g Add [ a; b ] (Array.copy sa) (Layers.cost_relu (numel sa))
+  add_node g (Array.copy sa)
+    (Layers.cost_relu (numel sa))
+    [ (Kernels.add ~numel:(numel sa), [ Out; In a; In b ]) ]
 
 let maxpool (g : t) ~(size : int) ~(stride : int) (x : vid) : vid =
   let s = rank4 g "maxpool" x in
@@ -145,15 +153,21 @@ let maxpool (g : t) ~(size : int) ~(stride : int) (x : vid) : vid =
     fail "maxpool: window %d exceeds the %dx%d input" size s.(2) s.(3);
   let oh = ((s.(2) - size) / stride) + 1 in
   let ow = ((s.(3) - size) / stride) + 1 in
-  add_node g (Maxpool { size; stride }) [ x ]
+  add_node g
     [| s.(0); s.(1); oh; ow |]
     (Layers.cost_maxpool ~size (s.(0) * s.(1) * oh * ow))
+    [ ( Kernels.maxpool ~n:s.(0) ~c:s.(1) ~h:s.(2) ~w:s.(3) ~size ~stride
+      , [ Out; In x ] )
+    ]
 
 let global_avgpool (g : t) (x : vid) : vid =
   let s = rank4 g "global_avgpool" x in
-  add_node g Global_avgpool [ x ]
+  add_node g
     [| s.(0); s.(1) |]
     (Layers.cost_avgpool (numel s))
+    [ ( Kernels.avgpool_global ~n:s.(0) ~c:s.(1) ~hw:(s.(2) * s.(3))
+      , [ Out; In x ] )
+    ]
 
 let batchnorm (g : t) ~(input : vid) ~(gamma : vid) ~(beta : vid)
     ~(mean : vid) ~(var : vid) : vid =
@@ -165,27 +179,35 @@ let batchnorm (g : t) ~(input : vid) ~(gamma : vid) ~(beta : vid)
         fail "batchnorm: %s has %d elements but the input has %d channels"
           name (numel sv) s.(1))
     [ ("gamma", gamma); ("beta", beta); ("mean", mean); ("var", var) ];
-  add_node g Batchnorm
-    [ input; gamma; beta; mean; var ]
-    (Array.copy s)
+  add_node g (Array.copy s)
     (Layers.cost_batchnorm (numel s))
+    [ ( Kernels.batchnorm ~numel:(numel s) ~c:s.(1) ~hw:(s.(2) * s.(3))
+      , [ Out; In input; In gamma; In beta; In mean; In var ] )
+    ]
 
 let linear (g : t) ~(input : vid) ~(weight : vid) : vid =
   let si = rank2 g "linear" input and sw = rank2 g "linear" weight in
   if si.(1) <> sw.(1) then
     fail "linear: input has %d features but the weight expects %d" si.(1)
       sw.(1);
-  add_node g Linear [ input; weight ]
+  add_node g
     [| si.(0); sw.(0) |]
     (Layers.cost_linear ~n:si.(0) ~infeat:si.(1) ~outfeat:sw.(0))
+    [ ( Kernels.linear ~n:si.(0) ~infeat:si.(1) ~outfeat:sw.(0)
+      , [ Out; In input; In weight ] )
+    ]
 
 let softmax (g : t) (x : vid) : vid =
   let s = rank2 g "softmax" x in
-  add_node g Softmax [ x ] (Array.copy s) (Layers.cost_softmax (numel s))
+  add_node g (Array.copy s)
+    (Layers.cost_softmax (numel s))
+    [ (Kernels.softmax ~rows:s.(0) ~cols:s.(1), [ Out; In x ]) ]
 
 let log_ (g : t) (x : vid) : vid =
   let s = shape g x in
-  add_node g Log [ x ] (Array.copy s) (Layers.cost_relu (numel s))
+  add_node g (Array.copy s)
+    (Layers.cost_relu (numel s))
+    [ (Kernels.logk ~numel:(numel s), [ Out; In x ]) ]
 
 let nll_loss (g : t) ~(log_probs : vid) ~(targets : vid) : vid =
   let s = rank2 g "nll_loss" log_probs in
@@ -195,8 +217,11 @@ let nll_loss (g : t) ~(log_probs : vid) ~(targets : vid) : vid =
    | _ -> fail "nll_loss: targets must be an integer input");
   if st.(0) <> s.(0) then
     fail "nll_loss: %d targets for a batch of %d" st.(0) s.(0);
-  add_node g Nll_loss [ log_probs; targets ] [| 1 |]
-    (Layers.cost_nll s.(0))
+  (* scratch 0: the per-sample losses *)
+  add_node g ~scratch:[| s.(0) |] [| 1 |] (Layers.cost_nll s.(0))
+    [ ( Kernels.nll ~n:s.(0) ~classes:s.(1)
+      , [ Out; Scratch 0; In log_probs; In targets ] )
+    ]
 
 (* --- feed helpers --- *)
 
@@ -215,10 +240,6 @@ let buffer_of_floats (a : float array) : Interp.Mem.buffer =
   let b = Interp.Mem.alloc_buffer Ir.Types.F64 [| Array.length a |] in
   Array.iteri (fun i v -> Interp.Mem.set_f b i v) a;
   b
-
-let tensor_of_buffer ~(shape : int array) (b : Interp.Mem.buffer) : Tensor.t
-  =
-  Tensor.of_array (Array.copy shape) (Interp.Mem.float_contents b)
 
 (* --- execution --- *)
 
@@ -244,82 +265,16 @@ let run (g : t) (km : Kmgr.t) (ar : Arena.t)
     | Some b -> b
     | None -> fail "value v%d used before it was computed or fed" v
   in
-  let buf v = Interp.Mem.Buf (get v) in
   let exec (nd : node) : unit =
-    let oshape = shape g nd.out in
-    let out = Arena.grab ar (numel oshape) in
-    (match (nd.op, nd.ins) with
-     | Conv2d p, [ x; w ] ->
-       let si = shape g x and sw = shape g w in
-       let sh =
-         { Conv.n = si.(0); c = si.(1); h = si.(2); w = si.(3)
-         ; k = sw.(0); r = sw.(2); s = sw.(3); p
-         }
-       in
-       let oh, ow = Conv.out_dims sh in
-       let rows = sh.Conv.c * sh.Conv.r * sh.Conv.s in
-       let cols = sh.Conv.n * oh * ow in
-       let patches = Arena.grab ar (rows * cols) in
-       Kmgr.launch km (Kernels.im2col sh)
-         [ Interp.Mem.Buf patches; buf x ];
-       let gout = Arena.grab ar (sh.Conv.k * cols) in
-       Kmgr.launch km
-         (Kernels.gemm ~m:sh.Conv.k ~n:cols ~k:rows)
-         [ Interp.Mem.Buf gout; buf w; Interp.Mem.Buf patches ];
-       Kmgr.launch km
-         (Kernels.col2im ~n:sh.Conv.n ~k:sh.Conv.k ~oh ~ow)
-         [ Interp.Mem.Buf out; Interp.Mem.Buf gout ]
-     | Relu, [ x ] ->
-       Kmgr.launch km
-         (Kernels.relu ~numel:(numel oshape))
-         [ Interp.Mem.Buf out; buf x ]
-     | Bias_relu, [ x; b ] ->
-       let s = shape g x in
-       Kmgr.launch km
-         (Kernels.bias_relu ~numel:(numel s) ~c:s.(1)
-            ~hw:(s.(2) * s.(3)))
-         [ Interp.Mem.Buf out; buf x; buf b ]
-     | Add, [ a; b ] ->
-       Kmgr.launch km
-         (Kernels.add ~numel:(numel oshape))
-         [ Interp.Mem.Buf out; buf a; buf b ]
-     | Maxpool { size; stride }, [ x ] ->
-       let s = shape g x in
-       Kmgr.launch km
-         (Kernels.maxpool ~n:s.(0) ~c:s.(1) ~h:s.(2) ~w:s.(3) ~size
-            ~stride)
-         [ Interp.Mem.Buf out; buf x ]
-     | Global_avgpool, [ x ] ->
-       let s = shape g x in
-       Kmgr.launch km
-         (Kernels.avgpool_global ~n:s.(0) ~c:s.(1) ~hw:(s.(2) * s.(3)))
-         [ Interp.Mem.Buf out; buf x ]
-     | Batchnorm, [ x; ga; be; mu; va ] ->
-       let s = shape g x in
-       Kmgr.launch km
-         (Kernels.batchnorm ~numel:(numel s) ~c:s.(1) ~hw:(s.(2) * s.(3)))
-         [ Interp.Mem.Buf out; buf x; buf ga; buf be; buf mu; buf va ]
-     | Linear, [ x; w ] ->
-       let si = shape g x and sw = shape g w in
-       Kmgr.launch km
-         (Kernels.linear ~n:si.(0) ~infeat:si.(1) ~outfeat:sw.(0))
-         [ Interp.Mem.Buf out; buf x; buf w ]
-     | Softmax, [ x ] ->
-       let s = shape g x in
-       Kmgr.launch km
-         (Kernels.softmax ~rows:s.(0) ~cols:s.(1))
-         [ Interp.Mem.Buf out; buf x ]
-     | Log, [ x ] ->
-       Kmgr.launch km
-         (Kernels.logk ~numel:(numel oshape))
-         [ Interp.Mem.Buf out; buf x ]
-     | Nll_loss, [ lp; tg ] ->
-       let s = shape g lp in
-       let per = Arena.grab ar s.(0) in
-       Kmgr.launch km
-         (Kernels.nll ~n:s.(0) ~classes:s.(1))
-         [ Interp.Mem.Buf out; Interp.Mem.Buf per; buf lp; buf tg ]
-     | _ -> fail "malformed node (operand count)");
+    let out = Arena.grab ar (numel (shape g nd.out)) in
+    let scratch = Array.map (Arena.grab ar) nd.scratch in
+    let arg = function
+      | In v -> Interp.Mem.Buf (get v)
+      | Out -> Interp.Mem.Buf out
+      | Scratch i -> Interp.Mem.Buf scratch.(i)
+    in
+    List.iter (fun (k, args) -> Kmgr.launch km k (List.map arg args))
+      nd.launches;
     env.(nd.out) <- Some out
   in
   List.iter exec (List.rev g.nodes);

@@ -1,11 +1,13 @@
 (** A small static dataflow graph over the {!Kernels} op set.
 
-    Nodes are appended in execution order; shapes are inferred (and
-    mismatches rejected with [Invalid_argument]) at construction time.
-    {!run} executes the graph against a {!Kmgr}, grabbing every
-    intermediate from an {!Arena} — each op runs as a transpiled
-    mini-CUDA kernel through the full pipeline.  The graph also
-    accumulates the analytic {!Tensorlib.Opcost} of its ops. *)
+    Nodes are appended in execution order.  Each constructor infers the
+    node's shape (rejecting a mismatch with [Invalid_argument]) and
+    fixes its launch plan once: the kernels it launches, their arguments
+    and its scratch buffers.  {!run} executes the plans against a
+    {!Kmgr}, grabbing every output and scratch buffer from an {!Arena} —
+    each op runs as a transpiled mini-CUDA kernel through the full
+    pipeline.  The graph also accumulates the analytic
+    {!Tensorlib.Opcost} of its ops. *)
 
 open Tensorlib
 
@@ -63,22 +65,20 @@ val log_ : t -> vid -> vid
     [targets]; yields a single-element value. *)
 val nll_loss : t -> log_probs:vid -> targets:vid -> vid
 
-(** {1 Feeds and results}
+(** {1 Feeds}
 
-    The executor works on rank-1 buffers; these convert to and from
-    [Tensorlib] values. *)
+    The executor works on rank-1 buffers; these convert [Tensorlib]
+    values and plain arrays to them. *)
 
 val buffer_of_tensor : Tensor.t -> Interp.Mem.buffer
 val buffer_of_floats : float array -> Interp.Mem.buffer
 val buffer_of_ints : int array -> Interp.Mem.buffer
-val tensor_of_buffer : shape:int array -> Interp.Mem.buffer -> Tensor.t
 
 (** {1 Execution} *)
 
-(** [run g km arena ~feeds outs] executes every node in order and
-    returns the buffers of [outs].  Returned buffers live in the arena:
-    copy results out (e.g. {!tensor_of_buffer}) before
-    [Arena.reset]. *)
+(** [run g km arena ~feeds outs] launches every node's kernels in order
+    and returns the buffers of [outs].  Returned buffers live in the
+    arena: copy results out before [Arena.reset]. *)
 val run :
   t ->
   Kmgr.t ->

@@ -2,30 +2,27 @@
    the full transpile pipeline behind every entry.
 
    Compilation path (no pass bypassed): Cudafe frontend ->
-   {!Core.Passmgr.lower}, the driver's inner-serial recipe (the
-   fault-tolerant barrier-lowering ladder, OpenMP lowering,
-   canonicalization, verification; a degraded kernel is recorded on
-   its entry) -> {!Runtime.Exec.compile}.  If the compiled engine
-   rejects the lowered module ([Unsupported]), the entry degrades once
-   more to the serial interpreter — the same rung the driver uses.
+   {!Core.Passmgr.lower}, the driver's inner-serial recipe with the
+   default pipeline options (the fault-tolerant barrier-lowering ladder,
+   OpenMP lowering, canonicalization, verification; a degraded kernel is
+   recorded on its entry) -> {!Runtime.Exec.compile}.  If the compiled
+   engine rejects the lowered module ([Unsupported]), the entry degrades
+   once more to the serial interpreter — the same rung the driver uses.
 
-   Cache discipline follows [Serve.Cache]: entries are keyed by an MD5
-   digest of (op name, baked shape, entry, pipeline options), sealed
-   with a digest of the lowered IR text, and the seal is re-verified on
-   every hit — a corrupt entry is dropped, counted, and recompiled
-   rather than trusted.  Every launch runs under a
-   {!Runtime.Watchdog} deadline via [Exec.run ~timeout_ms]. *)
+   Entries are keyed by the kernel's (name, shape), which {!Kernels}
+   documents as its identity: the shape bakes every literal the source
+   depends on.  An entry is built once and never changes; what runs is
+   the closure [Exec.compile] built (or the lowered module, on the
+   interpreter rung).  Every launch runs under a {!Runtime.Watchdog}
+   deadline via [Exec.run ~timeout_ms]. *)
 
 type engine =
   | Engine_compiled of Runtime.Exec.compiled
-  | Engine_interp (* Exec rejected the lowered IR: serial-interpreter rung *)
+  | Engine_interp of Ir.Op.op
+    (* Exec rejected this lowered module: serial-interpreter rung *)
 
 type entry =
-  { ename : string
-  ; eshape : int list
-  ; modul : Ir.Op.op
-  ; engine : engine
-  ; seal : string (* digest of the lowered IR text, checked per hit *)
+  { engine : engine
   ; erung : string (* "primary", "degraded:STAGE", "fallback"; "+interp" *)
   ; mutable elaunches : int
   ; mutable esecs : float
@@ -35,17 +32,14 @@ type stats =
   { mutable compiles : int
   ; mutable hits : int
   ; mutable misses : int
-  ; mutable corrupt_dropped : int
   ; mutable degraded : int (* kernels that did not compile at Primary *)
   ; mutable interp_fallbacks : int
   ; mutable launches : int
   }
 
 type t =
-  { table : (string, entry) Hashtbl.t
-  ; options : Core.Cpuify.options
+  { table : (string * int list, entry) Hashtbl.t
   ; domains : int
-  ; deadline_ms : int
   ; stats : stats
   }
 
@@ -57,17 +51,16 @@ type kernel_info =
   ; ksecs : float
   }
 
-let create ?(domains = 4) ?(deadline_ms = 60_000)
-    ?(options = Core.Cpuify.default_options) () : t =
+(* The watchdog bound of every launch. *)
+let deadline_ms = 60_000
+
+let create ?(domains = 4) () : t =
   { table = Hashtbl.create 32
-  ; options
   ; domains
-  ; deadline_ms
   ; stats =
       { compiles = 0
       ; hits = 0
       ; misses = 0
-      ; corrupt_dropped = 0
       ; degraded = 0
       ; interp_fallbacks = 0
       ; launches = 0
@@ -75,33 +68,12 @@ let create ?(domains = 4) ?(deadline_ms = 60_000)
   }
 
 let stats t = t.stats
-let domains t = t.domains
-
-let options_tag (o : Core.Cpuify.options) : string =
-  Printf.sprintf "mincut=%b;belim=%b;mem2reg=%b;licm=%b;budget=%d"
-    o.Core.Cpuify.opt_mincut o.Core.Cpuify.opt_barrier_elim
-    o.Core.Cpuify.opt_mem2reg o.Core.Cpuify.opt_licm
-    o.Core.Cpuify.opt_budget
-
-(* op + shape + pipeline hash; source length keeps the key honest about
-   what was compiled (the Serve.Cache keying discipline). *)
-let key (t : t) (k : Kernels.t) : string =
-  Digest.to_hex
-    (Digest.string
-       (Printf.sprintf "%d:%s|%s|%s|%s"
-          (String.length k.Kernels.src)
-          k.Kernels.name
-          (String.concat "x" (List.map string_of_int k.Kernels.shape))
-          k.Kernels.entry (options_tag t.options)))
-
-let seal_of (m : Ir.Op.op) : string =
-  Digest.to_hex (Digest.string (Ir.Printer.op_to_string m))
 
 let build (t : t) (k : Kernels.t) : entry =
   let m = Cudafe.Codegen.compile k.Kernels.src in
   let rung =
     match
-      Core.Passmgr.lower ~options:t.options ~source:k.Kernels.src
+      Core.Passmgr.lower ~source:k.Kernels.src
         ~repro:(Printf.sprintf "moccuda kernel %s" k.Kernels.name)
         (Core.Passmgr.Optimized Core.Omp_lower.default_options)
         m
@@ -122,60 +94,42 @@ let build (t : t) (k : Kernels.t) : entry =
     | c -> (Engine_compiled c, rung)
     | exception Runtime.Exec.Unsupported _ ->
       t.stats.interp_fallbacks <- t.stats.interp_fallbacks + 1;
-      (Engine_interp, rung ^ "+interp")
+      (Engine_interp m, rung ^ "+interp")
   in
   if not (String.equal rung "primary") then
     t.stats.degraded <- t.stats.degraded + 1;
   t.stats.compiles <- t.stats.compiles + 1;
-  { ename = k.Kernels.name
-  ; eshape = k.Kernels.shape
-  ; modul = m
-  ; engine
-  ; seal = seal_of m
-  ; erung = rung
-  ; elaunches = 0
-  ; esecs = 0.0
-  }
+  { engine; erung = rung; elaunches = 0; esecs = 0.0 }
 
 let lookup (t : t) (k : Kernels.t) : entry =
-  let ekey = key t k in
-  match Hashtbl.find_opt t.table ekey with
-  | Some e when String.equal (seal_of e.modul) e.seal ->
+  let key = (k.Kernels.name, k.Kernels.shape) in
+  match Hashtbl.find_opt t.table key with
+  | Some e ->
     t.stats.hits <- t.stats.hits + 1;
-    e
-  | Some _ ->
-    (* the cached module no longer digests to its seal: drop, recount,
-       recompile — never run IR we cannot re-verify *)
-    Hashtbl.remove t.table ekey;
-    t.stats.corrupt_dropped <- t.stats.corrupt_dropped + 1;
-    let e = build t k in
-    Hashtbl.replace t.table ekey e;
     e
   | None ->
     t.stats.misses <- t.stats.misses + 1;
     let e = build t k in
-    Hashtbl.replace t.table ekey e;
+    Hashtbl.replace t.table key e;
     e
 
-let launch ?domains (t : t) (k : Kernels.t) (args : Interp.Mem.rv list) :
-  unit =
+let launch (t : t) (k : Kernels.t) (args : Interp.Mem.rv list) : unit =
   let e = lookup t k in
-  let domains = match domains with Some d -> d | None -> t.domains in
   let t0 = Unix.gettimeofday () in
   (match e.engine with
    | Engine_compiled c ->
      ignore
-       (Runtime.Exec.run ~domains ~timeout_ms:t.deadline_ms c args)
-   | Engine_interp -> ignore (Interp.Eval.run e.modul k.Kernels.entry args));
+       (Runtime.Exec.run ~domains:t.domains ~timeout_ms:deadline_ms c args)
+   | Engine_interp m -> ignore (Interp.Eval.run m k.Kernels.entry args));
   e.esecs <- e.esecs +. (Unix.gettimeofday () -. t0);
   e.elaunches <- e.elaunches + 1;
   t.stats.launches <- t.stats.launches + 1
 
 let kernels (t : t) : kernel_info list =
   Hashtbl.fold
-    (fun _ e acc ->
-      { kname = e.ename
-      ; kshape = e.eshape
+    (fun (kname, kshape) e acc ->
+      { kname
+      ; kshape
       ; krung = e.erung
       ; klaunches = e.elaunches
       ; ksecs = e.esecs
@@ -189,7 +143,6 @@ let kernels (t : t) : kernel_info list =
 
 let stats_to_string (s : stats) : string =
   Printf.sprintf
-    "kernels: %d compiles, %d hits, %d misses, %d corrupt dropped, %d \
-     degraded, %d interp fallbacks, %d launches"
-    s.compiles s.hits s.misses s.corrupt_dropped s.degraded
-    s.interp_fallbacks s.launches
+    "kernels: %d compiles, %d hits, %d misses, %d degraded, %d interp \
+     fallbacks, %d launches"
+    s.compiles s.hits s.misses s.degraded s.interp_fallbacks s.launches

@@ -1,13 +1,12 @@
 (** The kernel manager: a compile-once cache over {!Kernels} sources,
     each compiled through the full pipeline (frontend -> fault-tolerant
-    barrier lowering via {!Core.Passmgr} -> OpenMP lowering -> verifier
-    -> the compiled multicore engine) and launched under a
-    {!Runtime.Watchdog} deadline.
+    barrier lowering via {!Core.Passmgr} with the default pipeline
+    options -> OpenMP lowering -> verifier -> the compiled multicore
+    engine) and launched under a {!Runtime.Watchdog} deadline of 60 s.
 
-    Cache discipline follows [Serve.Cache]: MD5 keys over
-    (op, shape, entry, pipeline options), a digest seal over the
-    lowered IR re-verified on every hit, corrupt entries dropped and
-    counted rather than trusted. *)
+    The cache is keyed by a kernel's [(name, shape)], its identity per
+    {!Kernels}.  An entry is built on the first launch of its key and
+    never changes afterwards. *)
 
 type t
 
@@ -15,7 +14,6 @@ type stats =
   { mutable compiles : int
   ; mutable hits : int
   ; mutable misses : int
-  ; mutable corrupt_dropped : int
   ; mutable degraded : int
         (** kernels that did not compile at the Primary rung *)
   ; mutable interp_fallbacks : int
@@ -35,28 +33,16 @@ type kernel_info =
   }
 
 (** [create ()] makes an empty manager.  [domains] (default 4) is the
-    team size of every launch, [deadline_ms] (default 60000) the
-    watchdog bound per launch, [options] the barrier-lowering pipeline
-    configuration (part of the cache key). *)
-val create :
-  ?domains:int ->
-  ?deadline_ms:int ->
-  ?options:Core.Cpuify.options ->
-  unit ->
-  t
-
-(** The cache key of a kernel under this manager's pipeline options. *)
-val key : t -> Kernels.t -> string
+    team size of every launch. *)
+val create : ?domains:int -> unit -> t
 
 (** Launch a kernel with the given arguments (buffer layout per the
     {!Kernels} constructor), compiling and caching it on first use.
-    [domains] overrides the manager's team size for this launch.
     @raise Runtime.Exec.Timeout when the watchdog deadline expires.
     @raise Interp.Mem.Runtime_error on kernel failure. *)
-val launch : ?domains:int -> t -> Kernels.t -> Interp.Mem.rv list -> unit
+val launch : t -> Kernels.t -> Interp.Mem.rv list -> unit
 
 val stats : t -> stats
-val domains : t -> int
 
 (** Per-kernel cache entries (name order): rung, launches, seconds. *)
 val kernels : t -> kernel_info list

@@ -46,16 +46,3 @@ let fbuf seed n =
 
 let fzero n = Interp.Mem.of_float_array (Array.make n 0.0)
 let izero n = Interp.Mem.of_int_array (Array.make n 0)
-
-(* Digest of the outputs after a run: a stable checksum over every buffer
-   (order-sensitive). *)
-let checksum (w : workload) : float =
-  Array.fold_left
-    (fun acc b ->
-      let c = Interp.Mem.float_contents b in
-      Array.fold_left
-        (fun (i, acc) x ->
-          (i + 1, acc +. (x *. (1.0 +. (0.001 *. float_of_int (i mod 1000))))))
-        (0, acc) c
-      |> snd)
-    0.0 w.buffers

@@ -32,6 +32,3 @@ val frand : int -> unit -> float
 val fbuf : int -> int -> Interp.Mem.buffer
 val fzero : int -> Interp.Mem.buffer
 val izero : int -> Interp.Mem.buffer
-
-(** Order-sensitive digest of every buffer, for differential tests. *)
-val checksum : workload -> float

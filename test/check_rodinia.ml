@@ -16,10 +16,7 @@ let () =
   List.iter
     (fun (b : Rodinia.Bench_def.t) ->
       let m = Cudafe.Codegen.compile b.cuda_src in
-      Core.Canonicalize.run m;
-      Core.Cse.run m;
-      ignore (Core.Mem2reg.run m);
-      Core.Canonicalize.run m;
+      Core.Cpuify.cleanup m;
       let diags = Analysis.Kernelcheck.check_module m in
       let unexpected =
         List.filter

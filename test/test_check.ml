@@ -7,15 +7,9 @@
 open Ir
 open Analysis
 
-let cleanup m =
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m
-
 let check_src src =
   let m = Cudafe.Codegen.compile src in
-  cleanup m;
+  Core.Cpuify.cleanup m;
   Kernelcheck.check_module m
 
 let read_fixture name =
@@ -123,7 +117,7 @@ let test_rodinia_clean () =
   List.iter
     (fun (b : Rodinia.Bench_def.t) ->
       let m = Cudafe.Codegen.compile b.cuda_src in
-      cleanup m;
+      Core.Cpuify.cleanup m;
       match Kernelcheck.check_module m with
       | [] -> ()
       | d :: _ ->
@@ -138,7 +132,7 @@ let test_clean_kernels_execute () =
   List.iter
     (fun (b : Rodinia.Bench_def.t) ->
       let m = Cudafe.Codegen.compile b.cuda_src in
-      cleanup m;
+      Core.Cpuify.cleanup m;
       Alcotest.(check int)
         (b.name ^ " checker-clean")
         0
@@ -165,7 +159,7 @@ __global__ void k(float* out, float* in) {
 void launch(float* out, float* in) { k<<<1, 8>>>(out, in); }
 |}
   in
-  cleanup m;
+  Core.Cpuify.cleanup m;
   Alcotest.(check (list string))
     "no diagnostics" []
     (List.map
@@ -211,6 +205,44 @@ void run(float* out, float* in) { k<<<1, dim3(2, 2)>>>(out, in); }
     Alcotest.(check string) "at the write" "10:7" (loc_str d.Diag.loc)
   | l -> Alcotest.failf "expected 1 race, got %d" (List.length l)
 
+(* Thread (0, 0) writes [s[0]] and, in iteration [i], threads (x, i + 1)
+   read [s[ty]]: the guards pin [ty] [i + 1] apart, never 0 while [i]
+   ranges over [0, 1], so the pair never meets.  Guarding the read with
+   [ty == i] instead, threads (x, 0) read [s[0]] in iteration 0: a
+   definite race. *)
+let test_pinned_apart_by_loop_iv () =
+  let src pin =
+    Printf.sprintf
+      {|
+__global__ void k(float* out) {
+  __shared__ float s[4];
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  for (int i = 0; i < 2; i++) {
+    if (ty == 0) {
+      if (tx == 0) {
+        s[ty] = 1.0f;
+      }
+    }
+    if (ty == %s) {
+      out[tx + 4 * ty] = s[ty];
+    }
+    __syncthreads();
+  }
+}
+void run(float* out) { k<<<1, dim3(4, 4)>>>(out); }
+|}
+      pin
+  in
+  Alcotest.(check (list string))
+    "gap i + 1: no issues" []
+    (List.map (Diag.to_string ~file:"k.cu") (check_src (src "i + 1")));
+  match List.filter Diag.is_error (check_src (src "i")) with
+  | [ d ] ->
+    Alcotest.(check string) "gap i: a race" "race" d.Diag.check;
+    Alcotest.(check string) "at the write" "9:9" (loc_str d.Diag.loc)
+  | l -> Alcotest.failf "expected 1 error, got %d" (List.length l)
+
 let tests =
   [ Alcotest.test_case "racy fixture flagged at 5:3" `Quick test_racy_fixture
   ; Alcotest.test_case "divergent fixture flagged at 6:5" `Quick
@@ -224,4 +256,6 @@ let tests =
       test_shuffle_scratch_not_racy
   ; Alcotest.test_case "guards pinning a forced iv apart" `Quick
       test_pinned_apart
+  ; Alcotest.test_case "guards pinning a forced iv a loop-iv gap apart"
+      `Quick test_pinned_apart_by_loop_iv
   ]

@@ -17,16 +17,12 @@ let fail fmt =
   incr failures;
   Printf.printf fmt
 
-let rel_close a b =
-  let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) /. scale < 1e-4
-
 let checksum_of (m : Ir.Op.op) (b : Rodinia.Bench_def.t) : float =
   let w = b.mk_workload b.test_size in
   ignore
     (Interp.Eval.run ~team_size:3 m b.entry
        (Rodinia.Bench_def.args_of_workload w));
-  Rodinia.Bench_def.checksum w
+  Interp.Mem.checksum w.buffers
 
 let no_opt_checksum (b : Rodinia.Bench_def.t) : float =
   let m = Cudafe.Codegen.compile b.cuda_src in
@@ -69,9 +65,9 @@ let matrix () =
                     fail "%-40s degraded module does not run: %s\n" what
                       (Printexc.to_string e)
                   | got ->
-                    if not (rel_close baseline got) then
-                      fail "%-40s output differs from no-opt: %g vs %g\n" what
-                        got baseline
+                    if not (Float.equal baseline got) then
+                      fail "%-40s output differs from no-opt: %.17g vs %.17g\n"
+                        what got baseline
                 end)
             kinds)
         stages)

@@ -10,10 +10,7 @@ open Analysis
 
 let build_kernel src =
   let m = Cudafe.Codegen.compile src in
-  Core.Canonicalize.run m;
-  Core.Cse.run m;
-  ignore (Core.Mem2reg.run m);
-  Core.Canonicalize.run m;
+  Core.Cpuify.cleanup m;
   m
 
 let find_block_par m =

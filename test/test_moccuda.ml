@@ -341,6 +341,66 @@ let test_kernel_cache_reuse () =
   Alcotest.(check int) "new shape: new entry" 2 s.Moccuda.Kmgr.compiles;
   Alcotest.(check int) "nothing degraded" 0 s.Moccuda.Kmgr.degraded
 
+(* A kernel's identity is its (name, shape), the key of the kernel cache:
+   for every constructor, varying any one parameter either leaves the
+   source unchanged or changes the shape too.  im2col takes a whole
+   [Conv.shape]; its [k] is unused, so varying it changes nothing. *)
+let kernel_constructors : (string * int * (int array -> Moccuda.Kernels.t)) list
+  =
+  let open Moccuda.Kernels in
+  [ ("gemm", 3, fun p -> gemm ~m:p.(0) ~n:p.(1) ~k:p.(2))
+  ; ( "im2col"
+    , 9
+    , fun p ->
+        im2col
+          { Conv.n = p.(0); c = p.(1); h = p.(2); w = p.(3); k = p.(4)
+          ; r = p.(5); s = p.(6); p = { Conv.stride = p.(7); pad = p.(8) } } )
+  ; ("col2im", 4, fun p -> col2im ~n:p.(0) ~k:p.(1) ~oh:p.(2) ~ow:p.(3))
+  ; ("relu", 1, fun p -> relu ~numel:p.(0))
+  ; ("bias_relu", 3, fun p -> bias_relu ~numel:p.(0) ~c:p.(1) ~hw:p.(2))
+  ; ("add", 1, fun p -> add ~numel:p.(0))
+  ; ( "maxpool"
+    , 6
+    , fun p ->
+        maxpool ~n:p.(0) ~c:p.(1) ~h:p.(2) ~w:p.(3) ~size:p.(4) ~stride:p.(5)
+    )
+  ; ("avgpool_global", 3, fun p -> avgpool_global ~n:p.(0) ~c:p.(1) ~hw:p.(2))
+  ; ("batchnorm", 3, fun p -> batchnorm ~numel:p.(0) ~c:p.(1) ~hw:p.(2))
+  ; ("linear", 3, fun p -> linear ~n:p.(0) ~infeat:p.(1) ~outfeat:p.(2))
+  ; ("softmax", 2, fun p -> softmax ~rows:p.(0) ~cols:p.(1))
+  ; ("log", 1, fun p -> logk ~numel:p.(0))
+  ; ("nll", 2, fun p -> nll ~n:p.(0) ~classes:p.(1))
+  ]
+
+let test_kernel_identity =
+  let max_arity = 9 in
+  QCheck.Test.make ~name:"kernels: a new source comes with a new shape"
+    ~count:200
+    (* no shrinker: a shorter array would not fit the constructors *)
+    (QCheck.make
+       ~print:QCheck.Print.(pair (array int) (array int))
+       QCheck.Gen.(
+         pair
+           (array_size (return max_arity) (int_range 1 12))
+           (array_size (return max_arity) (int_range 1 5))))
+    (fun (base, delta) ->
+      List.for_all
+        (fun (name, arity, make) ->
+          let k0 = make base in
+          List.for_all
+            (fun i ->
+              let p = Array.copy base in
+              p.(i) <- p.(i) + delta.(i);
+              let k1 = make p in
+              String.equal k0.Moccuda.Kernels.src k1.Moccuda.Kernels.src
+              || k0.Moccuda.Kernels.shape <> k1.Moccuda.Kernels.shape
+              || QCheck.Test.fail_reportf
+                   "%s: parameter %d from %d to %d changed the source but \
+                    not the shape"
+                   name i base.(i) p.(i))
+            (List.init arity Fun.id))
+        kernel_constructors)
+
 (* --- scalar temporaries: what the kernel library lowers to --- *)
 
 let im2col_kernel ~batch =
@@ -514,6 +574,7 @@ let tests =
       test_kernel_nll_matches_reference
   ; Alcotest.test_case "graph shape errors" `Quick test_graph_shape_errors
   ; Alcotest.test_case "kernel cache reuse" `Quick test_kernel_cache_reuse
+  ; QCheck_alcotest.to_alcotest test_kernel_identity
   ; Alcotest.test_case "library lowers on the primary rung" `Quick
       test_library_lowers_primary
   ; Alcotest.test_case "gemm: one slab, acc carried" `Quick test_gemm_lowering

@@ -26,11 +26,7 @@ let run_and_checksum ?(team_size = 3) (m : Op.op) (b : Rodinia.Bench_def.t) :
    | _ -> ()
    | exception Interp.Mem.Runtime_error e ->
      Alcotest.failf "%s: runtime error: %s" b.name e);
-  Rodinia.Bench_def.checksum w
-
-let close a b =
-  let scale = Float.max 1.0 (Float.max (Float.abs a) (Float.abs b)) in
-  Float.abs (a -. b) /. scale < 1e-4
+  Interp.Mem.checksum w.buffers
 
 let test_differential (b : Rodinia.Bench_def.t) () =
   let reference = run_and_checksum (compile_ok b.name b.cuda_src) b in
@@ -48,25 +44,26 @@ let test_differential (b : Rodinia.Bench_def.t) () =
      Op.iter (fun o -> if o.Op.kind = Op.Barrier then incr n) m;
      !n);
   let got = run_and_checksum m b in
-  if not (close reference got) then
-    Alcotest.failf "%s: pipeline changed results: %g vs %g" b.name reference
-      got;
+  if not (Float.equal reference got) then
+    Alcotest.failf "%s: pipeline changed results: %.17g vs %.17g" b.name
+      reference got;
   (* inner-parallel variant *)
   let m2 = compile_ok b.name b.cuda_src in
   Core.Cpuify.pipeline m2;
   ignore (Core.Omp_lower.run ~options:Core.Omp_lower.inner_par_options m2);
   let got2 = run_and_checksum m2 b in
-  if not (close reference got2) then
-    Alcotest.failf "%s: inner-parallel pipeline changed results: %g vs %g"
-      b.name reference got2
+  if not (Float.equal reference got2) then
+    Alcotest.failf
+      "%s: inner-parallel pipeline changed results: %.17g vs %.17g" b.name
+      reference got2
 
 let test_mcuda_differential (b : Rodinia.Bench_def.t) () =
   let reference = run_and_checksum (compile_ok b.name b.cuda_src) b in
   let m = compile_ok b.name b.cuda_src in
   Mcuda.lower m;
   let got = run_and_checksum m b in
-  if not (close reference got) then
-    Alcotest.failf "%s: MCUDA lowering changed results: %g vs %g" b.name
+  if not (Float.equal reference got) then
+    Alcotest.failf "%s: MCUDA lowering changed results: %.17g vs %.17g" b.name
       reference got
 
 let test_omp_reference (b : Rodinia.Bench_def.t) () =

@@ -496,10 +496,7 @@ let test_barrier_elim_preserves_semantics () =
     [| input; Array.make 32 0.0; Array.make 4 0.0; weights |]
     []
     (fun m ->
-      Core.Canonicalize.run m;
-      Core.Cse.run m;
-      ignore (Core.Mem2reg.run m);
-      Core.Canonicalize.run m;
+      Core.Cpuify.cleanup m;
       ignore (Core.Barrier_elim.run m))
 
 (* A barrier that is genuinely required must never be eliminated. *)
