@@ -1,21 +1,21 @@
 (* Figure-regeneration harness: one entry per table/figure of the paper's
-   evaluation (Sec. VI).  Functional results come from real execution
-   (the interpreter); timing comes from the analytic machine model (see
-   DESIGN.md).  The BENCH_3..7 records were measured on a 1-core host;
-   perfbench/ (BENCHMARK.json) is the current reference for measured
-   speed.
+   evaluation (Sec. VI), plus the wall-clock suites perfbench/ does not
+   run yet.  Functional results come from real execution (the
+   interpreter); figure timing comes from the analytic machine model
+   (see DESIGN.md).  Every suite prints tables and writes no file;
+   perfbench/ (BENCHMARK.json) records measured speed.
 
-     dune exec bench/main.exe            -- everything
+     dune exec bench/main.exe            -- every figure, robust, speedup
      dune exec bench/main.exe fig12      -- MCUDA comparison
      dune exec bench/main.exe fig13_ablate
      dune exec bench/main.exe fig13_speedup
      dune exec bench/main.exe fig14_scaling
      dune exec bench/main.exe fig15_resnet
+     dune exec bench/main.exe robust     -- degradation ladder under faults
      dune exec bench/main.exe speedup    -- real wall-clock scaling: serial
                                             interp vs the multicore runtime
-                                            (writes BENCH_4.json; flags:
-                                            --min-serial-ms --reps --domains
-                                            --out)
+                                            (flags: --min-serial-ms --reps
+                                            --domains)
      dune exec bench/main.exe perf-smoke -- tiny CI tripwire (exit 1 on
                                             checksum mismatch, warm frame
                                             allocation, or 4d > 2x 1d)
@@ -23,25 +23,13 @@
                                             and whole-network wall-clock at
                                             1/2/4 domains, cold vs warm
                                             cache, loss bitwise vs the
-                                            Tensorlib reference (writes
-                                            BENCH_6.json; flags: --reps
-                                            --out)
-     dune exec bench/main.exe fuzz       -- differential-fuzzer throughput:
-                                            cases/min through the full
-                                            oracle, divergences found
-                                            (flags: --seed --cases)
-     dune exec bench/main.exe repair     -- auto-repair search throughput:
-                                            racy mutants repaired, candidates
-                                            tried per accepted edit, median
-                                            search time (flags: --seed --racy)
-     dune exec bench/main.exe serve      -- compile-service throughput: jobs/
-                                            sec, p50/p99 cold vs cache-warm
-                                            latency and Overloaded rejections
-                                            under a hot/cold replay with 1%
-                                            injected faults (writes
-                                            BENCH_5.json; flags: --jobs
-                                            --fault-pct --queue-cap --out)
-     dune exec bench/main.exe micro      -- bechamel compiler micro-benches *)
+                                            Tensorlib reference (flags:
+                                            --reps)
+     dune exec bench/main.exe serve      -- compile-service executor-fleet
+                                            sweep at 1/2/4 lanes (flags:
+                                            --burst)
+
+   Fuzzing and repair campaigns run under [polygeist-cpu fuzz]. *)
 
 let commodity = Runtime.Machine.commodity
 let a64fx = Runtime.Machine.a64fx
@@ -483,6 +471,7 @@ let robust () =
   pr "\nOutput mismatches vs the no-opt baseline: %d (expected: 0)\n"
     !mismatches
 
+
 (* --- speedup: real wall-clock scaling, serial interpreter vs the
    multicore runtime --- *)
 
@@ -500,8 +489,7 @@ let robust () =
    harness records the runtime's own counters — in particular
    [frames_allocated] on a warm rep must be 0 (the zero-allocation
    launch contract).  Parallel efficiency is t1 / (d * td), i.e. the
-   fraction of perfect scaling retained at d domains.  Results land in
-   BENCH_4.json. *)
+   fraction of perfect scaling retained at d domains. *)
 
 type domain_run =
   { dr_d : int
@@ -510,14 +498,6 @@ type domain_run =
   ; dr_eff : float (* t_1domain / (d * dr_t) *)
   ; dr_ok : bool (* checksum matches serial interp at team_size = d *)
   ; dr_stats : Runtime.Exec.stats (* counters of the last (warm) rep *)
-  }
-
-type bench_row =
-  { br_name : string
-  ; br_n : int
-  ; br_serial : float
-  ; br_result : (domain_run list * int * int, string) result
-    (* runs, spawns at 4 domains with / without team reuse *)
   }
 
 (* Grow the workload from [test_size] toward [paper_size] until the
@@ -551,9 +531,16 @@ let pick_size (b : Rodinia.Bench_def.t) (m : Ir.Op.op) ~min_serial_ms :
   | t -> go b.test_size t
   | exception _ -> (b.test_size, 0.0)
 
+(* Frames allocated on the warm reps of every run (want 0). *)
+let warm_frames (rows : domain_run list list) : int =
+  List.fold_left
+    (List.fold_left (fun acc r -> acc + r.dr_stats.Runtime.Exec.frames_allocated))
+    0 rows
+
+(* Prints the table and returns the runs of every benchmark the runtime
+   compiles, one list per benchmark in [domain_counts] order. *)
 let speedup ?(min_serial_ms = 80.0) ?(reps = 3)
-    ?(domain_counts = [ 1; 2; 4; 8 ]) ?(out = Some "BENCH_4.json") () :
-  bench_row list =
+    ?(domain_counts = [ 1; 2; 4; 8 ]) () : domain_run list list =
   header
     (Printf.sprintf
        "Scaling — serial interpreter vs multicore runtime (real wall-clock)\n\
@@ -573,237 +560,109 @@ let speedup ?(min_serial_ms = 80.0) ?(reps = 3)
   in
   pr "\n%16s %9s %10s" "benchmark" "n" "serial";
   List.iter (fun d -> pr "   %dd: x (eff)  " d) domain_counts;
-  pr "spawns(reuse/fresh)\n";
-  let rows = ref [] in
-  List.iter
-    (fun (b : Rodinia.Bench_def.t) ->
-      let m = build_polygeist ~name:b.name b.cuda_src in
-      let n, _ = pick_size b m ~min_serial_ms in
-      let serial_checksum = ref nan in
-      let t_serial =
-        time_best (fun () ->
-            let w = b.mk_workload n in
-            ignore
-              (Interp.Eval.run m b.entry
-                 (Rodinia.Bench_def.args_of_workload w));
-            serial_checksum := Interp.Mem.checksum w.Rodinia.Bench_def.buffers)
-      in
-      match Runtime.Exec.compile m b.entry with
-      | exception Runtime.Exec.Unsupported why ->
-        pr "%16s %9d %10.2e   (unsupported: %s)\n" b.name n t_serial why;
-        rows :=
-          { br_name = b.name; br_n = n; br_serial = t_serial
-          ; br_result = Error why }
-          :: !rows
-      | compiled ->
-        let t1 = ref nan in
-        let runs =
-          List.map
-            (fun d ->
-              (* ground truth at this team size: the serial interpreter
-                 with team_size = d (the static partition depends on the
-                 team size, so compare like with like) *)
-              let wref = b.mk_workload n in
+  pr "\n";
+  let rows =
+    List.filter_map
+      (fun (b : Rodinia.Bench_def.t) ->
+        let m = build_polygeist ~name:b.name b.cuda_src in
+        let n, _ = pick_size b m ~min_serial_ms in
+        let t_serial =
+          time_best (fun () ->
+              let w = b.mk_workload n in
               ignore
-                (Interp.Eval.run ~team_size:d m b.entry
-                   (Rodinia.Bench_def.args_of_workload wref));
-              let ref_ck =
-                Interp.Mem.checksum wref.Rodinia.Bench_def.buffers
-              in
-              let ck = ref nan in
-              let last_stats = ref None in
-              let t_par =
-                time_best (fun () ->
-                    let w = b.mk_workload n in
-                    let _, st =
-                      Runtime.Exec.run ~domains:d compiled
-                        (Rodinia.Bench_def.args_of_workload w)
-                    in
-                    last_stats := Some st;
-                    ck := Interp.Mem.checksum w.Rodinia.Bench_def.buffers)
-              in
-              if d = 1 then t1 := t_par;
-              { dr_d = d
-              ; dr_t = t_par
-              ; dr_speedup = t_serial /. t_par
-              ; dr_eff = !t1 /. (float_of_int d *. t_par)
-              ; dr_ok = !ck = ref_ck
-              ; dr_stats = Option.get !last_stats
-              })
-            domain_counts
+                (Interp.Eval.run m b.entry
+                   (Rodinia.Bench_def.args_of_workload w)))
         in
-        (* team-reuse ablation at 4 domains: fresh pool per launch *)
-        let spawns_of ~team_reuse =
-          let w = b.mk_workload n in
-          let s0 = Runtime.Pool.total_spawns () in
-          ignore
-            (Runtime.Exec.run ~domains:4 ~team_reuse compiled
-               (Rodinia.Bench_def.args_of_workload w));
-          Runtime.Pool.total_spawns () - s0
-        in
-        let reuse_spawns = spawns_of ~team_reuse:true in
-        let fresh_spawns = spawns_of ~team_reuse:false in
-        pr "%16s %9d %10.2e" b.name n t_serial;
-        List.iter
-          (fun r ->
-            pr " %6.1fx (%3.0f%%)%s" r.dr_speedup (100.0 *. r.dr_eff)
-              (if r.dr_ok then " " else "!"))
-          runs;
-        pr "  %d/%d\n" reuse_spawns fresh_spawns;
-        rows :=
-          { br_name = b.name; br_n = n; br_serial = t_serial
-          ; br_result = Ok (runs, reuse_spawns, fresh_spawns) }
-          :: !rows)
-    Rodinia.Registry.all;
-  let rows = List.rev !rows in
-  let supported =
-    List.filter_map
-      (fun r -> match r.br_result with Ok v -> Some v | Error _ -> None)
-      rows
-  in
-  let at d =
-    List.filter_map
-      (fun (runs, _, _) -> List.find_opt (fun r -> r.dr_d = d) runs)
-      supported
+        match Runtime.Exec.compile m b.entry with
+        | exception Runtime.Exec.Unsupported why ->
+          pr "%16s %9d %10.2e   (unsupported: %s)\n" b.name n t_serial why;
+          None
+        | compiled ->
+          let t1 = ref nan in
+          let runs =
+            List.map
+              (fun d ->
+                (* ground truth at this team size: the serial interpreter
+                   with team_size = d (the static partition depends on the
+                   team size, so compare like with like) *)
+                let wref = b.mk_workload n in
+                ignore
+                  (Interp.Eval.run ~team_size:d m b.entry
+                     (Rodinia.Bench_def.args_of_workload wref));
+                let ref_ck =
+                  Interp.Mem.checksum wref.Rodinia.Bench_def.buffers
+                in
+                let ck = ref nan in
+                let last_stats = ref None in
+                let t_par =
+                  time_best (fun () ->
+                      let w = b.mk_workload n in
+                      let _, st =
+                        Runtime.Exec.run ~domains:d compiled
+                          (Rodinia.Bench_def.args_of_workload w)
+                      in
+                      last_stats := Some st;
+                      ck := Interp.Mem.checksum w.Rodinia.Bench_def.buffers)
+                in
+                if d = 1 then t1 := t_par;
+                { dr_d = d
+                ; dr_t = t_par
+                ; dr_speedup = t_serial /. t_par
+                ; dr_eff = !t1 /. (float_of_int d *. t_par)
+                ; dr_ok = !ck = ref_ck
+                ; dr_stats = Option.get !last_stats
+                })
+              domain_counts
+          in
+          pr "%16s %9d %10.2e" b.name n t_serial;
+          List.iter
+            (fun r ->
+              pr " %6.1fx (%3.0f%%)%s" r.dr_speedup (100.0 *. r.dr_eff)
+                (if r.dr_ok then " " else "!"))
+            runs;
+          pr "\n";
+          Some runs)
+      Rodinia.Registry.all
   in
   let mismatches =
-    List.concat_map
-      (fun r ->
-        match r.br_result with
-        | Ok (runs, _, _) ->
-          List.filter_map
-            (fun dr -> if dr.dr_ok then None else Some (r.br_name, dr.dr_d))
-            runs
-        | Error _ -> [])
-      rows
-  in
-  let warm_frames =
-    List.fold_left
-      (fun acc (runs, _, _) ->
-        List.fold_left
-          (fun acc r -> acc + r.dr_stats.Runtime.Exec.frames_allocated)
-          acc runs)
-      0 supported
+    List.length (List.filter (fun r -> not r.dr_ok) (List.concat rows))
   in
   pr "\nChecksum mismatches vs the serial interpreter: %d (expected: 0)\n"
-    (List.length mismatches);
+    mismatches;
   pr "Frames allocated on warm (best-timed) reps: %d (expected: 0)\n"
-    warm_frames;
+    (warm_frames rows);
   pr "\n%28s" "geomean over benchmarks:";
   List.iter
     (fun d ->
-      let rs = at d in
+      let rs = List.filter_map (List.find_opt (fun r -> r.dr_d = d)) rows in
       pr "  %dd %.2fx (eff %2.0f%%)" d
         (geomean (List.map (fun r -> r.dr_speedup) rs))
         (100.0 *. geomean (List.map (fun r -> r.dr_eff) rs)))
     domain_counts;
   pr "\n";
-  (match out with
-   | None -> ()
-   | Some path ->
-     (* hand-rolled JSON: no JSON library in the container *)
-     let buf = Buffer.create 4096 in
-     let bpr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-     bpr "{\n  \"bench\": \"scaling\",\n  \"min_serial_ms\": %.1f,\n"
-       min_serial_ms;
-     bpr "  \"domain_counts\": [%s],\n"
-       (String.concat ", " (List.map string_of_int domain_counts));
-     bpr "  \"results\": [\n";
-     List.iteri
-       (fun i r ->
-         bpr "    {\"name\": \"%s\", \"n\": %d, \"serial_s\": %.6e" r.br_name
-           r.br_n r.br_serial;
-         (match r.br_result with
-          | Error why -> bpr ", \"supported\": false, \"why\": \"%s\"" why
-          | Ok (runs, reuse_spawns, fresh_spawns) ->
-            bpr ", \"supported\": true, \"runs\": [";
-            List.iteri
-              (fun j dr ->
-                bpr
-                  "%s{\"domains\": %d, \"parallel_s\": %.6e, \"speedup\": \
-                   %.3f, \"efficiency\": %.3f, \"checksum_match\": %b, \
-                   \"launches\": %d, \"barrier_phases\": %d, \
-                   \"chunks_grabbed\": %d, \"frames_allocated_warm\": %d}"
-                  (if j > 0 then ", " else "")
-                  dr.dr_d dr.dr_t dr.dr_speedup dr.dr_eff dr.dr_ok
-                  dr.dr_stats.Runtime.Exec.launches
-                  dr.dr_stats.Runtime.Exec.barrier_phases
-                  dr.dr_stats.Runtime.Exec.chunks_grabbed
-                  dr.dr_stats.Runtime.Exec.frames_allocated)
-              runs;
-            bpr "], \"spawns_at_4_reuse\": %d, \"spawns_at_4_fresh\": %d"
-              reuse_spawns fresh_spawns);
-         bpr "}%s\n" (if i < List.length rows - 1 then "," else ""))
-       rows;
-     bpr "  ],\n";
-     bpr "  \"summary\": {\"checksum_mismatches\": %d, \
-          \"frames_allocated_warm\": %d,\n"
-       (List.length mismatches) warm_frames;
-     bpr "    \"geomean_speedup\": {%s},\n"
-       (String.concat ", "
-          (List.map
-             (fun d ->
-               Printf.sprintf "\"%d\": %.3f" d
-                 (geomean (List.map (fun r -> r.dr_speedup) (at d))))
-             domain_counts));
-     bpr "    \"geomean_efficiency\": {%s},\n"
-       (String.concat ", "
-          (List.map
-             (fun d ->
-               Printf.sprintf "\"%d\": %.3f" d
-                 (geomean (List.map (fun r -> r.dr_eff) (at d))))
-             domain_counts));
-     bpr "    \"positive_scaling_at_4\": %b}\n"
-       (match (at 4, at 1) with
-        | (_ :: _ as r4), (_ :: _ as r1) ->
-          geomean (List.map (fun r -> r.dr_speedup) r4)
-          > geomean (List.map (fun r -> r.dr_speedup) r1)
-        | _ -> false);
-     bpr "}\n";
-     Out_channel.with_open_text path (fun oc ->
-         Out_channel.output_string oc (Buffer.contents buf));
-     pr "Wrote %s\n" path);
   rows
 
-(* CI tripwire: tiny workloads, 1 vs 4 domains, no file written.  Fails
-   (exit 1) on any checksum mismatch, on a nonzero warm frame
-   allocation, or if 4 domains is more than 2x slower than 1 domain in
-   the geomean — the launch-overhead regression it exists to prevent.
-   The bound is loose so it holds on a 1-core host too; on real
-   multicore hardware the speedup harness is the interesting number. *)
+(* CI tripwire: tiny workloads, 1 vs 4 domains.  Fails (exit 1) on any
+   checksum mismatch, on a nonzero warm frame allocation, or if 4
+   domains is more than 2x slower than 1 domain in the geomean — the
+   launch-overhead regression it exists to prevent.  The bound is loose
+   so it holds on a 1-core host too; on real multicore hardware the
+   speedup harness is the interesting number. *)
 let perf_smoke () =
-  let rows =
-    speedup ~min_serial_ms:3.0 ~reps:2 ~domain_counts:[ 1; 4 ] ~out:None ()
-  in
-  let supported =
-    List.filter_map
-      (fun r -> match r.br_result with Ok v -> Some v | Error _ -> None)
-      rows
-  in
-  let bad_ck =
-    List.exists
-      (fun (runs, _, _) -> List.exists (fun r -> not r.dr_ok) runs)
-      supported
-  in
-  let warm_frames =
-    List.fold_left
-      (fun acc (runs, _, _) ->
-        List.fold_left
-          (fun acc r -> acc + r.dr_stats.Runtime.Exec.frames_allocated)
-          acc runs)
-      0 supported
-  in
+  let rows = speedup ~min_serial_ms:3.0 ~reps:2 ~domain_counts:[ 1; 4 ] () in
+  let bad_ck = List.exists (List.exists (fun r -> not r.dr_ok)) rows in
+  let warm_frames = warm_frames rows in
   let ratio41 =
     geomean
       (List.filter_map
-         (fun (runs, _, _) ->
+         (fun runs ->
            match
              ( List.find_opt (fun r -> r.dr_d = 4) runs,
                List.find_opt (fun r -> r.dr_d = 1) runs )
            with
            | Some r4, Some r1 -> Some (r4.dr_t /. r1.dr_t)
            | _ -> None)
-         supported)
+         rows)
   in
   pr "\nperf-smoke: geomean t(4 domains) / t(1 domain) = %.2f (limit 2.00)\n"
     ratio41;
@@ -824,378 +683,7 @@ let perf_smoke () =
   if !fail then exit 1;
   pr "perf-smoke OK\n"
 
-(* --- fuzz: differential-fuzzer throughput --- *)
-
-(* How fast the differential oracle chews through generated kernels:
-   every case runs the full rung ladder (each pipeline stage verified
-   and interpreted, plus both executors), so cases/min is an honest
-   compiler+interpreter+runtime throughput number.  On a healthy build
-   the divergence count is 0. *)
-let fuzz_bench ~seed ~cases () =
-  header
-    (Printf.sprintf
-       "Fuzz — differential oracle throughput (%d cases from seed %d)" cases
-       seed);
-  let r = Fuzz.Fuzzer.run_campaign ~seed ~cases () in
-  pr "\n%s" (Fuzz.Fuzzer.report_to_string r);
-  if r.Fuzz.Fuzzer.findings <> [] then exit 1
-
-(* Flags after "fuzz": --seed N (default 1), --cases N (default 200) *)
-let fuzz_with_flags () =
-  let seed = ref 1 in
-  let cases = ref 200 in
-  let i = ref 2 in
-  let next name =
-    incr i;
-    if !i >= Array.length Sys.argv then begin
-      prerr_endline ("missing value for " ^ name);
-      exit 1
-    end;
-    Sys.argv.(!i)
-  in
-  while !i < Array.length Sys.argv do
-    (match Sys.argv.(!i) with
-     | "--seed" -> seed := int_of_string (next "--seed")
-     | "--cases" -> cases := int_of_string (next "--cases")
-     | other ->
-       prerr_endline ("unknown fuzz flag: " ^ other);
-       exit 1);
-    incr i
-  done;
-  fuzz_bench ~seed:!seed ~cases:!cases ()
-
-(* --- repair: auto-repair search throughput --- *)
-
-(* The analysis-guided repair loop end to end: scan fixed seeds for
-   sanitizer-dirty racy mutants, run the candidate search on each, and
-   validate every accepted patch on the differential oracle.  The
-   interesting numbers are search economy (candidates speculatively
-   applied per accepted edit — 1.0 means the ranking put the right
-   point first every time) and the median wall-clock of one search
-   including oracle validation.  On a healthy build every mutant is
-   repaired. *)
-let repair_bench ~seed ~racy () =
-  header
-    (Printf.sprintf
-       "Repair — analysis-guided barrier repair (%d racy mutants from seed \
-        %d)"
-       racy seed);
-  let r = Fuzz.Fuzzer.run_repair_campaign ~seed ~racy () in
-  pr "\n%s" (Fuzz.Fuzzer.repair_report_to_string r);
-  let ok =
-    List.filter
-      (fun (f : Fuzz.Fuzzer.repair_finding) -> Result.is_ok f.presult)
-      r.Fuzz.Fuzzer.rfindings
-  in
-  let tried =
-    List.fold_left (fun a (f : Fuzz.Fuzzer.repair_finding) -> a + f.ptried) 0 ok
-  in
-  let edits =
-    List.fold_left (fun a (f : Fuzz.Fuzzer.repair_finding) -> a + f.pedits) 0 ok
-  in
-  pr "\ncandidates tried: %d for %d accepted edit(s) (%.2f per edit)\n" tried
-    edits
-    (if edits = 0 then 0.0 else float_of_int tried /. float_of_int edits);
-  if List.length ok < List.length r.Fuzz.Fuzzer.rfindings then exit 1
-
-(* Flags after "repair": --seed N (default 1), --racy N (default 20) *)
-let repair_with_flags () =
-  let seed = ref 1 in
-  let racy = ref 20 in
-  let i = ref 2 in
-  let next name =
-    incr i;
-    if !i >= Array.length Sys.argv then begin
-      prerr_endline ("missing value for " ^ name);
-      exit 1
-    end;
-    Sys.argv.(!i)
-  in
-  while !i < Array.length Sys.argv do
-    (match Sys.argv.(!i) with
-     | "--seed" -> seed := int_of_string (next "--seed")
-     | "--racy" -> racy := int_of_string (next "--racy")
-     | other ->
-       prerr_endline ("unknown repair flag: " ^ other);
-       exit 1);
-    incr i
-  done;
-  repair_bench ~seed:!seed ~racy:!racy ()
-
-(* --- bechamel micro-benchmarks of the compiler itself --- *)
-
-let micro () =
-  header "Compiler micro-benchmarks (real measured time, bechamel)";
-  let open Bechamel in
-  let backprop_src = Rodinia.Backprop.bench.Rodinia.Bench_def.cuda_src in
-  let matmul_src = Rodinia.Registry.matmul.Rodinia.Bench_def.cuda_src in
-  let tests =
-    [ Test.make ~name:"frontend: parse+codegen backprop"
-        (Staged.stage (fun () -> ignore (Cudafe.Codegen.compile backprop_src)))
-    ; Test.make ~name:"pipeline: cpuify+omp backprop"
-        (Staged.stage (fun () -> ignore (build_polygeist ~name:"backprop" backprop_src)))
-    ; Test.make ~name:"pipeline: cpuify+omp matmul"
-        (Staged.stage (fun () -> ignore (build_polygeist ~name:"matmul" matmul_src)))
-    ; Test.make ~name:"mcuda: fission matmul"
-        (Staged.stage (fun () -> ignore (Mcuda.compile matmul_src)))
-    ; Test.make ~name:"interp: reduction 2x64 (GPU semantics)"
-        (let m = Cudafe.Codegen.compile matmul_src in
-         let w = Rodinia.Registry.matmul.Rodinia.Bench_def.mk_workload 16 in
-         Staged.stage (fun () ->
-             let w' =
-               { w with
-                 Rodinia.Bench_def.buffers =
-                   Array.map
-                     (fun b ->
-                       Interp.Mem.of_float_array (Interp.Mem.float_contents b))
-                     w.Rodinia.Bench_def.buffers
-               }
-             in
-             ignore
-               (Interp.Eval.run m "run"
-                  (Rodinia.Bench_def.args_of_workload w'))))
-    ]
-  in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~kde:(Some 100) ()
-  in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let ols =
-        Analyze.ols ~bootstrap:0 ~r_square:false
-          ~predictors:[| Measure.run |]
-      in
-      let estimates = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ t ] -> pr "%-45s %12.1f ns/run\n" name t
-          | _ -> pr "%-45s (no estimate)\n" name)
-        estimates)
-    tests
-
-(* Flags of the scaling harness (everything after "speedup"):
-   --min-serial-ms F   workload sizing target (default 80)
-   --reps N            timing repetitions, best-of (default 3)
-   --domains 1,2,4,8   comma-separated domain counts
-   --out FILE          JSON output path (default BENCH_4.json) *)
-let speedup_with_flags () =
-  let min_serial_ms = ref 80.0 in
-  let reps = ref 3 in
-  let domain_counts = ref [ 1; 2; 4; 8 ] in
-  let out = ref (Some "BENCH_4.json") in
-  let i = ref 2 in
-  let next name =
-    incr i;
-    if !i >= Array.length Sys.argv then begin
-      prerr_endline ("missing value for " ^ name);
-      exit 1
-    end;
-    Sys.argv.(!i)
-  in
-  while !i < Array.length Sys.argv do
-    (match Sys.argv.(!i) with
-     | "--min-serial-ms" -> min_serial_ms := float_of_string (next "--min-serial-ms")
-     | "--reps" -> reps := int_of_string (next "--reps")
-     | "--domains" ->
-       domain_counts :=
-         List.map int_of_string (String.split_on_char ',' (next "--domains"))
-     | "--out" -> out := Some (next "--out")
-     | other ->
-       prerr_endline ("unknown speedup flag: " ^ other);
-       exit 1);
-    incr i
-  done;
-  if not (List.mem 1 !domain_counts) then begin
-    prerr_endline "--domains must include 1 (the efficiency baseline)";
-    exit 1
-  end;
-  ignore
-    (speedup ~min_serial_ms:!min_serial_ms ~reps:!reps
-       ~domain_counts:!domain_counts ~out:!out ())
-
-(* --- compile-service throughput (BENCH_5.json) --- *)
-
-(* Sustained jobs/sec, p50/p99 latency and cache hit rate of the
-   in-process daemon core under a hot/cold job replay with a
-   configurable percentage of injected serve:raise faults, plus an
-   admission-control burst that must produce explicit Overloaded
-   rejections (never unbounded queueing).  Cold = first submission of
-   a cache key; warm = every later one (served from the
-   content-addressed cache).  The headline check mirrors the service's
-   reason to exist: warm latency must be at least 10x below cold. *)
-
-let serve_sources =
-  (* distinct scale constants = distinct sources = distinct cache keys *)
-  List.init 6 (fun i ->
-      Printf.sprintf
-        {|__global__ void saxpy(float* x, float* y, int n) {
-  int i = blockIdx.x * 64 + threadIdx.x;
-  if (i < n) y[i] = %d.0f * x[i] + y[i];
-}
-void run(float* x, float* y, int n) {
-  saxpy<<<(n + 63) / 64, 64>>>(x, y, n);
-}
-|}
-        (i + 2))
-
-let percentile (xs : float array) (p : float) : float =
-  if Array.length xs = 0 then 0.0
-  else begin
-    let xs = Array.copy xs in
-    Array.sort compare xs;
-    let idx =
-      int_of_float (p /. 100.0 *. float_of_int (Array.length xs - 1))
-    in
-    xs.(min (Array.length xs - 1) idx)
-  end
-
-let serve_bench ?(jobs = 300) ?(fault_pct = 1) ?(queue_cap = 16)
-    ?(out = Some "BENCH_5.json") () =
-  header
-    (Printf.sprintf
-       "Compile service — sustained hot/cold replay, %d jobs, %d%% injected \
-        serve:raise faults"
-       jobs fault_pct);
-  let crash_dir = Filename.temp_file "bench_serve" ".crash" in
-  Sys.remove crash_dir;
-  let t =
-    Serve.Server.create
-      { Serve.Server.queue_cap
-      ; cache_dir = None
-      ; executors = 1
-      ; executor_deadline_ms = 0
-      ; sup =
-          { Serve.Supervisor.default_config with
-            deadline_ms = 5000
-          ; crash_dir = Some crash_dir
-          ; backoff = { Serve.Backoff.default with base_ms = 1; cap_ms = 5 }
-          }
-      }
-  in
-  let nsrc = List.length serve_sources in
-  let sources = Array.of_list serve_sources in
-  let mk_job ?(faults = "") i =
-    { Serve.Proto.source = sources.(i mod nsrc)
-    ; entry = Some "run"
-    ; sizes = [ 256 ]
-    ; mode = "inner-serial"
-    ; exec = "interp"
-    ; domains = 2
-    ; schedule = "static"
-    ; faults
-    }
-  in
-  let cold = ref [] and warm = ref [] and faulted = ref [] in
-  let fault_every = if fault_pct <= 0 then max_int else 100 / fault_pct in
-  let t0 = Unix.gettimeofday () in
-  for i = 0 to jobs - 1 do
-    let faults = if i > 0 && i mod fault_every = 0 then "serve:raise" else "" in
-    let j0 = Unix.gettimeofday () in
-    (match Serve.Server.run t (mk_job ~faults i) with
-     | Serve.Proto.Done o ->
-       let dt = Unix.gettimeofday () -. j0 in
-       if o.Serve.Proto.exit_code <> 0 then
-         Printf.printf "  WARNING: job %d exited %d\n" i
-           o.Serve.Proto.exit_code;
-       if faults <> "" then faulted := dt :: !faulted
-       else if o.Serve.Proto.cached then warm := dt :: !warm
-       else cold := dt :: !cold
-     | Serve.Proto.Overloaded _ | Serve.Proto.Rejected _ ->
-       Printf.printf "  WARNING: synchronous job %d rejected\n" i)
-  done;
-  let elapsed = Unix.gettimeofday () -. t0 in
-  (* admission-control burst: async submissions beyond the queue bound
-     must be rejected explicitly, not queued into latency collapse *)
-  let burst = (queue_cap * 3) + 4 in
-  let tickets = ref [] in
-  let rejected = ref 0 in
-  for i = 0 to burst - 1 do
-    match Serve.Server.submit t (mk_job i) with
-    | `Ticket tk -> tickets := tk :: !tickets
-    | `Overloaded _ -> incr rejected
-    | `Draining -> ()
-  done;
-  List.iter (fun tk -> ignore (Serve.Server.await tk)) !tickets;
-  let s = Serve.Server.agg_stats t in
-  let cs = Serve.Cache.stats (Serve.Server.cache t) in
-  Serve.Server.drain t;
-  let cold_a = Array.of_list !cold and warm_a = Array.of_list !warm in
-  let faulted_a = Array.of_list !faulted in
-  let ms x = x *. 1000.0 in
-  let cold_p50 = percentile cold_a 50.0 and cold_p99 = percentile cold_a 99.0 in
-  let warm_p50 = percentile warm_a 50.0 and warm_p99 = percentile warm_a 99.0 in
-  let hit_rate =
-    float_of_int cs.Serve.Cache.hits
-    /. float_of_int (max 1 (cs.Serve.Cache.hits + cs.Serve.Cache.misses))
-  in
-  let warm_speedup = cold_p50 /. Float.max warm_p50 1e-9 in
-  Printf.printf
-    "  %d jobs in %.2f s (%.1f jobs/sec sustained)\n\
-    \  cold (%d):    p50 %8.3f ms   p99 %8.3f ms\n\
-    \  warm (%d):    p50 %8.3f ms   p99 %8.3f ms   (%.0fx below cold p50)\n\
-    \  faulted (%d): p50 %8.3f ms (one-shot fault, retry, recover)\n\
-    \  cache: %d hits / %d misses (%.1f%% hit rate)\n\
-    \  admission burst: %d submissions, %d explicit Overloaded rejections\n\
-    \  fault wall: %d retries, %d crash bundles, 0 daemon deaths\n"
-    jobs elapsed
-    (float_of_int jobs /. elapsed)
-    (Array.length cold_a) (ms cold_p50) (ms cold_p99) (Array.length warm_a)
-    (ms warm_p50) (ms warm_p99) warm_speedup (Array.length faulted_a)
-    (ms (percentile faulted_a 50.0))
-    cs.Serve.Cache.hits cs.Serve.Cache.misses (100.0 *. hit_rate) burst
-    !rejected s.Serve.Supervisor.retries s.Serve.Supervisor.bundles;
-  if warm_speedup < 10.0 then
-    Printf.printf
-      "  WARNING: warm latency is only %.1fx below cold (want >= 10x)\n"
-      warm_speedup;
-  if !rejected = 0 then
-    Printf.printf
-      "  WARNING: the burst produced no Overloaded rejections (queue cap \
-       %d, burst %d)\n"
-      queue_cap burst;
-  (match out with
-   | None -> ()
-   | Some path ->
-     let buf = Buffer.create 2048 in
-     let bpr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-     bpr "{\n";
-     bpr "  \"bench\": \"serve\",\n";
-     bpr "  \"jobs\": %d,\n" jobs;
-     bpr "  \"fault_pct\": %d,\n" fault_pct;
-     bpr "  \"queue_cap\": %d,\n" queue_cap;
-     bpr "  \"elapsed_s\": %.6e,\n" elapsed;
-     bpr "  \"jobs_per_sec\": %.3f,\n" (float_of_int jobs /. elapsed);
-     bpr
-       "  \"cold\": {\"count\": %d, \"p50_ms\": %.4f, \"p99_ms\": %.4f},\n"
-       (Array.length cold_a) (ms cold_p50) (ms cold_p99);
-     bpr
-       "  \"warm\": {\"count\": %d, \"p50_ms\": %.4f, \"p99_ms\": %.4f},\n"
-       (Array.length warm_a) (ms warm_p50) (ms warm_p99);
-     bpr
-       "  \"faulted\": {\"count\": %d, \"p50_ms\": %.4f},\n"
-       (Array.length faulted_a)
-       (ms (percentile faulted_a 50.0));
-     bpr "  \"warm_speedup_vs_cold_p50\": %.2f,\n" warm_speedup;
-     bpr "  \"warm_at_least_10x\": %b,\n" (warm_speedup >= 10.0);
-     bpr "  \"cache\": {\"hits\": %d, \"misses\": %d, \"hit_rate\": %.4f},\n"
-       cs.Serve.Cache.hits cs.Serve.Cache.misses hit_rate;
-     bpr
-       "  \"admission\": {\"burst\": %d, \"overloaded_rejections\": %d},\n"
-       burst !rejected;
-     bpr
-       "  \"fault_wall\": {\"retries\": %d, \"bundles\": %d, \
-        \"pool_rebuilds\": %d, \"daemon_deaths\": 0}\n"
-       s.Serve.Supervisor.retries s.Serve.Supervisor.bundles
-       s.Serve.Supervisor.pool_rebuilds;
-     bpr "}\n";
-     Out_channel.with_open_text path (fun oc ->
-         Out_channel.output_string oc (Buffer.contents buf));
-     Printf.printf "  wrote %s\n" path)
-
-(* --- compile-service executor-fleet sweep (BENCH_7.json) --- *)
+(* --- compile-service executor-fleet sweep --- *)
 
 (* Throughput of the daemon core at 1/2/4 executor lanes under a burst
    that mixes warm cache hits with serve:hang STRAGGLERS.  A straggler
@@ -1223,8 +711,19 @@ void run(float* x, float* y, int n) {
 |}
         (i + 2) (i + 1))
 
-let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
-    ?(out = Some "BENCH_7.json") () =
+let percentile (xs : float array) (p : float) : float =
+  if Array.length xs = 0 then 0.0
+  else begin
+    let xs = Array.copy xs in
+    Array.sort compare xs;
+    let idx =
+      int_of_float (p /. 100.0 *. float_of_int (Array.length xs - 1))
+    in
+    xs.(min (Array.length xs - 1) idx)
+  end
+
+let serve_fleet_bench ~burst =
+  let hang_every = 5 in
   header
     (Printf.sprintf
        "Compile service — executor-fleet sweep, burst of %d jobs (1 in %d a \
@@ -1244,6 +743,7 @@ let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
     ; faults
     }
   in
+  (* jobs/s of one sweep point *)
   let run_sweep executors =
     let t =
       Serve.Server.create
@@ -1281,14 +781,14 @@ let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
         else ""
       in
       match Serve.Server.submit t (mk_job ~faults i) with
-      | `Ticket tk -> tickets := (i, faults = "", Unix.gettimeofday (), tk) :: !tickets
+      | `Ticket tk -> tickets := (faults = "", Unix.gettimeofday (), tk) :: !tickets
       | `Overloaded _ | `Draining ->
         Printf.printf "  WARNING: burst job %d rejected (cap %d)\n" i
           (burst + 8)
     done;
     let warm_lat = ref [] in
     List.iter
-      (fun (_i, clean, ts, tk) ->
+      (fun (clean, ts, tk) ->
         let o = Serve.Server.await tk in
         let dt = Unix.gettimeofday () -. ts in
         if clean then begin
@@ -1299,9 +799,7 @@ let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
     let elapsed = Unix.gettimeofday () -. t0 in
     let unanswered =
       List.length
-        (List.filter
-           (fun (_, _, _, tk) -> Serve.Server.peek tk = None)
-           !tickets)
+        (List.filter (fun (_, _, tk) -> Serve.Server.peek tk = None) !tickets)
     in
     Serve.Server.drain t;
     let warm = Array.of_list !warm_lat in
@@ -1313,48 +811,16 @@ let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
       (1000.0 *. percentile warm 50.0)
       (1000.0 *. percentile warm 99.0)
       !lost unanswered;
-    (executors, elapsed, jps, percentile warm 50.0, percentile warm 99.0,
-     !hangs, !lost, unanswered)
+    jps
   in
-  let sweep = List.map run_sweep [ 1; 2; 4 ] in
-  let jps_of n =
-    match List.find_opt (fun (e, _, _, _, _, _, _, _) -> e = n) sweep with
-    | Some (_, _, jps, _, _, _, _, _) -> jps
-    | None -> 0.0
-  in
-  let ratio = jps_of 4 /. Float.max (jps_of 1) 1e-9 in
+  let jps1 = run_sweep 1 in
+  ignore (run_sweep 2);
+  let ratio = run_sweep 4 /. Float.max jps1 1e-9 in
   Printf.printf "  throughput 4 executors / 1 executor: %.2fx %s\n" ratio
     (if ratio >= 2.0 then "(>= 2x: the fleet pays for itself)"
-     else "(WARNING: below the 2x bar)");
-  (match out with
-   | None -> ()
-   | Some path ->
-     let buf = Buffer.create 1024 in
-     let bpr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-     bpr "{\n";
-     bpr "  \"bench\": \"serve-fleet\",\n";
-     bpr "  \"burst\": %d,\n" burst;
-     bpr "  \"hang_every\": %d,\n" hang_every;
-     bpr "  \"deadline_ms\": %d,\n" deadline_ms;
-     bpr "  \"sweep\": [\n";
-     List.iteri
-       (fun i (e, elapsed, jps, p50, p99, hangs, lost, unanswered) ->
-         bpr
-           "    {\"executors\": %d, \"elapsed_s\": %.6e, \"jobs_per_sec\": \
-            %.3f, \"warm_p50_ms\": %.4f, \"warm_p99_ms\": %.4f, \
-            \"stragglers\": %d, \"clean_failures\": %d, \"unanswered\": %d}%s\n"
-           e elapsed jps (1000.0 *. p50) (1000.0 *. p99) hangs lost unanswered
-           (if i = List.length sweep - 1 then "" else ","))
-       sweep;
-     bpr "  ],\n";
-     bpr "  \"throughput_ratio_4x_vs_1x\": %.3f,\n" ratio;
-     bpr "  \"fleet_at_least_2x\": %b\n" (ratio >= 2.0);
-     bpr "}\n";
-     Out_channel.with_open_text path (fun oc ->
-         Out_channel.output_string oc (Buffer.contents buf));
-     Printf.printf "  wrote %s\n" path)
+     else "(WARNING: below the 2x bar)")
 
-(* --- moccuda: the kernel tier end to end (BENCH_6.json) --- *)
+(* --- moccuda: the kernel tier end to end --- *)
 
 (* Real wall-clock of the compiled-kernel network: the miniature ResNet
    forward pass where every tensor op is a transpiled mini-CUDA kernel
@@ -1366,8 +832,9 @@ let serve_fleet_bench ?(burst = 40) ?(hang_every = 5)
    table then runs through the same tier with per-layer checksum
    parity.  The analytic Opcost prediction (A64FX model) is printed
    next to each measured time — the cost model and the measurement
-   come from the same graph. *)
-let moccuda_bench ?(reps = 3) ?(out = Some "BENCH_6.json") () =
+   come from the same graph.  Exits 1 unless every loss is bitwise,
+   no warm pass recompiles and every layer's checksum matches. *)
+let moccuda_bench ~reps =
   let open Tensorlib in
   header
     "MocCUDA kernel tier — compiled forward pass, real wall-clock\n\
@@ -1389,6 +856,7 @@ let moccuda_bench ?(reps = 3) ?(out = Some "BENCH_6.json") () =
     channels;
   pr "%8s %12s %12s %14s %10s %6s\n" "domains" "cold (s)" "warm (s)"
     "a64fx pred (s)" "recompile" "loss=";
+  (* (loss bitwise, warm recompiles, per-kernel totals) per domain count *)
   let rows =
     List.map
       (fun domains ->
@@ -1423,11 +891,10 @@ let moccuda_bench ?(reps = 3) ?(out = Some "BENCH_6.json") () =
         pr "%8d %12.4f %12.4f %14.2e %10d %6s\n" domains cold_s !warm_s
           predicted recompiles
           (if loss_ok then "bit" else "DIFF");
-        (domains, cold_s, !warm_s, predicted, recompiles, loss_ok,
-         Moccuda.Kmgr.kernels km, s))
+        (loss_ok, recompiles, Moccuda.Kmgr.kernels km))
       [ 1; 2; 4 ]
   in
-  let _, _, _, _, _, _, kernels4, _ = List.nth rows (List.length rows - 1) in
+  let _, _, kernels4 = List.nth rows (List.length rows - 1) in
   pr "\nper-kernel totals at 4 domains (rung, launches, time):\n";
   List.iter
     (fun (k : Moccuda.Kmgr.kernel_info) ->
@@ -1443,156 +910,63 @@ let moccuda_bench ?(reps = 3) ?(out = Some "BENCH_6.json") () =
   let sweep_layers = List.filteri (fun i _ -> i < 6) Moccuda.Resnet.conv_layers in
   pr "\nResNet-50 layer sweep (first %d layers, hw<=8, channels<=16, 4 domains):\n"
     (List.length sweep_layers);
-  let sweep =
-    List.mapi
-      (fun i l ->
-        let r =
-          Moccuda.Resnet.run_conv_layer ~hw_cap:8 ~channel_cap:16 sweep_km
-            sweep_ar ~batch:1 l
-        in
-        let ok =
-          Int64.equal
-            (bits r.Moccuda.Resnet.lr_checksum)
-            (bits r.Moccuda.Resnet.lr_ref_checksum)
-        in
-        let sh = r.Moccuda.Resnet.lr_shape in
-        pr "  layer %2d: %3dc -> %3dk  %dx%d s%d  %8.4f s  checksum %s\n" i
-          sh.Conv.c sh.Conv.k sh.Conv.r sh.Conv.s sh.Conv.p.Conv.stride
-          r.Moccuda.Resnet.lr_secs
-          (if ok then "bit-identical" else "MISMATCH");
-        (i, r, ok))
-      sweep_layers
+  let sweep_ok =
+    List.for_all Fun.id
+      (List.mapi
+         (fun i l ->
+           let r =
+             Moccuda.Resnet.run_conv_layer ~hw_cap:8 ~channel_cap:16 sweep_km
+               sweep_ar ~batch:1 l
+           in
+           let ok =
+             Int64.equal
+               (bits r.Moccuda.Resnet.lr_checksum)
+               (bits r.Moccuda.Resnet.lr_ref_checksum)
+           in
+           let sh = r.Moccuda.Resnet.lr_shape in
+           pr "  layer %2d: %3dc -> %3dk  %dx%d s%d  %8.4f s  checksum %s\n" i
+             sh.Conv.c sh.Conv.k sh.Conv.r sh.Conv.s sh.Conv.p.Conv.stride
+             r.Moccuda.Resnet.lr_secs
+             (if ok then "bit-identical" else "MISMATCH");
+           ok)
+         sweep_layers)
   in
-  let all_loss_ok = List.for_all (fun (_, _, _, _, _, ok, _, _) -> ok) rows in
-  let no_recompiles =
-    List.for_all (fun (_, _, _, _, rc, _, _, _) -> rc = 0) rows
-  in
-  let sweep_ok = List.for_all (fun (_, _, ok) -> ok) sweep in
+  let all_loss_ok = List.for_all (fun (ok, _, _) -> ok) rows in
+  let no_recompiles = List.for_all (fun (_, rc, _) -> rc = 0) rows in
   pr "\nloss bitwise at every domain count: %b\n" all_loss_ok;
   pr "warm recompiles: %s\n" (if no_recompiles then "0" else "NONZERO");
   pr "layer-sweep checksum parity: %b\n" sweep_ok;
-  (match out with
-   | None -> ()
-   | Some path ->
-     let buf = Buffer.create 4096 in
-     let bpr fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-     bpr "{\n  \"bench\": \"moccuda\",\n";
-     bpr "  \"batch\": %d, \"hw\": %d, \"channels\": %d,\n" batch hw channels;
-     bpr "  \"reference_loss\": %.17g,\n" reference;
-     bpr "  \"forward\": [\n";
-     List.iteri
-       (fun i (d, cold_s, warm_s, predicted, rc, ok, kernels, stats) ->
-         bpr
-           "    {\"domains\": %d, \"cold_s\": %.6e, \"warm_s\": %.6e, \
-            \"predicted_a64fx_s\": %.6e, \"warm_recompiles\": %d, \
-            \"loss_bitwise\": %b,\n"
-           d cold_s warm_s predicted rc ok;
-         bpr
-           "     \"cache\": {\"compiles\": %d, \"hits\": %d, \"misses\": \
-            %d, \"degraded\": %d, \"interp_fallbacks\": %d, \"launches\": \
-            %d},\n"
-           stats.Moccuda.Kmgr.compiles stats.Moccuda.Kmgr.hits
-           stats.Moccuda.Kmgr.misses stats.Moccuda.Kmgr.degraded
-           stats.Moccuda.Kmgr.interp_fallbacks stats.Moccuda.Kmgr.launches;
-         bpr "     \"ops\": [";
-         List.iteri
-           (fun j (k : Moccuda.Kmgr.kernel_info) ->
-             bpr "%s{\"name\": \"%s\", \"shape\": \"%s\", \"rung\": \
-                  \"%s\", \"launches\": %d, \"secs\": %.6e}"
-               (if j > 0 then ", " else "")
-               k.Moccuda.Kmgr.kname
-               (String.concat "x"
-                  (List.map string_of_int k.Moccuda.Kmgr.kshape))
-               k.Moccuda.Kmgr.krung k.Moccuda.Kmgr.klaunches
-               k.Moccuda.Kmgr.ksecs)
-           kernels;
-         bpr "]}%s\n" (if i < List.length rows - 1 then "," else ""))
-       rows;
-     bpr "  ],\n  \"layer_sweep\": [\n";
-     List.iteri
-       (fun i (idx, (r : Moccuda.Resnet.layer_run), ok) ->
-         let sh = r.Moccuda.Resnet.lr_shape in
-         bpr
-           "    {\"layer\": %d, \"c\": %d, \"k\": %d, \"ksize\": %d, \
-            \"stride\": %d, \"secs\": %.6e, \"checksum_match\": %b}%s\n"
-           idx sh.Conv.c sh.Conv.k sh.Conv.r sh.Conv.p.Conv.stride
-           r.Moccuda.Resnet.lr_secs ok
-           (if i < List.length sweep - 1 then "," else ""))
-       sweep;
-     bpr "  ],\n";
-     bpr
-       "  \"summary\": {\"loss_bitwise_all_domains\": %b, \
-        \"warm_recompiles_zero\": %b, \"layer_sweep_parity\": %b}\n"
-       all_loss_ok no_recompiles sweep_ok;
-     bpr "}\n";
-     Out_channel.with_open_text path (fun oc ->
-         Out_channel.output_string oc (Buffer.contents buf));
-     pr "Wrote %s\n" path);
   if not (all_loss_ok && no_recompiles && sweep_ok) then exit 1
 
-(* Flags after "moccuda": --reps N (default 3), --out FILE *)
-let moccuda_with_flags () =
-  let reps = ref 3 in
-  let out = ref (Some "BENCH_6.json") in
-  let i = ref 2 in
-  let next name =
-    incr i;
-    if !i >= Array.length Sys.argv then begin
-      prerr_endline ("missing value for " ^ name);
-      exit 1
-    end;
-    Sys.argv.(!i)
-  in
-  while !i < Array.length Sys.argv do
-    (match Sys.argv.(!i) with
-     | "--reps" -> reps := int_of_string (next "--reps")
-     | "--out" -> out := Some (next "--out")
-     | other ->
-       prerr_endline ("unknown moccuda flag: " ^ other);
-       exit 1);
-    incr i
-  done;
-  moccuda_bench ~reps:!reps ~out:!out ()
+(* --- suite flags --- *)
 
-(* Flags of the serve bench (everything after "serve"):
-   --jobs N        replayed job count (default 300)
-   --fault-pct N   percentage of jobs with an injected serve:raise
-   --queue-cap N   admission bound for the Overloaded burst
-   --burst N       fleet-sweep burst size (default 40)
-   --no-fleet      skip the 1/2/4-executor sweep (BENCH_7.json)
-   --out FILE      JSON output path of the replay (default BENCH_5.json) *)
-let serve_with_flags () =
-  let jobs = ref 300 in
-  let fault_pct = ref 1 in
-  let queue_cap = ref 16 in
-  let burst = ref 40 in
-  let fleet = ref true in
-  let out = ref (Some "BENCH_5.json") in
-  let i = ref 2 in
-  let next name =
-    incr i;
-    if !i >= Array.length Sys.argv then begin
-      prerr_endline ("missing value for " ^ name);
-      exit 1
-    end;
-    Sys.argv.(!i)
+(* Reads the [--name VALUE] pairs after the suite's name, handing each
+   value to the setter [specs] gives for its name.  An unknown flag, or
+   a missing or malformed value (the setter fails), names the flag and
+   exits 1. *)
+let flags (specs : (string * (string -> unit)) list) : unit =
+  let die fmt =
+    Printf.ksprintf
+      (fun s ->
+        prerr_endline s;
+        exit 1)
+      fmt
   in
-  while !i < Array.length Sys.argv do
-    (match Sys.argv.(!i) with
-     | "--jobs" -> jobs := int_of_string (next "--jobs")
-     | "--fault-pct" -> fault_pct := int_of_string (next "--fault-pct")
-     | "--queue-cap" -> queue_cap := int_of_string (next "--queue-cap")
-     | "--burst" -> burst := int_of_string (next "--burst")
-     | "--no-fleet" -> fleet := false
-     | "--out" -> out := Some (next "--out")
-     | other ->
-       prerr_endline ("unknown serve flag: " ^ other);
-       exit 1);
-    incr i
-  done;
-  serve_bench ~jobs:!jobs ~fault_pct:!fault_pct ~queue_cap:!queue_cap
-    ~out:!out ();
-  if !fleet then serve_fleet_bench ~burst:!burst ()
+  let rec go = function
+    | [] -> ()
+    | name :: rest -> (
+      match (List.assoc_opt name specs, rest) with
+      | None, _ -> die "unknown flag: %s" name
+      | Some _, [] -> die "missing value for %s" name
+      | Some set, v :: rest ->
+        (try set v with Failure _ -> die "malformed value for %s: %s" name v);
+        go rest)
+  in
+  go (List.filteri (fun i _ -> i >= 2) (Array.to_list Sys.argv))
+
+(* A count: a positive integer. *)
+let count v =
+  match int_of_string_opt v with Some n when n >= 1 -> n | _ -> failwith v
 
 let () =
   let which = if Array.length Sys.argv > 1 then Sys.argv.(1) else "all" in
@@ -1603,13 +977,34 @@ let () =
    | "fig14_scaling" -> fig14_scaling ()
    | "fig15_resnet" -> fig15_resnet ()
    | "robust" -> robust ()
-   | "speedup" -> speedup_with_flags ()
-   | "serve" -> serve_with_flags ()
+   | "speedup" ->
+     (* --min-serial-ms F (workload sizing target), --reps N (best-of),
+        --domains 1,2,4,8 (must include 1, the efficiency baseline) *)
+     let min_serial_ms = ref 80.0 and reps = ref 3 in
+     let domain_counts = ref [ 1; 2; 4; 8 ] in
+     flags
+       [ ("--min-serial-ms", fun v -> min_serial_ms := float_of_string v)
+       ; ("--reps", fun v -> reps := count v)
+       ; ( "--domains",
+           fun v -> domain_counts := List.map count (String.split_on_char ',' v)
+         )
+       ];
+     if not (List.mem 1 !domain_counts) then begin
+       prerr_endline "--domains must include 1 (the efficiency baseline)";
+       exit 1
+     end;
+     ignore
+       (speedup ~min_serial_ms:!min_serial_ms ~reps:!reps
+          ~domain_counts:!domain_counts ())
+   | "serve" ->
+     let burst = ref 40 in
+     flags [ ("--burst", fun v -> burst := count v) ];
+     serve_fleet_bench ~burst:!burst
    | "perf-smoke" -> perf_smoke ()
-   | "moccuda" -> moccuda_with_flags ()
-   | "fuzz" -> fuzz_with_flags ()
-   | "repair" -> repair_with_flags ()
-   | "micro" -> micro ()
+   | "moccuda" ->
+     let reps = ref 3 in
+     flags [ ("--reps", fun v -> reps := count v) ];
+     moccuda_bench ~reps:!reps
    | "all" ->
      fig12 ();
      fig13_ablate ();
@@ -1617,8 +1012,7 @@ let () =
      fig14_scaling ();
      fig15_resnet ();
      robust ();
-     ignore (speedup ());
-     micro ()
+     ignore (speedup ())
    | other ->
      prerr_endline ("unknown figure: " ^ other);
      exit 1);

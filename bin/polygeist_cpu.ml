@@ -207,8 +207,8 @@ let build ~(mcuda : bool) ~(cuda_lower : bool) ~(recipe : Core.Passmgr.recipe)
    [Ok true] when it so degraded (exit code 1). *)
 let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
     ~(schedule : Runtime.Schedule.policy) ~(chunk : int option)
-    ~(team_reuse : bool) ~(stats : bool) ~(timeout_ms : int)
-    ~(crash_dir : string option) ~(faults : Core.Fault.plan)
+    ~(stats : bool) ~(timeout_ms : int) ~(crash_dir : string option)
+    ~(faults : Core.Fault.plan)
     ~(recipe : Core.Passmgr.recipe) ~(src : string) ~(repro : string)
     (m : Ir.Op.op) (entry : string) (sizes : int list) :
   (bool, [ `Msg of string ]) result =
@@ -217,7 +217,7 @@ let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
   | Some f -> begin
     let run exec =
       Serve.Supervisor.run_entry ~log:print_endline ~exec ~domains ~schedule
-        ?chunk ~team_reuse ~timeout_ms ~plan:faults m f sizes
+        ?chunk ~timeout_ms ~plan:faults m f sizes
     in
     match run exec with
     | _, Some s when stats ->
@@ -475,8 +475,8 @@ let do_replay (path : string) : (int, [ `Msg of string ]) result =
           Ok 3)
 
 let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
-    schedule chunk no_team_reuse stats timeout_ms time_threads machine check
-    check_format check_each repair inject_faults fault_seed crash_dir replay :
+    schedule chunk stats timeout_ms time_threads machine check check_format
+    check_each repair inject_faults fault_seed crash_dir replay :
   (int, [ `Msg of string ]) result =
   match replay with
   | Some bundle -> do_replay bundle
@@ -531,8 +531,7 @@ let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
             let ran =
               match run_name with
               | Some entry ->
-                run_entry ~exec ~domains ~schedule ~chunk
-                  ~team_reuse:(not no_team_reuse) ~stats ~timeout_ms
+                run_entry ~exec ~domains ~schedule ~chunk ~stats ~timeout_ms
                   ~crash_dir ~faults ~recipe ~src ~repro m entry sizes
               | None -> Ok false
             in
@@ -625,14 +624,7 @@ let cmd =
            ~doc:"print extended runtime counters after --exec parallel: \
                  launches, barrier phases, domain spawns, worksharing \
                  chunks grabbed, and register-file frames allocated \
-                 (0 on repeated launches in team-reuse mode)")
-  in
-  let no_team_reuse =
-    Arg.(value & flag & info [ "no-team-reuse" ]
-           ~doc:"spawn and join a fresh domain team for every \
-                 omp.parallel launch instead of reusing the persistent \
-                 pool (ablation for the paper's thread-reuse \
-                 optimization)")
+                 (0 on repeated launches)")
   in
   let timeout_ms =
     Arg.(value & opt int 60000 & info [ "timeout-ms" ]
@@ -738,8 +730,7 @@ let cmd =
     Term.(
       term_result
         (const main $ file $ cuda_lower $ mcuda $ cpuify $ emit_ir $ run_name
-         $ sizes $ exec ~default:`Interp $ domains $ schedule $ chunk
-         $ no_team_reuse $ stats
+         $ sizes $ exec ~default:`Interp $ domains $ schedule $ chunk $ stats
          $ timeout_ms $ time_threads $ machine $ check $ check_format
          $ check_each $ repair $ inject_faults $ fault_seed $ crash_dir
          $ replay))

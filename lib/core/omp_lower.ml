@@ -111,9 +111,15 @@ let serialize_nested (m : Op.op) : int =
 (* omp.parallel { omp.wsloop G { pures...; omp.parallel { omp.wsloop B
    { body } } } }  ==>  omp.parallel { omp.wsloop (G@B) { pures; body } }.
    Legal when nothing with memory effects sits between the two loops — in
-   particular no shared-memory allocation. *)
+   particular no shared-memory allocation — and no pure op there may
+   trap: in the collapsed loop it runs only when B's range is not
+   empty. *)
 let collapse (m : Op.op) : int =
   let count = ref 0 in
+  (* built on the first division between two loops, which few programs
+     have *)
+  let info = lazy (Analysis.Info.build m) in
+  let literal v = Analysis.Info.int_literal (Lazy.force info) v in
   let rec visit (op : Op.op) : Op.op list =
     Array.iter
       (fun (r : Op.region) -> r.body <- List.concat_map visit r.body)
@@ -126,7 +132,9 @@ let collapse (m : Op.op) : int =
         let rec split pures = function
           | [ ({ Op.kind = Op.OmpParallel; _ } as ip) ] ->
             Some (List.rev pures, ip)
-          | p :: rest when Op.is_pure p -> split (p :: pures) rest
+          | p :: rest
+            when Op.is_pure p && not (Interp.Scalar.may_trap ~literal p) ->
+            split (p :: pures) rest
           | _ -> None
         in
         match split [] g.Op.regions.(0).body with

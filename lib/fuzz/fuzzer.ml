@@ -204,9 +204,8 @@ let run_repair_campaign ?(options = Core.Cpuify.default_options)
 
 let repair_report_to_string (r : repair_report) : string =
   let b = Buffer.create 256 in
-  let repaired =
-    List.length (List.filter (fun f -> Result.is_ok f.presult) r.rfindings)
-  in
+  let ok = List.filter (fun f -> Result.is_ok f.presult) r.rfindings in
+  let repaired = List.length ok in
   let median =
     match List.sort compare (List.map (fun f -> f.psecs) r.rfindings) with
     | [] -> 0.0
@@ -240,6 +239,15 @@ let repair_report_to_string (r : repair_report) : string =
           (Printf.sprintf "  seed %d: NOT repaired (%d candidates tried): %s\n"
              f.pseed f.ptried why))
     r.rfindings;
+  (* search economy over the repaired mutants: 1.00 per edit means the
+     ranking put the right point first every time *)
+  let tried = List.fold_left (fun a f -> a + f.ptried) 0 ok in
+  let edits = List.fold_left (fun a f -> a + f.pedits) 0 ok in
+  Buffer.add_string b
+    (Printf.sprintf
+       "\ncandidates tried: %d for %d accepted edit(s) (%.2f per edit)\n"
+       tried edits
+       (if edits = 0 then 0.0 else float_of_int tried /. float_of_int edits));
   Buffer.contents b
 
 (* Replaying a fuzz bundle: re-run the oracle on the embedded (reduced)

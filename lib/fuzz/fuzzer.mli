@@ -74,6 +74,9 @@ val run_repair_campaign :
   unit ->
   repair_report
 
+(** Human-readable stats: mutants found and repaired, the median search
+    time, each mutant's patch lines, and the candidates tried per
+    accepted edit over the repaired ones. *)
 val repair_report_to_string : repair_report -> string
 
 (** Re-run the oracle on a fuzz bundle's embedded source; [Ok] iff the

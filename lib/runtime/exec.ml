@@ -4,10 +4,10 @@
    of three typed register files — ints, floats, buffers — chosen by the
    value's static type, and turns each op into an OCaml closure over a
    [frame] holding those files.  Compared to the tree-walking
-   interpreter this removes the per-op hashtable lookups, the [Mem.rv]
-   boxing of every intermediate (floats live unboxed in a [float
-   array]), and the per-iteration environment allocations; loops become
-   plain [while] loops over precompiled bodies.
+   interpreter this removes the per-op dispatch on the op's kind and
+   the [Mem.rv] boxing of every intermediate (floats live unboxed in a
+   [float array]); loops become plain [while] loops over precompiled
+   bodies.
 
    Every op is compiled against its operands' register slots, which
    are known at compile time: a scalar op is one closure per op kind
@@ -84,7 +84,6 @@ type config =
   { mutable domains : int
   ; mutable schedule : Schedule.policy
   ; mutable chunk : int option
-  ; mutable team_reuse : bool
   ; mutable fault : fault option
   ; mutable timeout_ms : int (* 0 = no watchdog *)
   }
@@ -992,7 +991,7 @@ and compile_omp_parallel ce op : code =
       let ts =
         match g.ts with
         | Some t
-          when g.cfg.team_reuse && t.tsize = size
+          when t.tsize = size
                && (not (Barrier.is_poisoned t.tteam.barrier))
                && Array.length t.tframes.(0).iregs >= ni
                && Array.length t.tframes.(0).fregs >= nf
@@ -1010,7 +1009,7 @@ and compile_omp_parallel ce op : code =
           in
           ignore (Atomic.fetch_and_add g.frames size);
           let t = { tsize = size; tteam = team; tframes = frames; tphases = 0 } in
-          if g.cfg.team_reuse then g.ts <- Some t;
+          g.ts <- Some t;
           t
       in
       let job =
@@ -1065,13 +1064,7 @@ and compile_omp_parallel ce op : code =
       in
       Atomic.set g.live (Some ts.tteam);
       (match
-         if size = 1 then job 0
-         else begin
-           let pool = Pool.get ~domains:size ~reuse:g.cfg.team_reuse in
-           Fun.protect
-             ~finally:(fun () -> Pool.release pool)
-             (fun () -> Pool.run pool job)
-         end
+         if size = 1 then job 0 else Pool.run (Pool.get ~domains:size) job
        with
        | () ->
          finish ();
@@ -1295,7 +1288,6 @@ let compile (modul : Op.op) (name : string) : compiled =
             { domains = 4
             ; schedule = Schedule.Static
             ; chunk = None
-            ; team_reuse = true
             ; fault = None
             ; timeout_ms = 0
             }
@@ -1315,8 +1307,8 @@ let compile (modul : Op.op) (name : string) : compiled =
     ; eframe = None
     }
 
-let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
-    ?(team_reuse = true) ?fault ?(timeout_ms = 0) (c : compiled)
+let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk ?fault
+    ?(timeout_ms = 0) (c : compiled)
     (args : Mem.rv list) : Mem.rv option * stats =
   if domains < 1 then invalid_arg "Exec.run: domains must be >= 1";
   (match chunk with
@@ -1327,7 +1319,6 @@ let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
   g.cfg.domains <- domains;
   g.cfg.schedule <- schedule;
   g.cfg.chunk <- chunk;
-  g.cfg.team_reuse <- team_reuse;
   g.cfg.fault <- fault;
   g.cfg.timeout_ms <- timeout_ms;
   g.stats.launches <- 0;
@@ -1383,7 +1374,5 @@ let run ?(domains = 4) ?(schedule = Schedule.Static) ?chunk
     ; frames_allocated = g.stats.frames_allocated
     } )
 
-let run_module ?domains ?schedule ?chunk ?team_reuse ?fault ?timeout_ms modul
-    name args =
-  run ?domains ?schedule ?chunk ?team_reuse ?fault ?timeout_ms
-    (compile modul name) args
+let run_module ?domains ?schedule ?chunk ?fault ?timeout_ms modul name args =
+  run ?domains ?schedule ?chunk ?fault ?timeout_ms (compile modul name) args

@@ -1,11 +1,12 @@
 (** Multicore execution engine for the lowered OpenMP dialect.
 
-    Where {!Interp.Eval} is a tree-walking interpreter (hashtable SSA
-    environments, boxed runtime values, cooperative fibers), this engine
-    {e compiles} a function to OCaml closures over three typed register
-    files — an [int array], a [float array] and a [buffer array] indexed
-    by dense per-function slots — and runs [omp.parallel] regions on
-    OCaml 5 domains from a persistent {!Pool}.
+    Where {!Interp.Eval} is a tree-walking interpreter (boxed runtime
+    values in activation arrays whose slots it resolves on every run,
+    cooperative fibers), this engine {e compiles} a function to OCaml
+    closures over three typed register files — an [int array], a
+    [float array] and a [buffer array] indexed by dense per-function
+    slots — and runs [omp.parallel] regions on OCaml 5 domains from a
+    persistent {!Pool}.
 
     {2 Register-direct compilation}
 
@@ -112,12 +113,11 @@ val compile : Op.op -> string -> compiled
     worker domains, everything on the caller, static partition).
     [schedule] (default [Static]) picks the worksharing policy, and
     [chunk] the batch size of each dynamic/guided atomic grab (see
-    {!Schedule.next}).  [team_reuse] (default true) keeps the team
-    state (frames, barrier) and the calling domain's cached pool across
-    launches; [false] rebuilds both per launch (the [--no-team-reuse]
-    ablation — visible as nonzero {!stats.frames_allocated} on every
-    run).  [fault] injects a {!fault} into the last rank of every team
-    launch.  [timeout_ms] (default [0] = unbounded) arms the
+    {!Schedule.next}).  The team state (frames, barrier) persists in
+    the [compiled] value and the team itself in the calling domain's
+    cached {!Pool}, so a repeated launch at the same team size spawns
+    no domain and allocates no frame.  [fault] injects a {!fault} into
+    the last rank of every team launch.  [timeout_ms] (default [0] = unbounded) arms the
     {!Watchdog} for the whole run and raises {!Timeout} on expiry.
 
     Not thread-safe: one [run] at a time per [compiled].  The entry
@@ -131,7 +131,6 @@ val run :
   ?domains:int ->
   ?schedule:Schedule.policy ->
   ?chunk:int ->
-  ?team_reuse:bool ->
   ?fault:fault ->
   ?timeout_ms:int ->
   compiled ->
@@ -143,7 +142,6 @@ val run_module :
   ?domains:int ->
   ?schedule:Schedule.policy ->
   ?chunk:int ->
-  ?team_reuse:bool ->
   ?fault:fault ->
   ?timeout_ms:int ->
   Op.op ->

@@ -25,7 +25,6 @@ type t =
   { size : int
   ; workers : worker array (* size - 1 entries, ranks 1.. *)
   ; mutable domains : unit Domain.t array
-  ; cached : bool
   }
 
 let spawns = Atomic.make 0
@@ -68,7 +67,7 @@ let release_pool (t : t) : unit =
   Array.iter Domain.join t.domains;
   t.domains <- [||]
 
-let create ~cached size : t =
+let create size : t =
   if size < 1 then invalid_arg "Pool.get: domains must be >= 1";
   let workers =
     Array.init (size - 1) (fun i ->
@@ -82,7 +81,7 @@ let create ~cached size : t =
         ; stop = false
         })
   in
-  let t = { size; workers; domains = [||]; cached } in
+  let t = { size; workers; domains = [||] } in
   (try
      Array.iter
        (fun w ->
@@ -141,20 +140,19 @@ let shutdown_cached () : int =
     cell := None;
     shutdown p
 
-let get ~domains ~reuse : t =
-  if reuse then begin
-    let cell = Domain.DLS.get cached_pool in
-    match !cell with
-    | Some p when p.size = domains -> p
-    | existing ->
-      (match existing with Some p -> release_pool p | None -> ());
-      let p = create ~cached:true domains in
-      cell := Some p;
-      p
-  end
-  else create ~cached:false domains
-
-let release (t : t) : unit = if not t.cached then release_pool t
+let get ~domains : t =
+  let cell = Domain.DLS.get cached_pool in
+  match !cell with
+  | Some p when p.size = domains -> p
+  | existing ->
+    (* empty the cell before releasing: when [create] fails (OCaml's
+       domain limit), the next [get] must build a team, not hand back
+       the released one *)
+    cell := None;
+    Option.iter release_pool existing;
+    let p = create domains in
+    cell := Some p;
+    p
 
 let run (t : t) (job : int -> unit) : unit =
   if t.size = 1 then job 0

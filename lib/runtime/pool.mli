@@ -7,15 +7,12 @@
     launch costs two condvar round-trips instead of [n-1]
     [Domain.spawn]s.
 
-    {!get} returns the calling domain's cached pool when [reuse] is
-    true (creating or resizing it as needed) — teams persist across
-    kernel launches.  The cache is domain-local, so each of the compile
-    service's executor lanes owns an independent pool and a poisoned or
-    torn-down team in one lane never touches another; a single-domain
-    process (the one-shot CLI) sees exactly the old process-wide
-    behavior.  With [reuse:false] a fresh pool is created and must be
-    {!release}d after the launch; this deliberately pays the spawn cost
-    every time and exists as the [--no-team-reuse] ablation.
+    {!get} returns the calling domain's cached pool (creating or
+    resizing it as needed) — teams persist across kernel launches.  The
+    cache is domain-local, so each of the compile service's executor
+    lanes owns an independent pool and a poisoned or torn-down team in
+    one lane never touches another; a single-domain process (the
+    one-shot CLI) has one process-wide pool.
 
     A pool of size 1 has no workers: {!run} calls the job directly on
     the caller, which is the deterministic single-domain mode. *)
@@ -28,27 +25,25 @@ val size : t -> int
     stats and for testing team reuse. *)
 val total_spawns : unit -> int
 
-(** [get ~domains ~reuse] returns a pool of [domains] threads.  With
-    [reuse:true] the calling domain's cached pool is returned, created
-    on first use and recreated when the size changes.  With
-    [reuse:false] a fresh, caller-owned pool is returned. *)
-val get : domains:int -> reuse:bool -> t
+(** [get ~domains] returns the calling domain's cached pool of
+    [domains] threads, created on first use and recreated when the size
+    changes.  A failed creation (OCaml's domain limit) leaves no pool
+    cached, so the next [get] builds a fresh one.
+    @raise Failure when [Domain.spawn] does; the members already
+    spawned are stopped first. *)
+val get : domains:int -> t
 
 (** [run t job] executes [job rank] on every member (rank 0 on the
     caller) and waits for all of them.  If members raise, one of the
     exceptions is re-raised here after every member has stopped. *)
 val run : t -> (int -> unit) -> unit
 
-(** Stop and join the pool's workers.  Required for [reuse:false] pools;
-    a no-op on the cached pool (use {!shutdown_cached}). *)
-val release : t -> unit
-
 (** Fault-wall teardown: signal every worker to stop, join the ones
     that are between jobs and abandon any that are wedged mid-job (an
     OCaml domain cannot be killed; a leaked worker exits on its own if
     its job ever returns).  Returns the number of leaked domains.
-    Unlike {!release} this never blocks on a poisoned/hung team, so it
-    is safe to call from a supervisor after a failed launch. *)
+    It never blocks on a poisoned/hung team, so it is safe to call from
+    a supervisor after a failed launch. *)
 val shutdown : t -> int
 
 (** Stop the calling domain's cached pool, if any, via {!shutdown},

@@ -124,7 +124,7 @@ let checksum_of_args (args : Interp.Mem.rv list) : string =
    about it is the caller's policy. *)
 let run_entry ~(log : string -> unit) ~(exec : [ `Interp | `Parallel ])
     ~(domains : int) ~(schedule : Runtime.Schedule.policy) ?chunk
-    ?team_reuse ~(timeout_ms : int) ~(plan : Core.Fault.plan) (m : Ir.Op.op)
+    ~(timeout_ms : int) ~(plan : Core.Fault.plan) (m : Ir.Op.op)
     (f : Ir.Op.op) (sizes : int list) : string * Runtime.Exec.stats option =
   let entry = Ir.Op.func_name f in
   let args = make_args f sizes in
@@ -147,8 +147,8 @@ let run_entry ~(log : string -> unit) ~(exec : [ `Interp | `Parallel ])
           (Core.Fault.take (Core.Fault.pending_of_plan plan) "runtime")
       in
       let _, s =
-        Runtime.Exec.run_module ~domains ~schedule ?chunk ?team_reuse ?fault
-          ~timeout_ms m entry args
+        Runtime.Exec.run_module ~domains ~schedule ?chunk ?fault ~timeout_ms m
+          entry args
       in
       log
         (Printf.sprintf

@@ -137,7 +137,6 @@ let cli_checks (driver : string) =
     ; "--exec parallel --domains 4"
     ; "--exec parallel --domains 4 --schedule dynamic"
     ; "--exec parallel --domains 4 --schedule guided"
-    ; "--exec parallel --domains 4 --no-team-reuse"
     ];
   (* a runtime fault degrades the parallel path to the serial
      interpreter: exit 1, same answer *)

@@ -121,20 +121,15 @@ let test_barrier_poison () =
 let test_pool_reuse () =
   ignore (Runtime.Pool.shutdown_cached ());
   let s0 = Runtime.Pool.total_spawns () in
-  let p = Runtime.Pool.get ~domains:4 ~reuse:true in
+  let p = Runtime.Pool.get ~domains:4 in
   let hits = Atomic.make 0 in
   Runtime.Pool.run p (fun _ -> Atomic.incr hits);
   Alcotest.(check int) "all ranks ran" 4 (Atomic.get hits);
   Alcotest.(check int) "first acquisition spawns n-1 domains" 3
     (Runtime.Pool.total_spawns () - s0);
-  let p2 = Runtime.Pool.get ~domains:4 ~reuse:true in
+  let p2 = Runtime.Pool.get ~domains:4 in
   Runtime.Pool.run p2 (fun _ -> Atomic.incr hits);
   Alcotest.(check int) "reuse spawns nothing" 3
-    (Runtime.Pool.total_spawns () - s0);
-  let p3 = Runtime.Pool.get ~domains:4 ~reuse:false in
-  Runtime.Pool.run p3 (fun _ -> Atomic.incr hits);
-  Runtime.Pool.release p3;
-  Alcotest.(check int) "no-reuse pays the spawn cost again" 6
     (Runtime.Pool.total_spawns () - s0);
   ignore (Runtime.Pool.shutdown_cached ())
 
@@ -142,7 +137,7 @@ exception Boom
 
 let test_pool_exception () =
   ignore (Runtime.Pool.shutdown_cached ());
-  let p = Runtime.Pool.get ~domains:4 ~reuse:true in
+  let p = Runtime.Pool.get ~domains:4 in
   let raised =
     match Runtime.Pool.run p (fun rank -> if rank = 2 then raise Boom) with
     | () -> false
@@ -157,12 +152,23 @@ let test_pool_exception () =
 
 (* A team larger than OCaml lets one process hold fails to build, and
    takes its partly spawned workers down with it: the process can
-   still spawn domains afterwards. *)
+   still spawn domains afterwards, and the failed resize leaves no
+   released team cached, so the next acquisition builds a fresh one. *)
 let test_pool_spawn_failure () =
-  (match Runtime.Pool.get ~domains:200 ~reuse:false with
-   | p -> Runtime.Pool.release p (* a runtime without the 128 limit *)
+  ignore (Runtime.Pool.shutdown_cached ());
+  ignore (Runtime.Pool.get ~domains:4);
+  (match Runtime.Pool.get ~domains:200 with
+   | _ -> () (* a runtime without the 128 limit *)
    | exception Failure _ -> ());
-  Domain.join (Domain.spawn ignore)
+  Domain.join (Domain.spawn ignore);
+  let s0 = Runtime.Pool.total_spawns () in
+  let p = Runtime.Pool.get ~domains:4 in
+  Alcotest.(check int) "the next acquisition spawns a fresh team" 3
+    (Runtime.Pool.total_spawns () - s0);
+  let hits = Atomic.make 0 in
+  Runtime.Pool.run p (fun _ -> Atomic.incr hits);
+  Alcotest.(check int) "and the team runs" 4 (Atomic.get hits);
+  ignore (Runtime.Pool.shutdown_cached ())
 
 (* --- schedule --- *)
 
@@ -1514,22 +1520,17 @@ let test_exec_team_reuse_stats () =
   let n = 8 in
   let m = mk_barrier_team_module n in
   let c = Runtime.Exec.compile m "k" in
-  let run ~team_reuse =
+  let run () =
     let buf = Interp.Mem.alloc_buffer Types.F64 [| n |] in
-    let _, st =
-      Runtime.Exec.run ~domains:4 ~team_reuse c [ Interp.Mem.Buf buf ]
-    in
+    let _, st = Runtime.Exec.run ~domains:4 c [ Interp.Mem.Buf buf ] in
     st
   in
-  let st1 = run ~team_reuse:true in
+  let st1 = run () in
   Alcotest.(check int) "first run spawns the team" 3
     st1.Runtime.Exec.domain_spawns;
-  let st2 = run ~team_reuse:true in
+  let st2 = run () in
   Alcotest.(check int) "second run reuses it" 0 st2.Runtime.Exec.domain_spawns;
-  let st3 = run ~team_reuse:false in
-  Alcotest.(check int) "ablation re-spawns per launch" 3
-    st3.Runtime.Exec.domain_spawns;
-  Alcotest.(check int) "one launch each" 1 st3.Runtime.Exec.launches;
+  Alcotest.(check int) "one launch each" 1 st2.Runtime.Exec.launches;
   ignore (Runtime.Pool.shutdown_cached ())
 
 (* --- carried values: scf.if results and scf.for iter_args --- *)

@@ -262,6 +262,33 @@ void run(float* out, float* in, int n) { k<<<1, n>>>(out, in, n); }
         Core.Passmgr.recipes)
     [ 0; 8 ]
 
+(* Collapsing a grid loop with its inner loop must not move a division
+   into the inner loop's body: with [n = 0] the inner range is empty,
+   and the collapsed loop would never run the division by [d = 0]. *)
+let test_collapse_keeps_trap () =
+  let src =
+    {|
+void run(float* out, int n, int d) {
+  #pragma omp parallel for
+  for (int i = 0; i < 2; i++) {
+    int q = n / d;
+    #pragma omp parallel for
+    for (int j = 0; j < n; j++) { out[i * 4 + j] = q; }
+  }
+}
+|}
+  in
+  List.iter
+    (fun (n, d) ->
+      let args () =
+        let out = Interp.Mem.of_float_array (Array.make 8 0.0) in
+        (out, [ Interp.Mem.Buf out; Interp.Mem.Int n; Interp.Mem.Int d ])
+      in
+      List.iter
+        (fun (_, recipe) -> lowering_agrees ~recipe src "run" args)
+        Core.Passmgr.recipes)
+    [ (0, 0); (4, 2) ]
+
 (* Range facts: the guards the launch bounds decide fold away and the
    one-trip loop (carrying [a]) is inlined, but the guard one off the
    extent stays, and so do the division and remainder of [t - 3], which
@@ -832,6 +859,8 @@ let tests =
   ; Alcotest.test_case "licm hoists no trap" `Quick test_licm_adds_no_trap
   ; Alcotest.test_case "licm guards a load out of an empty loop" `Quick
       test_licm_guards_empty_loop
+  ; Alcotest.test_case "collapse keeps a division's trap" `Quick
+      test_collapse_keeps_trap
   ; Alcotest.test_case "range facts fold guards and one-trip loops" `Quick
       test_range_folds
   ; Alcotest.test_case "mem2reg carries values" `Quick test_mem2reg_carried
