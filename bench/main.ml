@@ -87,9 +87,7 @@ let build_omp_reference (src : string) : Ir.Op.op =
     (Core.Omp_lower.run
        ~options:
          { Core.Omp_lower.inner = Core.Omp_lower.Inner_parallel
-         ; fuse = false
-         ; hoist = false
-         ; collapse = false
+         ; openmpopt = false
          }
        m);
   Core.Canonicalize.run m;
@@ -211,9 +209,7 @@ let fig13_ablate () =
             build_polygeist ~name:b.name
               ~omp:
                 { Core.Omp_lower.inner_par_options with
-                  Core.Omp_lower.fuse = false
-                ; hoist = false
-                ; collapse = false
+                  Core.Omp_lower.openmpopt = false
                 }
               s)
       in
@@ -908,15 +904,14 @@ let moccuda_bench ~reps =
   let sweep_km = Moccuda.Kmgr.create ~domains:4 () in
   let sweep_ar = Moccuda.Arena.create () in
   let sweep_layers = List.filteri (fun i _ -> i < 6) Moccuda.Resnet.conv_layers in
-  pr "\nResNet-50 layer sweep (first %d layers, hw<=8, channels<=16, 4 domains):\n"
-    (List.length sweep_layers);
+  pr "\nResNet-50 layer sweep (first %d layers, hw<=%d, channels<=%d, 4 domains):\n"
+    (List.length sweep_layers) Moccuda.Resnet.hw_cap Moccuda.Resnet.channel_cap;
   let sweep_ok =
     List.for_all Fun.id
       (List.mapi
          (fun i l ->
            let r =
-             Moccuda.Resnet.run_conv_layer ~hw_cap:8 ~channel_cap:16 sweep_km
-               sweep_ar ~batch:1 l
+             Moccuda.Resnet.run_conv_layer sweep_km sweep_ar ~batch:1 l
            in
            let ok =
              Int64.equal

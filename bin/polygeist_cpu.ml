@@ -907,8 +907,7 @@ let serve_cmd =
         if chaos then begin
           let r =
             Serve.Chaos.run
-              { Serve.Chaos.default_config with
-                seed = chaos_seed
+              { Serve.Chaos.seed = chaos_seed
               ; events = chaos_events
               ; executors = (if executors > 1 then executors else 4)
               ; queue_cap

@@ -1,11 +1,11 @@
 (* MocCUDA in action: a miniature ResNet-style network runs identically
-   under all four backends (including the one whose NLL-loss kernel is the
-   actual CUDA source transpiled by this repository's own pipeline), then
-   again through the compiled kernel tier — every tensor op a transpiled
-   mini-CUDA kernel on the multicore engine, bit-identical to the
-   reference, with the cost model's prediction next to the measured
-   time.  The CUDART emulation answers PyTorch-style runtime queries,
-   and the Fig. 15 throughput sweep runs on the A64FX machine model.
+   under all four backends, then again through the compiled kernel tier
+   — every tensor op, the NLL loss included, a transpiled mini-CUDA
+   kernel on the multicore engine, bit-identical to the reference, with
+   the cost model's prediction next to the measured time.  The CUDART
+   emulation answers PyTorch-style runtime queries, and the Fig. 15
+   throughput sweep runs on the A64FX machine model.  Exits 1 when the
+   compiled loss is not bit-identical to the Tensorlib reference.
 
      dune exec examples/resnet_infer.exe *)
 
@@ -31,11 +31,7 @@ let () =
   List.iter
     (fun b ->
       let loss = Moccuda.Resnet.mini_forward b model ~images ~targets in
-      Printf.printf "  %-18s : %.6f%s\n" (Moccuda.Backends.name b) loss
-        (match b with
-         | Moccuda.Backends.Moccuda_polygeist ->
-           "   <- NLL loss computed by the transpiled CUDA kernel"
-         | _ -> ""))
+      Printf.printf "  %-18s : %.6f\n" (Moccuda.Backends.name b) loss)
     Moccuda.Backends.all;
   (* 3. the kernel tier: the same forward pass where every tensor op is
      a transpiled mini-CUDA kernel run on the multicore engine, with the
@@ -69,17 +65,15 @@ let () =
     Tensorlib.Opcost.seconds Runtime.Machine.a64fx ~threads:4
       (Moccuda.Resnet.mini_cost cm)
   in
+  let identical =
+    Int64.equal (Int64.bits_of_float cold_loss) (Int64.bits_of_float reference)
+    && Int64.equal
+         (Int64.bits_of_float warm_loss)
+         (Int64.bits_of_float reference)
+  in
   Printf.printf "  loss (compiled kernels) : %.6f\n" cold_loss;
   Printf.printf "  loss (Tensorlib ref)    : %.6f  -> %s\n" reference
-    (if
-       Int64.equal
-         (Int64.bits_of_float cold_loss)
-         (Int64.bits_of_float reference)
-       && Int64.equal
-            (Int64.bits_of_float warm_loss)
-            (Int64.bits_of_float reference)
-     then "bit-identical"
-     else "MISMATCH");
+    (if identical then "bit-identical" else "MISMATCH");
   Printf.printf
     "  cold pass   : %8.4f s measured (compiles every kernel)\n" cold_s;
   Printf.printf
@@ -103,4 +97,5 @@ let () =
                ~threads:12))
         [ Moccuda.Backends.One_dnn; Moccuda.Backends.Moccuda_polygeist ];
       print_newline ())
-    [ 1; 4; 8; 12 ]
+    [ 1; 4; 8; 12 ];
+  if not identical then exit 1

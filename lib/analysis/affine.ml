@@ -192,10 +192,3 @@ let compare_dim ~(tids : Value.Set.t) ?extent (a : expr) (b : expr) :
     end
   end
   else Maybe
-
-(* Same-thread coincidence: both expressions evaluated in one thread, all
-   variables shared.  Addresses differ definitely iff the difference is a
-   nonzero constant. *)
-let may_coincide_same_thread (a : expr) (b : expr) : bool =
-  let d = sub a b in
-  not (is_const d) || d.const = 0

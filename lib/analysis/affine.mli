@@ -56,8 +56,3 @@ val compare_dim :
   expr ->
   expr ->
   dim_verdict
-
-(** Can the two expressions coincide when evaluated in ONE thread (all
-    variables shared)?  [false] only when provably a nonzero constant
-    apart. *)
-val may_coincide_same_thread : expr -> expr -> bool

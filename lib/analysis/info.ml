@@ -114,14 +114,3 @@ let thread_private (t : t) (v : Value.t) : bool =
   match alloc v with
   | Some o -> nearest_block_par t o <> None
   | None -> false
-
-(* All serial-loop induction variables (For ivs and While-iteration
-   context) strictly between [op] and [stop]. *)
-let enclosing_loop_ivs (t : t) ~(stop : Op.op) (op : Op.op) : Value.Set.t =
-  List.fold_left
-    (fun acc (o : Op.op) ->
-      match o.kind with
-      | Op.For -> Value.Set.add (Op.for_iv o) acc
-      | _ -> acc)
-    Value.Set.empty
-    (ancestors_up_to t ~stop op)

@@ -41,6 +41,3 @@ val nearest_block_par : t -> Ir.Op.op -> Ir.Op.op option
     casts, made inside a block-parallel loop?  The one definition of
     per-thread memory for the passes and the checks. *)
 val thread_private : t -> Ir.Value.t -> bool
-
-(** Serial-loop induction variables strictly between [op] and [stop]. *)
-val enclosing_loop_ivs : t -> stop:Ir.Op.op -> Ir.Op.op -> Ir.Value.Set.t

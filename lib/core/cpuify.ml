@@ -11,10 +11,8 @@
      barrier-containing op (always legal: extra barriers only reduce
      parallelism), which the next iteration splits.
 
-   Options mirror the paper's ablations: [use_mincut] selects min-cut
-   cache minimization vs. caching every live value; [pre_optimize] runs
-   barrier elimination and mem2reg first (always on in the real pipeline,
-   off for the "fission at source level" comparison).
+   [use_mincut] is the paper's min-cut ablation: min-cut cache
+   minimization vs. caching every live value.
 
    Failures are reified: [run_result] returns a structured [error]
    (non-convergence, an unliftable barrier with its source location and
@@ -164,47 +162,40 @@ let run_result ?(use_mincut = true) ?(budget = default_budget) (m : Op.op) :
     else Ok ()
   with Fail e -> Error e
 
-let run ?use_mincut ?budget (m : Op.op) : unit =
-  match run_result ?use_mincut ?budget m with
+let run ?use_mincut (m : Op.op) : unit =
+  match run_result ?use_mincut m with
   | Ok () -> ()
   | Error e -> raise (Stuck (error_to_string e))
 
-(* The standard pipeline used before lowering to OpenMP: generic cleanups,
-   barrier-specific optimizations, then barrier lowering. *)
+(* What a caller may vary: the min-cut ablation and the fixpoint budget. *)
 type options =
   { opt_mincut : bool (* min-cut cache minimization (ablation: mincut) *)
-  ; opt_barrier_elim : bool (* redundant-barrier elimination *)
-  ; opt_mem2reg : bool (* forwarding across barriers *)
-  ; opt_licm : bool (* parallel loop-invariant code motion *)
   ; opt_budget : int (* cpuify fixpoint iteration budget *)
   }
 
-let default_options =
-  { opt_mincut = true
-  ; opt_barrier_elim = true
-  ; opt_mem2reg = true
-  ; opt_licm = true
-  ; opt_budget = default_budget
-  }
+let default_options = { opt_mincut = true; opt_budget = default_budget }
 
-let pipeline_stages ?(options = default_options) () :
-  (string * (Op.op -> unit)) list =
-  let opt name enabled fn = if enabled then [ (name, fn) ] else [] in
-  [ ("canonicalize", Canonicalize.run); ("cse", Cse.run) ]
-  @ opt "mem2reg" options.opt_mem2reg (fun m -> ignore (Mem2reg.run m))
-  @ [ ("canonicalize", Canonicalize.run); ("cse", Cse.run) ]
-  @ opt "licm" options.opt_licm (fun m -> ignore (Licm.run m))
-  @ opt "barrier-elim" options.opt_barrier_elim (fun m ->
+(* The standard pipeline used before lowering to OpenMP: generic cleanups,
+   barrier-specific optimizations, then barrier lowering. *)
+let pipeline_stages () : (string * (Op.op -> unit)) list =
+  [ ("canonicalize", Canonicalize.run)
+  ; ("cse", Cse.run)
+  ; ("mem2reg", fun m -> ignore (Mem2reg.run m))
+  ; ("canonicalize", Canonicalize.run)
+  ; ("cse", Cse.run)
+  ; ("licm", fun m -> ignore (Licm.run m))
+  ; ( "barrier-elim"
+    , fun m ->
         ignore (Barrier_elim.run m);
         ignore (Barrier_elim.hoist_edge_barriers m);
-        ignore (Barrier_elim.run m))
-  @ [ ("cpuify", run ~use_mincut:options.opt_mincut ~budget:options.opt_budget)
-    ; ("canonicalize", Canonicalize.run)
-    ; ("cse", Cse.run)
-    ]
-  @ opt "mem2reg" options.opt_mem2reg (fun m -> ignore (Mem2reg.run m))
-  @ opt "licm" options.opt_licm (fun m -> ignore (Licm.run m))
-  @ [ ("canonicalize", Canonicalize.run) ]
+        ignore (Barrier_elim.run m) )
+  ; ("cpuify", fun m -> run m)
+  ; ("canonicalize", Canonicalize.run)
+  ; ("cse", Cse.run)
+  ; ("mem2reg", fun m -> ignore (Mem2reg.run m))
+  ; ("licm", fun m -> ignore (Licm.run m))
+  ; ("canonicalize", Canonicalize.run)
+  ]
 
 (* The normalized IR the barrier optimizations see, which the sanitizer
    needs because it compares index expressions syntactically. *)
@@ -216,12 +207,11 @@ let cleanup (m : Op.op) : unit =
 
 (* Unique stage names, in pipeline order — the vocabulary --inject-fault
    and random fault plans draw from. *)
-let stage_names ?options () : string list =
+let stage_names () : string list =
   List.fold_left
     (fun acc (name, _) -> if List.mem name acc then acc else name :: acc)
-    []
-    (pipeline_stages ?options ())
+    [] (pipeline_stages ())
   |> List.rev
 
-let pipeline ?options (m : Op.op) : unit =
-  List.iter (fun (_, f) -> f m) (pipeline_stages ?options ())
+let pipeline (m : Op.op) : unit =
+  List.iter (fun (_, f) -> f m) (pipeline_stages ())

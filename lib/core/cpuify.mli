@@ -38,22 +38,25 @@ val run_result :
 (** {!run_result} with failures raised as [Stuck]; the message carries
     the remaining-barrier count and the [line:col] of the first
     remaining barrier.  @raise Stuck if a barrier cannot be lowered. *)
-val run : ?use_mincut:bool -> ?budget:int -> Ir.Op.op -> unit
+val run : ?use_mincut:bool -> Ir.Op.op -> unit
 
+(** What a caller may vary: the paper's min-cut ablation ([opt_mincut],
+    off in [bench fig13_ablate]) and the fixpoint iteration budget of the
+    cpuify stage ([opt_budget], default {!default_budget}).  The pass
+    manager reads both; every other stage always runs. *)
 type options =
   { opt_mincut : bool
-  ; opt_barrier_elim : bool
-  ; opt_mem2reg : bool
-  ; opt_licm : bool
-  ; opt_budget : int (** cpuify fixpoint iteration budget *)
+  ; opt_budget : int
   }
 
 val default_options : options
 
-(** The passes of {!pipeline} as a named list, so drivers can interleave
-    verification or checking between them ([-check-after-each-pass]). *)
-val pipeline_stages :
-  ?options:options -> unit -> (string * (Ir.Op.op -> unit)) list
+(** The 13 passes of {!pipeline} as a named list, so drivers can
+    interleave verification or checking between them
+    ([-check-after-each-pass]): canonicalize, cse, mem2reg, canonicalize,
+    cse, licm, barrier-elim, cpuify, canonicalize, cse, mem2reg, licm,
+    canonicalize.  The cpuify stage runs with {!default_options}. *)
+val pipeline_stages : unit -> (string * (Ir.Op.op -> unit)) list
 
 (** The sanitizer's cleanup prefix: canonicalize, cse, mem2reg,
     canonicalize.  {!Analysis.Kernelcheck} reads index expressions
@@ -62,8 +65,8 @@ val cleanup : Ir.Op.op -> unit
 
 (** Unique stage names of {!pipeline_stages}, in pipeline order — the
     vocabulary fault plans draw from. *)
-val stage_names : ?options:options -> unit -> string list
+val stage_names : unit -> string list
 
 (** Cleanups, barrier-specific optimizations, barrier lowering, cleanups —
     the full pipeline preceding OpenMP lowering. *)
-val pipeline : ?options:options -> Ir.Op.op -> unit
+val pipeline : Ir.Op.op -> unit

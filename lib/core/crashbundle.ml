@@ -55,14 +55,12 @@ type t =
   ; ir_before : string (* pre-stage IR dump *)
   }
 
-let magic = "polygeist-cpu crash bundle v4"
+let magic = "polygeist-cpu crash bundle v5"
 let source_marker = "=== source ==="
 let ir_marker = "=== pre-stage ir ==="
 
 let options_to_string (o : Cpuify.options) : string =
-  Printf.sprintf "mincut=%b,barrier-elim=%b,mem2reg=%b,licm=%b,budget=%d"
-    o.Cpuify.opt_mincut o.Cpuify.opt_barrier_elim o.Cpuify.opt_mem2reg
-    o.Cpuify.opt_licm o.Cpuify.opt_budget
+  Printf.sprintf "mincut=%b,budget=%d" o.Cpuify.opt_mincut o.Cpuify.opt_budget
 
 (* The "k=v,k=v,..." lines (options, runtime, serve): fold each field
    into [init] with [set]; the first malformed field is the error. *)
@@ -98,9 +96,6 @@ let options_of_string (s : string) : (Cpuify.options, string) result =
       in
       match k with
       | "mincut" -> bool (fun b -> { o with Cpuify.opt_mincut = b })
-      | "barrier-elim" -> bool (fun b -> { o with Cpuify.opt_barrier_elim = b })
-      | "mem2reg" -> bool (fun b -> { o with Cpuify.opt_mem2reg = b })
-      | "licm" -> bool (fun b -> { o with Cpuify.opt_licm = b })
       | "budget" ->
         Result.map (fun n -> { o with Cpuify.opt_budget = n }) (int_field k v)
       | _ -> unknown_field k)

@@ -51,10 +51,11 @@ type t =
   ; ir_before : string (** pre-stage IR dump *)
   }
 
-(** Serialize in format v4, the only format {!of_string} reads. *)
+(** Serialize in format v5, the only format {!of_string} reads.  Its
+    options line is [options: mincut=<bool>,budget=<int>]. *)
 val to_string : t -> string
 
-(** Parse a v4 bundle; any other magic line (older formats included) is
+(** Parse a v5 bundle; any other magic line (older formats included) is
     an [Error]. *)
 val of_string : string -> (t, string) result
 

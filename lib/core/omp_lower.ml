@@ -26,13 +26,12 @@ type inner_mode =
 
 type options =
   { inner : inner_mode
-  ; fuse : bool (* Fig. 10 region fusion *)
-  ; hoist : bool (* Fig. 11 region hoisting out of serial for *)
-  ; collapse : bool (* grid+block collapse when legal *)
+  ; openmpopt : bool
+        (* the paper's "openmpopt" ablation: grid+block collapse, Fig. 10
+           fusion and Fig. 11 hoisting, on or off together *)
   }
 
-let default_options =
-  { inner = Inner_serial; fuse = true; hoist = true; collapse = true }
+let default_options = { inner = Inner_serial; openmpopt = true }
 
 let inner_par_options = { default_options with inner = Inner_parallel }
 
@@ -307,14 +306,15 @@ type report =
 
 let run ?(options = default_options) (m : Op.op) : report =
   (match lower_all ~in_carry:false m with [ _ ] -> () | _ -> ());
-  let collapsed = if options.collapse then collapse m else 0 in
+  let opt pass = if options.openmpopt then pass m else 0 in
+  let collapsed = opt collapse in
   let serialized =
     match options.inner with
     | Inner_serial -> serialize_nested m
     | Inner_parallel -> 0
   in
-  let fused = if options.fuse then fuse m else 0 in
-  let hoisted = if options.hoist then hoist m else 0 in
+  let fused = opt fuse in
+  let hoisted = opt hoist in
   (* hoisting can expose new fusion opportunities and vice versa *)
-  let fused = fused + if options.fuse then fuse m else 0 in
+  let fused = fused + opt fuse in
   { serialized; collapsed; fused; hoisted }

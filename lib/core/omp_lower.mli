@@ -11,18 +11,24 @@ type inner_mode =
   | Inner_parallel (** keep nested regions: "PolygeistInnerPar" *)
   | Inner_serial (** serialize nested regions: "PolygeistInnerSer" *)
 
+(** The paper's two OpenMP-lowering axes: InnerSer vs InnerPar
+    (Figs. 12–13), and [openmpopt], the Fig. 13 ablation that switches
+    grid+block collapse, region fusion and region hoisting on or off
+    together. *)
 type options =
   { inner : inner_mode
-  ; fuse : bool
-  ; hoist : bool
-  ; collapse : bool
+  ; openmpopt : bool
   }
 
+(** [Inner_serial] with [openmpopt] on. *)
 val default_options : options
 
 (** [default_options] with [inner = Inner_parallel]. *)
 val inner_par_options : options
 
+(** How many nested regions {!run} serialized and how many loops it
+    collapsed, regions it fused and regions it hoisted; the last three
+    are 0 with [openmpopt] off. *)
 type report =
   { serialized : int
   ; collapsed : int

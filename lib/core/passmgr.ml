@@ -266,7 +266,7 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
     end
   in
 
-  let stages = Cpuify.pipeline_stages ~options () in
+  let stages = Cpuify.pipeline_stages () in
   let mk_report () =
     { degradations = List.rev !degradations
     ; failures = List.rev !failures

@@ -251,8 +251,12 @@ let propose (m : Op.op) : candidate list =
 let target_diag (d : Diag.t) : bool =
   Diag.is_error d || d.Diag.check = "race"
 
-let run ?(max_edits = 4) ?(max_candidates = 64)
-    ?(validate = fun _ -> Ok ()) (m : Op.op) : outcome =
+(* The search's bounds: accepted-edit depth and total speculative
+   applications. *)
+let max_edits = 4
+let max_candidates = 64
+
+let run ?(validate = fun _ -> Ok ()) (m : Op.op) : outcome =
   let rechecks = ref 0 in
   let errors () =
     incr rechecks;

@@ -48,14 +48,12 @@ type outcome =
   ; stats : stats
   }
 
-(** Run the search on (and, on success, mutate) the module.
-    [max_edits] bounds the accepted-edit depth (default 4);
-    [max_candidates] the total speculative applications (default 64);
-    [validate] is consulted once, on the first sanitizer-clean variant
-    reached (default: accept). *)
+(** Run the search on (and, on success, mutate) the module.  It accepts
+    at most 4 edits in depth ([max_edits]) and makes at most 64
+    speculative applications in all ([max_candidates]); [validate] is
+    consulted once, on the first sanitizer-clean variant reached
+    (default: accept). *)
 val run :
-  ?max_edits:int ->
-  ?max_candidates:int ->
   ?validate:(Ir.Op.op -> (unit, string) result) ->
   Ir.Op.op ->
   outcome

@@ -24,8 +24,7 @@ type report =
   ; secs : float
   }
 
-let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
-    (f : finding) : Core.Crashbundle.t =
+let bundle_of_finding ~timeout_ms (f : finding) : Core.Crashbundle.t =
   { stage = f.ffailure.f_stage
   ; stage_index = 0
   ; rung = "fuzz"
@@ -34,7 +33,7 @@ let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
   ; repro =
       Printf.sprintf "polygeist-cpu fuzz --seed %d --cases 1 (reduced to %d ops)"
         f.fseed f.fops
-  ; options
+  ; options = Core.Cpuify.default_options
   ; faults = []
   ; runtime =
       Some
@@ -53,12 +52,11 @@ let bundle_of_finding ?(options = Core.Cpuify.default_options) ~timeout_ms
         }
   ; serve = None
   ; source = f.freduced
-  ; ir_before = Oracle.ir_before ~options f.freduced f.ffailure.f_stage
+  ; ir_before = Oracle.ir_before f.freduced f.ffailure.f_stage
   }
 
-let run_campaign ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
-    ?crash_dir ?(reduce = true) ?(tensor = false)
-    ?(progress = fun _ _ -> ()) ~seed ~cases () : report =
+let run_campaign ?(timeout_ms = 5000) ?crash_dir ?(reduce = true)
+    ?(tensor = false) ?(progress = fun _ _ -> ()) ~seed ~cases () : report =
   let t0 = Unix.gettimeofday () in
   let findings = ref [] in
   for i = 0 to cases - 1 do
@@ -67,11 +65,11 @@ let run_campaign ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
       if tensor then Gen.tensor_source ~seed:case_seed
       else Gen.source ~seed:case_seed
     in
-    (match Oracle.run ~options ~timeout_ms src with
+    (match Oracle.run ~timeout_ms src with
      | Oracle.Passed -> ()
      | Oracle.Failed failure ->
        let reduced =
-         if reduce then Reduce.run ~options ~timeout_ms src failure else src
+         if reduce then Reduce.run ~timeout_ms src failure else src
        in
        let finding =
          { fseed = case_seed
@@ -86,7 +84,7 @@ let run_campaign ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
          match crash_dir with
          | None -> finding
          | Some dir -> (
-           let b = bundle_of_finding ~options ~timeout_ms finding in
+           let b = bundle_of_finding ~timeout_ms finding in
            match Core.Crashbundle.write ~dir b with
            | Ok path -> { finding with fbundle = Some path }
            | Error _ -> finding)
@@ -143,11 +141,11 @@ type repair_report =
   ; rsecs : float
   }
 
-let run_repair_campaign ?(options = Core.Cpuify.default_options)
-    ?(timeout_ms = 5000) ?max_seeds ?(progress = fun _ _ -> ()) ~seed ~racy ()
-  : repair_report =
+let run_repair_campaign ?(timeout_ms = 5000) ?(progress = fun _ _ -> ())
+    ~seed ~racy () : repair_report =
   let t0 = Unix.gettimeofday () in
-  let max_seeds = match max_seeds with Some n -> n | None -> racy * 20 in
+  (* seeds scanned before giving up on finding [racy] mutants *)
+  let max_seeds = racy * 20 in
   let findings = ref [] in
   let nracy = ref 0 in
   let scanned = ref 0 in
@@ -166,7 +164,7 @@ let run_repair_campaign ?(options = Core.Cpuify.default_options)
          incr nracy;
          let c0 = Unix.gettimeofday () in
          let validate m =
-           match Oracle.run_module ~options ~timeout_ms m with
+           match Oracle.run_module ~timeout_ms m with
            | Oracle.Passed -> Ok ()
            | Oracle.Failed f -> Error (Oracle.failure_to_string f)
          in
@@ -264,7 +262,7 @@ let replay (b : Core.Crashbundle.t) : (string, string) result =
     | Some i -> String.sub b.exn_text 0 i
     | None -> b.exn_text
   in
-  match Oracle.run ~options:b.options ~timeout_ms b.source with
+  match Oracle.run ~timeout_ms b.source with
   | Oracle.Failed f
     when String.equal f.f_stage b.stage && String.equal f.f_class want_class ->
     Ok (Oracle.failure_to_string f)

@@ -19,12 +19,11 @@ type report =
 
 (** Run [cases] seeds starting at [seed].  Each failure is shrunk
     (unless [reduce] is [false]) and, when [crash_dir] is given, written
-    as a v2 crash bundle with rung ["fuzz"] and the generator seed in
-    its runtime line.  [tensor] draws from {!Gen.tensor_source} instead
-    of {!Gen.source}.  [progress done_ found] is called after each
-    case. *)
+    as a crash bundle ({!Core.Crashbundle}) with rung ["fuzz"], the
+    default pipeline options and the generator seed in its runtime
+    line.  [tensor] draws from {!Gen.tensor_source} instead of
+    {!Gen.source}.  [progress done_ found] is called after each case. *)
 val run_campaign :
-  ?options:Core.Cpuify.options ->
   ?timeout_ms:int ->
   ?crash_dir:string ->
   ?reduce:bool ->
@@ -59,15 +58,13 @@ type repair_report =
   }
 
 (** Scan seeds from [seed] until [racy] sanitizer-dirty mutants
-    ({!Gen.racy_source}) are found (or [max_seeds], default
-    [racy * 20], are scanned) and run the analysis-guided repair search
-    ({!Core.Repair}) on each, validating every sanitizer-clean repair
-    against the differential oracle ({!Oracle.run_module}).
-    Deterministic apart from the timing fields. *)
+    ({!Gen.racy_source}) are found (or [racy * 20] seeds are scanned)
+    and run the analysis-guided repair search ({!Core.Repair}) on each,
+    validating every sanitizer-clean repair against the differential
+    oracle ({!Oracle.run_module}).  Deterministic apart from the timing
+    fields. *)
 val run_repair_campaign :
-  ?options:Core.Cpuify.options ->
   ?timeout_ms:int ->
-  ?max_seeds:int ->
   ?progress:(int -> int -> unit) ->
   seed:int ->
   racy:int ->

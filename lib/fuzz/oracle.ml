@@ -117,10 +117,10 @@ let lowered_stages omp =
 
 (* The stage sequence after the frontend: cpuify's own stages, then the
    default OpenMP lowering.  [`Lowered] marks the lowered stages. *)
-let stage_list options =
+let stage_list =
   List.map
     (fun (name, pass) -> (name, pass, `Gpu))
-    (Core.Cpuify.pipeline_stages ~options ())
+    (Core.Cpuify.pipeline_stages ())
   @ List.map
       (fun (name, pass) -> (name, pass, `Lowered))
       (lowered_stages Core.Omp_lower.default_options)
@@ -144,8 +144,7 @@ let classify_pass_exn exn =
    copy another snapshot the rungs mutate — the input module is left
    untouched.  This is the validation entry the repair search uses on
    its edited (no longer source-backed) kernels. *)
-let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
-    (m0 : Ir.Op.op) : outcome =
+let run_module ?(timeout_ms = 5000) (m0 : Ir.Op.op) : outcome =
   let reference = Ir.Clone.snapshot m0 in
   let ref_rv = interp_run reference in
   match ref_rv with
@@ -208,7 +207,7 @@ let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
         | () -> exec_stage ~stage:inner_par_stage m 4)
     in
     let rungs =
-      List.map (fun st () -> check_stage st) (stage_list options)
+      List.map (fun st () -> check_stage st) stage_list
       @ List.map
           (fun d () -> exec_stage ~stage:(Printf.sprintf "exec-d%d" d) m d)
           [ 1; 4 ]
@@ -218,15 +217,15 @@ let run_module ?(options = Core.Cpuify.default_options) ?(timeout_ms = 5000)
      | Some f -> Failed f
      | None -> Passed)
 
-let run ?options ?timeout_ms src : outcome =
+let run ?timeout_ms src : outcome =
   match Cudafe.Codegen.compile src with
   | exception Cudafe.Parser.Error e ->
     Failed { f_stage = "frontend"; f_class = "frontend"; f_detail = e }
   | exception Cudafe.Codegen.Error e ->
     Failed { f_stage = "frontend"; f_class = "frontend"; f_detail = e }
-  | m0 -> run_module ?options ?timeout_ms m0
+  | m0 -> run_module ?timeout_ms m0
 
-let ir_before ?(options = Core.Cpuify.default_options) src stage : string =
+let ir_before src stage : string =
   match Cudafe.Codegen.compile src with
   | exception _ -> ""
   | m ->
@@ -243,4 +242,4 @@ let ir_before ?(options = Core.Cpuify.default_options) src stage : string =
         | exception _ -> Ir.Printer.op_to_string m)
     in
     if String.equal stage "frontend" then Ir.Printer.op_to_string m
-    else walk (stage_list options)
+    else walk stage_list

@@ -44,18 +44,16 @@ val same_failure : failure -> failure -> bool
 (** [run src] is [Passed], or the first failing rung.  [timeout_ms]
     (default 5000) bounds each parallel execution; the interpreter runs
     are fuel-bounded, so no rung can hang. *)
-val run :
-  ?options:Core.Cpuify.options -> ?timeout_ms:int -> string -> outcome
+val run : ?timeout_ms:int -> string -> outcome
 
 (** [run] starting from a frontend-level module (which must follow the
     same [launch] contract) instead of source; the input module is
     deep-cloned, never mutated.  The validation entry the repair search
     uses on its edited kernels. *)
-val run_module :
-  ?options:Core.Cpuify.options -> ?timeout_ms:int -> Ir.Op.op -> outcome
+val run_module : ?timeout_ms:int -> Ir.Op.op -> outcome
 
 (** The IR as it stood {e before} the named stage (the crash bundle's
     pre-stage section); for ["frontend"] or executor stages, the
     frontend output resp. fully-lowered IR (lowered with the
     inner-parallel recipe for ["exec-inner-par-d4"]). *)
-val ir_before : ?options:Core.Cpuify.options -> string -> string -> string
+val ir_before : string -> string -> string

@@ -202,14 +202,16 @@ let ir_ops (src : string) : int =
       m;
     !n
 
-let run ?options ?timeout_ms ?(max_checks = 1500) (src : string)
-    (failure : Oracle.failure) : string =
+(* Oracle invocations one reduction may spend. *)
+let max_checks = 1500
+
+let run ?timeout_ms (src : string) (failure : Oracle.failure) : string =
   let checks = ref 0 in
   let still_fails src' =
     !checks < max_checks
     && begin
       incr checks;
-      match Oracle.run ?options ?timeout_ms src' with
+      match Oracle.run ?timeout_ms src' with
       | Oracle.Failed f' -> Oracle.same_failure failure f'
       | Oracle.Passed -> false
     end

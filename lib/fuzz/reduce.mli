@@ -11,15 +11,8 @@
 (** [run src failure] shrinks [src] while {!Oracle.run} keeps reporting
     a failure with the same stage and class as [failure]; returns the
     smallest source found (or [src] unchanged if it cannot reproduce).
-    [max_checks] (default 1500) bounds the number of oracle
-    invocations. *)
-val run :
-  ?options:Core.Cpuify.options ->
-  ?timeout_ms:int ->
-  ?max_checks:int ->
-  string ->
-  Oracle.failure ->
-  string
+    It invokes the oracle at most 1500 times ([max_checks]). *)
+val run : ?timeout_ms:int -> string -> Oracle.failure -> string
 
 (** Number of IR ops inside the compiled kernel's block-level parallel
     region(s) — the code the barrier-lowering passes transform, i.e. the

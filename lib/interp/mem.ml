@@ -73,11 +73,6 @@ let get_f (b : buffer) (i : int) : float =
   | Fdata a -> a.(i)
   | Idata a -> float_of_int a.(i)
 
-let get_i (b : buffer) (i : int) : int =
-  match b.data with
-  | Idata a -> a.(i)
-  | Fdata a -> int_of_float a.(i)
-
 let set_f (b : buffer) (i : int) (v : float) : unit =
   match b.data with
   | Fdata a -> a.(i) <- v

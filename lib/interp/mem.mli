@@ -50,7 +50,6 @@ val out_of_bounds : buffer -> int -> int -> 'a
 val check_par_steps : int array -> unit
 
 val get_f : buffer -> int -> float
-val get_i : buffer -> int -> int
 val set_f : buffer -> int -> float -> unit
 val set_i : buffer -> int -> int -> unit
 

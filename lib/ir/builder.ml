@@ -111,12 +111,12 @@ let call name ?ret args =
 
 let return_ args = Op.mk Return ~operands:(Array.of_list args)
 
-let func ?(is_kernel = false) name params ?ret body_of_params =
+let func name params ?ret body_of_params =
   let args =
     Array.of_list (List.map (fun (n, t) -> Value.fresh ~name:n t) params)
   in
   let body = body_of_params args in
-  Op.mk (Func { name; ret; is_kernel }) ~regions:[| Op.region ~args body |]
+  Op.mk (Func { name; ret }) ~regions:[| Op.region ~args body |]
 
 let module_ funcs = Op.mk Module ~regions:[| Op.region funcs |]
 

@@ -77,10 +77,9 @@ val barrier : unit -> Op.op
 val call : string -> ?ret:Types.typ -> Value.t list -> Op.op
 val return_ : Value.t list -> Op.op
 
-(** [func ?is_kernel name params ?ret body] builds a function; [body]
-    receives the parameter values. *)
+(** [func name params ?ret body] builds a function; [body] receives the
+    parameter values. *)
 val func :
-  ?is_kernel:bool ->
   string ->
   (string * Types.typ) list ->
   ?ret:Types.typ ->

@@ -76,7 +76,6 @@ type kind =
   | Func of
       { name : string
       ; ret : Types.typ option
-      ; is_kernel : bool
       }
   | Return
   | Call of string
@@ -154,12 +153,6 @@ let attr op name = List.assoc_opt name op.attrs
 let attr_int op name =
   match attr op name with Some (Aint i) -> Some i | _ -> None
 
-let attr_bool op name =
-  match attr op name with Some (Abool b) -> Some b | _ -> None
-
-let attr_str op name =
-  match attr op name with Some (Astr s) -> Some s | _ -> None
-
 let set_attr op name v =
   op.attrs <- (name, v) :: List.remove_assoc name op.attrs
 
@@ -233,11 +226,6 @@ let rec iter f op =
   Array.iter (fun r -> List.iter (iter f) r.body) op.regions
 
 let iter_region f (r : region) = List.iter (iter f) r.body
-
-(* Post-order iteration: children before the op itself. *)
-let rec iter_post f op =
-  Array.iter (fun r -> List.iter (iter_post f) r.body) op.regions;
-  f op
 
 let exists p op =
   let found = ref false in

@@ -75,7 +75,6 @@ type kind =
   | Func of
       { name : string
       ; ret : Types.typ option
-      ; is_kernel : bool
       }
   | Return
   | Call of string
@@ -146,8 +145,6 @@ val region : ?args:Value.t array -> op list -> region
 
 val attr : op -> string -> attr option
 val attr_int : op -> string -> int option
-val attr_bool : op -> string -> bool option
-val attr_str : op -> string -> string option
 val set_attr : op -> string -> attr -> unit
 
 (** The op's single result. @raise Invalid_argument otherwise. *)
@@ -197,9 +194,6 @@ val body_region : op -> region
 val iter : (op -> unit) -> op -> unit
 
 val iter_region : (op -> unit) -> region -> unit
-
-(** Post-order traversal (children first). *)
-val iter_post : (op -> unit) -> op -> unit
 
 val exists : (op -> bool) -> op -> bool
 val region_exists : (op -> bool) -> region -> bool

@@ -56,7 +56,7 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
     buf_add b (pad ^ "module {\n");
     List.iter (print_op b (indent + 2)) op.regions.(0).body;
     buf_add b (pad ^ "}\n")
-  | Func { name; ret; is_kernel } ->
+  | Func { name; ret } ->
     let params =
       Array.to_list op.regions.(0).rargs
       |> List.map (fun (a : Value.t) ->
@@ -68,10 +68,8 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
       | None -> ""
       | Some t -> " -> " ^ Types.to_string t
     in
-    let kernel = if is_kernel then " kernel" else "" in
     buf_add b
-      (Printf.sprintf "%sfunc.func @%s(%s)%s%s {\n" pad name params rets
-         kernel);
+      (Printf.sprintf "%sfunc.func @%s(%s)%s {\n" pad name params rets);
     List.iter (print_op b (indent + 2)) op.regions.(0).body;
     buf_add b (pad ^ "}\n")
   | Return -> line_no_attr (Printf.sprintf "func.return %s" (values op.operands))
@@ -194,9 +192,4 @@ let rec print_op ?(locs = false) b indent (op : Op.op) =
 let op_to_string ?locs op =
   let b = Buffer.create 1024 in
   print_op ?locs b 0 op;
-  Buffer.contents b
-
-let region_to_string ?locs (r : Op.region) =
-  let b = Buffer.create 1024 in
-  List.iter (print_op ?locs b 0) r.body;
   Buffer.contents b

@@ -6,4 +6,3 @@
     source location (default off, keeping golden output stable). *)
 
 val op_to_string : ?locs:bool -> Op.op -> string
-val region_to_string : ?locs:bool -> Op.region -> string

@@ -265,8 +265,6 @@ let verify (m : Op.op) =
   in
   check_op ctx m
 
-let verify_exn = verify
-
 let verify_result m =
   match verify m with
   | () -> Ok ()

@@ -9,5 +9,4 @@ exception Error of string
 (** @raise Error on the first violation. *)
 val verify : Op.op -> unit
 
-val verify_exn : Op.op -> unit
 val verify_result : Op.op -> (unit, string) result

@@ -21,11 +21,7 @@
    no region fusion/hoisting) -> only then generic cleanups. *)
 
 let options : Core.Omp_lower.options =
-  { Core.Omp_lower.inner = Core.Omp_lower.Inner_serial
-  ; fuse = false
-  ; hoist = false
-  ; collapse = false
-  }
+  { Core.Omp_lower.inner = Core.Omp_lower.Inner_serial; openmpopt = false }
 
 (* Lower a module produced by the CUDA frontend the way MCUDA would. *)
 let lower (m : Ir.Op.op) : unit =

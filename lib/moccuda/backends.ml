@@ -11,7 +11,10 @@
    - [Moccuda_polygeist]: the same, but the custom PyTorch CUDA kernels
      (the NLL criterion) are transpiled automatically by the Polygeist
      pipeline instead of hand-ported; a small launch overhead accounts
-     for the extra fissioned regions. *)
+     for the extra fissioned regions.  The transpiled NLL itself runs in
+     the compiled tier ([Graph.nll_loss] through a [Kmgr]), bit for bit
+     equal to the [Layers.nll_loss] that [Resnet.mini_forward] computes
+     under every backend. *)
 
 open Tensorlib
 
@@ -38,26 +41,6 @@ let conv2d (backend : t) ~(input : Tensor.t) ~(weight : Tensor.t)
   | Native -> Conv.naive ~input ~weight ~p
   | One_dnn -> Conv.direct ~input ~weight ~p
   | Moccuda_expert | Moccuda_polygeist -> Conv.im2col_gemm ~input ~weight ~p
-
-let nll_loss (backend : t) ~(log_probs : Tensor.t) ~(targets : int array) :
-  float =
-  match backend with
-  | Moccuda_polygeist ->
-    (* the transpiled kernel-tier NLL, through the whole pipeline *)
-    let n = log_probs.Tensor.shape.(0) in
-    let loss = Graph.buffer_of_floats [| 0.0 |] in
-    Kmgr.launch
-      (Kmgr.create ~domains:1 ())
-      (Kernels.nll ~n ~classes:log_probs.Tensor.shape.(1))
-      (List.map
-         (fun b -> Interp.Mem.Buf b)
-         [ loss
-         ; Graph.buffer_of_floats (Array.make n 0.0)
-         ; Graph.buffer_of_tensor log_probs
-         ; Graph.buffer_of_ints targets
-         ]);
-    Interp.Mem.get_f loss 0
-  | Native | One_dnn | Moccuda_expert -> Layers.nll_loss ~log_probs ~targets
 
 (* --- cost --- *)
 

@@ -2,7 +2,9 @@
     fallback, (Fujitsu-tuned) oneDNN, and MocCUDA with expert-written or
     Polygeist-transpiled kernels.  All backends agree numerically; they
     differ in the algorithm (direct vs. im2col+GEMM convolution) and in
-    the cost descriptors the machine model turns into throughput. *)
+    the cost descriptors the machine model turns into throughput.
+    Polygeist's transpiled NLL kernel runs in the compiled tier
+    ({!Graph.nll_loss}). *)
 
 type t =
   | Native
@@ -19,12 +21,6 @@ val conv2d :
   weight:Tensorlib.Tensor.t ->
   p:Tensorlib.Conv.params ->
   Tensorlib.Tensor.t
-
-(** [Moccuda_polygeist] computes the loss by launching the kernel tier's
-    transpiled NLL kernel ({!Kernels.nll}) through a {!Kmgr}; it is
-    bitwise equal to the others. *)
-val nll_loss :
-  t -> log_probs:Tensorlib.Tensor.t -> targets:int array -> float
 
 val conv2d_cost :
   t -> Runtime.Machine.t -> Tensorlib.Conv.shape -> Tensorlib.Opcost.t

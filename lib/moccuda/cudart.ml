@@ -49,9 +49,12 @@ type stream =
   ; queue : (unit -> unit) Queue.t
   }
 
+(* One emulated device per NUMA domain: the A64FX's four core memory
+   groups. *)
+let devices = 4
+
 type state =
-  { mutable devices : int
-  ; mutable current_device : int
+  { mutable current_device : int
   ; allocations : (int, Tensor.t) Hashtbl.t
   ; mutable next_ptr : int
   ; mutable allocated_bytes : int
@@ -59,9 +62,8 @@ type state =
   ; mutable next_stream : int
   }
 
-let create ?(numa_domains = 4) () =
-  { devices = numa_domains
-  ; current_device = 0
+let create () =
+  { current_device = 0
   ; allocations = Hashtbl.create 64
   ; next_ptr = 1
   ; allocated_bytes = 0
@@ -69,10 +71,10 @@ let create ?(numa_domains = 4) () =
   ; next_stream = 1
   }
 
-let cuda_get_device_count (st : state) = (Success, st.devices)
+let cuda_get_device_count (_ : state) = (Success, devices)
 
 let cuda_set_device (st : state) d =
-  if d < 0 || d >= st.devices then Invalid_device
+  if d < 0 || d >= devices then Invalid_device
   else begin
     st.current_device <- d;
     Success

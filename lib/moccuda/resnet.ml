@@ -150,7 +150,7 @@ let mini_forward (backend : Backends.t) (m : mini_model)
     Tensor.of_array (Array.copy probs.Tensor.shape)
       (Array.map log probs.Tensor.data)
   in
-  Backends.nll_loss backend ~log_probs ~targets
+  Layers.nll_loss ~log_probs ~targets
 
 (* --- the same miniature network with every op a transpiled kernel:
    built once as a graph, weights converted to buffers once, so warm
@@ -206,9 +206,8 @@ let run_mini_compiled (cm : compiled_mini) (km : Kmgr.t) (ar : Arena.t)
   | _ -> assert false
 
 (* --- the ResNet layer sweep: one convolution of the real table, dims
-   optionally capped so the compiled engine finishes in test time, run
-   through the kernel tier and checked against the Tensorlib
-   reference --- *)
+   capped so the compiled engine finishes in test time, run through the
+   kernel tier and checked against the Tensorlib reference --- *)
 
 type layer_run =
   { lr_shape : Conv.shape
@@ -217,8 +216,11 @@ type layer_run =
   ; lr_secs : float
   }
 
-let run_conv_layer ?(hw_cap = max_int) ?(channel_cap = max_int) (km : Kmgr.t)
-    (ar : Arena.t) ~(batch : int) (l : conv_layer) : layer_run =
+let hw_cap = 8
+let channel_cap = 16
+
+let run_conv_layer (km : Kmgr.t) (ar : Arena.t) ~(batch : int)
+    (l : conv_layer) : layer_run =
   let hw = min l.hw hw_cap in
   let cin = min l.c_in channel_cap in
   let cout = min l.c_out channel_cap in

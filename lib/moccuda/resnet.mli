@@ -60,8 +60,7 @@ val run_mini_compiled :
   float
 
 (** One convolution of the real ResNet-50 table run through the kernel
-    tier (dims optionally capped so the compiled engine finishes in
-    test time), with the Tensorlib reference checksum alongside. *)
+    tier, with the Tensorlib reference checksum alongside. *)
 type layer_run =
   { lr_shape : Tensorlib.Conv.shape
   ; lr_checksum : float
@@ -69,9 +68,16 @@ type layer_run =
   ; lr_secs : float
   }
 
+(** Caps on a swept layer's spatial size (8) and on its input and
+    output channels (16), so the compiled engine finishes in test
+    time. *)
+val hw_cap : int
+
+val channel_cap : int
+
+(** Run one layer of {!conv_layers}, its dims capped at {!hw_cap} and
+    {!channel_cap}. *)
 val run_conv_layer :
-  ?hw_cap:int ->
-  ?channel_cap:int ->
   Kmgr.t ->
   Arena.t ->
   batch:int ->

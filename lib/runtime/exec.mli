@@ -97,7 +97,7 @@ type stats =
         one per successful atomic grab for dynamic/guided *)
   ; mutable frames_allocated : int
     (** register-file frames built this run; 0 on the second and later
-        runs of a compiled kernel in team-reuse mode *)
+        runs of a compiled kernel, whose teams are reused *)
   }
 
 type compiled

@@ -24,9 +24,9 @@
 
    Randomness comes only from [Random.State.make [| seed |]], so a
    seed is a complete reproducer.  The schedule is quota-adjusted after
-   generation: a campaign always contains at least [min_faults] fault
-   events and [min_wedges] wedge events regardless of seed, so the
-   acceptance bar ("the campaign exercised the machinery") cannot be
+   generation: a campaign always contains at least [min_faults] (20)
+   fault events and [min_wedges] (2) wedge events regardless of seed, so
+   the acceptance bar ("the campaign exercised the machinery") cannot be
    dodged by an unlucky draw. *)
 
 type config =
@@ -36,8 +36,6 @@ type config =
   ; queue_cap : int
   ; state_dir : string option (* cache + journal dir; None = in-memory *)
   ; crash_dir : string option
-  ; min_faults : int
-  ; min_wedges : int
   }
 
 let default_config =
@@ -47,9 +45,10 @@ let default_config =
   ; queue_cap = 16
   ; state_dir = None
   ; crash_dir = None
-  ; min_faults = 20
-  ; min_wedges = 2
   }
+
+let min_faults = 20
+let min_wedges = 2
 
 type report =
   { submitted : int
@@ -173,12 +172,12 @@ let schedule (cfg : config) : event list =
         end)
       evs
   in
-  place is_wedge (fun i -> Wedge i) cfg.min_wedges;
+  place is_wedge (fun i -> Wedge i) min_wedges;
   place is_fault
     (fun i ->
       let kinds = [| "raise"; "corrupt"; "exhaust"; "hang" |] in
       Faulty (i, kinds.(i mod 4)))
-    cfg.min_faults;
+    min_faults;
   Array.to_list evs
 
 (* --- references: the one-shot answer for every clean job --- *)
@@ -211,8 +210,7 @@ let run (cfg : config) : report =
       (* far above any legitimate job here (deadline 150 ms, 1 retry,
          5 ms backoff cap), far below the test-suite budget *)
     ; sup =
-        { Supervisor.default_config with
-          deadline_ms = 150
+        { Supervisor.deadline_ms = 150
         ; crash_dir = cfg.crash_dir
         ; backoff = { Backoff.base_ms = 1; cap_ms = 5; max_retries = 1 }
         ; seed = cfg.seed

@@ -223,7 +223,6 @@ type config =
   { deadline_ms : int (* per-job wall-clock budget; 0 disables *)
   ; backoff : Backoff.policy
   ; crash_dir : string option
-  ; breaker_threshold : int
   ; seed : int (* jitter seed component *)
   }
 
@@ -231,7 +230,6 @@ let default_config =
   { deadline_ms = 10_000
   ; backoff = Backoff.default
   ; crash_dir = None
-  ; breaker_threshold = 3
   ; seed = 0
   }
 
@@ -239,7 +237,9 @@ let default_config =
    lowering ticks under it (pipeline stages install their own). *)
 let fuel = 10_000_000
 
-(* Conservative successes that untrip a tripped breaker. *)
+(* Consecutive failed jobs of one source that trip its breaker, and
+   conservative successes that untrip it. *)
+let breaker_threshold = 3
 let breaker_recovery = 3
 
 type stats =
@@ -262,8 +262,7 @@ type t =
 let create (cfg : config) : t =
   { cfg
   ; breaker =
-      Breaker.create ~threshold:cfg.breaker_threshold
-        ~recovery:breaker_recovery
+      Breaker.create ~threshold:breaker_threshold ~recovery:breaker_recovery
   ; stats =
       { jobs = 0
       ; completed = 0

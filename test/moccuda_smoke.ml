@@ -70,9 +70,7 @@ let () =
   Printf.printf "ResNet layer sweep (first 3 layers, capped dims):\n%!";
   List.iteri
     (fun i l ->
-      let r =
-        Resnet.run_conv_layer ~hw_cap:8 ~channel_cap:16 km ar ~batch:1 l
-      in
+      let r = Resnet.run_conv_layer km ar ~batch:1 l in
       check
         (Printf.sprintf "layer %d (%dx%dx%d k%d s%d) checksum parity" i
            r.Resnet.lr_shape.Conv.c r.Resnet.lr_shape.Conv.h

@@ -30,24 +30,6 @@ let test_conv_backends_agree () =
     [ { Conv.stride = 1; pad = 1 }; { Conv.stride = 2; pad = 1 }
     ; { Conv.stride = 1; pad = 0 } ]
 
-(* The MocCUDA+Polygeist backend's loss is the kernel tier's NLL,
-   launched through a kernel manager: bitwise the reference loss. *)
-let test_nll_kernel_matches_reference () =
-  let n = 20 and classes = 10 in
-  let probs = Tensor.rand 7 [| n; classes |] in
-  let log_probs =
-    Tensor.of_array [| n; classes |]
-      (Array.map (fun x -> log (Float.abs x +. 0.1)) probs.Tensor.data)
-  in
-  let targets = Array.init n (fun i -> (i * 3) mod classes) in
-  let expected = Layers.nll_loss ~log_probs ~targets in
-  let got =
-    Moccuda.Backends.nll_loss Moccuda.Backends.Moccuda_polygeist ~log_probs
-      ~targets
-  in
-  Alcotest.(check int64) "loss bits" (Int64.bits_of_float expected)
-    (Int64.bits_of_float got)
-
 let test_mini_resnet_backends_agree () =
   let m = Moccuda.Resnet.mini_model ~channels:4 in
   let images = Tensor.rand 10 [| 2; 3; 8; 8 |] in
@@ -557,8 +539,6 @@ let tests =
   [ Alcotest.test_case "blocked gemm = naive" `Quick
       test_gemm_blocked_matches_naive
   ; Alcotest.test_case "conv backends agree" `Quick test_conv_backends_agree
-  ; Alcotest.test_case "transpiled NLL kernel" `Quick
-      test_nll_kernel_matches_reference
   ; Alcotest.test_case "mini resnet backends agree" `Quick
       test_mini_resnet_backends_agree
   ; Alcotest.test_case "cudart memory and streams" `Quick

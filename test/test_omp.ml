@@ -19,9 +19,21 @@ let verify_ok m =
 
 let lower ?(options = Core.Omp_lower.default_options) m =
   Core.Cpuify.pipeline m;
-  ignore (Core.Omp_lower.run ~options m);
+  let report = Core.Omp_lower.run ~options m in
   Core.Canonicalize.run m;
-  verify_ok m
+  verify_ok m;
+  report
+
+(* The paper's "openmpopt" ablation: the same recipe without collapse,
+   fusion and hoisting. *)
+let openmpopt_off (o : Core.Omp_lower.options) =
+  { o with Core.Omp_lower.openmpopt = false }
+
+(* With openmpopt off none of the three region optimizations runs. *)
+let check_openmpopt_off (r : Core.Omp_lower.report) =
+  Alcotest.(check (list int))
+    "collapsed, fused, hoisted with openmpopt off" [ 0; 0; 0 ]
+    [ r.Core.Omp_lower.collapsed; r.fused; r.hoisted ]
 
 let count p m =
   let n = ref 0 in
@@ -73,7 +85,8 @@ let check_differential ?(eps = 1e-4) src fname bufs scalars options =
     run_buffers m fname bufs scalars
   in
   let m = compile_ok src in
-  lower ~options m;
+  let report = lower ~options m in
+  if not options.Core.Omp_lower.openmpopt then check_openmpopt_off report;
   Alcotest.(check int)
     "no scf.parallel left" 0
     (count (fun o -> match o.Op.kind with Op.Parallel _ -> true | _ -> false) m);
@@ -94,13 +107,17 @@ let check_differential ?(eps = 1e-4) src fname bufs scalars options =
 let reduction_bufs () =
   [| Array.make 2 0.0; Array.init 128 (fun i -> float_of_int (i mod 9)) |]
 
+let with_openmpopt_off o = [ o; openmpopt_off o ]
+
 let test_lower_reduction_inner_serial () =
-  check_differential reduction_src "launch" (reduction_bufs ()) [ 2 ]
-    Core.Omp_lower.default_options
+  List.iter
+    (check_differential reduction_src "launch" (reduction_bufs ()) [ 2 ])
+    (with_openmpopt_off Core.Omp_lower.default_options)
 
 let test_lower_reduction_inner_parallel () =
-  check_differential reduction_src "launch" (reduction_bufs ()) [ 2 ]
-    Core.Omp_lower.inner_par_options
+  List.iter
+    (check_differential reduction_src "launch" (reduction_bufs ()) [ 2 ])
+    (with_openmpopt_off Core.Omp_lower.inner_par_options)
 
 let test_lower_saxpy_collapses () =
   let m = compile_ok saxpy_src in
@@ -112,15 +129,20 @@ let test_lower_saxpy_collapses () =
   (* a collapsed saxpy is a single parallel region with a single 6-D (or
      2-D) worksharing loop *)
   Alcotest.(check int) "one omp.parallel" 1
-    (count (fun o -> o.Op.kind = Op.OmpParallel) m)
+    (count (fun o -> o.Op.kind = Op.OmpParallel) m);
+  check_openmpopt_off
+    (lower ~options:(openmpopt_off Core.Omp_lower.default_options)
+       (compile_ok saxpy_src))
 
 let test_lower_saxpy_differential () =
   let n = 100 in
-  check_differential saxpy_src "launch"
-    [| Array.init n (fun i -> float_of_int i)
-     ; Array.init n (fun i -> float_of_int (n - i))
-    |]
-    [ n ] Core.Omp_lower.default_options
+  List.iter
+    (check_differential saxpy_src "launch"
+       [| Array.init n (fun i -> float_of_int i)
+        ; Array.init n (fun i -> float_of_int (n - i))
+       |]
+       [ n ])
+    (with_openmpopt_off Core.Omp_lower.default_options)
 
 let test_fusion_counts () =
   (* the reduction pipeline fissions into several adjacent parallel loops:
@@ -134,13 +156,16 @@ let test_fusion_counts () =
     (Printf.sprintf "fused (%d) + hoisted (%d) > 0" report.Core.Omp_lower.fused
        report.Core.Omp_lower.hoisted)
     true
-    (report.Core.Omp_lower.fused + report.Core.Omp_lower.hoisted > 0)
+    (report.Core.Omp_lower.fused + report.Core.Omp_lower.hoisted > 0);
+  check_openmpopt_off
+    (lower ~options:(openmpopt_off Core.Omp_lower.inner_par_options)
+       (compile_ok reduction_src))
 
 (* --- cost model sanity --- *)
 
 let cost_of ?(threads = 8) ?(options = Core.Omp_lower.default_options) src n =
   let m = compile_ok src in
-  lower ~options m;
+  ignore (lower ~options m);
   let r =
     Runtime.Cost.of_func Runtime.Machine.commodity ~threads m "launch"
       [ Runtime.Cost.Unk; Runtime.Cost.Unk; Runtime.Cost.Ki n ]

@@ -368,8 +368,9 @@ let test_bundle_v1_rejected () =
   | exception e ->
     Alcotest.failf "v1 bundle raised %s" (Printexc.to_string e)
 
-(* Likewise a v2 head (runtime line, no serve line) and a v3 head (the
-   run recorded only in the repro line). *)
+(* Likewise a v2 head (runtime line, no serve line), a v3 head (the
+   run recorded only in the repro line) and a v4 head (an options line
+   with the pass toggles the pipeline no longer has). *)
 let test_bundle_v2_rejected () =
   let text version extra =
     String.concat "\n"
@@ -398,7 +399,10 @@ let test_bundle_v2_rejected () =
       | Ok _ -> Alcotest.failf "%s bundle was accepted" version
       | exception e ->
         Alcotest.failf "%s bundle raised %s" version (Printexc.to_string e))
-    [ ("v2", []); ("v3", [ "serve: duration-ms=12,retries=1,queue-depth=0" ]) ]
+    [ ("v2", [])
+    ; ("v3", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
+    ; ("v4", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
+    ]
 
 (* A bundle written by the pass manager replays deterministically:
    recompiling the embedded source under the recorded options and fault
@@ -465,8 +469,24 @@ let test_unrecoverable_is_error () =
     Alcotest.(check int) "three failures recorded" 3
       (List.length report.failures)
 
+(* The stage names are the fault-plan vocabulary, and their positions
+   the index space of a crash bundle's stage-index: pin both lists. *)
+let test_stage_names_pinned () =
+  Alcotest.(check (list string))
+    "pipeline stages"
+    [ "canonicalize"; "cse"; "mem2reg"; "canonicalize"; "cse"; "licm"
+    ; "barrier-elim"; "cpuify"; "canonicalize"; "cse"; "mem2reg"; "licm"
+    ; "canonicalize" ]
+    (List.map fst (Core.Cpuify.pipeline_stages ()));
+  Alcotest.(check (list string))
+    "stage names"
+    [ "canonicalize"; "cse"; "mem2reg"; "licm"; "barrier-elim"; "cpuify" ]
+    (Core.Cpuify.stage_names ())
+
 let tests =
   [ Alcotest.test_case "clean pipeline: no degradation" `Quick test_clean
+  ; Alcotest.test_case "pipeline stage names pinned" `Quick
+      test_stage_names_pinned
   ; Alcotest.test_case "cpuify raise -> no-mincut rung" `Quick
       test_raise_no_mincut
   ; Alcotest.test_case "cpuify raise x2 -> whole-pipeline fallback" `Quick

@@ -701,13 +701,13 @@ let test_supervisor_breaker_trip () =
     Serve.Supervisor.create
       { (sup_config ~crash_dir:None) with
         backoff = { Serve.Backoff.base_ms = 1; cap_ms = 2; max_retries = 0 }
-      ; breaker_threshold = 2
       }
   in
   let cache = Serve.Cache.create () in
+  let threshold = Serve.Supervisor.breaker_threshold in
   (* a source that keeps dying in the serving layer: no retries, so
      each submission is one failed attempt *)
-  for i = 0 to 1 do
+  for i = 0 to threshold - 1 do
     let o =
       Serve.Supervisor.run_job t ~cache ~queue_depth:0 ~job_id:i
         (mk_job ~faults:"serve:raise" ())
@@ -718,7 +718,8 @@ let test_supervisor_breaker_trip () =
     (Serve.Supervisor.breaker_trips t);
   (* the same source, now clean: served conservatively via the breaker *)
   let o =
-    Serve.Supervisor.run_job t ~cache ~queue_depth:0 ~job_id:2 (mk_job ())
+    Serve.Supervisor.run_job t ~cache ~queue_depth:0 ~job_id:threshold
+      (mk_job ())
   in
   Alcotest.(check bool) "served via the breaker" true o.Serve.Proto.breaker;
   Alcotest.(check int) "conservative service is degraded" 1
