@@ -250,7 +250,9 @@ let repair_report_to_string (r : repair_report) : string =
 
 (* Replaying a fuzz bundle: re-run the oracle on the embedded (reduced)
    source and check the same stage and class still fail.  Used by the
-   driver's [--replay] when it meets a bundle whose rung is "fuzz". *)
+   driver's [--replay] when it meets a bundle whose rung is "fuzz".  The
+   oracle runs the default pipeline only, so a bundle recording other
+   options is refused rather than replayed under the defaults. *)
 let replay (b : Core.Crashbundle.t) : (string, string) result =
   let timeout_ms =
     match b.runtime with
@@ -262,13 +264,17 @@ let replay (b : Core.Crashbundle.t) : (string, string) result =
     | Some i -> String.sub b.exn_text 0 i
     | None -> b.exn_text
   in
-  match Oracle.run ~timeout_ms b.source with
-  | Oracle.Failed f
-    when String.equal f.f_stage b.stage && String.equal f.f_class want_class ->
-    Ok (Oracle.failure_to_string f)
-  | Oracle.Failed f ->
-    Error
-      (Printf.sprintf "different failure: recorded [%s] %s, got %s" b.stage
-         want_class
-         (Oracle.failure_to_string f))
-  | Oracle.Passed -> Error "stale: embedded source now passes the oracle"
+  if b.options <> Core.Cpuify.default_options then
+    Error "fuzz bundles replay only the default pipeline options"
+  else
+    match Oracle.run ~timeout_ms b.source with
+    | Oracle.Failed f
+      when String.equal f.f_stage b.stage && String.equal f.f_class want_class
+      ->
+      Ok (Oracle.failure_to_string f)
+    | Oracle.Failed f ->
+      Error
+        (Printf.sprintf "different failure: recorded [%s] %s, got %s" b.stage
+           want_class
+           (Oracle.failure_to_string f))
+    | Oracle.Passed -> Error "stale: embedded source now passes the oracle"

@@ -78,5 +78,7 @@ val repair_report_to_string : repair_report -> string
 
 (** Re-run the oracle on a fuzz bundle's embedded source; [Ok] iff the
     recorded stage and class still fail (the [--replay] path for bundles
-    whose rung is ["fuzz"]). *)
+    whose rung is ["fuzz"]).  A bundle whose options are not
+    [Core.Cpuify.default_options], the only ones the oracle runs, is an
+    [Error]. *)
 val replay : Core.Crashbundle.t -> (string, string) result

@@ -236,11 +236,6 @@ let buffer_of_tensor (t : Tensor.t) : Interp.Mem.buffer =
 let buffer_of_ints (a : int array) : Interp.Mem.buffer =
   Interp.Mem.of_int_array (Array.copy a)
 
-let buffer_of_floats (a : float array) : Interp.Mem.buffer =
-  let b = Interp.Mem.alloc_buffer Ir.Types.F64 [| Array.length a |] in
-  Array.iteri (fun i v -> Interp.Mem.set_f b i v) a;
-  b
-
 (* --- execution --- *)
 
 let run (g : t) (km : Kmgr.t) (ar : Arena.t)

@@ -71,7 +71,6 @@ val nll_loss : t -> log_probs:vid -> targets:vid -> vid
     values and plain arrays to them. *)
 
 val buffer_of_tensor : Tensor.t -> Interp.Mem.buffer
-val buffer_of_floats : float array -> Interp.Mem.buffer
 val buffer_of_ints : int array -> Interp.Mem.buffer
 
 (** {1 Execution} *)

@@ -86,6 +86,19 @@ let () =
      -> ()
    | Ok s -> fail "stale fuzz bundle replayed as reproduced: %s\n" s
    | Error msg -> fail "stale replay reported an unexpected error: %s\n" msg);
+  (* the oracle runs the default pipeline only: a bundle recording other
+     options is refused, never replayed under the defaults *)
+  (match
+     Fuzz.Fuzzer.replay
+       { stale_bundle with
+         options = { Core.Cpuify.default_options with opt_mincut = false }
+       }
+   with
+   | Error msg
+     when String.starts_with ~prefix:"fuzz bundles replay only" msg -> ()
+   | Ok s -> fail "fuzz bundle with other options replayed: %s\n" s
+   | Error msg ->
+     fail "fuzz bundle with other options was not refused: %s\n" msg);
   if !failures > 0 then begin
     Printf.printf "%d fuzz-smoke failure(s)\n" !failures;
     exit 1

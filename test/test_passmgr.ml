@@ -342,35 +342,68 @@ let test_bundle_roundtrip () =
     Alcotest.(check string) "source" b.source b'.source;
     Alcotest.(check string) "ir_before" b.ir_before b'.ir_before
 
+(* A bundle as [to_string] writes it, and the head line it starts with. *)
+let written_bundle =
+  Core.Crashbundle.to_string
+    { Core.Crashbundle.stage = "cpuify"
+    ; stage_index = 5
+    ; rung = "no-mincut"
+    ; exn_text = "Fault.Injected(\"cpuify:raise\")"
+    ; backtrace = ""
+    ; repro = "polygeist-cpu x.cu"
+    ; options = Core.Cpuify.default_options
+    ; faults = [ ("cpuify", Core.Fault.Raise) ]
+    ; runtime = None
+    ; serve = None
+    ; source = "__global__ void k() {}\n"
+    ; ir_before = "module {\n}\n"
+    }
+
+let current_head = List.hd (String.split_on_char '\n' written_bundle)
+
+(* [text] with its first line swapped for [head]. *)
+let with_head head text =
+  match String.index_opt text '\n' with
+  | Some i -> head ^ String.sub text i (String.length text - i)
+  | None -> head
+
+(* [text] is refused for its [version] head alone: it is an [Error]
+   (never an exception), and the same text under the current head
+   parses. *)
+let check_head_refused version text =
+  (match Core.Crashbundle.of_string text with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.failf "%s bundle was accepted" version
+   | exception e ->
+     Alcotest.failf "%s bundle raised %s" version (Printexc.to_string e));
+  match Core.Crashbundle.of_string (with_head current_head text) with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "%s body under the current head: %s" version e
+
 (* The older bundle formats never left this repo: a v1 head is refused
    with a typed [Error], never an exception. *)
 let test_bundle_v1_rejected () =
-  let v1_text =
-    String.concat "\n"
-      [ "polygeist-cpu crash bundle v1"
-      ; "stage: cpuify"
-      ; "stage-index: 5"
-      ; "rung: no-mincut"
-      ; "exception: Fault.Injected(\"cpuify:raise\")"
-      ; "repro: polygeist-cpu old.cu -cuda-lower"
-      ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
-      ; "faults: cpuify:raise"
-      ; "=== source ==="
-      ; "__global__ void k() {}"
-      ; "=== pre-stage ir ==="
-      ; "module {"
-      ; "}"
-      ]
-  in
-  match Core.Crashbundle.of_string v1_text with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "v1 bundle was accepted"
-  | exception e ->
-    Alcotest.failf "v1 bundle raised %s" (Printexc.to_string e)
+  check_head_refused "v1"
+    (String.concat "\n"
+       [ "polygeist-cpu crash bundle v1"
+       ; "stage: cpuify"
+       ; "stage-index: 5"
+       ; "rung: no-mincut"
+       ; "exception: Fault.Injected(\"cpuify:raise\")"
+       ; "repro: polygeist-cpu old.cu -cuda-lower"
+       ; "options: mincut=true,budget=7"
+       ; "faults: cpuify:raise"
+       ; "=== source ==="
+       ; "__global__ void k() {}"
+       ; "=== pre-stage ir ==="
+       ; "module {"
+       ; "}"
+       ])
 
 (* Likewise a v2 head (runtime line, no serve line), a v3 head (the
    run recorded only in the repro line) and a v4 head (an options line
-   with the pass toggles the pipeline no longer has). *)
+   with the pass toggles the pipeline no longer has), both on a
+   hand-written body and on one [to_string] wrote. *)
 let test_bundle_v2_rejected () =
   let text version extra =
     String.concat "\n"
@@ -380,7 +413,7 @@ let test_bundle_v2_rejected () =
        ; "rung: runtime"
        ; "exception: injected fault"
        ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
-       ; "options: mincut=true,barrier-elim=true,mem2reg=true,licm=true,budget=7"
+       ; "options: mincut=true,budget=7"
        ; "faults: runtime:raise"
        ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,timeout-ms=500"
        ]
@@ -393,16 +426,13 @@ let test_bundle_v2_rejected () =
          ])
   in
   List.iter
-    (fun (version, extra) ->
-      match Core.Crashbundle.of_string (text version extra) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.failf "%s bundle was accepted" version
-      | exception e ->
-        Alcotest.failf "%s bundle raised %s" version (Printexc.to_string e))
+    (fun (version, extra) -> check_head_refused version (text version extra))
     [ ("v2", [])
     ; ("v3", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
     ; ("v4", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
-    ]
+    ];
+  check_head_refused "v4"
+    (with_head "polygeist-cpu crash bundle v4" written_bundle)
 
 (* A bundle written by the pass manager replays deterministically:
    recompiling the embedded source under the recorded options and fault
