@@ -53,12 +53,12 @@ let deepest_rung (r : Core.Passmgr.report) : string =
   else if r.Core.Passmgr.degradations <> [] then "skip"
   else "full"
 
-let build_polygeist ?(name = "?") ?(cpuify = Core.Cpuify.default_options)
+let build_polygeist ?(name = "?") ?(mincut = true)
     ?(omp = Core.Omp_lower.default_options) ?(affine = false) (src : string) :
   Ir.Op.op =
   let m = Cudafe.Codegen.compile src in
   if affine then ignore (Core.Affine_opt.run m);
-  (match Core.Passmgr.lower ~options:cpuify (Core.Passmgr.Optimized omp) m with
+  (match Core.Passmgr.lower ~mincut (Core.Passmgr.Optimized omp) m with
    | Ok report ->
      if Core.Passmgr.degraded report then
        degradations :=
@@ -191,10 +191,7 @@ let fig13_ablate () =
       in
       let base = t (fun s -> build_polygeist ~name:b.name s) in
       let no_mincut =
-        t (fun s ->
-            build_polygeist ~name:b.name
-              ~cpuify:{ Core.Cpuify.default_options with Core.Cpuify.opt_mincut = false }
-              s)
+        t (fun s -> build_polygeist ~name:b.name ~mincut:false s)
       in
       (* region fusion/hoisting matters most where parallel regions are
          plentiful: measure it on the nested-parallel pipeline, like the

@@ -239,28 +239,27 @@ let run_entry ~(exec : [ `Interp | `Parallel ]) ~(domains : int)
        | None -> ()
        | Some dir -> begin
          let bundle =
-           { Core.Crashbundle.stage = "runtime"
+           { Core.Crashbundle.kind =
+               Runtime
+                 { run =
+                     { entry = Some entry
+                     ; sizes
+                     ; mode = name_of Core.Passmgr.recipes recipe
+                     ; exec = "parallel"
+                     ; domains
+                     ; schedule = Runtime.Schedule.to_string schedule
+                     ; timeout_ms
+                     }
+                 ; chunk
+                 }
+           ; stage = "runtime"
            ; stage_index = 0
            ; rung = "runtime"
            ; exn_text = why
            ; backtrace = ""
            ; repro
-           ; options = Core.Cpuify.default_options
+           ; mincut = true
            ; faults
-           ; runtime =
-               Some
-                 { rexec = "parallel"
-                 ; rdomains = domains
-                 ; rschedule = Runtime.Schedule.to_string schedule
-                 ; rchunk = chunk
-                 ; rseed = None
-                 ; rtimeout_ms =
-                     (if timeout_ms > 0 then Some timeout_ms else None)
-                 ; rentry = Some entry
-                 ; rsizes = sizes
-                 ; rrecipe = name_of Core.Passmgr.recipes recipe
-                 }
-           ; serve = None
            ; source = src
            ; ir_before = Ir.Printer.op_to_string m
            }
@@ -317,9 +316,9 @@ let time_entry (m : Ir.Op.op) ~(machine : string) ~(threads : int)
       Ok ()
   end
 
-(* Replaying a fuzz bundle (rung "fuzz"): re-run the differential
-   oracle on the embedded reduced source and require the same stage and
-   failure class. *)
+(* Replaying a fuzz bundle: re-run the differential oracle on the
+   embedded reduced source and require the same stage and failure
+   class. *)
 let replay_fuzz (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
       match Fuzz.Fuzzer.replay b with
@@ -333,17 +332,16 @@ let replay_fuzz (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result =
           msg;
         Ok 3)
 
-(* The job a runtime or serve bundle recorded: what ran (source, entry,
-   sizes, recipe) and how (engine, team, schedule, fault plan). *)
-let recorded_job (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
-    : Serve.Proto.job =
+(* The job a runtime or serve bundle recorded, field for field. *)
+let recorded_job (b : Core.Crashbundle.t) (r : Core.Crashbundle.run) :
+  Serve.Proto.job =
   { Serve.Proto.source = b.source
-  ; entry = rt.rentry
-  ; sizes = rt.rsizes
-  ; mode = rt.rrecipe
-  ; exec = rt.rexec
-  ; domains = rt.rdomains
-  ; schedule = rt.rschedule
+  ; entry = r.entry
+  ; sizes = r.sizes
+  ; mode = r.mode
+  ; exec = r.exec
+  ; domains = r.domains
+  ; schedule = r.schedule
   ; faults = Core.Fault.plan_to_string b.faults
   }
 
@@ -368,24 +366,24 @@ let verdict ~(what : string) ~(now_ok : string) ~(expected : string)
     Printf.printf "replay: %s\n" now_ok;
     stale ()
 
-(* Replaying a runtime bundle (stage "runtime"): lower the embedded
-   source through the recorded recipe, under the recorded options and
-   fault plan, then re-run the recorded entry and parallel execution
-   configuration through the shared run step. *)
-let replay_runtime (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
-    : (int, [ `Msg of string ]) result =
+(* Replaying a runtime bundle: lower the embedded source through the
+   recorded recipe, min-cut setting and fault plan, then re-run the
+   recorded entry and parallel execution configuration through the
+   shared run step. *)
+let replay_runtime (b : Core.Crashbundle.t) (r : Core.Crashbundle.run)
+    (chunk : int option) : (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
-      match Serve.Proto.decode (recorded_job b rt) with
+      match Serve.Proto.decode (recorded_job b r) with
       | Error e -> Error (`Msg ("replay: invalid job: " ^ e))
       | Ok spec -> (
         let m = Cudafe.Codegen.compile b.source in
         match
-          Core.Passmgr.lower ~options:b.options ~faults:b.faults
+          Core.Passmgr.lower ~mincut:b.mincut ~faults:b.faults
             ~source:b.source ~repro:b.repro spec.recipe m
         with
         | Error (_, msg) -> Error (`Msg ("replay: " ^ msg))
         | Ok _ -> begin
-          let entry = Option.value rt.rentry ~default:"" in
+          let entry = Option.get r.entry in
           match Ir.Op.find_func m entry with
           | None ->
             Error (`Msg (Printf.sprintf "replay: no function @%s to run" entry))
@@ -394,85 +392,76 @@ let replay_runtime (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg)
               ~expected:b.exn_text
               (match
                  Serve.Supervisor.run_entry ~log:ignore ~exec:`Parallel
-                   ~domains:spec.team ~schedule:spec.policy ?chunk:rt.rchunk
-                   ~timeout_ms:(Option.value rt.rtimeout_ms ~default:0)
-                   ~plan:b.faults m f rt.rsizes
+                   ~domains:spec.team ~schedule:spec.policy ?chunk
+                   ~timeout_ms:r.timeout_ms ~plan:b.faults m f r.sizes
                with
                | _ -> None
                | exception e -> Some (Serve.Supervisor.describe e))
         end))
 
-(* Replaying a serve bundle (rung "serve"): rebuild the job the daemon
-   was running from the bundle and run ONE unsupervised attempt through
-   the same fault wall. *)
-let replay_serve (b : Core.Crashbundle.t) (rt : Core.Crashbundle.runtime_cfg) :
+(* Replaying a serve bundle: rebuild the job the daemon was running and
+   run ONE unsupervised attempt through the same fault wall. *)
+let replay_serve (b : Core.Crashbundle.t) (r : Core.Crashbundle.run) :
   (int, [ `Msg of string ]) result =
   guard "replay" (fun () ->
-      let deadline_ms = Option.value rt.rtimeout_ms ~default:0 in
       verdict ~what:"serve" ~now_ok:"the job now succeeds" ~expected:b.exn_text
         (match
-           Serve.Supervisor.replay_attempt ~deadline_ms (recorded_job b rt)
+           Serve.Supervisor.replay_attempt ~deadline_ms:r.timeout_ms
+             (recorded_job b r)
          with
          | Ok _ -> None
          | Error why -> Some why))
 
-(* --replay: recompile the bundle's embedded source and re-run the
-   pipeline under the recorded options and fault plan; the pipeline is
-   deterministic, so the recorded failure must recur.  Exit 0 when it
-   does, 3 when the bundle is stale and it does not.  Fuzz, runtime and
-   serve bundles dispatch to their own replay logic. *)
+(* Replaying a pipeline bundle: recompile the embedded source and re-run
+   the pipeline under the recorded min-cut setting and fault plan. *)
+let replay_pipeline (b : Core.Crashbundle.t) : (int, [ `Msg of string ]) result
+    =
+  guard "replay" (fun () ->
+      let m = Cudafe.Codegen.compile b.source in
+      let failures =
+        match
+          Core.Passmgr.run_pipeline ~mincut:b.mincut ~faults:b.faults
+            ~source:b.source ~repro:b.repro m
+        with
+        | Ok report -> report.Core.Passmgr.failures
+        | Error (report, f) -> report.Core.Passmgr.failures @ [ f ]
+      in
+      let matches (f : Core.Passmgr.stage_failure) =
+        f.stage = b.stage
+        && Core.Passmgr.rung_to_string f.rung = b.rung
+        && f.exn_text = b.exn_text
+      in
+      match List.find_opt matches failures with
+      | Some f ->
+        Printf.printf "replay: reproduced the recorded failure\n  %s\n"
+          (Core.Passmgr.failure_to_string f);
+        Ok 0
+      | None ->
+        List.iter
+          (fun f ->
+            Printf.printf "replay: saw instead: %s\n"
+              (Core.Passmgr.failure_to_string f))
+          failures;
+        Printf.printf
+          "replay: the recorded failure did NOT reproduce (stale bundle?)\n";
+        Ok 3)
+
+(* --replay: re-run what the bundle's kind recorded; everything it runs
+   is deterministic, so the recorded failure must recur.  Exit 0 when it
+   does, 3 when the bundle is stale.  The oracle and the daemon run the
+   default pipeline only, so their bundles must record it. *)
 let do_replay (path : string) : (int, [ `Msg of string ]) result =
-  let no_runtime =
-    Error (`Msg "replay: the bundle records no runtime configuration")
-  in
   match Core.Crashbundle.read path with
   | Error e -> Error (`Msg e)
-  | Ok b when b.Core.Crashbundle.rung = "fuzz" -> replay_fuzz b
-  | Ok b when b.Core.Crashbundle.rung = "serve" -> begin
-    match b.Core.Crashbundle.runtime with
-    | Some rt -> replay_serve b rt
-    | None -> no_runtime
-  end
-  | Ok b when b.Core.Crashbundle.stage = "runtime" -> begin
-    match b.Core.Crashbundle.runtime with
-    | Some rt -> replay_runtime b rt
-    | None -> no_runtime
-  end
-  | Ok b ->
-    guard "replay" (fun () ->
-        let m = Cudafe.Codegen.compile b.Core.Crashbundle.source in
-        let outcome =
-          Core.Passmgr.run_pipeline ~options:b.Core.Crashbundle.options
-            ~faults:b.Core.Crashbundle.faults
-            ~source:b.Core.Crashbundle.source ~repro:b.Core.Crashbundle.repro
-            m
-        in
-        let failures =
-          match outcome with
-          | Ok report -> report.Core.Passmgr.failures
-          | Error (report, f) -> report.Core.Passmgr.failures @ [ f ]
-        in
-        let matches (f : Core.Passmgr.stage_failure) =
-          f.Core.Passmgr.stage = b.Core.Crashbundle.stage
-          && Core.Passmgr.rung_to_string f.Core.Passmgr.rung
-             = b.Core.Crashbundle.rung
-          && f.Core.Passmgr.exn_text = b.Core.Crashbundle.exn_text
-        in
-        match List.find_opt matches failures with
-        | Some f ->
-          Printf.printf
-            "replay: reproduced the recorded failure\n  %s\n"
-            (Core.Passmgr.failure_to_string f);
-          Ok 0
-        | None ->
-          List.iter
-            (fun f ->
-              Printf.printf "replay: saw instead: %s\n"
-                (Core.Passmgr.failure_to_string f))
-            failures;
-          Printf.printf
-            "replay: the recorded failure did NOT reproduce (stale bundle?)\n";
-          Ok 3)
+  | Ok ({ kind = Serve _ | Fuzz _; mincut = false; _ }) ->
+    Error
+      (`Msg
+        "replay: serve and fuzz bundles replay only the default pipeline \
+         (mincut: true)")
+  | Ok ({ kind = Pipeline; _ } as b) -> replay_pipeline b
+  | Ok ({ kind = Runtime { run; chunk }; _ } as b) -> replay_runtime b run chunk
+  | Ok ({ kind = Serve { run; _ }; _ } as b) -> replay_serve b run
+  | Ok ({ kind = Fuzz _; _ } as b) -> replay_fuzz b
 
 let main file cuda_lower mcuda recipe emit_ir run_name sizes exec domains
     schedule chunk stats timeout_ms time_threads machine check check_format

@@ -42,14 +42,6 @@ let is_const a = VM.is_empty a.terms
 
 let variables a = VM.fold (fun v _ acc -> v :: acc) a.terms []
 
-let to_string a =
-  let ts =
-    VM.fold
-      (fun v c acc -> Printf.sprintf "%d*%s" c (Value.to_string v) :: acc)
-      a.terms []
-  in
-  String.concat " + " (ts @ [ string_of_int a.const ])
-
 (* Derive the affine form of an SSA value by walking its def chain.
    [classify] decides how to treat a leaf value:
    - [`Sym]     : usable as an affine variable (thread iv or invariant)

@@ -13,14 +13,12 @@ type expr =
 val const : int -> expr
 val var : Ir.Value.t -> expr
 val add : expr -> expr -> expr
-val neg : expr -> expr
 val sub : expr -> expr -> expr
 val scale : int -> expr -> expr
 val equal : expr -> expr -> bool
 val coeff : expr -> Ir.Value.t -> int
 val is_const : expr -> bool
 val variables : expr -> Ir.Value.t list
-val to_string : expr -> string
 
 (** Derive the affine form of a value by walking its def chain through
     pure integer arithmetic.  [classify] labels each leaf: [`Sym] usable

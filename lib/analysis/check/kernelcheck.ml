@@ -60,5 +60,3 @@ let check_module_races (m : Op.op) : Diag.t list =
          let ctx = Effects.make_ctx ~modul:m ~par info in
          Race.check ctx par)
        (block_pars m))
-
-let has_errors (diags : Diag.t list) = List.exists Diag.is_error diags

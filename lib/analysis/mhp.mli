@@ -62,10 +62,6 @@ val barrier_closes : t -> Ir.Op.op -> (int list * int list) option
     region). *)
 val intervals_at : t -> Ir.Op.op -> (int list * int list) option
 
-(** The op's static home interval: the smallest unshifted id at it.
-    Defaults to 0 for unreached ops. *)
-val home : t -> Ir.Op.op -> int
-
 (** {2 Access-bearing leaves} *)
 
 (** A load/store/copy/dealloc/call with shared-visible accesses, plus

@@ -12,4 +12,3 @@ val run : Ir.Op.op -> int
     number moved. *)
 val hoist_edge_barriers : Ir.Op.op -> int
 
-val redundant : Analysis.Effects.ctx -> par:Ir.Op.op -> Ir.Op.op -> bool

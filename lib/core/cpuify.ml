@@ -167,14 +167,6 @@ let run ?use_mincut (m : Op.op) : unit =
   | Ok () -> ()
   | Error e -> raise (Stuck (error_to_string e))
 
-(* What a caller may vary: the min-cut ablation and the fixpoint budget. *)
-type options =
-  { opt_mincut : bool (* min-cut cache minimization (ablation: mincut) *)
-  ; opt_budget : int (* cpuify fixpoint iteration budget *)
-  }
-
-let default_options = { opt_mincut = true; opt_budget = default_budget }
-
 (* The standard pipeline used before lowering to OpenMP: generic cleanups,
    barrier-specific optimizations, then barrier lowering. *)
 let pipeline_stages () : (string * (Op.op -> unit)) list =

@@ -40,22 +40,11 @@ val run_result :
     remaining barrier.  @raise Stuck if a barrier cannot be lowered. *)
 val run : ?use_mincut:bool -> Ir.Op.op -> unit
 
-(** What a caller may vary: the paper's min-cut ablation ([opt_mincut],
-    off in [bench fig13_ablate]) and the fixpoint iteration budget of the
-    cpuify stage ([opt_budget], default {!default_budget}).  The pass
-    manager reads both; every other stage always runs. *)
-type options =
-  { opt_mincut : bool
-  ; opt_budget : int
-  }
-
-val default_options : options
-
 (** The 13 passes of {!pipeline} as a named list, so drivers can
     interleave verification or checking between them
     ([-check-after-each-pass]): canonicalize, cse, mem2reg, canonicalize,
     cse, licm, barrier-elim, cpuify, canonicalize, cse, mem2reg, licm,
-    canonicalize.  The cpuify stage runs with {!default_options}. *)
+    canonicalize.  The cpuify stage runs with {!default_budget}. *)
 val pipeline_stages : unit -> (string * (Ir.Op.op -> unit)) list
 
 (** The sanitizer's cleanup prefix: canonicalize, cse, mem2reg,

@@ -1,311 +1,201 @@
-(* Crash bundles: self-contained failure reports the pass manager drops
-   into --crash-dir whenever a stage dies.
+(* Crash bundles: self-contained failure reports that the pass manager,
+   the driver's runtime fallback, the compile daemon and the fuzzer drop
+   into --crash-dir.  A flat header of `key: value` lines (escaped, so
+   any text round-trips) names the kind of replay and what it reads; the
+   backtrace, source and pre-stage IR follow in raw sections for humans.
+   Everything a replay re-runs is deterministic, so the recorded failure
+   recurs, or the bundle is stale and the replay says so. *)
 
-   A bundle is a single text file holding everything needed to reproduce
-   the failure offline: the failing stage (and which rung of the
-   degradation ladder was being attempted), the exception and backtrace,
-   the pipeline options and the complete fault plan, a CLI repro line
-   (for humans: replay reads the recorded fields, never this line),
-   the original source, and a dump of the IR as it stood when the stage
-   started.  `polygeist-cpu --replay <bundle>` parses one back,
-   recompiles the embedded source and re-runs the pipeline under the
-   same options and fault plan — the whole pipeline is deterministic, so
-   the recorded failure recurs (or the bundle is stale and the replay
-   says so). *)
+type run =
+  { entry : string option; sizes : int list; mode : string; exec : string
+  ; domains : int; schedule : string; timeout_ms : int }
 
-(* Runtime-side configuration, so runtime and fuzz-oracle failures
-   replay under the exact execution setup that produced them: what was
-   run (entry, sizes, recipe) and how (engine, team, schedule).  Plain
-   strings/ints: Core must not depend on Runtime. *)
-type runtime_cfg =
-  { rexec : string (* "interp" | "parallel" *)
-  ; rdomains : int
-  ; rschedule : string (* "static" | "dynamic" | "guided" *)
-  ; rchunk : int option
-  ; rseed : int option (* fuzz generator seed, when applicable *)
-  ; rtimeout_ms : int option
-  ; rentry : string option (* the function that was run *)
-  ; rsizes : int list (* its integer arguments (--size) *)
-  ; rrecipe : string (* the --cpuify recipe the module was lowered with *)
-  }
-
-(* Serving-side job context, so a bundle from the compile daemon shows
-   how the job was doing when it died: how long the failing attempt
-   ran, how many retries the supervisor had already burned, and how
-   deep the admission queue was.  Plain ints: Core must not depend on
-   Serve. *)
-type serve_cfg =
-  { sduration_ms : int (* wall-clock of the failing attempt *)
-  ; sretries : int (* retries already performed when it failed *)
-  ; squeue_depth : int (* admission-queue depth at failure *)
-  }
+type kind =
+  | Pipeline
+  | Runtime of { run : run; chunk : int option }
+  | Serve of { run : run; duration_ms : int; retries : int; queue_depth : int }
+  | Fuzz of { seed : int; timeout_ms : int }
 
 type t =
-  { stage : string
-  ; stage_index : int (* occurrence index within pipeline_stages *)
-  ; rung : string (* ladder rung being attempted when it failed *)
-  ; exn_text : string
-  ; backtrace : string
-  ; repro : string (* CLI line that led here *)
-  ; options : Cpuify.options
-  ; faults : Fault.plan
-  ; runtime : runtime_cfg option (* None for pure pass failures *)
-  ; serve : serve_cfg option (* None for one-shot failures *)
-  ; source : string (* original CUDA translation unit *)
-  ; ir_before : string (* pre-stage IR dump *)
-  }
+  { kind : kind; stage : string; stage_index : int; rung : string
+  ; exn_text : string; backtrace : string; repro : string; mincut : bool
+  ; faults : Fault.plan; source : string; ir_before : string }
 
-let magic = "polygeist-cpu crash bundle v5"
+let magic = "polygeist-cpu crash bundle v6"
+let backtrace_marker = "backtrace:"
 let source_marker = "=== source ==="
 let ir_marker = "=== pre-stage ir ==="
 
-let options_to_string (o : Cpuify.options) : string =
-  Printf.sprintf "mincut=%b,budget=%d" o.Cpuify.opt_mincut o.Cpuify.opt_budget
+(* --- writing --- *)
 
-(* The "k=v,k=v,..." lines (options, runtime, serve): fold each field
-   into [init] with [set]; the first malformed field is the error. *)
-let parse_fields (s : string) (init : 'a)
-    (set : 'a -> string -> string -> ('a, string) result) : ('a, string) result
-    =
-  List.fold_left
-    (fun acc kv ->
-      Result.bind acc (fun r ->
-          match String.index_opt kv '=' with
-          | None -> Error (Printf.sprintf "bad field %S" kv)
-          | Some i ->
-            set r (String.sub kv 0 i)
-              (String.sub kv (i + 1) (String.length kv - i - 1))))
-    (Ok init) (String.split_on_char ',' s)
+let opt_int = function None -> "-" | Some n -> string_of_int n
+let ints l = String.concat "," (List.map string_of_int l)
 
-let int_field (k : string) (v : string) : (int, string) result =
-  match int_of_string_opt v with
-  | Some n -> Ok n
-  | None -> Error (Printf.sprintf "bad integer %S for %s" v k)
+let run_fields (r : run) =
+  [ ("entry", Option.value r.entry ~default:"-"); ("sizes", ints r.sizes)
+  ; ("mode", r.mode); ("exec", r.exec); ("domains", string_of_int r.domains)
+  ; ("schedule", r.schedule); ("timeout-ms", string_of_int r.timeout_ms) ]
 
-let opt_int_field (k : string) (v : string) : (int option, string) result =
-  if v = "-" then Ok None else Result.map Option.some (int_field k v)
-
-let unknown_field (k : string) = Error (Printf.sprintf "unknown field %S" k)
-
-let options_of_string (s : string) : (Cpuify.options, string) result =
-  parse_fields s Cpuify.default_options (fun o k v ->
-      let bool set =
-        match bool_of_string_opt v with
-        | Some b -> Ok (set b)
-        | None -> Error (Printf.sprintf "bad boolean %S for %s" v k)
-      in
-      match k with
-      | "mincut" -> bool (fun b -> { o with Cpuify.opt_mincut = b })
-      | "budget" ->
-        Result.map (fun n -> { o with Cpuify.opt_budget = n }) (int_field k v)
-      | _ -> unknown_field k)
-
-let opt_int_to_string = function None -> "-" | Some n -> string_of_int n
-
-(* Sizes are ';'-separated: ',' already separates the fields. *)
-let runtime_to_string (r : runtime_cfg) : string =
-  Printf.sprintf
-    "exec=%s,domains=%d,schedule=%s,chunk=%s,seed=%s,timeout-ms=%s,entry=%s,\
-     sizes=%s,recipe=%s"
-    r.rexec r.rdomains r.rschedule
-    (opt_int_to_string r.rchunk)
-    (opt_int_to_string r.rseed)
-    (opt_int_to_string r.rtimeout_ms)
-    (Option.value r.rentry ~default:"-")
-    (String.concat ";" (List.map string_of_int r.rsizes))
-    r.rrecipe
-
-let runtime_of_string (s : string) : (runtime_cfg, string) result =
-  let init =
-    { rexec = "interp"
-    ; rdomains = 1
-    ; rschedule = "static"
-    ; rchunk = None
-    ; rseed = None
-    ; rtimeout_ms = None
-    ; rentry = None
-    ; rsizes = []
-    ; rrecipe = "inner-serial"
-    }
+let header (b : t) : (string * string) list =
+  let i = string_of_int in
+  let kind, fields =
+    match b.kind with
+    | Pipeline -> ("pipeline", [])
+    | Runtime { run; chunk } ->
+      ("runtime", run_fields run @ [ ("chunk", opt_int chunk) ])
+    | Serve s ->
+      ( "serve"
+      , run_fields s.run
+        @ [ ("duration-ms", i s.duration_ms); ("retries", i s.retries)
+          ; ("queue-depth", i s.queue_depth) ] )
+    | Fuzz f -> ("fuzz", [ ("seed", i f.seed); ("timeout-ms", i f.timeout_ms) ])
   in
-  parse_fields s init (fun r k v ->
-      let opt set = Result.map set (opt_int_field k v) in
-      match k with
-      | "exec" -> Ok { r with rexec = v }
-      | "schedule" -> Ok { r with rschedule = v }
-      | "domains" ->
-        Result.map (fun n -> { r with rdomains = n }) (int_field k v)
-      | "chunk" -> opt (fun o -> { r with rchunk = o })
-      | "seed" -> opt (fun o -> { r with rseed = o })
-      | "timeout-ms" -> opt (fun o -> { r with rtimeout_ms = o })
-      | "entry" -> Ok { r with rentry = (if v = "-" then None else Some v) }
-      | "sizes" ->
-        let ns = if v = "" then [] else String.split_on_char ';' v in
-        let ns = List.map int_of_string_opt ns in
-        if List.mem None ns then Error (Printf.sprintf "bad sizes %S" v)
-        else Ok { r with rsizes = List.filter_map Fun.id ns }
-      | "recipe" -> Ok { r with rrecipe = v }
-      | _ -> unknown_field k)
-
-let serve_to_string (s : serve_cfg) : string =
-  Printf.sprintf "duration-ms=%d,retries=%d,queue-depth=%d" s.sduration_ms
-    s.sretries s.squeue_depth
-
-let serve_of_string (str : string) : (serve_cfg, string) result =
-  parse_fields str { sduration_ms = 0; sretries = 0; squeue_depth = 0 }
-    (fun s k v ->
-      let int set = Result.map set (int_field k v) in
-      match k with
-      | "duration-ms" -> int (fun n -> { s with sduration_ms = n })
-      | "retries" -> int (fun n -> { s with sretries = n })
-      | "queue-depth" -> int (fun n -> { s with squeue_depth = n })
-      | _ -> unknown_field k)
+  [ ("kind", kind); ("stage", b.stage); ("stage-index", i b.stage_index)
+  ; ("rung", b.rung); ("exception", b.exn_text); ("repro", b.repro)
+  ; ("mincut", string_of_bool b.mincut)
+  ; ("faults", Fault.plan_to_string b.faults) ]
+  @ fields
 
 let to_string (b : t) : string =
   let buf = Buffer.create 4096 in
-  let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "%s" magic;
-  line "stage: %s" b.stage;
-  line "stage-index: %d" b.stage_index;
-  line "rung: %s" b.rung;
-  line "exception: %s" (String.map (fun c -> if c = '\n' then ' ' else c) b.exn_text);
-  line "repro: %s" b.repro;
-  line "options: %s" (options_to_string b.options);
-  line "faults: %s" (Fault.plan_to_string b.faults);
-  (match b.runtime with
-   | Some r -> line "runtime: %s" (runtime_to_string r)
-   | None -> ());
-  (match b.serve with
-   | Some s -> line "serve: %s" (serve_to_string s)
-   | None -> ());
-  line "backtrace:";
+  let line s = Buffer.add_string buf s; Buffer.add_char buf '\n' in
+  line magic;
+  List.iter (fun (k, v) -> line (k ^ ": " ^ String.escaped v)) (header b);
+  line backtrace_marker;
   String.split_on_char '\n' b.backtrace
-  |> List.iter (fun l -> if String.trim l <> "" then line "| %s" l);
-  line "%s" source_marker;
+  |> List.iter (fun l -> if String.trim l <> "" then line ("| " ^ l));
+  line source_marker;
   Buffer.add_string buf b.source;
   if b.source = "" || b.source.[String.length b.source - 1] <> '\n' then
     Buffer.add_char buf '\n';
-  line "%s" ir_marker;
+  line ir_marker;
   Buffer.add_string buf b.ir_before;
   Buffer.contents buf
 
+(* --- reading --- *)
+
+let ( let* ) = Result.bind
+
+(* The lines before [marker], and those after it. *)
+let rec upto marker acc = function
+  | [] -> Error (Printf.sprintf "bundle has no %S line" marker)
+  | l :: rest when l = marker -> Ok (List.rev acc, rest)
+  | l :: rest -> upto marker (l :: acc) rest
+
+(* The header as a key table; every lookup below removes its key, so
+   whatever is left at the end is unknown. *)
+let table (lines : string list) : ((string, string) Hashtbl.t, string) result =
+  let tbl = Hashtbl.create 32 in
+  let add l =
+    match String.index_opt l ':' with
+    | Some i when i + 1 < String.length l && l.[i + 1] = ' ' ->
+      let k = String.sub l 0 i in
+      let v = String.sub l (i + 2) (String.length l - i - 2) in
+      if Hashtbl.mem tbl k then Error (Printf.sprintf "duplicate key %S" k)
+      else begin
+        match Scanf.unescaped v with
+        | v -> Ok (Hashtbl.replace tbl k v)
+        | exception (Scanf.Scan_failure _ | Failure _ | End_of_file) ->
+          Error (Printf.sprintf "key %S: malformed escapes" k)
+      end
+    | _ -> Error (Printf.sprintf "bad header line %S" l)
+  in
+  List.fold_left (fun acc l -> Result.bind acc (fun () -> add l)) (Ok ()) lines
+  |> Result.map (fun () -> tbl)
+
+let take tbl k =
+  match Hashtbl.find_opt tbl k with
+  | Some v -> Hashtbl.remove tbl k; Ok v
+  | None -> Error (Printf.sprintf "missing key %S" k)
+
+let parsed what conv tbl k =
+  let* v = take tbl k in
+  Option.to_result (conv v)
+    ~none:(Printf.sprintf "key %S: malformed %s %S" k what v)
+
+let int = parsed "integer" int_of_string_opt
+
+let opt_int_of = function
+  | "-" -> Some None
+  | v -> Option.map Option.some (int_of_string_opt v)
+
+let ints_of v =
+  if v = "" then Some []
+  else
+    let ns = List.map int_of_string_opt (String.split_on_char ',' v) in
+    if List.mem None ns then None else Some (List.filter_map Fun.id ns)
+
+let run_of tbl : (run, string) result =
+  let* entry = take tbl "entry" in
+  let* sizes = parsed "integer list" ints_of tbl "sizes" in
+  let* mode = take tbl "mode" in
+  let* exec = take tbl "exec" in
+  let* domains = int tbl "domains" in
+  let* schedule = take tbl "schedule" in
+  let* timeout_ms = int tbl "timeout-ms" in
+  let entry = if entry = "-" then None else Some entry in
+  Ok { entry; sizes; mode; exec; domains; schedule; timeout_ms }
+
+let kind_of tbl : (kind, string) result =
+  match take tbl "kind" with
+  | Error _ as e -> e
+  | Ok "pipeline" -> Ok Pipeline
+  | Ok "runtime" ->
+    let* run = run_of tbl in
+    let* chunk = parsed "integer" opt_int_of tbl "chunk" in
+    if run.entry = None then
+      Error "key \"entry\": a runtime bundle records the function it ran"
+    else Ok (Runtime { run; chunk })
+  | Ok "serve" ->
+    let* run = run_of tbl in
+    let* duration_ms = int tbl "duration-ms" in
+    let* retries = int tbl "retries" in
+    let* queue_depth = int tbl "queue-depth" in
+    Ok (Serve { run; duration_ms; retries; queue_depth })
+  | Ok "fuzz" ->
+    let* seed = int tbl "seed" in
+    let* timeout_ms = int tbl "timeout-ms" in
+    Ok (Fuzz { seed; timeout_ms })
+  | Ok k -> Error (Printf.sprintf "key \"kind\": unknown kind %S" k)
+
 let of_string (s : string) : (t, string) result =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | m :: rest when m = magic -> begin
-    let stage = ref "" in
-    let stage_index = ref 0 in
-    let rung = ref "" in
-    let exn_text = ref "" in
-    let repro = ref "" in
-    let options = ref Cpuify.default_options in
-    let faults = ref [] in
-    let runtime = ref None in
-    let serve = ref None in
-    let backtrace = Buffer.create 256 in
-    let source = Buffer.create 1024 in
-    let ir = Buffer.create 1024 in
-    let err = ref None in
-    let fail fmt = Printf.ksprintf (fun e -> err := Some e) fmt in
-    let section = ref `Header in
-    List.iter
-      (fun l ->
-        if l = source_marker then section := `Source
-        else if l = ir_marker then section := `Ir
-        else begin
-          match !section with
-          | `Source ->
-            Buffer.add_string source l;
-            Buffer.add_char source '\n'
-          | `Ir ->
-            Buffer.add_string ir l;
-            Buffer.add_char ir '\n'
-          | `Header ->
-            let strip prefix =
-              if String.length l >= String.length prefix
-                 && String.sub l 0 (String.length prefix) = prefix
-              then
-                Some
-                  (String.sub l (String.length prefix)
-                     (String.length l - String.length prefix))
-              else None
-            in
-            (match strip "stage: " with
-             | Some v -> stage := v
-             | None ->
-             match strip "stage-index: " with
-             | Some v ->
-               stage_index := Option.value ~default:0 (int_of_string_opt v)
-             | None ->
-             match strip "rung: " with
-             | Some v -> rung := v
-             | None ->
-             match strip "exception: " with
-             | Some v -> exn_text := v
-             | None ->
-             match strip "repro: " with
-             | Some v -> repro := v
-             | None ->
-             match strip "options: " with
-             | Some v -> begin
-               match options_of_string v with
-               | Ok o -> options := o
-               | Error e -> fail "bad options line: %s" e
-             end
-             | None ->
-             match strip "faults: " with
-             | Some v -> begin
-               match Fault.plan_of_string v with
-               | Ok p -> faults := p
-               | Error e -> fail "bad faults line: %s" e
-             end
-             | None ->
-             match strip "runtime: " with
-             | Some v -> begin
-               match runtime_of_string v with
-               | Ok r -> runtime := Some r
-               | Error e -> fail "bad runtime line: %s" e
-             end
-             | None ->
-             match strip "serve: " with
-             | Some v -> begin
-               match serve_of_string v with
-               | Ok s -> serve := Some s
-               | Error e -> fail "bad serve line: %s" e
-             end
-             | None ->
-             match strip "| " with
-             | Some v ->
-               Buffer.add_string backtrace v;
-               Buffer.add_char backtrace '\n'
-             | None -> ())
-        end)
-      rest;
-    match !err with
-    | Some e -> Error e
-    | None ->
-      if !stage = "" then Error "bundle has no stage line"
-      else
-        Ok
-          { stage = !stage
-          ; stage_index = !stage_index
-          ; rung = !rung
-          ; exn_text = !exn_text
-          ; backtrace = Buffer.contents backtrace
-          ; repro = !repro
-          ; options = !options
-          ; faults = !faults
-          ; runtime = !runtime
-          ; serve = !serve
-          ; source = Buffer.contents source
-          ; ir_before =
-              (* drop the final '\n' the line-splitting round trip adds *)
-              (let s = Buffer.contents ir in
-               if s <> "" && s.[String.length s - 1] = '\n' then
-                 String.sub s 0 (String.length s - 1)
-               else s)
-          }
-  end
+  match String.split_on_char '\n' s with
+  | m :: rest when m = magic ->
+    let* head, rest = upto backtrace_marker [] rest in
+    let* trace, rest = upto source_marker [] rest in
+    let* source, ir = upto ir_marker [] rest in
+    let* tbl = table head in
+    let* kind = kind_of tbl in
+    let* stage = take tbl "stage" in
+    let* stage_index = int tbl "stage-index" in
+    let* rung = take tbl "rung" in
+    let* exn_text = take tbl "exception" in
+    let* repro = take tbl "repro" in
+    let* mincut = parsed "boolean" bool_of_string_opt tbl "mincut" in
+    let* faults = take tbl "faults" in
+    let* faults =
+      Result.map_error (Printf.sprintf "key \"faults\": %s")
+        (Fault.plan_of_string faults)
+    in
+    let* () =
+      match List.sort compare (Hashtbl.fold (fun k _ l -> k :: l) tbl []) with
+      | [] -> Ok ()
+      | k :: _ -> Error (Printf.sprintf "unknown key %S" k)
+    in
+    let traced = String.starts_with ~prefix:"| " in
+    let* () =
+      match List.find_opt (fun l -> not (traced l)) trace with
+      | Some l -> Error (Printf.sprintf "bad backtrace line %S" l)
+      | None -> Ok ()
+    in
+    let cat f l = String.concat "" (List.map (fun l -> f l ^ "\n") l) in
+    let backtrace = cat (fun l -> String.sub l 2 (String.length l - 2)) trace in
+    let source = cat Fun.id source in
+    Ok { kind; stage; stage_index; rung; exn_text; backtrace; repro; mincut
+       ; faults; source; ir_before = String.concat "\n" ir }
+  | m :: _ when String.starts_with ~prefix:"polygeist-cpu crash bundle " m ->
+    Error (Printf.sprintf "unsupported crash bundle format %S (this build \
+                           reads v6)" m)
   | _ -> Error "not a polygeist-cpu crash bundle (bad magic line)"
 
 let rec mkdir_p (dir : string) : unit =
@@ -317,35 +207,34 @@ let rec mkdir_p (dir : string) : unit =
 (* Sanitize the stage name for use in a filename. *)
 let slug (s : string) : string =
   String.map
-    (fun c ->
-      match c with
-      | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' -> c
-      | _ -> '_')
+    (function ('a'..'z' | 'A'..'Z' | '0'..'9' | '-' | '_') as c -> c | _ -> '_')
     s
 
-(* Concurrent executor domains write bundles into the same directory;
-   picking the next free sequence number and creating the file must be
-   one atomic step per process or two lanes can claim the same name. *)
-let write_mutex = Mutex.create ()
+(* The next sequence number to try.  Creating the file with [Open_excl]
+   claims its name atomically across domains and processes, so a name
+   already taken only moves the counter on; n writes into one directory
+   cost O(n) probes, and a fresh process starts at crash-000. *)
+let next = Atomic.make 0
 
 let write ~(dir : string) (b : t) : (string, string) result =
+  let rec claim () =
+    let path =
+      Filename.concat dir
+        (Printf.sprintf "crash-%03d-%s.bundle" (Atomic.fetch_and_add next 1)
+           (slug b.stage))
+    in
+    let flags = [ Open_wronly; Open_creat; Open_excl; Open_text ] in
+    match Out_channel.open_gen flags 0o644 path with
+    | oc -> (path, oc)
+    | exception Sys_error _ when Sys.file_exists path -> claim ()
+  in
   try
-    Mutex.lock write_mutex;
+    mkdir_p dir;
+    let path, oc = claim () in
     Fun.protect
-      ~finally:(fun () -> Mutex.unlock write_mutex)
-      (fun () ->
-        mkdir_p dir;
-        let rec pick n =
-          let path =
-            Filename.concat dir
-              (Printf.sprintf "crash-%03d-%s.bundle" n (slug b.stage))
-          in
-          if Sys.file_exists path then pick (n + 1) else path
-        in
-        let path = pick 0 in
-        Out_channel.with_open_text path (fun oc ->
-            Out_channel.output_string oc (to_string b));
-        Ok path)
+      ~finally:(fun () -> Out_channel.close oc)
+      (fun () -> Out_channel.output_string oc (to_string b));
+    Ok path
   with Sys_error e -> Error (Printf.sprintf "cannot write crash bundle: %s" e)
 
 let read (path : string) : (t, string) result =

@@ -21,8 +21,6 @@ type plan = entry list
 (** Raised by the pass manager when a [Raise] fault fires. *)
 exception Injected of string
 
-val kind_to_string : kind -> string
-val kind_of_string : string -> kind option
 val entry_to_string : entry -> string
 
 (** Parse ["STAGE:KIND"] (the --inject-fault syntax). *)

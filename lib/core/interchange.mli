@@ -6,12 +6,9 @@
 
 exception Unsupported of string
 
-(** [interchange modul par] rewrites [par]; [None] when the body shape
-    does not match (caller falls back to isolation splitting).
-    @raise Unsupported when the prefix/suffix cannot legally move. *)
-val interchange : Ir.Op.op -> Ir.Op.op -> Ir.Op.op list option
-
-(** {!interchange} with [Unsupported] reified as [Error] — the
+(** [interchange_result modul par] rewrites [par]; [Ok None] when the
+    body shape does not match (the caller falls back to isolation
+    splitting), [Error] when the prefix/suffix cannot legally move — the
     structured boundary the fault-tolerant pass manager consumes. *)
 val interchange_result :
   Ir.Op.op -> Ir.Op.op -> (Ir.Op.op list option, string) result

@@ -117,7 +117,7 @@ let stage_fuel = 1_000_000
 
 exception Abort of stage_failure
 
-let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
+let run_pipeline ?(mincut = true) ?(faults = [])
     ?crash_dir ?(source = "") ?(repro = "") (m : Op.op) :
   (report, report * stage_failure) result =
   Printexc.record_backtrace true;
@@ -134,16 +134,15 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
     | None -> None
     | Some dir -> begin
       let b =
-        { Crashbundle.stage
+        { Crashbundle.kind = Pipeline
+        ; stage
         ; stage_index
         ; rung = rung_to_string rung
         ; exn_text
         ; backtrace
         ; repro
-        ; options
+        ; mincut
         ; faults
-        ; runtime = None
-        ; serve = None
         ; source
         ; ir_before = Printer.op_to_string snap
         }
@@ -188,11 +187,8 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
      unit-returning and rely on exception isolation. *)
   let base_stage ~rung name fn (m : Op.op) : (unit, string) result =
     if name = "cpuify" then
-      let use_mincut =
-        match rung with No_mincut -> false | _ -> options.Cpuify.opt_mincut
-      in
-      Result.map_error Cpuify.error_to_string
-        (Cpuify.run_result ~use_mincut ~budget:options.Cpuify.opt_budget m)
+      let use_mincut = match rung with No_mincut -> false | _ -> mincut in
+      Result.map_error Cpuify.error_to_string (Cpuify.run_result ~use_mincut m)
     else begin
       fn m;
       Ok ()
@@ -234,8 +230,7 @@ let run_pipeline ?(options = Cpuify.default_options) ?(faults = [])
         (faulted ~stage:"no-opt-fallback" (fun m ->
              Fuel.unlimited (fun () ->
                  Result.map_error Cpuify.error_to_string
-                   (Cpuify.run_result ~use_mincut:false
-                      ~budget:Cpuify.default_budget m))))
+                   (Cpuify.run_result ~use_mincut:false m))))
     with
     | Ok () ->
       fell_back := true;
@@ -290,7 +285,7 @@ let recipes =
   ; ("no-opt", No_opt)
   ]
 
-let lower ?options ?faults ?crash_dir ?source ?repro (recipe : recipe)
+let lower ?mincut ?faults ?crash_dir ?source ?repro (recipe : recipe)
     (m : Op.op) : (report, report * string) result =
   let clean =
     { degradations = []; failures = []; fell_back = false; bundles = [] }
@@ -303,7 +298,7 @@ let lower ?options ?faults ?crash_dir ?source ?repro (recipe : recipe)
       | Error e -> Error (clean, "cpuify: " ^ Cpuify.error_to_string e)
     end
     | Optimized omp -> begin
-      match run_pipeline ?options ?faults ?crash_dir ?source ?repro m with
+      match run_pipeline ?mincut ?faults ?crash_dir ?source ?repro m with
       | Ok r ->
         (* after the whole-pipeline fallback the module is exactly the
            no-opt lowering: keep the OpenMP step conservative too *)

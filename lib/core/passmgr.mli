@@ -60,6 +60,8 @@ val report_to_string : report -> string
 val with_rollback : Ir.Op.op -> (unit -> bool) -> bool
 
 (** Run the full pre-OpenMP pipeline on the module, fault-tolerantly.
+    [mincut] (default [true]) is the paper's min-cut ablation axis for
+    the cpuify stage, which always runs with {!Cpuify.default_budget};
     [faults] is a deterministic injection plan (each entry one-shot);
     [source] and [repro] are recorded verbatim in crash bundles.
     [Ok report] means the module now holds runnable barrier-free IR
@@ -67,7 +69,7 @@ val with_rollback : Ir.Op.op -> (unit -> bool) -> bool
     means even the conservative fallback failed, with the report of
     everything tried plus the final failure. *)
 val run_pipeline :
-  ?options:Cpuify.options ->
+  ?mincut:bool ->
   ?faults:Fault.plan ->
   ?crash_dir:string ->
   ?source:string ->
@@ -95,7 +97,7 @@ val recipes : (string * recipe) list
     IR in the module ([report] is empty for [No_opt]); [Error (report,
     msg)] is a one-line diagnostic plus the pipeline's report so far. *)
 val lower :
-  ?options:Cpuify.options ->
+  ?mincut:bool ->
   ?faults:Fault.plan ->
   ?crash_dir:string ->
   ?source:string ->

@@ -21,16 +21,10 @@ val stats : split_stats
 
 val reset_stats : unit -> unit
 
-(** Hoist the loop's top-level allocas into per-thread slabs; returns the
-    ops to place before the loop. *)
-val expand_allocas : Ir.Op.op -> Ir.Op.op list
-
-(** Split at the first top-level barrier; [None] when there is none.
+(** Split at the first top-level barrier; [Ok None] when there is none.
     With [use_mincut:false] every live value is cached (the MCUDA
-    behaviour / ablation baseline). *)
-val split_parallel : use_mincut:bool -> Ir.Op.op -> Ir.Op.op list option
-
-(** {!split_parallel} with [Unsupported] reified as [Error] — the
-    structured boundary the fault-tolerant pass manager consumes. *)
+    behaviour / ablation baseline).  [Unsupported] is reified as
+    [Error] — the structured boundary the fault-tolerant pass manager
+    consumes. *)
 val split_result :
   use_mincut:bool -> Ir.Op.op -> (Ir.Op.op list option, string) result

@@ -9,11 +9,5 @@
 
 exception Error of string
 
-(** Compile one function (non-kernel). *)
-val gen_func : Ast.program -> Ast.func -> Ir.Op.op
-
-(** Compile a program; kernels are inlined at their launch sites. *)
-val gen_program : Ast.program -> Ir.Op.op
-
 (** Parse + compile mini-CUDA source into a module. *)
 val compile : string -> Ir.Op.op

@@ -25,7 +25,8 @@ type report =
   }
 
 let bundle_of_finding ~timeout_ms (f : finding) : Core.Crashbundle.t =
-  { stage = f.ffailure.f_stage
+  { kind = Fuzz { seed = f.fseed; timeout_ms }
+  ; stage = f.ffailure.f_stage
   ; stage_index = 0
   ; rung = "fuzz"
   ; exn_text = f.ffailure.f_class ^ ": " ^ f.ffailure.f_detail
@@ -33,24 +34,8 @@ let bundle_of_finding ~timeout_ms (f : finding) : Core.Crashbundle.t =
   ; repro =
       Printf.sprintf "polygeist-cpu fuzz --seed %d --cases 1 (reduced to %d ops)"
         f.fseed f.fops
-  ; options = Core.Cpuify.default_options
+  ; mincut = true
   ; faults = []
-  ; runtime =
-      Some
-        { rexec = "parallel"
-        ; rdomains = 4
-        ; rschedule = "static"
-        ; rchunk = None
-        ; rseed = Some f.fseed
-        ; rtimeout_ms = Some timeout_ms
-        ; rentry = Some Oracle.entry
-        ; rsizes = []
-        ; rrecipe =
-            (if String.equal f.ffailure.f_stage Oracle.inner_par_stage then
-               "inner-parallel"
-             else "inner-serial")
-        }
-  ; serve = None
   ; source = f.freduced
   ; ir_before = Oracle.ir_before f.freduced f.ffailure.f_stage
   }
@@ -250,23 +235,19 @@ let repair_report_to_string (r : repair_report) : string =
 
 (* Replaying a fuzz bundle: re-run the oracle on the embedded (reduced)
    source and check the same stage and class still fail.  Used by the
-   driver's [--replay] when it meets a bundle whose rung is "fuzz".  The
-   oracle runs the default pipeline only, so a bundle recording other
-   options is refused rather than replayed under the defaults. *)
+   driver's [--replay] for bundles of kind fuzz.  The oracle runs the
+   default pipeline with no fault plan, so a bundle recording anything
+   else is refused rather than replayed under the defaults. *)
 let replay (b : Core.Crashbundle.t) : (string, string) result =
-  let timeout_ms =
-    match b.runtime with
-    | Some { rtimeout_ms = Some ms; _ } -> ms
-    | _ -> 5000
-  in
   let want_class =
     match String.index_opt b.exn_text ':' with
     | Some i -> String.sub b.exn_text 0 i
     | None -> b.exn_text
   in
-  if b.options <> Core.Cpuify.default_options then
-    Error "fuzz bundles replay only the default pipeline options"
-  else
+  match b.kind with
+  | Fuzz _ when (not b.mincut) || b.faults <> [] ->
+    Error "fuzz bundles replay only the default pipeline, with no fault plan"
+  | Fuzz { timeout_ms; _ } -> begin
     match Oracle.run ~timeout_ms b.source with
     | Oracle.Failed f
       when String.equal f.f_stage b.stage && String.equal f.f_class want_class
@@ -278,3 +259,5 @@ let replay (b : Core.Crashbundle.t) : (string, string) result =
            want_class
            (Oracle.failure_to_string f))
     | Oracle.Passed -> Error "stale: embedded source now passes the oracle"
+  end
+  | _ -> Error "not a fuzz bundle"

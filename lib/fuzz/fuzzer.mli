@@ -19,9 +19,8 @@ type report =
 
 (** Run [cases] seeds starting at [seed].  Each failure is shrunk
     (unless [reduce] is [false]) and, when [crash_dir] is given, written
-    as a crash bundle ({!Core.Crashbundle}) with rung ["fuzz"], the
-    default pipeline options and the generator seed in its runtime
-    line.  [tensor] draws from {!Gen.tensor_source} instead of
+    as a crash bundle ({!Core.Crashbundle}) of kind [Fuzz], recording
+    the generator seed and [timeout_ms].  [tensor] draws from {!Gen.tensor_source} instead of
     {!Gen.source}.  [progress done_ found] is called after each case. *)
 val run_campaign :
   ?timeout_ms:int ->
@@ -77,8 +76,8 @@ val run_repair_campaign :
 val repair_report_to_string : repair_report -> string
 
 (** Re-run the oracle on a fuzz bundle's embedded source; [Ok] iff the
-    recorded stage and class still fail (the [--replay] path for bundles
-    whose rung is ["fuzz"]).  A bundle whose options are not
-    [Core.Cpuify.default_options], the only ones the oracle runs, is an
-    [Error]. *)
+    recorded stage and class still fail (the [--replay] path for
+    bundles of kind [Fuzz]).  A bundle of another kind, or one recording
+    [mincut: false] or a fault plan (the oracle runs the default
+    pipeline only), is an [Error]. *)
 val replay : Core.Crashbundle.t -> (string, string) result

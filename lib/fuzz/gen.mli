@@ -14,16 +14,10 @@
     values around a barrier, and the guards, power-of-two divisions and
     one-trip loops canonicalization's integer range facts decide. *)
 
-(** Grid width of every generated program (the launch is always
-    [k<<<blocks, threads>>>]). *)
-val blocks : int
-
 type cfg =
   { threads : int (** block width: 4 or 8, drawn from the seed *)
   ; n : int (** total output elements, [blocks * threads] *)
   }
-
-val cfg_of_seed : int -> cfg
 
 (** The generated program: kernel [k] plus host entry
     [void launch(float* out, float* in)].  Same seed, same source. *)

@@ -34,10 +34,6 @@ val failure_to_string : failure -> string
     module must define for {!run_module} to be applicable. *)
 val entry : string
 
-(** The stage name of the last rung, which lowers with the
-    inner-parallel recipe ([exec-inner-par-d4]). *)
-val inner_par_stage : string
-
 (** Stage and class equal — the invariant the reducer preserves. *)
 val same_failure : failure -> failure -> bool
 

@@ -3,8 +3,6 @@
     expression is parenthesized, so a reparse rebuilds the same tree
     shape regardless of precedence. *)
 
-val expr : Cudafe.Ast.expr -> string
-
 (** Print a whole program back to parseable source.  Not reentrant (one
     shared buffer) — fine for the single-threaded reducer. *)
 val program : Cudafe.Ast.program -> string

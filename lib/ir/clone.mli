@@ -18,8 +18,6 @@ val lookup : subst -> Value.t -> Value.t
     them. *)
 val clone_op : subst -> Op.op -> Op.op
 
-val clone_region : subst -> Op.region -> Op.region
-
 (** Clone with a fresh private substitution. *)
 val clone_op_fresh : Op.op -> Op.op
 

@@ -143,7 +143,6 @@ val loc_string : op -> string
 
 val region : ?args:Value.t array -> op list -> region
 
-val attr : op -> string -> attr option
 val attr_int : op -> string -> int option
 val set_attr : op -> string -> attr -> unit
 
@@ -196,7 +195,6 @@ val iter : (op -> unit) -> op -> unit
 val iter_region : (op -> unit) -> region -> unit
 
 val exists : (op -> bool) -> op -> bool
-val region_exists : (op -> bool) -> region -> bool
 val contains_barrier_region : region -> bool
 val contains_barrier : op -> bool
 

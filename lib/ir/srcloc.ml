@@ -10,8 +10,6 @@ type t =
 
 let v ~line ~col = { line; col }
 
-let unknown = { line = 0; col = 0 }
-
 let is_known l = l.line > 0
 
 let to_string l =

@@ -40,7 +40,6 @@ val dtype_bytes : dtype -> int
 val memref : ?space:space -> dtype -> int option list -> typ
 
 val dtype_to_string : dtype -> string
-val space_to_string : space -> string
 val to_string : typ -> string
 val equal : typ -> typ -> bool
 

@@ -4,8 +4,6 @@
     min-cut), outermost-loop-only parallelization, generic scalar
     cleanups only afterwards (the "downstream C compiler"). *)
 
-val options : Core.Omp_lower.options
-
 (** Lower a frontend-produced module the way MCUDA would. *)
 val lower : Ir.Op.op -> unit
 

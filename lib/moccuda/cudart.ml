@@ -1,7 +1,6 @@
 (* Emulation of the CUDA runtime surface PyTorch exercises (Sec. V-B):
    device enumeration/properties, memory management, and streams.
 
-
    PyTorch's interaction with CUDART is "mostly limited to identifying
    properties of installed GPUs, memory management, and management and
    synchronization of CUDA streams"; MocCUDA reports the property dump of
@@ -73,13 +72,6 @@ let create () =
 
 let cuda_get_device_count (_ : state) = (Success, devices)
 
-let cuda_set_device (st : state) d =
-  if d < 0 || d >= devices then Invalid_device
-  else begin
-    st.current_device <- d;
-    Success
-  end
-
 let cuda_get_device_properties (_st : state) d =
   if d < 0 then (Invalid_device, None) else (Success, Some rtx_2080_ti)
 
@@ -134,13 +126,6 @@ let cuda_stream_create (st : state) : error * int =
   Hashtbl.replace st.streams id { stream_id = id; queue = Queue.create () };
   (Success, id)
 
-let cuda_stream_destroy (st : state) (id : int) : error =
-  if Hashtbl.mem st.streams id then begin
-    Hashtbl.remove st.streams id;
-    Success
-  end
-  else Invalid_value
-
 let enqueue (st : state) (id : int) (task : unit -> unit) : error =
   match Hashtbl.find_opt st.streams id with
   | Some s ->
@@ -157,11 +142,3 @@ let cuda_stream_synchronize (st : state) (id : int) : error =
     Success
   | None -> Invalid_value
 
-let cuda_device_synchronize (st : state) : error =
-  Hashtbl.iter
-    (fun _ (s : stream) ->
-      while not (Queue.is_empty s.queue) do
-        (Queue.pop s.queue) ()
-      done)
-    st.streams;
-  Success

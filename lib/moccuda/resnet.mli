@@ -12,11 +12,6 @@ type conv_layer =
 
 val conv_layers : conv_layer list
 val n_convs : int
-val conv_shape : batch:int -> conv_layer -> Tensorlib.Conv.shape
-
-(** Simulated cost of one training step (forward + backward). *)
-val step_cost :
-  Backends.t -> Runtime.Machine.t -> batch:int -> Tensorlib.Opcost.t
 
 (** Images per second of synthetic training (the Benchmarker metric). *)
 val throughput :

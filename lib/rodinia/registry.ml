@@ -24,5 +24,3 @@ let matmul = Matmul.bench
 let find name =
   if name = "matmul" then Some matmul
   else List.find_opt (fun (b : Bench_def.t) -> b.name = name) all
-
-let with_omp_ref = List.filter (fun (b : Bench_def.t) -> b.omp_src <> None) all

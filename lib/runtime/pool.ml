@@ -29,7 +29,6 @@ type t =
 
 let spawns = Atomic.make 0
 let total_spawns () = Atomic.get spawns
-let size t = t.size
 
 let worker_loop (w : worker) : unit =
   let running = ref true in

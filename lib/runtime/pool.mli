@@ -19,8 +19,6 @@
 
 type t
 
-val size : t -> int
-
 (** Cumulative number of [Domain.spawn]s performed by this module, for
     stats and for testing team reuse. *)
 val total_spawns : unit -> int
@@ -38,16 +36,10 @@ val get : domains:int -> t
     exceptions is re-raised here after every member has stopped. *)
 val run : t -> (int -> unit) -> unit
 
-(** Fault-wall teardown: signal every worker to stop, join the ones
-    that are between jobs and abandon any that are wedged mid-job (an
-    OCaml domain cannot be killed; a leaked worker exits on its own if
-    its job ever returns).  Returns the number of leaked domains.
-    It never blocks on a poisoned/hung team, so it is safe to call from
-    a supervisor after a failed launch. *)
-val shutdown : t -> int
-
-(** Stop the calling domain's cached pool, if any, via {!shutdown},
-    and return the number of worker domains it had to leak.  After a
+(** Stop the calling domain's cached pool, if any: signal every worker
+    to stop, join the ones between jobs and abandon any wedged mid-job
+    (an OCaml domain cannot be killed), without ever blocking on a
+    poisoned team; return the number of worker domains it had to leak.  After a
     failed launch the CLI and the job fault wall call this so the next
     launch builds a fresh team through {!get}; executor lanes call it
     as they exit so their teams don't outlive them. *)

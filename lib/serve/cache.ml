@@ -123,7 +123,7 @@ let quarantine (t : t) (d : string) (payload : string) : bool =
   | Some dir -> begin
     try
       let qdir = quarantine_dir dir in
-      Wal.mkdir_p qdir;
+      Core.Crashbundle.mkdir_p qdir;
       Out_channel.with_open_bin (Filename.concat qdir d) (fun oc ->
           Out_channel.output_string oc payload);
       true
@@ -245,7 +245,7 @@ let open_wal (t : t) ~(dir : string) ~(gen : int) : unit =
    newer than the main one's, then replay the journal (none yet: start
    a fresh generation-0 one).  Returns the number of entries loaded. *)
 let load (t : t) ~(dir : string) : int =
-  Wal.mkdir_p dir;
+  Core.Crashbundle.mkdir_p dir;
   let main = journal_file dir and tmp = journal_tmp dir in
   (match (journal_gen tmp, journal_gen main) with
    | Some tg, Some mg when tg > mg ->
@@ -268,7 +268,7 @@ let load (t : t) ~(dir : string) : int =
    journal path. *)
 let flush (t : t) ~(dir : string) : (string, string) result =
   try
-    Wal.mkdir_p dir;
+    Core.Crashbundle.mkdir_p dir;
     let tmp = journal_tmp dir in
     let next_gen = (if t.dir = Some dir then t.gen else 0) + 1 in
     let b = Buffer.create 4096 in

@@ -61,7 +61,7 @@ let recover ~(dir : string) : recovery =
 
 let open_ ~(dir : string) : (t, string) result =
   try
-    Wal.mkdir_p dir;
+    Core.Crashbundle.mkdir_p dir;
     Ok (Wal.open_ ~truncate:true ~header:magic (file dir))
   with
   | Unix.Unix_error (e, _, _) ->

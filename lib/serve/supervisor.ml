@@ -164,6 +164,11 @@ let run_entry ~(log : string -> unit) ~(exec : [ `Interp | `Parallel ])
 
 (* --- circuit breaker --- *)
 
+(* Consecutive failed jobs of one source that trip its breaker, and
+   conservative successes that untrip it. *)
+let breaker_threshold = 3
+let breaker_recovery = 3
+
 module Breaker = struct
   type state =
     { mutable fails : int (* consecutive failed attempts *)
@@ -173,13 +178,10 @@ module Breaker = struct
 
   type t =
     { tbl : (string, state) Hashtbl.t (* source hash -> state *)
-    ; threshold : int (* consecutive failures that trip *)
-    ; recovery : int (* conservative successes that untrip *)
     ; mutable trips : int
     }
 
-  let create ~threshold ~recovery : t =
-    { tbl = Hashtbl.create 16; threshold; recovery; trips = 0 }
+  let create () : t = { tbl = Hashtbl.create 16; trips = 0 }
 
   let state (t : t) (hash : string) : state =
     match Hashtbl.find_opt t.tbl hash with
@@ -195,7 +197,7 @@ module Breaker = struct
     let s = state t hash in
     s.fails <- s.fails + 1;
     s.okstreak <- 0;
-    if (not s.tripped) && s.fails >= t.threshold then begin
+    if (not s.tripped) && s.fails >= breaker_threshold then begin
       s.tripped <- true;
       t.trips <- t.trips + 1
     end
@@ -207,7 +209,7 @@ module Breaker = struct
     if s.tripped then begin
       if conservative then begin
         s.okstreak <- s.okstreak + 1;
-        if s.okstreak >= t.recovery then begin
+        if s.okstreak >= breaker_recovery then begin
           s.tripped <- false;
           s.fails <- 0;
           s.okstreak <- 0
@@ -237,11 +239,6 @@ let default_config =
    lowering ticks under it (pipeline stages install their own). *)
 let fuel = 10_000_000
 
-(* Consecutive failed jobs of one source that trip its breaker, and
-   conservative successes that untrip it. *)
-let breaker_threshold = 3
-let breaker_recovery = 3
-
 type stats =
   { mutable jobs : int
   ; mutable completed : int
@@ -261,8 +258,7 @@ type t =
 
 let create (cfg : config) : t =
   { cfg
-  ; breaker =
-      Breaker.create ~threshold:breaker_threshold ~recovery:breaker_recovery
+  ; breaker = Breaker.create ()
   ; stats =
       { jobs = 0
       ; completed = 0
@@ -452,34 +448,29 @@ let write_bundle (t : t) ~(job : Proto.job) ~(plan : Core.Fault.plan)
   | None -> None
   | Some dir -> begin
     let b =
-      { Core.Crashbundle.stage = "serve"
+      { Core.Crashbundle.kind =
+          Serve
+            { run =
+                { entry = job.entry
+                ; sizes = job.sizes
+                ; mode = job.mode
+                ; exec = job.exec
+                ; domains = job.domains
+                ; schedule = job.schedule
+                ; timeout_ms = t.cfg.deadline_ms
+                }
+            ; duration_ms
+            ; retries = attempt_no - 1
+            ; queue_depth
+            }
+      ; stage = "serve"
       ; stage_index = attempt_no - 1
       ; rung = "serve"
       ; exn_text
       ; backtrace
       ; repro = repro_of_job job
-      ; options = Core.Cpuify.default_options
+      ; mincut = true
       ; faults = plan
-      ; runtime =
-          Some
-            { Core.Crashbundle.rexec = job.exec
-            ; rdomains = job.domains
-            ; rschedule = job.schedule
-            ; rchunk = None
-            ; rseed = None
-            ; rtimeout_ms =
-                (if t.cfg.deadline_ms > 0 then Some t.cfg.deadline_ms
-                 else None)
-            ; rentry = job.entry
-            ; rsizes = job.sizes
-            ; rrecipe = job.mode
-            }
-      ; serve =
-          Some
-            { Core.Crashbundle.sduration_ms = duration_ms
-            ; sretries = attempt_no - 1
-            ; squeue_depth = queue_depth
-            }
       ; source = job.source
       ; ir_before = ""
       }

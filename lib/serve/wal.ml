@@ -25,12 +25,6 @@ let unseal (line : string) : string option =
       Some body
     else None
 
-let rec mkdir_p (dir : string) : unit =
-  if dir <> "" && dir <> "." && dir <> "/" && not (Sys.file_exists dir) then begin
-    mkdir_p (Filename.dirname dir);
-    try Sys.mkdir dir 0o755 with Sys_error _ -> ()
-  end
-
 type t =
   { fd : Unix.file_descr
   ; m : Mutex.t (* appends race across domains *)

@@ -29,8 +29,6 @@ let rand seed shape =
 
 let copy (t : t) = { data = Array.copy t.data; shape = Array.copy t.shape }
 
-let fill (t : t) v = Array.fill t.data 0 (Array.length t.data) v
-
 (* 4-D accessors (N, C, H, W) *)
 let idx4 (t : t) n c h w =
   let sc = t.shape.(1) and sh = t.shape.(2) and sw = t.shape.(3) in
@@ -57,7 +55,5 @@ let max_abs_diff (a : t) (b : t) =
     (fun i x -> m := Float.max !m (Float.abs (x -. b.data.(i))))
     a.data;
   !m
-
-let sum (t : t) = Array.fold_left ( +. ) 0.0 t.data
 
 let bytes (t : t) = 4 * numel t

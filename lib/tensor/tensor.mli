@@ -9,21 +9,15 @@ type t =
 val numel : t -> int
 val create : int array -> t
 val of_array : int array -> float array -> t
-val init : int array -> (int -> float) -> t
 
 (** Deterministic pseudo-random values in [-0.5, 0.5). *)
 val rand : int -> int array -> t
 
 val copy : t -> t
-val fill : t -> float -> unit
-val idx4 : t -> int -> int -> int -> int -> int
 val get4 : t -> int -> int -> int -> int -> float
 val set4 : t -> int -> int -> int -> int -> float -> unit
-val idx2 : t -> int -> int -> int
 val get2 : t -> int -> int -> float
 val set2 : t -> int -> int -> float -> unit
-val map2_inplace : (float -> float -> float) -> t -> t -> unit
 val add_inplace : t -> t -> unit
 val max_abs_diff : t -> t -> float
-val sum : t -> float
 val bytes : t -> int

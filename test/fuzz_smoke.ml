@@ -55,27 +55,15 @@ let () =
   (* replay honesty: a bundle recording a failure that no longer
      reproduces must come back stale, never "reproduced" *)
   let stale_bundle : Core.Crashbundle.t =
-    { stage = "barrier-elim"
+    { kind = Fuzz { seed; timeout_ms = 5000 }
+    ; stage = "barrier-elim"
     ; stage_index = 0
     ; rung = "fuzz"
     ; exn_text = "checksum: synthetic failure for the stale-replay check"
     ; backtrace = ""
     ; repro = "fuzz-smoke stale-replay check"
-    ; options = Core.Cpuify.default_options
+    ; mincut = true
     ; faults = []
-    ; runtime =
-        Some
-          { rexec = "parallel"
-          ; rdomains = 4
-          ; rschedule = "static"
-          ; rchunk = None
-          ; rseed = Some seed
-          ; rtimeout_ms = Some 5000
-          ; rentry = Some Fuzz.Oracle.entry
-          ; rsizes = []
-          ; rrecipe = "inner-serial"
-          }
-    ; serve = None
     ; source = Fuzz.Gen.source ~seed
     ; ir_before = ""
     }
@@ -86,19 +74,20 @@ let () =
      -> ()
    | Ok s -> fail "stale fuzz bundle replayed as reproduced: %s\n" s
    | Error msg -> fail "stale replay reported an unexpected error: %s\n" msg);
-  (* the oracle runs the default pipeline only: a bundle recording other
-     options is refused, never replayed under the defaults *)
-  (match
-     Fuzz.Fuzzer.replay
-       { stale_bundle with
-         options = { Core.Cpuify.default_options with opt_mincut = false }
-       }
-   with
-   | Error msg
-     when String.starts_with ~prefix:"fuzz bundles replay only" msg -> ()
-   | Ok s -> fail "fuzz bundle with other options replayed: %s\n" s
-   | Error msg ->
-     fail "fuzz bundle with other options was not refused: %s\n" msg);
+  (* the oracle runs the default pipeline only: a bundle recording
+     mincut: false or a fault plan is refused, never replayed under the
+     defaults *)
+  List.iter
+    (fun (what, (b : Core.Crashbundle.t)) ->
+      match Fuzz.Fuzzer.replay b with
+      | Error msg when String.starts_with ~prefix:"fuzz bundles replay only" msg
+        -> ()
+      | Ok s -> fail "fuzz bundle with %s replayed: %s\n" what s
+      | Error msg -> fail "fuzz bundle with %s was not refused: %s\n" what msg)
+    [ ("mincut: false", { stale_bundle with mincut = false })
+    ; ( "a fault plan"
+      , { stale_bundle with faults = [ ("cpuify", Core.Fault.Raise) ] } )
+    ];
   if !failures > 0 then begin
     Printf.printf "%d fuzz-smoke failure(s)\n" !failures;
     exit 1

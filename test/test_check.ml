@@ -12,9 +12,7 @@ let check_src src =
   Core.Cpuify.cleanup m;
   Kernelcheck.check_module m
 
-let read_fixture name =
-  In_channel.with_open_text (Filename.concat "fixtures" name)
-    In_channel.input_all
+let read_fixture = Fixture.read
 
 let loc_str = function
   | Some l -> Srcloc.to_string l

@@ -93,7 +93,7 @@ let checksum_line out =
       String.length l >= 15 && String.sub l 0 15 = "output checksum")
 
 let cli_checks (driver : string) =
-  let fixture = Filename.concat "fixtures" "reduce.cu" in
+  let fixture = Fixture.path "reduce.cu" in
   let tmp = Filename.temp_file "faults" ".out" in
   let crash_dir = Filename.temp_file "faults" ".crash" in
   Sys.remove crash_dir;
@@ -280,6 +280,52 @@ let cli_checks (driver : string) =
         if code <> 0 then
           fail "CLI: --replay %s exited %d, want 0 (reproduced)\n" bundle code)
       bundles;
+  (* the daemon and the oracle run the default pipeline only: their
+     replays refuse a bundle recording mincut: false (exit 2) *)
+  List.iter
+    (fun (kind : Core.Crashbundle.kind) ->
+      let path = Filename.temp_file "faults" ".bundle" in
+      Out_channel.with_open_text path (fun oc ->
+          Out_channel.output_string oc
+            (Core.Crashbundle.to_string
+               { kind
+               ; stage = "serve"
+               ; stage_index = 0
+               ; rung = "serve"
+               ; exn_text = "Fault.Injected(\"serve:raise\")"
+               ; backtrace = ""
+               ; repro = "faults: mincut refusal"
+               ; mincut = false
+               ; faults = []
+               ; source = slurp fixture
+               ; ir_before = ""
+               }));
+      let code =
+        sh
+          (Printf.sprintf "%s --replay %s > %s 2>/dev/null"
+             (Filename.quote driver) (Filename.quote path) (Filename.quote tmp))
+      in
+      if code <> 2 then
+        fail "CLI: --replay of a mincut: false %s bundle exited %d, want 2\n"
+          (match kind with Fuzz _ -> "fuzz" | _ -> "serve")
+          code;
+      Sys.remove path)
+    [ Serve
+        { run =
+            { entry = Some "run"
+            ; sizes = [ 128 ]
+            ; mode = "inner-serial"
+            ; exec = "interp"
+            ; domains = 1
+            ; schedule = "static"
+            ; timeout_ms = 0
+            }
+        ; duration_ms = 1
+        ; retries = 0
+        ; queue_depth = 0
+        }
+    ; Fuzz { seed = 1; timeout_ms = 5000 }
+    ];
   (* an unparseable file is a clean diagnostic (exit 2), not a backtrace *)
   let bad = Filename.temp_file "faults" ".cu" in
   Out_channel.with_open_text bad (fun oc ->

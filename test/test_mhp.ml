@@ -31,9 +31,7 @@ let analyze m =
   let ctx = Effects.make_ctx ~modul:m ~par info in
   Mhp.analyze ctx par
 
-let read_fixture name =
-  In_channel.with_open_text (Filename.concat "fixtures" name)
-    In_channel.input_all
+let read_fixture = Fixture.read
 
 (* A barrier inside a loop closes the entry interval on the unshifted
    path and its own interval again through the back edge — the

@@ -1,13 +1,9 @@
 (* The fault-tolerant pass manager: every rung of the degradation ladder
    must engage under the matching injected fault, the degraded module
    must still compute the reference answer, and crash bundles must
-   round-trip and replay deterministically.  Also the satellite
-   guarantee: a cpuify fixpoint-budget exhaustion degrades to the
-   conservative lowering instead of raising [Stuck]. *)
+   round-trip and replay deterministically. *)
 
-let read_fixture name =
-  In_channel.with_open_text (Filename.concat "fixtures" name)
-    In_channel.input_all
+let read_fixture = Fixture.read
 
 let reduce_src () = read_fixture "reduce.cu"
 
@@ -44,8 +40,8 @@ let rungs (r : Core.Passmgr.report) =
       (d.failure.stage, Core.Passmgr.rung_to_string d.recovered_to))
     r.degradations
 
-let run ?options ?faults ?crash_dir m =
-  match Core.Passmgr.run_pipeline ?options ?faults ?crash_dir m with
+let run ?faults ?crash_dir m =
+  match Core.Passmgr.run_pipeline ?faults ?crash_dir m with
   | Ok report -> report
   | Error (_, f) ->
     Alcotest.failf "pipeline unrecoverable: %s"
@@ -133,20 +129,17 @@ let test_exhaust_skip () =
   finish m;
   check_output "exhaust output" m
 
-(* Satellite: a kernel that exhausts the cpuify fixpoint budget must
-   degrade to the conservative lowering, never escape as [Stuck]. *)
-let test_budget_degrades_not_stuck () =
-  let options = { Core.Cpuify.default_options with opt_budget = 1 } in
+(* The cpuify fixpoint budget is a constant of the pass manager; its
+   exhaustion is a structured error, never [Stuck].  How the ladder
+   handles a cpuify failure is "cpuify raise x2 -> whole-pipeline
+   fallback". *)
+let test_budget_is_error () =
   let m = compile (reduce_src ()) in
-  let report =
-    try run ~options m
-    with Core.Cpuify.Stuck msg -> Alcotest.failf "Stuck escaped: %s" msg
-  in
-  Alcotest.(check bool) "degraded" true (Core.Passmgr.degraded report);
-  Alcotest.(check bool) "fell back to no-opt" true report.fell_back;
-  Alcotest.(check int) "no barriers" 0 (Core.Cpuify.count_barriers m);
-  finish m;
-  check_output "budget-exhausted output" m
+  match Core.Cpuify.run_result ~budget:1 m with
+  | Error (Core.Cpuify.Did_not_converge { budget = 1 }) -> ()
+  | Error e -> Alcotest.failf "wrong error: %s" (Core.Cpuify.error_to_string e)
+  | Ok () -> Alcotest.fail "budget 1 converged"
+  | exception Core.Cpuify.Stuck msg -> Alcotest.failf "Stuck escaped: %s" msg
 
 let test_snapshot_restore () =
   let m = compile (reduce_src ()) in
@@ -278,88 +271,205 @@ let test_concurrent_compiles () =
         (Domain.join lane))
     lanes
 
-let test_bundle_roundtrip () =
-  let b =
-    { Core.Crashbundle.stage = "cpuify"
-    ; stage_index = 5
+(* One bundle of each kind, as the four writers fill them in. *)
+let sample_run : Core.Crashbundle.run =
+  { entry = Some "run"
+  ; sizes = [ 128; 7 ]
+  ; mode = "inner-parallel"
+  ; exec = "parallel"
+  ; domains = 4
+  ; schedule = "dynamic"
+  ; timeout_ms = 500
+  }
+
+let sample_bundles : (string * Core.Crashbundle.t) list =
+  let base : Core.Crashbundle.t =
+    { kind = Pipeline
+    ; stage = "cpuify"
+    ; stage_index = 7
     ; rung = "no-mincut"
     ; exn_text = "Fault.Injected(\"cpuify:raise\")"
-    ; backtrace = "Raised at Foo.bar\nCalled from Baz.qux"
-    ; repro = "polygeist-cpu --cpuify full x.cu"
-    ; options = { Core.Cpuify.default_options with opt_budget = 7 }
+    ; backtrace = "Raised at Foo.bar\nCalled from Baz.qux\n"
+    ; repro = "polygeist-cpu x.cu --cuda-lower"
+    ; mincut = false
     ; faults = [ ("cpuify", Core.Fault.Raise); ("cse", Core.Fault.Corrupt) ]
-    ; runtime =
-        Some
-          { Core.Crashbundle.rexec = "parallel"
-          ; rdomains = 4
-          ; rschedule = "dynamic"
-          ; rchunk = Some 8
-          ; rseed = None
-          ; rtimeout_ms = Some 500
-          ; rentry = Some "run"
-          ; rsizes = [ 128; 7 ]
-          ; rrecipe = "inner-parallel"
-          }
-    ; serve =
-        Some
-          { Core.Crashbundle.sduration_ms = 1234
-          ; sretries = 2
-          ; squeue_depth = 5
-          }
     ; source = "__global__ void k() {}\n"
     ; ir_before = "module {\n}\n"
     }
   in
-  match Core.Crashbundle.of_string (Core.Crashbundle.to_string b) with
-  | Error e -> Alcotest.failf "bundle did not parse back: %s" e
-  | Ok b' ->
-    Alcotest.(check string) "stage" b.stage b'.stage;
-    Alcotest.(check int) "stage_index" b.stage_index b'.stage_index;
-    Alcotest.(check string) "rung" b.rung b'.rung;
-    Alcotest.(check string) "exn_text" b.exn_text b'.exn_text;
-    (* serialization normalizes the trailing newline *)
-    Alcotest.(check string) "backtrace" (String.trim b.backtrace)
-      (String.trim b'.backtrace);
-    Alcotest.(check string) "repro" b.repro b'.repro;
-    Alcotest.(check string) "options"
-      (Core.Crashbundle.options_to_string b.options)
-      (Core.Crashbundle.options_to_string b'.options);
-    Alcotest.(check string) "faults"
-      (Core.Fault.plan_to_string b.faults)
-      (Core.Fault.plan_to_string b'.faults);
-    (match b.runtime, b'.runtime with
-     | Some r, Some r' ->
-       Alcotest.(check string) "runtime"
-         (Core.Crashbundle.runtime_to_string r)
-         (Core.Crashbundle.runtime_to_string r')
-     | _ -> Alcotest.fail "runtime config lost in round trip");
-    (match b.serve, b'.serve with
-     | Some s, Some s' ->
-       Alcotest.(check string) "serve"
-         (Core.Crashbundle.serve_to_string s)
-         (Core.Crashbundle.serve_to_string s')
-     | _ -> Alcotest.fail "serve config lost in round trip");
-    Alcotest.(check string) "source" b.source b'.source;
-    Alcotest.(check string) "ir_before" b.ir_before b'.ir_before
+  [ ("pipeline", base)
+  ; ( "runtime"
+    , { base with
+        kind = Runtime { run = sample_run; chunk = Some 8 }
+      ; stage = "runtime"
+      ; stage_index = 0
+      ; rung = "runtime"
+      ; exn_text = "watchdog timeout after 500 ms"
+      ; backtrace = ""
+      ; mincut = true
+      ; faults = [ ("runtime", Core.Fault.Hang) ]
+      } )
+  ; ( "serve"
+    , { base with
+        kind =
+          Serve
+            { run = { sample_run with entry = None; sizes = [] }
+            ; duration_ms = 1234
+            ; retries = 2
+            ; queue_depth = 5
+            }
+      ; stage = "serve"
+      ; stage_index = 2
+      ; rung = "serve"
+      ; exn_text = "Fault.Injected(\"serve:raise\")"
+      ; mincut = true
+      ; faults = [ ("serve", Core.Fault.Raise) ]
+      ; ir_before = ""
+      } )
+  ; ( "fuzz"
+    , { base with
+        kind = Fuzz { seed = 11; timeout_ms = 5000 }
+      ; stage = "exec-inner-par-d4"
+      ; stage_index = 0
+      ; rung = "fuzz"
+      ; exn_text = "checksum: 1 vs 2"
+      ; backtrace = ""
+      ; mincut = true
+      ; faults = []
+      } )
+  ]
 
-(* A bundle as [to_string] writes it, and the head line it starts with. *)
-let written_bundle =
-  Core.Crashbundle.to_string
-    { Core.Crashbundle.stage = "cpuify"
-    ; stage_index = 5
-    ; rung = "no-mincut"
-    ; exn_text = "Fault.Injected(\"cpuify:raise\")"
-    ; backtrace = ""
-    ; repro = "polygeist-cpu x.cu"
-    ; options = Core.Cpuify.default_options
-    ; faults = [ ("cpuify", Core.Fault.Raise) ]
-    ; runtime = None
-    ; serve = None
-    ; source = "__global__ void k() {}\n"
-    ; ir_before = "module {\n}\n"
-    }
+(* Every kind round-trips exactly, a multi-line exception text (as
+   [Cannot_lower] writes one) included. *)
+let test_bundle_roundtrip () =
+  let cannot_lower =
+    Core.Cpuify.error_to_string
+      (Core.Cpuify.Cannot_lower
+         { op_text = "scf.parallel {\n  polygeist.barrier\n}"
+         ; loc = None
+         ; remaining_barriers = 1
+         })
+  in
+  Alcotest.(check bool) "Cannot_lower text spans lines" true
+    (String.contains cannot_lower '\n');
+  List.iter
+    (fun (what, (b : Core.Crashbundle.t)) ->
+      List.iter
+        (fun (b : Core.Crashbundle.t) ->
+          match Core.Crashbundle.of_string (Core.Crashbundle.to_string b) with
+          | Error e -> Alcotest.failf "%s bundle did not parse back: %s" what e
+          | Ok b' ->
+            Alcotest.(check string) (what ^ " exception") b.exn_text b'.exn_text;
+            Alcotest.(check bool) (what ^ " round-trips") true (b = b'))
+        [ b; { b with exn_text = cannot_lower } ])
+    sample_bundles
 
-let current_head = List.hd (String.split_on_char '\n' written_bundle)
+(* The v6 text of each sample, so format drift shows as a diff. *)
+let golden =
+  List.map
+    (fun (what, lines) -> (what, String.concat "\n" lines))
+    [ ( "pipeline"
+      , [ "polygeist-cpu crash bundle v6"
+        ; "kind: pipeline"
+        ; "stage: cpuify"
+        ; "stage-index: 7"
+        ; "rung: no-mincut"
+        ; "exception: Fault.Injected(\\\"cpuify:raise\\\")"
+        ; "repro: polygeist-cpu x.cu --cuda-lower"
+        ; "mincut: false"
+        ; "faults: cpuify:raise,cse:corrupt"
+        ; "backtrace:"
+        ; "| Raised at Foo.bar"
+        ; "| Called from Baz.qux"
+        ; "=== source ==="
+        ; "__global__ void k() {}"
+        ; "=== pre-stage ir ==="
+        ; "module {"
+        ; "}"
+        ; ""
+        ] )
+    ; ( "runtime"
+      , [ "polygeist-cpu crash bundle v6"
+        ; "kind: runtime"
+        ; "stage: runtime"
+        ; "stage-index: 0"
+        ; "rung: runtime"
+        ; "exception: watchdog timeout after 500 ms"
+        ; "repro: polygeist-cpu x.cu --cuda-lower"
+        ; "mincut: true"
+        ; "faults: runtime:hang"
+        ; "entry: run"
+        ; "sizes: 128,7"
+        ; "mode: inner-parallel"
+        ; "exec: parallel"
+        ; "domains: 4"
+        ; "schedule: dynamic"
+        ; "timeout-ms: 500"
+        ; "chunk: 8"
+        ; "backtrace:"
+        ; "=== source ==="
+        ; "__global__ void k() {}"
+        ; "=== pre-stage ir ==="
+        ; "module {"
+        ; "}"
+        ; ""
+        ] )
+    ; ( "serve"
+      , [ "polygeist-cpu crash bundle v6"
+        ; "kind: serve"
+        ; "stage: serve"
+        ; "stage-index: 2"
+        ; "rung: serve"
+        ; "exception: Fault.Injected(\\\"serve:raise\\\")"
+        ; "repro: polygeist-cpu x.cu --cuda-lower"
+        ; "mincut: true"
+        ; "faults: serve:raise"
+        ; "entry: -"
+        ; "sizes: "
+        ; "mode: inner-parallel"
+        ; "exec: parallel"
+        ; "domains: 4"
+        ; "schedule: dynamic"
+        ; "timeout-ms: 500"
+        ; "duration-ms: 1234"
+        ; "retries: 2"
+        ; "queue-depth: 5"
+        ; "backtrace:"
+        ; "| Raised at Foo.bar"
+        ; "| Called from Baz.qux"
+        ; "=== source ==="
+        ; "__global__ void k() {}"
+        ; "=== pre-stage ir ==="
+        ; ""
+        ] )
+    ; ( "fuzz"
+      , [ "polygeist-cpu crash bundle v6"
+        ; "kind: fuzz"
+        ; "stage: exec-inner-par-d4"
+        ; "stage-index: 0"
+        ; "rung: fuzz"
+        ; "exception: checksum: 1 vs 2"
+        ; "repro: polygeist-cpu x.cu --cuda-lower"
+        ; "mincut: true"
+        ; "faults: "
+        ; "seed: 11"
+        ; "timeout-ms: 5000"
+        ; "backtrace:"
+        ; "=== source ==="
+        ; "__global__ void k() {}"
+        ; "=== pre-stage ir ==="
+        ; "module {"
+        ; "}"
+        ; ""
+        ] )
+    ]
+
+let test_bundle_golden () =
+  List.iter
+    (fun (what, b) ->
+      Alcotest.(check string) what (List.assoc what golden)
+        (Core.Crashbundle.to_string b))
+    sample_bundles
 
 (* [text] with its first line swapped for [head]. *)
 let with_head head text =
@@ -367,72 +477,46 @@ let with_head head text =
   | Some i -> head ^ String.sub text i (String.length text - i)
   | None -> head
 
-(* [text] is refused for its [version] head alone: it is an [Error]
-   (never an exception), and the same text under the current head
-   parses. *)
-let check_head_refused version text =
-  (match Core.Crashbundle.of_string text with
-   | Error _ -> ()
-   | Ok _ -> Alcotest.failf "%s bundle was accepted" version
-   | exception e ->
-     Alcotest.failf "%s bundle raised %s" version (Printexc.to_string e));
-  match Core.Crashbundle.of_string (with_head current_head text) with
-  | Ok _ -> ()
-  | Error e -> Alcotest.failf "%s body under the current head: %s" version e
-
-(* The older bundle formats never left this repo: a v1 head is refused
-   with a typed [Error], never an exception. *)
-let test_bundle_v1_rejected () =
-  check_head_refused "v1"
-    (String.concat "\n"
-       [ "polygeist-cpu crash bundle v1"
-       ; "stage: cpuify"
-       ; "stage-index: 5"
-       ; "rung: no-mincut"
-       ; "exception: Fault.Injected(\"cpuify:raise\")"
-       ; "repro: polygeist-cpu old.cu -cuda-lower"
-       ; "options: mincut=true,budget=7"
-       ; "faults: cpuify:raise"
-       ; "=== source ==="
-       ; "__global__ void k() {}"
-       ; "=== pre-stage ir ==="
-       ; "module {"
-       ; "}"
-       ])
-
-(* Likewise a v2 head (runtime line, no serve line), a v3 head (the
-   run recorded only in the repro line) and a v4 head (an options line
-   with the pass toggles the pipeline no longer has), both on a
-   hand-written body and on one [to_string] wrote. *)
-let test_bundle_v2_rejected () =
-  let text version extra =
-    String.concat "\n"
-      ([ "polygeist-cpu crash bundle " ^ version
-       ; "stage: runtime"
-       ; "stage-index: 0"
-       ; "rung: runtime"
-       ; "exception: injected fault"
-       ; "repro: polygeist-cpu old.cu -cuda-lower -run main --exec parallel"
-       ; "options: mincut=true,budget=7"
-       ; "faults: runtime:raise"
-       ; "runtime: exec=parallel,domains=4,schedule=static,chunk=-,seed=-,timeout-ms=500"
-       ]
-       @ extra
-       @ [ "=== source ==="
-         ; "__global__ void k() {}"
-         ; "=== pre-stage ir ==="
-         ; "module {"
-         ; "}"
-         ])
-  in
+(* The older formats never left this repo: a v1-v5 head is refused with
+   a typed [Error], never an exception, and the same text under the v6
+   head parses, so the head alone refuses it. *)
+let test_bundle_old_heads_rejected () =
   List.iter
-    (fun (version, extra) -> check_head_refused version (text version extra))
-    [ ("v2", [])
-    ; ("v3", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
-    ; ("v4", [ "serve: duration-ms=12,retries=1,queue-depth=0" ])
-    ];
-  check_head_refused "v4"
-    (with_head "polygeist-cpu crash bundle v4" written_bundle)
+    (fun version ->
+      List.iter
+        (fun (what, text) ->
+          let old = with_head ("polygeist-cpu crash bundle " ^ version) text in
+          (match Core.Crashbundle.of_string old with
+           | Error _ -> ()
+           | Ok _ -> Alcotest.failf "%s %s bundle was accepted" version what
+           | exception e ->
+             Alcotest.failf "%s %s bundle raised %s" version what
+               (Printexc.to_string e));
+          match
+            Core.Crashbundle.of_string
+              (with_head "polygeist-cpu crash bundle v6" old)
+          with
+          | Ok _ -> ()
+          | Error e -> Alcotest.failf "%s body under the v6 head: %s" what e)
+        golden)
+    [ "v1"; "v2"; "v3"; "v4"; "v5" ]
+
+(* Hostile bytes: any mutation of a v6 bundle parses or is an [Error]. *)
+let test_bundle_mutation =
+  let texts = Array.of_list (List.map snd golden) in
+  QCheck.Test.make ~name:"mutated crash bundles parse or fail, never raise"
+    ~count:2000
+    QCheck.(
+      pair
+        (int_bound (Array.length texts - 1))
+        (small_list (pair (int_bound 100_000) char)))
+    (fun (i, edits) ->
+      let b = Bytes.of_string texts.(i) in
+      List.iter
+        (fun (pos, c) -> Bytes.set b (pos mod Bytes.length b) c)
+        edits;
+      match Core.Crashbundle.of_string (Bytes.to_string b) with
+      | Ok _ | Error _ -> true)
 
 (* A bundle written by the pass manager replays deterministically:
    recompiling the embedded source under the recorded options and fault
@@ -463,7 +547,7 @@ let test_bundle_replay () =
   in
   let m2 = compile b.source in
   let report2 =
-    match Core.Passmgr.run_pipeline ~options:b.options ~faults:b.faults m2 with
+    match Core.Passmgr.run_pipeline ~mincut:b.mincut ~faults:b.faults m2 with
     | Ok r -> r
     | Error (r, _) -> r
   in
@@ -525,8 +609,8 @@ let tests =
   ; Alcotest.test_case "corrupt caught by verifier -> skip" `Quick
       test_corrupt_caught_by_verifier
   ; Alcotest.test_case "fuel exhaust -> skip" `Quick test_exhaust_skip
-  ; Alcotest.test_case "budget exhaustion degrades, not Stuck" `Quick
-      test_budget_degrades_not_stuck
+  ; Alcotest.test_case "cpuify budget exhaustion is Did_not_converge" `Quick
+      test_budget_is_error
   ; Alcotest.test_case "snapshot / restore / structural_equal" `Quick
       test_snapshot_restore
   ; Alcotest.test_case "snapshot shares values, never records or arrays"
@@ -534,10 +618,10 @@ let tests =
   ; Alcotest.test_case "two domains compile the suite concurrently" `Quick
       test_concurrent_compiles
   ; Alcotest.test_case "crash bundle round-trip" `Quick test_bundle_roundtrip
-  ; Alcotest.test_case "v2 crash bundle rejected" `Quick
-      test_bundle_v2_rejected
-  ; Alcotest.test_case "v1 crash bundle rejected" `Quick
-      test_bundle_v1_rejected
+  ; Alcotest.test_case "crash bundle golden v6 text" `Quick test_bundle_golden
+  ; Alcotest.test_case "v1-v5 crash bundles rejected for the head alone"
+      `Quick test_bundle_old_heads_rejected
+  ; QCheck_alcotest.to_alcotest test_bundle_mutation
   ; Alcotest.test_case "crash bundle replays deterministically" `Quick
       test_bundle_replay
   ; Alcotest.test_case "unrecoverable pipeline returns Error" `Quick

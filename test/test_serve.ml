@@ -554,30 +554,28 @@ let test_inflight_journal () =
 (* --- circuit breaker state machine --- *)
 
 let test_breaker () =
-  let b = Serve.Supervisor.Breaker.create ~threshold:3 ~recovery:2 in
+  let module B = Serve.Supervisor.Breaker in
+  let b = B.create () in
   let h = "deadbeef" in
-  Alcotest.(check bool) "fresh source not tripped" false
-    (Serve.Supervisor.Breaker.tripped b h);
-  Serve.Supervisor.Breaker.record_failure b h;
-  Serve.Supervisor.Breaker.record_failure b h;
+  let repeat n f = for _ = 1 to n do f () done in
+  let fail () = B.record_failure b h in
+  let recover () = B.record_success b h ~conservative:true in
+  Alcotest.(check bool) "fresh source not tripped" false (B.tripped b h);
+  repeat (Serve.Supervisor.breaker_threshold - 1) fail;
   (* a success between failures resets the streak *)
-  Serve.Supervisor.Breaker.record_success b h ~conservative:false;
-  Serve.Supervisor.Breaker.record_failure b h;
-  Serve.Supervisor.Breaker.record_failure b h;
-  Alcotest.(check bool) "streak below threshold" false
-    (Serve.Supervisor.Breaker.tripped b h);
-  Serve.Supervisor.Breaker.record_failure b h;
-  Alcotest.(check bool) "third consecutive failure trips" true
-    (Serve.Supervisor.Breaker.tripped b h);
+  B.record_success b h ~conservative:false;
+  repeat (Serve.Supervisor.breaker_threshold - 1) fail;
+  Alcotest.(check bool) "streak below threshold" false (B.tripped b h);
+  fail ();
+  Alcotest.(check bool) "threshold consecutive failures trip" true
+    (B.tripped b h);
   (* half-open: conservative successes untrip after [recovery] in a row *)
-  Serve.Supervisor.Breaker.record_success b h ~conservative:true;
-  Alcotest.(check bool) "one conservative success is not enough" true
-    (Serve.Supervisor.Breaker.tripped b h);
-  Serve.Supervisor.Breaker.record_success b h ~conservative:true;
-  Alcotest.(check bool) "recovery streak untrips" false
-    (Serve.Supervisor.Breaker.tripped b h);
-  Alcotest.(check bool) "other sources unaffected" false
-    (Serve.Supervisor.Breaker.tripped b "other")
+  repeat (Serve.Supervisor.breaker_recovery - 1) recover;
+  Alcotest.(check bool) "one success short of recovery stays tripped" true
+    (B.tripped b h);
+  recover ();
+  Alcotest.(check bool) "recovery streak untrips" false (B.tripped b h);
+  Alcotest.(check bool) "other sources unaffected" false (B.tripped b "other")
 
 (* --- the supervisor fault wall, driven in-process --- *)
 
@@ -649,11 +647,10 @@ let test_supervisor_serve_faults () =
       | Error e -> Alcotest.fail ("unreadable bundle " ^ f ^ ": " ^ e)
       | Ok b ->
         Alcotest.(check string) "bundle rung" "serve" b.Core.Crashbundle.rung;
-        (match b.Core.Crashbundle.serve with
-         | None -> Alcotest.fail "serve bundle missing v3 serve header"
-         | Some s ->
-           Alcotest.(check int) "queue depth recorded" 1
-             s.Core.Crashbundle.squeue_depth))
+        match b.kind with
+        | Serve s ->
+          Alcotest.(check int) "queue depth recorded" 1 s.queue_depth
+        | _ -> Alcotest.fail "bundle is not of kind serve")
     bundles
 
 let test_supervisor_deterministic_failure () =
