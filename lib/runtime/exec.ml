@@ -31,11 +31,20 @@
    compile time ({!Unsupported}) so the driver can degrade to the fiber
    interpreter.
 
-   Every memory access compiles to one checked path: it reads its
-   index registers directly and inlines the rank test, the bounds tests
-   (in {!Mem.lindex}'s order, with its messages) and the [Fdata]/[Idata]
-   dispatch; ranks 0–3 are specialized closures, higher ranks run a
-   loop over the index slots, and none allocates.  Every region is
+   Every memory access compiles to one checked path: it reads each
+   index from an int register or evaluates it as an affine form, and
+   inlines the rank test, the bounds tests (in {!Mem.lindex}'s order,
+   with its messages) and the [Fdata]/[Idata] dispatch; ranks 0–3 are
+   specialized closures, higher ranks run a loop over the indices, and
+   none allocates.  A single-use chain of int [addi]/[subi]/[muli]/
+   [shli] ops feeding an index in the same op list folds into that
+   access as [c0 + Σ c·reg] (at most [max_terms] registers): wrapping
+   ints give the chain's bits, and the chain cannot fail, so the
+   access's checks and texts are unchanged.  An [scf.for] whose body
+   is, besides folded index ops, [acc + load * load] runs as one
+   closure that loops internally with the sum in a local float; each
+   iteration runs both loads' checks in the unfused order and keeps
+   the IR's operand order (it decides NaN payloads).  Every region is
    compiled exactly once, so compile cost is linear in the IR.
 
    Team execution ([omp.parallel]) launches one frame per thread on a
@@ -168,6 +177,13 @@ type cmod =
     (* per-compile unbound-register marker; never a user buffer *)
   }
 
+(* The affine form [c0 + Σ coef·reg] of a folded index chain, over at
+   most [max_terms] distinct int registers. *)
+type form =
+  { c0 : int
+  ; terms : (int * int) list (* (register, coefficient <> 0) *)
+  }
+
 type cenv =
   { cm : cmod
   ; slots : (int, slot) Hashtbl.t (* Value.id -> slot *)
@@ -176,6 +192,10 @@ type cenv =
   ; mutable nb : int
   ; lits : (int, int) Hashtbl.t
     (* Value.id -> literal, for the int constants compiled so far *)
+  ; folds : (int, int) Hashtbl.t
+    (* Value.id of an index op's result -> 0 if it may fold ([fold_plan]) *)
+  ; forms : (int, form * Op.binop * Op.op) Hashtbl.t
+    (* Value.id -> form, kind and op of an index op folded so far *)
   }
 
 (* --- slot assignment and typed accessors --- *)
@@ -457,6 +477,23 @@ let fmath (fn : Op.math_fn) r x : code =
 
 (* --- checked element access --- *)
 
+(* An index of a checked access: an int register, or the affine form
+   [c0 + Σ cs.(t) * reg rs.(t)] of a folded index chain. *)
+type index =
+  | Reg of int
+  | Aff of int * int array * int array
+
+let aff (fr : frame) c0 (cs : int array) (rs : int array) =
+  let s = ref c0 in
+  for t = 0 to Array.length rs - 1 do
+    s := !s + (Array.unsafe_get cs t * ig fr (Array.unsafe_get rs t))
+  done;
+  !s
+
+let[@inline] ev (fr : frame) = function
+  | Reg r -> ig fr r
+  | Aff (c0, cs, rs) -> aff fr c0 cs rs
+
 (* Checked row-major offsets, testing in [Mem.lindex]'s order: the rank,
    then each index, outermost first. *)
 let[@inline] off0 (b : Mem.buffer) =
@@ -486,24 +523,35 @@ let[@inline] off3 (b : Mem.buffer) i j k =
   if k < 0 || k >= d2 then Mem.out_of_bounds b k 2;
   (((i * d1) + j) * d2) + k
 
-(* Any rank, indices in the int registers [ix]; allocates nothing. *)
-let offn (b : Mem.buffer) (fr : frame) (ix : int array) =
+(* Any rank; allocates nothing. *)
+let offn (b : Mem.buffer) (fr : frame) (ix : index array) =
   let d = b.Mem.dims and n = Array.length ix in
   if Array.length d <> n then Mem.rank_mismatch b n;
   let off = ref 0 in
   for i = 0 to n - 1 do
-    let x = ig fr (Array.unsafe_get ix i) and di = Array.unsafe_get d i in
+    let x = ev fr (Array.unsafe_get ix i) and di = Array.unsafe_get d i in
     if x < 0 || x >= di then Mem.out_of_bounds b x i;
     off := (!off * di) + x
   done;
   !off
 
+(* The checked offset of an access of any rank. *)
+let[@inline] offset (b : Mem.buffer) fr (ix : index array) =
+  match ix with
+  | [||] -> off0 b
+  | [| i |] -> off1 b (ev fr i)
+  | [| i; j |] -> off2 b (ev fr i) (ev fr j)
+  | [| i; j; l |] -> off3 b (ev fr i) (ev fr j) (ev fr l)
+  | _ -> offn b fr ix
+
 (* One element at a checked offset [o], between the buffer and the
    register [k]; cross-dtype accesses convert like [Mem.load]/[store]. *)
-let[@inline] ldf fr k (b : Mem.buffer) o =
+let[@inline] ld (b : Mem.buffer) o =
   match b.Mem.data with
-  | Mem.Fdata a -> fs fr k a.(o)
-  | Mem.Idata a -> fs fr k (float_of_int a.(o))
+  | Mem.Fdata a -> a.(o)
+  | Mem.Idata a -> float_of_int a.(o)
+
+let[@inline] ldf fr k (b : Mem.buffer) o = fs fr k (ld b o)
 
 let[@inline] ldi fr k (b : Mem.buffer) o =
   match b.Mem.data with
@@ -528,11 +576,11 @@ type elem_op =
   | Stf of int
   | Sti of int
 
-(* The checked access closure for buffer register [bk] and index
-   registers [ix]: the sentinel test, then the offset, then the element
-   op — one closure per (rank up to 3, element op). *)
+(* The checked access closure for buffer register [bk] and indices
+   [ix]: the sentinel test, then the offset, then the element op — one
+   closure per (rank up to 3, element op). *)
 let checked_access (sent : Mem.buffer) (op : Op.op) (bufv : Value.t) bk
-    (ix : int array) (e : elem_op) : code =
+    (ix : index array) (e : elem_op) : code =
   let[@inline] buf fr =
     let b = Array.unsafe_get fr.bregs bk in
     if b == sent then unbound op bufv else b
@@ -544,48 +592,48 @@ let checked_access (sent : Mem.buffer) (op : Op.op) (bufv : Value.t) bk
   | 0, Sti k -> fun fr -> let b = buf fr in sti fr k b (off0 b)
   | 1, Ldf k ->
     let i = ix.(0) in
-    fun fr -> let b = buf fr in ldf fr k b (off1 b (ig fr i))
+    fun fr -> let b = buf fr in ldf fr k b (off1 b (ev fr i))
   | 1, Ldi k ->
     let i = ix.(0) in
-    fun fr -> let b = buf fr in ldi fr k b (off1 b (ig fr i))
+    fun fr -> let b = buf fr in ldi fr k b (off1 b (ev fr i))
   | 1, Stf k ->
     let i = ix.(0) in
-    fun fr -> let b = buf fr in stf fr k b (off1 b (ig fr i))
+    fun fr -> let b = buf fr in stf fr k b (off1 b (ev fr i))
   | 1, Sti k ->
     let i = ix.(0) in
-    fun fr -> let b = buf fr in sti fr k b (off1 b (ig fr i))
+    fun fr -> let b = buf fr in sti fr k b (off1 b (ev fr i))
   | 2, Ldf k ->
     let i = ix.(0) and j = ix.(1) in
-    fun fr -> let b = buf fr in ldf fr k b (off2 b (ig fr i) (ig fr j))
+    fun fr -> let b = buf fr in ldf fr k b (off2 b (ev fr i) (ev fr j))
   | 2, Ldi k ->
     let i = ix.(0) and j = ix.(1) in
-    fun fr -> let b = buf fr in ldi fr k b (off2 b (ig fr i) (ig fr j))
+    fun fr -> let b = buf fr in ldi fr k b (off2 b (ev fr i) (ev fr j))
   | 2, Stf k ->
     let i = ix.(0) and j = ix.(1) in
-    fun fr -> let b = buf fr in stf fr k b (off2 b (ig fr i) (ig fr j))
+    fun fr -> let b = buf fr in stf fr k b (off2 b (ev fr i) (ev fr j))
   | 2, Sti k ->
     let i = ix.(0) and j = ix.(1) in
-    fun fr -> let b = buf fr in sti fr k b (off2 b (ig fr i) (ig fr j))
+    fun fr -> let b = buf fr in sti fr k b (off2 b (ev fr i) (ev fr j))
   | 3, Ldf k ->
     let i = ix.(0) and j = ix.(1) and l = ix.(2) in
     fun fr ->
       let b = buf fr in
-      ldf fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+      ldf fr k b (off3 b (ev fr i) (ev fr j) (ev fr l))
   | 3, Ldi k ->
     let i = ix.(0) and j = ix.(1) and l = ix.(2) in
     fun fr ->
       let b = buf fr in
-      ldi fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+      ldi fr k b (off3 b (ev fr i) (ev fr j) (ev fr l))
   | 3, Stf k ->
     let i = ix.(0) and j = ix.(1) and l = ix.(2) in
     fun fr ->
       let b = buf fr in
-      stf fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+      stf fr k b (off3 b (ev fr i) (ev fr j) (ev fr l))
   | 3, Sti k ->
     let i = ix.(0) and j = ix.(1) and l = ix.(2) in
     fun fr ->
       let b = buf fr in
-      sti fr k b (off3 b (ig fr i) (ig fr j) (ig fr l))
+      sti fr k b (off3 b (ev fr i) (ev fr j) (ev fr l))
   | _, Ldf k -> fun fr -> let b = buf fr in ldf fr k b (offn b fr ix)
   | _, Ldi k -> fun fr -> let b = buf fr in ldi fr k b (offn b fr ix)
   | _, Stf k -> fun fr -> let b = buf fr in stf fr k b (offn b fr ix)
@@ -616,6 +664,174 @@ let new_frame (cf : cfunc) (sent : Mem.buffer) lc glob : frame =
   ; glob
   }
 
+(* --- folded index chains ---
+
+   An index op (an int [addi], [subi], [muli] or [shli]) whose one use
+   is a later op of the same op list, reading it as a load's or store's
+   index or as another index op's operand, folds: it compiles to
+   nothing, and the access evaluates the affine form of the chain.
+   Only ops of one list fold together, so a def outside a loop is never
+   recomputed inside it.  Native ints wrap, so the distributed form has
+   the chain's bits; the ops cannot fail, and SSA keeps every register
+   the form reads unchanged between the def and the use. *)
+
+let max_terms = 4
+
+let is_int (v : Value.t) =
+  match v.Value.typ with
+  | Types.Scalar d -> not (Types.is_float_dtype d)
+  | Types.Memref _ -> false
+
+let index_op (op : Op.op) =
+  match op.Op.kind with
+  | Op.Binop (Op.Add | Op.Sub | Op.Mul | Op.Shl) ->
+    Array.length op.Op.operands = 2
+    && Array.length op.Op.results = 1
+    && is_int op.Op.operands.(0)
+    && is_int op.Op.operands.(1)
+    && is_int op.Op.results.(0)
+  | _ -> false
+
+(* The index ops of a function body that may fold, in one pre-order
+   pass (a def comes before its uses): an index op's result starts as
+   its list's token; its first use sets 0 if it is an index read in the
+   same list, and any other use sets -1. *)
+let fold_plan (body : Op.region) : (int, int) Hashtbl.t =
+  let st = Hashtbl.create 16 and lists = ref 0 in
+  let rec walk (ops : Op.op list) =
+    incr lists;
+    let tok = !lists in
+    List.iter
+      (fun (op : Op.op) ->
+        let first =
+          match op.Op.kind with
+          | Op.Load -> 1
+          | Op.Store -> 2
+          | _ -> if index_op op then 0 else max_int
+        in
+        Array.iteri
+          (fun i (v : Value.t) ->
+            match Hashtbl.find_opt st v.Value.id with
+            | Some s -> Hashtbl.replace st v.Value.id (if s = tok && i >= first then 0 else -1)
+            | None -> ())
+          op.Op.operands;
+        Array.iter (fun (r : Op.region) -> walk r.Op.body) op.Op.regions;
+        if index_op op then Hashtbl.replace st (Op.result op).Value.id tok)
+      ops
+  in
+  walk body.Op.body;
+  st
+
+let form_add f g =
+  let add ts (r, c) =
+    match List.assoc_opt r ts with
+    | None -> (r, c) :: ts
+    | Some c' ->
+      let ts = List.remove_assoc r ts in
+      if c + c' = 0 then ts else (r, c + c') :: ts
+  in
+  { c0 = f.c0 + g.c0; terms = List.fold_left add f.terms g.terms }
+
+let form_scale f n =
+  { c0 = f.c0 * n
+  ; terms = List.filter_map (fun (r, c) -> if c * n = 0 then None else Some (r, c * n)) f.terms
+  }
+
+(* An operand of an index op as a form: a folded op's, a literal, or its
+   int register. *)
+let operand_form ce (v : Value.t) =
+  match Hashtbl.find_opt ce.forms v.Value.id with
+  | Some (f, _, _) -> Some f
+  | None -> (
+    match int_lit ce v with
+    | Some n -> Some { c0 = n; terms = [] }
+    | None -> (
+      match slot_of ce v with
+      | SI k -> Some { c0 = 0; terms = [ (k, 1) ] }
+      | SF _ | SB _ -> None))
+
+(* The form of an index op, if it is affine within [max_terms]. *)
+let affine_form ce (op : Op.op) : form option =
+  let o = op.Op.operands in
+  match operand_form ce o.(0), operand_form ce o.(1) with
+  | Some f, Some g -> (
+    let lit h = if h.terms = [] then Some h.c0 else None in
+    let r =
+      match op.Op.kind, lit f, lit g with
+      | Op.Binop Op.Add, _, _ -> Some (form_add f g)
+      | Op.Binop Op.Sub, _, _ -> Some (form_add f (form_scale g (-1)))
+      | Op.Binop Op.Mul, _, Some n -> Some (form_scale f n)
+      | Op.Binop Op.Mul, Some n, None -> Some (form_scale g n)
+      | Op.Binop Op.Shl, _, Some n when n >= 0 && n <= 62 ->
+        Some (form_scale f (1 lsl n))
+      | _ -> None
+    in
+    match r with
+    | Some h when List.length h.terms <= max_terms -> r
+    | _ -> None)
+  | _ -> None
+
+let index_of_form = function
+  | { c0 = 0; terms = [ (r, 1) ] } -> Reg r
+  | { c0; terms } ->
+    Aff (c0, Array.of_list (List.map snd terms), Array.of_list (List.map fst terms))
+
+(* A float load of the dot loop: its op and buffer value (for the
+   unbound error), buffer register and indices. *)
+type access =
+  { aop : Op.op
+  ; abuf : Value.t
+  ; bk : int
+  ; ix : index array
+  }
+
+(* An access index: a folded op's form, or an int register. *)
+let index ce pre (v : Value.t) : index =
+  match Hashtbl.find_opt ce.forms v.Value.id with
+  | Some (f, _, _) -> index_of_form f
+  | None -> Reg (ireg ce pre v)
+
+(* A float load with no conversion before it, as the dot loop runs it. *)
+let load_access ce (l : Op.op) : access option =
+  match l.Op.kind, l.Op.results with
+  | Op.Load, [| r |] -> begin
+    let bufv = l.Op.operands.(0) and pre = ref [] in
+    let ix =
+      Array.map (index ce pre) (Array.sub l.Op.operands 1 (Array.length l.Op.operands - 1))
+    in
+    match slot_of ce r, slot_of ce bufv, !pre with
+    | SF _, SB bk, [] -> Some { aop = l; abuf = bufv; bk; ix }
+    | _ -> None
+  end
+  | _ -> None
+
+(* [acc + x * y] over an [scf.for], the loop inside one closure with the
+   sum in a local float: each iteration runs both loads' checks in the
+   unfused order, and combines in the IR's operand order (it decides
+   NaN payloads). *)
+let dot_loop sent ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap (a1 : access)
+    (a2 : access) : code =
+  let op1 = a1.aop and bv1 = a1.abuf and bk1 = a1.bk and ix1 = a1.ix in
+  let op2 = a2.aop and bv2 = a2.abuf and bk2 = a2.bk and ix2 = a2.ix in
+  fun fr ->
+    let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
+    if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
+    let s = ref (fg fr init) in
+    let i = ref lo in
+    while !i < hi do
+      is fr iv !i;
+      let b = Array.unsafe_get fr.bregs bk1 in
+      if b == sent then unbound op1 bv1;
+      let x = ld b (offset b fr ix1) in
+      let b = Array.unsafe_get fr.bregs bk2 in
+      if b == sent then unbound op2 bv2;
+      let y = ld b (offset b fr ix2) in
+      let p = if mswap then y *. x else x *. y in
+      s := if aswap then p +. !s else !s +. p;
+      i := !i + step
+    done;
+    fs fr acc !s
+
 (* --- compilation --- *)
 
 (* The bounds of an [scf.parallel] or [omp.wsloop], read once per
@@ -644,22 +860,8 @@ and compile_op (ce : cenv) (op : Op.op) : code =
   | Op.Yield | Op.Dealloc -> nop
   | Op.Condition -> fun _ -> Mem.fail "scf.condition outside while handling"
   | Op.Constant c -> compile_constant ce op c
-  | Op.Binop kind ->
-    with_conv (fun pre post ->
-        if Scalar.is_float_value o.(0) then begin
-          let x = freg ce pre o.(0) in
-          let y = freg ce pre o.(1) in
-          fbin kind (fres ce post (Op.result op)) x y
-        end
-        else begin
-          let x = ireg ce pre o.(0) in
-          match kind, int_lit ce o.(1) with
-          | (Op.Div | Op.Rem), Some n ->
-            idiv_lit kind (ires ce post (Op.result op)) x n
-          | _ ->
-            let y = ireg ce pre o.(1) in
-            ibin kind (ires ce post (Op.result op)) x y
-        end)
+  | Op.Binop kind when index_op op -> compile_index ce op kind
+  | Op.Binop kind -> compile_binop ce op kind
   | Op.Cmp pred ->
     with_conv (fun pre post ->
         let r = ires ce post (Op.result op) in
@@ -783,6 +985,49 @@ and compile_op (ce : cenv) (op : Op.op) : code =
     else fun _ -> raise (Ret None)
   | Op.Call name -> compile_call ce op name
 
+(* An index op the plan lets fold, with an affine form, compiles to
+   nothing.  Any other runs as its own closure, after those of the
+   folded ops it reads: they cannot fail, and the registers they read
+   are unchanged since their place in the list. *)
+and compile_index ce op kind : code =
+  let id = (Op.result op).Value.id in
+  match Hashtbl.find_opt ce.folds id with
+  | Some 0 -> begin
+    match affine_form ce op with
+    | Some f ->
+      Hashtbl.replace ce.forms id (f, kind, op);
+      nop
+    | None -> compute_index ce op kind
+  end
+  | _ -> compute_index ce op kind
+
+and compute_index ce op kind : code =
+  let defs =
+    Array.to_list op.Op.operands
+    |> List.filter_map (fun (v : Value.t) ->
+        Hashtbl.find_opt ce.forms v.Value.id
+        |> Option.map (fun (_, k, d) -> compute_index ce d k))
+  in
+  seq (defs @ [ compile_binop ce op kind ])
+
+and compile_binop ce op kind : code =
+  let o = op.Op.operands in
+  with_conv (fun pre post ->
+      if Scalar.is_float_value o.(0) then begin
+        let x = freg ce pre o.(0) in
+        let y = freg ce pre o.(1) in
+        fbin kind (fres ce post (Op.result op)) x y
+      end
+      else begin
+        let x = ireg ce pre o.(0) in
+        match kind, int_lit ce o.(1) with
+        | (Op.Div | Op.Rem), Some n ->
+          idiv_lit kind (ires ce post (Op.result op)) x n
+        | _ ->
+          let y = ireg ce pre o.(1) in
+          ibin kind (ires ce post (Op.result op)) x y
+      end)
+
 (* An int constant records its literal for the ops compiled after it. *)
 and compile_constant ce op (c : Op.const) : code =
   let v = Op.result op in
@@ -875,16 +1120,65 @@ and compile_for ce op : code =
          while it compiles, before this yield reads them *)
       let body = compile_region ce region.Op.body in
       let body = seq [ body; compile_moves ce op (Op.yielded region) args ] in
-      fun fr ->
-        let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
-        if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
-        init fr;
-        let i = ref lo in
-        while !i < hi do
-          is fr iv !i;
-          body fr;
-          i := !i + step
-        done)
+      match compile_dot ce op ~iv ~lo ~hi ~step with
+      | Some dot -> dot
+      | None ->
+        fun fr ->
+          let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
+          if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
+          init fr;
+          let i = ref lo in
+          while !i < hi do
+            is fr iv !i;
+            body fr;
+            i := !i + step
+          done)
+
+(* The fused dot loop, if [op] has one float iter_arg and its body is,
+   besides folded index ops, exactly two float loads, a [mulf] of the
+   two loaded values, an [addf] of the iter_arg and the product, and
+   the yield of the sum. *)
+and compile_dot ce op ~iv ~lo ~hi ~step : code option =
+  let same (a : Value.t) (b : Value.t) = a.Value.id = b.Value.id in
+  let fslot v = match slot_of ce v with SF k -> Some k | SI _ | SB _ -> None in
+  (* [Some swapped] if [o] is the float binop [k] of [a] and [b] *)
+  let order (o : Op.op) k a b =
+    match o.Op.kind, o.Op.operands, o.Op.results with
+    | Op.Binop k', [| x; y |], [| r |] when k' = k && fslot r <> None ->
+      if same x a && same y b then Some false
+      else if same x b && same y a then Some true
+      else None
+    | _ -> None
+  in
+  let folded (o : Op.op) =
+    index_op o && Hashtbl.mem ce.forms (Op.result o).Value.id
+  in
+  let body = List.filter (fun o -> not (folded o)) op.Op.regions.(0).Op.body in
+  match Op.for_iter_args op, body with
+  | [| it |], [ l1; l2; m; a; y ] -> begin
+    match load_access ce l1, load_access ce l2 with
+    | Some a1, Some a2 -> begin
+      match order m Op.Mul (Op.result l1) (Op.result l2) with
+      | None -> None
+      | Some mswap -> begin
+        match
+          ( order a Op.Add it (Op.result m)
+          , y.Op.kind
+          , y.Op.operands
+          , fslot it
+          , fslot (Op.for_inits op).(0) )
+        with
+        | Some aswap, Op.Yield, [| v |], Some acc, Some init
+          when same v (Op.result a) ->
+          Some
+            (dot_loop ce.cm.sentinel ~iv ~lo ~hi ~step ~init ~acc ~mswap
+               ~aswap a1 a2)
+        | _ -> None
+      end
+    end
+    | _ -> None
+  end
+  | _ -> None
 
 and compile_while ce op : code =
   let cond, c =
@@ -927,7 +1221,7 @@ and compile_store ce op : code =
 
 and compile_checked ce op bufv idxv (e : elem_op) : code =
   with_conv (fun pre _ ->
-      let ix = Array.map (ireg ce pre) idxv in
+      let ix = Array.map (index ce pre) idxv in
       match slot_of ce bufv with
       | SB bk -> checked_access ce.cm.sentinel op bufv bk ix e
       | SI _ | SF _ ->
@@ -1251,6 +1545,8 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         ; nf = 0
         ; nb = 0
         ; lits = Hashtbl.create 32
+        ; folds = fold_plan f.Op.regions.(0)
+        ; forms = Hashtbl.create 16
         }
       in
       cf.params <- Array.map (slot_of ce) f.Op.regions.(0).Op.rargs;

@@ -871,20 +871,67 @@ let mk_nest_module depth : Op.op =
           Builder.Seq.to_list s)
     ]
 
+(* func @k(buf : memref<?xf64>, ib : memref<?xi64>, x : index) {
+   buf[0] <- buf[t_n] }, where t_0 = x and t_(i+1) = t_i + c_i, each
+   addi single-use: a chain that folds into the load.  [c_i] is the
+   literal 1, or with [distinct] a fresh int load of ib[0], a register
+   of its own, so the folded forms keep reaching their term cap. *)
+let mk_chain_module ~distinct n : Op.op =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("buf", Types.memref Types.F64 [ None ])
+        ; ("ib", Types.memref Types.I64 [ None ])
+        ; ("x", Types.Scalar Types.Index)
+        ]
+        (fun p ->
+          let s = Builder.Seq.create () in
+          let e op = Builder.Seq.emitv s op in
+          let c0 = e (Builder.const_int 0) and c1 = e (Builder.const_int 1) in
+          let t = ref p.(2) in
+          for _ = 1 to n do
+            let c = if distinct then e (Builder.load p.(1) [ c0 ]) else c1 in
+            t := e (Builder.binop Op.Add !t c)
+          done;
+          let v = e (Builder.load p.(0) [ !t ]) in
+          ignore (Builder.Seq.emit s (Builder.store v p.(0) [ c0 ]));
+          Builder.Seq.to_list s)
+    ]
+
 let test_compile_linear_in_depth () =
-  let words depth =
-    let m = mk_nest_module depth in
+  let compile_words m =
     let w0 = Gc.minor_words () in
     ignore (Runtime.Exec.compile m "k");
     Gc.minor_words () -. w0
   in
-  let w6 = words 6 in
-  let w12 = words 12 in
+  let w6 = compile_words (mk_nest_module 6) in
+  let w12 = compile_words (mk_nest_module 12) in
   if w12 > 4.0 *. w6 then
     Alcotest.failf
       "Exec.compile allocates %.0f words on a 12-deep loop nest vs %.0f 6 \
        deep (%.1fx, bound 4x)"
       w12 w6 (w12 /. w6);
+  List.iter
+    (fun distinct ->
+      let w1 = compile_words (mk_chain_module ~distinct 64) in
+      let w4 = compile_words (mk_chain_module ~distinct 256) in
+      if w4 > 4.0 *. w1 then
+        Alcotest.failf
+          "Exec.compile allocates %.0f words on a 256-op index chain vs %.0f \
+           on 64 ops (%.1fx, bound 4x)"
+          w4 w1 (w4 /. w1);
+      let m = mk_chain_module ~distinct 16 in
+      let contents run =
+        let buf = Interp.Mem.of_float_array (Array.init 40 float_of_int) in
+        let ib = Interp.Mem.of_int_array [| 2 |] in
+        run Interp.Mem.[ Buf buf; Buf ib; Int 1 ];
+        Array.map Int64.bits_of_float (Interp.Mem.float_contents buf)
+      in
+      Alcotest.(check (array int64))
+        (Printf.sprintf "16-op chain (distinct=%b): engine = interpreter" distinct)
+        (contents (fun args -> ignore (Interp.Eval.run m "k" args)))
+        (contents (fun args ->
+             ignore (Runtime.Exec.run_module ~domains:1 m "k" args))))
+    [ false; true ];
   let m = mk_nest_module 6 in
   let contents run =
     let buf = Interp.Mem.of_float_array ~dims:[| 2 |] [| 0.25; 0.5 |] in
@@ -1388,28 +1435,83 @@ let mk_alloc_probe_module () : Op.op =
           Builder.Seq.to_list s)
     ]
 
+(* func @k(a : memref<?x?xf64>, b : memref<?xf64>, out : memref<?xf64>,
+   r, n : index) { out[0] <- for k in [0, n) iter_args(acc = out[0]):
+   acc + a[r][k] * b[(k + r) - r] }: a dot loop whose second index is a
+   folded chain.  [mswap]/[aswap] swap the mulf's/addf's operands; [a]
+   replaces the first buffer (a dangling value for the unbound case);
+   [twin] adds an unused addi to the body, which keeps the loop unfused
+   with the same meaning. *)
+let mk_dot_module ?(mswap = false) ?(aswap = false) ?a ?(twin = false) () =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("a", Types.memref Types.F64 [ None; None ])
+        ; ("b", Types.memref Types.F64 [ None ])
+        ; ("out", Types.memref Types.F64 [ None ])
+        ; ("r", Types.Scalar Types.Index)
+        ; ("n", Types.Scalar Types.Index)
+        ]
+        (fun p ->
+          let a = Option.value a ~default:p.(0) and r = p.(3) in
+          let s = Builder.Seq.create () in
+          let e op = Builder.Seq.emitv s op in
+          let c0 = e (Builder.const_int 0) and c1 = e (Builder.const_int 1) in
+          let init = e (Builder.load p.(2) [ c0 ]) in
+          let l =
+            Builder.Seq.emit s
+              (Builder.for_iter ~lo:c0 ~hi:p.(4) ~step:c1 ~inits:[ init ]
+                 (fun k acc ->
+                   let b = Builder.Seq.create () in
+                   let e op = Builder.Seq.emitv b op in
+                   let x = e (Builder.load a [ r; k ]) in
+                   let kr = e (Builder.binop Op.Add k r) in
+                   let y = e (Builder.load p.(1) [ e (Builder.binop Op.Sub kr r) ]) in
+                   if twin then ignore (e (Builder.binop Op.Add k k));
+                   let xy = e (if mswap then Builder.binop Op.Mul y x else Builder.binop Op.Mul x y) in
+                   let sum =
+                     e
+                       (if aswap then Builder.binop Op.Add xy acc.(0)
+                        else Builder.binop Op.Add acc.(0) xy)
+                   in
+                   Builder.Seq.to_list b @ [ Builder.yield_ [ sum ] ]))
+          in
+          ignore (Builder.Seq.emit s (Builder.store (Op.result l) p.(2) [ c0 ]));
+          Builder.Seq.to_list s)
+    ]
+
 let test_no_alloc_per_iteration () =
-  let c = Runtime.Exec.compile (mk_alloc_probe_module ()) "k" in
   let big = 4096 in
-  let a = Interp.Mem.alloc_buffer Types.F64 [| big; 2; 2 |] in
-  let s = Interp.Mem.alloc_buffer Types.F64 [||] in
-  Interp.Mem.set_f s 0 0.5;
-  let run n =
-    let args = [ Interp.Mem.Buf a; Interp.Mem.Buf s; Interp.Mem.Int n ] in
-    let w0 = Gc.minor_words () in
-    ignore (Runtime.Exec.run ~domains:1 c args);
-    Gc.minor_words () -. w0
+  let probe =
+    let a = Interp.Mem.alloc_buffer Types.F64 [| big; 2; 2 |] in
+    let s = Interp.Mem.alloc_buffer Types.F64 [||] in
+    Interp.Mem.set_f s 0 0.5;
+    (mk_alloc_probe_module (), fun n -> Interp.Mem.[ Buf a; Buf s; Int n ])
   in
-  (* warm: the entry frame is built by the first run *)
-  ignore (run 16);
-  ignore (run big);
-  let small = run 16 in
-  let large = run big in
-  Alcotest.(check bool)
-    (Printf.sprintf "minor words at n=%d (%.0f) - at n=16 (%.0f) <= 16" big
-       large small)
-    true
-    (large -. small <= 16.0)
+  let dot =
+    let a = Interp.Mem.alloc_buffer Types.F64 [| 2; big |] in
+    let b = Interp.Mem.alloc_buffer Types.F64 [| big |] in
+    let out = Interp.Mem.alloc_buffer Types.F64 [| 1 |] in
+    (mk_dot_module (), fun n -> Interp.Mem.[ Buf a; Buf b; Buf out; Int 1; Int n ])
+  in
+  List.iter
+    (fun (what, (m, args)) ->
+      let c = Runtime.Exec.compile m "k" in
+      let run n =
+        let w0 = Gc.minor_words () in
+        ignore (Runtime.Exec.run ~domains:1 c (args n));
+        Gc.minor_words () -. w0
+      in
+      (* warm: the entry frame is built by the first run *)
+      ignore (run 16);
+      ignore (run big);
+      let small = run 16 in
+      let large = run big in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: minor words at n=%d (%.0f) - at n=16 (%.0f) <= 16"
+           what big large small)
+        true
+        (large -. small <= 16.0))
+    [ ("rank-3 probe", probe); ("dot loop", dot) ]
 
 (* --- unbound buffer register: the per-compile sentinel --- *)
 
@@ -1730,6 +1832,193 @@ let test_trapping_arm () =
   check_carried "arm taken, traps on both engines alike"
     (Error "integer division by zero") (carried_run m ~n:1 [ 1; 0 ])
 
+(* --- fusions: the dot loop and folded index chains --- *)
+
+(* out[0]'s bits after @k of [mk_dot_module], or the error text with
+   buffer ids masked. *)
+let dot_outcome (run : Interp.Mem.rv list -> unit) ~a ~b ~init ~r ~n =
+  let out = Interp.Mem.of_float_array [| init |] in
+  match run Interp.Mem.[ Buf (a ()); Buf (b ()); Buf out; Int r; Int n ] with
+  | () -> Ok (Int64.bits_of_float (Interp.Mem.float_contents out).(0))
+  | exception Interp.Mem.Runtime_error e -> Error (mask_bufids e)
+
+let run_interp m args = ignore (Interp.Eval.run m "k" args)
+let run_engine m args = ignore (Runtime.Exec.run_module ~domains:1 m "k" args)
+let floats ?dims xs () = Interp.Mem.of_float_array ?dims (Array.of_list xs)
+
+(* A 3x[cols] [a], row r = 1 *)
+let dot_a ?(cols = 5) () =
+  floats ~dims:[| 3; cols |] (List.init (3 * cols) (fun i -> (float_of_int i *. 0.25) +. 0.125)) ()
+
+let dot_b len () = floats (List.init len (fun i -> float_of_int (i + 1) *. 1.5)) ()
+
+(* The fused loop and its unfused twin on the engine both give the
+   interpreter's bits or error text; returns that outcome. *)
+let check_dot what ?mswap ?aswap ?(init = 0.5) ~a ~b n =
+  let fused = mk_dot_module ?mswap ?aswap () in
+  let twin = mk_dot_module ?mswap ?aswap ~twin:true () in
+  let outcome run = dot_outcome run ~a ~b ~init ~r:1 ~n in
+  let want = outcome (run_interp fused) in
+  Alcotest.(check (result int64 string))
+    (what ^ ": fused = interpreter") want (outcome (run_engine fused));
+  Alcotest.(check (result int64 string))
+    (what ^ ": unfused = interpreter") want (outcome (run_engine twin));
+  want
+
+let oob ix n dim =
+  Error (Printf.sprintf "buffer #<id>: index %d out of bounds [0,%d) in dim %d" ix n dim)
+
+(* the loads' checks run each iteration, the first load's before the
+   second's, with [Mem.lindex]'s texts *)
+let test_dot_bounds () =
+  ignore (check_dot "in bounds" ~a:dot_a ~b:(dot_b 5) 5);
+  Alcotest.(check (result int64 string)) "b out of bounds at k = 3"
+    (oob 3 3 0) (check_dot "b short" ~a:dot_a ~b:(dot_b 3) 5);
+  Alcotest.(check (result int64 string)) "a out of bounds at k = 2"
+    (oob 2 2 1) (check_dot "a short" ~a:(dot_a ~cols:2) ~b:(dot_b 3) 5);
+  Alcotest.(check (result int64 string)) "both at k = 3: the first load's"
+    (oob 3 3 1) (check_dot "both short" ~a:(dot_a ~cols:3) ~b:(dot_b 3) 5)
+
+(* an unbound first buffer: the unfused twin's located error at the
+   first iteration, and no error when the loop runs zero times *)
+let test_dot_unbound_and_zero_trip () =
+  let dangling = Value.fresh ~name:"phantom" (Types.memref Types.F64 [ None; None ]) in
+  let fused = mk_dot_module ~a:dangling () in
+  let twin = mk_dot_module ~a:dangling ~twin:true () in
+  let outcome m n = dot_outcome (run_engine m) ~a:dot_a ~b:(dot_b 5) ~init:0.5 ~r:1 ~n in
+  let err = outcome fused 2 in
+  Alcotest.(check (result int64 string)) "same error as the unfused loop" (outcome twin 2) err;
+  Alcotest.(check bool) "names the unbound register" true
+    (match err with Error e -> contains_substring ~sub:"unbound buffer register" e | Ok _ -> false);
+  let init = Ok (Int64.bits_of_float 0.5) in
+  Alcotest.(check (result int64 string)) "zero trips read no buffer" init (outcome fused 0);
+  Alcotest.(check (result int64 string)) "zero trips: init"
+    init (check_dot "zero trips" ~a:dot_a ~b:(dot_b 5) 0);
+  Alcotest.(check (result int64 string)) "lo > hi: init"
+    init (check_dot "negative trips" ~a:dot_a ~b:(dot_b 5) (-3))
+
+let test_dot_int_data () =
+  ignore
+    (check_dot "int data" ~a:dot_a ~b:(fun () -> Interp.Mem.of_int_array [| 3; -1; 4; 1; -5 |]) 5)
+
+(* NaN operands with distinct payloads: the result's payload follows
+   the IR's operand order of the mulf and the addf *)
+let test_dot_nan_orders () =
+  let nan p = Int64.float_of_bits (Int64.logor 0x7ff8000000000000L (Int64.of_int p)) in
+  let a () = floats ~dims:[| 2; 1 |] [ nan 1; nan 1 ] () in
+  let b () = floats [ nan 2 ] () in
+  let outs =
+    List.concat_map
+      (fun mswap ->
+        List.map
+          (fun aswap ->
+            check_dot
+              (Printf.sprintf "mswap=%b aswap=%b" mswap aswap)
+              ~mswap ~aswap ~init:(nan 3) ~a ~b 1)
+          [ false; true ])
+      [ false; true ]
+  in
+  Alcotest.(check bool) "the orders give three payloads" true
+    (List.length (List.sort_uniq compare outs) = 3)
+
+(* func @k(buf : memref<?xf64>, x, y : index) {
+   buf[0] <- buf[((x * c1) op c2 + y) - 1] }, op a muli or with [shl] a
+   shli: a four-op single-use chain folded into the load's index. *)
+let mk_fold_module ~c1 ~c2 ~shl : Op.op =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("buf", Types.memref Types.F64 [ None ])
+        ; ("x", Types.Scalar Types.Index)
+        ; ("y", Types.Scalar Types.Index)
+        ]
+        (fun p ->
+          let s = Builder.Seq.create () in
+          let e op = Builder.Seq.emitv s op in
+          let k1 = e (Builder.const_int c1) and k2 = e (Builder.const_int c2) in
+          let one = e (Builder.const_int 1) and c0 = e (Builder.const_int 0) in
+          let t1 = e (Builder.binop Op.Mul p.(1) k1) in
+          let t2 = e (Builder.binop (if shl then Op.Shl else Op.Mul) t1 k2) in
+          let t3 = e (Builder.binop Op.Add t2 p.(2)) in
+          let t4 = e (Builder.binop Op.Sub t3 one) in
+          let v = e (Builder.load p.(0) [ t4 ]) in
+          ignore (Builder.Seq.emit s (Builder.store v p.(0) [ c0 ]));
+          Builder.Seq.to_list s)
+    ]
+
+let test_fold_chains () =
+  let outcome m x y run =
+    let buf = floats (List.init 8 (fun i -> float_of_int i +. 0.5)) () in
+    match run m Interp.Mem.[ Buf buf; Int x; Int y ] with
+    | () -> Ok (Int64.bits_of_float (Interp.Mem.float_contents buf).(0))
+    | exception Interp.Mem.Runtime_error e -> Error (mask_bufids e)
+  in
+  List.iter
+    (fun (x, y, c1, c2, shl, want) ->
+      let m = mk_fold_module ~c1 ~c2 ~shl in
+      let what = Printf.sprintf "x=%d y=%d c1=%d c2=%d shl=%b" x y c1 c2 shl in
+      let interp = outcome m x y run_interp in
+      Alcotest.(check (result int64 string)) (what ^ ": engine = interpreter")
+        interp (outcome m x y run_engine);
+      Option.iter
+        (fun w -> Alcotest.(check (result int64 string)) (what ^ ": expected") w interp)
+        want)
+    [ (2, 1, 3, 1, false, Some (Ok (Int64.bits_of_float 6.5)))
+    ; (5, 1, 3, 1, false, Some (oob 15 8 0))
+    ; (7, 2, 0, 5, false, Some (Ok (Int64.bits_of_float 1.5)))
+      (* the coefficient of x wraps to 0: 2^61 * 4 = 2^63 *)
+    ; (1, 3, 1 lsl 61, 4, false, Some (Ok (Int64.bits_of_float 2.5)))
+    ; (1, 3, 1 lsl 61, 2, true, Some (Ok (Int64.bits_of_float 2.5)))
+    ; (3, 3, max_int, 3, false, None)
+    ; (1, 0, 1, 62, true, Some (oob max_int 8 0))
+      (* a shift the form does not take runs as its own closure *)
+    ; (1, 0, 1, 63, true, None)
+    ]
+
+(* func @k(buf, out : memref<?xf64>, x, n : index) { d = x + 1;
+   for i in [0, n) { e = i * 2; w = i + 1; v = buf[d + w];
+   if (w < 3) { out[e] <- v } } }: a def outside the loop read by a
+   chain inside it, a def in the loop body read inside a nested region,
+   and one read both as an index and by a cmp. *)
+let test_fold_region_boundary () =
+  let m =
+    Builder.module_
+      [ Builder.func "k"
+          [ ("buf", Types.memref Types.F64 [ None ])
+          ; ("out", Types.memref Types.F64 [ None ])
+          ; ("x", Types.Scalar Types.Index)
+          ; ("n", Types.Scalar Types.Index)
+          ]
+          (fun p ->
+            let s = Builder.Seq.create () in
+            let e op = Builder.Seq.emitv s op in
+            let c0 = e (Builder.const_int 0) and c1 = e (Builder.const_int 1) in
+            let c2 = e (Builder.const_int 2) and c3 = e (Builder.const_int 3) in
+            let d = e (Builder.binop Op.Add p.(2) c1) in
+            ignore
+              (Builder.Seq.emit s
+                 (Builder.for_ ~lo:c0 ~hi:p.(3) ~step:c1 (fun i ->
+                      let b = Builder.Seq.create () in
+                      let e op = Builder.Seq.emitv b op in
+                      let ei = e (Builder.binop Op.Mul i c2) in
+                      let w = e (Builder.binop Op.Add i c1) in
+                      let v = e (Builder.load p.(0) [ e (Builder.binop Op.Add d w) ]) in
+                      let lt = e (Builder.cmp Op.Lt w c3) in
+                      ignore (Builder.Seq.emit b (Builder.if_ lt [ Builder.store v p.(1) [ ei ] ]));
+                      Builder.Seq.to_list b)));
+            Builder.Seq.to_list s)
+      ]
+  in
+  let contents run =
+    let buf = floats (List.init 8 float_of_int) () in
+    let out = Interp.Mem.alloc_buffer Types.F64 [| 4 |] in
+    run m Interp.Mem.[ Buf buf; Buf out; Int 1; Int 4 ];
+    Array.to_list (Interp.Mem.float_contents out)
+  in
+  Alcotest.(check (list (float 0.0))) "out[2i] = buf[x + 2 + i] for i < 2"
+    [ 3.0; 0.0; 4.0; 0.0 ] (contents run_interp);
+  Alcotest.(check (list (float 0.0))) "engine = interpreter"
+    (contents run_interp) (contents run_engine)
+
 let () =
   let rodinia =
     List.map
@@ -1810,6 +2099,19 @@ let () =
             test_nested_for
         ; Alcotest.test_case "trapping arm: same error or none" `Quick
             test_trapping_arm
+        ] )
+    ; ( "fusions",
+        [ Alcotest.test_case "dot loop: bounds, order and texts" `Quick
+            test_dot_bounds
+        ; Alcotest.test_case "dot loop: unbound buffer, zero trips" `Quick
+            test_dot_unbound_and_zero_trip
+        ; Alcotest.test_case "dot loop: int data" `Quick test_dot_int_data
+        ; Alcotest.test_case "dot loop: NaN payloads, all operand orders"
+            `Quick test_dot_nan_orders
+        ; Alcotest.test_case "folded chains: texts, wrapping, shli" `Quick
+            test_fold_chains
+        ; Alcotest.test_case "folded chains: defs across a region boundary"
+            `Quick test_fold_region_boundary
         ] )
     ; ( "faults",
         [ Alcotest.test_case "inject through parallel path" `Quick
