@@ -486,12 +486,36 @@ void launch(float* out, float* in) { k<<<2, %d>>>(out, in); }
     (String.concat "\n  " levels)
     t c t t
 
+(* The GEMM's reduction straight from global memory, one thread per
+   output: A (MxK) at in[0], B (KxN) at in[32].  Its loop body keeps an
+   index chain per load for the engine to fold into the fused dot loop. *)
+let tensor_dot rng =
+  let m = 2 + Random.State.int rng 3 in
+  let n = 2 + Random.State.int rng 3 in
+  let k = 2 + Random.State.int rng 4 in
+  let c = 1 + Random.State.int rng 7 in
+  Printf.sprintf
+    {|
+__global__ void k(float* out, float* in) {
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  float acc = 0.0f;
+  for (int i = 0; i < %d; i++) {
+    acc = acc + in[ty * %d + i] * in[32 + i * %d + tx];
+  }
+  out[ty * %d + tx] = acc * 0.%df;
+}
+void launch(float* out, float* in) { k<<<1, dim3(%d, %d)>>>(out, in); }
+|}
+    k k n n c n m
+
 let tensor_source ~seed =
   let rng = Random.State.make [| 0x7e45; seed |] in
-  match Random.State.int rng 3 with
+  match Random.State.int rng 4 with
   | 0 -> tensor_gemm rng
   | 1 -> tensor_stencil rng
-  | _ -> tensor_reduction rng
+  | 2 -> tensor_reduction rng
+  | _ -> tensor_dot rng
 
 (* A racy mutant of [source ~seed]: the same program with one
    [__syncthreads] deleted, chosen by the seed.  Since every generated

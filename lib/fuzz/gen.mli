@@ -25,9 +25,9 @@ val source : seed:int -> string
 
 (** Tensor-shaped programs ([fuzz --gen-tensor]): seeded
     cooperative-load shared-memory GEMMs, ring stencils with double
-    buffering, and unrolled tree reductions — the dataflow shapes of
-    the MocCUDA kernel tier, still race-free by construction.  Same
-    [launch] contract as {!source}. *)
+    buffering, unrolled tree reductions and global-memory dot rows —
+    the dataflow shapes of the MocCUDA kernel tier, still race-free by
+    construction.  Same [launch] contract as {!source}. *)
 val tensor_source : seed:int -> string
 
 (** [source ~seed] with one seeded [__syncthreads] deleted — the racy
