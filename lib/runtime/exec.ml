@@ -712,7 +712,9 @@ let fold_plan (body : Op.region) : (int, int) Hashtbl.t =
         Array.iteri
           (fun i (v : Value.t) ->
             match Hashtbl.find_opt st v.Value.id with
-            | Some s -> Hashtbl.replace st v.Value.id (if s = tok && i >= first then 0 else -1)
+            | Some s ->
+              Hashtbl.replace st v.Value.id
+                (if s = tok && i >= first then 0 else -1)
             | None -> ())
           op.Op.operands;
         Array.iter (fun (r : Op.region) -> walk r.Op.body) op.Op.regions;
@@ -734,7 +736,10 @@ let form_add f g =
 
 let form_scale f n =
   { c0 = f.c0 * n
-  ; terms = List.filter_map (fun (r, c) -> if c * n = 0 then None else Some (r, c * n)) f.terms
+  ; terms =
+      List.filter_map
+        (fun (r, c) -> if c * n = 0 then None else Some (r, c * n))
+        f.terms
   }
 
 (* An operand of an index op as a form: a folded op's, a literal, or its
@@ -774,7 +779,10 @@ let affine_form ce (op : Op.op) : form option =
 let index_of_form = function
   | { c0 = 0; terms = [ (r, 1) ] } -> Reg r
   | { c0; terms } ->
-    Aff (c0, Array.of_list (List.map snd terms), Array.of_list (List.map fst terms))
+    Aff
+      ( c0
+      , Array.of_list (List.map snd terms)
+      , Array.of_list (List.map fst terms) )
 
 (* A float load of the dot loop: its op and buffer value (for the
    unbound error), buffer register and indices. *)
@@ -797,7 +805,8 @@ let load_access ce (l : Op.op) : access option =
   | Op.Load, [| r |] -> begin
     let bufv = l.Op.operands.(0) and pre = ref [] in
     let ix =
-      Array.map (index ce pre) (Array.sub l.Op.operands 1 (Array.length l.Op.operands - 1))
+      Array.map (index ce pre)
+        (Array.sub l.Op.operands 1 (Array.length l.Op.operands - 1))
     in
     match slot_of ce r, slot_of ce bufv, !pre with
     | SF _, SB bk, [] -> Some { aop = l; abuf = bufv; bk; ix }
