@@ -493,34 +493,27 @@ type domain_run =
   ; dr_stats : Runtime.Exec.stats (* counters of the last (warm) rep *)
   }
 
-(* Grow the workload from [test_size] toward [paper_size] until the
-   serial interpreter takes at least [min_serial_ms]; benchmarks whose
-   sizes are both odd (stencils wanting a center point) grow as
-   (n-1)*2+1 to stay odd.  A size the interpreter rejects backs off to
-   the last size that ran. *)
-let pick_size (b : Rodinia.Bench_def.t) (m : Ir.Op.op) ~min_serial_ms :
-  int * float =
+(* Grow the workload from [test_size] toward [paper_size] until one run
+   of it ([time_once n], seconds) takes at least [min_ms]; benchmarks
+   whose sizes are both odd (stencils wanting a center point) grow as
+   (n-1)*2+1 to stay odd.  A size the run rejects backs off to the last
+   size that ran. *)
+let pick_size (b : Rodinia.Bench_def.t) ~time_once ~min_ms : int * float =
   let odd k = k land 1 = 1 in
   let grow n =
     if odd b.test_size && odd b.paper_size then ((n - 1) * 2) + 1 else n * 2
   in
-  let serial_once n =
-    let w = b.mk_workload n in
-    let t0 = Unix.gettimeofday () in
-    ignore (Interp.Eval.run m b.entry (Rodinia.Bench_def.args_of_workload w));
-    Unix.gettimeofday () -. t0
-  in
   let rec go n t =
-    if t *. 1000.0 >= min_serial_ms || n >= b.paper_size then (n, t)
+    if t *. 1000.0 >= min_ms || n >= b.paper_size then (n, t)
     else
       let n' = min (grow n) b.paper_size in
       if n' <= n then (n, t)
       else
-        match serial_once n' with
+        match time_once n' with
         | t' -> go n' t'
         | exception _ -> (n, t)
   in
-  match serial_once b.test_size with
+  match time_once b.test_size with
   | t -> go b.test_size t
   | exception _ -> (b.test_size, 0.0)
 
@@ -532,14 +525,17 @@ let warm_frames (rows : domain_run list list) : int =
 
 (* Prints the table and returns the runs of every benchmark the runtime
    compiles, one list per benchmark in [domain_counts] order. *)
-let speedup ?(min_serial_ms = 80.0) ?(reps = 3)
+(* Workloads grow until the serial interpreter takes [min_serial_ms],
+   or with [size_on_engine] until the engine at 1 domain does. *)
+let speedup ?(min_serial_ms = 80.0) ?(size_on_engine = false) ?(reps = 3)
     ?(domain_counts = [ 1; 2; 4; 8 ]) () : domain_run list list =
   header
     (Printf.sprintf
        "Scaling — serial interpreter vs multicore runtime (real wall-clock)\n\
-        (workloads sized for >= %.0f ms serial; checksums verified\n\
+        (workloads sized for >= %.0f ms %s; checksums verified\n\
         bit-for-bit against the serial interpreter at each team size)"
-       min_serial_ms);
+       min_serial_ms
+       (if size_on_engine then "on the engine at 1 domain" else "serial"));
   let reps = max 2 reps (* the last rep must be warm for the stats proof *) in
   let time_best f =
     let best = ref infinity in
@@ -558,7 +554,21 @@ let speedup ?(min_serial_ms = 80.0) ?(reps = 3)
     List.filter_map
       (fun (b : Rodinia.Bench_def.t) ->
         let m = build_polygeist ~name:b.name b.cuda_src in
-        let n, _ = pick_size b m ~min_serial_ms in
+        let time_run run n =
+          let args = Rodinia.Bench_def.args_of_workload (b.mk_workload n) in
+          let t0 = Unix.gettimeofday () in
+          run args;
+          Unix.gettimeofday () -. t0
+        in
+        let time_once =
+          if size_on_engine then begin
+            let c = lazy (Runtime.Exec.compile m b.entry) in
+            time_run (fun args ->
+                ignore (Runtime.Exec.run ~domains:1 (Lazy.force c) args))
+          end
+          else time_run (fun args -> ignore (Interp.Eval.run m b.entry args))
+        in
+        let n, _ = pick_size b ~time_once ~min_ms:min_serial_ms in
         let t_serial =
           time_best (fun () ->
               let w = b.mk_workload n in
@@ -642,7 +652,10 @@ let speedup ?(min_serial_ms = 80.0) ?(reps = 3)
    so it holds on a 1-core host too; on real multicore hardware the
    speedup harness is the interesting number. *)
 let perf_smoke () =
-  let rows = speedup ~min_serial_ms:3.0 ~reps:2 ~domain_counts:[ 1; 4 ] () in
+  let rows =
+    speedup ~min_serial_ms:3.0 ~size_on_engine:true ~reps:2
+      ~domain_counts:[ 1; 4 ] ()
+  in
   let bad_ck = List.exists (List.exists (fun r -> not r.dr_ok)) rows in
   let warm_frames = warm_frames rows in
   let ratio41 =
