@@ -177,6 +177,15 @@ type cmod =
     (* per-compile unbound-register marker; never a user buffer *)
   }
 
+(* Tables keyed by [Value.id], hashed without a C call: the fold plan
+   looks up every operand of a function. *)
+module Idtbl = Hashtbl.Make (struct
+    type t = int
+
+    let equal = Int.equal
+    let hash x = x land max_int
+  end)
+
 (* The affine form [c0 + Σ coef·reg] of a folded index chain, over at
    most [max_terms] distinct int registers. *)
 type form =
@@ -192,9 +201,9 @@ type cenv =
   ; mutable nb : int
   ; lits : (int, int) Hashtbl.t
     (* Value.id -> literal, for the int constants compiled so far *)
-  ; folds : (int, int) Hashtbl.t
+  ; folds : int Idtbl.t
     (* Value.id of an index op's result -> 0 if it may fold ([fold_plan]) *)
-  ; forms : (int, form * Op.binop * Op.op) Hashtbl.t
+  ; forms : (form * Op.binop * Op.op) Idtbl.t
     (* Value.id -> form, kind and op of an index op folded so far *)
   }
 
@@ -696,8 +705,8 @@ let index_op (op : Op.op) =
    pass (a def comes before its uses): an index op's result starts as
    its list's token; its first use sets 0 if it is an index read in the
    same list, and any other use sets -1. *)
-let fold_plan (body : Op.region) : (int, int) Hashtbl.t =
-  let st = Hashtbl.create 16 and lists = ref 0 in
+let fold_plan (body : Op.region) : int Idtbl.t =
+  let st = Idtbl.create 16 and lists = ref 0 in
   let rec walk (ops : Op.op list) =
     incr lists;
     let tok = !lists in
@@ -711,14 +720,14 @@ let fold_plan (body : Op.region) : (int, int) Hashtbl.t =
         in
         Array.iteri
           (fun i (v : Value.t) ->
-            match Hashtbl.find_opt st v.Value.id with
+            match Idtbl.find_opt st v.Value.id with
             | Some s ->
-              Hashtbl.replace st v.Value.id
+              Idtbl.replace st v.Value.id
                 (if s = tok && i >= first then 0 else -1)
             | None -> ())
           op.Op.operands;
         Array.iter (fun (r : Op.region) -> walk r.Op.body) op.Op.regions;
-        if index_op op then Hashtbl.replace st (Op.result op).Value.id tok)
+        if index_op op then Idtbl.replace st (Op.result op).Value.id tok)
       ops
   in
   walk body.Op.body;
@@ -745,7 +754,7 @@ let form_scale f n =
 (* An operand of an index op as a form: a folded op's, a literal, or its
    int register. *)
 let operand_form ce (v : Value.t) =
-  match Hashtbl.find_opt ce.forms v.Value.id with
+  match Idtbl.find_opt ce.forms v.Value.id with
   | Some (f, _, _) -> Some f
   | None -> (
     match int_lit ce v with
@@ -795,7 +804,7 @@ type access =
 
 (* An access index: a folded op's form, or an int register. *)
 let index ce pre (v : Value.t) : index =
-  match Hashtbl.find_opt ce.forms v.Value.id with
+  match Idtbl.find_opt ce.forms v.Value.id with
   | Some (f, _, _) -> index_of_form f
   | None -> Reg (ireg ce pre v)
 
@@ -1000,11 +1009,11 @@ and compile_op (ce : cenv) (op : Op.op) : code =
    are unchanged since their place in the list. *)
 and compile_index ce op kind : code =
   let id = (Op.result op).Value.id in
-  match Hashtbl.find_opt ce.folds id with
+  match Idtbl.find_opt ce.folds id with
   | Some 0 -> begin
     match affine_form ce op with
     | Some f ->
-      Hashtbl.replace ce.forms id (f, kind, op);
+      Idtbl.replace ce.forms id (f, kind, op);
       nop
     | None -> compute_index ce op kind
   end
@@ -1014,7 +1023,7 @@ and compute_index ce op kind : code =
   let defs =
     Array.to_list op.Op.operands
     |> List.filter_map (fun (v : Value.t) ->
-        Hashtbl.find_opt ce.forms v.Value.id
+        Idtbl.find_opt ce.forms v.Value.id
         |> Option.map (fun (_, k, d) -> compute_index ce d k))
   in
   seq (defs @ [ compile_binop ce op kind ])
@@ -1160,7 +1169,7 @@ and compile_dot ce op ~iv ~lo ~hi ~step : code option =
     | _ -> None
   in
   let folded (o : Op.op) =
-    index_op o && Hashtbl.mem ce.forms (Op.result o).Value.id
+    index_op o && Idtbl.mem ce.forms (Op.result o).Value.id
   in
   let body = List.filter (fun o -> not (folded o)) op.Op.regions.(0).Op.body in
   match Op.for_iter_args op, body with
@@ -1555,7 +1564,7 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         ; nb = 0
         ; lits = Hashtbl.create 32
         ; folds = fold_plan f.Op.regions.(0)
-        ; forms = Hashtbl.create 16
+        ; forms = Idtbl.create 16
         }
       in
       cf.params <- Array.map (slot_of ce) f.Op.regions.(0).Op.rargs;
