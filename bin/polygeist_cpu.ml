@@ -766,9 +766,10 @@ let fuzz_cmd =
     let gen_tensor =
       Arg.(value & flag & info [ "gen-tensor" ]
              ~doc:"draw tensor-shaped kernels (cooperative-load shared \
-                   GEMMs, ring stencils, tree reductions — the MocCUDA \
-                   kernel tier's dataflow shapes) instead of the default \
-                   phase mix")
+                   GEMMs, tiled GEMMs with a ragged k edge, ring \
+                   stencils, tree reductions, global-memory dot rows — \
+                   the MocCUDA kernel tier's dataflow shapes) instead of \
+                   the default phase mix")
     in
     let fuzz_main seed cases crash_dir timeout_ms no_reduce gen_racy
         gen_tensor : (int, [ `Msg of string ]) result =

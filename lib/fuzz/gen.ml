@@ -389,8 +389,9 @@ void launch(float* out, float* in) { k<<<%d, %d>>>(out, in); }
 (* --- tensor-shaped programs ([fuzz --gen-tensor]) ---
 
    The same race-free discipline, but with the dataflow shapes of the
-   MocCUDA kernel tier: cooperative-load shared-memory GEMM, a ring
-   stencil with double buffering, and an unrolled tree reduction.
+   MocCUDA kernel tier: cooperative-load shared-memory GEMM, its tiled
+   form with a ragged k edge, a ring stencil with double buffering, and
+   an unrolled tree reduction.
    These stress what the phase mix above cannot: 2D thread blocks with
    partial-tile guards, barrier-separated load/compute epochs, and
    log-depth single-writer fan-in. *)
@@ -422,6 +423,52 @@ __global__ void k(float* out, float* in) {
 void launch(float* out, float* in) { k<<<1, dim3(%d, %d)>>>(out, in); }
 |}
     m k k n k k k n k n c n m
+
+(* The MocCUDA GEMM's tiled form with a ragged k edge: T x T shared
+   tiles staged per k tile with guarded loads, and a k loop whose every
+   step tests [t * T + kk < K], with K mod T <> 0 (the engine's guarded
+   dot loop).  A (MxK) at in[0], B (KxN) at in[32]; M and N are whole
+   tiles. *)
+let tensor_ragged_gemm rng =
+  let t = if Random.State.bool rng then 2 else 4 in
+  let k =
+    let k = t + 1 + Random.State.int rng (if t = 2 then 5 else 3) in
+    if k mod t = 0 then k + 1 else k
+  in
+  let bm = if t = 2 then 1 + Random.State.int rng 2 else 1 in
+  let bn = if t = 2 then 1 + Random.State.int rng 2 else 1 in
+  let n = bn * t in
+  let c = 1 + Random.State.int rng 7 in
+  Printf.sprintf
+    {|
+__global__ void k(float* out, float* in) {
+  __shared__ float As[%d][%d];
+  __shared__ float Bs[%d][%d];
+  int tx = threadIdx.x;
+  int ty = threadIdx.y;
+  int row = blockIdx.y * %d + ty;
+  int col = blockIdx.x * %d + tx;
+  float acc = 0.0f;
+  for (int t = 0; t < %d; t++) {
+    float av = 0.0f;
+    if (t * %d + tx < %d) { av = in[row * %d + t * %d + tx]; }
+    As[ty][tx] = av;
+    float bv = 0.0f;
+    if (t * %d + ty < %d) { bv = in[32 + (t * %d + ty) * %d + col]; }
+    Bs[ty][tx] = bv;
+    __syncthreads();
+    for (int kk = 0; kk < %d; kk++) {
+      if (t * %d + kk < %d) { acc = acc + As[ty][kk] * Bs[kk][tx]; }
+    }
+    __syncthreads();
+  }
+  out[row * %d + col] = acc * 0.%df;
+}
+void launch(float* out, float* in) { k<<<dim3(%d, %d), dim3(%d, %d)>>>(out, in); }
+|}
+    t t t t t t
+    ((k + t - 1) / t)
+    t k k t t k t n t t k n c bn bm t t
 
 (* Ring stencil with double buffering: rotated reads and own-slot
    writes alternate across the fences, [iters] trips of the
@@ -511,10 +558,11 @@ void launch(float* out, float* in) { k<<<1, dim3(%d, %d)>>>(out, in); }
 
 let tensor_source ~seed =
   let rng = Random.State.make [| 0x7e45; seed |] in
-  match Random.State.int rng 4 with
+  match Random.State.int rng 5 with
   | 0 -> tensor_gemm rng
   | 1 -> tensor_stencil rng
   | 2 -> tensor_reduction rng
+  | 3 -> tensor_ragged_gemm rng
   | _ -> tensor_dot rng
 
 (* A racy mutant of [source ~seed]: the same program with one

@@ -24,8 +24,9 @@ type cfg =
 val source : seed:int -> string
 
 (** Tensor-shaped programs ([fuzz --gen-tensor]): seeded
-    cooperative-load shared-memory GEMMs, ring stencils with double
-    buffering, unrolled tree reductions and global-memory dot rows —
+    cooperative-load shared-memory GEMMs, tiled GEMMs with a ragged k
+    edge, ring stencils with double buffering, unrolled tree reductions
+    and global-memory dot rows —
     the dataflow shapes of the MocCUDA kernel tier, still race-free by
     construction.  Same [launch] contract as {!source}. *)
 val tensor_source : seed:int -> string

@@ -15,8 +15,7 @@
    slot, so no float is boxed and no getter closure is called.  Where a
    literal settles something at compile time — the zero test of a
    divisor, the branch of an [scf.if] — the value of an [arith.constant]
-   compiled earlier in the same function is used instead of its
-   register.  An operand whose slot kind differs from the op's (an int
+   in scope is used instead of its register.  An operand whose slot kind differs from the op's (an int
    register read as a float, a truncating cast) is first converted into
    a temporary register by a closure chosen at compile time from the
    slot kinds.
@@ -31,21 +30,30 @@
    compile time ({!Unsupported}) so the driver can degrade to the fiber
    interpreter.
 
-   Every memory access compiles to one checked path: it reads each
-   index from an int register or evaluates it as an affine form, and
-   inlines the rank test, the bounds tests (in {!Mem.lindex}'s order,
-   with its messages) and the [Fdata]/[Idata] dispatch; ranks 0–3 are
-   specialized closures, higher ranks run a loop over the indices, and
-   none allocates.  A single-use chain of int [addi]/[subi]/[muli]/
-   [shli] ops feeding an index in the same op list folds into that
-   access as [c0 + Σ c·reg] (at most [max_terms] registers): wrapping
-   ints give the chain's bits, and the chain cannot fail, so the
-   access's checks and texts are unchanged.  An [scf.for] whose body
-   is, besides folded index ops, [acc + load * load] runs as one
-   closure that loops internally with the sum in a local float; each
-   iteration runs both loads' checks in the unfused order and keeps
-   the IR's operand order (it decides NaN payloads).  Every region is
-   compiled exactly once, so compile cost is linear in the IR.
+   A memory access compiles to one of two paths.  The checked path
+   reads each index from an int register or evaluates it as an affine
+   form, and inlines the sentinel test, the rank test, the bounds tests
+   (in {!Mem.lindex}'s order, with its messages) and the
+   [Fdata]/[Idata] dispatch; ranks 0–3 are specialized closures, higher
+   ranks run a loop over the indices, and none allocates.  The proven
+   path serves an access proven in bounds by compile-time facts, each
+   valid from its def to the end of the op list holding the def: int
+   constants, the ranges of loop ivs with literal bounds, and the
+   literal dims of allocs (a lowered kernel's shared tiles and slabs).
+   It computes one flat affine offset into the data array and runs no
+   test of its own; OCaml's check on [a.(o)] stays.  A single-use chain
+   of int [addi]/[subi]/[muli]/[shli] ops feeding an access index or an
+   int [cmp] in the same op list folds into it as [c0 + Σ c·reg] (at
+   most [max_terms] registers): wrapping ints give the chain's bits,
+   and the chain cannot fail, so checks and texts are unchanged.  An
+   [scf.for] whose body is, besides folded index ops, [acc + load *
+   load], or that under an [scf.if] on an int [cmp] (a ragged edge),
+   runs as one closure that loops internally with the sum in a local
+   float and tests the guard inline on each trip.  Checked, each trip
+   runs both loads' checks in the unfused order; proven, each offset
+   advances by a constant stride.  Both keep the IR's operand order (it
+   decides NaN payloads).  Every region is compiled exactly once, so
+   compile cost is linear in the IR.
 
    Team execution ([omp.parallel]) launches one frame per thread on a
    {!Pool}.  The frames live in a persistent, cache-line-padded team
@@ -175,6 +183,9 @@ type cmod =
   ; cfuncs : (string, cfunc) Hashtbl.t
   ; sentinel : Mem.buffer
     (* per-compile unbound-register marker; never a user buffer *)
+  ; mutable proven : int (* accesses compiled proven in bounds *)
+  ; mutable dots : int (* fused dot loops without a guard *)
+  ; mutable guarded_dots : int (* fused dot loops with one *)
   }
 
 (* Tables keyed by [Value.id], hashed without a C call: the fold plan
@@ -199,12 +210,15 @@ type cenv =
   ; mutable ni : int
   ; mutable nf : int
   ; mutable nb : int
-  ; lits : (int, int) Hashtbl.t
-    (* Value.id -> literal, for the int constants compiled so far *)
   ; folds : int Idtbl.t
     (* Value.id of an index op's result -> 0 if it may fold ([fold_plan]) *)
   ; forms : (form * Op.binop * Op.op) Idtbl.t
     (* Value.id -> form, kind and op of an index op folded so far *)
+  ; ranges : (int * int) Idtbl.t
+    (* int register -> the range of its value, while the fact holds *)
+  ; dims : int array Idtbl.t
+    (* buffer register -> the literal dims of its alloc, likewise *)
+  ; mutable scope : slot list (* the registers with a fact, latest first *)
   }
 
 (* --- slot assignment and typed accessors --- *)
@@ -384,9 +398,16 @@ let fres ce post v =
     post := (fun fr -> set fr (fg fr t)) :: !post;
     t
 
-(* An int operand as the literal of a constant compiled earlier in this
-   function, if it is one. *)
-let int_lit ce (v : Value.t) = Hashtbl.find_opt ce.lits v.Value.id
+(* An int operand's literal, if a fact gives it one ([compile_region]
+   on facts): an int constant compiled earlier in scope, or the iv of a
+   loop that runs once. *)
+let int_lit ce (v : Value.t) =
+  match slot_of ce v with
+  | SI k -> (
+    match Idtbl.find_opt ce.ranges k with
+    | Some (a, b) when a = b -> Some a
+    | _ -> None)
+  | SF _ | SB _ -> None
 
 (* Compile one scalar op: [core] gets the operand/result registers
    through [pre]/[post]; the conversions run around it. *)
@@ -449,6 +470,15 @@ let fbin (kind : Op.binop) r x y : code =
     fun _ -> Mem.fail "bitwise op on float"
 
 let[@inline] b2i b = if b then 1 else 0
+
+let[@inline] itest (pred : Op.cmp_pred) (a : int) (b : int) =
+  match pred with
+  | Op.Eq -> a = b
+  | Op.Ne -> a <> b
+  | Op.Lt -> a < b
+  | Op.Le -> a <= b
+  | Op.Gt -> a > b
+  | Op.Ge -> a >= b
 
 let icmp (pred : Op.cmp_pred) r x y : code =
   match pred with
@@ -544,7 +574,9 @@ let offn (b : Mem.buffer) (fr : frame) (ix : index array) =
   done;
   !off
 
-(* The checked offset of an access of any rank. *)
+(* The checked offset of an access of any rank.  Inlined into the dot
+   loop, this match costs less per trip than a closure chosen by rank at
+   compile time. *)
 let[@inline] offset (b : Mem.buffer) fr (ix : index array) =
   match ix with
   | [||] -> off0 b
@@ -677,8 +709,9 @@ let new_frame (cf : cfunc) (sent : Mem.buffer) lc glob : frame =
 
    An index op (an int [addi], [subi], [muli] or [shli]) whose one use
    is a later op of the same op list, reading it as a load's or store's
-   index or as another index op's operand, folds: it compiles to
-   nothing, and the access evaluates the affine form of the chain.
+   index, as an int [cmp]'s operand or as another index op's operand,
+   folds: it compiles to nothing, and its consumer evaluates the affine
+   form of the chain.
    Only ops of one list fold together, so a def outside a loop is never
    recomputed inside it.  Native ints wrap, so the distributed form has
    the chain's bits; the ops cannot fail, and SSA keeps every register
@@ -701,10 +734,16 @@ let index_op (op : Op.op) =
     && is_int op.Op.results.(0)
   | _ -> false
 
+let int_cmp (op : Op.op) =
+  match op.Op.operands with
+  | [| x; y |] -> is_int x && is_int y
+  | _ -> false
+
 (* The index ops of a function body that may fold, in one pre-order
    pass (a def comes before its uses): an index op's result starts as
    its list's token; its first use sets 0 if it is an index read in the
-   same list, and any other use sets -1. *)
+   same list (an access index, an int cmp's operand or an index op's
+   operand), and any other use sets -1. *)
 let fold_plan (body : Op.region) : int Idtbl.t =
   let st = Idtbl.create 16 and lists = ref 0 in
   let rec walk (ops : Op.op list) =
@@ -716,6 +755,7 @@ let fold_plan (body : Op.region) : int Idtbl.t =
           match op.Op.kind with
           | Op.Load -> 1
           | Op.Store -> 2
+          | Op.Cmp _ when int_cmp op -> 0
           | _ -> if index_op op then 0 else max_int
         in
         Array.iteri
@@ -793,20 +833,181 @@ let index_of_form = function
       , Array.of_list (List.map snd terms)
       , Array.of_list (List.map fst terms) )
 
-(* A float load of the dot loop: its op and buffer value (for the
-   unbound error), buffer register and indices. *)
-type access =
-  { aop : Op.op
-  ; abuf : Value.t
-  ; bk : int
-  ; ix : index array
-  }
+let form_of_index = function
+  | Reg r -> { c0 = 0; terms = [ (r, 1) ] }
+  | Aff (c0, cs, rs) ->
+    { c0; terms = List.combine (Array.to_list rs) (Array.to_list cs) }
 
 (* An access index: a folded op's form, or an int register. *)
 let index ce pre (v : Value.t) : index =
   match Idtbl.find_opt ce.forms v.Value.id with
   | Some (f, _, _) -> index_of_form f
   | None -> Reg (ireg ce pre v)
+
+(* --- compile-time facts and proven accesses ---
+
+   While a function compiles, [ce.ranges] and [ce.dims] hold facts
+   about registers, each from its def to the end of the op list that
+   holds the def: the value of an int constant; the range of an
+   [scf.for], [scf.parallel] or [omp.wsloop] iv whose bounds are
+   literals, whose step is a positive literal and whose increment
+   cannot wrap; and the dims of an alloc whose every dim is static or a
+   literal operand.  SSA writes each such register only at its def,
+   which runs before every later op of its list and of the regions
+   nested in them.  An access whose buffer has literal dims of its rank
+   and whose index ranges lie inside them is proven: it compiles to one
+   flat offset into the data array, with no sentinel, rank or bounds
+   test.  The array read [a.(o)] keeps OCaml's own check, so memory
+   safety never rests on a proof. *)
+
+let add_nowrap a b =
+  let s = a + b in
+  if (a >= 0) = (b >= 0) && (s >= 0) <> (a >= 0) then None else Some s
+
+let sub_nowrap a b =
+  let d = a - b in
+  if (a >= 0) <> (b >= 0) && (d >= 0) <> (a >= 0) then None else Some d
+
+let mul_nowrap a b =
+  if a = 0 || b = 0 then Some 0
+  else if a = min_int || b = min_int || abs a > max_int / abs b then None
+  else Some (a * b)
+
+let set_range ce k r =
+  Idtbl.replace ce.ranges k r;
+  ce.scope <- SI k :: ce.scope
+
+(* Drop the facts set since [mark], an earlier [ce.scope]. *)
+let drop_facts ce mark =
+  let rec go = function
+    | l when l == mark -> ()
+    | SI k :: l ->
+      Idtbl.remove ce.ranges k;
+      go l
+    | SB k :: l ->
+      Idtbl.remove ce.dims k;
+      go l
+    | SF _ :: l -> go l
+    | [] -> ()
+  in
+  go ce.scope;
+  ce.scope <- mark
+
+(* The values the iv of a loop over [lo, hi) by [step] takes, if all
+   three are literals here, [step > 0], the loop runs, and neither the
+   increment past the last value nor a worksharing loop's trip count
+   [(hi - lo + step - 1) / step] can wrap. *)
+let iv_range ce lo hi step =
+  match int_lit ce lo, int_lit ce hi, int_lit ce step with
+  | Some lo, Some hi, Some step when step > 0 && lo < hi -> (
+    match sub_nowrap hi lo, add_nowrap (hi - 1) step with
+    | Some span, Some _ when add_nowrap (span - 1) step <> None ->
+      Some (lo, lo + ((span - 1) / step * step))
+    | _ -> None)
+  | _ -> None
+
+(* The dims fact of an alloc's result: every dim literal and positive,
+   the element count representable. *)
+let alloc_fact ce (v : Value.t) (dims : int option list) =
+  match slot_of ce v with
+  | SB k when List.for_all (function Some n -> n > 0 | None -> false) dims ->
+    let d = Array.of_list (List.map Option.get dims) in
+    if Array.fold_left (fun n x -> Option.bind n (mul_nowrap x)) (Some 1) d <> None
+    then begin
+      Idtbl.replace ce.dims k d;
+      ce.scope <- SB k :: ce.scope
+    end
+  | _ -> ()
+
+(* The range of [c0 + Σ c·reg] over its registers' facts: [None] if a
+   register has none, or before a product or sum could wrap. *)
+let form_range ce (f : form) =
+  List.fold_left
+    (fun acc (r, c) ->
+      match acc, Idtbl.find_opt ce.ranges r with
+      | Some (lo, hi), Some (rlo, rhi) -> (
+        match mul_nowrap c rlo, mul_nowrap c rhi with
+        | Some x, Some y -> (
+          match add_nowrap lo (min x y), add_nowrap hi (max x y) with
+          | Some lo, Some hi -> Some (lo, hi)
+          | _ -> None)
+        | _ -> None)
+      | _ -> None)
+    (Some (f.c0, f.c0)) f.terms
+
+(* The flat offset of an access proven in bounds: its buffer register
+   has literal dims of the access's rank, and each index's range lies
+   inside its dim.  The row-major sum wraps like the runtime's ints;
+   the true offset is below the element count, so the two agree. *)
+let proven_offset ce bk (ix : index array) : form option =
+  match Idtbl.find_opt ce.dims bk with
+  | Some d when Array.length d = Array.length ix ->
+    let inside i x =
+      match form_range ce (form_of_index x) with
+      | Some (lo, hi) -> lo >= 0 && hi < d.(i)
+      | None -> false
+    in
+    let rec all i = i = Array.length ix || (inside i ix.(i) && all (i + 1)) in
+    if not (all 0) then None
+    else
+      Some
+        (Array.fold_left
+           (fun (f, i) x ->
+             (form_add (form_scale f d.(i)) (form_of_index x), i + 1))
+           ({ c0 = 0; terms = [] }, 0)
+           ix
+         |> fst)
+  | _ -> None
+
+(* A proven access: the flat offset [f], then the element op. *)
+let proven_access bk (f : form) (e : elem_op) : code =
+  let c0 = f.c0 in
+  match f.terms, e with
+  | [ (r, c) ], Ldf k ->
+    fun fr -> ldf fr k (Array.unsafe_get fr.bregs bk) (c0 + (c * ig fr r))
+  | [ (r, c) ], Ldi k ->
+    fun fr -> ldi fr k (Array.unsafe_get fr.bregs bk) (c0 + (c * ig fr r))
+  | [ (r, c) ], Stf k ->
+    fun fr -> stf fr k (Array.unsafe_get fr.bregs bk) (c0 + (c * ig fr r))
+  | [ (r, c) ], Sti k ->
+    fun fr -> sti fr k (Array.unsafe_get fr.bregs bk) (c0 + (c * ig fr r))
+  | [ (r, c); (r', c') ], Ldf k ->
+    fun fr ->
+      ldf fr k (Array.unsafe_get fr.bregs bk)
+        (c0 + (c * ig fr r) + (c' * ig fr r'))
+  | [ (r, c); (r', c') ], Ldi k ->
+    fun fr ->
+      ldi fr k (Array.unsafe_get fr.bregs bk)
+        (c0 + (c * ig fr r) + (c' * ig fr r'))
+  | [ (r, c); (r', c') ], Stf k ->
+    fun fr ->
+      stf fr k (Array.unsafe_get fr.bregs bk)
+        (c0 + (c * ig fr r) + (c' * ig fr r'))
+  | [ (r, c); (r', c') ], Sti k ->
+    fun fr ->
+      sti fr k (Array.unsafe_get fr.bregs bk)
+        (c0 + (c * ig fr r) + (c' * ig fr r'))
+  | ts, e -> (
+    let cs = Array.of_list (List.map snd ts)
+    and rs = Array.of_list (List.map fst ts) in
+    match e with
+    | Ldf k -> fun fr -> ldf fr k (Array.unsafe_get fr.bregs bk) (aff fr c0 cs rs)
+    | Ldi k -> fun fr -> ldi fr k (Array.unsafe_get fr.bregs bk) (aff fr c0 cs rs)
+    | Stf k -> fun fr -> stf fr k (Array.unsafe_get fr.bregs bk) (aff fr c0 cs rs)
+    | Sti k -> fun fr -> sti fr k (Array.unsafe_get fr.bregs bk) (aff fr c0 cs rs))
+
+(* --- the fused dot loop --- *)
+
+(* A float load of the dot loop: its op and buffer value (for the
+   unbound error), buffer register, indices, and its flat offset if it
+   is proven in bounds. *)
+type access =
+  { aop : Op.op
+  ; abuf : Value.t
+  ; bk : int
+  ; ix : index array
+  ; flat : form option
+  }
 
 (* A float load with no conversion before it, as the dot loop runs it. *)
 let load_access ce (l : Op.op) : access option =
@@ -818,17 +1019,21 @@ let load_access ce (l : Op.op) : access option =
         (Array.sub l.Op.operands 1 (Array.length l.Op.operands - 1))
     in
     match slot_of ce r, slot_of ce bufv, !pre with
-    | SF _, SB bk, [] -> Some { aop = l; abuf = bufv; bk; ix }
+    | SF _, SB bk, [] ->
+      Some { aop = l; abuf = bufv; bk; ix; flat = proven_offset ce bk ix }
     | _ -> None
   end
   | _ -> None
 
+(* The guard [pred x y] of a guarded dot loop's trips. *)
+type guard = (Op.cmp_pred * index * index) option
+
 (* [acc + x * y] over an [scf.for], the loop inside one closure with the
-   sum in a local float: each iteration runs both loads' checks in the
-   unfused order, and combines in the IR's operand order (it decides
-   NaN payloads). *)
-let dot_loop sent ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap (a1 : access)
-    (a2 : access) : code =
+   sum in a local float: each trip writes the iv, tests the guard, then
+   runs both loads' checks in the unfused order, and combines in the
+   IR's operand order (it decides NaN payloads). *)
+let dot_checked sent ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap
+    ~(guard : guard) (a1 : access) (a2 : access) : code =
   let op1 = a1.aop and bv1 = a1.abuf and bk1 = a1.bk and ix1 = a1.ix in
   let op2 = a2.aop and bv2 = a2.abuf and bk2 = a2.bk and ix2 = a2.ix in
   fun fr ->
@@ -838,16 +1043,76 @@ let dot_loop sent ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap (a1 : access)
     let i = ref lo in
     while !i < hi do
       is fr iv !i;
-      let b = Array.unsafe_get fr.bregs bk1 in
-      if b == sent then unbound op1 bv1;
-      let x = ld b (offset b fr ix1) in
-      let b = Array.unsafe_get fr.bregs bk2 in
-      if b == sent then unbound op2 bv2;
-      let y = ld b (offset b fr ix2) in
-      let p = if mswap then y *. x else x *. y in
-      s := if aswap then p +. !s else !s +. p;
+      if
+        match guard with
+        | None -> true
+        | Some (p, g1, g2) -> itest p (ev fr g1) (ev fr g2)
+      then begin
+        let b = Array.unsafe_get fr.bregs bk1 in
+        if b == sent then unbound op1 bv1;
+        let x = ld b (offset b fr ix1) in
+        let b = Array.unsafe_get fr.bregs bk2 in
+        if b == sent then unbound op2 bv2;
+        let y = ld b (offset b fr ix2) in
+        let p = if mswap then y *. x else x *. y in
+        s := if aswap then p +. !s else !s +. p
+      end;
       i := !i + step
     done;
+    fs fr acc !s
+
+(* A form as its iv's coefficient and the rest, which the loop reads
+   once at entry. *)
+let split_iv iv (f : form) =
+  ( Option.value (List.assoc_opt iv f.terms) ~default:0
+  , index_of_form { f with terms = List.remove_assoc iv f.terms } )
+
+(* The dot loop over two proven accesses: each offset starts at its
+   value for iv = lo and advances by a constant stride per trip, as do
+   the guard's operands; no trip writes the iv or runs a check. *)
+let dot_proven ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap ~(guard : guard)
+    bk1 f1 bk2 f2 : code =
+  let c1, r1 = split_iv iv f1 and c2, r2 = split_iv iv f2 in
+  let guard =
+    Option.map
+      (fun (p, x, y) ->
+        (p, split_iv iv (form_of_index x), split_iv iv (form_of_index y)))
+      guard
+  in
+  fun fr ->
+    let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
+    if step <= 0 then Mem.fail "scf.for: non-positive step %d" step;
+    let b1 = Array.unsafe_get fr.bregs bk1
+    and b2 = Array.unsafe_get fr.bregs bk2 in
+    let o1 = ref (ev fr r1 + (c1 * lo)) and d1 = c1 * step in
+    let o2 = ref (ev fr r2 + (c2 * lo)) and d2 = c2 * step in
+    let s = ref (fg fr init) in
+    let i = ref lo in
+    (match guard with
+     | None ->
+       while !i < hi do
+         let x = ld b1 !o1 and y = ld b2 !o2 in
+         let p = if mswap then y *. x else x *. y in
+         s := if aswap then p +. !s else !s +. p;
+         o1 := !o1 + d1;
+         o2 := !o2 + d2;
+         i := !i + step
+       done
+     | Some (pred, (gc1, gr1), (gc2, gr2)) ->
+       let g1 = ref (ev fr gr1 + (gc1 * lo)) and e1 = gc1 * step in
+       let g2 = ref (ev fr gr2 + (gc2 * lo)) and e2 = gc2 * step in
+       while !i < hi do
+         if itest pred !g1 !g2 then begin
+           let x = ld b1 !o1 and y = ld b2 !o2 in
+           let p = if mswap then y *. x else x *. y in
+           s := if aswap then p +. !s else !s +. p
+         end;
+         g1 := !g1 + e1;
+         g2 := !g2 + e2;
+         o1 := !o1 + d1;
+         o2 := !o2 + d2;
+         i := !i + step
+       done);
     fs fr acc !s
 
 (* --- compilation --- *)
@@ -867,8 +1132,12 @@ let par_ivs ce op what =
       | SF _ | SB _ -> raise (Unsupported (what ^ ": non-integer iv")))
     op.Op.regions.(0).Op.rargs
 
+(* The facts of an op list's defs end with the list. *)
 let rec compile_region (ce : cenv) (ops : Op.op list) : code =
-  seq (List.map (compile_op ce) ops)
+  let mark = ce.scope in
+  let c = seq (List.map (compile_op ce) ops) in
+  drop_facts ce mark;
+  c
 
 and compile_op (ce : cenv) (op : Op.op) : code =
   let o = op.Op.operands in
@@ -888,8 +1157,10 @@ and compile_op (ce : cenv) (op : Op.op) : code =
           fcmp pred r x (freg ce pre o.(1))
         end
         else begin
-          let x = ireg ce pre o.(0) in
-          icmp pred r x (ireg ce pre o.(1))
+          let x = index ce pre o.(0) in
+          match x, index ce pre o.(1) with
+          | Reg x, Reg y -> icmp pred r x y
+          | x, y -> fun fr -> is fr r (b2i (itest pred (ev fr x) (ev fr y)))
         end)
   | Op.Select -> compile_select ce op
   | Op.Cast d ->
@@ -926,23 +1197,25 @@ and compile_op (ce : cenv) (op : Op.op) : code =
     | Types.Memref { elem; shape; _ } ->
       with_conv (fun pre _ ->
           let next_dyn = ref 0 in
-          let dimfs =
-            Array.of_list
-              (List.map
-                 (fun d ->
-                   match d with
-                   | Some n -> fun (_ : frame) -> n
-                   | None ->
-                     let k = !next_dyn in
-                     incr next_dyn;
-                     if k < Array.length o then begin
-                       let r = ireg ce pre o.(k) in
-                       fun fr -> ig fr r
-                     end
-                     else fun _ -> Mem.fail "alloc: missing dynamic size")
-                 shape)
+          (* each dim's getter, and its literal if it has one here *)
+          let dims =
+            List.map
+              (fun d ->
+                match d with
+                | Some n -> ((fun (_ : frame) -> n), Some n)
+                | None ->
+                  let k = !next_dyn in
+                  incr next_dyn;
+                  if k < Array.length o then begin
+                    let r = ireg ce pre o.(k) in
+                    ((fun fr -> ig fr r), int_lit ce o.(k))
+                  end
+                  else ((fun _ -> Mem.fail "alloc: missing dynamic size"), None))
+              shape
           in
+          let dimfs = Array.of_list (List.map fst dims) in
           let set = bset ce (Op.result op) in
+          alloc_fact ce (Op.result op) (List.map snd dims);
           fun fr ->
             set fr (Mem.alloc_buffer elem (Array.map (fun g -> g fr) dimfs)))
     | Types.Scalar _ -> fun _ -> Mem.fail "alloc of non-memref"
@@ -1046,12 +1319,12 @@ and compile_binop ce op kind : code =
           ibin kind (ires ce post (Op.result op)) x y
       end)
 
-(* An int constant records its literal for the ops compiled after it. *)
+(* An int constant's literal is a fact for the ops after it. *)
 and compile_constant ce op (c : Op.const) : code =
   let v = Op.result op in
   match c, slot_of ce v with
   | Op.Cint (n, _), SI k ->
-    Hashtbl.replace ce.lits v.Value.id n;
+    set_range ce k (n, n);
     fun fr -> is fr k n
   | Op.Cint (n, _), (SF _ | SB _) ->
     let set = iset ce v in
@@ -1134,12 +1407,20 @@ and compile_for ce op : code =
       let step = ireg ce pre (Op.for_step op) in
       let init = compile_moves ce op (Op.for_inits op) args in
       let region = op.Op.regions.(0) in
+      let mark = ce.scope and proven = ce.cm.proven in
+      Option.iter (set_range ce iv)
+        (iv_range ce (Op.for_lo op) (Op.for_hi op) (Op.for_step op));
       (* the body first: a nested loop's results take their registers
          while it compiles, before this yield reads them *)
       let body = compile_region ce region.Op.body in
       let body = seq [ body; compile_moves ce op (Op.yielded region) args ] in
-      match compile_dot ce op ~iv ~lo ~hi ~step with
-      | Some dot -> dot
+      let dot = compile_dot ce op ~iv ~lo ~hi ~step in
+      drop_facts ce mark;
+      match dot with
+      | Some (dot, n) ->
+        (* the fused loop replaces the body's two loads *)
+        ce.cm.proven <- proven + n;
+        dot
       | None ->
         fun fr ->
           let lo = ig fr lo and hi = ig fr hi and step = ig fr step in
@@ -1152,11 +1433,15 @@ and compile_for ce op : code =
             i := !i + step
           done)
 
-(* The fused dot loop, if [op] has one float iter_arg and its body is,
-   besides folded index ops, exactly two float loads, a [mulf] of the
-   two loaded values, an [addf] of the iter_arg and the product, and
-   the yield of the sum. *)
-and compile_dot ce op ~iv ~lo ~hi ~step : code option =
+(* The fused dot loop and the number of its proven loads, if [op] has
+   one float iter_arg and its body is, besides folded index ops, one of
+   - two float loads, a [mulf] of the two loaded values, an [addf] of
+     the iter_arg and the product, and the yield of the sum;
+   - an int [cmp] and an [scf.if] on it whose then-region is the above
+     (yielding the sum to the if) and whose else-region yields the
+     iter_arg, then the yield of the if's result.
+   The loop runs proven if both loads are. *)
+and compile_dot ce op ~iv ~lo ~hi ~step : (code * int) option =
   let same (a : Value.t) (b : Value.t) = a.Value.id = b.Value.id in
   let fslot v = match slot_of ce v with SF k -> Some k | SI _ | SB _ -> None in
   (* [Some swapped] if [o] is the float binop [k] of [a] and [b] *)
@@ -1168,34 +1453,72 @@ and compile_dot ce op ~iv ~lo ~hi ~step : code option =
       else None
     | _ -> None
   in
-  let folded (o : Op.op) =
-    index_op o && Idtbl.mem ce.forms (Op.result o).Value.id
+  let yields v (o : Op.op) =
+    match o.Op.kind, o.Op.operands with
+    | Op.Yield, [| w |] -> same v w
+    | _ -> false
   in
-  let body = List.filter (fun o -> not (folded o)) op.Op.regions.(0).Op.body in
-  match Op.for_iter_args op, body with
-  | [| it |], [ l1; l2; m; a; y ] -> begin
-    match load_access ce l1, load_access ce l2 with
-    | Some a1, Some a2 -> begin
-      match order m Op.Mul (Op.result l1) (Op.result l2) with
-      | None -> None
-      | Some mswap -> begin
-        match
-          ( order a Op.Add it (Op.result m)
-          , y.Op.kind
-          , y.Op.operands
-          , fslot it
-          , fslot (Op.for_inits op).(0) )
-        with
-        | Some aswap, Op.Yield, [| v |], Some acc, Some init
-          when same v (Op.result a) ->
-          Some
-            (dot_loop ce.cm.sentinel ~iv ~lo ~hi ~step ~init ~acc ~mswap
-               ~aswap a1 a2)
-        | _ -> None
-      end
-    end
+  let body (r : Op.region) =
+    List.filter
+      (fun o -> not (index_op o && Idtbl.mem ce.forms (Op.result o).Value.id))
+      r.Op.body
+  in
+  (* [acc + load * load] over iter_arg [it], yielding the sum *)
+  let mac it = function
+    | [ l1; l2; m; a; y ] -> (
+      match load_access ce l1, load_access ce l2 with
+      | Some a1, Some a2 -> (
+        match order m Op.Mul (Op.result l1) (Op.result l2) with
+        | Some mswap -> (
+          match order a Op.Add it (Op.result m) with
+          | Some aswap when yields (Op.result a) y -> Some (a1, a2, mswap, aswap)
+          | _ -> None)
+        | None -> None)
+      | _ -> None)
     | _ -> None
-  end
+  in
+  let mentions k (a : access) =
+    Array.exists (function Reg r -> r = k | Aff (_, _, rs) -> Array.mem k rs) a.ix
+  in
+  let shape it =
+    match body op.Op.regions.(0) with
+    | [ ({ Op.kind = Op.Cmp pred; _ } as c); ({ Op.kind = Op.If; _ } as f); y ]
+      when int_cmp c
+           && Array.length f.Op.regions = 2
+           && same f.Op.operands.(0) (Op.result c)
+           && yields (Op.result f) y
+           && (match body f.Op.regions.(1) with [ e ] -> yields it e | _ -> false)
+      -> (
+      let pre = ref [] in
+      let g1 = index ce pre c.Op.operands.(0) in
+      let g2 = index ce pre c.Op.operands.(1) in
+      match !pre, slot_of ce (Op.result c), mac it (body f.Op.regions.(0)) with
+      | [], SI ck, Some ((a1, a2, _, _) as m)
+        when not (mentions ck a1 || mentions ck a2) ->
+        (* the loads must not read the guard's register, which the
+           fused loop does not write *)
+        Some (Some (pred, g1, g2), m)
+      | _ -> None)
+    | ops -> Option.map (fun m -> (None, m)) (mac it ops)
+  in
+  match Op.for_iter_args op with
+  | [| it |] -> (
+    match shape it, fslot it, fslot (Op.for_inits op).(0) with
+    | Some (guard, (a1, a2, mswap, aswap)), Some acc, Some init ->
+      (match guard with
+       | None -> ce.cm.dots <- ce.cm.dots + 1
+       | Some _ -> ce.cm.guarded_dots <- ce.cm.guarded_dots + 1);
+      Some
+        (match a1.flat, a2.flat with
+         | Some f1, Some f2 ->
+           ( dot_proven ~iv ~lo ~hi ~step ~init ~acc ~mswap ~aswap ~guard a1.bk
+               f1 a2.bk f2
+           , 2 )
+         | _ ->
+           ( dot_checked ce.cm.sentinel ~iv ~lo ~hi ~step ~init ~acc ~mswap
+               ~aswap ~guard a1 a2
+           , 0 ))
+    | _ -> None)
   | _ -> None
 
 and compile_while ce op : code =
@@ -1241,7 +1564,12 @@ and compile_checked ce op bufv idxv (e : elem_op) : code =
   with_conv (fun pre _ ->
       let ix = Array.map (index ce pre) idxv in
       match slot_of ce bufv with
-      | SB bk -> checked_access ce.cm.sentinel op bufv bk ix e
+      | SB bk -> (
+        match proven_offset ce bk ix with
+        | Some f ->
+          ce.cm.proven <- ce.cm.proven + 1;
+          proven_access bk f e
+        | None -> checked_access ce.cm.sentinel op bufv bk ix e)
       | SI _ | SF _ ->
         let bg = bget ce op bufv in
         fun fr -> ignore (bg fr))
@@ -1256,7 +1584,7 @@ and compile_serial_parallel ce op : code =
   let ivslots = par_ivs ce op "parallel" in
   let pre = ref [] in
   let log, hig, stg = par_bounds ce pre op in
-  let body = compile_region ce op.Op.regions.(0).Op.body in
+  let body = par_body ce op ivslots in
   let run fr =
     let lo = Array.map (ig fr) log in
     let hi = Array.map (ig fr) hig in
@@ -1276,6 +1604,19 @@ and compile_serial_parallel ce op : code =
     go (nd - 1)
   in
   seq (List.rev_append !pre [ run ])
+
+(* The body of an [scf.parallel] or [omp.wsloop], under its ivs'
+   range facts. *)
+and par_body ce op ivslots : code =
+  let mark = ce.scope in
+  Array.iteri
+    (fun d k ->
+      Option.iter (set_range ce k)
+        (iv_range ce (Op.par_lo op d) (Op.par_hi op d) (Op.par_step op d)))
+    ivslots;
+  let body = compile_region ce op.Op.regions.(0).Op.body in
+  drop_facts ce mark;
+  body
 
 (* A top-level team launch.  The frames (and the barrier) live in the
    compiled function's persistent [tstate]; a launch validates it (same
@@ -1395,7 +1736,7 @@ and compile_omp_parallel ce op : code =
 and compile_wsloop ce op : code =
   let nd = Op.par_dims op in
   let ivslots = par_ivs ce op "wsloop" in
-  let body = compile_region ce op.Op.regions.(0).Op.body in
+  let body = par_body ce op ivslots in
   let oid = op.Op.oid in
   let pre = ref [] in
   let log, hig, stg = par_bounds ce pre op in
@@ -1562,9 +1903,11 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
         ; ni = 0
         ; nf = 0
         ; nb = 0
-        ; lits = Hashtbl.create 32
         ; folds = fold_plan f.Op.regions.(0)
         ; forms = Idtbl.create 16
+        ; ranges = Idtbl.create 16
+        ; dims = Idtbl.create 8
+        ; scope = []
         }
       in
       cf.params <- Array.map (slot_of ce) f.Op.regions.(0).Op.rargs;
@@ -1578,18 +1921,30 @@ and get_cfunc (cm : cmod) (name : string) : cfunc option =
 
 (* --- public API --- *)
 
+type decisions =
+  { proven : int
+  ; dots : int
+  ; guarded_dots : int
+  }
+
 type compiled =
   { entry : cfunc
   ; sentinel : Mem.buffer
+  ; decisions : decisions
   ; glob : glob
   ; mutable eframe : frame option (* persistent entry frame *)
   }
+
+let decisions (c : compiled) = c.decisions
 
 let compile (modul : Op.op) (name : string) : compiled =
   let cm =
     { modul
     ; cfuncs = Hashtbl.create 8
     ; sentinel = Mem.alloc_buffer Types.Index [| 0 |]
+    ; proven = 0
+    ; dots = 0
+    ; guarded_dots = 0
     }
   in
   match get_cfunc cm name with
@@ -1597,6 +1952,8 @@ let compile (modul : Op.op) (name : string) : compiled =
   | Some entry ->
     { entry
     ; sentinel = cm.sentinel
+    ; decisions =
+        { proven = cm.proven; dots = cm.dots; guarded_dots = cm.guarded_dots }
     ; glob =
         { cfg =
             { domains = 4

@@ -15,22 +15,26 @@
     reading [iregs]/[fregs] at fixed indices, so no float is boxed and
     no operand-getter closure runs.  Where a literal settles something
     at compile time (the zero test of a divisor, the branch of an
-    [scf.if]) the value of an [arith.constant] compiled earlier in the
-    same function is used.  An operand of the other slot kind (an int
+    [scf.if]) the value of an [arith.constant] in scope is used.  An operand of the other slot kind (an int
     read as a float, a truncating cast) is first converted into a
     temporary register.  Regions of at most four ops chain their
     closures directly.
 
     {2 Access paths}
 
-    Every load and store compiles to one {e checked} path that reads
-    the index registers directly and inlines the rank test, the bounds
-    tests (in {!Mem.lindex}'s order, with its messages) and the
-    [Fdata]/[Idata] dtype dispatch: one specialized closure per rank up
-    to 3, a loop over the index slots above; no rank allocates.  Every
-    access is checked where it runs, so a bounds violation fails with
-    exactly the interpreter's error, and every loop body is compiled
-    once, so compile cost is linear in the IR.
+    A load or store compiles to a {e checked} path that reads the index
+    registers directly and inlines the rank test, the bounds tests (in
+    {!Mem.lindex}'s order, with its messages) and the [Fdata]/[Idata]
+    dtype dispatch: one specialized closure per rank up to 3, a loop
+    over the index slots above; no rank allocates.  A bounds violation
+    fails with exactly the interpreter's error.  An access that
+    compile-time facts prove in bounds (its buffer an alloc of literal
+    dims, its indices affine in constants and loop ivs of literal
+    ranges) takes the {e proven} path instead: one flat offset into the
+    data array and no test of its own, OCaml's array check kept.  A
+    [acc + load * load] loop, guarded or not by an [scf.if] on each
+    trip, runs as one closure ({!decisions} counts both).  Every loop
+    body is compiled once, so compile cost is linear in the IR.
 
     {2 Launch lifecycle}
 
@@ -105,6 +109,20 @@ type compiled
 (** Compile [name] (and everything it calls) in [modul].
     @raise Unsupported if the function uses GPU-only constructs. *)
 val compile : Op.op -> string -> compiled
+
+(** What {!compile} decided, summed over every function it compiled. *)
+type decisions =
+  { proven : int
+    (** loads and stores compiled as one flat offset into the data
+        array, with no sentinel, rank or bounds test, because their
+        indices are proven inside their buffer's literal dims; the
+        loads of a fused dot loop count when the loop runs proven *)
+  ; dots : int (** [scf.for] loops fused into one dot-product closure *)
+  ; guarded_dots : int
+    (** fused dot loops whose trips are guarded by an [scf.if] *)
+  }
+
+val decisions : compiled -> decisions
 
 (** Execute a compiled function.
 

@@ -516,6 +516,38 @@ let test_gemm_lowering () =
               o.Ir.Op.regions.(0).Ir.Op.body)
        m)
 
+(* The engine proves every shared-tile and slab access of GEMM in
+   bounds and fuses its k loop: plain when K is a multiple of the tile,
+   guarded by the k edge test when it is not. *)
+let test_gemm_proofs () =
+  List.iter
+    (fun (k, dots, guarded_dots) ->
+      let m = lower_primary "gemm" (Moccuda.Kernels.gemm ~m:8 ~n:128 ~k).src in
+      let allocs = ref [] in
+      Ir.Op.iter (fun o -> if is_alloc o then allocs := Ir.Op.result o :: !allocs) m;
+      let on_alloc (o : Ir.Op.op) =
+        let buf =
+          match o.Ir.Op.kind with
+          | Ir.Op.Load -> Some o.Ir.Op.operands.(0)
+          | Ir.Op.Store -> Some o.Ir.Op.operands.(1)
+          | _ -> None
+        in
+        match buf with
+        | Some b -> List.exists (Ir.Value.equal b) !allocs
+        | None -> false
+      in
+      let tile_accesses = count on_alloc m in
+      let d = Runtime.Exec.decisions (Runtime.Exec.compile m "run") in
+      let what = Printf.sprintf "K = %d: " k in
+      Alcotest.(check int) (what ^ "As, Bs and the slab: 3 allocs") 3
+        (List.length !allocs);
+      Alcotest.(check int) (what ^ "every tile and slab access proven")
+        tile_accesses d.Runtime.Exec.proven;
+      Alcotest.(check int) (what ^ "plain fused dot loops") dots d.Runtime.Exec.dots;
+      Alcotest.(check int) (what ^ "guarded fused dot loops") guarded_dots
+        d.Runtime.Exec.guarded_dots)
+    [ (72, 1, 0); (27, 0, 1) ]
+
 (* A warm im2col launch allocates the same few words at batch 1 and at
    batch 8: no scratch slot is heap-allocated per element. *)
 let test_im2col_allocation_gate () =
@@ -558,6 +590,8 @@ let tests =
   ; Alcotest.test_case "library lowers on the primary rung" `Quick
       test_library_lowers_primary
   ; Alcotest.test_case "gemm: one slab, acc carried" `Quick test_gemm_lowering
+  ; Alcotest.test_case "gemm: tile accesses proven, k loop fused" `Quick
+      test_gemm_proofs
   ; Alcotest.test_case "im2col: allocation flat in batch" `Quick
       test_im2col_allocation_gate
   ]

@@ -1479,6 +1479,82 @@ let mk_dot_module ?(mswap = false) ?(aswap = false) ?a ?(twin = false) () =
           Builder.Seq.to_list s)
     ]
 
+(* func @k(out, src : memref<?xf64>, g, n : index) {
+   t1 = alloca memref<2 x d>; t2 = alloca memref<d x 2> (of [elem]);
+   for i in [0, d) { t1[1][i] <- src[i]; t2[i][1] <- src[d + i] }
+   for j in [0, n) { out[0] <- for k in [0, hi) iter_args(acc = out[0]):
+   acc + t1[1][k] * t2[k][1] } }: the tile dot loop, its strides 1 and
+   2, its loads f64 whatever [elem] is (an int tile converts, as
+   [Mem.load] does).  With [guard], each trip is [if (k + j pred g) {
+   acc + ... } else { acc }].  [hi = d] reads the tiles over exactly
+   [0, d - 1]. *)
+let mk_tile_dot_module ?(elem = Types.F64) ?guard ?(mswap = false)
+    ?(aswap = false) ~d ~hi () =
+  Builder.module_
+    [ Builder.func "k"
+        [ ("out", Types.memref Types.F64 [ None ])
+        ; ("src", Types.memref Types.F64 [ None ])
+        ; ("g", Types.Scalar Types.Index)
+        ; ("n", Types.Scalar Types.Index)
+        ]
+        (fun p ->
+          let s = Builder.Seq.create () in
+          let e op = Builder.Seq.emitv s op in
+          let c0 = e (Builder.const_int 0) and c1 = e (Builder.const_int 1) in
+          let cd = e (Builder.const_int d) and chi = e (Builder.const_int hi) in
+          let t1 = e (Builder.alloca elem [ Some 2; Some d ]) in
+          let t2 = e (Builder.alloca elem [ Some d; Some 2 ]) in
+          ignore
+            (Builder.Seq.emit s
+               (Builder.for_ ~lo:c0 ~hi:cd ~step:c1 (fun i ->
+                    let b = Builder.Seq.create () in
+                    let e op = Builder.Seq.emitv b op in
+                    let x = e (Builder.load p.(1) [ i ]) in
+                    ignore (Builder.Seq.emit b (Builder.store x t1 [ c1; i ]));
+                    let y = e (Builder.load p.(1) [ e (Builder.binop Op.Add cd i) ]) in
+                    ignore (Builder.Seq.emit b (Builder.store y t2 [ i; c1 ]));
+                    Builder.Seq.to_list b)));
+          ignore
+            (Builder.Seq.emit s
+               (Builder.for_ ~lo:c0 ~hi:p.(3) ~step:c1 (fun j ->
+                    let b = Builder.Seq.create () in
+                    let e op = Builder.Seq.emitv b op in
+                    let init = e (Builder.load p.(0) [ c0 ]) in
+                    let l =
+                      e
+                        (Builder.for_iter ~lo:c0 ~hi:chi ~step:c1 ~inits:[ init ]
+                           (fun k acc ->
+                             let mac = Builder.Seq.create () in
+                             let e op = Builder.Seq.emitv mac op in
+                             let fload t ix =
+                               Op.mk Op.Load ~operands:(Array.of_list (t :: ix))
+                                 ~results:[| Value.fresh ~name:"ld" (Types.Scalar Types.F64) |]
+                             in
+                             let x = e (fload t1 [ c1; k ]) in
+                             let y = e (fload t2 [ k; c1 ]) in
+                             let m = e (if mswap then Builder.binop Op.Mul y x else Builder.binop Op.Mul x y) in
+                             let a =
+                               e
+                                 (if aswap then Builder.binop Op.Add m acc.(0)
+                                  else Builder.binop Op.Add acc.(0) m)
+                             in
+                             let mac = Builder.Seq.to_list mac @ [ Builder.yield_ [ a ] ] in
+                             match guard with
+                             | None -> mac
+                             | Some pred ->
+                               let kj = Builder.binop Op.Add k j in
+                               let c = Builder.cmp pred (Op.result kj) p.(2) in
+                               let r =
+                                 Builder.if_ ~results:[ Types.Scalar Types.F64 ] (Op.result c) mac
+                                   ~else_:[ Builder.yield_ [ acc.(0) ] ]
+                               in
+                               [ kj; c; r; Builder.yield_ [ Op.result r ] ]))
+                    in
+                    ignore (Builder.Seq.emit b (Builder.store l p.(0) [ c0 ]));
+                    Builder.Seq.to_list b)));
+          Builder.Seq.to_list s)
+    ]
+
 let test_no_alloc_per_iteration () =
   let big = 4096 in
   let probe =
@@ -1492,6 +1568,13 @@ let test_no_alloc_per_iteration () =
     let b = Interp.Mem.alloc_buffer Types.F64 [| big |] in
     let out = Interp.Mem.alloc_buffer Types.F64 [| 1 |] in
     (mk_dot_module (), fun n -> Interp.Mem.[ Buf a; Buf b; Buf out; Int 1; Int n ])
+  in
+  (* n runs of a proven 4-trip dot loop *)
+  let tile ?guard () =
+    let out = Interp.Mem.alloc_buffer Types.F64 [| 1 |] in
+    let src = Interp.Mem.of_float_array (Array.init 8 float_of_int) in
+    ( mk_tile_dot_module ?guard ~d:4 ~hi:4 ()
+    , fun n -> Interp.Mem.[ Buf out; Buf src; Int 2; Int n ] )
   in
   List.iter
     (fun (what, (m, args)) ->
@@ -1511,7 +1594,11 @@ let test_no_alloc_per_iteration () =
            what big large small)
         true
         (large -. small <= 16.0))
-    [ ("rank-3 probe", probe); ("dot loop", dot) ]
+    [ ("rank-3 probe", probe)
+    ; ("dot loop", dot)
+    ; ("proven dot loop", tile ())
+    ; ("guarded dot loop", tile ~guard:Op.Lt ())
+    ]
 
 (* --- unbound buffer register: the per-compile sentinel --- *)
 
@@ -2019,6 +2106,166 @@ let test_fold_region_boundary () =
   Alcotest.(check (list (float 0.0))) "engine = interpreter"
     (contents run_interp) (contents run_engine)
 
+(* --- proven accesses: compile-time facts remove the checks --- *)
+
+(* out[0]'s bits after @k of [m], or the error text with buffer ids
+   masked *)
+let tile_outcome m run ~src ~g ~n ~init =
+  let out = Interp.Mem.of_float_array [| init |] in
+  match run m Interp.Mem.[ Buf out; Buf (floats src ()); Int g; Int n ] with
+  | () -> Ok (Int64.bits_of_float (Interp.Mem.float_contents out).(0))
+  | exception Interp.Mem.Runtime_error e -> Error (mask_bufids e)
+
+let decisions m = Runtime.Exec.decisions (Runtime.Exec.compile m "k")
+
+(* The engine gives the interpreter's bits or error text on [m], which
+   compiles to [proven] proven accesses and [dots]/[guarded] fused
+   loops; returns that outcome. *)
+let check_tile what m ?(src = List.init 8 (fun i -> float_of_int i +. 0.5))
+    ?(g = 0) ?(n = 2) ?(init = 0.25) ~proven ~dots ~guarded () =
+  let want = tile_outcome m run_interp ~src ~g ~n ~init in
+  Alcotest.(check (result int64 string))
+    (what ^ ": engine = interpreter") want (tile_outcome m run_engine ~src ~g ~n ~init);
+  let d = decisions m in
+  Alcotest.(check (list int))
+    (what ^ ": proven accesses, plain and guarded dot loops")
+    [ proven; dots; guarded ]
+    [ d.Runtime.Exec.proven; d.Runtime.Exec.dots; d.Runtime.Exec.guarded_dots ];
+  want
+
+(* a read over exactly [0, d - 1] is proven; over [0, d] it stays
+   checked and fails at k = d with the interpreter's text, first load
+   first *)
+let test_proof_tile_edge () =
+  ignore
+    (check_tile "[0, d-1]" (mk_tile_dot_module ~d:4 ~hi:4 ()) ~proven:4 ~dots:1
+       ~guarded:0 ());
+  Alcotest.(check (result int64 string)) "[0, d]: t1 out of bounds at k = 4"
+    (oob 4 4 1)
+    (check_tile "[0, d]" (mk_tile_dot_module ~d:4 ~hi:5 ()) ~proven:2 ~dots:1
+       ~guarded:0 ());
+  ignore
+    (check_tile "int tile" (mk_tile_dot_module ~elem:Types.I64 ~d:4 ~hi:4 ())
+       ~src:[ 3.0; -1.0; 4.0; 1.0; -5.0; 9.0; 2.0; -6.0 ]
+       ~proven:4 ~dots:1 ~guarded:0 ())
+
+(* guarded dot loops: each predicate true on some trips and false on
+   others, a guard false on every trip (the k = d trip, which would fail,
+   reads nothing), and false trips that would index out of bounds *)
+let test_proof_guarded () =
+  let outs =
+    List.map
+      (fun pred ->
+        check_tile
+          (Printf.sprintf "pred %s" (Op.cmp_to_string pred))
+          (mk_tile_dot_module ~guard:pred ~d:4 ~hi:4 ())
+          ~g:3 ~n:3 ~proven:4 ~dots:0 ~guarded:1 ())
+      all_preds
+  in
+  Alcotest.(check int) "six predicates, six sums" 6
+    (List.length (List.sort_uniq compare outs));
+  Alcotest.(check (result int64 string)) "false on every trip: the init"
+    (Ok (Int64.bits_of_float 0.25))
+    (check_tile "never" (mk_tile_dot_module ~guard:Op.Lt ~d:4 ~hi:5 ())
+       ~g:(-1) ~proven:2 ~dots:0 ~guarded:1 ());
+  Alcotest.(check bool) "false trips out of bounds: no error" true
+    (Result.is_ok
+       (check_tile "false trips past the tile"
+          (mk_tile_dot_module ~guard:Op.Lt ~d:4 ~hi:6 ())
+          ~g:4 ~n:1 ~proven:2 ~dots:0 ~guarded:1 ()))
+
+(* NaN operands with distinct payloads, proven loops plain and guarded:
+   the payload follows the IR's operand order *)
+let test_proof_nan_orders () =
+  let nan p = Int64.float_of_bits (Int64.logor 0x7ff8000000000000L (Int64.of_int p)) in
+  List.iter
+    (fun guard ->
+      let outs =
+        List.concat_map
+          (fun mswap ->
+            List.map
+              (fun aswap ->
+                check_tile
+                  (Printf.sprintf "guarded=%b mswap=%b aswap=%b" (guard <> None) mswap aswap)
+                  (mk_tile_dot_module ?guard ~mswap ~aswap ~d:1 ~hi:1 ())
+                  ~src:[ nan 1; nan 2 ] ~init:(nan 3) ~g:1 ~n:1 ~proven:4
+                  ~dots:(if guard = None then 1 else 0)
+                  ~guarded:(if guard = None then 0 else 1)
+                  ())
+              [ false; true ])
+          [ false; true ]
+      in
+      Alcotest.(check int) "the orders give three payloads" 3
+        (List.length (List.sort_uniq compare outs)))
+    [ None; Some Op.Lt ]
+
+(* func @k(out : memref<?xf64>, c : index) { if c { t = alloca
+   memref<4xf64>; t[0] <- 1.5 }; out[0] <- t[0] }: the alloc's dims
+   fact ends with the if's region, so the read after it stays checked
+   and an unbound register keeps its located error. *)
+let test_proof_scope () =
+  let m =
+    carried_module 1 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let c0 = e (Builder.const_int 0) in
+        let t = Builder.alloca Types.F64 [ Some 4 ] in
+        let x = Builder.const_float ~dtype:Types.F64 1.5 in
+        let st = Builder.store (Op.result x) (Op.result t) [ c0 ] in
+        ignore (Builder.Seq.emit s (Builder.if_ p.(1) [ t; x; st ]));
+        let v = e (Builder.load (Op.result t) [ c0 ]) in
+        ignore (Builder.Seq.emit s (Builder.store v p.(0) [ c0 ])))
+  in
+  let run c =
+    let out = Interp.Mem.alloc_buffer Types.F64 [| 1 |] in
+    match run_engine m Interp.Mem.[ Buf out; Int c ] with
+    | () -> Ok (Interp.Mem.float_contents out).(0)
+    | exception Interp.Mem.Runtime_error e -> Error e
+  in
+  Alcotest.(check int) "only the store inside the if is proven" 1
+    (decisions m).Runtime.Exec.proven;
+  Alcotest.(check (result (float 0.0) string)) "the if taken" (Ok 1.5) (run 1);
+  Alcotest.(check bool) "the if not taken: the unbound register's text" true
+    (match run 0 with
+     | Error e -> contains_substring ~sub:"read of unbound buffer register" e
+     | Ok _ -> false)
+
+(* func @k(out : memref<?xf64>) { t = alloca memref<2xf64>;
+   for i in [lo, max_int) step s: out[0] <- t[i - lo] }: with lo =
+   max_int - 1 and s = 2 the increment wraps to min_int, the loop goes on,
+   and the read fails at index 2 in both engines; the loop gets no iv
+   fact.  With lo = max_int - 2 and s = 1 it ends and is proven. *)
+let test_proof_wrapping_loop () =
+  let mk ~lo ~step =
+    carried_module 0 (fun s p ->
+        let e op = Builder.Seq.emitv s op in
+        let c0 = e (Builder.const_int 0) in
+        let t = e (Builder.alloca Types.F64 [ Some 2 ]) in
+        let clo = e (Builder.const_int lo) and chi = e (Builder.const_int max_int) in
+        let cs = e (Builder.const_int step) in
+        ignore
+          (Builder.Seq.emit s
+             (Builder.for_ ~lo:clo ~hi:chi ~step:cs (fun i ->
+                  let idx = Builder.binop Op.Sub i clo in
+                  let v = Builder.load t [ Op.result idx ] in
+                  [ idx; v; Builder.store (Op.result v) p.(0) [ c0 ] ]))))
+  in
+  let outcome m run =
+    let out = Interp.Mem.of_float_array [| 0.5 |] in
+    match run m Interp.Mem.[ Buf out ] with
+    | () -> Ok (Int64.bits_of_float (Interp.Mem.float_contents out).(0))
+    | exception Interp.Mem.Runtime_error e -> Error (mask_bufids e)
+  in
+  List.iter
+    (fun (what, m, proven, want) ->
+      let interp = outcome m run_interp in
+      Alcotest.(check (result int64 string)) (what ^ ": interpreter") want interp;
+      Alcotest.(check (result int64 string)) (what ^ ": engine = interpreter")
+        interp (outcome m run_engine);
+      Alcotest.(check int) (what ^ ": proven") proven (decisions m).Runtime.Exec.proven)
+    [ ("wrapping", mk ~lo:(max_int - 1) ~step:2, 0, oob 2 2 0)
+    ; ("ending", mk ~lo:(max_int - 2) ~step:1, 1, Ok 0L)
+    ]
+
 let () =
   let rodinia =
     List.map
@@ -2112,6 +2359,18 @@ let () =
             test_fold_chains
         ; Alcotest.test_case "folded chains: defs across a region boundary"
             `Quick test_fold_region_boundary
+        ] )
+    ; ( "proofs",
+        [ Alcotest.test_case "tile read over [0, d-1] proven, [0, d] checked"
+            `Quick test_proof_tile_edge
+        ; Alcotest.test_case "guarded dot loops: predicates, false trips"
+            `Quick test_proof_guarded
+        ; Alcotest.test_case "NaN payloads, proven plain and guarded" `Quick
+            test_proof_nan_orders
+        ; Alcotest.test_case "a fact ends with its op list" `Quick
+            test_proof_scope
+        ; Alcotest.test_case "a wrapping loop gets no iv fact" `Quick
+            test_proof_wrapping_loop
         ] )
     ; ( "faults",
         [ Alcotest.test_case "inject through parallel path" `Quick
